@@ -1,8 +1,11 @@
 package gateway
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -208,13 +211,16 @@ type Client struct {
 	// the resubscribe goroutine instead would race those events into
 	// dispatchEvent with no registered server id, silently dropping the
 	// replay.
-	subFor  map[uint64]*Subscription
-	reqSeq  uint64
-	subs    []*Subscription
-	closed  bool
+	subFor map[uint64]*Subscription
+	// route maps a server-side subscription id to its handle, from its
+	// subscribe ack until it is removed or the connection is gone.
+	route  map[uint64]*Subscription
+	reqSeq uint64
+	subs   []*Subscription
+	closed bool
 
-	closec  chan struct{}
-	kick    chan struct{} // nudges the manager to reconnect now
+	closec      chan struct{}
+	kick        chan struct{} // nudges the manager to reconnect now
 	managerDone chan struct{}
 }
 
@@ -245,6 +251,7 @@ func Dial(addr string, cfg ClientConfig) *Client {
 		cfg:         cfg,
 		pending:     make(map[uint64]chan Response),
 		subFor:      make(map[uint64]*Subscription),
+		route:       make(map[uint64]*Subscription),
 		closec:      make(chan struct{}),
 		kick:        make(chan struct{}, 1),
 		managerDone: make(chan struct{}),
@@ -294,9 +301,11 @@ func (c *Client) manage() {
 		nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 		if err != nil {
 			attempt++
+			backoff := time.NewTimer(c.reconnectBackoff(attempt))
 			select {
-			case <-time.After(c.reconnectBackoff(attempt)):
+			case <-backoff.C:
 			case <-c.closec:
+				backoff.Stop()
 				return
 			}
 			continue
@@ -352,11 +361,23 @@ func (c *Client) reconnectBackoff(attempt int) time.Duration {
 }
 
 // readLoop demuxes gateway frames: responses to pending RPCs, events
-// to their subscriptions.
+// to their subscriptions. Event frames as the gateway writes them are
+// decoded in one pass (decodeEvent); encoding/json gets every other
+// frame, and with it the last word on what is malformed.
 func (c *Client) readLoop(nc net.Conn) {
+	br, scratch := bufio.NewReaderSize(nc, eventBufBytes), make([]byte, 4096)
 	for {
+		body, err := readFrameBody(br, scratch)
+		if err != nil {
+			_ = nc.Close()
+			return
+		}
+		if ev, t, ok := decodeEvent(c.cfg.Registry, body); ok {
+			c.dispatchEvent(ev, t)
+			continue
+		}
 		var fr Frame
-		if err := ReadFrame(nc, &fr); err != nil {
+		if err := json.Unmarshal(body, &fr); err != nil {
 			_ = nc.Close()
 			return
 		}
@@ -379,25 +400,17 @@ func (c *Client) readLoop(nc net.Conn) {
 				ch <- *fr.Resp
 			}
 		case fr.Event != nil:
-			c.dispatchEvent(*fr.Event)
+			c.dispatchEvent(*fr.Event, nil)
 		}
 	}
 }
 
 // dispatchEvent routes one event frame to its subscription, dedups by
-// sequence, verifies gap accounting and delivers to the consumer.
-func (c *Client) dispatchEvent(ev Event) {
+// sequence, verifies gap accounting and delivers to the consumer. t is
+// the event's tuple when the frame decoder already decoded it.
+func (c *Client) dispatchEvent(ev Event, t tuple.Tuple) {
 	c.mu.Lock()
-	var target *Subscription
-	for _, s := range c.subs {
-		s.mu.Lock()
-		match := s.serverID == ev.Sub && s.serverID != 0
-		s.mu.Unlock()
-		if match {
-			target = s
-			break
-		}
-	}
+	target := c.route[ev.Sub]
 	c.mu.Unlock()
 	if target == nil {
 		return
@@ -441,11 +454,10 @@ func (c *Client) dispatchEvent(ev Event) {
 		Replay: ev.Replay,
 		Epoch:  epoch,
 	}
-	if len(ev.Tuple) > 0 {
-		if t, err := tuple.UnmarshalTupleJSON(c.cfg.Registry, ev.Tuple); err == nil {
-			out.Tuple = t
-		}
+	if t == nil && len(ev.Tuple) > 0 {
+		t, _ = tuple.UnmarshalTupleJSON(c.cfg.Registry, ev.Tuple) // nil if its kind is unknown here
 	}
+	out.Tuple = t
 	target.deliver(out, c.closec)
 }
 
@@ -502,6 +514,9 @@ func (c *Client) resubscribe(s *Subscription) error {
 // ordered strictly before the replay events that follow the ack on the
 // wire.
 func (c *Client) applySubscribeAck(s *Subscription, resp Response) {
+	c.mu.Lock()
+	c.route[resp.Sub] = s
+	c.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	epochChanged := s.epoch != "" && s.epoch != resp.Epoch
@@ -531,6 +546,7 @@ func (c *Client) applySubscribeAck(s *Subscription, resp Response) {
 func (c *Client) detachSubs() {
 	c.mu.Lock()
 	subs := append([]*Subscription(nil), c.subs...)
+	c.route = make(map[uint64]*Subscription)
 	c.mu.Unlock()
 	for _, s := range subs {
 		s.mu.Lock()
@@ -555,15 +571,10 @@ func (c *Client) failPending() {
 	}
 }
 
-// roundTrip sends one request on the current connection and waits for
-// its response (no retries — Do wraps it with the policy).
-func (c *Client) roundTrip(req Request) (Response, error) {
-	return c.roundTripSub(req, nil)
-}
-
-// roundTripSub is roundTrip with an optional subscription to bind to
-// the request seq, so the read loop applies the subscribe ack before
-// dispatching the replay events behind it.
+// roundTripSub sends one request on the current connection and waits for
+// its response (no retries: do wraps it with the policy). A subscribe
+// request names its subscription, so that the read loop applies the ack
+// before dispatching the replay events behind it.
 func (c *Client) roundTripSub(req Request, sub *Subscription) (Response, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -595,6 +606,9 @@ func (c *Client) roundTripSub(req Request, sub *Subscription) (Response, error) 
 		_ = nc.Close()
 		return Response{}, err
 	}
+	// Stopped on every way out, or each call pins it for RequestTimeout.
+	timeout := time.NewTimer(c.cfg.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case resp, ok := <-ch:
 		if !ok {
@@ -604,7 +618,7 @@ func (c *Client) roundTripSub(req Request, sub *Subscription) (Response, error) 
 			return Response{}, ErrDisconnected
 		}
 		return resp, nil
-	case <-time.After(c.cfg.RequestTimeout):
+	case <-timeout.C:
 		c.abandon(req.Seq)
 		return Response{}, ErrTimeout
 	case <-c.closec:
@@ -624,7 +638,7 @@ func (c *Client) abandon(seq uint64) {
 func (c *Client) do(req Request) (Response, error) {
 	var resp Response
 	err := c.cfg.Policy.Do(func() error {
-		r, err := c.roundTrip(req)
+		r, err := c.roundTripSub(req, nil)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
 				return retry.Permanent(err)
@@ -745,6 +759,7 @@ func (c *Client) Unsubscribe(s *Subscription) error {
 
 func (c *Client) removeSub(s *Subscription) {
 	c.mu.Lock()
+	maps.DeleteFunc(c.route, func(_ uint64, cur *Subscription) bool { return cur == s })
 	for i, cur := range c.subs {
 		if cur == s {
 			c.subs = append(c.subs[:i], c.subs[i+1:]...)

@@ -2,7 +2,10 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -18,7 +21,7 @@ import (
 
 // newTestNode builds a standalone single-node middleware instance; the
 // gateway surface is purely local, so no peers are needed.
-func newTestNode(t *testing.T) *core.Node {
+func newTestNode(t testing.TB) *core.Node {
 	t.Helper()
 	g := topology.New()
 	g.AddNode("gw")
@@ -150,6 +153,25 @@ func TestGatewaySubscribeLiveAndUnsubscribe(t *testing.T) {
 	}
 }
 
+// readFrame reads one length-prefixed frame from r and unmarshals it
+// into v, without reading ahead: the tests' own reader, independent of
+// the buffered frameReader the gateway and the client use.
+func readFrame(r io.Reader, v any) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > MaxFrameBytes {
+		return ErrFrameTooLarge
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return fmt.Errorf("gateway: truncated frame: %w", err)
+	}
+	return json.Unmarshal(body, v)
+}
+
 // rawConn speaks the wire protocol directly, for tests that need exact
 // control over sequences and connection lifecycle.
 type rawConn struct {
@@ -178,7 +200,7 @@ func (r *rawConn) recv() Frame {
 	r.t.Helper()
 	_ = r.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var fr Frame
-	if err := ReadFrame(r.nc, &fr); err != nil {
+	if err := readFrame(r.nc, &fr); err != nil {
 		r.t.Fatalf("read frame: %v", err)
 	}
 	return fr
@@ -329,11 +351,11 @@ func TestGatewaySlowConsumerDropAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ringEntry{seq: seq, typ: core.TupleArrived.String(), tup: tup, tJSON: data}
+		return ringEntry{seq: seq, typ: core.TupleArrived.String(), tup: tup, shared: append([]byte(tupleMember), data...)}
 	}
 	decode := func(buf []byte) Event {
 		var fr Frame
-		if err := ReadFrame(bytes.NewReader(buf), &fr); err != nil {
+		if err := readFrame(bytes.NewReader(buf), &fr); err != nil {
 			t.Fatalf("decode queued frame: %v", err)
 		}
 		if fr.Event == nil {
@@ -592,7 +614,7 @@ func TestGatewayFilteredSubscriptionNoFalseGaps(t *testing.T) {
 // reset too — a stale counter turned the next legitimate drop-covered
 // gap into a false violation after a same-epoch reconnect.
 func TestGatewayDropCounterResetAcrossResubscribe(t *testing.T) {
-	c := &Client{closec: make(chan struct{})}
+	c := &Client{closec: make(chan struct{}), route: make(map[uint64]*Subscription)}
 	s := &Subscription{
 		Events: make(chan SubEvent, 4),
 		done:   make(chan struct{}),
@@ -622,7 +644,7 @@ func TestGatewayDropCounterResetAcrossResubscribe(t *testing.T) {
 	// of it (dseq 1), so it arrives as dseq 2 with drops 1. Comparing
 	// against the stale pre-reconnect counter (5) used to flag this as
 	// an unaccounted gap.
-	c.dispatchEvent(Event{Sub: 2, GSeq: 43, DSeq: 2, Drops: 1})
+	c.dispatchEvent(Event{Sub: 2, GSeq: 43, DSeq: 2, Drops: 1}, nil)
 	if got := s.GapViolations(); got != 0 {
 		t.Fatalf("gap violations = %d, want 0 (gap is covered in the new counter space)", got)
 	}
@@ -631,7 +653,7 @@ func TestGatewayDropCounterResetAcrossResubscribe(t *testing.T) {
 		t.Fatalf("delivered Drops = %d, want cumulative 6", ev.Drops)
 	}
 	// A genuinely unaccounted gap in the new space is still caught.
-	c.dispatchEvent(Event{Sub: 2, GSeq: 45, DSeq: 5, Drops: 1})
+	c.dispatchEvent(Event{Sub: 2, GSeq: 45, DSeq: 5, Drops: 1}, nil)
 	if got := s.GapViolations(); got != 1 {
 		t.Fatalf("gap violations = %d, want 1 for an uncovered delivery gap", got)
 	}
@@ -660,7 +682,7 @@ func TestGatewayClientRetriesThroughMidRPCDisconnect(t *testing.T) {
 				defer nc.Close()
 				for {
 					var req Request
-					if err := ReadFrame(nc, &req); err != nil {
+					if err := readFrame(nc, &req); err != nil {
 						return
 					}
 					if dropFirst.CompareAndSwap(true, false) {

@@ -1,22 +1,21 @@
 package gateway
 
 import (
-	"encoding/json"
 	"sync"
 
 	"tota/internal/tuple"
 )
 
 // ringEntry is one gateway-observed engine event, retained for replay:
-// the sequence it was assigned, the decoded tuple for template
-// matching, and the pre-encoded JSON so fan-out to thousands of
-// subscriptions marshals each tuple exactly once.
+// the sequence it was assigned, the decoded tuple for template matching,
+// and the part of its frame every subscription shares, ,"peer":…,"tuple":{…},
+// rendered once and exactly sized (never nil), so fan-out to thousands of
+// subscriptions marshals each tuple exactly once and splices it.
 type ringEntry struct {
-	seq   uint64
-	typ   string
-	peer  string
-	tup   tuple.Tuple
-	tJSON json.RawMessage
+	seq    uint64
+	typ    string
+	tup    tuple.Tuple
+	shared []byte
 }
 
 // eventRing is the bounded per-gateway replay buffer — the

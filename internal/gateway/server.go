@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -257,17 +258,16 @@ func (g *Gateway) onEvent(ev core.Event) {
 	g.evMu.Lock()
 	defer g.evMu.Unlock()
 	g.gseq++
-	entry := ringEntry{
-		seq:  g.gseq,
-		typ:  ev.Type.String(),
-		peer: string(ev.Peer),
-	}
+	entry := ringEntry{seq: g.gseq, typ: ev.Type.String(), tup: ev.Tuple}
+	var stack [1024]byte // rendered here, then copied exactly sized
+	buf := appendEventPeer(stack[:0], string(ev.Peer))
 	if ev.Tuple != nil {
-		entry.tup = ev.Tuple
-		if data, err := tuple.MarshalTupleJSON(ev.Tuple); err == nil {
-			entry.tJSON = data
+		// A tuple that cannot be rendered is matched on but not carried.
+		if with, err := tuple.AppendTupleJSON(append(buf, tupleMember...), ev.Tuple); err == nil {
+			buf = with
 		}
 	}
+	entry.shared = append(make([]byte, 0, len(buf)), buf...)
 	g.ring.append(entry)
 	g.mu.Lock()
 	conns := make([]*conn, 0, len(g.conns))
@@ -275,8 +275,12 @@ func (g *Gateway) onEvent(ev core.Event) {
 		conns = append(conns, c)
 	}
 	g.mu.Unlock()
+	if ev.Tuple == nil {
+		return // nothing matches it
+	}
+	kind, id, content := ev.Tuple.Kind(), ev.Tuple.ID(), ev.Tuple.Content()
 	for _, c := range conns {
-		c.deliver(entry, false)
+		c.deliver(entry, kind, id, content)
 	}
 }
 
@@ -342,9 +346,14 @@ func (c *conn) close() {
 func (c *conn) readLoop() {
 	defer c.gw.wg.Done()
 	defer c.close()
+	br, scratch := bufio.NewReader(c.nc), make([]byte, 1024)
 	for {
+		body, err := readFrameBody(br, scratch)
+		if err != nil {
+			return
+		}
 		var req Request
-		if err := ReadFrame(c.nc, &req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			return
 		}
 		resp, fatal := c.handle(req)
@@ -361,14 +370,34 @@ func (c *conn) readLoop() {
 	}
 }
 
+// Write arms a fresh deadline for every write that reaches the socket:
+// writeLoop's buffer makes one per flush.
+func (c *conn) Write(p []byte) (int, error) {
+	_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	return c.nc.Write(p)
+}
+
+// writeLoop coalesces without ever delaying: what is queued goes into the
+// buffer and the buffer goes out the moment the queue is empty, so a lone
+// frame leaves at once and a burst shares a write. No timer, no threshold.
 func (c *conn) writeLoop() {
 	defer c.gw.wg.Done()
 	defer c.close()
+	w := bufio.NewWriterSize(c, eventBufBytes)
 	for {
 		select {
 		case buf := <-c.out:
-			_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if _, err := c.nc.Write(buf); err != nil {
+			for more := true; more; {
+				if _, err := w.Write(buf); err != nil {
+					return
+				}
+				select {
+				case buf = <-c.out:
+				default:
+					more = false
+				}
+			}
+			if err := w.Flush(); err != nil {
 				return
 			}
 		case <-c.closec:
@@ -523,40 +552,33 @@ func (c *conn) handleSubscribe(req Request) (*Response, bool) {
 		return nil, true
 	}
 	for _, e := range entries {
-		if c.enqueueLocked(sub, e, true) {
+		if tpl.Matches(e.tup) && c.enqueueLocked(sub, e, true) {
 			c.gw.stats.replayEvents.Add(1)
 		}
 	}
 	return nil, false
 }
 
-// deliver fans one event into every matching subscription queue.
-func (c *conn) deliver(e ringEntry, replay bool) {
+// deliver fans one live event into every matching subscription queue;
+// kind, id and content are its tuple's, fetched once per event. Neighbor
+// events are synthesized tuples, so they match the same way (the paper's
+// "any event … can be represented as a tuple").
+func (c *conn) deliver(e ringEntry, kind string, id tuple.ID, content tuple.Content) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, sub := range c.subs {
-		c.enqueueLocked(sub, e, replay)
+		if sub.tpl.MatchesParts(kind, id, content) {
+			c.enqueueLocked(sub, e, false)
+		}
 	}
 }
 
-// enqueueLocked queues one event frame for sub, dropping with
-// accounting when the client's queue is full. Callers hold c.mu.
+// enqueueLocked queues one frame for sub, whose template matched, dropping
+// with accounting when the client's queue is full. Callers hold c.mu.
 func (c *conn) enqueueLocked(sub *serverSub, e ringEntry, replay bool) bool {
-	if !matchEntry(sub.tpl, e) {
-		return false
-	}
 	sub.dseq++
-	ev := Event{
-		Type:   e.typ,
-		Sub:    sub.id,
-		GSeq:   e.seq,
-		DSeq:   sub.dseq,
-		Drops:  sub.drops.Load(),
-		Peer:   e.peer,
-		Tuple:  e.tJSON,
-		Replay: replay,
-	}
-	buf, err := EncodeFrame(Frame{Event: &ev})
+	ev := Event{Type: e.typ, Sub: sub.id, GSeq: e.seq, DSeq: sub.dseq, Drops: sub.drops.Load(), Replay: replay}
+	buf, err := encodeEvent(&ev, e.shared)
 	if err != nil {
 		c.gw.logf("gateway: encode event", "err", err)
 		return false
@@ -570,15 +592,4 @@ func (c *conn) enqueueLocked(sub *serverSub, e ringEntry, replay bool) bool {
 		c.gw.stats.dropped.Add(1)
 		return false
 	}
-}
-
-// matchEntry applies a subscription template to a retained event. For
-// tuple events the template matches the tuple; synthesized neighbor
-// tuples go through the same path (the paper's "any event … can be
-// represented as a tuple").
-func matchEntry(tpl tuple.Template, e ringEntry) bool {
-	if e.tup == nil {
-		return false
-	}
-	return tpl.Matches(e.tup)
 }

@@ -71,17 +71,19 @@ func MatchID(id ID) Template {
 
 // Matches reports whether the template matches tuple t.
 func (tpl Template) Matches(t Tuple) bool {
-	if t == nil {
+	return t != nil && tpl.kindMatches(t.Kind()) && tpl.MatchesParts(t.Kind(), t.ID(), t.Content())
+}
+
+// MatchesParts is Matches on a tuple's kind, id and content, for a caller
+// that holds one tuple against many templates and fetches the parts once.
+func (tpl Template) MatchesParts(kind string, id ID, c Content) bool {
+	if !tpl.kindMatches(kind) {
 		return false
 	}
-	if !tpl.kindMatches(t.Kind()) {
-		return false
-	}
-	c := t.Content()
 	pos := 0
 	for _, p := range tpl.Fields {
 		if p.Name == "\x00id" {
-			if s, ok := p.Value.(string); !ok || s != t.ID().String() {
+			if s, ok := p.Value.(string); !ok || s != id.String() {
 				return false
 			}
 			continue

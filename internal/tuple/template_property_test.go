@@ -79,3 +79,26 @@ func TestMatchSurvivesCodecQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: MatchesParts on a tuple's parts is Matches on the tuple,
+// across kind prefixes, id patterns, named, positional and exact
+// templates.
+func TestMatchesPartsIsMatchesQuick(t *testing.T) {
+	f := func(kind, name, probe string, v int64, seq uint8, exact bool) bool {
+		tt := newTestTuple("q"+kind, Content{S("name", name), {Value: v}})
+		tt.SetID(ID{Node: "n", Seq: uint64(seq)})
+		for _, tpl := range []Template{
+			MatchAll(), Match("q*"), Match("q" + probe), MatchID(ID{Node: "n", Seq: 3}),
+			Match("", Eq(S("name", probe))), Match("", Eq(S("name", name)), AnyOfKind("", KindInt)),
+			{Kind: "q*", Exact: exact, Fields: []FieldPattern{AnyField("name")}},
+		} {
+			if tpl.MatchesParts(tt.Kind(), tt.ID(), tt.Content()) != tpl.Matches(tt) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

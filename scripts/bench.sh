@@ -23,9 +23,15 @@ echo "wrote $txt" >&2
 # performance history survives beyond the two most recent runs.
 traj="BENCH_TRAJECTORY.json"
 stamp="$(date +%Y-%m-%dT%H:%M:%S)"
-entry="$(awk -v date="$date" -v stamp="$stamp" '
+# Hardware stamp: a number means nothing without the machine it was
+# taken on. GOMAXPROCS is the -N suffix go test prints on every line.
+nproc="$(nproc 2>/dev/null || echo 0)"
+gover="$(go env GOVERSION)"
+cpu="$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\')"
+entry="$(awk -v date="$date" -v stamp="$stamp" -v nproc="$nproc" -v gover="$gover" -v cpu="${cpu:-unknown}" '
 	/^Benchmark/ {
 		name = $1
+		if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
 		sub(/-[0-9]+$/, "", name)
 		ns = ""; by = ""; al = ""; rss = ""; bpn = ""
 		for (i = 2; i <= NF; i++) {
@@ -45,7 +51,7 @@ entry="$(awk -v date="$date" -v stamp="$stamp" '
 		benches = benches (benches == "" ? "" : ",") b
 	}
 	END {
-		printf "{\"date\":\"%s\",\"stamp\":\"%s\",\"benchmarks\":{%s}}", date, stamp, benches
+		printf "{\"date\":\"%s\",\"stamp\":\"%s\",\"nproc\":%d,\"gomaxprocs\":%d,\"go_version\":\"%s\",\"cpu_model\":\"%s\",\"benchmarks\":{%s}}", date, stamp, nproc, procs ? procs : 1, gover, cpu, benches
 	}' "$txt")"
 if [ -s "$traj" ]; then
 	# Drop the closing bracket, append the new entry, close the array.
@@ -79,6 +85,11 @@ grep 'BenchmarkRecompute10k\|BenchmarkSettleSharded\|BenchmarkE15Scale' "$txt" >
 # bytes_per_node, which the trajectory entry records so the memory
 # history rides beside the timing history (see DESIGN.md §13).
 grep 'BenchmarkE16' "$txt" >&2 || true
+
+# Headline gateway cost: the tuple JSON codec and the per-subscription
+# event frame, then one event through 100 subscriptions on two loopback
+# connections (see DESIGN.md §15).
+grep 'BenchmarkTupleJSON\|BenchmarkGateway' "$txt" >&2 || true
 
 # Delta against the most recent prior run. The .txt files are benchstat
 # input; use benchstat when installed, otherwise fall back to an awk
