@@ -203,35 +203,23 @@ func BenchmarkGradientRepair(b *testing.B) {
 	}
 }
 
-// BenchmarkSettleParallel measures full gradient propagation on a
-// 20x20 grid — the tentpole workload for the parallel delivery pool.
-// The serial sub-benchmark forces Workers=1; the parallel one uses the
-// GOMAXPROCS-bounded default. Both produce bit-identical worlds.
-func BenchmarkSettleParallel(b *testing.B) {
-	run := func(b *testing.B, workers int) {
+// BenchmarkSettle measures the emulator's two settle shapes: a full
+// gradient propagation over a 20x20 grid from a fresh world, and a
+// refresh epoch (sweep + refresh + drain) over a settled 2.5k-node
+// jittered world.
+func BenchmarkSettle(b *testing.B) {
+	b.Run("build20x20", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w := emulator.New(emulator.Config{
-				Graph:   topology.Grid(20, 20, 1),
-				Workers: workers,
-			})
+			w := emulator.New(emulator.Config{Graph: topology.Grid(20, 20, 1)})
 			if _, err := w.Node(topology.NodeName(0)).Inject(pattern.NewGradient("f")); err != nil {
 				b.Fatal(err)
 			}
 			w.Settle(100000)
 		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
-}
-
-// BenchmarkSettleSharded is the ISSUE 6 region-sharding workload: a
-// 2.5k-node jittered world (above the shard threshold) runs refresh
-// epochs — each a sharded sweep + refresh + drain cycle. The serial
-// sub-benchmark forces Shards=1; the sharded one uses the
-// GOMAXPROCS-bounded default. Both produce bit-identical worlds.
-func BenchmarkSettleSharded(b *testing.B) {
-	run := func(b *testing.B, shards int) {
-		w := experiment.NewScaleWorld(2_500, shards)
+	})
+	b.Run("refresh2500", func(b *testing.B) {
+		w := experiment.NewScaleWorld(2_500)
 		if _, err := w.Node(topology.NodeName(0)).Inject(pattern.NewGradient("f")); err != nil {
 			b.Fatal(err)
 		}
@@ -242,9 +230,7 @@ func BenchmarkSettleSharded(b *testing.B) {
 			w.RefreshAll()
 			w.Settle(1000000)
 		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("sharded", func(b *testing.B) { run(b, 0) })
+	})
 }
 
 // BenchmarkE15Scale runs the Quick (1k-node) scale experiment.
@@ -275,7 +261,7 @@ func BenchmarkE16Scale250k(b *testing.B) {
 	// failing on any regression toward the pre-columnar ~9 KiB/node.
 	const budget = 5_120
 	for i := 0; i < b.N; i++ {
-		r := experiment.RunE16N(250_000, 0)
+		r := experiment.RunE16N(250_000)
 		if r.GradErr != 0 || r.Missing != 0 || r.Extra != 0 {
 			b.Fatalf("oracle mismatch at 250k nodes: err=%v missing=%d extra=%d",
 				r.GradErr, r.Missing, r.Extra)

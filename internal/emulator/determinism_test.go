@@ -3,7 +3,6 @@ package emulator
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -79,7 +78,7 @@ func TestSameSeedSameUniverse(t *testing.T) {
 // engine trace stream fanned out to both a per-node collector and a
 // JSONL export sink, returning the per-node streams and the sink's
 // written/dropped counts.
-func runTracedScenario(seed int64, workers int) (perNode map[tuple.NodeID][]string, written, dropped int64) {
+func runTracedScenario(seed int64) (perNode map[tuple.NodeID][]string, written, dropped int64) {
 	var jsonl strings.Builder
 	sink := obs.NewJSONLSink(&jsonl, nil, nil, 1<<16)
 	var mu sync.Mutex
@@ -98,7 +97,6 @@ func runTracedScenario(seed int64, workers int) (perNode map[tuple.NodeID][]stri
 		Loss:         0.2,
 		RefreshEvery: 5,
 		Seed:         seed,
-		Workers:      workers,
 		NodeOptions:  []core.Option{core.WithTracer(tracer)},
 	})
 	bounds := space.Rect{Max: space.Point{X: 10, Y: 10}}
@@ -119,43 +117,32 @@ func runTracedScenario(seed int64, workers int) (perNode map[tuple.NodeID][]stri
 	return perNode, sink.Written(), sink.Dropped()
 }
 
-// TestTraceStreamsDeterministicAcrossWorkers extends the same-seed
-// guarantee to the observability pipeline: each node's engine trace
-// stream is complete (nothing shed by the export sink) and identically
-// ordered whether the radio delivers serially (Workers=1) or on a
-// parallel worker pool.
-func TestTraceStreamsDeterministicAcrossWorkers(t *testing.T) {
-	serial, serialWritten, serialDropped := runTracedScenario(99, 1)
-	if serialDropped != 0 {
-		t.Fatalf("serial sink shed %d events", serialDropped)
+const traceStreamsGolden = "7c988e6681b72d82572f808dc036b67e81a4fd6b3a5ac37526c7e9d83c80e1b9"
+
+// TestTraceStreamsGolden extends the same-seed guarantee to the
+// observability pipeline: each node's engine trace stream is complete
+// (nothing shed by the export sink) and reproduces the recorded run
+// (see golden_test.go).
+func TestTraceStreamsGolden(t *testing.T) {
+	perNode, written, dropped := runTracedScenario(99)
+	if dropped != 0 {
+		t.Fatalf("sink shed %d events", dropped)
 	}
 	var total int64
-	for _, evs := range serial {
+	for _, evs := range perNode {
 		total += int64(len(evs))
 	}
 	if total == 0 {
 		t.Fatal("scenario traced nothing; not a meaningful determinism check")
 	}
-	if serialWritten != total {
-		t.Errorf("sink exported %d of %d traced events", serialWritten, total)
+	if written != total {
+		t.Errorf("sink exported %d of %d traced events", written, total)
 	}
-	for _, workers := range []int{2, 8} {
-		parallel, written, dropped := runTracedScenario(99, workers)
-		if dropped != 0 {
-			t.Errorf("workers=%d: sink shed %d events", workers, dropped)
-		}
-		if written != serialWritten {
-			t.Errorf("workers=%d: exported %d events, serial exported %d", workers, written, serialWritten)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			for id, want := range serial {
-				if got := parallel[id]; !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: node %s trace diverged (%d vs %d events)",
-						workers, id, len(want), len(got))
-					break
-				}
-			}
-		}
+	var b strings.Builder
+	fmt.Fprintf(&b, "written:%d dropped:%d\n", written, dropped)
+	writeTraces(&b, perNode)
+	if got := sha256Hex(b.String()); got != traceStreamsGolden {
+		t.Errorf("trace digest %s, recorded %s (%d events)", got, traceStreamsGolden, total)
 	}
 }
 

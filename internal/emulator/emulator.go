@@ -10,19 +10,16 @@
 // by seeded randomness, so runs are reproducible.
 //
 // Per-node hot state (middleware node, mover) lives in dense slices
-// indexed by the topology's compact node handles, and the per-node
-// phases of a Tick (expiry sweep, anti-entropy refresh) fan out over
-// shard regions of the plane on large worlds — with all sends staged
-// and merged in (source, sequence) order, so a seeded run is
-// bit-identical at every shard count.
+// indexed by the topology's compact node handles. A World runs on the
+// goroutine that drives it: every per-node phase of a Tick (expiry
+// sweep, mobility, anti-entropy refresh) visits nodes in ascending id
+// order, and the radio delivers each round serially.
 package emulator
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,17 +50,6 @@ type Config struct {
 	RefreshEvery int
 	// Seed drives every random choice.
 	Seed int64
-	// Workers bounds the radio's parallel delivery pool (see
-	// transport.SimConfig.Workers). Zero means GOMAXPROCS; one forces
-	// serial delivery. Seeded runs are bit-identical at any setting.
-	Workers int
-	// Shards bounds the worker pool for the per-node phases of a Tick
-	// (expiry sweep, refresh): the plane is cut into shard regions
-	// stepped concurrently, with sends staged and merged
-	// deterministically. Zero means GOMAXPROCS; one forces serial
-	// sweeps. Seeded runs are bit-identical at any setting. Worlds
-	// below a small node-count threshold always run serial.
-	Shards int
 	// NodeOptions are extra middleware options applied to every node.
 	NodeOptions []core.Option
 }
@@ -84,8 +70,7 @@ type World struct {
 	movers []mobility.Mover
 
 	// Reusable scratch for the tick phases (driving goroutine only).
-	order     []topology.Handle
-	shardBufs [][]topology.Handle
+	order []topology.Handle
 
 	ticks int
 	time  float64
@@ -128,9 +113,8 @@ func New(cfg Config) *World {
 		cfg:   cfg,
 		graph: cfg.Graph,
 		sim: transport.NewSim(cfg.Graph, transport.SimConfig{
-			Loss:    cfg.Loss,
-			Seed:    cfg.Seed,
-			Workers: cfg.Workers,
+			Loss: cfg.Loss,
+			Seed: cfg.Seed,
 		}),
 	}
 	for _, id := range cfg.Graph.Nodes() {
@@ -294,80 +278,24 @@ func (w *World) recompute() {
 	w.sim.ApplyEdgeEvents(events)
 }
 
-// shardMinNodes is the world size below which the per-node phases stay
-// serial: goroutine fan-out costs more than it saves on small worlds,
-// and serial order is the reference the staged merge reproduces anyway.
-const shardMinNodes = 256
-
-func (w *World) shardCount(n int) int {
-	if n < shardMinNodes {
-		return 1
-	}
-	s := w.cfg.Shards
-	if s == 0 {
-		s = runtime.GOMAXPROCS(0)
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// forEachNodeSharded runs fn once per live, non-paused node. On small
-// worlds (or Shards=1) nodes are visited serially in ascending id
-// order. On large worlds the plane is cut into shard regions (grid-cell
-// columns one radio range wide) visited by one worker each, with every
-// send staged and committed afterwards in (source, sequence) order —
-// the same order the serial sweep commits in, which is what keeps
-// seeded runs bit-identical across shard counts.
-func (w *World) forEachNodeSharded(fn func(n *core.Node)) {
+// forEachActiveNode runs fn once per live, non-paused node, in
+// ascending id order. Sends commit as they happen, so the radio's rng
+// is consumed in that order too.
+func (w *World) forEachActiveNode(fn func(n *core.Node)) {
 	paused := w.sim.PausedSnapshot()
-	shards := w.shardCount(w.graph.Len())
-	if shards <= 1 {
-		w.order = w.graph.AppendSortedHandles(w.order[:0])
-		for _, h := range w.order {
-			n := w.nodeAt(h)
-			if n == nil {
+	w.order = w.graph.AppendSortedHandles(w.order[:0])
+	for _, h := range w.order {
+		n := w.nodeAt(h)
+		if n == nil {
+			continue
+		}
+		if paused != nil {
+			if _, held := paused[w.graph.IDAt(h)]; held {
 				continue
 			}
-			if paused != nil {
-				if _, held := paused[w.graph.IDAt(h)]; held {
-					continue
-				}
-			}
-			fn(n)
 		}
-		return
+		fn(n)
 	}
-	w.shardBufs = w.graph.ShardHandles(shards, w.shardBufs)
-	w.sim.StageSends(func() {
-		var wg sync.WaitGroup
-		for _, bucket := range w.shardBufs {
-			if len(bucket) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(bucket []topology.Handle) {
-				defer wg.Done()
-				for _, h := range bucket {
-					n := w.nodeAt(h)
-					if n == nil {
-						continue
-					}
-					if paused != nil {
-						if _, held := paused[w.graph.IDAt(h)]; held {
-							continue
-						}
-					}
-					fn(n)
-				}
-			}(bucket)
-		}
-		wg.Wait()
-	})
 }
 
 // Tick advances time: movers step by dt, the topology follows the new
@@ -380,13 +308,13 @@ func (w *World) Tick(dt float64) {
 	w.ticks++
 	w.time += dt
 	now := w.time
-	// Expired-tuple sweep: per-node, sharded. A paused node processes
-	// nothing, not even expiry.
-	w.forEachNodeSharded(func(n *core.Node) {
+	// Expired-tuple sweep. A paused node processes nothing, not even
+	// expiry.
+	w.forEachActiveNode(func(n *core.Node) {
 		n.SweepExpired(now)
 	})
-	// Mobility stays serial in ascending id order: movers routinely
-	// share one scenario rng, so their step order is part of the seed.
+	// Movers step in ascending id order: they routinely share one
+	// scenario rng, so their step order is part of the seed.
 	w.order = w.graph.AppendSortedHandles(w.order[:0])
 	for _, h := range w.order {
 		if int(h) < len(w.movers) && w.movers[h] != nil {
@@ -407,14 +335,13 @@ func (w *World) Tick(dt float64) {
 }
 
 // RefreshAll runs the anti-entropy pass on every non-paused node (in
-// deterministic merge order, sharded on large worlds) and returns the
-// number of announcements.
+// ascending id order) and returns the number of announcements.
 func (w *World) RefreshAll() int {
-	var total atomic.Int64
-	w.forEachNodeSharded(func(n *core.Node) {
-		total.Add(int64(n.Refresh()))
+	total := 0
+	w.forEachActiveNode(func(n *core.Node) {
+		total += n.Refresh()
 	})
-	return int(total.Load())
+	return total
 }
 
 // Settle drains the radio to quiescence without moving anything,

@@ -1,8 +1,8 @@
 package emulator
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -64,8 +64,8 @@ func (f *flightFleet) records() map[tuple.NodeID][]obs.TraceRecord {
 
 // runFlightScenario runs the standard lossy mobile scenario (the
 // TestSameSeedSameUniverse fixture) with full trace sampling and
-// per-node flight recorders, at the given delivery worker count.
-func runFlightScenario(seed int64, workers int) map[tuple.NodeID][]obs.TraceRecord {
+// per-node flight recorders.
+func runFlightScenario(seed int64) map[tuple.NodeID][]obs.TraceRecord {
 	var w *World
 	fleet := newFlightFleet(func() float64 { return float64(w.Sim().Rounds()) })
 	rng := rand.New(rand.NewSource(seed))
@@ -76,7 +76,6 @@ func runFlightScenario(seed int64, workers int) map[tuple.NodeID][]obs.TraceReco
 		Loss:         0.2,
 		RefreshEvery: 5,
 		Seed:         seed,
-		Workers:      workers,
 		NodeOptions: []core.Option{
 			core.WithTracer(fleet.Tracer()),
 			core.WithTraceSampling(1),
@@ -99,47 +98,33 @@ func runFlightScenario(seed int64, workers int) map[tuple.NodeID][]obs.TraceReco
 	return fleet.records()
 }
 
-// diffFlights asserts two per-node record maps are identical, naming
-// the first diverging node otherwise.
-func diffFlights(t *testing.T, label string, want, got map[tuple.NodeID][]obs.TraceRecord) {
-	t.Helper()
-	if reflect.DeepEqual(want, got) {
-		return
-	}
-	for id, w := range want {
-		if g := got[id]; !reflect.DeepEqual(g, w) {
-			for i := range w {
-				if i >= len(g) || g[i] != w[i] {
-					t.Errorf("%s: node %s record %d diverged:\nwant %+v\ngot  %+v",
-						label, id, i, w[i], recordAt(g, i))
-					return
-				}
-			}
-			t.Errorf("%s: node %s has %d extra records", label, id, len(g)-len(w))
-			return
+// flightDigest is the SHA-256 of every node's flight ring, in node order.
+func flightDigest(recs map[tuple.NodeID][]obs.TraceRecord) string {
+	var b strings.Builder
+	for _, id := range sortedNodes(recs) {
+		fmt.Fprintf(&b, "%s\n", id)
+		for _, r := range recs[id] {
+			fmt.Fprintf(&b, "\t%+v\n", r)
 		}
 	}
-	t.Errorf("%s: flight contents diverged (extra nodes)", label)
+	return sha256Hex(b.String())
 }
 
-func recordAt(recs []obs.TraceRecord, i int) any {
-	if i < len(recs) {
-		return recs[i]
-	}
-	return "<missing>"
-}
+const (
+	flightGolden      = "fa8a45443a36b4ecc265a5223cbf0ac8f7f8331f9e773ab9eb90ea97265f97dc"
+	largeFlightGolden = "7a8e37759405f1d90b9a193461f0efa0f807ef82680c06a776908753c3462766"
+)
 
-// TestFlightDeterministicAcrossWorkers: the per-node flight rings —
-// contents, order, round stamps and span identities — are bit-identical
-// whether the radio delivers serially or on a parallel pool. This is
-// what makes a flight dump from a parallel run diffable against a
-// serial reproduction of the same seed.
-func TestFlightDeterministicAcrossWorkers(t *testing.T) {
-	serial := runFlightScenario(99, 1)
+// TestFlightGolden: the per-node flight rings — contents, order, round
+// stamps and span identities — reproduce the recorded run bit for bit
+// (see golden_test.go), which is what makes a flight dump diffable
+// against a reproduction of the same seed.
+func TestFlightGolden(t *testing.T) {
+	recs := runFlightScenario(99)
 	var total, sampled int
-	for _, recs := range serial {
-		total += len(recs)
-		for _, r := range recs {
+	for _, rs := range recs {
+		total += len(rs)
+		for _, r := range rs {
 			if r.Trace != "" {
 				sampled++
 			}
@@ -151,16 +136,14 @@ func TestFlightDeterministicAcrossWorkers(t *testing.T) {
 	if sampled == 0 {
 		t.Fatal("no record carries a trace id despite sampling 1")
 	}
-	for _, workers := range []int{4, 8} {
-		got := runFlightScenario(99, workers)
-		diffFlights(t, "workers="+string(rune('0'+workers)), serial, got)
+	if got := flightDigest(recs); got != flightGolden {
+		t.Errorf("flight digest %s, recorded %s (%d records)", got, flightGolden, total)
 	}
 }
 
-// runShardedFlightScenario is the sharded-sweep variant: a world above
-// the shard threshold (300 nodes) whose refresh/expiry phases fan out
-// over shard workers.
-func runShardedFlightScenario(seed int64, shards int) map[tuple.NodeID][]obs.TraceRecord {
+// runLargeFlightScenario is the 300-node variant, with refresh epochs
+// every third tick.
+func runLargeFlightScenario(seed int64) map[tuple.NodeID][]obs.TraceRecord {
 	var w *World
 	fleet := newFlightFleet(func() float64 { return float64(w.Sim().Rounds()) })
 	g := topology.Grid(20, 15, 1)
@@ -169,8 +152,6 @@ func runShardedFlightScenario(seed int64, shards int) map[tuple.NodeID][]obs.Tra
 		Loss:         0.15,
 		RefreshEvery: 3,
 		Seed:         seed,
-		Workers:      1,
-		Shards:       shards,
 		NodeOptions: []core.Option{
 			core.WithTracer(fleet.Tracer()),
 			core.WithTraceSampling(1),
@@ -186,22 +167,18 @@ func runShardedFlightScenario(seed int64, shards int) map[tuple.NodeID][]obs.Tra
 	return fleet.records()
 }
 
-// TestFlightDeterministicAcrossShards extends the guarantee to the
-// sharded per-node phases on large worlds.
-func TestFlightDeterministicAcrossShards(t *testing.T) {
+// TestLargeFlightGolden extends the guarantee to a 300-node world.
+func TestLargeFlightGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("300-node world")
 	}
-	serial := runShardedFlightScenario(7, 1)
-	var total int
-	for _, recs := range serial {
-		total += len(recs)
-	}
-	if total == 0 {
+	recs := runLargeFlightScenario(7)
+	if len(recs) == 0 {
 		t.Fatal("scenario recorded nothing")
 	}
-	got := runShardedFlightScenario(7, 4)
-	diffFlights(t, "shards=4", serial, got)
+	if got := flightDigest(recs); got != largeFlightGolden {
+		t.Errorf("flight digest %s, recorded %s", got, largeFlightGolden)
+	}
 }
 
 // TestEmulatorThroughputMetrics: RegisterMetrics exposes the tick

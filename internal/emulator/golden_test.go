@@ -1,0 +1,224 @@
+package emulator
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"tota/internal/core"
+	"tota/internal/mobility"
+	"tota/internal/pattern"
+	"tota/internal/space"
+	"tota/internal/topology"
+	"tota/internal/transport"
+	"tota/internal/tuple"
+)
+
+// The golden tests pin seeded runs to SHA-256 digests recorded at the
+// last commit that still had a delivery worker pool and sharded tick
+// phases, on their serial path — the reference every pool and shard
+// count was tested equal to. A digest changes only when behaviour does.
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+func sortedNodes[V any](m map[tuple.NodeID]V) []tuple.NodeID {
+	ids := make([]tuple.NodeID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+func writeTraces(b *strings.Builder, traces map[tuple.NodeID][]string) {
+	for _, id := range sortedNodes(traces) {
+		fmt.Fprintf(b, "%s:%s\n", id, strings.Join(traces[id], "\n\t"))
+	}
+}
+
+// scenarioRun captures everything determinism must preserve: the full
+// distributed state, the middleware and radio counters, the gradient
+// error, and every node's engine-decision trace in order.
+type scenarioRun struct {
+	fingerprint string
+	nodeStats   core.Stats
+	simStats    transport.Stats
+	gradErr     float64
+	missing     int
+	extra       int
+	traces      map[tuple.NodeID][]string
+}
+
+func (r scenarioRun) digest() string {
+	var b strings.Builder
+	b.WriteString(r.fingerprint)
+	fmt.Fprintf(&b, "node:%+v\nsim:%+v\ngrad:%v %d %d\n", r.nodeStats, r.simStats, r.gradErr, r.missing, r.extra)
+	writeTraces(&b, r.traces)
+	return sha256Hex(b.String())
+}
+
+// traceCollector returns a tracer appending each event to its node's
+// stream in the returned map.
+func traceCollector() (map[tuple.NodeID][]string, core.Tracer) {
+	var mu sync.Mutex
+	traces := make(map[tuple.NodeID][]string)
+	return traces, func(ev core.TraceEvent) {
+		mu.Lock()
+		traces[ev.Node] = append(traces[ev.Node], ev.String())
+		mu.Unlock()
+	}
+}
+
+// settleAndRecord settles w and records its run.
+func settleAndRecord(w *World, src tuple.NodeID, traces map[tuple.NodeID][]string) scenarioRun {
+	w.Settle(100000)
+	meanAbs, missing, extra := w.GradientError(pattern.KindGradient, "f", src, 1e18)
+	return scenarioRun{
+		fingerprint: fingerprint(w),
+		nodeStats:   w.TotalStats(),
+		simStats:    w.Sim().Stats(),
+		gradErr:     meanAbs,
+		missing:     missing,
+		extra:       extra,
+		traces:      traces,
+	}
+}
+
+// runMobileScenario executes a 30-node lossy mobile scenario (mobility,
+// refresh, retraction).
+func runMobileScenario(seed int64) scenarioRun {
+	rng := rand.New(rand.NewSource(seed))
+	g := topology.ConnectedRandomGeometric(30, 10, 3, rng, 100)
+	traces, tracer := traceCollector()
+	w := New(Config{
+		Graph:        g,
+		RadioRange:   3,
+		Loss:         0.2,
+		RefreshEvery: 5,
+		Seed:         seed,
+		NodeOptions:  []core.Option{core.WithTracer(tracer)},
+	})
+	bounds := space.Rect{Max: space.Point{X: 10, Y: 10}}
+	for i, id := range g.Nodes() {
+		if i%3 == 0 {
+			p, _ := g.Position(id)
+			w.SetMover(id, mobility.NewRandomWaypoint(p, bounds, 0.5, 1, 0, rng))
+		}
+	}
+	src := topology.NodeName(0)
+	if _, err := w.Node(src).Inject(pattern.NewGradient("f")); err != nil {
+		panic(err)
+	}
+	floodID, err := w.Node(topology.NodeName(5)).Inject(pattern.NewFlood("news"))
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < 40; i++ {
+		w.Tick(0.5)
+		if i == 25 {
+			w.Node(topology.NodeName(5)).Retract(floodID)
+		}
+	}
+	return settleAndRecord(w, src, traces)
+}
+
+// runLargeScenario executes a 300-node lossy mobile scenario with every
+// staged-send producer active: mover-driven churn, periodic refresh, a
+// gradient settling, and a leased flood whose mid-run expiry makes the
+// sweep phase emit withdrawals.
+func runLargeScenario(seed int64) scenarioRun {
+	rng := rand.New(rand.NewSource(seed))
+	g := topology.ConnectedRandomGeometric(300, 20, 2.5, rng, 100)
+	if g == nil {
+		panic("no connected 300-node layout")
+	}
+	traces, tracer := traceCollector()
+	w := New(Config{
+		Graph:        g,
+		RadioRange:   2.5,
+		Loss:         0.15,
+		RefreshEvery: 4,
+		Seed:         seed,
+		NodeOptions:  []core.Option{core.WithTracer(tracer)},
+	})
+	bounds := space.Rect{Max: space.Point{X: 20, Y: 20}}
+	for i, id := range g.Nodes() {
+		if i%5 == 0 {
+			p, _ := g.Position(id)
+			w.SetMover(id, mobility.NewRandomWaypoint(p, bounds, 0.5, 1, 0, rng))
+		}
+	}
+	src := topology.NodeName(0)
+	if _, err := w.Node(src).Inject(pattern.NewGradient("f")); err != nil {
+		panic(err)
+	}
+	// Lease expires at t=8 (tick 16 of 30): the expiry sweep must
+	// withdraw copies.
+	if _, err := w.Node(topology.NodeName(7)).Inject(pattern.NewFlood("news").Expires(8)); err != nil {
+		panic(err)
+	}
+	for i := 0; i < 30; i++ {
+		w.Tick(0.5)
+	}
+	return settleAndRecord(w, src, traces)
+}
+
+const (
+	mobileGolden = "def0eab177b4de067c0f5c30ea65f5ee4a215532dfcf33724ba4804cb0f88eb2"
+	largeGolden  = "909c2f61a1edb66f5814681cc032a2753f855f53614a1e6ffad08256a8644228"
+)
+
+// TestMobileScenarioGolden: the same seed and topology reproduce the
+// recorded state, counters, gradient readings and per-node traces, with
+// loss, mobility, refresh and retraction all active.
+func TestMobileScenarioGolden(t *testing.T) {
+	run := runMobileScenario(99)
+	if run.simStats.Delivered == 0 {
+		t.Fatal("scenario delivered nothing; not a meaningful determinism check")
+	}
+	if got := run.digest(); got != mobileGolden {
+		t.Errorf("digest %s, recorded %s\nnode stats %+v\nradio stats %+v", got, mobileGolden, run.nodeStats, run.simStats)
+	}
+}
+
+// TestLargeScenarioGolden is the same guarantee at 300 nodes, where the
+// expiry sweep and the refresh pass both send.
+func TestLargeScenarioGolden(t *testing.T) {
+	run := runLargeScenario(42)
+	if run.simStats.Delivered == 0 {
+		t.Fatal("scenario delivered nothing; not a meaningful determinism check")
+	}
+	if run.nodeStats.TTLDropped == 0 && run.nodeStats.MaintDrop == 0 {
+		t.Fatal("lease never expired; sweep phase untested")
+	}
+	if got := run.digest(); got != largeGolden {
+		t.Errorf("digest %s, recorded %s\nnode stats %+v\nradio stats %+v", got, largeGolden, run.nodeStats, run.simStats)
+	}
+}
+
+// TestShardedSteppingAcrossGOMAXPROCS re-runs the 300-node scenario
+// under different GOMAXPROCS settings — the cross-machine
+// reproducibility claim: nothing scheduler-dependent (the topology's
+// bounded dirty scan included) may reach the result.
+func TestShardedSteppingAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	one := runLargeScenario(42).digest()
+	runtime.GOMAXPROCS(8)
+	eight := runLargeScenario(42).digest()
+	runtime.GOMAXPROCS(prev)
+	if one != eight {
+		t.Errorf("GOMAXPROCS=1 vs 8 diverged: %s vs %s", one, eight)
+	}
+	if one != largeGolden {
+		t.Errorf("GOMAXPROCS=1 digest %s, recorded %s", one, largeGolden)
+	}
+}

@@ -26,18 +26,16 @@ type stagedPathsRun struct {
 // runStagedPathsScenario drives the two staged-send paths that live
 // beside the refresh loop — convergecast partials (per-query staged
 // contribution maps) and the corrupt-source quarantine (per-source
-// strike/cooldown maps) — under a given shard/worker combination.
+// strike/cooldown maps).
 // Two queries with different origins overlap, so partial staging,
 // folding and flushing interleave; a corruption window quarantines
 // sources mid-run and the cooldown re-admits them before the end.
-func runStagedPathsScenario(seed int64, shards, workers int) stagedPathsRun {
+func runStagedPathsScenario(seed int64) stagedPathsRun {
 	const side = 6
 	w := New(Config{
 		Graph:        topology.Grid(side, side, 1),
 		RefreshEvery: 2,
 		Seed:         seed,
-		Shards:       shards,
-		Workers:      workers,
 		// The E13 resilience trio: quarantine needs suspicion hysteresis
 		// beside it — with immediate withdrawal (SuspicionEpochs=0) the
 		// support-table desync that quarantine drops induce can lock two
@@ -99,21 +97,28 @@ func runStagedPathsScenario(seed int64, shards, workers int) stagedPathsRun {
 	return out
 }
 
+func (r stagedPathsRun) digest() string {
+	return sha256Hex(fmt.Sprintf("%sagg:%v %v %v %v\nnode:%+v\nsim:%d %d\n",
+		r.fingerprint, r.sumA, r.sumB, r.okA, r.okB, r.nodeStats, r.simDelivered, r.simSent))
+}
+
+const stagedPathsGolden = "cb7ff4983d79251e8a690fa34c52439ef3073d933354886df5f5b9906ee4edce"
+
 // TestStagedSendPathsDeterministic pins the determinism of the two
 // auxiliary staged-send paths: aggregation partials and quarantine
 // cooldown. Their per-node state lives in maps, so any map-order
-// iteration feeding the wire would show up here as a fingerprint or
-// counter mismatch between shard/worker combinations.
+// iteration feeding the wire would show up here as a digest mismatch
+// against the recorded run (see golden_test.go).
 func TestStagedSendPathsDeterministic(t *testing.T) {
-	serial := runStagedPathsScenario(77, 1, 1)
-	if serial.nodeStats.QuarantineEvents == 0 {
+	run := runStagedPathsScenario(77)
+	if run.nodeStats.QuarantineEvents == 0 {
 		t.Fatal("no source was ever quarantined; cooldown path untested")
 	}
-	if serial.nodeStats.PartialsOut == 0 {
+	if run.nodeStats.PartialsOut == 0 {
 		t.Fatal("no partials sent; aggregation staging untested")
 	}
-	if !serial.okA || !serial.okB {
-		t.Fatalf("missing aggregation results: okA=%v okB=%v", serial.okA, serial.okB)
+	if !run.okA || !run.okB {
+		t.Fatalf("missing aggregation results: okA=%v okB=%v", run.okA, run.okB)
 	}
 	// The oracle values: sum and max of i%7+1 over the 36 readings.
 	wantSum, wantMax := 0.0, 0.0
@@ -124,26 +129,12 @@ func TestStagedSendPathsDeterministic(t *testing.T) {
 			wantMax = v
 		}
 	}
-	if serial.sumA != wantSum || serial.sumB != wantMax {
+	if run.sumA != wantSum || run.sumB != wantMax {
 		t.Errorf("aggregation drifted after quarantine churn: sum=%v (want %v) max=%v (want %v)",
-			serial.sumA, wantSum, serial.sumB, wantMax)
+			run.sumA, wantSum, run.sumB, wantMax)
 	}
-	for _, c := range []struct{ shards, workers int }{{0, 0}, {4, 1}, {2, 4}, {8, 2}} {
-		run := runStagedPathsScenario(77, c.shards, c.workers)
-		label := fmt.Sprintf("shards=%d/workers=%d", c.shards, c.workers)
-		if run.fingerprint != serial.fingerprint {
-			t.Errorf("%s: distributed state fingerprint diverged from serial run", label)
-		}
-		if run.sumA != serial.sumA || run.sumB != serial.sumB || run.okA != serial.okA || run.okB != serial.okB {
-			t.Errorf("%s: aggregation results diverged: got (%v,%v) want (%v,%v)",
-				label, run.sumA, run.sumB, serial.sumA, serial.sumB)
-		}
-		if run.nodeStats != serial.nodeStats {
-			t.Errorf("%s: middleware counters diverged:\n got %+v\nwant %+v", label, run.nodeStats, serial.nodeStats)
-		}
-		if run.simDelivered != serial.simDelivered || run.simSent != serial.simSent {
-			t.Errorf("%s: radio counters diverged: got sent=%d delivered=%d, want sent=%d delivered=%d",
-				label, run.simSent, run.simDelivered, serial.simSent, serial.simDelivered)
-		}
+	if got := run.digest(); got != stagedPathsGolden {
+		t.Errorf("digest %s, recorded %s\nnode stats %+v\nradio sent=%d delivered=%d",
+			got, stagedPathsGolden, run.nodeStats, run.simSent, run.simDelivered)
 	}
 }

@@ -12,12 +12,12 @@ import (
 
 // TestStatsReadableMidStep locks in the telemetry contract behind the
 // atomic engine counters: Stats, TotalStats and a registered metrics
-// scrape may all run while a parallel Tick is delivering packets,
-// without a data race (run with -race) and without ever observing a
-// monotone counter go backwards.
+// scrape may all run on another goroutine while a Tick is delivering
+// packets, without a data race (run with -race) and without ever
+// observing a monotone counter go backwards.
 func TestStatsReadableMidStep(t *testing.T) {
 	g := topology.Grid(8, 8, 1)
-	w := New(Config{Graph: g, Workers: 4, RefreshEvery: 3, Seed: 7})
+	w := New(Config{Graph: g, RefreshEvery: 3, Seed: 7})
 	reg := obs.NewRegistry()
 	w.RegisterMetrics(reg)
 	src := topology.NodeName(0)

@@ -19,12 +19,10 @@ import (
 )
 
 // E15Run is one scale measurement: a gradient settled over a jittered
-// grid of the given size with the spatially sharded emulator, followed
-// by a few mobility ticks.
+// grid of the given size, followed by a few mobility ticks.
 type E15Run struct {
-	Nodes  int
-	Shards int // 0 = GOMAXPROCS-bounded
-	Edges  int
+	Nodes int
+	Edges int
 
 	BuildSec     float64 // world construction + initial edge recompute
 	Rounds       int     // radio rounds for the gradient to settle
@@ -76,12 +74,11 @@ const (
 )
 
 // NewScaleWorld builds the E15 fixture: an n-node jittered-grid world
-// with its initial edge set settled, the given tick-phase shard count,
-// and the engine hop bound scaled to the layout (the grid's
-// eccentricity from center — ~side hops plus jitter detours — exceeds
-// the default 128-hop safety bound, which would kill the wave early).
-// Shared by BenchmarkSettleSharded.
-func NewScaleWorld(n, shards int) *emulator.World {
+// with its initial edge set settled and the engine hop bound scaled to
+// the layout (the grid's eccentricity from center — ~side hops plus
+// jitter detours — exceeds the default 128-hop safety bound, which
+// would kill the wave early). Shared by BenchmarkSettle.
+func NewScaleWorld(n int) *emulator.World {
 	if n >= scaleGCNodes {
 		debug.SetGCPercent(scaleGCPercent)
 	}
@@ -93,22 +90,20 @@ func NewScaleWorld(n, shards int) *emulator.World {
 		Graph:       g,
 		RadioRange:  e15RadioRange,
 		Seed:        15,
-		Shards:      shards,
 		NodeOptions: []core.Option{core.WithMaxHops(2*side + 16)},
 	})
 }
 
-// RunE15N settles one gradient over an n-node jittered grid using the
-// given tick-phase shard count, then runs moverTicks mobility ticks
-// with ~1% of the nodes mobile. It is the shared core of RunE15 and the
-// tota-emu "scale" scenario.
-func RunE15N(n, shards, moverTicks int) E15Run {
+// RunE15N settles one gradient over an n-node jittered grid, then runs
+// moverTicks mobility ticks with ~1% of the nodes mobile. It is the
+// shared core of RunE15 and the tota-emu "scale" scenario.
+func RunE15N(n, moverTicks int) E15Run {
 	rng := rand.New(rand.NewSource(15))
 	start := time.Now()
-	w := NewScaleWorld(n, shards)
+	w := NewScaleWorld(n)
 	g := w.Graph()
 	side := int(math.Ceil(math.Sqrt(float64(n))))
-	out := E15Run{Nodes: n, Shards: shards, Edges: g.EdgeCount()}
+	out := E15Run{Nodes: n, Edges: g.EdgeCount()}
 	out.BuildSec = time.Since(start).Seconds()
 
 	// Inject at the grid center so the settle wavefront is as short as
@@ -158,11 +153,11 @@ func RunE15(scale Scale) *Result {
 		sizes = append(sizes, 10_000, 100_489)
 	}
 	tbl := metrics.NewTable(
-		"E15 (scale): spatially sharded emulation — gradient settle on jittered grids",
+		"E15 (scale): gradient settle on jittered grids",
 		"nodes", "edges", "rounds", "msgs", "settle_s", "rounds/s", "tick_ms", "grad_err", "miss", "extra", "peak_rss_mb")
 	res := newResult(tbl)
 	for _, n := range sizes {
-		r := RunE15N(n, 0, 3)
+		r := RunE15N(n, 3)
 		tbl.AddRow(r.Nodes, r.Edges, r.Rounds, r.Msgs,
 			metrics.FormatFloat(r.SettleSec), metrics.FormatFloat(r.RoundsPerSec),
 			metrics.FormatFloat(r.TickSec*1000),

@@ -15,9 +15,8 @@ import (
 // grid (the E15 pipeline, no mobility) with the engine's footprint
 // measured per node — the columnar-state deliverable.
 type E16Run struct {
-	Nodes  int
-	Shards int
-	Edges  int
+	Nodes int
+	Edges int
 
 	BuildSec  float64
 	Rounds    int
@@ -57,13 +56,13 @@ func liveHeapBytes() uint64 {
 // settle, and the process peak RSS. The propagation pipeline is exactly
 // RunE15N's (same layout, seed, injection point and oracle check), so
 // the measured bytes price the same settled state E15 times.
-func RunE16N(n, shards int) E16Run {
+func RunE16N(n int) E16Run {
 	baseline := liveHeapBytes()
 	start := time.Now()
-	w := NewScaleWorld(n, shards)
+	w := NewScaleWorld(n)
 	g := w.Graph()
 	side := int(math.Ceil(math.Sqrt(float64(n))))
-	out := E16Run{Nodes: n, Shards: shards, Edges: g.EdgeCount()}
+	out := E16Run{Nodes: n, Edges: g.EdgeCount()}
 	out.BuildSec = time.Since(start).Seconds()
 
 	src := topology.NodeName((side/2)*side + side/2)
@@ -105,7 +104,7 @@ func RunE16(scale Scale) *Result {
 		"heap_mb", "heap_b/node", "peak_rss_mb", "rss_b/node")
 	res := newResult(tbl)
 	for _, n := range sizes {
-		r := RunE16N(n, 0)
+		r := RunE16N(n)
 		tbl.AddRow(r.Nodes, r.Edges, r.Rounds, r.Msgs,
 			metrics.FormatFloat(r.SettleSec),
 			metrics.FormatFloat(r.GradErr), r.Missing, r.Extra,

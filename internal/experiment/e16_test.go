@@ -6,7 +6,7 @@ import "testing"
 // gradient must settle exactly and the footprint metrics must be
 // populated.
 func TestE16QuickShapes(t *testing.T) {
-	r := RunE16N(1_024, 0)
+	r := RunE16N(1_024)
 	if r.GradErr != 0 || r.Missing != 0 || r.Extra != 0 {
 		t.Fatalf("oracle mismatch: err=%v missing=%d extra=%d", r.GradErr, r.Missing, r.Extra)
 	}
@@ -40,7 +40,7 @@ func TestE16MemBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node settle in -short mode")
 	}
-	r := RunE16N(10_000, 0)
+	r := RunE16N(10_000)
 	if r.GradErr != 0 || r.Missing != 0 || r.Extra != 0 {
 		t.Fatalf("oracle mismatch: err=%v missing=%d extra=%d", r.GradErr, r.Missing, r.Extra)
 	}

@@ -1,6 +1,8 @@
 package fault_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -340,7 +342,7 @@ func fingerprint(w *emulator.World) string {
 
 // runChaosScenario drives a mobile lossy world through the full fault
 // matrix and returns its final fingerprint.
-func runChaosScenario(seed int64, workers int) string {
+func runChaosScenario(seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	g := topology.ConnectedRandomGeometric(24, 10, 3, rng, 100)
 	if g == nil {
@@ -352,7 +354,6 @@ func runChaosScenario(seed int64, workers int) string {
 		Loss:         0.1,
 		RefreshEvery: 3,
 		Seed:         seed,
-		Workers:      workers,
 	})
 	bounds := space.Rect{Max: space.Point{X: 10, Y: 10}}
 	for i, id := range g.Nodes() {
@@ -372,26 +373,25 @@ func runChaosScenario(seed int64, workers int) string {
 	return fingerprint(w)
 }
 
-// TestFaultPlanDeterministicAcrossWorkers extends the emulator's
-// same-seed-same-universe guarantee to active fault injection: with
-// loss, corruption, duplication, link faults, delays, a partition, a
-// crash/restart and a pause all firing, the final distributed state and
-// every engine counter are bit-identical whether the radio delivers
-// serially or on a parallel worker pool.
-func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
-	serial := runChaosScenario(99, 1)
-	if serial == "no-layout" || serial == "inject-failed" {
-		t.Fatalf("scenario setup failed: %s", serial)
+// chaosGolden is the SHA-256 of runChaosScenario(99), recorded at the
+// last commit that still had a delivery worker pool, on its serial path.
+const chaosGolden = "0178b8deef9ece00a2e44562ec69d519b63a31a165abc6b11cd3640cd87867cb"
+
+// TestFaultPlanGolden extends the emulator's same-seed-same-universe
+// guarantee to active fault injection: with loss, corruption,
+// duplication, link faults, delays, a partition, a crash/restart and a
+// pause all firing, the final distributed state and every engine
+// counter reproduce the recorded run bit for bit.
+func TestFaultPlanGolden(t *testing.T) {
+	got := runChaosScenario(99)
+	if got == "no-layout" || got == "inject-failed" {
+		t.Fatalf("scenario setup failed: %s", got)
 	}
-	if again := runChaosScenario(99, 1); again != serial {
-		t.Fatal("same seed diverged under fault injection (serial)")
+	sum := sha256.Sum256([]byte(got))
+	if digest := hex.EncodeToString(sum[:]); digest != chaosGolden {
+		t.Errorf("universe digest %s, recorded %s", digest, chaosGolden)
 	}
-	for _, workers := range []int{2, 8} {
-		if got := runChaosScenario(99, workers); got != serial {
-			t.Errorf("workers=%d: universe diverged from serial run under fault injection", workers)
-		}
-	}
-	if other := runChaosScenario(100, 1); other == serial {
+	if other := runChaosScenario(100); other == got {
 		t.Error("different seeds produced identical universes (suspicious)")
 	}
 }

@@ -21,6 +21,10 @@ var (
 	ErrDisconnected = errors.New("gateway: not connected")
 )
 
+// errConnGone reports that the connection a request was bound to is no
+// longer the client's current one.
+var errConnGone = errors.New("gateway: bound connection gone")
+
 // ClientConfig tunes a Client; zero values select defaults.
 type ClientConfig struct {
 	// Policy is the request retry/backoff budget (shared machinery
@@ -110,7 +114,8 @@ type Subscription struct {
 	estMu sync.Mutex
 
 	mu       sync.Mutex
-	serverID uint64 // id on the current connection, 0 when detached
+	serverID uint64   // id on the current connection, 0 when detached
+	serverNC net.Conn // the connection serverID was issued on
 	epoch    string
 	lastSeq  uint64
 	lastDSeq uint64
@@ -394,7 +399,7 @@ func (c *Client) readLoop(nc net.Conn) {
 				// state here, in the same goroutine that dispatches
 				// events, so the replay frames right behind this ack
 				// route to the subscription instead of vanishing.
-				c.applySubscribeAck(sub, *fr.Resp)
+				c.applySubscribeAck(sub, *fr.Resp, nc)
 			}
 			if ch != nil {
 				ch <- *fr.Resp
@@ -487,7 +492,7 @@ func (c *Client) resubscribe(s *Subscription) error {
 		Epoch:    s.epoch,
 	}
 	s.mu.Unlock()
-	resp, err := c.roundTripSub(req, s)
+	resp, err := c.roundTripSub(req, s, nil)
 	if err != nil {
 		return err
 	}
@@ -510,10 +515,10 @@ func (c *Client) resubscribe(s *Subscription) error {
 }
 
 // applySubscribeAck records a subscribe response's server-side state on
-// the subscription. It runs in the read-loop goroutine so it is
-// ordered strictly before the replay events that follow the ack on the
-// wire.
-func (c *Client) applySubscribeAck(s *Subscription, resp Response) {
+// the subscription, and nc as the connection it belongs to. It runs in
+// the read-loop goroutine so it is ordered strictly before the replay
+// events that follow the ack on the wire.
+func (c *Client) applySubscribeAck(s *Subscription, resp Response, nc net.Conn) {
 	c.mu.Lock()
 	c.route[resp.Sub] = s
 	c.mu.Unlock()
@@ -539,6 +544,7 @@ func (c *Client) applySubscribeAck(s *Subscription, resp Response) {
 	s.lastDSeq = 0
 	s.epoch = resp.Epoch
 	s.serverID = resp.Sub
+	s.serverNC = nc
 }
 
 // detachSubs marks every subscription as having no server-side id, so
@@ -550,7 +556,7 @@ func (c *Client) detachSubs() {
 	c.mu.Unlock()
 	for _, s := range subs {
 		s.mu.Lock()
-		s.serverID = 0
+		s.serverID, s.serverNC = 0, nil
 		s.mu.Unlock()
 	}
 }
@@ -574,14 +580,19 @@ func (c *Client) failPending() {
 // roundTripSub sends one request on the current connection and waits for
 // its response (no retries: do wraps it with the policy). A subscribe
 // request names its subscription, so that the read loop applies the ack
-// before dispatching the replay events behind it.
-func (c *Client) roundTripSub(req Request, sub *Subscription) (Response, error) {
+// before dispatching the replay events behind it. A request bound to a
+// connection (on non-nil) goes out on that connection or not at all.
+func (c *Client) roundTripSub(req Request, sub *Subscription, on net.Conn) (Response, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return Response{}, ErrClientClosed
 	}
 	nc := c.nc
+	if on != nil && nc != on {
+		c.mu.Unlock()
+		return Response{}, errConnGone
+	}
 	if nc == nil {
 		c.mu.Unlock()
 		return Response{}, ErrDisconnected
@@ -634,12 +645,17 @@ func (c *Client) abandon(seq uint64) {
 	c.mu.Unlock()
 }
 
-// do runs one RPC under the retry policy.
-func (c *Client) do(req Request) (Response, error) {
+// do runs one RPC under the retry policy. A request bound to a
+// connection (on non-nil) is done, with a zero Response, once that
+// connection is gone: it names state that went with it.
+func (c *Client) do(req Request, on net.Conn) (Response, error) {
 	var resp Response
 	err := c.cfg.Policy.Do(func() error {
-		r, err := c.roundTripSub(req, nil)
+		r, err := c.roundTripSub(req, nil, on)
 		if err != nil {
+			if errors.Is(err, errConnGone) {
+				return nil
+			}
 			if errors.Is(err, ErrClientClosed) {
 				return retry.Permanent(err)
 			}
@@ -659,7 +675,7 @@ func (c *Client) do(req Request) (Response, error) {
 // Ping round-trips a no-op and returns the gateway's epoch and current
 // event sequence.
 func (c *Client) Ping() (epoch string, seq uint64, err error) {
-	resp, err := c.do(Request{Op: OpPing})
+	resp, err := c.do(Request{Op: OpPing}, nil)
 	if err != nil {
 		return "", 0, err
 	}
@@ -672,7 +688,7 @@ func (c *Client) Inject(t tuple.Tuple) (tuple.ID, error) {
 	if t == nil {
 		return tuple.ID{}, fmt.Errorf("gateway: nil tuple")
 	}
-	resp, err := c.do(Request{Op: OpInject, Kind: t.Kind(), Content: t.Content()})
+	resp, err := c.do(Request{Op: OpInject, Kind: t.Kind(), Content: t.Content()}, nil)
 	if err != nil {
 		return tuple.ID{}, err
 	}
@@ -685,7 +701,7 @@ func (c *Client) Read(tpl tuple.Template) ([]tuple.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(Request{Op: OpRead, Template: tplJSON})
+	resp, err := c.do(Request{Op: OpRead, Template: tplJSON}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -747,14 +763,18 @@ func (c *Client) Unsubscribe(s *Subscription) error {
 	}
 	c.removeSub(s)
 	s.mu.Lock()
-	serverID := s.serverID
-	s.serverID = 0
+	serverID, nc := s.serverID, s.serverNC
+	s.serverID, s.serverNC = 0, nil
 	s.mu.Unlock()
-	if serverID != 0 {
-		_, err := c.do(Request{Op: OpUnsubscribe, Sub: serverID})
-		return err
+	if serverID == 0 {
+		return nil
 	}
-	return nil
+	// The gateway numbers subscriptions per connection, so serverID means
+	// this subscription on nc only — on any other connection it may name
+	// another handle's. If nc dies first, the gateway drops the
+	// subscription with it and there is nothing left to unsubscribe.
+	_, err := c.do(Request{Op: OpUnsubscribe, Sub: serverID}, nc)
+	return err
 }
 
 func (c *Client) removeSub(s *Subscription) {

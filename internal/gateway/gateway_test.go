@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -626,7 +627,7 @@ func TestGatewayDropCounterResetAcrossResubscribe(t *testing.T) {
 	s.drops = 5
 	c.subs = []*Subscription{s}
 
-	c.applySubscribeAck(s, Response{OK: true, Sub: 2, Epoch: "e1", Replay: ReplayHit})
+	c.applySubscribeAck(s, Response{OK: true, Sub: 2, Epoch: "e1", Replay: ReplayHit}, nil)
 	if s.needResync {
 		t.Fatal("same-epoch replay hit must not force a resync")
 	}
@@ -705,6 +706,82 @@ func TestGatewayClientRetriesThroughMidRPCDisconnect(t *testing.T) {
 	}
 	if epoch != "fake" {
 		t.Fatalf("epoch = %q, want the reconnect's answer", epoch)
+	}
+}
+
+// TestGatewayUnsubscribeStaysOnItsConnection: the gateway numbers
+// subscriptions per connection from 1, so a server-side id read on one
+// connection names another handle's subscription on the next. When the
+// connection dies with an unsubscribe in flight, the subscription died
+// with it — the retry must not re-send the id on the replacement
+// connection, where it would cancel the other handle.
+func TestGatewayUnsubscribeStaysOnItsConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// unsubs records (connection, sub id) for every unsubscribe the fake
+	// gateway reads, before it answers: once Unsubscribe returns, all it
+	// sent is recorded.
+	var mu sync.Mutex
+	var unsubs [][2]uint64
+	go func() {
+		for conn := uint64(1); ; conn++ {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn uint64, nc net.Conn) {
+				defer nc.Close()
+				var nextSub uint64 // per connection, like the real gateway
+				for {
+					var req Request
+					if err := readFrame(nc, &req); err != nil {
+						return
+					}
+					resp := Response{Seq: req.Seq, OK: true, Epoch: "fake"}
+					switch req.Op {
+					case OpSubscribe:
+						nextSub++
+						resp.Sub = nextSub
+					case OpUnsubscribe:
+						mu.Lock()
+						unsubs = append(unsubs, [2]uint64{conn, req.Sub})
+						mu.Unlock()
+						if conn == 1 {
+							return // the first connection dies with the unsubscribe in flight
+						}
+					}
+					_ = WriteFrame(nc, Frame{Resp: &resp})
+				}
+			}(conn, nc)
+		}
+	}()
+
+	c := Dial(ln.Addr().String(), ClientConfig{
+		Policy:         retry.New(5),
+		RequestTimeout: 2 * time.Second,
+	})
+	defer c.Close()
+	a, err := c.Subscribe(tuple.MatchAll()) // sub 1 on the first connection
+	if err != nil {
+		t.Fatalf("subscribe a: %v", err)
+	}
+	// sub 2 on the first connection; the resubscribe sweep makes it sub 1
+	// on the replacement.
+	if _, err := c.Subscribe(tuple.MatchAll()); err != nil {
+		t.Fatalf("subscribe b: %v", err)
+	}
+	if err := c.Unsubscribe(a); err != nil {
+		t.Fatalf("unsubscribe: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, u := range unsubs {
+		if u != [2]uint64{1, 1} {
+			t.Errorf("unsubscribe of sub %d sent on connection %d; a's id 1 was issued on connection 1 only", u[1], u[0])
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"tota/internal/space"
-	"tota/internal/tuple"
 )
 
 // eventsEqual compares two event slices element-wise (nil and empty are
@@ -155,47 +154,6 @@ func TestRecomputeRangeChangeRescansAll(t *testing.T) {
 	ev = g.Recompute(1.0)
 	if len(ev) != 1 || ev[0].Added {
 		t.Fatalf("events after narrowing range = %v, want one removal", ev)
-	}
-}
-
-// TestShardHandlesPartition checks that ShardHandles is a partition of
-// the alive handles preserving sorted order inside each bucket, for any
-// shard count, with and without a built grid.
-func TestShardHandlesPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	gridded := RandomGeometric(60, 15, 2, rng)
-	plain := Line(60) // no positions → stripe fallback
-	for _, g := range []*Graph{gridded, plain} {
-		want := g.Nodes()
-		for _, shards := range []int{1, 2, 3, 7, 16, 100} {
-			bufs := g.ShardHandles(shards, nil)
-			if len(bufs) != shards {
-				t.Fatalf("shards=%d: got %d buckets", shards, len(bufs))
-			}
-			seen := make(map[tuple.NodeID]bool)
-			total := 0
-			for _, b := range bufs {
-				var prev tuple.NodeID
-				for i, h := range b {
-					id := g.IDAt(h)
-					if id == "" {
-						t.Fatalf("shards=%d: dead handle %d in bucket", shards, h)
-					}
-					if seen[id] {
-						t.Fatalf("shards=%d: node %s in two buckets", shards, id)
-					}
-					seen[id] = true
-					if i > 0 && id <= prev {
-						t.Fatalf("shards=%d: bucket not id-sorted at %s", shards, id)
-					}
-					prev = id
-					total++
-				}
-			}
-			if total != len(want) {
-				t.Fatalf("shards=%d: partition covers %d of %d nodes", shards, total, len(want))
-			}
-		}
 	}
 }
 

@@ -700,49 +700,6 @@ func (g *Graph) RecomputeReference(radioRange float64) []EdgeEvent {
 	return events
 }
 
-// ShardHandles partitions the alive handles into shards buckets for
-// region-parallel stepping, reusing bufs. When the spatial index is
-// built, nodes are bucketed by grid-cell column modulo shards (vertical
-// stripes one radio range wide — neighbors mostly share a shard);
-// otherwise the sorted order is cut into contiguous stripes. Within
-// each bucket, handles keep ascending NodeID order, so any consumer
-// that merges per-node output in id order is independent of the shard
-// count.
-func (g *Graph) ShardHandles(shards int, bufs [][]Handle) [][]Handle {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.ensureSortedLocked()
-	if shards < 1 {
-		shards = 1
-	}
-	for len(bufs) < shards {
-		bufs = append(bufs, nil)
-	}
-	bufs = bufs[:shards]
-	for i := range bufs {
-		bufs[i] = bufs[i][:0]
-	}
-	n := len(g.sorted)
-	if n == 0 {
-		return bufs
-	}
-	if !g.gridBuilt {
-		for i, h := range g.sorted {
-			bufs[i*shards/n] = append(bufs[i*shards/n], h)
-		}
-		return bufs
-	}
-	s32 := int32(shards)
-	for _, h := range g.sorted {
-		b := 0
-		if g.inGrid[h] {
-			b = int(((g.cellOf[h].cx % s32) + s32) % s32)
-		}
-		bufs[b] = append(bufs[b], h)
-	}
-	return bufs
-}
-
 // Clone returns a deep copy of the graph (handle layout included).
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()

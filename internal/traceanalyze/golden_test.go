@@ -29,7 +29,6 @@ func generateE2JSONL() string {
 		Graph:        topology.Grid(3, 3, 1),
 		RefreshEvery: 0,
 		Seed:         42,
-		Workers:      1,
 		NodeOptions: []core.Option{
 			core.WithTracer(sink.Tracer()),
 			core.WithTraceSampling(1),
@@ -125,7 +124,6 @@ func TestLossyLinkLocalization(t *testing.T) {
 		Graph:        topology.Grid(4, 4, 1),
 		RefreshEvery: 1,
 		Seed:         7,
-		Workers:      1,
 		NodeOptions: []core.Option{
 			core.WithTracer(sink.Tracer()),
 			core.WithTraceSampling(1),

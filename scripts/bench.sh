@@ -77,9 +77,9 @@ grep 'BenchmarkHandlePacket' "$txt" >&2 || true
 # broadcasts/op and the digest suppression ratio (see DESIGN.md §8).
 grep 'BenchmarkRefreshSteadyState' "$txt" >&2 || true
 
-# Headline scale cost: grid-indexed recompute vs the O(n²) reference and
-# the sharded refresh cycle (see DESIGN.md §11).
-grep 'BenchmarkRecompute10k\|BenchmarkSettleSharded\|BenchmarkE15Scale' "$txt" >&2 || true
+# Headline scale cost: grid-indexed recompute vs the O(n²) reference, the
+# 20x20 build and the 2.5k-node refresh cycle (see DESIGN.md §6, §11).
+grep 'BenchmarkRecompute10k\|BenchmarkSettle\|BenchmarkE15Scale' "$txt" >&2 || true
 
 # Headline footprint: the E16 benchmarks report peak_rss_bytes and
 # bytes_per_node, which the trajectory entry records so the memory
@@ -91,32 +91,44 @@ grep 'BenchmarkE16' "$txt" >&2 || true
 # connections (see DESIGN.md §15).
 grep 'BenchmarkTupleJSON\|BenchmarkGateway' "$txt" >&2 || true
 
-# Delta against the most recent prior run. The .txt files are benchstat
-# input; use benchstat when installed, otherwise fall back to an awk
-# summary of ns/op and allocs/op changes per benchmark.
-prev="$(ls -1 BENCH_*.txt 2>/dev/null | grep -v "^${txt}\$" | sort | tail -n 1)" || prev=""
-if [ -n "$prev" ]; then
-	echo "--- delta vs $prev ---" >&2
-	if command -v benchstat >/dev/null 2>&1; then
-		benchstat "$prev" "$txt" >&2 || true
-	else
-		awk -v prev="$prev" '
-			/^Benchmark/ {
-				ns = ""; al = ""
-				for (i = 2; i <= NF; i++) {
-					if ($i == "ns/op") ns = $(i - 1)
-					if ($i == "allocs/op") al = $(i - 1)
-				}
-				if (FILENAME == prev) { ons[$1] = ns; oal[$1] = al; next }
-				if (!($1 in ons)) next
-				line = sprintf("%-50s", $1)
-				if (ns != "" && ons[$1] + 0 > 0)
-					line = line sprintf("  ns/op %12.0f -> %12.0f (%+.1f%%)",
-						ons[$1], ns, (ns - ons[$1]) / ons[$1] * 100)
-				if (al != "" && oal[$1] + 0 > 0)
-					line = line sprintf("  allocs/op %8d -> %8d (%+.1f%%)",
-						oal[$1], al, (al - oal[$1]) / oal[$1] * 100)
-				print line
-			}' "$prev" "$txt" >&2 || true
-	fi
+# Delta against the latest earlier trajectory entry stamped with the same
+# hardware (nproc, CPU model, Go version): a delta across machines
+# measures the machines, not the change. Entries are one JSON object per
+# line; the last such line is the run just appended.
+prev="$(grep '^{' "$traj" | sed '$d' | awk \
+	-v n="\"nproc\":${nproc}," -v g="\"go_version\":\"${gover}\"" -v c="\"cpu_model\":\"${cpu:-unknown}\"" \
+	'index($0, n) && index($0, g) && index($0, c) { last = $0 } END { print last }')"
+if [ -z "$prev" ]; then
+	echo "--- no comparable prior run (nproc=$nproc, $gover, ${cpu:-unknown}) ---" >&2
+else
+	echo "--- delta vs $(printf '%s\n' "$prev" | sed 's/.*"stamp":"\([^"]*\)".*/\1/') ---" >&2
+	printf '%s\n' "$prev" | awk '
+		NR == FNR {
+			n = split($0, parts, /"Benchmark/)
+			for (i = 2; i <= n; i++) {
+				p = parts[i]
+				name = "Benchmark" substr(p, 1, index(p, "\"") - 1)
+				if (match(p, /"ns_op":[0-9.e+]+/)) ons[name] = substr(p, RSTART + 8, RLENGTH - 8)
+				if (match(p, /"allocs_op":[0-9]+/)) oal[name] = substr(p, RSTART + 12, RLENGTH - 12)
+			}
+			next
+		}
+		/^Benchmark/ {
+			name = $1
+			sub(/-[0-9]+$/, "", name)
+			if (!(name in ons)) next
+			ns = ""; al = ""
+			for (i = 2; i <= NF; i++) {
+				if ($i == "ns/op") ns = $(i - 1)
+				if ($i == "allocs/op") al = $(i - 1)
+			}
+			line = sprintf("%-50s", name)
+			if (ns != "" && ons[name] + 0 > 0)
+				line = line sprintf("  ns/op %12.0f -> %12.0f (%+.1f%%)",
+					ons[name], ns, (ns - ons[name]) / ons[name] * 100)
+			if (al != "" && oal[name] + 0 > 0)
+				line = line sprintf("  allocs/op %8d -> %8d (%+.1f%%)",
+					oal[name], al, (al - oal[name]) / oal[name] * 100)
+			print line
+		}' - "$txt" >&2 || true
 fi
