@@ -298,9 +298,8 @@ func meetingScenario(rounds int, env *obsEnv) error {
 
 // gradientScenario injects a hop-count field at the grid center and
 // prints the resulting structure of space as digits. With -fault it
-// then drives the emulator clock through the seeded fault plan —
-// suspicion, pull backoff and quarantine enabled — and renders the
-// repaired structure.
+// then drives the emulator clock, refreshing every 2 ticks, through the
+// seeded fault plan and renders the repaired structure.
 func gradientScenario(w, h int, trace bool, faultSpec string, ticks int, env *obsEnv) error {
 	var plan fault.Plan
 	if faultSpec != "" {
@@ -321,8 +320,6 @@ func gradientScenario(w, h int, trace bool, faultSpec string, ticks int, env *ob
 	if faultSpec != "" {
 		cfg.RefreshEvery = 2
 		cfg.Seed = 1
-		cfg.NodeOptions = append(cfg.NodeOptions,
-			core.WithSuspicion(2), core.WithPullBackoff(6), core.WithQuarantine(8, 16))
 	}
 	world := emulator.New(cfg)
 	if err := env.attach(world); err != nil {

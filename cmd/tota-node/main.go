@@ -50,8 +50,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	traceOut := fs.String("trace.jsonl", "", "append engine trace events as JSON lines to this file ('-' for stderr)")
 	flightSize := fs.Int("trace.flight", 0, "keep the last N trace events in an in-memory flight recorder (served at /debug/flight, dumped to stderr on crash or SIGTERM)")
 	sample := fs.Float64("trace.sample", 0, "fraction of injected tuples carrying a wire-level trace context (0 = off; received contexts always propagate)")
-	refresh := fs.Duration("refresh", time.Second, "anti-entropy refresh period: each epoch re-announces changed tuples, digests the rest and sweeps expired leases (0 disables; lossy links then never heal)")
-	robust := fs.Bool("robust", false, "enable the graceful-degradation engine options (suspicion hysteresis, pull backoff, corrupt-source quarantine)")
+	refresh := fs.Duration("refresh", time.Second, "anti-entropy refresh period: each epoch re-announces changed tuples, digests the rest, ages out unheard support (an unsupported copy is withdrawn after a 2-epoch grace) and sweeps expired leases (0 disables; lossy links then never heal)")
 	gwAddr := fs.String("gateway.addr", "", "serve the client gateway RPC (length-prefixed JSON over TCP: inject/read/subscribe with replay) on this address")
 	gwMaxClients := fs.Int("gateway.maxclients", gateway.DefaultMaxClients, "maximum concurrent gateway client connections")
 	if err := fs.Parse(args); err != nil {
@@ -112,18 +111,11 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		defer flight.DumpOnCrash(os.Stderr)()
 	}
 
-	opts := []core.Option{
+	node := core.New(tr,
 		core.WithLogger(logger),
 		core.WithTracer(obs.MultiTracer(lat.Tracer(), sinkTracer, flightTracer)),
 		core.WithTraceSampling(*sample),
-	}
-	if *robust {
-		opts = append(opts,
-			core.WithSuspicion(2),
-			core.WithPullBackoff(6),
-			core.WithQuarantine(3, 256))
-	}
-	node := core.New(tr, opts...)
+	)
 	tr.SetHandler(node)
 	tr.Start()
 	fmt.Fprintf(out, "node %s listening on %s\n", *id, tr.Addr())

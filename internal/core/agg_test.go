@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tota/internal/agg"
-	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -151,7 +150,7 @@ func TestAggCrashedChildTimesOutOfFold(t *testing.T) {
 	// parent's fold (staleness horizon = anti-entropy staleness plus the
 	// suspicion window) instead of freezing into the result forever.
 	g := topology.Line(3)
-	tn := newTestNet(t, g, core.WithSuspicion(2))
+	tn := newTestNet(t, g)
 	src := topology.NodeName(0)
 	vals := []float64{1, 2, 4}
 	for i, v := range vals {
@@ -240,75 +239,5 @@ func TestAggRetractDropsQueryState(t *testing.T) {
 		if got := tn.node(nid).Read(agg.ByName("sum")); len(got) != 0 {
 			t.Errorf("node %s still stores retracted query", nid)
 		}
-	}
-}
-
-// TestFaultQuarantineCooldownResetsPullBackoff is the regression test
-// for the pull-backoff × quarantine interaction: strikes accumulated
-// against a neighbor while it was corrupt (its pull responses never
-// decoded) must be cleared when the quarantine cooldown re-admits it,
-// so the healed neighbor's first digests trigger an immediate pull
-// instead of being suppressed for the residual backoff gap.
-func TestFaultQuarantineCooldownResetsPullBackoff(t *testing.T) {
-	g := topology.Line(2)
-	a, b := topology.NodeName(0), topology.NodeName(1)
-	tn := newTestNet(t, g,
-		core.WithoutCatchUp(),
-		core.WithPullBackoff(8),
-		core.WithQuarantine(3, 4),
-	)
-
-	// Phase 1: build backoff at b against a. The inject broadcast and
-	// the one full refresh announcement die on a lossy a→b link; after
-	// that a advertises only digests. Then the loss flips to b→a so the
-	// digests arrive but b's pulls die in flight, and with catch-up
-	// disabled the backoff is b's only path — it climbs toward its cap.
-	tn.sim.SetLinkLoss(a, b, 1)
-	injectGradient(t, tn, a, "f", 1e9)
-	refreshAll(tn)
-	tn.sim.SetLinkLoss(a, b, -1)
-	tn.sim.SetLinkLoss(b, a, 1)
-	for i := 0; i < 16; i++ {
-		refreshAll(tn)
-	}
-	if _, have := tn.gradVal(b, pattern.KindGradient, "f"); have {
-		t.Fatal("b adopted the gradient through a fully lossy pull path")
-	}
-	suppressed := tn.node(b).Stats().PullsSuppressed
-	if suppressed == 0 {
-		t.Fatal("backoff never engaged; the regression scenario needs accumulated strikes")
-	}
-
-	// Phase 2: a turns corrupt — three garbage frames quarantine it.
-	for i := 0; i < 3; i++ {
-		tn.node(b).HandlePacket(a, []byte{0xFF, 0xFF})
-	}
-	if tn.node(b).Stats().QuarantineEvents != 1 {
-		t.Fatalf("quarantine events = %d, want 1", tn.node(b).Stats().QuarantineEvents)
-	}
-
-	// Phase 3: drain the cooldown with valid but inert frames (dropped
-	// unread), then one more to re-admit the source.
-	inert, err := wire.Encode(wire.Message{Type: wire.MsgPull, Want: []tuple.ID{{Node: "z", Seq: 1}}})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	for i := 0; i < 5; i++ {
-		tn.node(b).HandlePacket(a, inert)
-	}
-
-	// Phase 4: heal the pull path. Without the backoff reset, b's next
-	// digest mentions stay suppressed for the residual gap (up to 7
-	// epochs at cap 8); with it, the first post-heal digest pulls and b
-	// adopts within two epochs.
-	tn.sim.SetLinkLoss(b, a, -1)
-	before := tn.node(b).Stats().PullsOut
-	refreshAll(tn)
-	refreshAll(tn)
-	if _, have := tn.gradVal(b, pattern.KindGradient, "f"); !have {
-		t.Error("b did not adopt the gradient after quarantine cooldown: backoff state leaked across re-admission")
-	}
-	if tn.node(b).Stats().PullsOut == before {
-		t.Error("no pull went out after re-admission")
 	}
 }

@@ -148,7 +148,7 @@ func (n *Node) handlePartialLocked(from tuple.NodeID, msg *wire.Message) {
 		return
 	}
 	qs := n.queryStateFor(msg.ID)
-	if msg.Epoch+n.aggStaleLimit() < qs.epoch {
+	if msg.Epoch+aggStaleLimit < qs.epoch {
 		return
 	}
 	if qs.staged == nil {
@@ -162,9 +162,7 @@ func (n *Node) handlePartialLocked(from tuple.NodeID, msg *wire.Message) {
 // that merely lost a few frames survives the fold exactly as long as
 // its maintained copy survives suspicion, and a crashed child times out
 // right after its copies would be withdrawn.
-func (n *Node) aggStaleLimit() uint32 {
-	return uint32(staleEpochs + n.cfg.SuspicionEpochs)
-}
+const aggStaleLimit = staleEpochs + suspicionEpochs
 
 // aggStageWavesLocked runs the source side of the epoch clock during
 // refresh: advance each stored source query's epoch, stage its wave
@@ -293,10 +291,9 @@ func (n *Node) aggLocalLocked(q *agg.Query, each func(origin tuple.ID, v float64
 // (their child crashed, departed, or re-parented elsewhere) and returns
 // the surviving keys sorted by (child, origin), fixing the fold order.
 func (n *Node) aggFreshKeysLocked(qs *queryState) []aggKey {
-	limit := n.aggStaleLimit()
 	keys := qs.keyScratch[:0]
 	for k, sp := range qs.staged {
-		if sp.epoch+limit < qs.epoch {
+		if sp.epoch+aggStaleLimit < qs.epoch {
 			delete(qs.staged, k)
 			continue
 		}
@@ -356,21 +353,6 @@ func (n *Node) aggForgetChildLocked(peer tuple.NodeID) {
 			}
 		}
 	}
-}
-
-// resetPullBackoffLocked clears the anti-entropy pull backoff
-// accumulated against one neighbor across all tuples. Quarantine
-// re-admission calls it: the strikes were earned while the source was
-// emitting garbage (its pull responses never decoded, so the backoff
-// climbed to its cap), and carrying them past the cooldown would leave
-// this node deaf to the healed neighbor's digests for up to the full
-// backoff gap.
-func (n *Node) resetPullBackoffLocked(from tuple.NodeID) {
-	n.states.forEach(func(_ tuple.ID, st *tupleState) {
-		if p := st.peer(from); p != nil {
-			p.resetBackoff()
-		}
-	})
 }
 
 func sortTupleIDs(ids []tuple.ID) {

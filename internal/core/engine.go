@@ -35,9 +35,9 @@ const (
 	// stParentFlap: a parent-only re-announcement (value unchanged) was
 	// already broadcast this refresh epoch. Further parent changes
 	// within the epoch stay local until the next refresh carries them:
-	// when neighbors hold stale parent views (packet loss, quarantine
-	// drops), symmetric support ties can flip a node's parent on every
-	// incoming announcement, and since the value never moves, the scope
+	// when neighbors hold stale parent views (packet loss), symmetric
+	// support ties can flip a node's parent on every incoming
+	// announcement, and since the value never moves, the scope
 	// bound that terminates count-to-scope climbs never engages — the
 	// flip-flop broadcast loop would run forever. Edge-triggering the
 	// announcement per epoch bounds it. Cleared by refreshLocked.
@@ -99,8 +99,8 @@ type tupleState struct {
 	// differs from ver, and advertises a digest entry otherwise.
 	refreshedVer uint32
 	// suspectEpoch, when non-zero, marks the copy as suspect: support
-	// vanished at refresh epoch suspectEpoch-1 and the withdraw is
-	// deferred until Config.SuspicionEpochs epochs pass without support
+	// aged out at refresh epoch suspectEpoch-1 and the withdraw is
+	// deferred until suspicionEpochs epochs pass without support
 	// returning (the +1 keeps zero meaning "not suspect"). Truncated to
 	// 32 bits; comparisons use wrap-safe subtraction and the grace
 	// window is tiny, so the width never shows.
@@ -215,9 +215,20 @@ func (st *tupleState) traceCtx() wire.TraceCtx {
 	return wire.TraceCtx{TraceID: st.traceID, Span: st.span}
 }
 
-// staleEpochs is how many full refresh cycles an announcement stays
-// valid without being re-heard.
-const staleEpochs = 2
+// The protocol's fixed robustness constants (DESIGN.md §9).
+const (
+	// staleEpochs is how many full refresh cycles an announcement stays
+	// valid without being re-heard.
+	staleEpochs = 2
+	// suspicionEpochs is the grace window, in refresh epochs, a stored
+	// maintained copy whose support aged out survives before it is
+	// withdrawn. The copy keeps being announced meanwhile, so a loss
+	// burst of a few epochs costs no withdraw/re-propagation storm.
+	suspicionEpochs = 2
+	// pullBackoffCap caps the skip gap of the per-(neighbor, tuple) pull
+	// backoff (see allowPullLocked).
+	pullBackoffCap = 6
+)
 
 func (n *Node) stateFor(id tuple.ID) *tupleState {
 	return n.states.intern(id)
@@ -255,34 +266,10 @@ func (n *Node) ctxLocked(from tuple.NodeID, hop int) *tuple.Ctx {
 // HandlePacket implements transport.Handler.
 func (n *Node) HandlePacket(from tuple.NodeID, data []byte) {
 	n.mu.Lock()
-	if len(n.quarantined) != 0 {
-		if left, ok := n.quarantined[from]; ok {
-			if left > 1 {
-				n.quarantined[from] = left - 1
-			} else {
-				delete(n.quarantined, from)
-				delete(n.decodeStrikes, from)
-				// Re-admission starts the source from a clean slate: the
-				// pull backoff it accumulated while emitting garbage would
-				// otherwise suppress its first healed digests for up to the
-				// full backoff gap.
-				n.resetPullBackoffLocked(from)
-			}
-			n.stats.QuarantineDropped.Add(1)
-			n.mu.Unlock()
-			return
-		}
-	}
 	if err := wire.DecodeInto(n.cfg.Registry, data, &n.decodeScratch); err != nil {
-		quarantined := n.noteDecodeStrikeLocked(from)
 		n.mu.Unlock()
-		n.noteDecodeError(from, err, quarantined)
+		n.noteDecodeError(from, err)
 		return
-	}
-	if len(n.decodeStrikes) != 0 {
-		// A decodable packet clears the source's strike run: quarantine
-		// targets sustained corruption, not an isolated mangled frame.
-		delete(n.decodeStrikes, from)
 	}
 	msg := &n.decodeScratch
 	if msg.Type == wire.MsgBatch {
@@ -420,7 +407,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 		p := st.peerFor(from, len(n.nbrs))
 		p.val, p.parent, p.epoch, p.span = m.Value(), msg.Parent, uint32(n.epoch), msg.Trace.Span
 		p.flags |= peerSupport
-		n.maintainLocked(t.ID(), m, n.ctxLocked(from, hop))
+		n.maintainLocked(t.ID(), m, n.ctxLocked(from, hop), false)
 		return
 	}
 
@@ -588,41 +575,20 @@ func (n *Node) digestMaintainedLocked(from tuple.NodeID, e *wire.DigestEntry, st
 	p.ver = e.Ver
 	p.flags |= peerSupport | peerVer
 	p.resetBackoff()
-	n.maintainLocked(e.ID, ex, n.ctxLocked(from, int(e.Hop)+1))
+	n.maintainLocked(e.ID, ex, n.ctxLocked(from, int(e.Hop)+1), false)
 }
 
-// allowPullLocked gates one anti-entropy pull for (tuple, neighbor)
-// through the capped exponential backoff. Every allowed pull doubles
-// the number of subsequent digest mentions ignored before the next one
-// (1, 2, 4, … capped at Config.PullBackoffCap), so a neighbor that
-// never delivers a usable response — crashed mid-protocol, or behind a
-// one-way-lossy link — induces a decaying pull sequence instead of one
-// pull per refresh epoch. Consuming any full content (or a usable
-// maintained digest entry) from the neighbor resets its backoff.
-// No-op (always allow) when the backoff is disabled.
+// allowPullLocked gates one pull for (tuple, neighbor) — a digest pull
+// or a poisoned-row staleness probe — through the capped exponential
+// backoff. Every allowed pull doubles the number of subsequent mentions
+// ignored before the next one (1, 2, 4, … capped at pullBackoffCap), so
+// a neighbor that never delivers a usable response — crashed
+// mid-protocol, or behind a one-way-lossy link — induces a decaying
+// pull sequence instead of one pull per refresh epoch, and a genuine
+// two-node loop cannot probe forever within one event cascade.
+// Consuming new full content (or a usable maintained digest entry) from
+// the neighbor resets its backoff.
 func (n *Node) allowPullLocked(st *tupleState, from tuple.NodeID) bool {
-	return n.allowPullCapLocked(st, from, n.cfg.PullBackoffCap)
-}
-
-// allowProbeLocked gates a poisoned-row staleness probe. Unlike digest
-// pulls — which are paced by refresh epochs, so a disabled backoff
-// (PullBackoffCap 0) still means at most one pull per epoch — probes
-// are maintain-driven and each reply triggers another maintain, so an
-// unbounded allowance would let a genuine two-node loop probe forever
-// within a single event cascade. The backoff is therefore always armed
-// here, falling back to a fixed cap when the configured one is off.
-func (n *Node) allowProbeLocked(st *tupleState, from tuple.NodeID) bool {
-	maxGap := n.cfg.PullBackoffCap
-	if maxGap <= 0 {
-		maxGap = 64
-	}
-	return n.allowPullCapLocked(st, from, maxGap)
-}
-
-func (n *Node) allowPullCapLocked(st *tupleState, from tuple.NodeID, maxGap int) bool {
-	if maxGap <= 0 {
-		return true
-	}
 	p := st.peerFor(from, len(n.nbrs))
 	if p.skip > 0 {
 		p.skip--
@@ -633,8 +599,8 @@ func (n *Node) allowPullCapLocked(st *tupleState, from tuple.NodeID, maxGap int)
 		p.strikes++
 	}
 	gap := 1 << (p.strikes - 1)
-	if gap > maxGap {
-		gap = maxGap
+	if gap > pullBackoffCap {
+		gap = pullBackoffCap
 	}
 	p.skip = uint16(gap - 1)
 	return true
@@ -711,8 +677,10 @@ func (n *Node) handlePullLocked(from tuple.NodeID, msg *wire.Message) {
 // no support remains or the value exceeds the structure's scope. Support
 // excludes neighbors whose announced parent is this node (poisoned
 // reverse), which prevents two-node count-to-scope loops; longer stale
-// cycles are bounded by the scope and by MaxHops.
-func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple.Ctx) {
+// cycles are bounded by the scope and by MaxHops. aged marks refresh's
+// call, right after support aged out: the only one that may defer a
+// withdraw (see suspicionEpochs).
+func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple.Ctx, aged bool) {
 	st := n.stateFor(id)
 	if st.has(stSource) {
 		return
@@ -761,30 +729,29 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 		// current bytes to refresh the row; the per-row backoff — which
 		// same-version replies do not reset — bounds the probes when
 		// the claim is a genuine loop rather than staleness.
-		if n.allowProbeLocked(st, poisonedNbr) {
+		if n.allowPullLocked(st, poisonedNbr) {
 			n.tracePullLocked(id, poisonedNbr, st)
 			n.sendPullMsgLocked(poisonedNbr, []tuple.ID{id})
 		}
 	}
 
 	if math.IsInf(best, 1) || desired > effMax {
-		if st.has(stStored) {
-			if grace := n.cfg.SuspicionEpochs; grace > 0 {
-				// Hysteresis: defer the withdraw for a grace window so a
-				// transient loss burst (a few missed refresh epochs) does
-				// not trigger a withdraw/re-propagation storm. The copy
-				// keeps being announced while suspect; support returning
-				// within the window cancels the suspicion silently.
-				if st.suspectEpoch == 0 {
-					st.suspectEpoch = uint32(n.epoch) + 1
-					n.stats.Suspected.Add(1)
-					n.traceLocked(TraceEvent{Kind: TraceSuspect, ID: id})
-				}
-				if (uint32(n.epoch)+1)-st.suspectEpoch < uint32(grace) {
-					return
-				}
-				st.suspectEpoch = 0
-			}
+		if !st.has(stStored) {
+			return
+		}
+		// Hysteresis: support that merely aged out (a few missed refresh
+		// epochs) defers the withdraw for a grace window, so a transient
+		// loss burst does not trigger a withdraw/re-propagation storm. The
+		// copy keeps being announced while suspect; support returning
+		// within the window cancels the suspicion silently. An explicit
+		// withdraw, a neighbor going down or a scope overflow is news, not
+		// silence: it withdraws at once unless the copy is already suspect.
+		if aged && st.suspectEpoch == 0 {
+			st.suspectEpoch = uint32(n.epoch) + 1
+			n.stats.Suspected.Add(1)
+			n.traceLocked(TraceEvent{Kind: TraceSuspect, ID: id})
+		}
+		if st.suspectEpoch == 0 || (uint32(n.epoch)+1)-st.suspectEpoch >= suspicionEpochs {
 			n.dropMaintainedLocked(id, st)
 		}
 		return
@@ -887,7 +854,7 @@ func (n *Node) handleWithdrawLocked(from tuple.NodeID, id tuple.ID) {
 	}
 	if st.has(stStored) && !st.has(stSource) {
 		if m, ok := st.local.(tuple.Maintained); ok {
-			n.maintainLocked(id, m, n.ctxLocked(from, int(st.hop)))
+			n.maintainLocked(id, m, n.ctxLocked(from, int(st.hop)), false)
 		}
 	}
 	// If this node still holds a copy after the check, re-announce it:
@@ -1032,7 +999,7 @@ func (n *Node) handleNeighborRemovedLocked(peer tuple.NodeID) {
 			continue
 		}
 		if m, ok := st.local.(tuple.Maintained); ok {
-			n.maintainLocked(id, m, n.ctxLocked(n.id, int(st.hop)))
+			n.maintainLocked(id, m, n.ctxLocked(n.id, int(st.hop)), false)
 		}
 	}
 	n.emitNeighborLocked(NeighborRemoved, peer)
@@ -1114,7 +1081,7 @@ func (n *Node) refreshLocked() int {
 						pe.span = 0
 					}
 				}
-				n.maintainLocked(id, m, n.ctxLocked(n.id, int(st.hop)))
+				n.maintainLocked(id, m, n.ctxLocked(n.id, int(st.hop)), true)
 				if !st.has(stStored) {
 					continue
 				}
@@ -1482,47 +1449,12 @@ func (n *Node) noteSendError(op string, err error) {
 	}
 }
 
-// noteDecodeStrikeLocked advances the per-source corrupt-frame
-// accounting after a decode failure, quarantining the source once its
-// consecutive-error run reaches Config.QuarantineThreshold: its next
-// QuarantineCooldown packets are dropped unread, then it is re-admitted
-// with a clean slate. Returns whether the source was just quarantined.
-func (n *Node) noteDecodeStrikeLocked(from tuple.NodeID) bool {
-	if n.cfg.QuarantineThreshold <= 0 {
-		return false
-	}
-	s := n.decodeStrikes[from] + 1
-	if s < n.cfg.QuarantineThreshold {
-		if n.decodeStrikes == nil {
-			n.decodeStrikes = make(map[tuple.NodeID]int)
-		}
-		n.decodeStrikes[from] = s
-		return false
-	}
-	delete(n.decodeStrikes, from)
-	if n.quarantined == nil {
-		n.quarantined = make(map[tuple.NodeID]int)
-	}
-	n.quarantined[from] = n.cfg.QuarantineCooldown
-	n.stats.QuarantineEvents.Add(1)
-	return true
-}
-
 // noteDecodeError counts an undecodable packet, with the same
 // power-of-two log rate limiting as noteSendError. Called outside the
 // engine lock.
-func (n *Node) noteDecodeError(from tuple.NodeID, err error, quarantined bool) {
+func (n *Node) noteDecodeError(from tuple.NodeID, err error) {
 	c := n.stats.DecodeErrors.Add(1)
-	if n.cfg.Logger == nil {
-		return
-	}
-	if quarantined {
-		n.cfg.Logger.Warn("tota: source quarantined for repeated corrupt frames",
-			"node", string(n.id), "from", string(from), "err", err,
-			"cooldown_packets", n.cfg.QuarantineCooldown)
-		return
-	}
-	if isPowerOfTwo(c) {
+	if n.cfg.Logger != nil && isPowerOfTwo(c) {
 		n.cfg.Logger.Warn("tota: undecodable packet dropped",
 			"node", string(n.id), "from", string(from), "err", err, "count", c)
 	}

@@ -52,34 +52,6 @@ type Config struct {
 	// DisableCatchUp turns off unicasting stored tuples to newcomers
 	// (ablation A1: joiners rely on later announcements or refresh).
 	DisableCatchUp bool
-	// SuspicionEpochs is the grace window, in refresh epochs, a stored
-	// maintained copy survives after losing all support before it is
-	// withdrawn. During the window the node keeps (and keeps announcing)
-	// its value, so a transient loss burst or link flap does not trigger
-	// a withdraw/re-propagation storm; if support returns in time the
-	// suspicion is cancelled with zero churn. 0 withdraws immediately
-	// (the pre-suspicion behavior). Suspicion needs a refresh clock: the
-	// window is measured against the epochs advanced by Refresh.
-	SuspicionEpochs int
-	// PullBackoffCap enables capped exponential backoff on anti-entropy
-	// pulls, keyed by (neighbor, tuple id): after each unanswered pull
-	// the next 2^k-1 digest mentions of the same entry are skipped, with
-	// the skip gap capped at PullBackoffCap. A dead or unreachable
-	// neighbor therefore induces a decaying, bounded pull sequence
-	// instead of one pull per digest. 0 disables backoff (every
-	// mismatched digest entry pulls, the pre-backoff behavior). Consumed
-	// content from the neighbor resets the key's backoff.
-	PullBackoffCap int
-	// QuarantineThreshold demotes a packet source after this many
-	// consecutive undecodable packets: the engine drops the source's
-	// next QuarantineCooldown packets unread, then re-admits it. A
-	// successfully decoded packet resets the source's strike count.
-	// 0 disables quarantine.
-	QuarantineThreshold int
-	// QuarantineCooldown is how many packets a quarantined source has
-	// dropped before re-admission (default DefaultQuarantineCooldown
-	// when QuarantineThreshold is set).
-	QuarantineCooldown int
 	// MaxFrameBytes bounds the payload size of coalesced batch frames
 	// (refresh flushes, newcomer catch-up, pull responses). 0 asks the
 	// transport (transport.FrameLimiter) and falls back to
@@ -106,11 +78,6 @@ const DefaultMaxHops = 128
 // to fit a typical UDP datagram under an Ethernet MTU; MTU-aware
 // transports override it via transport.FrameLimiter.
 const DefaultFrameBytes = 1400
-
-// DefaultQuarantineCooldown is how many packets a quarantined source
-// has dropped before re-admission when Config.QuarantineCooldown is
-// left zero.
-const DefaultQuarantineCooldown = 64
 
 // Option customizes a Node.
 type Option interface {
@@ -148,30 +115,6 @@ func WithoutPoisonedReverse() Option {
 // only from later value changes or anti-entropy refreshes.
 func WithoutCatchUp() Option {
 	return optionFunc(func(c *Config) { c.DisableCatchUp = true })
-}
-
-// WithSuspicion sets the grace window, in refresh epochs, a maintained
-// copy survives without support before being withdrawn (see
-// Config.SuspicionEpochs).
-func WithSuspicion(epochs int) Option {
-	return optionFunc(func(c *Config) { c.SuspicionEpochs = epochs })
-}
-
-// WithPullBackoff enables capped exponential backoff on anti-entropy
-// pulls with the given skip-gap cap (see Config.PullBackoffCap).
-func WithPullBackoff(cap int) Option {
-	return optionFunc(func(c *Config) { c.PullBackoffCap = cap })
-}
-
-// WithQuarantine demotes packet sources after threshold consecutive
-// undecodable packets, dropping their next cooldownPackets packets
-// unread (see Config.QuarantineThreshold; cooldownPackets 0 selects
-// DefaultQuarantineCooldown).
-func WithQuarantine(threshold, cooldownPackets int) Option {
-	return optionFunc(func(c *Config) {
-		c.QuarantineThreshold = threshold
-		c.QuarantineCooldown = cooldownPackets
-	})
 }
 
 // WithLogger installs a structured logger for rate-limited error
@@ -256,12 +199,6 @@ type Node struct {
 	// mu): steady-state digest and batch deliveries reuse its slice
 	// capacity instead of allocating per packet.
 	decodeScratch wire.Message
-	// decodeStrikes and quarantined are the corrupt-frame quarantine
-	// state (allocated only when Config.QuarantineThreshold > 0):
-	// consecutive decode errors per source, and remaining packets to
-	// drop per quarantined source.
-	decodeStrikes map[tuple.NodeID]int
-	quarantined   map[tuple.NodeID]int
 	// queries is the per-query convergecast state (allocated lazily on
 	// the first aggregation query seen; see aggregate.go).
 	queries map[tuple.ID]*queryState
@@ -300,9 +237,6 @@ func NewConfig(opts ...Option) *Config {
 	}
 	if cfg.MaxHops <= 0 {
 		cfg.MaxHops = DefaultMaxHops
-	}
-	if cfg.QuarantineThreshold > 0 && cfg.QuarantineCooldown <= 0 {
-		cfg.QuarantineCooldown = DefaultQuarantineCooldown
 	}
 	return cfg
 }

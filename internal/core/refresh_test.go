@@ -84,7 +84,8 @@ func TestRefreshRepairsLostPropagation(t *testing.T) {
 func TestRefreshPrunesPhantomSupport(t *testing.T) {
 	// Line 0-1-2. Build the gradient, then lose node 1's withdrawal:
 	// node 2 keeps phantom support from its stale table entry. Repeated
-	// refreshes age the entry out and node 2 drops its orphan copy.
+	// refreshes age the entry out, the copy turns suspect, and node 2
+	// drops its orphan once the grace window has run.
 	g := topology.Line(3)
 	tn := newTestNet(t, g)
 	src := topology.NodeName(0)
@@ -103,11 +104,17 @@ func TestRefreshPrunesPhantomSupport(t *testing.T) {
 	}
 
 	tn.sim.SetLoss(0)
-	for i := 0; i < 4; i++ {
+	// The entry heard at epoch 0 ages out at epoch StaleEpochs+1, which
+	// opens the grace window; the withdraw comes SuspicionEpochs later.
+	for i := 0; i < core.StaleEpochs+core.SuspicionEpochs; i++ {
 		refreshAll(tn)
 	}
+	if _, have := tn.gradVal(topology.NodeName(2), pattern.KindGradient, "f"); !have {
+		t.Fatal("phantom copy withdrawn before its grace window ran out")
+	}
+	refreshAll(tn)
 	if _, have := tn.gradVal(topology.NodeName(2), pattern.KindGradient, "f"); have {
-		t.Error("phantom copy survived refresh aging")
+		t.Error("phantom copy survived refresh aging and the grace window")
 	}
 	// The source side is intact.
 	if v, have := tn.gradVal(src, pattern.KindGradient, "f"); !have || v != 0 {

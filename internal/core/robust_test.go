@@ -7,18 +7,16 @@ import (
 	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
-	"tota/internal/tuple"
-	"tota/internal/wire"
 )
 
 // lossBurstDrops runs a converged a-b-c chain through a burst of
 // fully-lossy refresh epochs on the b->c link, heals it, runs recovery
 // epochs, and reports the network's withdraw count plus c's final hold
 // of the gradient.
-func lossBurstDrops(t *testing.T, burstEpochs int, opts ...core.Option) (maintDrop int64, suspected, recovered int64, cHolds bool) {
+func lossBurstDrops(t *testing.T, burstEpochs int) (maintDrop int64, suspected, recovered int64, cHolds bool) {
 	t.Helper()
 	g := topology.Line(3)
-	tn := newTestNet(t, g, opts...)
+	tn := newTestNet(t, g)
 	a, c := topology.NodeName(0), topology.NodeName(2)
 	injectGradient(t, tn, a, "f", math.Inf(1))
 	refreshAll(tn) // converge announcement versions
@@ -39,31 +37,21 @@ func lossBurstDrops(t *testing.T, burstEpochs int, opts ...core.Option) (maintDr
 }
 
 // TestFaultSuspicionAbsorbsLossBurst is the hysteresis acceptance
-// criterion: a 3-epoch loss burst on one link must not produce any
-// withdraw/re-propagation cycle when suspicion is enabled, while the
-// baseline engine (grace disabled) does withdraw — proving the grace
-// window is what absorbs the burst.
+// criterion: a 3-epoch loss burst on one link ages c's support out, and
+// the grace window must absorb it — no withdraw/re-propagation cycle.
 func TestFaultSuspicionAbsorbsLossBurst(t *testing.T) {
-	drops, _, _, holds := lossBurstDrops(t, 3)
-	if drops == 0 {
-		t.Fatal("baseline: 3-epoch loss burst caused no withdraw — the scenario is not stressing stale-support pruning")
-	}
-	if !holds {
-		t.Error("baseline: gradient did not recover after the heal")
-	}
-
-	drops, suspected, recovered, holds := lossBurstDrops(t, 3, core.WithSuspicion(2))
+	drops, suspected, recovered, holds := lossBurstDrops(t, 3)
 	if drops != 0 {
-		t.Errorf("suspicion: burst caused %d withdrawals, want 0", drops)
+		t.Errorf("burst caused %d withdrawals, want 0", drops)
 	}
 	if suspected == 0 {
-		t.Error("suspicion: no copy entered the grace window (burst not observed)")
+		t.Error("no copy entered the grace window (burst not observed)")
 	}
 	if recovered == 0 {
-		t.Error("suspicion: no suspicion was cancelled by returning support")
+		t.Error("no suspicion was cancelled by returning support")
 	}
 	if !holds {
-		t.Error("suspicion: gradient lost despite the grace window")
+		t.Error("gradient lost despite the grace window")
 	}
 }
 
@@ -71,13 +59,52 @@ func TestFaultSuspicionAbsorbsLossBurst(t *testing.T) {
 // the withdraw, it must not suppress it — a burst longer than the
 // grace window still tears the orphan copy down.
 func TestFaultSuspicionStillWithdrawsWhenSupportIsGone(t *testing.T) {
-	drops, suspected, _, _ := lossBurstDrops(t, 8, core.WithSuspicion(2))
+	drops, suspected, _, _ := lossBurstDrops(t, 8)
 	if suspected == 0 {
 		t.Fatal("no suspicion raised during an 8-epoch outage")
 	}
 	if drops == 0 {
 		t.Error("withdraw never fired despite the grace window elapsing")
 	}
+}
+
+// TestFaultNewsWithdrawsWithoutGrace pins where suspicion applies: only
+// support that aged out in refresh earns a grace window. A neighbor
+// going down and an explicit withdraw are news, so the copy they leave
+// unsupported is withdrawn in the same round — without a refresh clock
+// a grace window would never end, and the orphan would live forever.
+func TestFaultNewsWithdrawsWithoutGrace(t *testing.T) {
+	n0, n1, n2 := topology.NodeName(0), topology.NodeName(1), topology.NodeName(2)
+	setup := func() *testNet {
+		tn := newTestNet(t, topology.Line(4))
+		injectGradient(t, tn, n0, "f", math.Inf(1))
+		refreshAll(tn)
+		refreshAll(tn)
+		return tn
+	}
+
+	t.Run("neighbor removal", func(t *testing.T) {
+		tn := setup()
+		// n1's only other neighbor routes through it (poisoned reverse),
+		// so losing n0 leaves it without support.
+		tn.sim.RemoveEdge(n0, n1)
+		if v, have := tn.gradVal(n1, pattern.KindGradient, "f"); have {
+			t.Errorf("n1 kept an unsupported copy (val %v) after its parent went down", v)
+		}
+	})
+
+	t.Run("explicit withdraw", func(t *testing.T) {
+		tn := setup()
+		// n1 deletes its copy and broadcasts a withdraw; n2's remaining
+		// neighbor routes through it, so the withdraw leaves it unsupported.
+		tn.node(n1).Delete(pattern.ByName(pattern.KindGradient, "f"))
+		tn.sim.Step()
+		if v, have := tn.gradVal(n2, pattern.KindGradient, "f"); have {
+			t.Errorf("n2 kept an unsupported copy (val %v) in the round the withdraw arrived", v)
+		}
+		tn.quiesce()
+		tn.assertGradientMatchesBFS(n0, "f", math.Inf(1))
+	})
 }
 
 // TestFaultPullBackoffBoundsPullStorm is the backoff acceptance
@@ -88,37 +115,27 @@ func TestFaultSuspicionStillWithdrawsWhenSupportIsGone(t *testing.T) {
 // per refresh epoch.
 func TestFaultPullBackoffBoundsPullStorm(t *testing.T) {
 	const epochs = 16
-	run := func(opts ...core.Option) (pullsOut, suppressed int64) {
-		g := topology.New()
-		g.AddNode("a")
-		g.AddNode("b")
-		opts = append([]core.Option{core.WithoutCatchUp()}, opts...)
-		tn := newTestNet(t, g, opts...)
-		// Inject while isolated: the announcement broadcast reaches
-		// nobody, so b can only ever learn of the structure by digest.
-		injectGradient(t, tn, "a", "f", math.Inf(1))
-		tn.sim.SetLinkLoss("b", "a", 1) // pulls die in flight
-		tn.sim.AddEdge("a", "b")
-		for i := 0; i < epochs; i++ {
-			refreshAll(tn)
-		}
-		st := tn.node("b").Stats()
-		return st.PullsOut, st.PullsSuppressed
+	g := topology.New()
+	g.AddNode("a")
+	g.AddNode("b")
+	tn := newTestNet(t, g, core.WithoutCatchUp())
+	// Inject while isolated: the announcement broadcast reaches
+	// nobody, so b can only ever learn of the structure by digest.
+	injectGradient(t, tn, "a", "f", math.Inf(1))
+	tn.sim.SetLinkLoss("b", "a", 1) // pulls die in flight
+	tn.sim.AddEdge("a", "b")
+	for i := 0; i < epochs; i++ {
+		refreshAll(tn)
 	}
-
-	pulls, _ := run()
-	if pulls != epochs {
-		t.Fatalf("baseline: %d pulls over %d epochs, want one per epoch (scenario must provoke a pull storm)", pulls, epochs)
-	}
-
-	pulls, suppressed := run(core.WithPullBackoff(8))
-	// Decaying sequence with gaps 1,1,2,4,8,…: far fewer than one per
+	st := tn.node("b").Stats()
+	pulls, suppressed := st.PullsOut, st.PullsSuppressed
+	// Decaying sequence with gaps 1,2,4,6,6,…: far fewer than one per
 	// epoch, and every suppressed mention is accounted for.
 	if pulls >= epochs/2 {
-		t.Errorf("backoff: %d pulls over %d epochs, want a decayed sequence (< %d)", pulls, epochs, epochs/2)
+		t.Errorf("%d pulls over %d epochs, want a decayed sequence (< %d)", pulls, epochs, epochs/2)
 	}
 	if pulls == 0 {
-		t.Error("backoff: no pulls at all — backoff must retry, not give up")
+		t.Error("no pulls at all — backoff must retry, not give up")
 	}
 	if suppressed != int64(epochs)-pulls {
 		t.Errorf("suppressed = %d, want %d (every digest mention either pulls or counts as suppressed)", suppressed, int64(epochs)-pulls)
@@ -131,7 +148,7 @@ func TestFaultPullBackoffResetsOnConsumedContent(t *testing.T) {
 	g := topology.New()
 	g.AddNode("a")
 	g.AddNode("b")
-	tn := newTestNet(t, g, core.WithoutCatchUp(), core.WithPullBackoff(8))
+	tn := newTestNet(t, g, core.WithoutCatchUp())
 	injectGradient(t, tn, "a", "f", math.Inf(1))
 	tn.sim.SetLinkLoss("b", "a", 1)
 	tn.sim.AddEdge("a", "b")
@@ -158,65 +175,6 @@ func TestFaultPullBackoffResetsOnConsumedContent(t *testing.T) {
 	}
 	if got := tn.node("b").Stats().PullsSuppressed; got != suppressedAtHeal {
 		t.Errorf("suppression kept counting after convergence: %d -> %d", suppressedAtHeal, got)
-	}
-}
-
-// TestFaultQuarantineIsolatesCorruptSource: repeated undecodable
-// frames from one source demote it for a packet-count cooldown, after
-// which it is re-admitted; an isolated bad frame costs nothing.
-func TestFaultQuarantineIsolatesCorruptSource(t *testing.T) {
-	g := topology.New()
-	g.AddEdge("a", "b")
-	tn := newTestNet(t, g, core.WithQuarantine(3, 4))
-	b := tn.node("b")
-
-	valid, err := wire.Encode(wire.Message{Type: wire.MsgPull, Want: []tuple.ID{{Node: "a", Seq: 1}}})
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-
-	// An isolated bad frame, then a good one: strike run resets, no
-	// quarantine.
-	b.HandlePacket("a", []byte{0xFF, 0xFF})
-	b.HandlePacket("a", valid)
-	b.HandlePacket("a", []byte{0xFF, 0xFF})
-	b.HandlePacket("a", valid)
-	if st := b.Stats(); st.QuarantineEvents != 0 {
-		t.Fatalf("isolated bad frames triggered quarantine (events=%d)", st.QuarantineEvents)
-	}
-
-	// Three consecutive bad frames: the source is quarantined.
-	for i := 0; i < 3; i++ {
-		b.HandlePacket("a", []byte{0xFF, 0xFF})
-	}
-	st := b.Stats()
-	if st.QuarantineEvents != 1 {
-		t.Fatalf("QuarantineEvents = %d, want 1", st.QuarantineEvents)
-	}
-
-	// The next 4 packets — even valid ones — are dropped unread.
-	inBefore := st.PacketsIn
-	for i := 0; i < 4; i++ {
-		b.HandlePacket("a", valid)
-	}
-	st = b.Stats()
-	if st.QuarantineDropped != 4 {
-		t.Errorf("QuarantineDropped = %d, want 4", st.QuarantineDropped)
-	}
-	if st.PacketsIn != inBefore {
-		t.Error("quarantined packets still reached the engine")
-	}
-
-	// Cooldown elapsed: the source is re-admitted with a clean slate.
-	b.HandlePacket("a", valid)
-	if got := b.Stats().PacketsIn; got != inBefore+1 {
-		t.Errorf("PacketsIn after cooldown = %d, want %d (source must be re-admitted)", got, inBefore+1)
-	}
-
-	// Other sources are unaffected throughout.
-	b.HandlePacket("c", valid)
-	if got := b.Stats().PacketsIn; got != inBefore+2 {
-		t.Error("unrelated source was affected by the quarantine")
 	}
 }
 

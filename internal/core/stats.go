@@ -67,12 +67,6 @@ type Stats struct {
 	// PullsSuppressed counts anti-entropy pulls skipped by the capped
 	// exponential backoff (per neighbor, per tuple id).
 	PullsSuppressed int64
-	// QuarantineEvents counts sources demoted for repeated undecodable
-	// packets.
-	QuarantineEvents int64
-	// QuarantineDropped counts packets dropped unread because their
-	// source was quarantined.
-	QuarantineDropped int64
 	// QueryEpochs counts convergecast epoch waves started at query
 	// sources (one per stored source query per refresh).
 	QueryEpochs int64
@@ -119,8 +113,6 @@ func (s Stats) Add(o Stats) Stats {
 		Suspected:         s.Suspected + o.Suspected,
 		SuspectRecovered:  s.SuspectRecovered + o.SuspectRecovered,
 		PullsSuppressed:   s.PullsSuppressed + o.PullsSuppressed,
-		QuarantineEvents:  s.QuarantineEvents + o.QuarantineEvents,
-		QuarantineDropped: s.QuarantineDropped + o.QuarantineDropped,
 		QueryEpochs:       s.QueryEpochs + o.QueryEpochs,
 		QueriesIn:         s.QueriesIn + o.QueriesIn,
 		PartialsOut:       s.PartialsOut + o.PartialsOut,
@@ -163,8 +155,6 @@ type atomicStats struct {
 	Suspected         atomic.Int64
 	SuspectRecovered  atomic.Int64
 	PullsSuppressed   atomic.Int64
-	QuarantineEvents  atomic.Int64
-	QuarantineDropped atomic.Int64
 	QueryEpochs       atomic.Int64
 	QueriesIn         atomic.Int64
 	PartialsOut       atomic.Int64
@@ -205,8 +195,6 @@ func (a *atomicStats) Snapshot() Stats {
 		Suspected:         a.Suspected.Load(),
 		SuspectRecovered:  a.SuspectRecovered.Load(),
 		PullsSuppressed:   a.PullsSuppressed.Load(),
-		QuarantineEvents:  a.QuarantineEvents.Load(),
-		QuarantineDropped: a.QuarantineDropped.Load(),
 		QueryEpochs:       a.QueryEpochs.Load(),
 		QueriesIn:         a.QueriesIn.Load(),
 		PartialsOut:       a.PartialsOut.Load(),

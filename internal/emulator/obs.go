@@ -128,8 +128,6 @@ func (w *World) RegisterMetrics(reg *obs.Registry) {
 	counter("tota_emu_suspected_total", "Maintained copies that entered the suspicion grace window, summed over nodes.", func(r Rollup) int64 { return r.Stats.Suspected })
 	counter("tota_emu_suspect_recovered_total", "Suspicions cancelled by returning support, summed over nodes.", func(r Rollup) int64 { return r.Stats.SuspectRecovered })
 	counter("tota_emu_pulls_suppressed_total", "Anti-entropy pulls skipped by backoff, summed over nodes.", func(r Rollup) int64 { return r.Stats.PullsSuppressed })
-	counter("tota_emu_quarantine_events_total", "Sources quarantined for repeated undecodable frames, summed over nodes.", func(r Rollup) int64 { return r.Stats.QuarantineEvents })
-	counter("tota_emu_quarantine_dropped_total", "Packets dropped unread while their source was quarantined, summed over nodes.", func(r Rollup) int64 { return r.Stats.QuarantineDropped })
 	counter("tota_emu_query_epochs_total", "Convergecast epochs started by query sources, summed over nodes.", func(r Rollup) int64 { return r.Stats.QueryEpochs })
 	counter("tota_emu_partials_out_total", "Partial aggregates sent up parent links, summed over nodes.", func(r Rollup) int64 { return r.Stats.PartialsOut })
 	counter("tota_emu_partials_combined_total", "Child partials folded into local aggregates, summed over nodes.", func(r Rollup) int64 { return r.Stats.PartialsCombined })
@@ -167,13 +165,12 @@ func (w *World) RegisterMetrics(reg *obs.Registry) {
 // emulator dashboard (`tota-emu -dash N`).
 func (r Rollup) Dashboard() string {
 	line := fmt.Sprintf(
-		"[tick %d t=%.1f] nodes=%d edges=%d inflight=%d churn=+%d/-%d stored=%d | in=%d dup=%d repair=%d withdraw=%d ttl=%d sendErr=%d | frames=%d digests=%d pulls=%d suppressed=%d | suspect=%d/%d pullBackoff=%d quarantine=%d/%d | agg epochs=%d partials=%d results=%d | radio sent=%d dropped=%d corrupt=%d blocked=%d shed=%d",
+		"[tick %d t=%.1f] nodes=%d edges=%d inflight=%d churn=+%d/-%d stored=%d | in=%d dup=%d repair=%d withdraw=%d ttl=%d sendErr=%d | frames=%d digests=%d pulls=%d suppressed=%d | suspect=%d/%d pullBackoff=%d | agg epochs=%d partials=%d results=%d | radio sent=%d dropped=%d corrupt=%d blocked=%d shed=%d",
 		r.Tick, r.Time, r.Nodes, r.Edges, r.Inflight, r.ChurnAdds, r.ChurnRemoves, r.StoreSize,
 		r.Stats.PacketsIn, r.Stats.DupDropped, r.Stats.MaintAdopt, r.Stats.MaintDrop,
 		r.Stats.TTLDropped, r.Stats.SendErrors,
 		r.Stats.FramesOut, r.Stats.DigestsOut, r.Stats.PullsOut, r.Stats.RefreshSuppressed,
 		r.Stats.Suspected, r.Stats.SuspectRecovered, r.Stats.PullsSuppressed,
-		r.Stats.QuarantineEvents, r.Stats.QuarantineDropped,
 		r.Stats.QueryEpochs, r.Stats.PartialsOut, r.Stats.AggResults,
 		r.Net.Sent, r.Net.Dropped, r.Net.Corrupted, r.Net.Blocked, r.Net.Shed)
 	if r.MemRSSBytes > 0 {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"math"
 
-	"tota/internal/core"
 	"tota/internal/emulator"
 	"tota/internal/fault"
 	"tota/internal/metrics"
@@ -21,9 +20,8 @@ const e2RepairMsgsBaseline = 12.20
 
 // RunE13 is the chaos soak: a seeded matrix of loss bursts, partitions,
 // node crash/restart cycles and frame corruption — alone and combined —
-// driven by the fault injector against a maintained gradient, with the
-// engine's graceful-degradation features (suspicion hysteresis, pull
-// backoff, corrupt-source quarantine) enabled. For each scenario it
+// driven by the fault injector against a maintained gradient on the one
+// engine configuration every node runs. For each scenario it
 // verifies the structure reconverges to the BFS oracle after all faults
 // heal, and measures the repair traffic as overhead over a fault-free
 // control run of the same anti-entropy schedule.
@@ -62,20 +60,14 @@ func RunE13(scale Scale) *Result {
 	tbl := metrics.NewTable(
 		"E13 (robustness): chaos soak — coherence and repair cost after compound faults",
 		"scenario", "heals", "epochs", "repairMsgs", "overhead/heal",
-		"converged", "suspected", "pullSuppr", "quarDrop", "blocked", "corrupted")
+		"converged", "suspected", "pullSuppr", "blocked", "corrupted")
 	res := newResult(tbl)
 
-	opts := []core.Option{
-		core.WithSuspicion(2),
-		core.WithPullBackoff(6),
-		core.WithQuarantine(8, 16),
-	}
 	build := func() *emulator.World {
 		w := emulator.New(emulator.Config{
 			Graph:        topology.Grid(side, side, 1),
 			RefreshEvery: 2,
 			Seed:         1303,
-			NodeOptions:  opts,
 		})
 		if _, err := w.Node(n(0)).Inject(pattern.NewGradient("e13")); err != nil {
 			return nil
@@ -140,7 +132,7 @@ func RunE13(scale Scale) *Result {
 
 		tbl.AddRow(sc.name, heals, epochs, repairMsgs, overheadPerHeal,
 			converged, float64(st.Suspected), float64(st.PullsSuppressed),
-			float64(st.QuarantineDropped), float64(faultNet.Blocked), float64(faultNet.Corrupted))
+			float64(faultNet.Blocked), float64(faultNet.Corrupted))
 		res.Metrics["converged_"+sc.name] = converged
 		res.Metrics["repair_epochs_"+sc.name] = float64(epochs)
 		res.Metrics["repair_msgs_"+sc.name] = repairMsgs

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tota/internal/agg"
-	"tota/internal/core"
 	"tota/internal/emulator"
 	"tota/internal/fault"
 	"tota/internal/metrics"
@@ -24,12 +23,11 @@ func e14Reading(i int) float64 { return float64(i%17 + 1) }
 
 // e14World builds a side×side grid, stores one local reading per node
 // and settles.
-func e14World(side int, opts ...core.Option) *emulator.World {
+func e14World(side int) *emulator.World {
 	w := emulator.New(emulator.Config{
 		Graph:        topology.Grid(side, side, 1),
 		RefreshEvery: 2,
 		Seed:         1404,
-		NodeOptions:  opts,
 	})
 	for i := 0; i < side*side; i++ {
 		if _, err := w.Node(topology.NodeName(i)).Inject(pattern.NewLocal("reading", tuple.F("v", e14Reading(i)))); err != nil {
@@ -132,13 +130,8 @@ func RunE14(scale Scale) *Result {
 		{Kind: fault.Loss, From: 3, Until: 9, P: 0.3},
 		{Kind: fault.Crash, From: 5, Until: 11, Nodes: []tuple.NodeID{topology.NodeName(crashed)}},
 	}}
-	opts := []core.Option{
-		core.WithSuspicion(2),
-		core.WithPullBackoff(6),
-		core.WithQuarantine(8, 16),
-	}
 	const maxEpochs = 40
-	w := e14World(side, opts...)
+	w := e14World(side)
 	if w == nil {
 		return res
 	}

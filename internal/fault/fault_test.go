@@ -373,9 +373,11 @@ func runChaosScenario(seed int64) string {
 	return fingerprint(w)
 }
 
-// chaosGolden is the SHA-256 of runChaosScenario(99), recorded at the
-// last commit that still had a delivery worker pool, on its serial path.
-const chaosGolden = "0178b8deef9ece00a2e44562ec69d519b63a31a165abc6b11cd3640cd87867cb"
+// chaosGolden is the SHA-256 of runChaosScenario(99), re-recorded when
+// suspicion became part of the one engine configuration: flipping only
+// that default (2 epochs, entered from refresh) moves it, while pull
+// backoff and dropping quarantine leave it unchanged.
+const chaosGolden = "bbe7e6e969ab9b18522fa880fa55073c0d87096fc053e3dd75d0893b0aa890f4"
 
 // TestFaultPlanGolden extends the emulator's same-seed-same-universe
 // guarantee to active fault injection: with loss, corruption,

@@ -42,8 +42,6 @@ func RegisterNodeStats(r *Registry, source func() core.Stats, labels ...Label) {
 	bind("tota_suspected_total", "Maintained copies that entered the suspicion grace window.", func(s core.Stats) int64 { return s.Suspected })
 	bind("tota_suspect_recovered_total", "Suspicions cancelled by returning support.", func(s core.Stats) int64 { return s.SuspectRecovered })
 	bind("tota_pulls_suppressed_total", "Anti-entropy pulls skipped by backoff.", func(s core.Stats) int64 { return s.PullsSuppressed })
-	bind("tota_quarantine_events_total", "Sources quarantined for repeated undecodable frames.", func(s core.Stats) int64 { return s.QuarantineEvents })
-	bind("tota_quarantine_dropped_total", "Packets dropped unread from quarantined sources.", func(s core.Stats) int64 { return s.QuarantineDropped })
 	bind("tota_query_epochs_total", "Convergecast epochs started by locally sourced queries.", func(s core.Stats) int64 { return s.QueryEpochs })
 	bind("tota_queries_in_total", "Query epoch-wave messages received.", func(s core.Stats) int64 { return s.QueriesIn })
 	bind("tota_partials_out_total", "Partial aggregates sent up parent links.", func(s core.Stats) int64 { return s.PartialsOut })

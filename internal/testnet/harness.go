@@ -69,10 +69,9 @@ type Harness struct {
 }
 
 // NodeExtraFlags are the tota-node flags every fleet member runs with:
-// a refresh period fast enough to heal within a few harness ticks, the
-// graceful-degradation engine options, and a flight ring for post-hoc
-// diagnosis.
-var NodeExtraFlags = []string{"-refresh", "200ms", "-robust", "-trace.flight", "256"}
+// a refresh period fast enough to heal within a few harness ticks and a
+// flight ring for post-hoc diagnosis.
+var NodeExtraFlags = []string{"-refresh", "200ms", "-trace.flight", "256"}
 
 // Run executes the manifest against the tota-node binary at bin,
 // writing progress and failure diagnostics to out. It returns the

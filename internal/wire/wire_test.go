@@ -400,6 +400,9 @@ func TestDecodeRejectsHugeLengthPrefixes(t *testing.T) {
 }
 
 func TestDecodeIntoReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
 	r := newWireRegistry(t)
 	digest, err := Encode(Message{Type: MsgDigest, Digest: []DigestEntry{
 		{ID: tuple.ID{Node: "a", Seq: 1}, Ver: 1},
