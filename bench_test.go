@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"testing"
 
 	"tota/internal/core"
@@ -17,133 +16,8 @@ import (
 	"tota/internal/wire"
 )
 
-// The BenchmarkE* functions regenerate each experiment of the paper
-// reproduction (see EXPERIMENTS.md); the reported custom metrics are
-// the headline numbers of each table. Run cmd/tota-bench for the full
-// paper-shaped tables.
-
-func benchExperiment(b *testing.B, run func(experiment.Scale) *experiment.Result, keys ...string) {
-	b.Helper()
-	var res *experiment.Result
-	for i := 0; i < b.N; i++ {
-		res = run(experiment.Quick)
-	}
-	if res == nil {
-		b.Fatal("no result")
-	}
-	for _, k := range keys {
-		if v, ok := res.Metrics[k]; ok {
-			// Metric units must not contain whitespace or commas.
-			unit := strings.NewReplacer(" ", "_", ",", "").Replace(k)
-			b.ReportMetric(v, unit)
-		}
-	}
-}
-
-func BenchmarkE1Propagation(b *testing.B) {
-	benchExperiment(b, experiment.RunE1, "rounds_grid 10x10", "coverage_grid 10x10")
-}
-
-func BenchmarkE2Maintenance(b *testing.B) {
-	benchExperiment(b, experiment.RunE2, "repair_rounds_link removal", "repair_msgs_link removal")
-}
-
-func BenchmarkE3Routing(b *testing.B) {
-	benchExperiment(b, experiment.RunE3, "sends_gradient_v0", "sends_flood_v0")
-}
-
-func BenchmarkE4GatherPush(b *testing.B) {
-	benchExperiment(b, experiment.RunE4, "walkratio_scope_inf")
-}
-
-func BenchmarkE5GatherQuery(b *testing.B) {
-	benchExperiment(b, experiment.RunE5, "answers_scope_inf")
-}
-
-func BenchmarkE6Flocking(b *testing.B) {
-	benchExperiment(b, experiment.RunE6, "final_2 agents, X=3")
-}
-
-func BenchmarkE7Scalability(b *testing.B) {
-	benchExperiment(b, experiment.RunE7, "msgs_per_node_grid 10x10_sinf")
-}
-
-func BenchmarkE8UDPTransport(b *testing.B) {
-	benchExperiment(b, experiment.RunE8, "propagation_ms_4")
-}
-
-func BenchmarkE9API(b *testing.B) {
-	benchExperiment(b, experiment.RunE9, "readone_us_100")
-}
-
-func BenchmarkE10Overlay(b *testing.B) {
-	benchExperiment(b, experiment.RunE10, "rounds_per_key_n32_f0", "rounds_per_key_n32_f4")
-}
-
-func BenchmarkE11Meeting(b *testing.B) {
-	benchExperiment(b, experiment.RunE11, "final_3")
-}
-
-func BenchmarkE12Gossip(b *testing.B) {
-	benchExperiment(b, experiment.RunE12, "coverage_grid 10x10_p0.500")
-}
-
-func BenchmarkE13Chaos(b *testing.B) {
-	benchExperiment(b, experiment.RunE13,
-		"overhead_per_heal_combined chaos", "repair_epochs_combined chaos")
-}
-
-func BenchmarkA1Ablations(b *testing.B) {
-	benchExperiment(b, experiment.RunA1,
-		"teardown_msgs_full engine", "teardown_msgs_no poisoned reverse")
-}
-
-func BenchmarkA2RefreshVsLoss(b *testing.B) {
-	benchExperiment(b, experiment.RunA2, "err_l0.300_p0", "err_l0.300_p5")
-}
-
-// Micro-benchmarks of the hot paths underlying every experiment.
-
-func BenchmarkTupleEncode(b *testing.B) {
-	g := pattern.NewGradient("bench", tuple.S("payload", "some description"))
-	g.SetID(tuple.ID{Node: "n0001", Seq: 9})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := tuple.Encode(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTupleDecode(b *testing.B) {
-	g := pattern.NewGradient("bench", tuple.S("payload", "some description"))
-	g.SetID(tuple.ID{Node: "n0001", Seq: 9})
-	data, err := tuple.Encode(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := tuple.Decode(tuple.DefaultRegistry, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireRoundTrip(b *testing.B) {
-	g := pattern.NewGradient("bench")
-	g.SetID(tuple.ID{Node: "n0001", Seq: 9})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Tuple: g})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.Decode(tuple.DefaultRegistry, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Micro-benchmarks of the hot paths underlying every experiment. The
+// experiments themselves are run and checked by internal/experiment.
 
 func BenchmarkLocalInject(b *testing.B) {
 	w := emulator.New(emulator.Config{Graph: topology.Line(1)})
@@ -233,26 +107,12 @@ func BenchmarkSettle(b *testing.B) {
 	})
 }
 
-// BenchmarkE15Scale runs the Quick (1k-node) scale experiment.
-func BenchmarkE15Scale(b *testing.B) {
-	benchExperiment(b, experiment.RunE15,
-		"rounds_n1024", "rounds_per_sec_n1024", "peak_rss_mb")
-}
-
-// BenchmarkE16Mem runs the Quick (1k-node) memory experiment: live
-// heap per node for a settled gradient world.
-func BenchmarkE16Mem(b *testing.B) {
-	benchExperiment(b, experiment.RunE16,
-		"heap_per_node_n1024", "peak_rss_mb")
-}
-
 // BenchmarkE16Scale250k is the CI scale smoke for the columnar engine
 // state (run with -benchtime 1x): one gradient settled over 250k nodes
 // must match the BFS oracle exactly and stay inside the
-// bytes-per-node budget. The peak_rss_bytes and bytes_per_node metrics
-// feed the BENCH_TRAJECTORY.json footprint history via
-// scripts/bench.sh; note VmHWM is process-wide, so the figure is only
-// a per-run isolate when the benchmark runs in a fresh process.
+// bytes-per-node budget. VmHWM is process-wide, so the reported
+// peak_rss_bytes and bytes_per_node are only a per-run isolate when the
+// benchmark runs in a fresh process.
 func BenchmarkE16Scale250k(b *testing.B) {
 	// budget is bytes/node of peak RSS. Measured: 4864 B/node at 250k
 	// inside the test binary (the 100k tota-emu point runs ~4550 — a
@@ -280,14 +140,37 @@ func BenchmarkE16Scale250k(b *testing.B) {
 // epoch sends one compact digest per node instead of re-broadcasting
 // full tuples, so the benchmark is dominated by digest encode/decode.
 func BenchmarkRefreshSteadyState(b *testing.B) {
-	w := emulator.New(emulator.Config{Graph: topology.Grid(10, 10, 1)})
-	if _, err := w.Node(topology.NodeName(0)).Inject(pattern.NewGradient("f")); err != nil {
-		b.Fatal(err)
-	}
-	w.Settle(100000)
+	epoch := newSteadyRefresh(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		epoch()
+	}
+}
+
+// TestRefreshSteadyStateAllocs budgets one converged refresh epoch of
+// BenchmarkRefreshSteadyState's world at its measured 411 allocations
+// (DESIGN.md §8).
+func TestRefreshSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	const budget = 411
+	if got := testing.AllocsPerRun(20, newSteadyRefresh(t)); got > budget {
+		t.Errorf("steady-state refresh epoch = %.0f allocs, budget %d", got, budget)
+	}
+}
+
+// newSteadyRefresh settles one gradient on a 10x10 grid and returns a
+// function that runs one refresh epoch over it.
+func newSteadyRefresh(tb testing.TB) func() {
+	tb.Helper()
+	w := emulator.New(emulator.Config{Graph: topology.Grid(10, 10, 1)})
+	if _, err := w.Node(topology.NodeName(0)).Inject(pattern.NewGradient("f")); err != nil {
+		tb.Fatal(err)
+	}
+	w.Settle(100000)
+	return func() {
 		w.RefreshAll()
 		w.Settle(100000)
 	}

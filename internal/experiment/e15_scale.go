@@ -10,7 +10,6 @@ import (
 
 	"tota/internal/core"
 	"tota/internal/emulator"
-	"tota/internal/metrics"
 	"tota/internal/mobility"
 	"tota/internal/obs"
 	"tota/internal/pattern"
@@ -152,17 +151,17 @@ func RunE15(scale Scale) *Result {
 	if scale == Full {
 		sizes = append(sizes, 10_000, 100_489)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E15 (scale): gradient settle on jittered grids",
 		"nodes", "edges", "rounds", "msgs", "settle_s", "rounds/s", "tick_ms", "grad_err", "miss", "extra", "peak_rss_mb")
 	res := newResult(tbl)
 	for _, n := range sizes {
 		r := RunE15N(n, 3)
 		tbl.AddRow(r.Nodes, r.Edges, r.Rounds, r.Msgs,
-			metrics.FormatFloat(r.SettleSec), metrics.FormatFloat(r.RoundsPerSec),
-			metrics.FormatFloat(r.TickSec*1000),
-			metrics.FormatFloat(r.GradErr), r.Missing, r.Extra,
-			metrics.FormatFloat(r.PeakRSSMB))
+			formatFloat(r.SettleSec), formatFloat(r.RoundsPerSec),
+			formatFloat(r.TickSec*1000),
+			formatFloat(r.GradErr), r.Missing, r.Extra,
+			formatFloat(r.PeakRSSMB))
 		label := strconv.Itoa(r.Nodes)
 		res.Metrics["rounds_n"+label] = float64(r.Rounds)
 		res.Metrics["rounds_per_sec_n"+label] = r.RoundsPerSec

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 )
@@ -98,7 +97,7 @@ func RunE16(scale Scale) *Result {
 	if scale == Full {
 		sizes = append(sizes, 250_000, 500_000, 1_000_000)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E16 (memory): columnar engine state — settled gradient footprint per node",
 		"nodes", "edges", "rounds", "msgs", "settle_s", "grad_err", "miss", "extra",
 		"heap_mb", "heap_b/node", "peak_rss_mb", "rss_b/node")
@@ -106,12 +105,12 @@ func RunE16(scale Scale) *Result {
 	for _, n := range sizes {
 		r := RunE16N(n)
 		tbl.AddRow(r.Nodes, r.Edges, r.Rounds, r.Msgs,
-			metrics.FormatFloat(r.SettleSec),
-			metrics.FormatFloat(r.GradErr), r.Missing, r.Extra,
-			metrics.FormatFloat(float64(r.LiveHeapBytes)/(1<<20)),
-			metrics.FormatFloat(r.HeapPerNode),
-			metrics.FormatFloat(r.PeakRSSMB),
-			metrics.FormatFloat(r.RSSPerNode))
+			formatFloat(r.SettleSec),
+			formatFloat(r.GradErr), r.Missing, r.Extra,
+			formatFloat(float64(r.LiveHeapBytes)/(1<<20)),
+			formatFloat(r.HeapPerNode),
+			formatFloat(r.PeakRSSMB),
+			formatFloat(r.RSSPerNode))
 		label := strconv.Itoa(r.Nodes)
 		res.Metrics["heap_per_node_n"+label] = r.HeapPerNode
 		res.Metrics["rss_per_node_n"+label] = r.RSSPerNode

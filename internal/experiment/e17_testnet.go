@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"tota/internal/metrics"
 	"tota/internal/testnet"
 )
 
@@ -22,7 +21,7 @@ func RunE17(scale Scale) *Result {
 	if scale == Full {
 		sizes = append(sizes, 10, 25)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E17 (robustness): real-process testnet — crash + loss reconvergence",
 		"fleet", "links", "restarts", "dropped", "converge_tick", "reconverge(s)", "clean_exits")
 	res := newResult(tbl)

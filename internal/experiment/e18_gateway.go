@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"tota/internal/metrics"
 	"tota/internal/testnet"
 )
 
@@ -28,7 +27,7 @@ func RunE18(scale Scale) *Result {
 		// 5 gateways x 201 clients = 1005 concurrent subscriptions.
 		sizes = append(sizes, cohort{5, 201, 2})
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E18 (gateway): faulted testnet with per-node client cohorts — mirrors must match the oracle through a gateway restart",
 		"fleet", "subs", "resyncs", "replay_miss", "drops", "gap_bugs", "converge_tick", "reconverge(s)")
 	res := newResult(tbl)

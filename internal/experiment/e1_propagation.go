@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"tota/internal/core"
-	"tota/internal/metrics"
 	"tota/internal/obs"
 	"tota/internal/pattern"
 )
@@ -29,7 +28,7 @@ func RunE1(scale Scale) *Result {
 			rggSpec(200, 20, 2.5, 3),
 		)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E1 (Fig. 1): gradient tuple propagation builds the structure of space",
 		"network", "nodes", "edges", "rounds", "msgs", "coverage%", "meanAbsErr", "wrongNodes",
 		"lat p50", "lat p95")

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"tota/internal/core"
-	"tota/internal/metrics"
 	"tota/internal/obs"
 	"tota/internal/pattern"
 	"tota/internal/topology"
@@ -28,7 +27,7 @@ func RunE2(scale Scale) *Result {
 		side = 12
 		trials = 20
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E2 (§3/§6): structure self-maintenance under dynamic changes",
 		"perturbation", "trials", "repairRounds(mean)", "repairMsgs(mean)", "msgs/round", "finalErr", "converged%",
 		"repairLat p50", "repairLat p95")

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"tota/internal/emulator"
-	"tota/internal/metrics"
 	"tota/internal/mobility"
 	"tota/internal/routing"
 	"tota/internal/space"
@@ -30,7 +29,7 @@ func RunE3(scale Scale) *Result {
 		msgs = 20
 		speeds = []float64{0, 0.5, 1, 2}
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E3 (§5.1): MANET routing — TOTA gradient routing vs flooding baseline",
 		"protocol", "speed", "delivered", "sent", "delivery%", "radioSends/msg")
 	res := newResult(tbl)
@@ -44,7 +43,7 @@ func RunE3(scale Scale) *Result {
 	return res
 }
 
-func addE3Row(tbl *metrics.Table, res *Result, proto string, speed float64, delivered, msgs int, sends int64) {
+func addE3Row(tbl *Table, res *Result, proto string, speed float64, delivered, msgs int, sends int64) {
 	perMsg := 0.0
 	if delivered > 0 {
 		perMsg = float64(sends) / float64(delivered)

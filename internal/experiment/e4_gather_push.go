@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"tota/internal/gather"
-	"tota/internal/metrics"
 	"tota/internal/topology"
 	"tota/internal/tuple"
 )
@@ -34,7 +33,7 @@ func RunE4(scale Scale) *Result {
 		topology.NodeName(side * side / 2),
 	}
 
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E4 (§5.2 push): sensor advertisement fields — discovery and navigation",
 		"scope", "visible%", "walks", "walkLen/shortest(mean)", "walkSuccess%")
 	res := newResult(tbl)
@@ -52,7 +51,7 @@ func RunE4(scale Scale) *Result {
 		rng := rand.New(rand.NewSource(5))
 		nodes := w.Graph().Nodes()
 		visible, total := 0, 0
-		var ratios []float64
+		ratioSum := 0.0
 		walks, successes := 0, 0
 		for d := 0; d < devices; d++ {
 			dev := nodes[rng.Intn(len(nodes))]
@@ -69,23 +68,25 @@ func RunE4(scale Scale) *Result {
 				successes++
 				oracle := len(w.Graph().ShortestPath(dev, target)) - 1
 				if oracle > 0 {
-					ratios = append(ratios, float64(walkLen)/float64(oracle))
+					ratioSum += float64(walkLen) / float64(oracle)
 				} else {
-					ratios = append(ratios, 1)
+					ratioSum++
 				}
 			}
 		}
-		var h metrics.Histogram
-		h.AddN(ratios...)
-		scopeLabel := metrics.FormatFloat(scope)
+		meanRatio := 0.0
+		if successes > 0 {
+			meanRatio = ratioSum / float64(successes)
+		}
+		scopeLabel := formatFloat(scope)
 		if math.IsInf(scope, 1) {
 			scopeLabel = "inf"
 		}
 		tbl.AddRow(scopeLabel,
 			100*float64(visible)/float64(total),
-			walks, h.Mean(), pct(successes, walks))
+			walks, meanRatio, pct(successes, walks))
 		res.Metrics["visible_scope_"+scopeLabel] = float64(visible) / float64(total)
-		res.Metrics["walkratio_scope_"+scopeLabel] = h.Mean()
+		res.Metrics["walkratio_scope_"+scopeLabel] = meanRatio
 	}
 	return res
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"tota/internal/gather"
-	"tota/internal/metrics"
 	"tota/internal/topology"
 	"tota/internal/tuple"
 )
@@ -33,7 +32,7 @@ func RunE5(scale Scale) *Result {
 		sensors = append(sensors, topology.NodeName(i*side+i))
 	}
 
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E5 (§5.2 pull): scoped query / answer over the query's own structure",
 		"scope", "queries", "inScopeSensors(mean)", "answers(mean)", "deliv%", "radioSends/query")
 	res := newResult(tbl)
@@ -68,7 +67,7 @@ func RunE5(scale Scale) *Result {
 			totalAnswers += len(gather.Answers(w.Node(asker)))
 		}
 		sent := w.Sim().Stats().Sent
-		scopeLabel := metrics.FormatFloat(scope)
+		scopeLabel := formatFloat(scope)
 		if math.IsInf(scope, 1) {
 			scopeLabel = "inf"
 		}

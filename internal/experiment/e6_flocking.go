@@ -5,7 +5,6 @@ import (
 
 	"tota/internal/emulator"
 	"tota/internal/flock"
-	"tota/internal/metrics"
 	"tota/internal/space"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -32,7 +31,7 @@ func RunE6(scale Scale) *Result {
 			cfg{label: "4 agents, X=2", agents: 4, x: 2, rounds: 200},
 		)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E6 (Fig. 3, §5.3): flocking — agents settle at target hop distance X",
 		"config", "initialErr", "finalErr", "roundsToErr<=1")
 	res := newResult(tbl)

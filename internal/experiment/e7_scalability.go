@@ -3,7 +3,6 @@ package experiment
 import (
 	"math"
 
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 	"tota/internal/tuple"
 	"tota/internal/wire"
@@ -31,7 +30,7 @@ func RunE7(scale Scale) *Result {
 			rggSpec(800, 40, 2.5, 5),
 		)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E7 (§6): scalability — structure build cost vs network size and scope",
 		"network", "nodes", "scope", "rounds", "msgs", "msgs/node", "msgs/round", "bytes/node")
 	res := newResult(tbl)
@@ -53,7 +52,7 @@ func RunE7(scale Scale) *Result {
 			}
 			rounds := w.Settle(settleBudget)
 			sent := w.Sim().Stats().Sent
-			scopeLabel := metrics.FormatFloat(scope)
+			scopeLabel := formatFloat(scope)
 			if math.IsInf(scope, 1) {
 				scopeLabel = "inf"
 			}

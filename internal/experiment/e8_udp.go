@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tota/internal/core"
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 	"tota/internal/transport/udp"
 	"tota/internal/tuple"
@@ -22,7 +21,7 @@ func RunE8(scale Scale) *Result {
 	if scale == Full {
 		lengths = append(lengths, 8, 16)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E8 (§4.2): UDP loopback substrate — discovery and propagation latency",
 		"chain", "discovery(ms)", "propagation(ms)", "packetsIn", "stored", "dupOverhead")
 	res := newResult(tbl)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tota/internal/core"
-	"tota/internal/metrics"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 	"tota/internal/tuple"
@@ -20,7 +19,7 @@ func RunE9(scale Scale) *Result {
 	if scale == Full {
 		sizes = append(sizes, 1000, 5000)
 	}
-	tbl := metrics.NewTable(
+	tbl := newTable(
 		"E9 (§4.3): local API microbenchmarks",
 		"storeSize", "inject(µs)", "readOne(µs)", "readAll(µs)", "subscribeHit(µs)")
 	res := newResult(tbl)

@@ -8,20 +8,48 @@
 // §4.3 API microbenchmarks.
 //
 // Each RunE* function takes a Scale knob so the same code serves quick
-// test runs, `go test -bench`, and the full cmd/tota-bench tables.
+// test runs and the full cmd/tota-bench tables. The seeded tables at
+// Full scale are committed once, as the marked blocks of EXPERIMENTS.md,
+// and TestExperimentTablesGolden regenerates and compares every one.
 package experiment
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 
 	"tota/internal/core"
 	"tota/internal/emulator"
-	"tota/internal/metrics"
 	"tota/internal/space"
 	"tota/internal/topology"
 	"tota/internal/tuple"
 )
+
+// Runs maps every experiment id (as EXPERIMENTS.md names it) to its
+// runner.
+var Runs = map[string]func(Scale) *Result{
+	"A1":  RunA1,
+	"A2":  RunA2,
+	"E1":  RunE1,
+	"E2":  RunE2,
+	"E3":  RunE3,
+	"E4":  RunE4,
+	"E5":  RunE5,
+	"E6":  RunE6,
+	"E7":  RunE7,
+	"E8":  RunE8,
+	"E9":  RunE9,
+	"E10": RunE10,
+	"E11": RunE11,
+	"E12": RunE12,
+	"E13": RunE13,
+	"E14": RunE14,
+	"E15": RunE15,
+	"E16": RunE16,
+	"E17": RunE17,
+	"E18": RunE18,
+}
 
 // Scale selects how big the experiment instances are.
 type Scale int
@@ -35,17 +63,102 @@ const (
 )
 
 // Result is one experiment's output: the reproduced table plus the
-// headline numbers benchmarks report as metrics.
+// headline numbers its tests assert on.
 type Result struct {
 	// Table is the paper-shaped table.
-	Table *metrics.Table
+	Table *Table
 	// Metrics are headline scalar outcomes (name → value), e.g.
 	// "delivery_ratio" or "repair_rounds_mean".
 	Metrics map[string]float64
 }
 
-func newResult(t *metrics.Table) *Result {
+func newResult(t *Table) *Result {
 	return &Result{Table: t, Metrics: make(map[string]float64)}
+}
+
+// Table is an experiment's paper-shaped output, rendered as aligned
+// fixed-width text.
+type Table struct {
+	title   string
+	headers []string
+	rows    [][]string
+}
+
+func newTable(title string, headers ...string) *Table {
+	return &Table{title: title, headers: headers}
+}
+
+// AddRow appends a row; floats are rendered by formatFloat, anything
+// else with %v.
+func (t *Table) AddRow(cells ...any) {
+	row := make([]string, len(cells))
+	for i, c := range cells {
+		switch v := c.(type) {
+		case float64:
+			row[i] = formatFloat(v)
+		case float32:
+			row[i] = formatFloat(float64(v))
+		default:
+			row[i] = fmt.Sprint(c)
+		}
+	}
+	t.rows = append(t.rows, row)
+}
+
+// NumRows returns the number of data rows.
+func (t *Table) NumRows() int { return len(t.rows) }
+
+// String renders the title, the headers, a rule and the rows. Every
+// column but the last is padded to its widest cell, so no line ends in
+// spaces.
+func (t *Table) String() string {
+	widths := make([]int, len(t.headers))
+	for i, h := range t.headers {
+		widths[i] = len(h)
+	}
+	for _, row := range t.rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	var b strings.Builder
+	if t.title != "" {
+		fmt.Fprintf(&b, "%s\n", t.title)
+	}
+	writeRow := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			if i == len(cells)-1 {
+				b.WriteString(c)
+			} else {
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(t.headers)
+	total := 0
+	for _, w := range widths {
+		total += w + 2
+	}
+	b.WriteString(strings.Repeat("-", total))
+	b.WriteByte('\n')
+	for _, row := range t.rows {
+		writeRow(row)
+	}
+	return b.String()
+}
+
+// formatFloat renders a float compactly (integers without decimals).
+func formatFloat(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.3f", v)
 }
 
 // netSpec describes one network configuration in a sweep.

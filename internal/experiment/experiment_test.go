@@ -153,3 +153,37 @@ func TestE9APIShapes(t *testing.T) {
 		}
 	}
 }
+
+func TestTableFormatting(t *testing.T) {
+	tb := newTable("Results", "n", "ratio", "name")
+	tb.AddRow(10, 0.51234, "flood")
+	tb.AddRow(200, 1.0, "gradient")
+	want := "Results\n" +
+		"n    ratio  name\n" +
+		"----------------------\n" +
+		"10   0.512  flood\n" +
+		"200  1      gradient\n"
+	if got := tb.String(); got != want {
+		t.Errorf("table =\n%s\nwant\n%s", got, want)
+	}
+	if tb.NumRows() != 2 {
+		t.Errorf("NumRows = %d", tb.NumRows())
+	}
+}
+
+func TestFormatFloat(t *testing.T) {
+	tests := []struct {
+		give float64
+		want string
+	}{
+		{3, "3"},
+		{3.14159, "3.142"},
+		{-2, "-2"},
+		{0.5, "0.500"},
+	}
+	for _, tt := range tests {
+		if got := formatFloat(tt.give); got != tt.want {
+			t.Errorf("formatFloat(%v) = %q, want %q", tt.give, got, tt.want)
+		}
+	}
+}

@@ -49,18 +49,37 @@ func BenchmarkRecompute10k(b *testing.B) {
 	b.Run("bruteforce", func(b *testing.B) { benchMobileRecompute(b, false) })
 }
 
-// BenchmarkRecomputeIdle10k measures the dirty-set short-circuit: the
-// per-tick cost of Recompute when nothing moved.
-func BenchmarkRecomputeIdle10k(b *testing.B) {
+// newIdle10k lays out 10k random nodes and settles their edges, so a
+// further Recompute finds nothing moved.
+func newIdle10k() *Graph {
 	rng := rand.New(rand.NewSource(1))
 	g := New()
 	for i := 0; i < 10_000; i++ {
 		g.SetPosition(NodeName(i), space.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
 	}
 	g.Recompute(1.5)
+	return g
+}
+
+// BenchmarkRecomputeIdle10k measures the dirty-set short-circuit: the
+// per-tick cost of Recompute when nothing moved.
+func BenchmarkRecomputeIdle10k(b *testing.B) {
+	g := newIdle10k()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Recompute(1.5)
+	}
+}
+
+// TestRecomputeIdleAllocs holds the short-circuit at the zero
+// allocations DESIGN.md §11 cites.
+func TestRecomputeIdleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	g := newIdle10k()
+	if got := testing.AllocsPerRun(100, func() { g.Recompute(1.5) }); got != 0 {
+		t.Errorf("idle Recompute over 10k nodes = %.0f allocs/op, want 0", got)
 	}
 }

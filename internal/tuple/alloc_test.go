@@ -1,0 +1,56 @@
+package tuple_test
+
+import (
+	"testing"
+
+	"tota/internal/pattern"
+	"tota/internal/tuple"
+)
+
+// newBenchGradient is the tuple the codec benchmarks and the encode
+// alloc budget share: a gradient carrying one string field.
+func newBenchGradient() *pattern.Gradient {
+	g := pattern.NewGradient("bench", tuple.S("payload", "some description"))
+	g.SetID(tuple.ID{Node: "n0001", Seq: 9})
+	return g
+}
+
+func BenchmarkTupleEncode(b *testing.B) {
+	g := newBenchGradient()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := tuple.Encode(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTupleDecode(b *testing.B) {
+	data, err := tuple.Encode(newBenchGradient())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := tuple.Decode(tuple.DefaultRegistry, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestTupleEncodeAllocs holds encoding a gradient at the 6 allocations
+// DESIGN.md §6 cites.
+func TestTupleEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	g := newBenchGradient()
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := tuple.Encode(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 6 {
+		t.Errorf("tuple.Encode = %.0f allocs/op, want 6 (update DESIGN.md §6 if this is intended)", got)
+	}
+}

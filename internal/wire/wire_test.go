@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tota/internal/pattern"
 	"tota/internal/tuple"
 )
 
@@ -428,6 +429,44 @@ func TestDecodeIntoReusesScratch(t *testing.T) {
 	}
 	if len(m.Digest) != 2 || m.Digest[1].ID.Node != "b" {
 		t.Errorf("decoded digest = %+v", m.Digest)
+	}
+}
+
+// roundTripGradient encodes one gradient announcement and decodes it
+// back, the unit BenchmarkWireRoundTrip and its alloc budget measure.
+func roundTripGradient(tb testing.TB, g tuple.Tuple) {
+	data, err := Encode(Message{Type: MsgTuple, Tuple: g})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := Decode(tuple.DefaultRegistry, data); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func newRoundTripGradient() *pattern.Gradient {
+	g := pattern.NewGradient("bench")
+	g.SetID(tuple.ID{Node: "n0001", Seq: 9})
+	return g
+}
+
+func BenchmarkWireRoundTrip(b *testing.B) {
+	g := newRoundTripGradient()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		roundTripGradient(b, g)
+	}
+}
+
+// TestWireRoundTripAllocs holds a gradient's encode + decode at the 17
+// allocations DESIGN.md §6 cites.
+func TestWireRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	g := newRoundTripGradient()
+	if got := testing.AllocsPerRun(200, func() { roundTripGradient(t, g) }); got != 17 {
+		t.Errorf("wire round trip = %.0f allocs/op, want 17 (update DESIGN.md §6 if this is intended)", got)
 	}
 }
 
