@@ -280,6 +280,50 @@ func newHandlePacketWorld(tb testing.TB, opts ...core.Option) (*core.Node, []byt
 	return n, data
 }
 
+// TestDownhillRelayAllocs budgets one relay hop of a routed message
+// (DESIGN.md §6): the middle node of a settled 3-node line, holding the
+// inbox gradient at value 1, handles a Downhill it has not seen yet and
+// relays it. The message senses the gradient three times — Evolve,
+// ShouldStore, ShouldPropagate — and sensing copies nothing, so the
+// budget holds only decoding, the evolved copy and the relay's encode.
+// Sensing by a template read, which clones every match, cost 19
+// allocations a time here: 76 per hop.
+func TestDownhillRelayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	const budget = 19
+	w := emulator.New(emulator.Config{Graph: topology.Line(3)})
+	if _, err := w.Node(topology.NodeName(2)).Inject(pattern.NewGradient("inbox")); err != nil {
+		t.Fatal(err)
+	}
+	w.Settle(100000)
+	relay := w.Node(topology.NodeName(1))
+	const runs = 200
+	frames := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range frames {
+		m := pattern.NewDownhill("inbox", tuple.I("seq", int64(i)), tuple.S("pad", "0123456789abcdef"))
+		m.SetID(tuple.ID{Node: "sender", Seq: uint64(i + 1)})
+		data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = data
+	}
+	before := relay.Stats().Broadcasts
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		relay.HandlePacket(topology.NodeName(0), frames[next])
+		next++
+	})
+	if relayed := relay.Stats().Broadcasts - before; relayed != runs+1 {
+		t.Fatalf("relayed %d of %d messages: the fixture no longer exercises a relay hop", relayed, runs+1)
+	}
+	if got > budget {
+		t.Errorf("Downhill relay hop = %.0f allocs, budget %d", got, budget)
+	}
+}
+
 // BenchmarkObsOverhead prices the telemetry subsystem on the packet hot
 // path. "baseline" is BenchmarkHandlePacket unchanged; "metrics" adds a
 // registry scraping the node's counters (must cost nothing per packet —

@@ -250,6 +250,14 @@ func (s lockedStore) Delete(tpl tuple.Template) []tuple.Tuple {
 	return s.n.deleteLocked(tpl)
 }
 
+// MinValue senses a structure under the same OpRead policy as Read,
+// counting and tracing each denial as Read does.
+func (s lockedStore) MinValue(kind, name string) (float64, bool) {
+	return s.n.store.minValue(kind, name, func(t tuple.Tuple) bool {
+		return s.n.allow(OpRead, s.n.id, t)
+	})
+}
+
 func (n *Node) ctxLocked(from tuple.NodeID, hop int) *tuple.Ctx {
 	pos, ok := n.localizer.Position()
 	n.ctxScratch = tuple.Ctx{

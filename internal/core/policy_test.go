@@ -139,6 +139,45 @@ func TestPolicyDeniesDigestSupport(t *testing.T) {
 	}
 }
 
+// TestPolicyHidesStructureFromSensing: a Downhill senses its structure
+// through the same OpRead gate as Read. With the inbox gradient hidden
+// on every node the message finds no slope anywhere, so it floods — the
+// far end of the line, three hops uphill, hears it — and the destination
+// does not take it. Each sensing of the hidden copy is one counted
+// denial: three per first visit (Evolve, ShouldStore, ShouldPropagate),
+// two at the injecting node (no Evolve), one per duplicate arrival
+// (Evolve only).
+func TestPolicyHidesStructureFromSensing(t *testing.T) {
+	g := topology.Line(6)
+	tn := newTestNet(t, g, core.WithPolicy(core.PolicyFunc(func(op core.Op, _ tuple.NodeID, t tuple.Tuple) bool {
+		return op != core.OpRead || t.Kind() != pattern.KindGradient
+	})))
+	dst, src, far := topology.NodeName(5), topology.NodeName(3), topology.NodeName(0)
+	injectGradient(t, tn, dst, "inbox", math.Inf(1))
+	denied := func() (sum int64) {
+		for _, id := range g.Nodes() {
+			sum += tn.node(id).Stats().Denied
+		}
+		return sum
+	}
+	before, farIn := denied(), tn.node(far).Stats().PacketsIn
+	if _, err := tn.node(src).Inject(pattern.NewDownhill("inbox", tuple.S("body", "hi"))); err != nil {
+		t.Fatal(err)
+	}
+	tn.quiesce()
+	if tn.node(far).Stats().PacketsIn == farIn {
+		t.Error("the message descended a structure the policy hides: the far side never heard it")
+	}
+	if got := tn.node(dst).StoreSize(); got != 1 {
+		t.Errorf("destination holds %d tuples, want only its gradient: it sensed the hidden value 0", got)
+	}
+	// Node 3 injects (2) and hears two duplicates (2); the other five take
+	// a first visit (15), and nodes 1, 2 and 4 a duplicate each (3).
+	if got := denied() - before; got != 22 {
+		t.Errorf("sensing counted %d denials, want 22", got)
+	}
+}
+
 func TestPolicyDeniesRetract(t *testing.T) {
 	g := topology.Line(3)
 	tn := newTestNet(t, g, core.WithPolicy(

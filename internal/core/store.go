@@ -50,12 +50,26 @@ func (l *idList) compact() {
 	l.dead = 0
 }
 
-// storeEnt is one small-mode entry: the stored copy with its id pulled
-// out so the linear scans compare ids without an interface call.
+// storeEnt is one small-mode entry: the stored copy with its keys pulled
+// out once, at put — the id, so the linear scans compare ids without an
+// interface call, and the "name" field, so structure sensing and
+// promotion never rebuild the copy's content. Big mode stores no name:
+// its (kind, name) index lists already say which name each tuple
+// carries, and a name in every byID slot would be paid for each tuple a
+// large space keeps.
 type storeEnt struct {
-	id tuple.ID
-	t  tuple.Tuple
+	id   tuple.ID
+	name string
+	t    tuple.Tuple
 }
+
+func newStoreEnt(t tuple.Tuple) storeEnt {
+	return storeEnt{id: t.ID(), name: nameOf(t), t: t}
+}
+
+// nameOf reads t's "name" field ("" when absent or not a string), the
+// name the (kind, name) index files t under.
+func nameOf(t tuple.Tuple) string { return t.Content().GetString("name") }
 
 // storeSmallMax is the largest space kept in small mode. At a typical
 // deployment a node stores a handful of structures, so almost every
@@ -84,7 +98,7 @@ type storeIndex struct {
 //
 // The space starts in small mode — a flat arrival-ordered slice scanned
 // linearly — and promotes to the indexed representation once it exceeds
-// storeSmallMax entries. Small mode costs ~48 bytes per tuple and zero
+// storeSmallMax entries. Small mode costs ~64 bytes per tuple and zero
 // map buckets, which at emulation scale (hundreds of thousands of nodes
 // each storing a few tuples) is the difference between fitting in RAM
 // and not; big mode keeps large spaces' selective reads sublinear. A
@@ -108,9 +122,9 @@ func kindNameKey(kind, name string) string {
 	return kind + "\x00" + name
 }
 
-func indexKeys(t tuple.Tuple) (kind, kindName string) {
+func indexKeys(t tuple.Tuple, name string) (kind, kindName string) {
 	kind = t.Kind()
-	return kind, kindNameKey(kind, t.Content().GetString("name"))
+	return kind, kindNameKey(kind, name)
 }
 
 // promote moves a small-mode space onto the indexed representation.
@@ -122,17 +136,17 @@ func (s *store) promote() {
 	}
 	s.big = big
 	for _, e := range s.flat {
-		s.indexPut(e.id, e.t)
+		s.indexPut(e)
 	}
 	s.flat = nil
 }
 
-func (s *store) indexPut(id tuple.ID, t tuple.Tuple) {
-	s.big.order.add(id)
-	s.big.byID[id] = t
-	kind, kn := indexKeys(t)
-	s.indexAdd(s.big.byKind, kind, id)
-	s.indexAdd(s.big.byKindName, kn, id)
+func (s *store) indexPut(e storeEnt) {
+	s.big.order.add(e.id)
+	s.big.byID[e.id] = e.t
+	kind, kn := indexKeys(e.t, e.name)
+	s.indexAdd(s.big.byKind, kind, e.id)
+	s.indexAdd(s.big.byKindName, kn, e.id)
 }
 
 func (s *store) indexAdd(m map[string]*idList, key string, id tuple.ID) {
@@ -152,16 +166,17 @@ func (s *store) indexRemove(m map[string]*idList, key string, id tuple.ID) {
 
 // put inserts or replaces the copy for t.ID().
 func (s *store) put(t tuple.Tuple) {
-	id := t.ID()
+	e := newStoreEnt(t)
+	id := e.id
 	if s.big == nil {
 		for i := range s.flat {
 			if s.flat[i].id == id {
-				s.flat[i].t = t
+				s.flat[i] = e
 				return
 			}
 		}
 		if len(s.flat) < storeSmallMax {
-			s.flat = append(s.flat, storeEnt{id: id, t: t})
+			s.flat = append(s.flat, e)
 			return
 		}
 		s.promote()
@@ -169,8 +184,8 @@ func (s *store) put(t tuple.Tuple) {
 	if old, ok := s.big.byID[id]; ok {
 		// Replacement: refresh the indexes if the keys changed (the
 		// name field could in principle evolve).
-		oldKind, oldKN := indexKeys(old)
-		newKind, newKN := indexKeys(t)
+		oldKind, oldKN := indexKeys(old, nameOf(old))
+		newKind, newKN := indexKeys(t, e.name)
 		if oldKind != newKind {
 			s.indexRemove(s.big.byKind, oldKind, id)
 			s.indexAdd(s.big.byKind, newKind, id)
@@ -182,7 +197,7 @@ func (s *store) put(t tuple.Tuple) {
 		s.big.byID[id] = t
 		return
 	}
-	s.indexPut(id, t)
+	s.indexPut(e)
 }
 
 // get returns the stored copy for id.
@@ -217,28 +232,29 @@ func (s *store) remove(id tuple.ID) (tuple.Tuple, bool) {
 	}
 	delete(s.big.byID, id)
 	s.big.order.remove(id)
-	kind, kn := indexKeys(t)
+	kind, kn := indexKeys(t, nameOf(t))
 	s.indexRemove(s.big.byKind, kind, id)
 	s.indexRemove(s.big.byKindName, kn, id)
 	return t, true
 }
 
-// candidates returns the id list a template needs to inspect, using the
-// narrowest applicable index: (kind, name) when the template pins both,
-// kind when it pins the kind, the full space otherwise. Big mode only;
-// small mode scans the flat slice directly. The returned slice may
-// contain tombstones; callers skip ids missing from byID.
-func (s *store) candidates(tpl tuple.Template) []tuple.ID {
-	if tpl.Kind == "" || strings.HasSuffix(tpl.Kind, "*") {
+// candidates returns the id list a query for kind — and for name, when
+// pinned — needs to inspect, using the narrowest applicable index:
+// (kind, name) when both are pinned, kind when only it is, the full
+// space otherwise. Big mode only; small mode scans the flat slice
+// directly. The returned slice may contain tombstones; callers skip ids
+// missing from byID.
+func (s *store) candidates(kind, name string, pinned bool) []tuple.ID {
+	if kind == "" || strings.HasSuffix(kind, "*") {
 		return s.big.order.ids
 	}
-	if name, ok := pinnedName(tpl); ok {
-		if l := s.big.byKindName[kindNameKey(tpl.Kind, name)]; l != nil {
+	if pinned {
+		if l := s.big.byKindName[kindNameKey(kind, name)]; l != nil {
 			return l.ids
 		}
 		return nil
 	}
-	if l := s.big.byKind[tpl.Kind]; l != nil {
+	if l := s.big.byKind[kind]; l != nil {
 		return l.ids
 	}
 	return nil
@@ -267,13 +283,61 @@ func (s *store) forMatching(tpl tuple.Template, fn func(t tuple.Tuple) bool) {
 		}
 		return
 	}
-	for _, id := range s.candidates(tpl) {
+	name, pinned := pinnedName(tpl)
+	for _, id := range s.candidates(tpl.Kind, name, pinned) {
 		if t, ok := s.big.byID[id]; ok && tpl.Matches(t) {
 			if !fn(t) {
 				return
 			}
 		}
 	}
+}
+
+// minValue returns the smallest Value among the stored Maintained tuples
+// of kind (matched as a template's Kind is) whose "name" field is name
+// and which visible admits, with found false when there is none. It
+// clones nothing, and rebuilds no content unless kind is a pattern: a
+// small-mode entry carries its name, and an exact kind's (kind, name)
+// list holds that name only. visible is asked about every kind and name
+// match, in arrival order, as a policy-filtered read of the same
+// template would ask.
+func (s *store) minValue(kind, name string, visible func(tuple.Tuple) bool) (best float64, found bool) {
+	ofKind := tuple.Template{Kind: kind} // no field patterns: the kind alone
+	consider := func(e storeEnt) {
+		if e.name != name || !ofKind.MatchesParts(e.t.Kind(), e.id, nil) {
+			return
+		}
+		if name == "" {
+			// An empty name also stands for "no string name field",
+			// which the template would not match.
+			if f, ok := e.t.Content().Get("name"); !ok || f.Kind() != tuple.KindString {
+				return
+			}
+		}
+		if !visible(e.t) {
+			return
+		}
+		if m, ok := e.t.(tuple.Maintained); ok && (!found || m.Value() < best) {
+			best, found = m.Value(), true
+		}
+	}
+	if s.big == nil {
+		for _, e := range s.flat {
+			consider(e)
+		}
+		return best, found
+	}
+	wild := kind == "" || strings.HasSuffix(kind, "*") // candidates is then the whole space
+	for _, id := range s.candidates(kind, name, true) {
+		if t, ok := s.big.byID[id]; ok {
+			e := storeEnt{id: id, name: name, t: t}
+			if wild {
+				e.name = nameOf(t)
+			}
+			consider(e)
+		}
+	}
+	return best, found
 }
 
 // read returns clones of the stored tuples matching tpl, in arrival

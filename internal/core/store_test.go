@@ -98,6 +98,76 @@ func TestStoreIndexedReadsMatchFullScan(t *testing.T) {
 	}
 }
 
+// TestStoreMinValueMatchesTemplateRead: in small and in big mode, under
+// puts, replacements and removals, minValue answers what a read of
+// pattern.ByName answers — the minimum over the matching Maintained
+// copies — and asks visible about exactly the tuples that read matches.
+func TestStoreMinValueMatchesTemplateRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := newStore(tuple.DefaultRegistry)
+	names := []string{"a", "b", ""}
+	var ids []tuple.ID
+	check := func(step int) {
+		for _, kind := range []string{pattern.KindGradient, pattern.KindLocal, "tota:*", ""} {
+			for _, name := range append(names, "missing") {
+				var wantAsked []tuple.Tuple
+				var want float64
+				wantOK := false
+				for _, tt := range s.readRaw(pattern.ByName(kind, name)) {
+					wantAsked = append(wantAsked, tt)
+					if m, ok := tt.(tuple.Maintained); ok && (!wantOK || m.Value() < want) {
+						want, wantOK = m.Value(), true
+					}
+				}
+				var asked []tuple.Tuple
+				got, ok := s.minValue(kind, name, func(tt tuple.Tuple) bool {
+					asked = append(asked, tt)
+					return true
+				})
+				if ok != wantOK || (ok && got != want) || len(asked) != len(wantAsked) {
+					t.Fatalf("step %d, %q/%q: minValue = %v, %v asking %d; read says %v, %v over %d",
+						step, kind, name, got, ok, len(asked), want, wantOK, len(wantAsked))
+				}
+				for i := range asked {
+					if asked[i] != wantAsked[i] {
+						t.Fatalf("step %d, %q/%q: visible asked out of arrival order", step, kind, name)
+					}
+				}
+			}
+		}
+	}
+	for step := 0; step < 400; step++ {
+		switch r := rng.Intn(5); {
+		case r < 4 || len(ids) == 0:
+			var tt tuple.Tuple
+			id := tuple.ID{Node: "n", Seq: uint64(step + 1)}
+			if r == 3 && len(ids) > 0 {
+				id = ids[rng.Intn(len(ids))] // replace a stored copy
+			} else {
+				ids = append(ids, id)
+			}
+			name := names[rng.Intn(len(names))]
+			if rng.Intn(2) == 0 {
+				g := pattern.NewGradient(name)
+				g.Val = float64(rng.Intn(10))
+				tt = g
+			} else {
+				tt = pattern.NewLocal(name)
+			}
+			tt.SetID(id)
+			s.put(tt)
+		default:
+			i := rng.Intn(len(ids))
+			s.remove(ids[i])
+			ids = append(ids[:i], ids[i+1:]...)
+		}
+		check(step)
+	}
+	if s.big == nil {
+		t.Fatal("the store never promoted: big mode untested")
+	}
+}
+
 func TestStoreCandidatesSelectivity(t *testing.T) {
 	s := newStore(tuple.DefaultRegistry)
 	for i := 0; i < 100; i++ {
@@ -107,17 +177,17 @@ func TestStoreCandidatesSelectivity(t *testing.T) {
 	g.SetID(tuple.ID{Node: "n", Seq: 999})
 	s.put(g)
 
-	if got := len(s.candidates(pattern.ByName(pattern.KindLocal, "item5"))); got != 1 {
+	if got := len(s.candidates(pattern.KindLocal, "item5", true)); got != 1 {
 		t.Errorf("kind+name candidates = %d, want 1", got)
 	}
-	if got := len(s.candidates(tuple.Match(pattern.KindGradient))); got != 1 {
+	if got := len(s.candidates(pattern.KindGradient, "", false)); got != 1 {
 		t.Errorf("kind candidates = %d, want 1", got)
 	}
-	if got := len(s.candidates(tuple.MatchAll())); got != 101 {
+	if got := len(s.candidates("", "", false)); got != 101 {
 		t.Errorf("all candidates = %d, want 101", got)
 	}
 	// Prefix-glob kinds cannot use the index.
-	if got := len(s.candidates(tuple.Template{Kind: "tota:*"})); got != 101 {
+	if got := len(s.candidates("tota:*", "", false)); got != 101 {
 		t.Errorf("glob candidates = %d, want 101", got)
 	}
 }

@@ -366,9 +366,10 @@ func (c *Client) reconnectBackoff(attempt int) time.Duration {
 }
 
 // readLoop demuxes gateway frames: responses to pending RPCs, events
-// to their subscriptions. Event frames as the gateway writes them are
-// decoded in one pass (decodeEvent); encoding/json gets every other
-// frame, and with it the last word on what is malformed.
+// to their subscriptions. Event frames and inject responses as the
+// gateway writes them are decoded in one pass (decodeEvent,
+// decodeResponse); encoding/json gets every other frame, and with it the
+// last word on what is malformed.
 func (c *Client) readLoop(nc net.Conn) {
 	br, scratch := bufio.NewReaderSize(nc, eventBufBytes), make([]byte, 4096)
 	for {
@@ -382,7 +383,9 @@ func (c *Client) readLoop(nc net.Conn) {
 			continue
 		}
 		var fr Frame
-		if err := json.Unmarshal(body, &fr); err != nil {
+		if resp, ok := decodeResponse(body); ok {
+			fr.Resp = &resp
+		} else if err := json.Unmarshal(body, &fr); err != nil {
 			_ = nc.Close()
 			return
 		}

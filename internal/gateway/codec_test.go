@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -193,6 +194,186 @@ func FuzzGatewayFrame(f *testing.F) {
 		}
 		checkEventCodec(t, ev, tup)
 		checkEventDecode(t, raw)
+	})
+}
+
+// checkRPCCodec holds one request and one response frame against the
+// reference: EncodeFrame writes json.Marshal's bytes (or fails where it
+// fails), and whatever decodeRequest and decodeResponse accept of them
+// they decode as json.Unmarshal does.
+func checkRPCCodec(t *testing.T, req Request, resp Response) {
+	t.Helper()
+	for _, v := range []any{req, Frame{Resp: &resp}} {
+		want, wantErr := refEncodeFrame(v)
+		got, err := EncodeFrame(v)
+		if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("EncodeFrame(%T) differs (%v, reference %v):\n got %s\nwant %s", v, err, wantErr, got, want)
+		}
+		if wantErr == nil {
+			checkRPCDecode(t, want[4:])
+		}
+	}
+}
+
+// checkRPCDecode compares decodeRequest and decodeResponse with
+// json.Unmarshal on one payload; arbitrary bytes are welcome.
+func checkRPCDecode(t *testing.T, body []byte) {
+	t.Helper()
+	if req, ok := decodeRequest(body); ok {
+		var ref Request
+		if err := json.Unmarshal(body, &ref); err != nil {
+			t.Fatalf("decodeRequest accepted %q, json.Unmarshal says %v", body, err)
+		}
+		// Content compares with Field.Equal, which holds NaN equal to NaN.
+		if !req.Content.Equal(ref.Content) || (req.Content == nil) != (ref.Content == nil) {
+			t.Fatalf("contents differ on %q:\n got %v\nwant %v", body, req.Content, ref.Content)
+		}
+		req.Content, ref.Content = nil, nil
+		if !reflect.DeepEqual(req, ref) {
+			t.Fatalf("requests differ on %q:\n got %+v\nwant %+v", body, req, ref)
+		}
+	}
+	if resp, ok := decodeResponse(body); ok {
+		var fr Frame
+		if err := json.Unmarshal(body, &fr); err != nil || fr.Event != nil || fr.Resp == nil {
+			t.Fatalf("decodeResponse accepted %q, json.Unmarshal says %v / %+v", body, err, fr)
+		}
+		if !reflect.DeepEqual(resp, *fr.Resp) {
+			t.Fatalf("responses differ on %q:\n got %+v\nwant %+v", body, resp, *fr.Resp)
+		}
+	}
+}
+
+// TestGatewayRPCFrameMatchesJSON is the byte-identity table for the
+// inject request and its response: every omitempty combination, strings
+// that need escaping, non-finite floats and bytes fields, and the frames
+// with other members, which json.Marshal keeps rendering.
+func TestGatewayRPCFrameMatchesJSON(t *testing.T) {
+	contents := []tuple.Content{
+		nil,
+		{},
+		pattern.NewDownhill("inbox", tuple.I("seq", 41), tuple.I("from", -7), tuple.S("pad", "aZ9")).Content(),
+		{tuple.F("inf", math.Inf(1)), tuple.F("-inf", math.Inf(-1)), tuple.F("nan", math.NaN()), tuple.F("tiny", 1e-7), tuple.F("big", 1e21)},
+		{tuple.Bin("raw", []byte{0, 255, '"'}), tuple.Bin("empty", []byte{}), tuple.Bin("nil", nil)},
+		{tuple.S(`<"é>`, "bad\xffutf8 \u2028 &"), tuple.S("", "unnamed"), tuple.B("yes", true), tuple.I("min", math.MinInt64)},
+		{tuple.S("dup", "a"), tuple.S("dup", "b")},       // json.Marshal does not validate
+		{tuple.Field{Name: "bad", Value: 3}},             // nor does it accept an int
+		{tuple.Field{Name: "bad", Value: []string{"x"}}}, // or any other type
+	}
+	frames := 0
+	for _, op := range []string{OpInject, OpPing, "", `op"<é>`} {
+		for _, kind := range []string{"", pattern.KindDownhill, "k\\ind\x00"} {
+			for _, c := range contents {
+				for _, seq := range []uint64{0, 1, math.MaxUint64} {
+					checkRPCCodec(t, Request{Op: op, Seq: seq, Kind: kind, Content: c}, Response{Seq: seq})
+					frames++
+				}
+			}
+		}
+	}
+	for _, ok := range []bool{false, true} {
+		for _, errS := range []string{"", "gateway: inject: boom", `gateway: unknown op "<x>"`, "bad\xff"} {
+			for _, id := range []string{"", "n0#12", "127.0.0.1:40000#18446744073709551615", "é#1"} {
+				checkRPCCodec(t, Request{Op: OpInject, Seq: 3}, Response{Seq: 9, OK: ok, Err: errS, ID: id})
+				frames++
+			}
+		}
+	}
+	// Members the hand-written routes leave to json.Marshal.
+	for _, req := range []Request{
+		{Op: OpSubscribe, Seq: 1, Template: json.RawMessage(`{"kind":"k"}`)},
+		{Op: OpSubscribe, Seq: 1, FromSeq: 5, Epoch: "e"},
+		{Op: OpUnsubscribe, Seq: 1, Sub: 4},
+		{Op: OpInject, Seq: 1, Kind: "k", Content: contents[2], Epoch: "odd"},
+	} {
+		checkRPCCodec(t, req, Response{Seq: 1, OK: true, Sub: 4, Epoch: "e", NextSeq: 9, Replay: ReplayHit})
+		frames++
+	}
+	checkRPCCodec(t, Request{}, Response{OK: true, Tuples: []json.RawMessage{json.RawMessage(`{"kind":"k"}`)}})
+	t.Logf("%d request/response pairs compared", frames)
+
+	for _, body := range []string{
+		`{"op":"inject","seq":7,"kind":"tota:downhill","content":[{"name":"name","type":"string","value":"inbox"}]}`,
+		`{"resp":{"seq":7,"ok":true,"id":"n0#1"}}`,
+	} {
+		if _, ok := decodeRequest([]byte(body)); !ok && strings.HasPrefix(body, `{"op"`) {
+			t.Errorf("decodeRequest refused the client's own layout %s: every inject would take json.Unmarshal", body)
+		}
+		if _, ok := decodeResponse([]byte(body)); !ok && strings.HasPrefix(body, `{"resp"`) {
+			t.Errorf("decodeResponse refused the gateway's own layout %s: every inject would take json.Unmarshal", body)
+		}
+	}
+	big := Request{Op: OpInject, Content: tuple.Content{tuple.S("pad", strings.Repeat("x", MaxFrameBytes))}}
+	if _, err := EncodeFrame(big); err != ErrFrameTooLarge {
+		t.Errorf("oversized request frame: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// gatewayRPCSeeds are payloads decodeRequest and decodeResponse must treat
+// as json.Unmarshal does — most by declining them.
+var gatewayRPCSeeds = []string{
+	`{"op":"inject","seq":1}`,
+	`{"op":"inject","seq":1,"kind":"k","content":[]}`,
+	`{"op":"inject","seq":1,"kind":"k","content":[{"name":"a","type":"float","value":"+Inf"},{"type":"bytes","value":"AP8="}]}`,
+	`{"op":"inject","seq":1,"content":null}`,
+	`{"op":"inject","seq":1,"content": []}`,
+	`{"op":"inject","seq":1,"content":[]`,
+	`{"op":"inject","seq":1,"content":[}`,
+	`{"op":"inject","seq":1,"content":[{"type":"int","value":1.5}]}`,
+	`{"op":"inject","seq":1,"content":[{"type":"int","value":1}],"content":[]}`,
+	`{"op":"inject","seq":1,"content":5}`,
+	`{"op":"inject","seq":1,"kind":"k","sub":2}`,
+	`{"op":"inject","seq":1,"kind":"k"} `,
+	`{"op":"inject","seq":1,"kind":"k"}}`,
+	`{"seq":1,"op":"inject"}`,
+	`{"op":"in\u006aect","seq":1}`,
+	`{"op":"inject","seq":01}`,
+	`{"op":"inject","seq":-1}`,
+	`{"op":"inject","seq":18446744073709551616}`,
+	`{"op":"inject","seq":1e3}`,
+	`{"op":"inject","seq":`,
+	`{"op":"inject","seq":1,"kind":null}`,
+	`{"OP":"inject","seq":1}`,
+	`{"resp":{"seq":1,"ok":true}}`,
+	`{"resp":{"seq":1,"ok":false,"err":"gateway: inject: x"}}`,
+	`{"resp":{"seq":1,"ok":true,"err":"","id":"n#1"}}`,
+	`{"resp":{"seq":1,"ok":true,"id":"n#1","sub":2}}`,
+	`{"resp":{"seq":1,"ok":1}}`,
+	`{"resp":{"seq":1,"ok":truex}}`,
+	`{"resp":{"seq":1}}`,
+	`{"resp":{"seq":1,"ok":true},"event":null}`,
+	`{"resp":{"seq":1,"ok":true}} `,
+	`{"resp":{"seq":1,"ok":true,"err":"esc\"aped"}}`,
+	`{"resp":{"ok":true,"seq":1}}`,
+	`{"resp":{"seq":1,"ok":true}`,
+	`{"resp":null}`, `{}`, `null`, ``,
+}
+
+func TestGatewayRPCDecodeMatchesJSON(t *testing.T) {
+	for _, s := range gatewayRPCSeeds {
+		checkRPCDecode(t, []byte(s))
+	}
+}
+
+// FuzzGatewayRPC builds an inject request and a response from the fuzzed
+// fields and holds both codecs against encoding/json in both directions,
+// then feeds the raw bytes to the gateway's and the client's decoders:
+// they must never panic, and must agree with json.Unmarshal on whatever
+// they accept.
+func FuzzGatewayRPC(f *testing.F) {
+	f.Add(OpInject, uint64(7), pattern.KindDownhill, "pad", "inbox", int64(41), 1.5, []byte{0, 255}, true, "", "n0#1", []byte(gatewayRPCSeeds[0]))
+	f.Add("é<>", ^uint64(0), "k\"", "", "bad\xff", int64(-1), math.Inf(-1), []byte(nil), false, `err "q"`, "", []byte(gatewayRPCSeeds[2]))
+	f.Add("", uint64(0), "", "\u2028", "", int64(0), math.NaN(), []byte{}, true, "x", "é", []byte(gatewayRPCSeeds[23]))
+	for _, s := range gatewayRPCSeeds {
+		f.Add(OpInject, uint64(1), "k", "f", "v", int64(0), 0.0, []byte(nil), true, "", "", []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, op string, seq uint64, kind, field, s string, n int64, x float64, raw []byte, ok bool, errS, id string, body []byte) {
+		var c tuple.Content
+		if len(s)%3 != 0 { // leave some requests without content
+			c = tuple.Content{tuple.S("name", s), tuple.S(field, s), tuple.I("n", n), tuple.F("x", x), tuple.Bin("raw", raw)}
+		}
+		checkRPCCodec(t, Request{Op: op, Seq: seq, Kind: kind, Content: c}, Response{Seq: seq, OK: ok, Err: errS, ID: id})
+		checkRPCDecode(t, body)
 	})
 }
 

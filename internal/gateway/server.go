@@ -352,8 +352,8 @@ func (c *conn) readLoop() {
 		if err != nil {
 			return
 		}
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
+		req, ok := decodeRequest(body)
+		if !ok && json.Unmarshal(body, &req) != nil {
 			return
 		}
 		resp, fatal := c.handle(req)

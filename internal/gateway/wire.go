@@ -140,16 +140,36 @@ type Frame struct {
 var ErrFrameTooLarge = errors.New("gateway: frame exceeds size bound")
 
 // EncodeFrame renders v as one length-prefixed JSON frame: a 4-byte
-// big-endian payload length followed by the payload. An event frame is
-// rendered by encodeEvent, with the bytes json.Marshal would write.
+// big-endian payload length followed by the payload. An event frame, an
+// inject request and an inject's response frame are rendered by hand
+// (encodeEvent, encodeRequest, encodeResponse), with the bytes
+// json.Marshal would write; json.Marshal renders everything else.
 func EncodeFrame(v any) ([]byte, error) {
-	if f, ok := v.(Frame); ok && f.Event != nil && f.Resp == nil {
-		return encodeEvent(f.Event, nil)
+	switch f := v.(type) {
+	case Frame:
+		if f.Event != nil && f.Resp == nil {
+			return encodeEvent(f.Event, nil)
+		}
+		if f.Resp != nil && f.Event == nil {
+			if buf, ok := encodeResponse(f.Resp); ok {
+				return buf, nil
+			}
+		}
+	case Request:
+		if buf, ok := encodeRequest(&f); ok {
+			return buf, nil
+		}
 	}
 	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
+	return framed(body)
+}
+
+// framed returns body behind its length prefix, in one exactly sized
+// allocation.
+func framed(body []byte) ([]byte, error) {
 	if len(body) > MaxFrameBytes {
 		return nil, ErrFrameTooLarge
 	}
@@ -157,6 +177,55 @@ func EncodeFrame(v any) ([]byte, error) {
 	binary.BigEndian.PutUint32(buf, uint32(len(body)))
 	copy(buf[4:], body)
 	return buf, nil
+}
+
+// encodeRequest renders a request that carries nothing but op, seq, kind
+// and content — every inject, and a ping — as
+//
+//	{"op":O,"seq":S[,"kind":K][,"content":[…]]}
+//
+// false means r carries more, or something json.Marshal would refuse.
+func encodeRequest(r *Request) ([]byte, bool) {
+	if len(r.Template) != 0 || r.FromSeq != 0 || r.Epoch != "" || r.Sub != 0 {
+		return nil, false
+	}
+	var stack [512]byte // fits a route3 message; a bigger content grows it
+	b := tuple.AppendJSONString(append(stack[:0], `{"op":`...), r.Op)
+	b = strconv.AppendUint(append(b, `,"seq":`...), r.Seq, 10)
+	if r.Kind != "" {
+		b = tuple.AppendJSONString(append(b, `,"kind":`...), r.Kind)
+	}
+	if len(r.Content) > 0 {
+		var err error
+		if b, err = tuple.AppendContentJSON(append(b, `,"content":`...), r.Content); err != nil {
+			return nil, false
+		}
+	}
+	buf, err := framed(append(b, '}'))
+	return buf, err == nil
+}
+
+// encodeResponse renders a response frame whose response carries nothing
+// but seq, ok, err and id — an inject's, or any error — as
+//
+//	{"resp":{"seq":S,"ok":B[,"err":E][,"id":I]}}
+//
+// false means r carries more.
+func encodeResponse(r *Response) ([]byte, bool) {
+	if len(r.Tuples) != 0 || r.Sub != 0 || r.Epoch != "" || r.NextSeq != 0 || r.Replay != "" {
+		return nil, false
+	}
+	var stack [192]byte
+	b := strconv.AppendUint(append(stack[:0], `{"resp":{"seq":`...), r.Seq, 10)
+	b = strconv.AppendBool(append(b, `,"ok":`...), r.OK)
+	if r.Err != "" {
+		b = tuple.AppendJSONString(append(b, `,"err":`...), r.Err)
+	}
+	if r.ID != "" {
+		b = tuple.AppendJSONString(append(b, `,"id":`...), r.ID)
+	}
+	buf, err := framed(append(b, "}}"...))
+	return buf, err == nil
 }
 
 // Two adjacent members of an event frame do not depend on the
@@ -238,15 +307,15 @@ func readFrameBody(br *bufio.Reader, scratch []byte) ([]byte, error) {
 	return scratch[:n], nil
 }
 
-// eventScan is decodeEvent's cursor. Each read names the literal its
-// member starts with; a required one missing, or a bad value, sets bad.
-type eventScan struct {
+// frameScan is the one-pass decoders' cursor. Each read names the literal
+// its member starts with; a required one missing, or a bad value, sets bad.
+type frameScan struct {
 	b   []byte // what is left
 	bad bool
 }
 
 // eat consumes lit if it comes next.
-func (s *eventScan) eat(lit string, required bool) bool {
+func (s *frameScan) eat(lit string, required bool) bool {
 	if s.bad || !bytes.HasPrefix(s.b, []byte(lit)) {
 		s.bad = s.bad || required
 		return false
@@ -256,7 +325,7 @@ func (s *eventScan) eat(lit string, required bool) bool {
 }
 
 // uint reads a number as encoding/json accepts one for a uint64.
-func (s *eventScan) uint(key string, required bool) uint64 {
+func (s *frameScan) uint(key string, required bool) uint64 {
 	if !s.eat(key, required) {
 		return 0
 	}
@@ -271,7 +340,7 @@ func (s *eventScan) uint(key string, required bool) uint64 {
 }
 
 // str reads a string literal that is ASCII without escapes.
-func (s *eventScan) str(key string, required bool) string {
+func (s *frameScan) str(key string, required bool) string {
 	if !s.eat(key, required) || !s.eat(`"`, true) {
 		return ""
 	}
@@ -294,7 +363,7 @@ func (s *eventScan) str(key string, required bool) string {
 // is anything else (a response, an escape, a tuple the registry refuses,
 // garbage) and json.Unmarshal has the verdict; ok, that it would agree.
 func decodeEvent(r *tuple.Registry, body []byte) (ev Event, t tuple.Tuple, ok bool) {
-	s := eventScan{b: body}
+	s := frameScan{b: body}
 	ev.Type = s.str(`{"event":{"ev":`, true)
 	ev.Sub = s.uint(`,"sub":`, true)
 	ev.GSeq = s.uint(`,"gseq":`, true)
@@ -311,6 +380,42 @@ func decodeEvent(r *tuple.Registry, body []byte) (ev Event, t tuple.Tuple, ok bo
 		return Event{}, nil, false
 	}
 	return ev, t, true
+}
+
+// decodeRequest decodes a payload of exactly the layout encodeRequest
+// writes, content included, in one pass. !ok means it is anything else
+// and json.Unmarshal has the verdict; ok, that it would agree.
+func decodeRequest(body []byte) (r Request, ok bool) {
+	s := frameScan{b: body}
+	r.Op = s.str(`{"op":`, true)
+	r.Seq = s.uint(`,"seq":`, true)
+	r.Kind = s.str(`,"kind":`, false)
+	if s.eat(`,"content":`, false) {
+		c, n, err := tuple.ScanContentJSON(s.b)
+		r.Content, s.bad = c, err != nil || s.b[0] != '[' // a leading space or null is json.Unmarshal's
+		s.b = s.b[n:]
+	}
+	if s.eat("}", true); s.bad || len(s.b) != 0 {
+		return Request{}, false
+	}
+	return r, true
+}
+
+// decodeResponse decodes a payload of exactly the layout encodeResponse
+// writes. !ok means it is anything else (an event, an escape, a subscribe
+// or read answer, garbage) and json.Unmarshal has the verdict.
+func decodeResponse(body []byte) (r Response, ok bool) {
+	s := frameScan{b: body}
+	r.Seq = s.uint(`{"resp":{"seq":`, true)
+	if r.OK = s.eat(`,"ok":true`, false); !r.OK {
+		s.eat(`,"ok":false`, true)
+	}
+	r.Err = s.str(`,"err":`, false)
+	r.ID = s.str(`,"id":`, false)
+	if s.eat("}}", true); s.bad || len(s.b) != 0 {
+		return Response{}, false
+	}
+	return r, true
 }
 
 // decodeTemplate resolves a request's template field; absent means

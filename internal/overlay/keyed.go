@@ -81,8 +81,7 @@ func (k *Keyed) Kind() string { return KindKeyed }
 
 // Content implements tuple.Tuple.
 func (k *Keyed) Content() tuple.Content {
-	c := pattern.AppContent(k.Key, k.Payload)
-	return append(c,
+	return pattern.AppContent(k.Key, k.Payload,
 		tuple.S("_mode", k.Mode),
 		tuple.F("_target", k.Target),
 		tuple.F("_best", k.Best),

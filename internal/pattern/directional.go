@@ -55,8 +55,7 @@ func (d *Directional) Kind() string { return KindDirectional }
 
 // Content implements tuple.Tuple.
 func (d *Directional) Content() tuple.Content {
-	c := AppContent(d.Name, d.Payload)
-	return append(c,
+	return AppContent(d.Name, d.Payload,
 		tuple.I("_ttl", d.TTL),
 		tuple.F("_sx", d.src.X),
 		tuple.F("_sy", d.src.Y),

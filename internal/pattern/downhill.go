@@ -73,8 +73,7 @@ func (d *Downhill) Kind() string { return KindDownhill }
 
 // Content implements tuple.Tuple.
 func (d *Downhill) Content() tuple.Content {
-	c := AppContent(d.StructName, d.Payload)
-	return append(c,
+	return AppContent(d.StructName, d.Payload,
 		tuple.S("_skind", d.StructKind),
 		tuple.F("_best", d.Best),
 		tuple.B("_flood", d.FloodWhenLost),

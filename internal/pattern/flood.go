@@ -53,8 +53,7 @@ func (f *Flood) Kind() string { return KindFlood }
 
 // Content implements tuple.Tuple.
 func (f *Flood) Content() tuple.Content {
-	c := AppContent(f.Name, f.Payload)
-	return append(c, tuple.I("_ttl", f.TTL), tuple.F("_lease", f.LeaseTime))
+	return AppContent(f.Name, f.Payload, tuple.I("_ttl", f.TTL), tuple.F("_lease", f.LeaseTime))
 }
 
 // ShouldStore implements tuple.Tuple.

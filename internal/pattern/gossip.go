@@ -46,8 +46,7 @@ func (g *Gossip) Kind() string { return KindGossip }
 
 // Content implements tuple.Tuple.
 func (g *Gossip) Content() tuple.Content {
-	c := AppContent(g.Name, g.Payload)
-	return append(c, tuple.F("_p", g.P), tuple.I("_ttl", g.TTL))
+	return AppContent(g.Name, g.Payload, tuple.F("_p", g.P), tuple.I("_ttl", g.TTL))
 }
 
 // ShouldStore implements tuple.Tuple: every reached node keeps a copy.

@@ -81,8 +81,7 @@ func (g *Gradient) Kind() string { return KindGradient }
 
 // Content implements tuple.Tuple.
 func (g *Gradient) Content() tuple.Content {
-	c := AppContent(g.Name, g.Payload)
-	return append(c,
+	return AppContent(g.Name, g.Payload,
 		tuple.F("_val", g.Val),
 		tuple.F("_step", g.StepSize),
 		tuple.F("_scope", g.Scope),
@@ -157,23 +156,13 @@ func gradientFromContent(c tuple.Content) (*Gradient, error) {
 	}, nil
 }
 
-// GradientsAt reads every gradient copy with the given name stored at
-// the local space exposed by ctx and returns the minimum value, with ok
-// false when none is present. Downhill messages and application code
-// use it to sense the field.
+// GradientsAt returns the minimum value among the structure copies of
+// the given kind and name in the local space store (nil when the hook
+// has no store access), with ok false when none is present. Downhill
+// messages and application code use it to sense the field.
 func GradientsAt(store tuple.LocalStore, kind, name string) (float64, bool) {
 	if store == nil {
 		return 0, false
 	}
-	best := inf()
-	found := false
-	for _, t := range store.Read(ByName(kind, name)) {
-		if m, ok := t.(tuple.Maintained); ok {
-			if !found || m.Value() < best {
-				best = m.Value()
-				found = true
-			}
-		}
-	}
-	return best, found
+	return store.MinValue(kind, name)
 }

@@ -43,8 +43,7 @@ func (e *Eraser) Kind() string { return KindEraser }
 
 // Content implements tuple.Tuple.
 func (e *Eraser) Content() tuple.Content {
-	c := AppContent(e.Name, nil)
-	return append(c,
+	return AppContent(e.Name, nil,
 		tuple.S("_tkind", e.TargetKind),
 		tuple.S("_tname", e.TargetName),
 		tuple.I("_ttl", e.TTL),

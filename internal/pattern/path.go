@@ -50,8 +50,7 @@ func (p *Path) Content() tuple.Content {
 	for i, id := range p.Route {
 		parts[i] = string(id)
 	}
-	c := AppContent(p.Name, p.Payload)
-	return append(c,
+	return AppContent(p.Name, p.Payload,
 		tuple.S("_path", strings.Join(parts, ",")),
 		tuple.I("_ttl", p.TTL),
 	)

@@ -48,21 +48,29 @@ const (
 const metaPrefix = "_"
 
 // SplitMeta separates a decoded content into its application prefix and
-// its trailing meta fields.
-func SplitMeta(c tuple.Content) (app tuple.Content, meta map[string]tuple.Field) {
+// its trailing meta fields. The meta fields are a view of c, looked up
+// by the Meta* accessors.
+func SplitMeta(c tuple.Content) (app, meta tuple.Content) {
 	cut := len(c)
 	for cut > 0 && strings.HasPrefix(c[cut-1].Name, metaPrefix) {
 		cut--
 	}
-	meta = make(map[string]tuple.Field, len(c)-cut)
-	for _, f := range c[cut:] {
-		meta[f.Name] = f
-	}
-	return c[:cut], meta
+	return c[:cut], c[cut:]
 }
 
-func MetaFloat(meta map[string]tuple.Field, name string, def float64) float64 {
-	if f, ok := meta[name]; ok {
+// metaField returns the meta field called name. A name repeated in
+// decoded input resolves to its last occurrence.
+func metaField(meta tuple.Content, name string) (tuple.Field, bool) {
+	for i := len(meta) - 1; i >= 0; i-- {
+		if meta[i].Name == name {
+			return meta[i], true
+		}
+	}
+	return tuple.Field{}, false
+}
+
+func MetaFloat(meta tuple.Content, name string, def float64) float64 {
+	if f, ok := metaField(meta, name); ok {
 		if v, ok := f.Value.(float64); ok {
 			return v
 		}
@@ -70,8 +78,8 @@ func MetaFloat(meta map[string]tuple.Field, name string, def float64) float64 {
 	return def
 }
 
-func MetaInt(meta map[string]tuple.Field, name string, def int64) int64 {
-	if f, ok := meta[name]; ok {
+func MetaInt(meta tuple.Content, name string, def int64) int64 {
+	if f, ok := metaField(meta, name); ok {
 		if v, ok := f.Value.(int64); ok {
 			return v
 		}
@@ -79,8 +87,8 @@ func MetaInt(meta map[string]tuple.Field, name string, def int64) int64 {
 	return def
 }
 
-func MetaString(meta map[string]tuple.Field, name, def string) string {
-	if f, ok := meta[name]; ok {
+func MetaString(meta tuple.Content, name, def string) string {
+	if f, ok := metaField(meta, name); ok {
 		if v, ok := f.Value.(string); ok {
 			return v
 		}
@@ -88,8 +96,8 @@ func MetaString(meta map[string]tuple.Field, name, def string) string {
 	return def
 }
 
-func MetaBool(meta map[string]tuple.Field, name string, def bool) bool {
-	if f, ok := meta[name]; ok {
+func MetaBool(meta tuple.Content, name string, def bool) bool {
+	if f, ok := metaField(meta, name); ok {
 		if v, ok := f.Value.(bool); ok {
 			return v
 		}
@@ -97,12 +105,13 @@ func MetaBool(meta map[string]tuple.Field, name string, def bool) bool {
 	return def
 }
 
-// AppContent returns the canonical application prefix: the name field
-// followed by the payload.
-func AppContent(name string, payload tuple.Content) tuple.Content {
-	c := make(tuple.Content, 0, len(payload)+1)
+// AppContent returns the canonical content: the name field, the payload
+// and then the meta fields, in one exactly sized allocation.
+func AppContent(name string, payload tuple.Content, meta ...tuple.Field) tuple.Content {
+	c := make(tuple.Content, 0, 1+len(payload)+len(meta))
 	c = append(c, tuple.S("name", name))
-	return append(c, payload...)
+	c = append(c, payload...)
+	return append(c, meta...)
 }
 
 // SplitNamePayload recovers (name, payload) from an application prefix.

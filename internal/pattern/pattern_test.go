@@ -28,6 +28,18 @@ func (f *fakeStore) Delete(tpl tuple.Template) []tuple.Tuple {
 	return out
 }
 
+// MinValue is the template-read definition of the sensing primitive.
+func (f *fakeStore) MinValue(kind, name string) (float64, bool) {
+	var best float64
+	found := false
+	for _, t := range f.Read(ByName(kind, name)) {
+		if m, ok := t.(tuple.Maintained); ok && (!found || m.Value() < best) {
+			best, found = m.Value(), true
+		}
+	}
+	return best, found
+}
+
 func ctxAt(self tuple.NodeID, hop int, store tuple.LocalStore) *tuple.Ctx {
 	return &tuple.Ctx{Self: self, From: "prev", Hop: hop, Store: store}
 }
@@ -385,6 +397,13 @@ func TestSplitMeta(t *testing.T) {
 	}
 	if MetaFloat(meta, "_nope", -1) != -1 {
 		t.Error("MetaFloat default failed")
+	}
+	// Decoded input may repeat a meta name: the last occurrence wins, and
+	// a last occurrence of the wrong type reads as the default.
+	_, meta = SplitMeta(append(c, tuple.F("_val", 5), tuple.S("_scope", "x")))
+	if MetaFloat(meta, "_val", -1) != 5 || MetaFloat(meta, "_scope", -1) != -1 {
+		t.Errorf("repeated meta names: _val %v, _scope %v; want 5 and the default",
+			MetaFloat(meta, "_val", -1), MetaFloat(meta, "_scope", -1))
 	}
 }
 

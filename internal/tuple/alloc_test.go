@@ -38,7 +38,7 @@ func BenchmarkTupleDecode(b *testing.B) {
 	}
 }
 
-// TestTupleEncodeAllocs holds encoding a gradient at the 6 allocations
+// TestTupleEncodeAllocs holds encoding a gradient at the 5 allocations
 // DESIGN.md §6 cites.
 func TestTupleEncodeAllocs(t *testing.T) {
 	if raceEnabled {
@@ -50,7 +50,7 @@ func TestTupleEncodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got != 6 {
-		t.Errorf("tuple.Encode = %.0f allocs/op, want 6 (update DESIGN.md §6 if this is intended)", got)
+	if got != 5 {
+		t.Errorf("tuple.Encode = %.0f allocs/op, want 5 (update DESIGN.md §6 if this is intended)", got)
 	}
 }

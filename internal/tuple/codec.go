@@ -133,12 +133,9 @@ var (
 )
 
 // EncodedSize returns the exact number of bytes Encode produces for t,
-// so callers can allocate (or reserve) encode buffers in one shot.
-func EncodedSize(t Tuple) int {
-	return encodedSize(t, t.Content())
-}
-
-func encodedSize(t Tuple, c Content) int {
+// whose content is c, so callers can allocate (or reserve) encode
+// buffers in one shot.
+func EncodedSize(t Tuple, c Content) int {
 	n := 1 + 4 + len(t.Kind()) + 4 + len(t.ID().Node) + 8 + 2
 	for _, f := range c {
 		n += 4 + len(f.Name) + 1
@@ -160,21 +157,22 @@ func encodedSize(t Tuple, c Content) int {
 // big-endian binary format. The output is sized exactly, so encoding
 // costs a single allocation.
 func Encode(t Tuple) ([]byte, error) {
-	return AppendEncode(nil, t)
+	return AppendEncode(nil, t, t.Content())
 }
 
-// AppendEncode appends the serialized form of t to dst and returns the
-// extended slice, growing dst at most once (to the exact final size).
-// It lets message framers build a whole packet in one buffer.
-func AppendEncode(dst []byte, t Tuple) ([]byte, error) {
-	c := t.Content()
+// AppendEncode appends the serialized form of t, whose content is c, to
+// dst and returns the extended slice, growing dst at most once (to the
+// exact final size). It lets message framers build a whole packet in
+// one buffer; c is t.Content() fetched once by the caller, so sizing
+// the packet and writing it read the same slice.
+func AppendEncode(dst []byte, t Tuple, c Content) ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if len(c) > math.MaxUint16 {
 		return nil, fmt.Errorf("tuple: too many fields (%d)", len(c))
 	}
-	if need := encodedSize(t, c); cap(dst)-len(dst) < need {
+	if need := EncodedSize(t, c); cap(dst)-len(dst) < need {
 		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
 		dst = grown

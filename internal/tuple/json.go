@@ -72,17 +72,27 @@ func AppendTupleJSON(dst []byte, t Tuple) ([]byte, error) {
 	}
 	dst = AppendJSONString(append(dst, `{"kind":`...), t.Kind())
 	dst = AppendJSONString(append(dst, `,"id":`...), t.ID().String())
+	dst, _ = AppendContentJSON(append(dst, `,"content":`...), c) // cannot fail: Validate saw the value types
+	return append(dst, '}'), nil
+}
+
+// AppendContentJSON appends c as json.Marshal writes a Content: an array
+// of field objects, null when c is nil (garbage, on an error).
+func AppendContentJSON(dst []byte, c Content) ([]byte, error) {
 	if c == nil {
-		return append(dst, `,"content":null}`...), nil
+		return append(dst, "null"...), nil
 	}
-	dst = append(dst, `,"content":[`...)
+	dst = append(dst, '[')
 	for i, f := range c {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst, _ = appendFieldJSON(dst, f) // cannot fail: Validate saw the value types
+		var err error
+		if dst, err = appendFieldJSON(dst, f); err != nil {
+			return dst, err
+		}
 	}
-	return append(dst, "]}"...), nil
+	return append(dst, ']'), nil
 }
 
 // MarshalTupleJSON renders a tuple as JSON, the counterpart of the
@@ -353,6 +363,14 @@ func (c *Content) UnmarshalJSON(data []byte) error {
 	d := jsonDec{b: data}
 	*c = d.content(d.value())
 	return d.finish()
+}
+
+// ScanContentJSON decodes the content array that starts data, as
+// json.Unmarshal into a Content does, and returns how many bytes it took.
+func ScanContentJSON(data []byte) (Content, int, error) {
+	d := jsonDec{b: data}
+	c := d.content(d.value())
+	return c, d.p, d.err
 }
 
 // ScanTupleJSON rebuilds the tuple whose JSON form starts data, using the

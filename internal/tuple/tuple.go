@@ -15,6 +15,12 @@ type LocalStore interface {
 	// Delete removes and returns the locally stored tuples matching the
 	// template.
 	Delete(Template) []Tuple
+	// MinValue returns the smallest Value among the stored Maintained
+	// tuples of the given kind whose "name" field equals name and which a
+	// Read may see, with ok false when there is none. It is how a passing
+	// tuple senses a structure (the paper's "follow downhill its
+	// hopcount"), and it copies no tuple to answer.
+	MinValue(kind, name string) (v float64, ok bool)
 }
 
 // Ctx carries the local context in which a propagation hook runs: which

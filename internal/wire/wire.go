@@ -234,9 +234,11 @@ const (
 func PullIDSize(id tuple.ID) int { return 2 + len(id.Node) + 8 }
 
 // Encode serializes a message. The buffer is preallocated to the exact
-// message size (via tuple.EncodedSize), so the whole packet is built
-// with one allocation and no re-copies — the per-packet hot path of
-// every broadcast, refresh, and announcement.
+// message size, so the whole packet is built with one allocation and no
+// re-copies — the per-packet hot path of every broadcast, refresh, and
+// announcement. A carried tuple's content is built once: the size
+// (tuple.EncodedSize) and the bytes (tuple.AppendEncode) come from the
+// same slice.
 func Encode(m Message) ([]byte, error) {
 	return AppendEncode(nil, m)
 }
@@ -255,7 +257,8 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 			return nil, errors.New("wire: MsgTuple without tuple")
 		}
 		traced := m.Trace.TraceID != 0
-		size := header + 4 + tuple.EncodedSize(m.Tuple) + ChecksumSize
+		c := m.Tuple.Content()
+		size := header + 4 + tuple.EncodedSize(m.Tuple, c) + ChecksumSize
 		ver := byte(wireVersion)
 		if traced {
 			size += TraceCtxSize
@@ -268,7 +271,7 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 			b = binary.BigEndian.AppendUint64(b, m.Trace.TraceID)
 			b = binary.BigEndian.AppendUint64(b, m.Trace.Span)
 		}
-		b, err := tuple.AppendEncode(b, m.Tuple)
+		b, err := tuple.AppendEncode(b, m.Tuple, c)
 		if err != nil {
 			return nil, fmt.Errorf("wire: encode tuple: %w", err)
 		}

@@ -458,15 +458,15 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 }
 
-// TestWireRoundTripAllocs holds a gradient's encode + decode at the 17
+// TestWireRoundTripAllocs holds a gradient's encode + decode at the 11
 // allocations DESIGN.md §6 cites.
 func TestWireRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates; alloc budgets hold only without -race")
 	}
 	g := newRoundTripGradient()
-	if got := testing.AllocsPerRun(200, func() { roundTripGradient(t, g) }); got != 17 {
-		t.Errorf("wire round trip = %.0f allocs/op, want 17 (update DESIGN.md §6 if this is intended)", got)
+	if got := testing.AllocsPerRun(200, func() { roundTripGradient(t, g) }); got != 11 {
+		t.Errorf("wire round trip = %.0f allocs/op, want 11 (update DESIGN.md §6 if this is intended)", got)
 	}
 }
 
