@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"tota/internal/core"
@@ -322,6 +323,53 @@ func TestDownhillRelayAllocs(t *testing.T) {
 	if got > budget {
 		t.Errorf("Downhill relay hop = %.0f allocs, budget %d", got, budget)
 	}
+}
+
+// TestRelayRetainedBytes budgets what a routed message leaves on the
+// heap for good, in the style of TestE16MemBudget: the post-GC
+// HeapAlloc growth per message over 4,000 Downhill messages sent down
+// a 3-node line to the inbox gradient's source. The destination keeps
+// each delivered copy, its row and its index slot; the source and the
+// relay keep one seq run for all of them. Measured 1,024 B; the budget
+// adds 25 %. With a row per message on the source and the relay, and
+// four id-keyed maps per stored tuple, it measured 2,051 B, and a row
+// on either node alone adds ~300 B.
+func TestRelayRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; heap budgets hold only without -race")
+	}
+	const budget = 1_280
+	w := emulator.New(emulator.Config{Graph: topology.Line(3)})
+	if _, err := w.Node(topology.NodeName(2)).Inject(pattern.NewGradient("inbox")); err != nil {
+		t.Fatal(err)
+	}
+	w.Settle(100000)
+	src := w.Node(topology.NodeName(0))
+	sent := 0
+	send := func(k int) {
+		for i := 0; i < k; i++ {
+			m := pattern.NewDownhill("inbox", tuple.I("seq", int64(sent)), tuple.S("pad", "0123456789abcdef"))
+			if _, err := src.Inject(m); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+			w.Settle(100000)
+		}
+	}
+	send(500) // past the store's small mode and the first map growths
+	before := experiment.LiveHeapBytes()
+	const msgs = 4000
+	send(msgs)
+	after := experiment.LiveHeapBytes()
+	if got := w.Node(topology.NodeName(2)).StoreSize(); got != sent+1 {
+		t.Fatalf("destination stores %d tuples, want %d messages + the gradient", got, sent)
+	}
+	perMsg := float64(int64(after)-int64(before)) / msgs
+	t.Logf("%.0f B retained per message", perMsg)
+	if perMsg > budget {
+		t.Errorf("%.0f B retained per routed message, budget %d", perMsg, budget)
+	}
+	runtime.KeepAlive(w)
 }
 
 // BenchmarkObsOverhead prices the telemetry subsystem on the packet hot

@@ -296,12 +296,18 @@ func (n *Node) HandlePacket(from tuple.NodeID, data []byte) {
 }
 
 // handleMsgLocked dispatches one engine message (a whole packet, or one
-// sub-message of a batch frame).
+// sub-message of a batch frame). A tuple, retraction or digest entry
+// naming the zero id is dropped: Inject never assigns it, and the state
+// table marks its freed slots with it.
 func (n *Node) handleMsgLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.PacketsIn.Add(1)
 	switch msg.Type {
 	case wire.MsgTuple:
+		if msg.Tuple.ID().IsZero() {
+			return
+		}
 		n.handleTupleLocked(from, msg)
+		n.states.park(msg.Tuple)
 	case wire.MsgRetract:
 		n.handleRetractLocked(msg.ID)
 	case wire.MsgWithdraw:
@@ -494,6 +500,9 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 	n.pullScratch = n.pullScratch[:0]
 	for i := range msg.Digest {
 		e := &msg.Digest[i]
+		if e.ID.IsZero() {
+			continue
+		}
 		st := n.stateFor(e.ID)
 		if st.has(stRetracted) {
 			continue
@@ -874,15 +883,13 @@ func (n *Node) handleWithdrawLocked(from tuple.NodeID, id tuple.ID) {
 }
 
 func (n *Node) handleRetractLocked(id tuple.ID) {
-	st := n.states.lookup(id)
-	if st != nil && st.has(stRetracted) {
+	if id.IsZero() {
 		return
 	}
-	if st == nil {
+	if n.states.lookup(id) == nil && !n.states.parked[id.Node].has(id.Seq) {
 		// Tombstone only: the structure never passed through here, so
 		// no downstream copies were fed by this node.
-		st = n.stateFor(id)
-		st.mark(stRetracted)
+		n.stateFor(id).mark(stRetracted)
 		return
 	}
 	n.retractLocked(id)

@@ -379,6 +379,7 @@ func (n *Node) Inject(t tuple.Tuple) (tuple.ID, error) {
 		}
 	}
 	n.injectLocked(t, ctx)
+	n.states.park(t)
 	evs := n.takePendingLocked()
 	trs := n.takeTracesLocked()
 	n.mu.Unlock()
@@ -441,8 +442,12 @@ func (n *Node) Delete(tpl tuple.Template) []tuple.Tuple {
 
 // Retract tears down a distributed structure network-wide, the
 // distributed deletion the paper implements via deleting propagation.
-// Typically invoked at the structure's source.
+// Typically invoked at the structure's source. The zero id names no
+// tuple and is ignored.
 func (n *Node) Retract(id tuple.ID) {
+	if id.IsZero() {
+		return
+	}
 	n.mu.Lock()
 	var local tuple.Tuple
 	if st := n.states.lookup(id); st != nil {

@@ -1,0 +1,322 @@
+package core
+
+import (
+	"testing"
+
+	"tota/internal/pattern"
+	"tota/internal/topology"
+	"tota/internal/transport"
+	"tota/internal/tuple"
+	"tota/internal/wire"
+)
+
+// parkLine is the relay fixture: the sim line n0–n1–n2 with the inbox
+// gradient at n2, over which n0 has sent msgs Downhill messages.
+type parkLine struct {
+	t    *testing.T
+	sim  *transport.Sim
+	n    [3]*Node
+	msgs []tuple.ID
+}
+
+func newParkLine(t *testing.T, msgs int) *parkLine {
+	t.Helper()
+	g := topology.Line(3)
+	pl := &parkLine{t: t, sim: transport.NewSim(g, transport.SimConfig{})}
+	for i := range pl.n {
+		id := topology.NodeName(i)
+		pl.n[i] = New(pl.sim.Attach(id, nil))
+		pl.sim.Bind(id, pl.n[i])
+	}
+	if _, err := pl.n[2].Inject(pattern.NewGradient("inbox")); err != nil {
+		t.Fatal(err)
+	}
+	pl.quiesce()
+	for i := 0; i < msgs; i++ {
+		id, err := pl.n[0].Inject(pattern.NewDownhill("inbox", tuple.I("seq", int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.msgs = append(pl.msgs, id)
+		pl.quiesce()
+	}
+	if got := len(pl.n[2].Read(tuple.Match(pattern.KindDownhill))); got != msgs {
+		t.Fatalf("n2 stores %d of %d messages", got, msgs)
+	}
+	return pl
+}
+
+func (pl *parkLine) quiesce() {
+	pl.t.Helper()
+	pl.sim.RunUntilQuiet(100000)
+	if pl.sim.Pending() != 0 {
+		pl.t.Fatal("network did not quiesce")
+	}
+}
+
+// rows returns the number of rows node i keeps in its state slab.
+func (pl *parkLine) rows(i int) int {
+	pl.n[i].mu.Lock()
+	defer pl.n[i].mu.Unlock()
+	return pl.n[i].states.len()
+}
+
+// parked returns the seq runs node i keeps for n0's tuples.
+func (pl *parkLine) parked(i int) seenRuns {
+	pl.n[i].mu.Lock()
+	defer pl.n[i].mu.Unlock()
+	return append(seenRuns(nil), pl.n[i].states.parked[topology.NodeName(0)]...)
+}
+
+// messageFrame encodes message k as n0 broadcast it.
+func (pl *parkLine) messageFrame(k int) []byte {
+	pl.t.Helper()
+	m := pattern.NewDownhill("inbox", tuple.I("seq", int64(k)))
+	m.SetID(pl.msgs[k])
+	data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Tuple: m})
+	if err != nil {
+		pl.t.Fatal(err)
+	}
+	return data
+}
+
+// TestRelayRowsPark: a node that injects or relays a message it does not
+// store keeps no row for it — n0 and n1 hold exactly the gradient's row,
+// and each holds one seq run for n0's thousand messages — while
+// duplicates are still recognized: a replayed message is counted in
+// DupDropped, relayed no further, and leaves no row behind.
+func TestRelayRowsPark(t *testing.T) {
+	const msgs = 1000
+	pl := newParkLine(t, msgs)
+	for i := 0; i < 2; i++ {
+		if got := pl.rows(i); got != 1 {
+			t.Errorf("n%d keeps %d rows after %d messages, want 1 (the gradient)", i, got, msgs)
+		}
+		if got, want := pl.parked(i), (seenRuns{{1, msgs}}); len(got) != 1 || got[0] != want[0] {
+			t.Errorf("n%d parked runs = %v, want %v", i, got, want)
+		}
+	}
+	if got := pl.rows(2); got != msgs+1 {
+		t.Errorf("n2 keeps %d rows, want %d (gradient + stored messages)", got, msgs+1)
+	}
+
+	relay := pl.n[1]
+	before := relay.Stats()
+	relay.HandlePacket(topology.NodeName(0), pl.messageFrame(msgs/2))
+	pl.quiesce()
+	after := relay.Stats()
+	if after.DupDropped != before.DupDropped+1 {
+		t.Errorf("replay: DupDropped %d → %d, want +1", before.DupDropped, after.DupDropped)
+	}
+	if after.Broadcasts != before.Broadcasts {
+		t.Errorf("replay was relayed: Broadcasts %d → %d", before.Broadcasts, after.Broadcasts)
+	}
+	if got := pl.rows(1); got != 1 {
+		t.Errorf("replay left n1 with %d rows, want 1", got)
+	}
+	if got := len(pl.n[2].Read(tuple.Match(pattern.KindDownhill))); got != msgs {
+		t.Errorf("replay changed n2's store: %d messages", got)
+	}
+}
+
+// TestRetractOfParkedIDForwarded: a parked id is still a tuple the node
+// saw, so a retraction of it is forwarded exactly as for a kept row —
+// Node.Retract at the source, the MsgRetract at the relay — and reaches
+// the destination's copy. An id the relay never saw only tombstones.
+func TestRetractOfParkedIDForwarded(t *testing.T) {
+	const msgs = 20
+	pl := newParkLine(t, msgs)
+	k := 7
+	pl.n[0].Retract(pl.msgs[k])
+	pl.quiesce()
+	for i, n := range pl.n {
+		if got := n.Stats().Retracted; got != 1 {
+			t.Errorf("n%d Retracted = %d, want 1", i, got)
+		}
+	}
+	got := pl.n[2].Read(tuple.Match(pattern.KindDownhill))
+	if len(got) != msgs-1 {
+		t.Fatalf("n2 stores %d messages after the retraction, want %d", len(got), msgs-1)
+	}
+	for _, m := range got {
+		if m.ID() == pl.msgs[k] {
+			t.Fatalf("n2 still stores the retracted message %s", m.ID())
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if got := pl.rows(i); got != 2 {
+			t.Errorf("n%d keeps %d rows, want 2 (gradient + tombstone)", i, got)
+		}
+		if got := pl.parked(i); len(got) != 2 || got[0] != (seqRun{1, 7}) || got[1] != (seqRun{9, msgs}) {
+			t.Errorf("n%d parked runs = %v, want [{1 7} {9 %d}]", i, got, msgs)
+		}
+	}
+	// The tombstone outlives the parked mark: a replay is dropped at once.
+	relay := pl.n[1]
+	before := relay.Stats()
+	relay.HandlePacket(topology.NodeName(0), pl.messageFrame(k))
+	if after := relay.Stats(); after.DupDropped != before.DupDropped+1 || after.Broadcasts != before.Broadcasts {
+		t.Errorf("replay of a retracted message: DupDropped +%d, Broadcasts +%d",
+			after.DupDropped-before.DupDropped, after.Broadcasts-before.Broadcasts)
+	}
+
+	// A retraction of an id n1 never saw is a tombstone only.
+	unseen := tuple.ID{Node: topology.NodeName(0), Seq: 5000}
+	data, err := wire.Encode(wire.Message{Type: wire.MsgRetract, ID: unseen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = relay.Stats()
+	relay.HandlePacket(topology.NodeName(0), data)
+	pl.quiesce()
+	if after := relay.Stats(); after.Retracted != before.Retracted || after.Broadcasts != before.Broadcasts {
+		t.Errorf("retract of an unseen id was forwarded: Retracted +%d, Broadcasts +%d",
+			after.Retracted-before.Retracted, after.Broadcasts-before.Broadcasts)
+	}
+}
+
+// TestDigestNamingParkedIDPulls: a digest entry naming a parked plain id
+// meets a node that saw the tuple but never consumed the sender's
+// versioned announcement, so it pulls once; the reply is a duplicate
+// (dropped, not relayed), and records the version, so the same entry
+// pulls no more.
+func TestDigestNamingParkedIDPulls(t *testing.T) {
+	pl := newParkLine(t, 10)
+	relay, dst := pl.n[1], topology.NodeName(2)
+	id := pl.msgs[3]
+	digest, err := wire.Encode(wire.Message{Type: wire.MsgDigest, Digest: []wire.DigestEntry{{ID: id, Ver: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := relay.Stats()
+	relay.HandlePacket(dst, digest)
+	pl.quiesce()
+	after := relay.Stats()
+	if after.PullsOut != before.PullsOut+1 {
+		t.Fatalf("digest naming a parked id: PullsOut +%d, want +1", after.PullsOut-before.PullsOut)
+	}
+	if after.DupDropped != before.DupDropped+1 || after.Broadcasts != before.Broadcasts {
+		t.Errorf("pull reply: DupDropped +%d (want +1), Broadcasts +%d (want 0)",
+			after.DupDropped-before.DupDropped, after.Broadcasts-before.Broadcasts)
+	}
+	relay.HandlePacket(dst, digest)
+	pl.quiesce()
+	if again := relay.Stats(); again.PullsOut != after.PullsOut {
+		t.Errorf("the same digest entry pulled again: PullsOut +%d", again.PullsOut-after.PullsOut)
+	}
+	// The consumed version is a peer row: the id no longer parks.
+	if got := pl.rows(1); got != 2 {
+		t.Errorf("n1 keeps %d rows, want 2 (gradient + the pulled id)", got)
+	}
+}
+
+// TestZeroIDMessagesDropped: the relay's freed slots hold the zero id,
+// and no tuple carries it, so a tuple, retraction or digest entry naming
+// it is dropped before the state table: no row is made, no freed slot
+// is tombstoned or freed twice, and the next message is still relayed.
+func TestZeroIDMessagesDropped(t *testing.T) {
+	pl := newParkLine(t, 1)
+	relay, from := pl.n[1], topology.NodeName(0)
+	zero := pattern.NewDownhill("inbox", tuple.I("seq", int64(-1)))
+	for _, m := range []wire.Message{
+		{Type: wire.MsgRetract},
+		{Type: wire.MsgTuple, Tuple: zero},
+		{Type: wire.MsgDigest, Digest: []wire.DigestEntry{{Ver: 1}}},
+		{Type: wire.MsgPull, Want: []tuple.ID{{}}},
+		{Type: wire.MsgWithdraw},
+	} {
+		data, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relay.HandlePacket(from, data)
+		pl.quiesce()
+		if got := pl.rows(1); got != 1 {
+			t.Fatalf("after a %v naming the zero id, n1 keeps %d rows, want 1", m.Type, got)
+		}
+	}
+	before := relay.Stats()
+	for i := 0; i < 2; i++ {
+		if _, err := pl.n[0].Inject(pattern.NewDownhill("inbox", tuple.I("seq", int64(i+1)))); err != nil {
+			t.Fatal(err)
+		}
+		pl.quiesce()
+	}
+	if after := relay.Stats(); after.Broadcasts != before.Broadcasts+2 || after.DupDropped != before.DupDropped {
+		t.Errorf("next messages: Broadcasts +%d (want 2), DupDropped +%d (want 0)",
+			after.Broadcasts-before.Broadcasts, after.DupDropped-before.DupDropped)
+	}
+	if got := len(pl.n[2].Read(tuple.Match(pattern.KindDownhill))); got != 3 {
+		t.Errorf("n2 stores %d messages, want 3", got)
+	}
+	if got := pl.rows(1); got != 1 {
+		t.Errorf("n1 keeps %d rows, want 1", got)
+	}
+}
+
+// TestReadOnlyPathsLeaveParkedIDs: a pull, a withdraw and a
+// policy-denied Node.Retract naming a parked id act as on the
+// visited-only row — nothing to send, nothing to withdraw, nothing
+// retracted — and leave the id parked.
+func TestReadOnlyPathsLeaveParkedIDs(t *testing.T) {
+	pl := newParkLine(t, 10)
+	relay, dst := pl.n[1], topology.NodeName(2)
+	id := pl.msgs[3]
+	before := relay.Stats()
+	for _, m := range []wire.Message{
+		{Type: wire.MsgPull, Want: []tuple.ID{id}},
+		{Type: wire.MsgWithdraw, ID: id},
+	} {
+		data, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relay.HandlePacket(dst, data)
+		pl.quiesce()
+	}
+	relay.mu.Lock()
+	relay.cfg.Policy = PolicyFunc(func(op Op, _ tuple.NodeID, _ tuple.Tuple) bool { return op != OpRetract })
+	relay.mu.Unlock()
+	relay.Retract(id)
+	pl.quiesce()
+	after := relay.Stats()
+	if after.Unicasts != before.Unicasts || after.Broadcasts != before.Broadcasts || after.Retracted != before.Retracted {
+		t.Errorf("read-only paths sent or retracted: Unicasts +%d, Broadcasts +%d, Retracted +%d",
+			after.Unicasts-before.Unicasts, after.Broadcasts-before.Broadcasts, after.Retracted-before.Retracted)
+	}
+	if got := pl.rows(1); got != 1 {
+		t.Errorf("n1 keeps %d rows, want 1 (the gradient)", got)
+	}
+	if got := pl.parked(1); len(got) != 1 || got[0] != (seqRun{1, 10}) {
+		t.Errorf("n1 parked runs = %v, want [{1 10}]", got)
+	}
+}
+
+// TestMaintainedSourceRowNeverParks: a source that does not store its
+// own maintained structure keeps the row, because its source mark is
+// what stops maintenance from adopting the structure back when a
+// neighbor announces it.
+func TestMaintainedSourceRowNeverParks(t *testing.T) {
+	pl := newParkLine(t, 0)
+	src := pl.n[0]
+	id, err := src.Inject(pattern.NewGradient("shy").Bounded(-1)) // value 0 is already out of scope
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.quiesce()
+	if _, ok := src.states.handleOf(id); !ok || len(src.states.parked) != 0 {
+		t.Fatalf("the unstored maintained source row was parked")
+	}
+	echo := pattern.NewGradient("shy")
+	echo.SetID(id)
+	echo.Val = 1
+	data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Tuple: echo, Parent: topology.NodeName(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.HandlePacket(topology.NodeName(1), data)
+	pl.quiesce()
+	if got := src.Read(pattern.ByName(pattern.KindGradient, "shy")); len(got) != 0 {
+		t.Errorf("the source adopted its own structure from a neighbor: %v", got)
+	}
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/bits"
+	"slices"
+	"sort"
 
 	"tota/internal/tuple"
 )
@@ -25,15 +27,20 @@ import (
 // of at most stateSmallMax entries resolve ids by scanning the dense
 // ids column — at emulation scale almost every node tracks a handful of
 // tuples and never allocates the map at all.
+//
+// A row that only records "seen here" leaves the slab (see park).
 type stateTable struct {
 	byID   map[tuple.ID]int32 // nil in small mode
 	chunks [][]tupleState
 	// ids maps handle → id, so slab-order walks recover the key without
-	// touching the map. Freed slots hold the zero id (never a real
-	// tuple id: inject and decode both require a node component).
+	// touching the map. Freed slots hold the zero id, which handleOf
+	// never resolves: Inject never assigns it, and the engine drops
+	// messages naming it before they reach the table.
 	ids  []tuple.ID
 	free []int32
 	live int
+	// parked is park's exact seen set, per source (nil until used).
+	parked map[tuple.NodeID]seenRuns
 }
 
 // stateSmallMax is the largest table kept without the id→handle map;
@@ -51,11 +58,15 @@ func stateChunkFor(h int32) (chunk, slot int32) {
 func (tab *stateTable) len() int { return tab.live }
 
 // handleOf resolves an id to its live handle: a hash lookup in big
-// mode, a linear scan over the dense ids column in small mode.
+// mode, a linear scan over the dense ids column in small mode. The zero
+// id, which marks freed slots, resolves to nothing.
 func (tab *stateTable) handleOf(id tuple.ID) (int32, bool) {
 	if tab.byID != nil {
 		h, ok := tab.byID[id]
 		return h, ok
+	}
+	if id.IsZero() {
+		return 0, false
 	}
 	for h := range tab.ids {
 		if tab.ids[h] == id {
@@ -65,8 +76,10 @@ func (tab *stateTable) handleOf(id tuple.ID) (int32, bool) {
 	return 0, false
 }
 
-// lookup returns the state tracked for id, or nil. The pointer stays
-// valid until the entry is released.
+// lookup returns the state tracked for id, or nil. It is nil for a
+// parked id too: a visited-only row holds nothing its read-only callers
+// act on, so the id stays parked. The pointer stays valid until the
+// entry is released.
 func (tab *stateTable) lookup(id tuple.ID) *tupleState {
 	h, ok := tab.handleOf(id)
 	if !ok {
@@ -83,7 +96,8 @@ func (tab *stateTable) at(h int32) *tupleState {
 
 // intern returns the state tracked for id, allocating a zero state on
 // first sight — recycling a freed slot when one exists, extending the
-// slab otherwise.
+// slab otherwise — or, for a parked id, the visited-only row it was
+// parked as. id must not be zero.
 func (tab *stateTable) intern(id tuple.ID) *tupleState {
 	if h, ok := tab.handleOf(id); ok {
 		return tab.at(h)
@@ -112,13 +126,17 @@ func (tab *stateTable) intern(id tuple.ID) *tupleState {
 	} else if tab.byID != nil {
 		tab.byID[id] = h
 	}
-	return tab.at(h)
+	st := tab.at(h)
+	if runs := tab.parked[id.Node]; runs.remove(id.Seq) {
+		tab.parked[id.Node] = runs
+		st.flags = stVisited
+	}
+	return st
 }
 
 // release forgets id's state, zeroing the slot and recycling its handle.
-// The engine retains retraction tombstones and dedup markers for the
-// life of the node, so today only teardown paths and tests call this;
-// the free list keeps the slab dense for workloads that do recycle.
+// park is the engine's caller: a relay parks one row per message it
+// forwards, and the free list hands the slot to the next message.
 func (tab *stateTable) release(id tuple.ID) {
 	h, ok := tab.handleOf(id)
 	if !ok {
@@ -131,6 +149,36 @@ func (tab *stateTable) release(id tuple.ID) {
 	tab.ids[h] = tuple.ID{}
 	tab.free = append(tab.free, h)
 	tab.live--
+}
+
+// park releases t's row when it holds nothing but the visited mark —
+// plus the source and propagated marks, which only stored or maintained
+// code reads — and files its id in the seen set, so every later intern
+// sees exactly the row parked. A maintained tuple keeps its row: at a
+// source that stores no copy, the source mark is what keeps maintenance
+// from adopting the structure back from a neighbor.
+func (tab *stateTable) park(t tuple.Tuple) {
+	if _, ok := t.(tuple.Maintained); ok {
+		return
+	}
+	id := t.ID()
+	h, ok := tab.handleOf(id)
+	if !ok {
+		return
+	}
+	st := tab.at(h)
+	if st.flags&stVisited == 0 || st.flags&^(stVisited|stSource|stPropagated) != 0 ||
+		st.local != nil || st.exemplar != nil || st.encCache != nil || len(st.peers) != 0 ||
+		st.traceID != 0 || st.span != 0 || st.parentSpan != 0 || st.ver != 0 || st.parent != "" {
+		return
+	}
+	tab.release(id)
+	if tab.parked == nil {
+		tab.parked = make(map[tuple.NodeID]seenRuns)
+	}
+	runs := tab.parked[id.Node]
+	runs.add(id.Seq)
+	tab.parked[id.Node] = runs
 }
 
 // forEach visits every live entry in slab (handle) order — insertion
@@ -146,4 +194,59 @@ func (tab *stateTable) forEach(fn func(id tuple.ID, st *tupleState)) {
 		c, s := stateChunkFor(int32(h))
 		fn(tab.ids[h], &tab.chunks[c][s])
 	}
+}
+
+// seenRuns is an exact set of one source's seqs: sorted, disjoint,
+// non-adjacent closed runs. A source numbers its tuples 1, 2, 3, …
+// (§4.1), so a node that parks them in order holds a single run.
+type seenRuns []seqRun
+
+type seqRun struct{ lo, hi uint64 }
+
+// find returns the index of the first run ending at or after seq.
+func (r seenRuns) find(seq uint64) int {
+	return sort.Search(len(r), func(i int) bool { return r[i].hi >= seq })
+}
+
+func (r seenRuns) has(seq uint64) bool {
+	i := r.find(seq)
+	return i < len(r) && r[i].lo <= seq
+}
+
+// add inserts seq, merging it with the runs it touches.
+func (r *seenRuns) add(seq uint64) {
+	s := *r
+	i := s.find(seq)
+	if i < len(s) && s[i].lo <= seq {
+		return
+	}
+	s = slices.Insert(s, i, seqRun{seq, seq})
+	if i+1 < len(s) && s[i+1].lo == seq+1 {
+		s[i].hi = s[i+1].hi
+		s = slices.Delete(s, i+1, i+2)
+	}
+	if i > 0 && s[i-1].hi+1 == seq {
+		s[i-1].hi = s[i].hi
+		s = slices.Delete(s, i, i+1)
+	}
+	*r = s
+}
+
+// remove deletes seq, reporting whether it was present.
+func (r *seenRuns) remove(seq uint64) bool {
+	s := *r
+	i := s.find(seq)
+	if i == len(s) || s[i].lo > seq {
+		return false
+	}
+	run := s[i]
+	s = slices.Delete(s, i, i+1)
+	if seq < run.hi {
+		s = slices.Insert(s, i, seqRun{seq + 1, run.hi})
+	}
+	if run.lo < seq {
+		s = slices.Insert(s, i, seqRun{run.lo, seq - 1})
+	}
+	*r = s
+	return true
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
+	"tota/internal/pattern"
 	"tota/internal/tuple"
 )
 
@@ -146,5 +149,178 @@ func BenchmarkStateTableIntern(b *testing.B) {
 		for _, id := range ids {
 			tab.intern(id)
 		}
+	}
+}
+
+// checkSeenRuns fails unless r is sorted, disjoint and non-adjacent and
+// holds exactly the seqs ref marks true.
+func checkSeenRuns(t *testing.T, r seenRuns, ref map[uint64]bool) {
+	t.Helper()
+	n := 0
+	for i, run := range r {
+		if run.lo > run.hi {
+			t.Fatalf("run %d = %v is inverted: %v", i, run, r)
+		}
+		if i > 0 && r[i-1].hi+1 >= run.lo {
+			t.Fatalf("runs %d and %d overlap or touch: %v", i-1, i, r)
+		}
+		n += int(run.hi - run.lo + 1)
+	}
+	want := 0
+	for seq, in := range ref {
+		if in {
+			want++
+		}
+		if r.has(seq) != in {
+			t.Fatalf("has(%d) = %v, reference %v: %v", seq, !in, in, r)
+		}
+	}
+	if n != want {
+		t.Fatalf("runs cover %d seqs, reference holds %d: %v", n, want, r)
+	}
+}
+
+func TestSeenRuns(t *testing.T) {
+	tests := []struct {
+		name   string
+		add    []uint64
+		remove []uint64
+		want   seenRuns
+	}{
+		{name: "empty"},
+		{name: "in order is one run", add: []uint64{1, 2, 3, 4}, want: seenRuns{{1, 4}}},
+		{name: "reverse order is one run", add: []uint64{4, 3, 2, 1}, want: seenRuns{{1, 4}}},
+		{name: "gap", add: []uint64{1, 2, 5, 6}, want: seenRuns{{1, 2}, {5, 6}}},
+		{name: "filling a gap merges", add: []uint64{1, 3, 2}, want: seenRuns{{1, 3}}},
+		{name: "duplicates", add: []uint64{7, 7, 8, 7}, want: seenRuns{{7, 8}}},
+		{name: "insert before all", add: []uint64{9, 5}, want: seenRuns{{5, 5}, {9, 9}}},
+		{name: "extremes", add: []uint64{0, math.MaxUint64, math.MaxUint64 - 1}, want: seenRuns{{0, 0}, {math.MaxUint64 - 1, math.MaxUint64}}},
+		{name: "remove splits", add: []uint64{1, 2, 3, 4, 5}, remove: []uint64{3}, want: seenRuns{{1, 2}, {4, 5}}},
+		{name: "remove ends", add: []uint64{1, 2, 3}, remove: []uint64{1, 3}, want: seenRuns{{2, 2}}},
+		{name: "remove singleton", add: []uint64{1, 5}, remove: []uint64{5}, want: seenRuns{{1, 1}}},
+		{name: "remove absent", add: []uint64{1, 2}, remove: []uint64{3, 0}, want: seenRuns{{1, 2}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var r seenRuns
+			ref := make(map[uint64]bool)
+			for _, seq := range tt.add {
+				r.add(seq)
+				ref[seq] = true
+			}
+			for _, seq := range tt.remove {
+				if got := r.remove(seq); got != ref[seq] {
+					t.Errorf("remove(%d) = %v, want %v", seq, got, ref[seq])
+				}
+				ref[seq] = false
+			}
+			if len(r) != len(tt.want) {
+				t.Fatalf("runs = %v, want %v", r, tt.want)
+			}
+			for i := range r {
+				if r[i] != tt.want[i] {
+					t.Fatalf("runs = %v, want %v", r, tt.want)
+				}
+			}
+			checkSeenRuns(t, r, ref)
+		})
+	}
+}
+
+// FuzzSeenRuns applies arbitrary insertion and removal orders to a
+// seenRuns and a map reference: has must agree with the reference after
+// every step, and the runs must stay sorted, disjoint and non-adjacent.
+// Each input byte is one step: the high bit picks remove over add, the
+// low six bits the seq, so short inputs already collide and merge runs.
+func FuzzSeenRuns(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4})
+	f.Add([]byte{4, 3, 2, 1, 0x82, 0x83})
+	f.Add([]byte{10, 12, 11, 0x8b, 11, 0x8a, 0x8c})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var r seenRuns
+		ref := make(map[uint64]bool)
+		for _, op := range ops {
+			seq := uint64(op & 0x3f)
+			if op&0x80 != 0 {
+				if got := r.remove(seq); got != ref[seq] {
+					t.Fatalf("remove(%d) = %v, reference %v", seq, got, ref[seq])
+				}
+				ref[seq] = false
+			} else {
+				r.add(seq)
+				ref[seq] = true
+			}
+			checkSeenRuns(t, r, ref)
+		}
+	})
+}
+
+// plainTuple is a tuple that is not Maintained, with id.
+func plainTuple(id tuple.ID) tuple.Tuple {
+	t := &countingTuple{}
+	t.SetID(id)
+	return t
+}
+
+// TestStateTableParkRehydrates pins park's contract: a seen-only row
+// leaves the slab, lookup leaves it parked, and intern brings it back as
+// exactly the visited-only row, once; any other content keeps the row in
+// the slab.
+func TestStateTableParkRehydrates(t *testing.T) {
+	var tab stateTable
+	for i := 0; i < 100; i++ {
+		st := tab.intern(stID(i))
+		st.mark(stVisited | stPropagated)
+		st.hop = 3
+		tab.park(plainTuple(stID(i)))
+	}
+	if tab.len() != 0 || len(tab.parked) != 1 || len(tab.parked["n"]) != 1 {
+		t.Fatalf("100 in-order parks: %d rows, runs %v", tab.len(), tab.parked)
+	}
+	if tab.lookup(tuple.ID{}) != nil {
+		t.Error("the zero id resolved to a freed slot")
+	}
+	if tab.parked["n"].has(stID(100).Seq) || !tab.parked["n"].has(stID(40).Seq) {
+		t.Error("isParked disagrees with the parks made")
+	}
+	if tab.lookup(stID(40)) != nil || tab.len() != 0 || !tab.parked["n"].has(stID(40).Seq) {
+		t.Fatal("lookup brought a parked row back")
+	}
+	st := tab.intern(stID(40))
+	if !reflect.DeepEqual(*st, tupleState{flags: stVisited}) {
+		t.Fatalf("parked id came back as %+v", st)
+	}
+	if tab.len() != 1 || len(tab.parked["n"]) != 2 || tab.parked["n"].has(stID(40).Seq) {
+		t.Fatalf("after one rehydration: %d rows, runs %v", tab.len(), tab.parked["n"])
+	}
+	if again := tab.intern(stID(40)); again != st {
+		t.Error("a rehydrated row was rehydrated twice")
+	}
+
+	keep := []func(*tupleState){
+		func(st *tupleState) {}, // never visited
+		func(st *tupleState) { st.mark(stVisited | stStored) },
+		func(st *tupleState) { st.mark(stVisited | stRetracted) },
+		func(st *tupleState) { st.mark(stVisited | stSupportTab) },
+		func(st *tupleState) { st.mark(stVisited); st.peerFor("p", 1) },
+		func(st *tupleState) { st.mark(stVisited); st.traceID = 1 },
+		func(st *tupleState) { st.mark(stVisited); st.parentSpan = 1 },
+		func(st *tupleState) { st.mark(stVisited); st.ver = 1 },
+		func(st *tupleState) { st.mark(stVisited); st.encCache = []byte{1} },
+	}
+	for i, set := range keep {
+		id := tuple.ID{Node: "k", Seq: uint64(i + 1)}
+		set(tab.intern(id))
+		tab.park(plainTuple(id))
+		if _, ok := tab.handleOf(id); !ok {
+			t.Errorf("case %d: a row holding more than the visited mark was parked", i)
+		}
+	}
+	g := pattern.NewGradient("g")
+	g.SetID(tuple.ID{Node: "m", Seq: 1})
+	tab.intern(g.ID()).mark(stVisited | stSource)
+	tab.park(g)
+	if _, ok := tab.handleOf(g.ID()); !ok {
+		t.Error("a maintained tuple's row was parked")
 	}
 }

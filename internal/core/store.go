@@ -6,48 +6,25 @@ import (
 	"tota/internal/tuple"
 )
 
-// idList is an arrival-ordered id set with O(1) removal: deleting marks
-// the slot as a zero-id tombstone and records the hole, and the slice is
-// compacted lazily once tombstones dominate. pos maps each live id to
-// its slot, so bulk removals (expiry sweeps over thousands of tuples)
-// stay linear instead of O(n²).
+// idList is an arrival-ordered id list with O(1) removal: deleting turns
+// the entry into a zero-id tombstone, and the slice is compacted lazily
+// once tombstones dominate. The list keeps no id → position map: each
+// tuple's storeSlot records its position on every list it is filed in,
+// so bulk removals (expiry sweeps over thousands of tuples) stay linear
+// instead of O(n²), and compaction rewrites the positions it moves.
 type idList struct {
 	ids  []tuple.ID
-	pos  map[tuple.ID]int
 	dead int
 }
 
-func (l *idList) add(id tuple.ID) {
-	if l.pos == nil {
-		l.pos = make(map[tuple.ID]int)
-	}
-	l.pos[id] = len(l.ids)
-	l.ids = append(l.ids, id)
-}
+// The lists a storeSlot records its positions on.
+const posOrder, posKind, posKindName = 0, 1, 2
 
-func (l *idList) remove(id tuple.ID) {
-	i, ok := l.pos[id]
-	if !ok {
-		return
-	}
-	l.ids[i] = tuple.ID{}
-	delete(l.pos, id)
-	l.dead++
-	if l.dead > 8 && l.dead*2 > len(l.ids) {
-		l.compact()
-	}
-}
-
-func (l *idList) compact() {
-	live := l.ids[:0]
-	for _, id := range l.ids {
-		if !id.IsZero() {
-			l.pos[id] = len(live)
-			live = append(live, id)
-		}
-	}
-	l.ids = live
-	l.dead = 0
+// storeSlot is a big-mode tuple's one index entry: the stored copy and
+// its positions on the order, kind and (kind, name) lists.
+type storeSlot struct {
+	t   tuple.Tuple
+	pos [3]int32
 }
 
 // storeEnt is one small-mode entry: the stored copy with its keys pulled
@@ -77,16 +54,15 @@ func nameOf(t tuple.Tuple) string { return t.Content().GetString("name") }
 // only on the space's content, so promotion is deterministic.
 const storeSmallMax = 16
 
-// storeIndex is the big-mode machinery: hash lookup plus per-kind and
-// per-(kind, name) arrival-ordered id lists — the shapes every
-// propagation hook and application query uses — so selective reads do
-// not scan the whole space.
+// storeIndex is the big-mode machinery: one slot per tuple under its id,
+// plus per-kind and per-(kind, name) arrival-ordered id lists — the
+// shapes every propagation hook and application query uses — so
+// selective reads do not scan the whole space.
 //
-// Iteration over the id lists may encounter tombstones (zero ids, or
-// ids removed from byID but not yet compacted out of a list); consumers
-// skip any id without a byID entry.
+// Iteration over the id lists may encounter tombstones (zero ids), which
+// miss in byID; every other listed id is stored.
 type storeIndex struct {
-	byID       map[tuple.ID]tuple.Tuple
+	byID       map[tuple.ID]storeSlot
 	order      idList
 	byKind     map[string]*idList
 	byKindName map[string]*idList
@@ -129,39 +105,68 @@ func indexKeys(t tuple.Tuple, name string) (kind, kindName string) {
 
 // promote moves a small-mode space onto the indexed representation.
 func (s *store) promote() {
-	big := &storeIndex{
-		byID:       make(map[tuple.ID]tuple.Tuple, len(s.flat)*2),
+	s.big = &storeIndex{
+		byID:       make(map[tuple.ID]storeSlot, len(s.flat)*2),
 		byKind:     make(map[string]*idList),
 		byKindName: make(map[string]*idList),
 	}
-	s.big = big
 	for _, e := range s.flat {
 		s.indexPut(e)
 	}
 	s.flat = nil
 }
 
+// indexPut files a new tuple at the end of its three lists.
 func (s *store) indexPut(e storeEnt) {
-	s.big.order.add(e.id)
-	s.big.byID[e.id] = e.t
 	kind, kn := indexKeys(e.t, e.name)
-	s.indexAdd(s.big.byKind, kind, e.id)
-	s.indexAdd(s.big.byKindName, kn, e.id)
+	slot := storeSlot{t: e.t}
+	for which, l := range [3]*idList{&s.big.order, listFor(s.big.byKind, kind), listFor(s.big.byKindName, kn)} {
+		slot.pos[which] = int32(len(l.ids))
+		l.ids = append(l.ids, e.id)
+	}
+	s.big.byID[e.id] = slot
 }
 
-func (s *store) indexAdd(m map[string]*idList, key string, id tuple.ID) {
+func listFor(m map[string]*idList, key string) *idList {
 	l, ok := m[key]
 	if !ok {
 		l = &idList{}
 		m[key] = l
 	}
-	l.add(id)
+	return l
 }
 
-func (s *store) indexRemove(m map[string]*idList, key string, id tuple.ID) {
-	if l, ok := m[key]; ok {
-		l.remove(id)
+// setPos records that id now sits at position i of its which list.
+func (s *store) setPos(id tuple.ID, which, i int) {
+	slot := s.big.byID[id]
+	slot.pos[which] = int32(i)
+	s.big.byID[id] = slot
+}
+
+// unlist tombstones position i of l, one of the lists slots record at
+// which, and compacts l once tombstones dominate.
+func (s *store) unlist(l *idList, which int, i int32) {
+	l.ids[i] = tuple.ID{}
+	l.dead++
+	if l.dead <= 8 || l.dead*2 <= len(l.ids) {
+		return
 	}
+	live := l.ids[:0]
+	for _, id := range l.ids {
+		if !id.IsZero() {
+			s.setPos(id, which, len(live))
+			live = append(live, id)
+		}
+	}
+	l.ids, l.dead = live, 0
+}
+
+// refile moves a stored id from one which list to the end of another:
+// its kind or name changed.
+func (s *store) refile(id tuple.ID, which int, from, to *idList) {
+	s.unlist(from, which, s.big.byID[id].pos[which])
+	to.ids = append(to.ids, id)
+	s.setPos(id, which, len(to.ids)-1)
 }
 
 // put inserts or replaces the copy for t.ID().
@@ -181,23 +186,23 @@ func (s *store) put(t tuple.Tuple) {
 		}
 		s.promote()
 	}
-	if old, ok := s.big.byID[id]; ok {
-		// Replacement: refresh the indexes if the keys changed (the
-		// name field could in principle evolve).
-		oldKind, oldKN := indexKeys(old, nameOf(old))
-		newKind, newKN := indexKeys(t, e.name)
-		if oldKind != newKind {
-			s.indexRemove(s.big.byKind, oldKind, id)
-			s.indexAdd(s.big.byKind, newKind, id)
-		}
-		if oldKN != newKN {
-			s.indexRemove(s.big.byKindName, oldKN, id)
-			s.indexAdd(s.big.byKindName, newKN, id)
-		}
-		s.big.byID[id] = t
+	slot, ok := s.big.byID[id]
+	if !ok {
+		s.indexPut(e)
 		return
 	}
-	s.indexPut(e)
+	// Replacement keeps the arrival order position. It refiles the id if
+	// a key changed (the name field could in principle evolve).
+	oldKind, oldKN := indexKeys(slot.t, nameOf(slot.t))
+	newKind, newKN := indexKeys(t, e.name)
+	slot.t = t
+	s.big.byID[id] = slot
+	if oldKind != newKind {
+		s.refile(id, posKind, s.big.byKind[oldKind], listFor(s.big.byKind, newKind))
+	}
+	if oldKN != newKN {
+		s.refile(id, posKindName, s.big.byKindName[oldKN], listFor(s.big.byKindName, newKN))
+	}
 }
 
 // get returns the stored copy for id.
@@ -210,8 +215,8 @@ func (s *store) get(id tuple.ID) (tuple.Tuple, bool) {
 		}
 		return nil, false
 	}
-	t, ok := s.big.byID[id]
-	return t, ok
+	slot, ok := s.big.byID[id]
+	return slot.t, ok
 }
 
 // remove deletes the copy for id and returns it.
@@ -226,16 +231,16 @@ func (s *store) remove(id tuple.ID) (tuple.Tuple, bool) {
 		}
 		return nil, false
 	}
-	t, ok := s.big.byID[id]
+	slot, ok := s.big.byID[id]
 	if !ok {
 		return nil, false
 	}
 	delete(s.big.byID, id)
-	s.big.order.remove(id)
-	kind, kn := indexKeys(t, nameOf(t))
-	s.indexRemove(s.big.byKind, kind, id)
-	s.indexRemove(s.big.byKindName, kn, id)
-	return t, true
+	kind, kn := indexKeys(slot.t, nameOf(slot.t))
+	s.unlist(&s.big.order, posOrder, slot.pos[posOrder])
+	s.unlist(s.big.byKind[kind], posKind, slot.pos[posKind])
+	s.unlist(s.big.byKindName[kn], posKindName, slot.pos[posKindName])
+	return slot.t, true
 }
 
 // candidates returns the id list a query for kind — and for name, when
@@ -285,8 +290,8 @@ func (s *store) forMatching(tpl tuple.Template, fn func(t tuple.Tuple) bool) {
 	}
 	name, pinned := pinnedName(tpl)
 	for _, id := range s.candidates(tpl.Kind, name, pinned) {
-		if t, ok := s.big.byID[id]; ok && tpl.Matches(t) {
-			if !fn(t) {
+		if slot, ok := s.big.byID[id]; ok && tpl.Matches(slot.t) {
+			if !fn(slot.t) {
 				return
 			}
 		}
@@ -329,10 +334,10 @@ func (s *store) minValue(kind, name string, visible func(tuple.Tuple) bool) (bes
 	}
 	wild := kind == "" || strings.HasSuffix(kind, "*") // candidates is then the whole space
 	for _, id := range s.candidates(kind, name, true) {
-		if t, ok := s.big.byID[id]; ok {
-			e := storeEnt{id: id, name: name, t: t}
+		if slot, ok := s.big.byID[id]; ok {
+			e := storeEnt{id: id, name: name, t: slot.t}
 			if wild {
-				e.name = nameOf(t)
+				e.name = nameOf(slot.t)
 			}
 			consider(e)
 		}

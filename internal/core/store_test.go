@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"tota/internal/pattern"
@@ -52,49 +55,168 @@ func TestStoreReplacementKeepsSingleEntry(t *testing.T) {
 	}
 }
 
+// storeRef is the model a store must agree with: the live tuples in
+// arrival order, where a replacement keeps its predecessor's place and a
+// re-put after removal arrives anew.
+type storeRef []tuple.Tuple
+
+func (r *storeRef) put(tt tuple.Tuple) {
+	for i := range *r {
+		if (*r)[i].ID() == tt.ID() {
+			(*r)[i] = tt
+			return
+		}
+	}
+	*r = append(*r, tt)
+}
+
+func (r *storeRef) remove(id tuple.ID) {
+	for i := range *r {
+		if (*r)[i].ID() == id {
+			*r = append((*r)[:i], (*r)[i+1:]...)
+			return
+		}
+	}
+}
+
+// mkKindTuple builds a tuple of kind (KindLocal or KindGradient) named
+// name, with id seq.
+func mkKindTuple(kind, name string, seq uint64) tuple.Tuple {
+	var tt tuple.Tuple = pattern.NewLocal(name, tuple.I("v", int64(seq)))
+	if kind == pattern.KindGradient {
+		tt = pattern.NewGradient(name)
+	}
+	tt.SetID(tuple.ID{Node: "n", Seq: seq})
+	return tt
+}
+
+// checkStoreReads compares every kind read, (kind, name) read and
+// full-scan read of s — by the kind list, the (kind, name) list and the
+// order list — and its ids snapshot with a scan of ref in arrival order.
+// With keysMoved (some replacement changed a tuple's kind or name), the
+// exact-kind reads are compared as sets: big mode files such a
+// replacement at the end of its new kind and (kind, name) lists.
+func checkStoreReads(t *testing.T, s *store, ref storeRef, names []string, keysMoved bool) {
+	t.Helper()
+	tpls := []tuple.Template{tuple.MatchAll(), tuple.Match("tota:*")}
+	for _, kind := range []string{pattern.KindLocal, pattern.KindGradient} {
+		tpls = append(tpls, tuple.Match(kind))
+		for _, name := range names {
+			tpls = append(tpls, pattern.ByName(kind, name), pattern.ByName("tota:*", name))
+		}
+	}
+	for _, tpl := range tpls {
+		var want []tuple.Tuple
+		for _, tt := range ref {
+			if tpl.Matches(tt) {
+				want = append(want, tt)
+			}
+		}
+		got := s.readRaw(tpl)
+		if keysMoved && tpl.Kind != "" && !strings.HasSuffix(tpl.Kind, "*") {
+			bySeq := func(a, b tuple.Tuple) int { return cmp.Compare(a.ID().Seq, b.ID().Seq) }
+			slices.SortFunc(got, bySeq)
+			slices.SortFunc(want, bySeq)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%+v: read %d tuples, reference %d", tpl, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: read[%d] = %s, reference %s (arrival order lost)", tpl, i, got[i].ID(), want[i].ID())
+			}
+		}
+	}
+	ids := s.ids()
+	if len(ids) != len(ref) || s.size() != len(ref) {
+		t.Fatalf("ids() = %d, size() = %d, reference %d", len(ids), s.size(), len(ref))
+	}
+	for i := range ids {
+		if ids[i] != ref[i].ID() {
+			t.Fatalf("ids()[%d] = %s, reference %s", i, ids[i], ref[i].ID())
+		}
+	}
+}
+
+// storeListLens snapshots the length of every big-mode id list, keyed
+// "order", "kind:K" and "kn:K\x00N".
+func storeListLens(s *store) map[string]int {
+	lens := map[string]int{"order": len(s.big.order.ids)}
+	for k, l := range s.big.byKind {
+		lens["kind:"+k] = len(l.ids)
+	}
+	for k, l := range s.big.byKindName {
+		lens["kn:"+k] = len(l.ids)
+	}
+	return lens
+}
+
+// TestStoreIndexedReadsMatchFullScan: under seeded put, replace, remove
+// and re-put sequences, every kind, (kind, name) and full-scan read
+// equals a reference scan in arrival order. Seed 8 replaces tuples under
+// their own kind and name; seeds 9 and 10 also change them, and check
+// the moved tuples' kind reads as sets (see checkStoreReads). The
+// sequence grows the space, drains most of it and regrows it, so every
+// list it files tuples on crosses the compaction threshold.
 func TestStoreIndexedReadsMatchFullScan(t *testing.T) {
-	// Property: whatever sequence of puts/removes, index-assisted reads
-	// agree with a full-order scan.
-	rng := rand.New(rand.NewSource(8))
-	s := newStore(tuple.DefaultRegistry)
-	live := make(map[tuple.ID]tuple.Tuple)
+	kinds := []string{pattern.KindLocal, pattern.KindGradient}
 	names := []string{"a", "b", "c", "d"}
-	var seq uint64
-	for step := 0; step < 2000; step++ {
-		if rng.Intn(3) != 0 || len(live) == 0 {
-			seq++
-			name := names[rng.Intn(len(names))]
-			tt := mkLocal(t, name, seq)
-			s.put(tt)
-			live[tt.ID()] = tt
-		} else {
-			for id := range live {
+	for _, seed := range []int64{8, 9, 10} {
+		keysMoved := seed != 8
+		rng := rand.New(rand.NewSource(seed))
+		s := newStore(tuple.DefaultRegistry)
+		var ref storeRef
+		var removed []uint64
+		var seq uint64
+		compacted := make(map[string]bool)
+		for step := 0; step < 1800; step++ {
+			pRemove := []int{20, 80, 35}[step/600] // grow, drain, regrow
+			var lens map[string]int
+			if s.big != nil {
+				lens = storeListLens(s)
+			}
+			switch r := rng.Intn(100); {
+			case r < pRemove && len(ref) > 0:
+				id := ref[rng.Intn(len(ref))].ID()
 				s.remove(id)
-				delete(live, id)
-				break
+				ref.remove(id)
+				removed = append(removed, id.Seq)
+			case r < pRemove+15 && len(ref) > 0: // replace
+				old := ref[rng.Intn(len(ref))]
+				kind, name := old.Kind(), nameOf(old)
+				if keysMoved {
+					kind, name = kinds[rng.Intn(len(kinds))], names[rng.Intn(len(names))]
+				}
+				tt := mkKindTuple(kind, name, old.ID().Seq)
+				s.put(tt)
+				ref.put(tt)
+			case r < pRemove+25 && len(removed) > 0: // re-put a removed id
+				i := rng.Intn(len(removed))
+				tt := mkKindTuple(kinds[rng.Intn(len(kinds))], names[rng.Intn(len(names))], removed[i])
+				removed = append(removed[:i], removed[i+1:]...)
+				s.put(tt)
+				ref.put(tt)
+			default:
+				seq++
+				tt := mkKindTuple(kinds[rng.Intn(len(kinds))], names[rng.Intn(len(names))], seq+1000)
+				s.put(tt)
+				ref.put(tt)
+			}
+			for k, n := range lens {
+				if now := storeListLens(s)[k]; now < n {
+					compacted[k] = true
+				}
+			}
+			if step%10 == 0 {
+				checkStoreReads(t, s, ref, names, keysMoved)
 			}
 		}
-	}
-	for _, name := range names {
-		tpl := pattern.ByName(pattern.KindLocal, name)
-		indexed := s.readRaw(tpl)
-		var scanned []tuple.Tuple
-		for _, id := range s.ids() {
-			if tt, ok := s.get(id); ok && tpl.Matches(tt) {
-				scanned = append(scanned, tt)
+		checkStoreReads(t, s, ref, names, keysMoved)
+		for k := range storeListLens(s) {
+			if !compacted[k] {
+				t.Errorf("seed %d: list %q never compacted", seed, k)
 			}
 		}
-		if len(indexed) != len(scanned) {
-			t.Fatalf("name %s: indexed %d vs scanned %d", name, len(indexed), len(scanned))
-		}
-		for i := range indexed {
-			if indexed[i] != scanned[i] {
-				t.Fatalf("name %s: order mismatch at %d", name, i)
-			}
-		}
-	}
-	if got := s.readRaw(tuple.MatchAll()); len(got) != len(live) {
-		t.Errorf("MatchAll = %d, live = %d", len(got), len(live))
 	}
 }
 
@@ -195,12 +317,17 @@ func TestStoreCandidatesSelectivity(t *testing.T) {
 // TestStoreBulkRemoval exercises the tombstone/compaction path that
 // keeps sweeping thousands of expiring tuples linear: interleaved bulk
 // removals must preserve arrival order, index consistency, and the
-// ids() snapshot, with no tombstones leaking out.
+// ids() snapshot, with no tombstones leaking out. A seeded second phase
+// re-puts removed ids and replaces survivors under new kinds and names,
+// and every read still equals a reference scan (see checkStoreReads).
 func TestStoreBulkRemoval(t *testing.T) {
 	s := newStore(tuple.DefaultRegistry)
+	var ref storeRef
 	const n = 5000
 	for i := 1; i <= n; i++ {
-		s.put(mkLocal(t, fmt.Sprintf("bulk%d", i%7), uint64(i)))
+		tt := mkLocal(t, fmt.Sprintf("bulk%d", i%7), uint64(i))
+		s.put(tt)
+		ref = append(ref, tt)
 	}
 	// Remove every id not divisible by 5, front-to-back (worst case for
 	// a compacting slice).
@@ -238,6 +365,42 @@ func TestStoreBulkRemoval(t *testing.T) {
 	if _, ok := s.get(tuple.ID{Node: "n", Seq: n + 1}); !ok {
 		t.Fatal("put after bulk removal failed")
 	}
+
+	ref = ref[:0]
+	for _, id := range s.ids() {
+		tt, _ := s.get(id)
+		ref = append(ref, tt)
+	}
+	names := []string{"bulk0", "bulk3", "fresh", "moved"}
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 3000; step++ {
+		var tt tuple.Tuple
+		switch r := rng.Intn(3); {
+		case r == 0: // re-put a removed id: a new arrival
+			seq := uint64(rng.Intn(n) + 1)
+			if seq%5 == 0 {
+				seq++
+			}
+			tt = mkKindTuple(pattern.KindLocal, names[rng.Intn(len(names))], seq)
+		case r == 1: // replace a survivor under a new kind or name
+			kind := pattern.KindLocal
+			if rng.Intn(2) == 0 {
+				kind = pattern.KindGradient
+			}
+			tt = mkKindTuple(kind, names[rng.Intn(len(names))], ref[rng.Intn(len(ref))].ID().Seq)
+		default:
+			id := ref[rng.Intn(len(ref))].ID()
+			s.remove(id)
+			ref.remove(id)
+			continue
+		}
+		s.put(tt)
+		ref.put(tt)
+		if step%100 == 0 {
+			checkStoreReads(t, s, ref, names, true)
+		}
+	}
+	checkStoreReads(t, s, ref, names, true)
 }
 
 func TestStoreReadOne(t *testing.T) {

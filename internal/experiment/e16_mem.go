@@ -39,10 +39,10 @@ type E16Run struct {
 	RSSPerNode float64
 }
 
-// liveHeapBytes settles the garbage collector and reports the live
+// LiveHeapBytes settles the garbage collector and reports the live
 // heap. Two GC cycles let finalizer-resurrected and newly-unreachable
 // memory drain before the read.
-func liveHeapBytes() uint64 {
+func LiveHeapBytes() uint64 {
 	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
@@ -56,7 +56,7 @@ func liveHeapBytes() uint64 {
 // RunE15N's (same layout, seed, injection point and oracle check), so
 // the measured bytes price the same settled state E15 times.
 func RunE16N(n int) E16Run {
-	baseline := liveHeapBytes()
+	baseline := LiveHeapBytes()
 	start := time.Now()
 	w := NewScaleWorld(n)
 	g := w.Graph()
@@ -77,7 +77,7 @@ func RunE16N(n int) E16Run {
 	out.Msgs = w.Sim().Stats().Sent
 	out.GradErr, out.Missing, out.Extra = w.GradientError(pattern.KindGradient, "e16", src, 1e18)
 
-	settled := liveHeapBytes()
+	settled := LiveHeapBytes()
 	if settled > baseline {
 		out.LiveHeapBytes = settled - baseline
 	}
