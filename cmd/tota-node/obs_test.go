@@ -3,21 +3,42 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
-
 	"time"
 
 	"tota/internal/obs"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/metrics.golden from a live scrape")
+
+// metricsGolden pins the exposition surface of a fully configured node:
+// every family's HELP and TYPE line, sorted.
+const metricsGolden = "testdata/metrics.golden"
+
+// surface returns the sorted # HELP and # TYPE lines of a Prometheus
+// exposition.
+func surface(exposition string) string {
+	var lines []string
+	for _, l := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(l, "# HELP ") || strings.HasPrefix(l, "# TYPE ") {
+			lines = append(lines, l)
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
 // TestRunObsEndpoint boots a full node with -obs.addr and scrapes it
 // over HTTP while the shell is live — the acceptance path for the
-// telemetry exposition.
+// telemetry exposition. The scrape's family list must match
+// testdata/metrics.golden (go test -update rewrites it).
 func TestRunObsEndpoint(t *testing.T) {
 	traceFile := filepath.Join(t.TempDir(), "trace.jsonl")
 	inR, inW := io.Pipe()
@@ -27,6 +48,7 @@ func TestRunObsEndpoint(t *testing.T) {
 		err := run([]string{
 			"-id", "obs-test",
 			"-obs.addr", "127.0.0.1:0",
+			"-gateway.addr", "127.0.0.1:0",
 			"-trace.jsonl", traceFile,
 			"-trace.flight", "128",
 			"-trace.sample", "1",
@@ -77,6 +99,19 @@ func TestRunObsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	got := surface(string(body))
+	if *update {
+		if err := os.WriteFile(metricsGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(metricsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("/metrics families differ from %s (go test -update rewrites it):\ngot:\n%s", metricsGolden, got)
 	}
 
 	resp, err = http.Get(base + "/metrics.json")
