@@ -325,6 +325,19 @@ func TestDownhillRelayAllocs(t *testing.T) {
 	}
 }
 
+// TestStatsAllocs: a node's counter snapshot and the field-wise sum
+// World.Rollup and TotalStats apply per node allocate nothing.
+func TestStatsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	n, _ := newHandlePacketWorld(t)
+	var total core.Stats
+	if got := testing.AllocsPerRun(200, func() { total = total.Add(n.Stats()) }); got != 0 {
+		t.Errorf("Node.Stats + Stats.Add = %.1f allocs, want 0", got)
+	}
+}
+
 // TestRelayRetainedBytes budgets what a routed message leaves on the
 // heap for good, in the style of TestE16MemBudget: the post-GC
 // HeapAlloc growth per message over 4,000 Downhill messages sent down
@@ -382,7 +395,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	run := func(b *testing.B, opts ...core.Option) {
 		n, data := newHandlePacketWorld(b, opts...)
 		reg := obs.NewRegistry()
-		obs.RegisterNodeStats(reg, n.Stats)
+		obs.RegisterStats(reg, n.Stats)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -428,7 +441,7 @@ func TestHandlePacketTelemetryAllocs(t *testing.T) {
 			data = frame
 		}
 		reg := obs.NewRegistry()
-		obs.RegisterNodeStats(reg, n.Stats)
+		obs.RegisterStats(reg, n.Stats)
 		return testing.AllocsPerRun(200, func() {
 			n.HandlePacket(topology.NodeName(1), data)
 		})

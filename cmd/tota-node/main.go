@@ -131,13 +131,16 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			return err
 		}
 		defer func() { _ = gw.Close() }()
-		gw.RegisterMetrics(reg)
+		obs.RegisterStats(reg, gw.Stats)
 		fmt.Fprintf(out, "gateway on %s\n", gw.Addr())
 	}
 
-	obs.RegisterNodeStats(reg, node.Stats)
-	obs.RegisterStoreSize(reg, node.StoreSize)
-	obs.RegisterUDPStats(reg, tr)
+	obs.RegisterStats(reg, node.Stats)
+	obs.RegisterStats(reg, tr.Stats)
+	reg.GaugeFunc("tota_node_store_size", "Tuples currently in the local space.",
+		func() float64 { return float64(node.StoreSize()) })
+	reg.GaugeFunc("tota_udp_neighbors", "Neighbors currently up.",
+		func() float64 { return float64(len(tr.Neighbors())) })
 	obs.RegisterRuntime(reg)
 	obs.RegisterMemMetrics(reg)
 	if *obsAddr != "" {

@@ -112,6 +112,22 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// TestCountersFieldsInDeclarationOrder: fields, the list Node.Stats and
+// Stats.Add loop over, names every counter once, in declaration order.
+func TestCountersFieldsInDeclarationOrder(t *testing.T) {
+	var c counters[int64]
+	got := c.fields()
+	v := reflect.ValueOf(&c).Elem()
+	if len(got) != v.NumField() {
+		t.Fatalf("fields lists %d counters, counters declares %d", len(got), v.NumField())
+	}
+	for i, p := range got {
+		if p != v.Field(i).Addr().Interface() {
+			t.Errorf("fields()[%d] is not %s", i, v.Type().Field(i).Name)
+		}
+	}
+}
+
 func TestNeighborTupleHooks(t *testing.T) {
 	nt := newNeighborTuple("me", "peer", true)
 	if nt.ShouldStore(nil) || nt.ShouldPropagate(nil) {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 
 	"tota/internal/space"
 	"tota/internal/transport"
@@ -173,7 +174,7 @@ type Node struct {
 	nextSub       SubID
 	pending       []Event
 	pendingTraces []TraceEvent
-	stats         atomicStats
+	stats         counters[atomic.Int64]
 	// idScratch is the reusable id snapshot buffer for the refresh,
 	// sweep, and catch-up loops (all run under mu, never nested).
 	idScratch []tuple.ID
@@ -535,9 +536,15 @@ func (n *Node) StoreSize() int {
 
 // Stats returns a snapshot of the node's counters. It takes no lock:
 // the counters are atomics, so telemetry may call it at any time — even
-// while a parallel emulation step is mutating other nodes.
+// while a parallel emulation step is mutating other nodes. The snapshot
+// is not a consistent cut, which is fine for monotone counters.
 func (n *Node) Stats() Stats {
-	return n.stats.Snapshot()
+	var s Stats
+	out := s.fields()
+	for i, c := range n.stats.fields() {
+		*out[i] = c.Load()
+	}
+	return s
 }
 
 func sortNodeIDs(ids []tuple.NodeID) {

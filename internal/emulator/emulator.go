@@ -396,11 +396,19 @@ func (w *World) GradientError(kind, name string, src tuple.NodeID, scope float64
 // TotalStats sums the middleware counters across all nodes. It may run
 // concurrently with a Tick (the telemetry contract): it walks its own
 // handle snapshot and the engines' atomic counters only.
-func (w *World) TotalStats() core.Stats {
+func (w *World) TotalStats() core.Stats { return w.sumNodes(nil) }
+
+// sumNodes is the one per-node sum behind TotalStats and Rollup: it adds
+// up every node's counters and, when storeSize is non-nil, its store
+// size (which takes each node's lock).
+func (w *World) sumNodes(storeSize *int) core.Stats {
 	var total core.Stats
 	for _, h := range w.graph.AppendSortedHandles(nil) {
 		if n := w.nodeAt(h); n != nil {
 			total = total.Add(n.Stats())
+			if storeSize != nil {
+				*storeSize += n.StoreSize()
+			}
 		}
 	}
 	return total

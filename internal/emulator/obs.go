@@ -13,22 +13,17 @@ import (
 
 // Rollup is one emulation-wide telemetry snapshot: the per-round
 // aggregation of node stats, radio traffic, topology churn and queue
-// depth that experiments and the tota-emu dashboard report.
+// depth that experiments and the tota-emu dashboard report. The metric
+// tags name the emulation-only series RegisterMetrics exposes.
 type Rollup struct {
-	// Tick and Time locate the snapshot on the emulation clock.
-	Tick int     `json:"tick"`
-	Time float64 `json:"time"`
-	// Nodes and Edges describe the current topology.
-	Nodes int `json:"nodes"`
-	Edges int `json:"edges"`
-	// Inflight is the radio's in-flight packet queue depth.
-	Inflight int `json:"inflight"`
-	// ChurnAdds / ChurnRemoves count cumulative link appearances and
-	// disappearances (mobility, scripted edits, crashes).
-	ChurnAdds    int64 `json:"churn_adds"`
-	ChurnRemoves int64 `json:"churn_removes"`
-	// StoreSize is the total number of stored tuples across all nodes.
-	StoreSize int `json:"store_size"`
+	Tick         int     `json:"tick" metric:"tota_emu_tick" help:"Emulation tick of the published rollup."`
+	Time         float64 `json:"time" metric:"tota_emu_time" help:"Simulated time of the published rollup."`
+	Nodes        int     `json:"nodes" metric:"tota_emu_nodes" help:"Nodes in the topology."`
+	Edges        int     `json:"edges" metric:"tota_emu_edges" help:"Links in the topology."`
+	Inflight     int     `json:"inflight" metric:"tota_emu_inflight" help:"Radio packets in flight."`
+	ChurnAdds    int64   `json:"churn_adds" metric:"tota_emu_churn_adds_total" help:"Links that appeared (mobility, edits)."`
+	ChurnRemoves int64   `json:"churn_removes" metric:"tota_emu_churn_removes_total" help:"Links that disappeared (mobility, edits, crashes)."`
+	StoreSize    int     `json:"store_size" metric:"tota_emu_store_size" help:"Stored tuples across all nodes."`
 	// Stats is the field-wise sum of every node's middleware counters.
 	Stats core.Stats `json:"stats"`
 	// Net is the radio's traffic counters.
@@ -41,7 +36,7 @@ type Rollup struct {
 	// stay bit-identical with or without observation.
 	MemRSSBytes     uint64  `json:"mem_rss_bytes,omitempty"`
 	MemPeakRSSBytes uint64  `json:"mem_peak_rss_bytes,omitempty"`
-	BytesPerNode    float64 `json:"bytes_per_node,omitempty"`
+	BytesPerNode    float64 `json:"bytes_per_node,omitempty" metric:"tota_emu_bytes_per_node" help:"Resident bytes per emulated node."`
 }
 
 // Rollup computes a fresh emulation-wide snapshot. It walks the node
@@ -59,14 +54,7 @@ func (w *World) Rollup() Rollup {
 		ChurnRemoves: w.churnRemoves.Load(),
 		Net:          w.sim.Stats(),
 	}
-	for _, h := range w.graph.AppendSortedHandles(nil) {
-		n := w.nodeAt(h)
-		if n == nil {
-			continue
-		}
-		r.Stats = r.Stats.Add(n.Stats())
-		r.StoreSize += n.StoreSize()
-	}
+	r.Stats = w.sumNodes(&r.StoreSize)
 	r.MemRSSBytes, r.MemPeakRSSBytes = obs.ReadProcRSS()
 	if r.Nodes > 0 {
 		r.BytesPerNode = float64(r.MemRSSBytes) / float64(r.Nodes)
@@ -92,53 +80,17 @@ func (w *World) cachedRollup() Rollup {
 	return Rollup{}
 }
 
-// RegisterMetrics exposes the emulation on a telemetry registry:
-// topology and queue gauges plus aggregated middleware counters. All
-// series read the rollup cached by the last Tick/PublishRollup, so
+// RegisterMetrics exposes the emulation on a telemetry registry: its
+// topology and queue series, and the node and radio counter families
+// under the names a single node exports, summed over nodes. All of
+// these read the rollup cached by the last Tick/PublishRollup, so
 // scrapes never race the stepping goroutine.
 func (w *World) RegisterMetrics(reg *obs.Registry) {
 	w.obsOn.Store(true)
 	w.PublishRollup()
-	gauge := func(name, help string, field func(Rollup) float64) {
-		reg.GaugeFunc(name, help, func() float64 { return field(w.cachedRollup()) })
-	}
-	counter := func(name, help string, field func(Rollup) int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(field(w.cachedRollup())) })
-	}
-	gauge("tota_emu_tick", "Emulation tick of the published rollup.", func(r Rollup) float64 { return float64(r.Tick) })
-	gauge("tota_emu_time", "Simulated time of the published rollup.", func(r Rollup) float64 { return r.Time })
-	gauge("tota_emu_nodes", "Nodes in the topology.", func(r Rollup) float64 { return float64(r.Nodes) })
-	gauge("tota_emu_edges", "Links in the topology.", func(r Rollup) float64 { return float64(r.Edges) })
-	gauge("tota_emu_inflight", "Radio packets in flight.", func(r Rollup) float64 { return float64(r.Inflight) })
-	gauge("tota_emu_store_size", "Stored tuples across all nodes.", func(r Rollup) float64 { return float64(r.StoreSize) })
-	counter("tota_emu_churn_adds_total", "Links that appeared (mobility, edits).", func(r Rollup) int64 { return r.ChurnAdds })
-	counter("tota_emu_churn_removes_total", "Links that disappeared (mobility, edits, crashes).", func(r Rollup) int64 { return r.ChurnRemoves })
-	counter("tota_emu_packets_in_total", "Engine packets received, summed over nodes.", func(r Rollup) int64 { return r.Stats.PacketsIn })
-	counter("tota_emu_stored_total", "First-time stores, summed over nodes.", func(r Rollup) int64 { return r.Stats.Stored })
-	counter("tota_emu_dup_dropped_total", "Duplicate arrivals dropped, summed over nodes.", func(r Rollup) int64 { return r.Stats.DupDropped })
-	counter("tota_emu_repairs_total", "Maintenance adoptions, summed over nodes.", func(r Rollup) int64 { return r.Stats.MaintAdopt })
-	counter("tota_emu_withdrawals_total", "Maintenance withdrawals, summed over nodes.", func(r Rollup) int64 { return r.Stats.MaintDrop })
-	counter("tota_emu_send_errors_total", "Transport send failures, summed over nodes.", func(r Rollup) int64 { return r.Stats.SendErrors })
-	counter("tota_emu_frames_out_total", "Batch frames sent, summed over nodes.", func(r Rollup) int64 { return r.Stats.FramesOut })
-	counter("tota_emu_digests_out_total", "Digest messages sent, summed over nodes.", func(r Rollup) int64 { return r.Stats.DigestsOut })
-	counter("tota_emu_pulls_out_total", "Pull requests sent, summed over nodes.", func(r Rollup) int64 { return r.Stats.PullsOut })
-	counter("tota_emu_refresh_suppressed_total", "Refresh announcements suppressed by digests, summed over nodes.", func(r Rollup) int64 { return r.Stats.RefreshSuppressed })
-	counter("tota_emu_radio_sent_total", "Radio transmissions.", func(r Rollup) int64 { return r.Net.Sent })
-	counter("tota_emu_radio_dropped_total", "Radio packets lost.", func(r Rollup) int64 { return r.Net.Dropped })
-	counter("tota_emu_suspected_total", "Maintained copies that entered the suspicion grace window, summed over nodes.", func(r Rollup) int64 { return r.Stats.Suspected })
-	counter("tota_emu_suspect_recovered_total", "Suspicions cancelled by returning support, summed over nodes.", func(r Rollup) int64 { return r.Stats.SuspectRecovered })
-	counter("tota_emu_pulls_suppressed_total", "Anti-entropy pulls skipped by backoff, summed over nodes.", func(r Rollup) int64 { return r.Stats.PullsSuppressed })
-	counter("tota_emu_query_epochs_total", "Convergecast epochs started by query sources, summed over nodes.", func(r Rollup) int64 { return r.Stats.QueryEpochs })
-	counter("tota_emu_partials_out_total", "Partial aggregates sent up parent links, summed over nodes.", func(r Rollup) int64 { return r.Stats.PartialsOut })
-	counter("tota_emu_partials_combined_total", "Child partials folded into local aggregates, summed over nodes.", func(r Rollup) int64 { return r.Stats.PartialsCombined })
-	counter("tota_emu_agg_results_total", "Convergecast results computed at query sources, summed over nodes.", func(r Rollup) int64 { return r.Stats.AggResults })
-	counter("tota_emu_radio_corrupted_total", "Radio packets delivered with injected byte flips.", func(r Rollup) int64 { return r.Net.Corrupted })
-	counter("tota_emu_radio_blocked_total", "Radio packets discarded at a partition cut.", func(r Rollup) int64 { return r.Net.Blocked })
-	counter("tota_emu_radio_shed_total", "Radio packets shed by the bounded inbound queue.", func(r Rollup) int64 { return r.Net.Shed })
-	counter("tota_emu_radio_payload_bytes_total", "Radio payload bytes transmitted.", func(r Rollup) int64 { return r.Net.PayloadBytes })
-	gauge("tota_emu_mem_rss_bytes", "Process resident set at the published rollup (VmRSS).", func(r Rollup) float64 { return float64(r.MemRSSBytes) })
-	gauge("tota_emu_mem_peak_rss_bytes", "Process peak resident set (VmHWM).", func(r Rollup) float64 { return float64(r.MemPeakRSSBytes) })
-	gauge("tota_emu_bytes_per_node", "Resident bytes per emulated node.", func(r Rollup) float64 { return r.BytesPerNode })
+	obs.RegisterStats(reg, w.cachedRollup)
+	obs.RegisterStats(reg, func() core.Stats { return w.cachedRollup().Stats })
+	obs.RegisterStats(reg, func() transport.Stats { return w.cachedRollup().Net })
 	reg.CounterFunc("tota_emu_radio_rounds_total", "Radio rounds stepped (includes Settle drains).", func() float64 {
 		return float64(w.sim.Rounds())
 	})

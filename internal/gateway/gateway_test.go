@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,22 @@ import (
 	"tota/internal/transport"
 	"tota/internal/tuple"
 )
+
+// TestCountersFieldsInDeclarationOrder: fields, the list Stats loops
+// over, names every counter once, in declaration order.
+func TestCountersFieldsInDeclarationOrder(t *testing.T) {
+	var c counters[int64]
+	got := c.fields()
+	v := reflect.ValueOf(&c).Elem()
+	if len(got) != v.NumField() {
+		t.Fatalf("fields lists %d counters, counters declares %d", len(got), v.NumField())
+	}
+	for i, p := range got {
+		if p != v.Field(i).Addr().Interface() {
+			t.Errorf("fields()[%d] is not %s", i, v.Type().Field(i).Name)
+		}
+	}
+}
 
 // newTestNode builds a standalone single-node middleware instance; the
 // gateway surface is purely local, so no peers are needed.
@@ -376,7 +393,7 @@ func TestGatewaySlowConsumerDropAccounting(t *testing.T) {
 	if got := sub.drops.Load(); got != 2 {
 		t.Fatalf("sub drops = %d, want 2", got)
 	}
-	if gw.stats.dropped.Load() != 2 || gw.stats.delivered.Load() != 1 {
+	if gw.stats.EventsDropped.Load() != 2 || gw.stats.EventsDelivered.Load() != 1 {
 		t.Fatalf("gateway stats = %+v", gw.Stats())
 	}
 	first := decode(<-c.out)

@@ -49,42 +49,36 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Stats is a snapshot of the gateway's counters, all externally
-// scrape-able as tota_gateway_* (see RegisterMetrics).
-type Stats struct {
-	// Clients is the current connection count; Subscriptions the
-	// current live subscription count across all connections.
-	Clients       int64
-	Subscriptions int64
-	// Rejected counts connections turned away at the MaxClients cap.
-	Rejected int64
-	// Injects and Reads count successful RPCs.
-	Injects int64
-	Reads   int64
-	// EventsDelivered counts event frames queued to clients;
-	// EventsDropped counts events lost to full per-connection queues —
-	// the explicit slow-consumer accounting.
-	EventsDelivered int64
-	EventsDropped   int64
-	// ReplayHits/ReplayMisses count subscribe-time replay outcomes;
-	// ReplayEvents counts events re-delivered from the ring.
-	ReplayHits   int64
-	ReplayMisses int64
-	ReplayEvents int64
+// counters declares each gateway counter once: its field, the metric it
+// is exposed as (obs.RegisterStats reads the tags) and its help text.
+// Stats instantiates it with int64 snapshots, the gateway's live set
+// with atomic.Int64. Clients and Subscriptions are current counts, so
+// they are exposed as gauges.
+type counters[C any] struct {
+	Clients         C `metric:"tota_gateway_clients" help:"Currently connected gateway clients."`
+	Subscriptions   C `metric:"tota_gateway_subscriptions" help:"Currently live client subscriptions."`
+	Rejected        C `metric:"tota_gateway_clients_rejected_total" help:"Connections refused at the max-clients cap."`
+	Injects         C `metric:"tota_gateway_injects_total" help:"Successful inject RPCs."`
+	Reads           C `metric:"tota_gateway_reads_total" help:"Successful read RPCs."`
+	EventsDelivered C `metric:"tota_gateway_events_delivered_total" help:"Event frames queued to client connections."`
+	EventsDropped   C `metric:"tota_gateway_events_dropped_total" help:"Events lost to full per-connection queues (slow consumers)."`
+	ReplayHits      C `metric:"tota_gateway_replay_hits_total" help:"Subscribe-time replays fully served from the ring."`
+	ReplayMisses    C `metric:"tota_gateway_replay_misses_total" help:"Subscribe-time replays that could not be completed (epoch change or ring eviction)."`
+	ReplayEvents    C `metric:"tota_gateway_replayed_events_total" help:"Events re-delivered from the replay ring."`
 }
 
-type gatewayStats struct {
-	clients       atomic.Int64
-	subscriptions atomic.Int64
-	rejected      atomic.Int64
-	injects       atomic.Int64
-	reads         atomic.Int64
-	delivered     atomic.Int64
-	dropped       atomic.Int64
-	replayHits    atomic.Int64
-	replayMisses  atomic.Int64
-	replayEvents  atomic.Int64
+// fields lists c's counters in declaration order (a test holds it to
+// the struct).
+func (c *counters[C]) fields() [10]*C {
+	return [...]*C{
+		&c.Clients, &c.Subscriptions, &c.Rejected, &c.Injects, &c.Reads,
+		&c.EventsDelivered, &c.EventsDropped, &c.ReplayHits, &c.ReplayMisses,
+		&c.ReplayEvents,
+	}
 }
+
+// Stats is a snapshot of the gateway's counters, declared in counters.
+type Stats counters[int64]
 
 // Gateway serves the client RPC surface for one middleware node.
 type Gateway struct {
@@ -106,7 +100,7 @@ type Gateway struct {
 	closed  bool
 	coreSub core.SubID
 
-	stats gatewayStats
+	stats counters[atomic.Int64]
 	wg    sync.WaitGroup
 }
 
@@ -169,18 +163,12 @@ func (g *Gateway) Epoch() string { return g.epoch }
 
 // Stats snapshots the counters.
 func (g *Gateway) Stats() Stats {
-	return Stats{
-		Clients:         g.stats.clients.Load(),
-		Subscriptions:   g.stats.subscriptions.Load(),
-		Rejected:        g.stats.rejected.Load(),
-		Injects:         g.stats.injects.Load(),
-		Reads:           g.stats.reads.Load(),
-		EventsDelivered: g.stats.delivered.Load(),
-		EventsDropped:   g.stats.dropped.Load(),
-		ReplayHits:      g.stats.replayHits.Load(),
-		ReplayMisses:    g.stats.replayMisses.Load(),
-		ReplayEvents:    g.stats.replayEvents.Load(),
+	var s Stats
+	out := (*counters[int64])(&s).fields()
+	for i, c := range g.stats.fields() {
+		*out[i] = c.Load()
 	}
+	return s
 }
 
 // Close stops accepting, detaches from the node and closes every
@@ -227,7 +215,7 @@ func (g *Gateway) acceptLoop() {
 		}
 		if len(g.conns) >= g.cfg.MaxClients {
 			g.mu.Unlock()
-			g.stats.rejected.Add(1)
+			g.stats.Rejected.Add(1)
 			// Reject with an addressed error frame so the client can
 			// distinguish "full" from a network failure.
 			_ = nc.SetWriteDeadline(time.Now().Add(writeTimeout))
@@ -244,7 +232,7 @@ func (g *Gateway) acceptLoop() {
 		}
 		g.conns[c] = struct{}{}
 		g.mu.Unlock()
-		g.stats.clients.Add(1)
+		g.stats.Clients.Add(1)
 		g.wg.Add(2)
 		go c.readLoop()
 		go c.writeLoop()
@@ -333,12 +321,12 @@ func (c *conn) close() {
 		delete(c.gw.conns, c)
 		c.gw.mu.Unlock()
 		if tracked {
-			c.gw.stats.clients.Add(-1)
+			c.gw.stats.Clients.Add(-1)
 			c.mu.Lock()
 			n := len(c.subs)
 			c.subs = map[uint64]*serverSub{}
 			c.mu.Unlock()
-			c.gw.stats.subscriptions.Add(-int64(n))
+			c.gw.stats.Subscriptions.Add(-int64(n))
 		}
 	})
 }
@@ -443,7 +431,7 @@ func (c *conn) handle(req Request) (resp *Response, fatal bool) {
 		delete(c.subs, req.Sub)
 		c.mu.Unlock()
 		if ok {
-			c.gw.stats.subscriptions.Add(-1)
+			c.gw.stats.Subscriptions.Add(-1)
 		}
 		return &Response{OK: true}, false
 	default:
@@ -466,7 +454,7 @@ func (c *conn) handleInject(req Request) Response {
 	if err != nil {
 		return Response{Err: fmt.Sprintf("gateway: inject: %v", err)}
 	}
-	c.gw.stats.injects.Add(1)
+	c.gw.stats.Injects.Add(1)
 	return Response{OK: true, ID: id.String()}
 }
 
@@ -483,7 +471,7 @@ func (c *conn) handleRead(req Request) Response {
 		}
 		out = append(out, data)
 	}
-	c.gw.stats.reads.Add(1)
+	c.gw.stats.Reads.Add(1)
 	return Response{OK: true, Tuples: out}
 }
 
@@ -511,7 +499,7 @@ func (c *conn) handleSubscribe(req Request) (*Response, bool) {
 	c.nextSub++
 	sub := &serverSub{id: c.nextSub, tpl: tpl}
 	c.subs[sub.id] = sub
-	c.gw.stats.subscriptions.Add(1)
+	c.gw.stats.Subscriptions.Add(1)
 
 	resp := Response{OK: true, Sub: sub.id, Epoch: c.gw.epoch, NextSeq: seqAt}
 	wantReplay := req.FromSeq > 0 || req.Epoch != ""
@@ -527,10 +515,10 @@ func (c *conn) handleSubscribe(req Request) (*Response, bool) {
 	if wantReplay {
 		if sameEpoch && complete {
 			resp.Replay = ReplayHit
-			c.gw.stats.replayHits.Add(1)
+			c.gw.stats.ReplayHits.Add(1)
 		} else {
 			resp.Replay = ReplayMiss
-			c.gw.stats.replayMisses.Add(1)
+			c.gw.stats.ReplayMisses.Add(1)
 		}
 	}
 	// The acknowledgement must precede the replayed events on the wire
@@ -553,7 +541,7 @@ func (c *conn) handleSubscribe(req Request) (*Response, bool) {
 	}
 	for _, e := range entries {
 		if tpl.Matches(e.tup) && c.enqueueLocked(sub, e, true) {
-			c.gw.stats.replayEvents.Add(1)
+			c.gw.stats.ReplayEvents.Add(1)
 		}
 	}
 	return nil, false
@@ -585,11 +573,11 @@ func (c *conn) enqueueLocked(sub *serverSub, e ringEntry, replay bool) bool {
 	}
 	select {
 	case c.out <- buf:
-		c.gw.stats.delivered.Add(1)
+		c.gw.stats.EventsDelivered.Add(1)
 		return true
 	default:
 		sub.drops.Add(1)
-		c.gw.stats.dropped.Add(1)
+		c.gw.stats.EventsDropped.Add(1)
 		return false
 	}
 }

@@ -76,6 +76,14 @@ func parseStatusKB(rest string) uint64 {
 	return kb * 1024
 }
 
+// RegisterRuntime exposes the live goroutine count (RegisterMemMetrics
+// exposes the heap and GC figures).
+func RegisterRuntime(r *Registry) {
+	r.GaugeFunc("tota_go_goroutines", "Live goroutines.", func() float64 {
+		return float64(runtime.NumGoroutine())
+	})
+}
+
 // RegisterMemMetrics exposes the tota_mem_* gauge family on a registry:
 // the Go heap figures plus the kernel RSS. Values are read at collect
 // time only, so registration costs nothing between scrapes.

@@ -8,10 +8,11 @@
 //
 //   - Zero cost on the packet hot path. Instruments are plain atomics;
 //     registration happens once at startup; exposition walks the
-//     registry only when scraped. Components that already keep atomic
-//     counters (core.Node, transport.Sim, udp.Transport) are exposed
-//     through *Func instruments that snapshot at collect time, so the
-//     hot path is untouched.
+//     registry only when scraped. Components that keep their own
+//     counters (core.Node, transport.Sim, udp.Transport, the gateway)
+//     declare each one as a tagged Stats field, and RegisterStats
+//     exposes them through *Func instruments that snapshot at collect
+//     time, so the hot path is untouched.
 //   - No third-party dependencies: the Prometheus text format is tiny
 //     and written by hand.
 package obs

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"tota/internal/fault"
+	"tota/internal/gateway"
+	"tota/internal/obs"
 )
 
 // Report is the outcome of one testnet run.
@@ -283,20 +285,17 @@ func (h *Harness) finishClientReport() {
 		if err != nil {
 			continue
 		}
-		var snaps []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		}
+		var snaps []obs.Snapshot
 		if err := json.Unmarshal(body, &snaps); err != nil {
 			continue
 		}
 		for _, s := range snaps {
 			switch s.Name {
-			case "tota_gateway_replay_hits_total":
+			case obs.MetricName[gateway.Stats]("ReplayHits"):
 				h.report.GatewayReplayHits += s.Value
-			case "tota_gateway_replay_misses_total":
+			case obs.MetricName[gateway.Stats]("ReplayMisses"):
 				h.report.GatewayReplayMisses += s.Value
-			case "tota_gateway_events_dropped_total":
+			case obs.MetricName[gateway.Stats]("EventsDropped"):
 				h.report.GatewayDrops += s.Value
 			}
 		}

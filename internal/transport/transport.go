@@ -62,29 +62,18 @@ type Handler interface {
 }
 
 // Stats counts substrate-level traffic for the experiments' overhead
-// metrics.
+// metrics. Each field's tags name the metric it is exposed as
+// (obs.RegisterStats) and say what it counts. PayloadBytes counts lost
+// packets too — the radio still spent the airtime — so experiments can
+// report wire cost per epoch, not just frame counts. Blocked packets
+// are not counted in Dropped.
 type Stats struct {
-	// Sent counts point-to-point transmissions (a broadcast to k
-	// neighbors counts k).
-	Sent int64
-	// PayloadBytes totals the payload bytes of those transmissions
-	// (lost packets included — the radio still spent the airtime), so
-	// experiments can report wire cost per epoch, not just frame
-	// counts.
-	PayloadBytes int64
-	// Broadcasts counts broadcast operations.
-	Broadcasts int64
-	// Delivered counts packets handed to handlers.
-	Delivered int64
-	// Dropped counts packets lost in flight.
-	Dropped int64
-	// Corrupted counts packets enqueued with injected byte flips
-	// (fault injection).
-	Corrupted int64
-	// Blocked counts packets discarded at a partition cut (fault
-	// injection; counted separately from Dropped).
-	Blocked int64
-	// Shed counts queued packets discarded by the bounded inbound
-	// queue's shed-oldest overload policy.
-	Shed int64
+	Sent         int64 `metric:"tota_radio_sent_total" help:"Point-to-point transmissions (a broadcast to k neighbors counts k)."`
+	PayloadBytes int64 `metric:"tota_radio_payload_bytes_total" help:"Radio payload bytes transmitted."`
+	Broadcasts   int64 `metric:"tota_radio_broadcasts_total" help:"Broadcast operations."`
+	Delivered    int64 `metric:"tota_radio_delivered_total" help:"Packets handed to handlers."`
+	Dropped      int64 `metric:"tota_radio_dropped_total" help:"Packets lost in flight."`
+	Corrupted    int64 `metric:"tota_radio_corrupted_total" help:"Packets delivered with injected byte flips (fault injection)."`
+	Blocked      int64 `metric:"tota_radio_blocked_total" help:"Packets discarded at a partition cut (fault injection)."`
+	Shed         int64 `metric:"tota_radio_shed_total" help:"Packets shed by the bounded inbound queue."`
 }

@@ -1,6 +1,7 @@
 package udp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if typ != frameHello || id != "node-7" || len(got) != 0 {
 		t.Errorf("hello parsed = %v %q %v", typ, id, got)
+	}
+}
+
+// TestCountersFieldsInDeclarationOrder: fields, the list Stats loops
+// over, names every counter once, in declaration order.
+func TestCountersFieldsInDeclarationOrder(t *testing.T) {
+	var c counters[int64]
+	got := c.fields()
+	v := reflect.ValueOf(&c).Elem()
+	if len(got) != v.NumField() {
+		t.Fatalf("fields lists %d counters, counters declares %d", len(got), v.NumField())
+	}
+	for i, p := range got {
+		if p != v.Field(i).Addr().Interface() {
+			t.Errorf("fields()[%d] is not %s", i, v.Type().Field(i).Name)
+		}
 	}
 }
 
@@ -65,11 +82,15 @@ func TestFrameQuick(t *testing.T) {
 // transport must survive and keep working.
 func TestGarbageDatagramsIgnored(t *testing.T) {
 	ta, na := newUDPNode(t, "ga")
-	tb, _ := newUDPNode(t, "gb")
+	tb, nb := newUDPNode(t, "gb")
 	connect(t, ta, tb)
 	ta.Start()
 	tb.Start()
-	eventually(t, "discovery", func() bool { return len(na.Neighbors()) == 1 })
+	// tb.Send("ga", …) needs gb to have heard ga's hello, not only the
+	// reverse: wait for both sides.
+	eventually(t, "discovery", func() bool {
+		return len(na.Neighbors()) == 1 && len(nb.Neighbors()) == 1
+	})
 
 	// Throw junk at a's socket from an unknown sender.
 	if err := tb.AddPeer(ta.Addr()); err != nil {

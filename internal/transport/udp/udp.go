@@ -79,32 +79,29 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Stats is a snapshot of a transport's socket-level counters.
-type Stats struct {
-	// Sent counts datagrams written to the socket (data and hello).
-	Sent int64
-	// SendErrors counts socket write failures.
-	SendErrors int64
-	// Received counts datagrams read from the socket.
-	Received int64
-	// BadFrames counts received frames that failed to parse.
-	BadFrames int64
-	// Hellos counts discovery beacons received.
-	Hellos int64
-	// Shed counts packets discarded by the bounded inbound queue's
-	// shed-oldest overload policy (zero when InboundQueue is disabled).
-	Shed int64
+// counters declares each socket counter once: its field, the metric it
+// is exposed as (obs.RegisterStats reads the tags) and its help text.
+// Stats instantiates it with int64 snapshots, the transport's live set
+// with atomic.Int64. Sent counts data and hello datagrams alike; Shed
+// stays zero when Config.InboundQueue is disabled.
+type counters[C any] struct {
+	Sent       C `metric:"tota_udp_datagrams_sent_total" help:"Datagrams written to the socket."`
+	SendErrors C `metric:"tota_udp_send_errors_total" help:"Socket write failures."`
+	Received   C `metric:"tota_udp_datagrams_received_total" help:"Datagrams read from the socket."`
+	BadFrames  C `metric:"tota_udp_bad_frames_total" help:"Undecodable frames received."`
+	Hellos     C `metric:"tota_udp_hellos_total" help:"Discovery beacons received."`
+	Shed       C `metric:"tota_udp_shed_total" help:"Inbound packets shed by the bounded staging queue."`
 }
 
-// udpStats is the live atomic counter set behind Stats.
-type udpStats struct {
-	sent       atomic.Int64
-	sendErrors atomic.Int64
-	received   atomic.Int64
-	badFrames  atomic.Int64
-	hellos     atomic.Int64
-	shed       atomic.Int64
+// fields lists c's counters in declaration order (a test holds it to
+// the struct).
+func (c *counters[C]) fields() [6]*C {
+	return [...]*C{&c.Sent, &c.SendErrors, &c.Received, &c.BadFrames, &c.Hellos, &c.Shed}
 }
+
+// Stats is a snapshot of a transport's socket-level counters, declared
+// in counters.
+type Stats counters[int64]
 
 // Transport is a UDP-backed transport.Sender. Attach the middleware
 // node with SetHandler, then Start.
@@ -112,7 +109,7 @@ type Transport struct {
 	cfg  Config
 	conn *net.UDPConn
 
-	stats udpStats
+	stats counters[atomic.Int64]
 
 	mu       sync.Mutex
 	handler  transport.Handler
@@ -308,24 +305,22 @@ func (t *Transport) Neighbors() []tuple.NodeID {
 // the counters are atomics, safe to read from a telemetry scrape at
 // any time.
 func (t *Transport) Stats() Stats {
-	return Stats{
-		Sent:       t.stats.sent.Load(),
-		SendErrors: t.stats.sendErrors.Load(),
-		Received:   t.stats.received.Load(),
-		BadFrames:  t.stats.badFrames.Load(),
-		Hellos:     t.stats.hellos.Load(),
-		Shed:       t.stats.shed.Load(),
+	var s Stats
+	out := (*counters[int64])(&s).fields()
+	for i, c := range t.stats.fields() {
+		*out[i] = c.Load()
 	}
+	return s
 }
 
 // write sends one datagram, counting it and any failure (with a
 // rate-limited log line: failures are expected while peers restart, so
 // they must not flood the log or fail the caller's whole broadcast).
 func (t *Transport) write(frame []byte, to *net.UDPAddr) error {
-	t.stats.sent.Add(1)
+	t.stats.Sent.Add(1)
 	_, err := t.conn.WriteToUDP(frame, to)
 	if err != nil {
-		c := t.stats.sendErrors.Add(1)
+		c := t.stats.SendErrors.Add(1)
 		if t.cfg.Logger != nil && c&(c-1) == 0 {
 			t.cfg.Logger.Warn("udp: send failed",
 				"node", string(t.cfg.NodeID), "to", to.String(), "err", err, "count", c)
@@ -507,10 +502,10 @@ func (t *Transport) readLoop() {
 		if err != nil {
 			return // socket closed
 		}
-		t.stats.received.Add(1)
+		t.stats.Received.Add(1)
 		typ, id, payload, perr := parseFrame(buf[:n])
 		if perr != nil {
-			c := t.stats.badFrames.Add(1)
+			c := t.stats.BadFrames.Add(1)
 			if t.cfg.Logger != nil && c&(c-1) == 0 {
 				t.cfg.Logger.Warn("udp: undecodable frame dropped",
 					"node", string(t.cfg.NodeID), "from", raddr.String(), "err", perr, "count", c)
@@ -522,7 +517,7 @@ func (t *Transport) readLoop() {
 		}
 		switch typ {
 		case frameHello:
-			t.stats.hellos.Add(1)
+			t.stats.Hellos.Add(1)
 			t.handleHello(id, raddr)
 		case frameData:
 			t.handleData(id, raddr, payload)
@@ -618,7 +613,7 @@ func (t *Transport) stageInbound(pkt inPacket) {
 		}
 		select {
 		case <-t.inq: // shed the oldest staged packet
-			t.stats.shed.Add(1)
+			t.stats.Shed.Add(1)
 		default:
 		}
 	}

@@ -72,7 +72,7 @@ func TestTemplateJSONMatchingSurvives(t *testing.T) {
 func TestTemplateJSONRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		`{`,
-		`{"fields":[{"name":"x"}]}`,                            // neither any nor value
+		`{"fields":[{"name":"x"}]}`, // neither any nor value
 		`{"fields":[{"name":"x","any":true,"kind":"complex"}]}`, // unknown kind
 	} {
 		if _, err := UnmarshalTemplateJSON([]byte(bad)); err == nil {
