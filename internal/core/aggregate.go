@@ -111,7 +111,7 @@ func aggQueryOf(st *tupleState) (*agg.Query, bool) {
 func (n *Node) handleQueryLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.QueriesIn.Add(1)
 	st := n.states.lookup(msg.ID)
-	if st == nil || st.has(stRetracted) {
+	if st == nil {
 		return
 	}
 	if _, isQ := aggQueryOf(st); !isQ {
@@ -141,7 +141,7 @@ func (n *Node) handleQueryLocked(from tuple.NodeID, msg *wire.Message) {
 func (n *Node) handlePartialLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.PartialsIn.Add(1)
 	st := n.states.lookup(msg.ID)
-	if st == nil || st.has(stRetracted) {
+	if st == nil {
 		return
 	}
 	if _, isQ := aggQueryOf(st); !isQ {

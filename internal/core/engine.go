@@ -21,8 +21,6 @@ const (
 	stPropagated
 	// stSource: this node injected the tuple.
 	stSource
-	// stRetracted: the tombstone set by structure teardown.
-	stRetracted
 	// stSupportTab: a maintenance support table was ever recorded for
 	// the structure (the old "nbrVals map is non-nil"), gating the
 	// withdraw pipeline for ids that never carried support.
@@ -44,12 +42,12 @@ const (
 	stParentFlap
 )
 
-// tupleState is the engine's per-tuple-id bookkeeping, tracking dedup,
-// maintenance support tables and retraction tombstones. States live by
-// value in the stateTable slab, packed: flag booleans share one
-// bitmask, integers are right-sized, and the per-neighbor maps of the
-// pre-columnar layout are one sorted peer slice (see tuplePeer), so the
-// refresh/digest loops walk contiguous rows.
+// tupleState is the engine's per-tuple-id bookkeeping, tracking dedup
+// and maintenance support tables. States live by value in the
+// stateTable slab, packed: flag booleans share one bitmask, integers
+// are right-sized, and the per-neighbor maps of the pre-columnar layout
+// are one sorted peer slice (see tuplePeer), so the refresh/digest
+// loops walk contiguous rows.
 type tupleState struct {
 	// local is the stored copy (nil when not stored).
 	local tuple.Tuple
@@ -340,6 +338,9 @@ func (n *Node) HandleNeighbor(peer tuple.NodeID, added bool) {
 
 // injectLocked runs the arrival pipeline at the injecting node.
 func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
+	// Inject assigns a fresh seq, so a tombstone naming it was an earlier
+	// incarnation's (a restarted node numbers from 1 again).
+	n.states.retracted.remove(t.ID())
 	st := n.stateFor(t.ID())
 	st.mark(stSource | stVisited)
 	if tid, ok := sampleTrace(t.ID(), n.cfg.TraceSampleRate); ok {
@@ -380,7 +381,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 		return
 	}
 	st := n.stateFor(t.ID())
-	if st.has(stRetracted) {
+	if st == nil { // buried: retracted or expired here
 		n.stats.DupDropped.Add(1)
 		return
 	}
@@ -504,7 +505,7 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 			continue
 		}
 		st := n.stateFor(e.ID)
-		if st.has(stRetracted) {
+		if st == nil { // buried
 			continue
 		}
 		// The digest path must honor the same acceptance policy as the
@@ -664,9 +665,9 @@ func (n *Node) handlePullLocked(from tuple.NodeID, msg *wire.Message) {
 	for _, id := range msg.Want {
 		st := n.states.lookup(id)
 		if st == nil {
-			continue
-		}
-		if st.has(stRetracted) {
+			if !n.states.retracted.has(id) {
+				continue
+			}
 			if data, err := wire.Encode(wire.Message{Type: wire.MsgRetract, ID: id}); err == nil {
 				n.stageMsgs = append(n.stageMsgs, data)
 			}
@@ -886,34 +887,29 @@ func (n *Node) handleRetractLocked(id tuple.ID) {
 	if id.IsZero() {
 		return
 	}
-	if n.states.lookup(id) == nil && !n.states.parked[id.Node].has(id.Seq) {
+	if n.states.lookup(id) == nil && !n.states.parked.has(id) {
 		// Tombstone only: the structure never passed through here, so
 		// no downstream copies were fed by this node.
-		n.stateFor(id).mark(stRetracted)
+		n.states.bury(id)
 		return
 	}
 	n.retractLocked(id)
 }
 
+// retractLocked tears id down here and passes the retraction on. The
+// row goes with it: bury leaves only the tombstone.
 func (n *Node) retractLocked(id tuple.ID) {
-	st := n.stateFor(id)
-	if st.has(stRetracted) {
+	if n.states.retracted.has(id) {
 		return
 	}
-	st.mark(stRetracted)
-	st.unmark(stSupportTab)
-	st.peers = nil
-	st.exemplar = nil
-	st.parent = ""
-	n.dropQueryStateLocked(id)
-	if st.has(stStored) {
-		st.unmark(stStored)
+	if st := n.states.lookup(id); st != nil && st.has(stStored) {
 		if removed, ok := n.store.remove(id); ok {
 			n.emitTupleLocked(TupleRemoved, removed)
 		}
-		st.local = nil
 		n.invalidateWireLocked(st)
 	}
+	n.dropQueryStateLocked(id)
+	n.states.bury(id)
 	n.stats.Retracted.Add(1)
 	n.traceLocked(TraceEvent{Kind: TraceRetract, ID: id})
 	n.sendMsgLocked("", wire.Message{Type: wire.MsgRetract, ID: id})
@@ -1020,8 +1016,8 @@ func (n *Node) handleNeighborRemovedLocked(peer tuple.NodeID) {
 	n.emitNeighborLocked(NeighborRemoved, peer)
 }
 
-// sweepExpiredLocked removes stored copies whose lease has elapsed,
-// tombstoning their ids locally so announcements cannot resurrect them.
+// sweepExpiredLocked removes stored copies whose lease has elapsed and
+// buries their ids locally, so announcements cannot resurrect them.
 func (n *Node) sweepExpiredLocked(now float64) int {
 	if now > n.now {
 		n.now = now
@@ -1042,12 +1038,8 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 			continue
 		}
 		n.store.remove(id)
-		st.unmark(stStored)
-		st.local = nil
 		n.invalidateWireLocked(st)
-		st.parent = ""
-		st.mark(stRetracted) // local tombstone: expired copies stay dead
-		st.exemplar = nil
+		n.states.bury(id)
 		n.dropQueryStateLocked(id)
 		n.stats.Expired.Add(1)
 		n.traceLocked(TraceEvent{Kind: TraceExpire, ID: id, TupleKind: t.Kind()})

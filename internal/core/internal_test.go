@@ -217,18 +217,34 @@ func TestDuplicateNeighborEventsIgnored(t *testing.T) {
 	}
 }
 
+// TestRetractUnknownIDTombstones: a retraction of an id this node never
+// saw leaves a tombstone in the retracted runs, not a row.
 func TestRetractUnknownIDTombstones(t *testing.T) {
 	n := New(failingSender{})
 	id := tuple.ID{Node: "elsewhere", Seq: 3}
 	n.handleRetractLockedPublic(id)
-	st := n.states.lookup(id)
-	if st == nil || !st.has(stRetracted) {
-		t.Error("unknown retract did not tombstone")
+	if n.states.len() != 0 || !n.states.retracted.has(id) {
+		t.Errorf("unknown retract: %d rows, retracted runs %v", n.states.len(), n.states.retracted)
 	}
 	// A second retract for the same id is a no-op.
 	n.handleRetractLockedPublic(id)
 	if got := n.stats.Retracted.Load(); got != 0 {
 		t.Errorf("tombstone-only retract counted: %d", got)
+	}
+}
+
+// TestInjectOverOwnTombstone: a restarted node numbers from 1 again, so
+// a retraction of its earlier incarnation's tuple can bury an id it
+// later assigns. Inject takes the id back and the tuple is stored.
+func TestInjectOverOwnTombstone(t *testing.T) {
+	n := New(failingSender{})
+	n.handleRetractLockedPublic(tuple.ID{Node: n.Self(), Seq: 1})
+	id, err := n.Inject(&countingTuple{})
+	if err != nil || id.Seq != 1 {
+		t.Fatalf("Inject = %v, %v; want seq 1", id, err)
+	}
+	if n.StoreSize() != 1 || n.states.retracted.has(id) {
+		t.Errorf("after the inject: %d stored, id still buried: %v", n.StoreSize(), n.states.retracted.has(id))
 	}
 }
 

@@ -68,16 +68,28 @@ func (pl *parkLine) parked(i int) seenRuns {
 	return append(seenRuns(nil), pl.n[i].states.parked[topology.NodeName(0)]...)
 }
 
+// retracted returns the retracted seq runs node i keeps for n0's tuples.
+func (pl *parkLine) retracted(i int) seenRuns {
+	pl.n[i].mu.Lock()
+	defer pl.n[i].mu.Unlock()
+	return append(seenRuns(nil), pl.n[i].states.retracted[topology.NodeName(0)]...)
+}
+
+func (pl *parkLine) encode(m wire.Message) []byte {
+	pl.t.Helper()
+	data, err := wire.Encode(m)
+	if err != nil {
+		pl.t.Fatal(err)
+	}
+	return data
+}
+
 // messageFrame encodes message k as n0 broadcast it.
 func (pl *parkLine) messageFrame(k int) []byte {
 	pl.t.Helper()
 	m := pattern.NewDownhill("inbox", tuple.I("seq", int64(k)))
 	m.SetID(pl.msgs[k])
-	data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Tuple: m})
-	if err != nil {
-		pl.t.Fatal(err)
-	}
-	return data
+	return pl.encode(wire.Message{Type: wire.MsgTuple, Tuple: m})
 }
 
 // TestRelayRowsPark: a node that injects or relays a message it does not
@@ -122,7 +134,9 @@ func TestRelayRowsPark(t *testing.T) {
 // TestRetractOfParkedIDForwarded: a parked id is still a tuple the node
 // saw, so a retraction of it is forwarded exactly as for a kept row —
 // Node.Retract at the source, the MsgRetract at the relay — and reaches
-// the destination's copy. An id the relay never saw only tombstones.
+// the destination's copy. Every node then buries the id: its parked mark,
+// or the destination's row, gives way to one retracted seq run. An id
+// the relay never saw is buried and not forwarded.
 func TestRetractOfParkedIDForwarded(t *testing.T) {
 	const msgs = 20
 	pl := newParkLine(t, msgs)
@@ -144,34 +158,135 @@ func TestRetractOfParkedIDForwarded(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if got := pl.rows(i); got != 2 {
-			t.Errorf("n%d keeps %d rows, want 2 (gradient + tombstone)", i, got)
+		if got := pl.rows(i); got != 1 {
+			t.Errorf("n%d keeps %d rows, want 1 (the gradient)", i, got)
 		}
 		if got := pl.parked(i); len(got) != 2 || got[0] != (seqRun{1, 7}) || got[1] != (seqRun{9, msgs}) {
 			t.Errorf("n%d parked runs = %v, want [{1 7} {9 %d}]", i, got, msgs)
 		}
 	}
-	// The tombstone outlives the parked mark: a replay is dropped at once.
-	relay := pl.n[1]
-	before := relay.Stats()
-	relay.HandlePacket(topology.NodeName(0), pl.messageFrame(k))
-	if after := relay.Stats(); after.DupDropped != before.DupDropped+1 || after.Broadcasts != before.Broadcasts {
-		t.Errorf("replay of a retracted message: DupDropped +%d, Broadcasts +%d",
-			after.DupDropped-before.DupDropped, after.Broadcasts-before.Broadcasts)
+	if got := pl.rows(2); got != msgs {
+		t.Errorf("n2 keeps %d rows, want %d (gradient + stored messages)", got, msgs)
+	}
+	for i := range pl.n {
+		if got := pl.retracted(i); len(got) != 1 || got[0] != (seqRun{8, 8}) {
+			t.Errorf("n%d retracted runs = %v, want [{8 8}]", i, got)
+		}
 	}
 
 	// A retraction of an id n1 never saw is a tombstone only.
+	relay := pl.n[1]
 	unseen := tuple.ID{Node: topology.NodeName(0), Seq: 5000}
-	data, err := wire.Encode(wire.Message{Type: wire.MsgRetract, ID: unseen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = relay.Stats()
-	relay.HandlePacket(topology.NodeName(0), data)
+	before := relay.Stats()
+	relay.HandlePacket(topology.NodeName(0), pl.encode(wire.Message{Type: wire.MsgRetract, ID: unseen}))
 	pl.quiesce()
 	if after := relay.Stats(); after.Retracted != before.Retracted || after.Broadcasts != before.Broadcasts {
 		t.Errorf("retract of an unseen id was forwarded: Retracted +%d, Broadcasts +%d",
 			after.Retracted-before.Retracted, after.Broadcasts-before.Broadcasts)
+	}
+	if got := pl.retracted(1); len(got) != 2 || got[1] != (seqRun{5000, 5000}) || pl.rows(1) != 1 {
+		t.Errorf("after an unseen retract: n1 retracted runs %v, %d rows", got, pl.rows(1))
+	}
+}
+
+// diffStats returns after − before, field by field.
+func diffStats(after, before Stats) Stats {
+	d, b := after.fields(), before.fields()
+	for i := range d {
+		*d[i] -= *b[i]
+	}
+	return after
+}
+
+// msgTap records the types of the messages a node receives and hands
+// each packet on to the node.
+type msgTap struct {
+	*Node
+	got []wire.MsgType
+}
+
+func (m *msgTap) HandlePacket(from tuple.NodeID, data []byte) {
+	if msg, err := wire.Decode(m.cfg.Registry, data); err == nil {
+		m.got = append(m.got, msg.Type)
+	}
+	m.Node.HandlePacket(from, data)
+}
+
+// TestBuriedIDReplays: every path that meets a buried id acts on the
+// tombstone alone and leaves no row behind. A full copy is a dropped
+// duplicate, a digest entry pulls nothing, a pull is answered with the
+// retraction, a second retraction — by MsgRetract or by Node.Retract —
+// is a no-op, and a late copy of an expired leased flood is dropped.
+func TestBuriedIDReplays(t *testing.T) {
+	const msgs = 10
+	pl := newParkLine(t, msgs)
+	relay, src, dst := pl.n[1], topology.NodeName(0), topology.NodeName(2)
+	k := 3
+	id := pl.msgs[k]
+	pl.n[0].Retract(id)
+	pl.quiesce()
+	tap := &msgTap{Node: pl.n[2]}
+	pl.sim.Bind(dst, tap)
+
+	for _, r := range []struct {
+		name string
+		from tuple.NodeID
+		data []byte
+		want func(d Stats) bool
+	}{
+		{"full copy", src, pl.messageFrame(k),
+			func(d Stats) bool { return d.DupDropped == 1 && d.Broadcasts == 0 }},
+		{"digest entry", dst, pl.encode(wire.Message{Type: wire.MsgDigest, Digest: []wire.DigestEntry{{ID: id, Ver: 1}}}),
+			func(d Stats) bool { return d.PullsOut == 0 && d.PullsSuppressed == 0 }},
+		{"pull", dst, pl.encode(wire.Message{Type: wire.MsgPull, Want: []tuple.ID{id}}),
+			func(d Stats) bool {
+				return len(tap.got) == 1 && tap.got[0] == wire.MsgRetract && d.Broadcasts == 0
+			}},
+		{"second MsgRetract", src, pl.encode(wire.Message{Type: wire.MsgRetract, ID: id}),
+			func(d Stats) bool { return d.Retracted == 0 && d.Broadcasts == 0 }},
+		{"repeated Node.Retract", "", nil,
+			func(d Stats) bool { return d.Retracted == 0 && d.Broadcasts == 0 }},
+	} {
+		before := relay.Stats()
+		if r.data != nil {
+			relay.HandlePacket(r.from, r.data)
+		} else {
+			relay.Retract(id)
+		}
+		pl.quiesce()
+		if d := diffStats(relay.Stats(), before); !r.want(d) {
+			t.Errorf("%s: DupDropped +%d, Broadcasts +%d, PullsOut +%d, Retracted +%d, n2 received %v",
+				r.name, d.DupDropped, d.Broadcasts, d.PullsOut, d.Retracted, tap.got)
+		}
+		if got := pl.rows(1); got != 1 {
+			t.Errorf("%s left n1 with %d rows, want 1", r.name, got)
+		}
+	}
+	if got := pl.n[2].Stats().Retracted; got != 1 {
+		t.Errorf("n2 Retracted = %d after the pull's answer, want 1", got)
+	}
+
+	// A lease expiry buries the id locally: a late copy is a duplicate.
+	f := pattern.NewFlood("lease").Expires(5)
+	fid, err := pl.n[0].Inject(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.quiesce()
+	if got := relay.SweepExpired(10); got != 1 {
+		t.Fatalf("n1 expired %d copies, want 1", got)
+	}
+	late := pattern.NewFlood("lease").Expires(5)
+	late.SetID(fid)
+	before := relay.Stats()
+	relay.HandlePacket(src, pl.encode(wire.Message{Type: wire.MsgTuple, Tuple: late}))
+	pl.quiesce()
+	if d := diffStats(relay.Stats(), before); d.DupDropped != 1 || d.Broadcasts != 0 || d.Stored != 0 {
+		t.Errorf("late copy of an expired flood: DupDropped +%d, Broadcasts +%d, Stored +%d",
+			d.DupDropped, d.Broadcasts, d.Stored)
+	}
+	if got := pl.rows(1); got != 1 || !pl.n[1].states.retracted.has(fid) {
+		t.Errorf("after the expiry: n1 keeps %d rows, want 1, and the id buried", got)
 	}
 }
 

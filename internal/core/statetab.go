@@ -28,7 +28,9 @@ import (
 // ids column — at emulation scale almost every node tracks a handful of
 // tuples and never allocates the map at all.
 //
-// A row that only records "seen here" leaves the slab (see park).
+// A row that only records "seen here" leaves the slab (see park), and
+// so does a retracted or expired one (see bury). An id is in at most
+// one of the slab, parked and retracted.
 type stateTable struct {
 	byID   map[tuple.ID]int32 // nil in small mode
 	chunks [][]tupleState
@@ -39,8 +41,8 @@ type stateTable struct {
 	ids  []tuple.ID
 	free []int32
 	live int
-	// parked is park's exact seen set, per source (nil until used).
-	parked map[tuple.NodeID]seenRuns
+	// parked is park's exact seen set; retracted is bury's tombstone set.
+	parked, retracted runSet
 }
 
 // stateSmallMax is the largest table kept without the id→handle map;
@@ -77,9 +79,9 @@ func (tab *stateTable) handleOf(id tuple.ID) (int32, bool) {
 }
 
 // lookup returns the state tracked for id, or nil. It is nil for a
-// parked id too: a visited-only row holds nothing its read-only callers
-// act on, so the id stays parked. The pointer stays valid until the
-// entry is released.
+// parked or buried id too: a visited-only row holds nothing its
+// read-only callers act on, so the id stays parked. The pointer stays
+// valid until the entry is released.
 func (tab *stateTable) lookup(id tuple.ID) *tupleState {
 	h, ok := tab.handleOf(id)
 	if !ok {
@@ -97,10 +99,14 @@ func (tab *stateTable) at(h int32) *tupleState {
 // intern returns the state tracked for id, allocating a zero state on
 // first sight — recycling a freed slot when one exists, extending the
 // slab otherwise — or, for a parked id, the visited-only row it was
-// parked as. id must not be zero.
+// parked as. A buried id gets no row: intern returns nil. id must not
+// be zero.
 func (tab *stateTable) intern(id tuple.ID) *tupleState {
 	if h, ok := tab.handleOf(id); ok {
 		return tab.at(h)
+	}
+	if tab.retracted.has(id) {
+		return nil
 	}
 	var h int32
 	if n := len(tab.free); n > 0 {
@@ -127,8 +133,7 @@ func (tab *stateTable) intern(id tuple.ID) *tupleState {
 		tab.byID[id] = h
 	}
 	st := tab.at(h)
-	if runs := tab.parked[id.Node]; runs.remove(id.Seq) {
-		tab.parked[id.Node] = runs
+	if tab.parked.remove(id) {
 		st.flags = stVisited
 	}
 	return st
@@ -173,12 +178,16 @@ func (tab *stateTable) park(t tuple.Tuple) {
 		return
 	}
 	tab.release(id)
-	if tab.parked == nil {
-		tab.parked = make(map[tuple.NodeID]seenRuns)
-	}
-	runs := tab.parked[id.Node]
-	runs.add(id.Seq)
-	tab.parked[id.Node] = runs
+	tab.parked.add(id)
+}
+
+// bury ends id's life at this node: its row or parked mark gives way to
+// a tombstone in the retracted set. A tombstone is one bit per id and
+// the set keeps it exactly, so no late copy can bring the id back.
+func (tab *stateTable) bury(id tuple.ID) {
+	tab.release(id)
+	tab.parked.remove(id)
+	tab.retracted.add(id)
 }
 
 // forEach visits every live entry in slab (handle) order — insertion
@@ -194,6 +203,34 @@ func (tab *stateTable) forEach(fn func(id tuple.ID, st *tupleState)) {
 		c, s := stateChunkFor(int32(h))
 		fn(tab.ids[h], &tab.chunks[c][s])
 	}
+}
+
+// runSet is an exact set of ids: per source, the seenRuns of its seqs.
+// A source with no runs has no key.
+type runSet map[tuple.NodeID]seenRuns
+
+func (s runSet) has(id tuple.ID) bool { return s[id.Node].has(id.Seq) }
+
+func (s *runSet) add(id tuple.ID) {
+	if *s == nil {
+		*s = make(runSet)
+	}
+	runs := (*s)[id.Node]
+	runs.add(id.Seq)
+	(*s)[id.Node] = runs
+}
+
+// remove deletes id, reporting whether it was present.
+func (s runSet) remove(id tuple.ID) bool {
+	runs := s[id.Node]
+	if !runs.remove(id.Seq) {
+		return false
+	}
+	s[id.Node] = runs
+	if len(runs) == 0 {
+		delete(s, id.Node)
+	}
+	return true
 }
 
 // seenRuns is an exact set of one source's seqs: sorted, disjoint,

@@ -255,6 +255,101 @@ func FuzzSeenRuns(f *testing.F) {
 	})
 }
 
+// FuzzStateTable drives arbitrary intern, park, bury, release and
+// lookup sequences over 32 ids of two sources against a reference map
+// of where each id lives: a row, the parked set, the retracted set or
+// nowhere. After every step the table must agree with the reference on
+// every id — so an id is in at most one place — lookup must not have
+// made a row, live must match the free list, and no source may be left
+// holding an empty run list. Each input byte is one step: the high three
+// bits pick the operation, bit 4 the source and the low four bits the seq.
+func FuzzStateTable(f *testing.F) {
+	f.Add([]byte{0x01, 0x21, 0x01, 0x41, 0x01, 0x81})
+	f.Add([]byte{0x00, 0x01, 0x02, 0x20, 0x21, 0x22, 0x01, 0x41, 0x61, 0x00})
+	f.Add([]byte{0x03, 0x23, 0x03, 0x43, 0x63, 0x83, 0x03})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const (
+			nowhere = iota
+			row
+			parked
+			buried
+		)
+		var tab stateTable
+		where := make(map[tuple.ID]int)
+		idOf := func(b byte) tuple.ID {
+			return tuple.ID{Node: []tuple.NodeID{"a", "b"}[b>>4&1], Seq: uint64(b&0x0f) + 1}
+		}
+		for step, op := range ops {
+			id := idOf(op)
+			switch op >> 5 {
+			case 0: // intern
+				st := tab.intern(id)
+				switch {
+				case where[id] == buried:
+					if st != nil {
+						t.Fatalf("step %d: intern gave buried %v a row", step, id)
+					}
+				case where[id] == parked && st.flags != stVisited:
+					t.Fatalf("step %d: parked %v came back as %+v", step, id, st)
+				default:
+					where[id] = row
+				}
+			case 1: // park, as the engine does after a visit
+				if st := tab.lookup(id); st != nil {
+					st.mark(stVisited)
+				}
+				tab.park(plainTuple(id))
+				if where[id] == row {
+					where[id] = parked
+				}
+			case 2:
+				tab.bury(id)
+				where[id] = buried
+			case 3:
+				tab.release(id)
+				if where[id] == row {
+					where[id] = nowhere
+				}
+			default:
+				live := tab.len()
+				if got := tab.lookup(id) != nil; got != (where[id] == row) || tab.len() != live {
+					t.Fatalf("step %d: lookup(%v) = %v with the id %d, rows %d → %d",
+						step, id, got, where[id], live, tab.len())
+				}
+			}
+			rows := 0
+			for b := 0; b < 32; b++ {
+				id := idOf(byte(b))
+				_, isRow := tab.handleOf(id)
+				in := [...]bool{row: isRow, parked: tab.parked.has(id), buried: tab.retracted.has(id)}
+				for w := row; w <= buried; w++ {
+					if in[w] != (where[id] == w) {
+						t.Fatalf("step %d: %v is in %v (row, parked, retracted), reference %d", step, id, in[1:], where[id])
+					}
+				}
+				if isRow {
+					rows++
+				}
+			}
+			if tab.live != rows || tab.live != len(tab.ids)-len(tab.free) {
+				t.Fatalf("step %d: live %d, %d rows, %d slots, %d free", step, tab.live, rows, len(tab.ids), len(tab.free))
+			}
+			for _, h := range tab.free {
+				if !tab.ids[h].IsZero() {
+					t.Fatalf("step %d: free handle %d holds %v", step, h, tab.ids[h])
+				}
+			}
+			for _, set := range []runSet{tab.parked, tab.retracted} {
+				for src, runs := range set {
+					if len(runs) == 0 {
+						t.Fatalf("step %d: source %s keeps an empty run list", step, src)
+					}
+				}
+			}
+		}
+	})
+}
+
 // plainTuple is a tuple that is not Maintained, with id.
 func plainTuple(id tuple.ID) tuple.Tuple {
 	t := &countingTuple{}
@@ -300,7 +395,6 @@ func TestStateTableParkRehydrates(t *testing.T) {
 	keep := []func(*tupleState){
 		func(st *tupleState) {}, // never visited
 		func(st *tupleState) { st.mark(stVisited | stStored) },
-		func(st *tupleState) { st.mark(stVisited | stRetracted) },
 		func(st *tupleState) { st.mark(stVisited | stSupportTab) },
 		func(st *tupleState) { st.mark(stVisited); st.peerFor("p", 1) },
 		func(st *tupleState) { st.mark(stVisited); st.traceID = 1 },

@@ -195,10 +195,77 @@ func (s *JSONLSink) Close() error {
 	return s.werr
 }
 
-// maxTrackedIDs bounds the latency tracker's per-tuple bookkeeping so a
-// long-lived node cannot grow it without bound; injections beyond the
-// cap are not tracked (counted in Untracked).
+// maxTrackedIDs bounds each of the latency tracker's per-tuple tables
+// so a long-lived node cannot grow them without bound (see idClock);
+// injections evicted from a full table are counted in Untracked.
 const maxTrackedIDs = 4096
+
+// idClock maps tuple ids to clock readings. It holds the ids of its
+// last maxTrackedIDs puts that were not deleted since, in a ring in
+// put order, so a put evicts the oldest id still held once the ring is
+// full: a long-lived node keeps tracking its newest ids.
+type idClock struct {
+	slot map[tuple.ID]int32 // id → its ring slot
+	ring []idStamp          // grows to maxTrackedIDs, then wraps; a deleted id leaves a zero id
+	next int                // the slot the next put takes once the ring is full
+}
+
+type idStamp struct {
+	id tuple.ID
+	t  float64
+}
+
+func newIDClock() idClock { return idClock{slot: make(map[tuple.ID]int32)} }
+
+func (c *idClock) get(id tuple.ID) (float64, bool) {
+	i, ok := c.slot[id]
+	if !ok {
+		return 0, false
+	}
+	return c.ring[i].t, true
+}
+
+// put records t for id as its newest entry, returning the id it
+// evicted, if any.
+func (c *idClock) put(id tuple.ID, t float64) (evicted tuple.ID, ok bool) {
+	c.del(id)
+	i, turned := len(c.ring), false
+	if i < maxTrackedIDs {
+		c.ring = append(c.ring, idStamp{})
+	} else {
+		i, c.next = c.next, (c.next+1)%maxTrackedIDs
+		turned = c.next == 0
+		if evicted = c.ring[i].id; !evicted.IsZero() {
+			delete(c.slot, evicted)
+			ok = true
+		}
+	}
+	c.ring[i] = idStamp{id: id, t: t}
+	c.slot[id] = int32(i)
+	if turned {
+		// Re-index once a turn: a Go map keeps the tombstones deletes
+		// leave until they make it grow, and clear drops them.
+		clear(c.slot)
+		for j, s := range c.ring {
+			if !s.id.IsZero() {
+				c.slot[s.id] = int32(j)
+			}
+		}
+	}
+	return evicted, ok
+}
+
+func (c *idClock) del(id tuple.ID) {
+	if i, ok := c.slot[id]; ok {
+		c.ring[i].id = tuple.ID{}
+		delete(c.slot, id)
+	}
+}
+
+func (c *idClock) reset() {
+	clear(c.slot)
+	c.ring, c.next = c.ring[:0], 0
+}
 
 // Latencies derives the two headline middleware latencies from the
 // trace stream:
@@ -220,9 +287,9 @@ type Latencies struct {
 	clock func() float64
 
 	mu        sync.Mutex
-	injected  map[tuple.ID]float64
-	disturbed map[tuple.ID]float64
-	resulted  map[tuple.ID]bool
+	injected  idClock
+	disturbed idClock
+	resulted  map[tuple.ID]bool // a subset of injected's ids
 	churnAt   float64
 	churnSet  bool
 
@@ -233,7 +300,8 @@ type Latencies struct {
 	// QueryResult is the inject→first-result latency histogram for
 	// aggregation queries.
 	QueryResult *Histogram
-	// Untracked counts injections beyond the tracking cap.
+	// Untracked counts injections evicted from the full tracking table
+	// before their tuple ended.
 	Untracked *Counter
 }
 
@@ -246,15 +314,15 @@ func NewLatencies(reg *Registry, clock func() float64, buckets []float64) *Laten
 	}
 	l := &Latencies{
 		clock:     clock,
-		injected:  make(map[tuple.ID]float64),
-		disturbed: make(map[tuple.ID]float64),
+		injected:  newIDClock(),
+		disturbed: newIDClock(),
 		resulted:  make(map[tuple.ID]bool),
 	}
 	if reg != nil {
 		l.Propagation = reg.Histogram("tota_propagation_latency", "Inject-to-store latency per (tuple, node), in clock units.", buckets)
 		l.Repair = reg.Histogram("tota_repair_latency", "Disturbance-to-adoption latency, in clock units.", buckets)
 		l.QueryResult = reg.Histogram("tota_query_result_latency", "Query inject-to-first-result latency, in clock units.", buckets)
-		l.Untracked = reg.Counter("tota_latency_untracked_total", "Injections not tracked because the id table was full.")
+		l.Untracked = reg.Counter("tota_latency_untracked_total", "Injections evicted, oldest first, from the full latency id table.")
 	} else {
 		l.Propagation = NewHistogram(buckets)
 		l.Repair = NewHistogram(buckets)
@@ -270,8 +338,8 @@ func NewLatencies(reg *Registry, clock func() float64, buckets []float64) *Laten
 // trial cannot pollute the next one's samples.
 func (l *Latencies) Reset() {
 	l.mu.Lock()
-	clear(l.injected)
-	clear(l.disturbed)
+	l.injected.reset()
+	l.disturbed.reset()
 	clear(l.resulted)
 	l.churnSet = false
 	l.mu.Unlock()
@@ -294,19 +362,18 @@ func (l *Latencies) Tracer() core.Tracer {
 		case core.TraceInject:
 			now := l.clock()
 			l.mu.Lock()
-			if len(l.injected) < maxTrackedIDs {
-				l.injected[ev.ID] = now
-			} else {
+			if old, evicted := l.injected.put(ev.ID, now); evicted {
+				delete(l.resulted, old)
 				l.Untracked.Inc()
 			}
 			l.mu.Unlock()
 		case core.TraceStore:
 			now := l.clock()
 			l.mu.Lock()
-			t0, ok := l.injected[ev.ID]
-			d, disturbed := l.disturbed[ev.ID]
+			t0, ok := l.injected.get(ev.ID)
+			d, disturbed := l.disturbed.get(ev.ID)
 			if disturbed {
-				delete(l.disturbed, ev.ID)
+				l.disturbed.del(ev.ID)
 			}
 			l.mu.Unlock()
 			// A re-store after a withdrawal is a repair, not propagation.
@@ -318,9 +385,9 @@ func (l *Latencies) Tracer() core.Tracer {
 		case core.TraceAdopt:
 			now := l.clock()
 			l.mu.Lock()
-			d, disturbed := l.disturbed[ev.ID]
+			d, disturbed := l.disturbed.get(ev.ID)
 			if disturbed {
-				delete(l.disturbed, ev.ID)
+				l.disturbed.del(ev.ID)
 			}
 			churned := l.churnSet
 			c := l.churnAt
@@ -335,14 +402,14 @@ func (l *Latencies) Tracer() core.Tracer {
 		case core.TraceWithdraw:
 			now := l.clock()
 			l.mu.Lock()
-			if _, ok := l.disturbed[ev.ID]; !ok && len(l.disturbed) < maxTrackedIDs {
-				l.disturbed[ev.ID] = now
+			if _, ok := l.disturbed.get(ev.ID); !ok {
+				l.disturbed.put(ev.ID, now)
 			}
 			l.mu.Unlock()
 		case core.TraceAggResult:
 			now := l.clock()
 			l.mu.Lock()
-			t0, ok := l.injected[ev.ID]
+			t0, ok := l.injected.get(ev.ID)
 			first := ok && !l.resulted[ev.ID]
 			if first {
 				l.resulted[ev.ID] = true
@@ -357,8 +424,8 @@ func (l *Latencies) Tracer() core.Tracer {
 			}
 		case core.TraceRetract, core.TraceExpire:
 			l.mu.Lock()
-			delete(l.injected, ev.ID)
-			delete(l.disturbed, ev.ID)
+			l.injected.del(ev.ID)
+			l.disturbed.del(ev.ID)
 			delete(l.resulted, ev.ID)
 			l.mu.Unlock()
 		}

@@ -271,3 +271,78 @@ func TestLatenciesRetractClearsTracking(t *testing.T) {
 		t.Errorf("store after retract sampled: count = %d", got)
 	}
 }
+
+// TestLatenciesEvictOldest: a tracker that saw more live injections than
+// it can hold keeps sampling. Every one of 10,000 inject + remote-store
+// pairs samples propagation, the first query result of an evicted id
+// goes with it, and no table outgrows the cap.
+func TestLatenciesEvictOldest(t *testing.T) {
+	const n = 10_000
+	now := 0.0
+	l := NewLatencies(nil, func() float64 { return now }, RoundBuckets)
+	tr := l.Tracer()
+	for i := uint64(1); i <= n; i++ {
+		now = float64(i)
+		tr(ev(core.TraceInject, "a", "a", i))
+		tr(ev(core.TraceAggResult, "a", "a", i))
+		now++
+		tr(ev(core.TraceStore, "b", "a", i))
+		tr(ev(core.TraceWithdraw, "c", "a", i))
+	}
+	if got := l.Propagation.Count(); got != n {
+		t.Errorf("propagation samples = %d, want %d", got, n)
+	}
+	if got := l.QueryResult.Count(); got != n {
+		t.Errorf("query result samples = %d, want %d", got, n)
+	}
+	if got := l.Untracked.Value(); got != n-maxTrackedIDs {
+		t.Errorf("Untracked = %d, want %d", got, n-maxTrackedIDs)
+	}
+	for name, size := range map[string]int{
+		"injected": len(l.injected.slot), "disturbed": len(l.disturbed.slot), "resulted": len(l.resulted),
+	} {
+		if size > maxTrackedIDs {
+			t.Errorf("%s holds %d ids, cap %d", name, size, maxTrackedIDs)
+		}
+	}
+	// The oldest ids went first: the newest are tracked, and a withdrawn
+	// copy's re-store still samples repair.
+	if _, ok := l.injected.get(tuple.ID{Node: "a", Seq: 1}); ok {
+		t.Error("the oldest injection is still tracked")
+	}
+	now = n + 5
+	tr(ev(core.TraceStore, "c", "a", n))
+	if got := l.Repair.Count(); got != 1 {
+		t.Errorf("repair samples = %d, want 1", got)
+	}
+}
+
+// TestIDClockReputAndDelete: a re-put id becomes the newest entry, and
+// its old slot, like a deleted id's, is a hole a later put takes without
+// evicting; otherwise a full ring evicts exactly the oldest id held.
+func TestIDClockReputAndDelete(t *testing.T) {
+	c := newIDClock()
+	id := func(i int) tuple.ID { return tuple.ID{Node: "a", Seq: uint64(i)} }
+	for i := 1; i <= maxTrackedIDs; i++ {
+		if _, ok := c.put(id(i), float64(i)); ok {
+			t.Fatalf("put %d of %d evicted", i, maxTrackedIDs)
+		}
+	}
+	c.put(id(2), 100) // evicts id 1; id 2 becomes the newest
+	c.del(id(3))
+	if old, ok := c.put(id(maxTrackedIDs+1), 0); ok {
+		t.Fatalf("the hole of re-put id 2 evicted %v", old)
+	}
+	if old, ok := c.put(id(maxTrackedIDs+2), 0); ok {
+		t.Fatalf("the hole of deleted id 3 evicted %v", old)
+	}
+	if old, ok := c.put(id(maxTrackedIDs+3), 0); !ok || old != id(4) {
+		t.Fatalf("evicted %v, %v; want %v", old, ok, id(4))
+	}
+	if v, ok := c.get(id(2)); !ok || v != 100 {
+		t.Errorf("re-put id = %v, %v; want 100", v, ok)
+	}
+	if _, ok := c.get(id(1)); ok || len(c.slot) != maxTrackedIDs || len(c.ring) != maxTrackedIDs {
+		t.Errorf("holds id 1: %v; %d ids in %d slots", ok, len(c.slot), len(c.ring))
+	}
+}
