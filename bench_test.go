@@ -281,6 +281,41 @@ func newHandlePacketWorld(tb testing.TB, opts ...core.Option) (*core.Node, []byt
 	return n, data
 }
 
+// TestEventDispatchAllocs budgets the event path with a subscriber
+// attached: a duplicate packet emits no event, so HandlePacket stays at
+// its 7 allocs/op, and a local Flood inject with a MatchAll reaction —
+// store, clone for the event, dispatch — holds at its measured 16. The
+// effects buffer is recycled across calls and reactions are called
+// straight off the subscription list; a fresh event slice per call and
+// a per-call slice of matched reactions made it 18.
+func TestEventDispatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	n, data := newHandlePacketWorld(t)
+	n.Subscribe(tuple.MatchAll(), func(core.Event) {})
+	if got := testing.AllocsPerRun(200, func() { n.HandlePacket(topology.NodeName(1), data) }); got != 7 {
+		t.Errorf("HandlePacket with a subscriber = %.1f allocs/op, want 7", got)
+	}
+
+	const budget = 16
+	w := emulator.New(emulator.Config{Graph: topology.Line(1)})
+	solo := w.Node(topology.NodeName(0))
+	events := 0
+	solo.Subscribe(tuple.MatchAll(), func(core.Event) { events++ })
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := solo.Inject(pattern.NewFlood("f")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if events != 201 { // AllocsPerRun makes one warm-up call
+		t.Fatalf("reaction fired %d times over 201 injects", events)
+	}
+	if got > budget {
+		t.Errorf("Inject with a subscriber = %.1f allocs/op, budget %d", got, budget)
+	}
+}
+
 // TestDownhillRelayAllocs budgets one relay hop of a routed message
 // (DESIGN.md §6): the middle node of a settled 3-node line, holding the
 // inbox gradient at value 1, handles a Downhill it has not seen yet and

@@ -286,11 +286,7 @@ func (n *Node) HandlePacket(from tuple.NodeID, data []byte) {
 	} else {
 		n.handleMsgLocked(from, msg)
 	}
-	evs := n.takePendingLocked()
-	trs := n.takeTracesLocked()
-	n.mu.Unlock()
-	n.dispatchTraces(trs)
-	n.dispatch(evs)
+	n.unlock()
 }
 
 // handleMsgLocked dispatches one engine message (a whole packet, or one
@@ -329,11 +325,7 @@ func (n *Node) HandleNeighbor(peer tuple.NodeID, added bool) {
 	} else {
 		n.handleNeighborRemovedLocked(peer)
 	}
-	evs := n.takePendingLocked()
-	trs := n.takeTracesLocked()
-	n.mu.Unlock()
-	n.dispatchTraces(trs)
-	n.dispatch(evs)
+	n.unlock()
 }
 
 // injectLocked runs the arrival pipeline at the injecting node.
@@ -360,7 +352,7 @@ func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
 		st.storedAt = n.now
 		n.store.put(t)
 		n.stats.Stored.Add(1)
-		n.emitTupleLocked(TupleArrived, t)
+		n.effectLocked(TraceEvent{}, TupleArrived, t)
 	}
 	if t.ShouldPropagate(ctx) {
 		st.mark(stPropagated)
@@ -446,9 +438,8 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 			n.store.put(local)
 			n.stats.Superseded.Add(1)
 			span := n.bumpSpanLocked(local.ID(), st)
-			n.traceLocked(TraceEvent{Kind: TraceSupersede, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
-				TraceID: st.traceID, Span: span, ParentSpan: msg.Trace.Span})
-			n.emitTupleLocked(TupleArrived, local)
+			n.effectLocked(TraceEvent{Kind: TraceSupersede, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
+				TraceID: st.traceID, Span: span, ParentSpan: msg.Trace.Span}, TupleArrived, local)
 			if local.ShouldPropagate(ctx) {
 				n.announceLocked(st)
 				n.traceLocked(TraceEvent{Kind: TraceForward, ID: local.ID(), TupleKind: local.Kind(), Hop: hop,
@@ -471,9 +462,8 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 		st.storedAt = n.now
 		n.store.put(local)
 		n.stats.Stored.Add(1)
-		n.traceLocked(TraceEvent{Kind: TraceStore, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
-			TraceID: st.traceID, Span: n.bumpSpanLocked(local.ID(), st), ParentSpan: msg.Trace.Span})
-		n.emitTupleLocked(TupleArrived, local)
+		n.effectLocked(TraceEvent{Kind: TraceStore, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
+			TraceID: st.traceID, Span: n.bumpSpanLocked(local.ID(), st), ParentSpan: msg.Trace.Span}, TupleArrived, local)
 	}
 	if local.ShouldPropagate(ctx) {
 		st.mark(stPropagated)
@@ -678,12 +668,9 @@ func (n *Node) handlePullLocked(from tuple.NodeID, msg *wire.Message) {
 			continue
 		}
 		n.stats.Unicasts.Add(1)
-		if st.traceID != 0 {
-			// Pull-repair response: the requester's next store/supersede
-			// links to this span, closing the repair loop in the trace.
-			n.traceLocked(TraceEvent{Kind: TraceSend, ID: id, TupleKind: st.local.Kind(), From: from, Hop: int(st.hop),
-				TraceID: st.traceID, Span: st.span})
-		}
+		// Pull-repair response: the requester's next store/supersede links
+		// to this span, closing the repair loop in the trace.
+		n.traceSendLocked(st, from)
 		n.stageMsgs = append(n.stageMsgs, data)
 	}
 	n.flushStagedLocked(from)
@@ -809,9 +796,8 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 		if st.traceID != 0 {
 			st.parentSpan = bestSpan
 		}
-		n.traceLocked(TraceEvent{Kind: TraceAdopt, ID: id, TupleKind: nl.Kind(), From: bestNbr, Value: desired,
-			TraceID: st.traceID, Span: n.bumpSpanLocked(id, st), ParentSpan: bestSpan})
-		n.emitTupleLocked(TupleArrived, nl)
+		n.effectLocked(TraceEvent{Kind: TraceAdopt, ID: id, TupleKind: nl.Kind(), From: bestNbr, Value: desired,
+			TraceID: st.traceID, Span: n.bumpSpanLocked(id, st), ParentSpan: bestSpan}, TupleArrived, nl)
 		if nl.ShouldPropagate(ctx) {
 			n.announceLocked(st)
 		}
@@ -838,9 +824,8 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 	if st.traceID != 0 {
 		st.parentSpan = bestSpan
 	}
-	n.traceLocked(TraceEvent{Kind: TraceStore, ID: id, TupleKind: nl.Kind(), From: bestNbr, Hop: int(st.hop), Value: desired,
-		TraceID: st.traceID, Span: n.bumpSpanLocked(id, st), ParentSpan: bestSpan})
-	n.emitTupleLocked(TupleArrived, nl)
+	n.effectLocked(TraceEvent{Kind: TraceStore, ID: id, TupleKind: nl.Kind(), From: bestNbr, Hop: int(st.hop), Value: desired,
+		TraceID: st.traceID, Span: n.bumpSpanLocked(id, st), ParentSpan: bestSpan}, TupleArrived, nl)
 	if nl.ShouldPropagate(ctx) {
 		st.mark(stPropagated)
 		n.announceLocked(st)
@@ -855,10 +840,7 @@ func (n *Node) dropMaintainedLocked(id tuple.ID, st *tupleState) {
 	st.parent = ""
 	st.suspectEpoch = 0
 	n.stats.MaintDrop.Add(1)
-	n.traceLocked(TraceEvent{Kind: TraceWithdraw, ID: id, TraceID: st.traceID, Span: st.span})
-	if removed != nil {
-		n.emitTupleLocked(TupleRemoved, removed)
-	}
+	n.effectLocked(TraceEvent{Kind: TraceWithdraw, ID: id, TraceID: st.traceID, Span: st.span}, TupleRemoved, removed)
 	n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
 }
 
@@ -903,9 +885,10 @@ func (n *Node) retractLocked(id tuple.ID) {
 		return
 	}
 	if st := n.states.lookup(id); st != nil && st.has(stStored) {
-		if removed, ok := n.store.remove(id); ok {
-			n.emitTupleLocked(TupleRemoved, removed)
-		}
+		// Two records, not one: the removal's read check may trace a
+		// denial, and that has always reached tracers before the retract.
+		removed, _ := n.store.remove(id)
+		n.effectLocked(TraceEvent{}, TupleRemoved, removed)
 		n.invalidateWireLocked(st)
 	}
 	n.dropQueryStateLocked(id)
@@ -933,7 +916,7 @@ func (n *Node) deleteLocked(tpl tuple.Template) []tuple.Tuple {
 			st.local = nil
 			n.invalidateWireLocked(st)
 			st.parent = ""
-			n.emitTupleLocked(TupleRemoved, removed)
+			n.effectLocked(TraceEvent{}, TupleRemoved, removed)
 			if _, isM := removed.(tuple.Maintained); isM {
 				n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
 			}
@@ -1042,8 +1025,7 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 		n.states.bury(id)
 		n.dropQueryStateLocked(id)
 		n.stats.Expired.Add(1)
-		n.traceLocked(TraceEvent{Kind: TraceExpire, ID: id, TupleKind: t.Kind()})
-		n.emitTupleLocked(TupleRemoved, t)
+		n.effectLocked(TraceEvent{Kind: TraceExpire, ID: id, TupleKind: t.Kind()}, TupleRemoved, t)
 		if _, isM := t.(tuple.Maintained); isM {
 			n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
 		}
@@ -1127,10 +1109,7 @@ func (n *Node) stageRefreshLocked(st *tupleState) int {
 	if st.refreshedVer != st.ver {
 		st.refreshedVer = st.ver
 		n.stats.RefreshAnnounced.Add(1)
-		if st.traceID != 0 {
-			n.traceLocked(TraceEvent{Kind: TraceSend, ID: st.local.ID(), TupleKind: st.local.Kind(), Hop: int(st.hop),
-				TraceID: st.traceID, Span: st.span})
-		}
+		n.traceSendLocked(st, "")
 		n.stageMsgs = append(n.stageMsgs, data)
 		return 1
 	}
@@ -1317,10 +1296,7 @@ func (n *Node) announceLocked(st *tupleState) {
 	// refreshes can advertise this version by digest.
 	st.refreshedVer = st.ver
 	n.stats.Broadcasts.Add(1)
-	if st.traceID != 0 {
-		n.traceLocked(TraceEvent{Kind: TraceSend, ID: st.local.ID(), TupleKind: st.local.Kind(), Hop: int(st.hop),
-			TraceID: st.traceID, Span: st.span})
-	}
+	n.traceSendLocked(st, "")
 	if err := n.tr.Broadcast(data); err != nil {
 		n.noteSendError("announce broadcast", err)
 	}
@@ -1352,71 +1328,6 @@ func (n *Node) sendMsgLocked(to tuple.NodeID, msg wire.Message) {
 	}
 	if err != nil {
 		n.noteSendError("send", err)
-	}
-}
-
-func (n *Node) emitTupleLocked(typ EventType, t tuple.Tuple) {
-	// No subscriptions, no event: skip the defensive clone entirely.
-	if len(n.subs) == 0 {
-		return
-	}
-	// Subscription delivery is a read: policy-hidden tuples emit no
-	// events.
-	if !n.allow(OpRead, n.id, t) {
-		return
-	}
-	c, err := n.cfg.Registry.Clone(t)
-	if err != nil {
-		c = t
-	}
-	n.pending = append(n.pending, Event{Type: typ, Node: n.id, Tuple: c})
-}
-
-func (n *Node) emitNeighborLocked(typ EventType, peer tuple.NodeID) {
-	if len(n.subs) == 0 {
-		return
-	}
-	n.pending = append(n.pending, Event{
-		Type:  typ,
-		Node:  n.id,
-		Tuple: newNeighborTuple(n.id, peer, typ == NeighborAdded),
-		Peer:  peer,
-	})
-}
-
-func (n *Node) takePendingLocked() []Event {
-	evs := n.pending
-	n.pending = nil
-	return evs
-}
-
-// dispatch delivers pending events to matching subscriptions, outside
-// the engine lock so reactions can call the node API. n.subs is kept
-// sorted by subscription id, so matching preserves registration order
-// without a per-event sort; a node with no subscriptions pays only a
-// lock round-trip per event.
-func (n *Node) dispatch(evs []Event) {
-	if len(evs) == 0 {
-		return
-	}
-	var fns []Reaction
-	for _, ev := range evs {
-		n.mu.Lock()
-		if len(n.subs) == 0 {
-			n.mu.Unlock()
-			continue
-		}
-		fns = fns[:0]
-		for _, sub := range n.subs {
-			if sub.tpl.Matches(ev.Tuple) {
-				fns = append(fns, sub.fn)
-			}
-		}
-		n.stats.Events.Add(int64(len(fns)))
-		n.mu.Unlock()
-		for _, fn := range fns {
-			fn(ev)
-		}
 	}
 }
 

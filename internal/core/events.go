@@ -97,6 +97,108 @@ type subscription struct {
 	fn  Reaction
 }
 
+// subscriptions returns the current subscriptions in registration
+// order. The slice is copy-on-write — Subscribe and Unsubscribe store a
+// new one under n.mu — so it may be read without the lock and never
+// changes under its reader.
+func (n *Node) subscriptions() []*subscription {
+	if p := n.subs.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// effect is one engine decision as it leaves the node: the record a
+// Tracer receives and the event reactions receive. A zero Kind or Type
+// means that part is absent — no tracer, no subscription, or an event
+// the policy hides.
+type effect struct {
+	trace TraceEvent
+	ev    Event
+}
+
+// effectLocked queues one decision: its trace record, when a tracer is
+// installed and tr names a kind, and its event about t, when typ is set
+// and a subscription exists. Subscription delivery is a read, so the
+// event part is checked against OpRead only after the record is queued
+// (a denial traces right after the decision it hides), and t is cloned
+// under the lock.
+func (n *Node) effectLocked(tr TraceEvent, typ EventType, t tuple.Tuple) {
+	var e effect
+	if tr.Kind != 0 && n.cfg.Tracer != nil {
+		tr.Node = n.id
+		e.trace = tr
+	}
+	if typ != 0 && t != nil && len(n.subscriptions()) > 0 {
+		e.ev = Event{Type: typ, Node: n.id, Tuple: t}
+	}
+	if e.trace.Kind == 0 && e.ev.Type == 0 {
+		return
+	}
+	n.effects = append(n.effects, e)
+	if e.ev.Type == 0 {
+		return
+	}
+	i := len(n.effects) - 1
+	if !n.allow(OpRead, n.id, t) {
+		n.effects[i].ev = Event{}
+	} else if c, err := n.cfg.Registry.Clone(t); err == nil {
+		n.effects[i].ev.Tuple = c
+	}
+}
+
+// emitNeighborLocked queues a neighborhood event. Its synthesized tuple
+// is nobody's to hide, so no policy check applies.
+func (n *Node) emitNeighborLocked(typ EventType, peer tuple.NodeID) {
+	if len(n.subscriptions()) == 0 {
+		return
+	}
+	nt := newNeighborTuple(n.id, peer, typ == NeighborAdded)
+	n.effects = append(n.effects, effect{ev: Event{Type: typ, Node: n.id, Tuple: nt, Peer: peer}})
+}
+
+// unlock releases n.mu and delivers the effects queued under it: the
+// tracer first sees every trace record, in order, then reactions see
+// every event, in order, each matched against the subscriptions current
+// when it is delivered. Both run outside the lock and may call back into
+// the API; a nested call queues and delivers its own effects. The
+// drained buffer is then recycled, so steady-state delivery allocates
+// nothing once it has grown to the per-call high-water mark.
+func (n *Node) unlock() {
+	effs := n.effects
+	if len(effs) == 0 {
+		n.mu.Unlock()
+		return
+	}
+	n.effects = nil
+	n.mu.Unlock()
+	if tr := n.cfg.Tracer; tr != nil {
+		for i := range effs {
+			if effs[i].trace.Kind != 0 {
+				tr(effs[i].trace)
+			}
+		}
+	}
+	for i := range effs {
+		ev := effs[i].ev
+		if ev.Type == 0 {
+			continue
+		}
+		for _, sub := range n.subscriptions() {
+			if sub.tpl.Matches(ev.Tuple) {
+				n.stats.Events.Add(1)
+				sub.fn(ev)
+			}
+		}
+	}
+	clear(effs)
+	n.mu.Lock()
+	if n.effects == nil {
+		n.effects = effs[:0]
+	}
+	n.mu.Unlock()
+}
+
 // neighborTuple is the synthesized tuple for neighborhood events. It is
 // local-only: it never propagates and never crosses the wire.
 type neighborTuple struct {

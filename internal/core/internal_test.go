@@ -47,15 +47,6 @@ func TestClampHop(t *testing.T) {
 	}
 }
 
-func TestSortNodeIDs(t *testing.T) {
-	ids := []tuple.NodeID{"c", "a", "b"}
-	sortNodeIDs(ids)
-	if ids[0] != "a" || ids[1] != "b" || ids[2] != "c" {
-		t.Errorf("sorted = %v", ids)
-	}
-	sortNodeIDs(nil) // must not panic
-}
-
 func TestEventTypeString(t *testing.T) {
 	tests := []struct {
 		give EventType

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -167,14 +168,14 @@ type Node struct {
 	// buffers that were already put on the wire.
 	wirePool    *wirePool
 	recycleWire bool
-	// subs is kept sorted by subscription id (ids are assigned
-	// monotonically, so appends preserve the order) and dispatch relies
-	// on that to fire reactions in registration order without sorting.
-	subs          []*subscription
-	nextSub       SubID
-	pending       []Event
-	pendingTraces []TraceEvent
-	stats         counters[atomic.Int64]
+	// subs is sorted by subscription id (ids are assigned monotonically,
+	// so appends keep the order) and copy-on-write (see subscriptions).
+	subs    atomic.Pointer[[]*subscription]
+	nextSub SubID
+	// effects queues the decisions taken under mu — trace records and
+	// events, one record per decision — until unlock delivers them.
+	effects []effect
+	stats   counters[atomic.Int64]
 	// idScratch is the reusable id snapshot buffer for the refresh,
 	// sweep, and catch-up loops (all run under mu, never nested).
 	idScratch []tuple.ID
@@ -381,11 +382,7 @@ func (n *Node) Inject(t tuple.Tuple) (tuple.ID, error) {
 	}
 	n.injectLocked(t, ctx)
 	n.states.park(t)
-	evs := n.takePendingLocked()
-	trs := n.takeTracesLocked()
-	n.mu.Unlock()
-	n.dispatchTraces(trs)
-	n.dispatch(evs)
+	n.unlock()
 	return id, nil
 }
 
@@ -433,11 +430,7 @@ func (n *Node) ReadOne(tpl tuple.Template) (tuple.Tuple, bool) {
 func (n *Node) Delete(tpl tuple.Template) []tuple.Tuple {
 	n.mu.Lock()
 	out := n.deleteLocked(tpl)
-	evs := n.takePendingLocked()
-	trs := n.takeTracesLocked()
-	n.mu.Unlock()
-	n.dispatchTraces(trs)
-	n.dispatch(evs)
+	n.unlock()
 	return out
 }
 
@@ -459,11 +452,7 @@ func (n *Node) Retract(id tuple.ID) {
 		return
 	}
 	n.retractLocked(id)
-	evs := n.takePendingLocked()
-	trs := n.takeTracesLocked()
-	n.mu.Unlock()
-	n.dispatchTraces(trs)
-	n.dispatch(evs)
+	n.unlock()
 }
 
 // Subscribe registers a reaction for events matching the template:
@@ -473,18 +462,20 @@ func (n *Node) Subscribe(tpl tuple.Template, fn Reaction) SubID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.nextSub++
-	id := n.nextSub
-	n.subs = append(n.subs, &subscription{id: id, tpl: tpl, fn: fn})
-	return id
+	subs := append(slices.Clip(n.subscriptions()), &subscription{id: n.nextSub, tpl: tpl, fn: fn})
+	n.subs.Store(&subs)
+	return n.nextSub
 }
 
 // Unsubscribe removes a subscription. Unknown ids are ignored.
 func (n *Node) Unsubscribe(id SubID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i, sub := range n.subs {
+	old := n.subscriptions()
+	for i, sub := range old {
 		if sub.id == id {
-			n.subs = append(n.subs[:i], n.subs[i+1:]...)
+			subs := append(old[:i:i], old[i+1:]...)
+			n.subs.Store(&subs)
 			return
 		}
 	}
@@ -503,11 +494,7 @@ func (n *Node) Unsubscribe(id SubID) {
 func (n *Node) Refresh() int {
 	n.mu.Lock()
 	count := n.refreshLocked()
-	evs := n.takePendingLocked()
-	trs := n.takeTracesLocked()
-	n.mu.Unlock()
-	n.dispatchTraces(trs)
-	n.dispatch(evs)
+	n.unlock()
 	return count
 }
 
@@ -518,11 +505,7 @@ func (n *Node) Refresh() int {
 func (n *Node) SweepExpired(now float64) int {
 	n.mu.Lock()
 	removed := n.sweepExpiredLocked(now)
-	evs := n.takePendingLocked()
-	trs := n.takeTracesLocked()
-	n.mu.Unlock()
-	n.dispatchTraces(trs)
-	n.dispatch(evs)
+	n.unlock()
 	return removed
 }
 
@@ -545,12 +528,4 @@ func (n *Node) Stats() Stats {
 		*out[i] = c.Load()
 	}
 	return s
-}
-
-func sortNodeIDs(ids []tuple.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

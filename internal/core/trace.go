@@ -150,14 +150,19 @@ func WithTraceSampling(rate float64) Option {
 	return optionFunc(func(c *Config) { c.TraceSampleRate = rate })
 }
 
-// traceLocked queues a trace event for post-unlock delivery. No-op
+// traceLocked queues a trace-only effect for delivery at unlock. No-op
 // without a tracer.
-func (n *Node) traceLocked(ev TraceEvent) {
-	if n.cfg.Tracer == nil {
+func (n *Node) traceLocked(ev TraceEvent) { n.effectLocked(ev, 0, nil) }
+
+// traceSendLocked records a sampled copy's announcement to the air (to
+// names a unicast destination, empty for broadcasts). No-op for
+// unsampled tuples.
+func (n *Node) traceSendLocked(st *tupleState, to tuple.NodeID) {
+	if st.traceID == 0 {
 		return
 	}
-	ev.Node = n.id
-	n.pendingTraces = append(n.pendingTraces, ev)
+	n.traceLocked(TraceEvent{Kind: TraceSend, ID: st.local.ID(), TupleKind: st.local.Kind(), From: to, Hop: int(st.hop),
+		TraceID: st.traceID, Span: st.span})
 }
 
 // tracePullLocked records an anti-entropy pull for a sampled tuple:
@@ -170,30 +175,4 @@ func (n *Node) tracePullLocked(id tuple.ID, from tuple.NodeID, st *tupleState) {
 	}
 	n.traceLocked(TraceEvent{Kind: TracePull, ID: id, From: from,
 		TraceID: st.traceID, Span: st.span})
-}
-
-func (n *Node) takeTracesLocked() []TraceEvent {
-	ts := n.pendingTraces
-	n.pendingTraces = nil
-	return ts
-}
-
-func (n *Node) dispatchTraces(ts []TraceEvent) {
-	if n.cfg.Tracer == nil || len(ts) == 0 {
-		return
-	}
-	for _, ev := range ts {
-		n.cfg.Tracer(ev)
-	}
-	// Recycle the buffer: tracers receive events by value and must not
-	// retain the slice, so steady-state tracing allocates nothing once
-	// the buffer has grown to the per-call high-water mark.
-	for i := range ts {
-		ts[i] = TraceEvent{}
-	}
-	n.mu.Lock()
-	if n.pendingTraces == nil {
-		n.pendingTraces = ts[:0]
-	}
-	n.mu.Unlock()
 }
