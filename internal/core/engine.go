@@ -49,7 +49,10 @@ const (
 // are one sorted peer slice (see tuplePeer), so the refresh/digest
 // loops walk contiguous rows.
 type tupleState struct {
-	// local is the stored copy (nil when not stored).
+	// local is the stored copy (nil when not stored), the same instance
+	// the store holds. It stays on the row so maintenance and refresh
+	// read it without a store lookup; a row that holds nothing else parks
+	// (see stateTable.park), leaving the store as the copy's only record.
 	local tuple.Tuple
 	// exemplar retains the last maintained tuple heard in full, so
 	// digest-driven maintenance can re-adopt a structure after a
@@ -228,8 +231,18 @@ const (
 	pullBackoffCap = 6
 )
 
+// stateFor returns id's row, making one on first sight; nil for a
+// buried id. A parked id comes back as the row it was parked as:
+// visited, and stored, with its copy and hop, when the store holds one.
 func (n *Node) stateFor(id tuple.ID) *tupleState {
-	return n.states.intern(id)
+	st, unparked := n.states.intern(id)
+	if unparked {
+		if t, hop, ok := n.store.get(id); ok {
+			st.mark(stStored)
+			st.local, st.hop = t, hop
+		}
+	}
+	return st
 }
 
 // lockedStore exposes the local space to propagation hooks running
@@ -301,7 +314,7 @@ func (n *Node) handleMsgLocked(from tuple.NodeID, msg *wire.Message) {
 			return
 		}
 		n.handleTupleLocked(from, msg)
-		n.states.park(msg.Tuple)
+		n.states.park(msg.Tuple, &n.store)
 	case wire.MsgRetract:
 		n.handleRetractLocked(msg.ID)
 	case wire.MsgWithdraw:
@@ -350,7 +363,7 @@ func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
 		n.invalidateWireLocked(st)
 		st.hop = 0
 		st.storedAt = n.now
-		n.store.put(t)
+		n.store.put(t, 0)
 		n.stats.Stored.Add(1)
 		n.effectLocked(TraceEvent{}, TupleArrived, t)
 	}
@@ -435,7 +448,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 			n.invalidateWireLocked(st)
 			st.hop = int32(hop)
 			st.storedAt = n.now
-			n.store.put(local)
+			n.store.put(local, st.hop)
 			n.stats.Superseded.Add(1)
 			span := n.bumpSpanLocked(local.ID(), st)
 			n.effectLocked(TraceEvent{Kind: TraceSupersede, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
@@ -460,7 +473,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 		st.local = local
 		n.invalidateWireLocked(st)
 		st.storedAt = n.now
-		n.store.put(local)
+		n.store.put(local, st.hop)
 		n.stats.Stored.Add(1)
 		n.effectLocked(TraceEvent{Kind: TraceStore, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
 			TraceID: st.traceID, Span: n.bumpSpanLocked(local.ID(), st), ParentSpan: msg.Trace.Span}, TupleArrived, local)
@@ -654,6 +667,9 @@ func (n *Node) handlePullLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.PullsIn.Add(1)
 	for _, id := range msg.Want {
 		st := n.states.lookup(id)
+		if _, _, ok := n.store.get(id); ok && st == nil {
+			st = n.stateFor(id) // a parked copy: its row comes back to announce it
+		}
 		if st == nil {
 			if !n.states.retracted.has(id) {
 				continue
@@ -791,7 +807,7 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 		st.parent = bestNbr
 		st.hop = int32(hopFromVal(desired, step, int(st.hop)))
 		st.storedAt = n.now
-		n.store.put(nl)
+		n.store.put(nl, st.hop)
 		n.stats.MaintAdopt.Add(1)
 		if st.traceID != 0 {
 			st.parentSpan = bestSpan
@@ -819,7 +835,7 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 	st.parent = bestNbr
 	st.hop = int32(hopFromVal(desired, step, ctx.Hop))
 	st.storedAt = n.now
-	n.store.put(nl)
+	n.store.put(nl, st.hop)
 	n.stats.Stored.Add(1)
 	if st.traceID != 0 {
 		st.parentSpan = bestSpan
@@ -884,12 +900,14 @@ func (n *Node) retractLocked(id tuple.ID) {
 	if n.states.retracted.has(id) {
 		return
 	}
-	if st := n.states.lookup(id); st != nil && st.has(stStored) {
-		// Two records, not one: the removal's read check may trace a
-		// denial, and that has always reached tracers before the retract.
-		removed, _ := n.store.remove(id)
+	// The store, not the row, says whether a copy is here: a parked copy
+	// has no row. Two records, not one: the removal's read check may trace
+	// a denial, and that has always reached tracers before the retract.
+	if removed, ok := n.store.remove(id); ok {
 		n.effectLocked(TraceEvent{}, TupleRemoved, removed)
-		n.invalidateWireLocked(st)
+		if st := n.states.lookup(id); st != nil {
+			n.invalidateWireLocked(st)
+		}
 	}
 	n.dropQueryStateLocked(id)
 	n.states.bury(id)
@@ -920,6 +938,7 @@ func (n *Node) deleteLocked(tpl tuple.Template) []tuple.Tuple {
 			if _, isM := removed.(tuple.Maintained); isM {
 				n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
 			}
+			n.states.park(removed, &n.store)
 		}
 	}
 	if len(out) == 0 {
@@ -944,7 +963,7 @@ func (n *Node) handleNeighborAddedLocked(peer tuple.NodeID) {
 	n.idScratch = n.store.appendIDs(n.idScratch)
 	for _, id := range n.idScratch {
 		st := n.states.lookup(id)
-		t, ok := n.store.get(id)
+		t, _, ok := n.store.get(id)
 		if !ok || st == nil {
 			continue
 		}
@@ -1008,7 +1027,7 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 	removed := 0
 	n.idScratch = n.store.appendIDs(n.idScratch)
 	for _, id := range n.idScratch {
-		t, ok := n.store.get(id)
+		t, _, ok := n.store.get(id)
 		if !ok {
 			continue
 		}
@@ -1050,7 +1069,7 @@ func (n *Node) refreshLocked() int {
 	n.aggScratch = n.aggScratch[:0]
 	for _, id := range n.idScratch {
 		st := n.states.lookup(id)
-		t, ok := n.store.get(id)
+		t, _, ok := n.store.get(id)
 		if !ok || st == nil {
 			continue
 		}

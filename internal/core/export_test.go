@@ -6,3 +6,6 @@ const (
 	StaleEpochs     = staleEpochs
 	SuspicionEpochs = suspicionEpochs
 )
+
+// CheckStoreRows exposes checkStoreRows to black-box tests.
+func CheckStoreRows(n *Node) error { return checkStoreRows(n) }

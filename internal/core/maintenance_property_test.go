@@ -5,14 +5,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 )
 
 // Property: on random connected geometric graphs, a random
 // connectivity-preserving perturbation always repairs back to the BFS
-// oracle. This is the maintenance algorithm's correctness property,
-// sampled far beyond the hand-written topologies.
+// oracle, and leaves every node's state table and store in agreement
+// (core.CheckStoreRows). This is the maintenance algorithm's correctness
+// property, sampled far beyond the hand-written topologies.
 func TestMaintenanceConvergesOnRandomGraphsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -64,7 +66,7 @@ func TestMaintenanceConvergesOnRandomGraphsQuick(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return tn.storeRowsAgree()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -127,4 +129,18 @@ func TestMaintenanceStaleParentPoisonProbe(t *testing.T) {
 			t.Errorf("%s: val=%v have=%v, oracle says %d", id, v, have, want)
 		}
 	}
+	tn.storeRowsAgree()
+}
+
+// storeRowsAgree reports whether every node's state table and store
+// agree, failing the test on the first node that does not.
+func (tn *testNet) storeRowsAgree() bool {
+	tn.t.Helper()
+	for _, n := range tn.nodes {
+		if err := core.CheckStoreRows(n); err != nil {
+			tn.t.Error(err)
+			return false
+		}
+	}
+	return true
 }

@@ -381,7 +381,7 @@ func (n *Node) Inject(t tuple.Tuple) (tuple.ID, error) {
 		}
 	}
 	n.injectLocked(t, ctx)
-	n.states.park(t)
+	n.states.park(t, &n.store)
 	n.unlock()
 	return id, nil
 }
@@ -443,10 +443,7 @@ func (n *Node) Retract(id tuple.ID) {
 		return
 	}
 	n.mu.Lock()
-	var local tuple.Tuple
-	if st := n.states.lookup(id); st != nil {
-		local = st.local
-	}
+	local, _, _ := n.store.get(id) // a parked copy has no row
 	if !n.allow(OpRetract, n.id, local) {
 		n.mu.Unlock()
 		return

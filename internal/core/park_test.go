@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"tota/internal/pattern"
@@ -46,12 +47,60 @@ func newParkLine(t *testing.T, msgs int) *parkLine {
 	return pl
 }
 
+// quiesce runs the line until no packets are in flight and then checks
+// that every node's state table and store agree (see checkStoreRows).
 func (pl *parkLine) quiesce() {
 	pl.t.Helper()
 	pl.sim.RunUntilQuiet(100000)
 	if pl.sim.Pending() != 0 {
 		pl.t.Fatal("network did not quiesce")
 	}
+	for _, n := range pl.n {
+		if err := checkStoreRows(n); err != nil {
+			pl.t.Fatal(err)
+		}
+	}
+}
+
+// checkStoreRows checks that n's state table and store give one account
+// of every id: no id is in more than one of the slab, parked and
+// retracted; a row is marked stored exactly when the store holds its
+// copy, the identical instance at the row's hop; and the store holds no
+// copy of an id that has no row unless the id is parked.
+func checkStoreRows(n *Node) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	tab := &n.states
+	for src, runs := range tab.parked {
+		for _, p := range runs {
+			for _, r := range tab.retracted[src] {
+				if p.lo <= r.hi && r.lo <= p.hi {
+					return fmt.Errorf("%s: %s's seqs %v are parked and %v retracted", n.id, src, p, r)
+				}
+			}
+		}
+	}
+	var err error
+	tab.forEach(func(id tuple.ID, st *tupleState) {
+		c, hop, stored := n.store.get(id)
+		switch {
+		case err != nil:
+		case tab.parked.has(id) || tab.retracted.has(id):
+			err = fmt.Errorf("%s: %v has a row and is parked or retracted", n.id, id)
+		case st.has(stStored) != stored || stored && (c != st.local || hop != st.hop):
+			err = fmt.Errorf("%s: %v's row (stored %v, hop %d) disagrees with the store (holds %v, hop %d)",
+				n.id, id, st.has(stStored), st.hop, stored, hop)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for _, id := range n.store.ids() {
+		if tab.lookup(id) == nil && !tab.parked.has(id) {
+			return fmt.Errorf("%s: the store holds %v, which has no row and is not parked", n.id, id)
+		}
+	}
+	return nil
 }
 
 // rows returns the number of rows node i keeps in its state slab.
@@ -84,32 +133,34 @@ func (pl *parkLine) encode(m wire.Message) []byte {
 	return data
 }
 
+// message rebuilds message k as n0 injected it.
+func (pl *parkLine) message(k int) tuple.Tuple {
+	m := pattern.NewDownhill("inbox", tuple.I("seq", int64(k)))
+	m.SetID(pl.msgs[k])
+	return m
+}
+
 // messageFrame encodes message k as n0 broadcast it.
 func (pl *parkLine) messageFrame(k int) []byte {
 	pl.t.Helper()
-	m := pattern.NewDownhill("inbox", tuple.I("seq", int64(k)))
-	m.SetID(pl.msgs[k])
-	return pl.encode(wire.Message{Type: wire.MsgTuple, Tuple: m})
+	return pl.encode(wire.Message{Type: wire.MsgTuple, Tuple: pl.message(k)})
 }
 
-// TestRelayRowsPark: a node that injects or relays a message it does not
-// store keeps no row for it — n0 and n1 hold exactly the gradient's row,
-// and each holds one seq run for n0's thousand messages — while
-// duplicates are still recognized: a replayed message is counted in
-// DupDropped, relayed no further, and leaves no row behind.
+// TestRelayRowsPark: a node that injects, relays or stores a message
+// that goes no further keeps no row for it — n0, n1 and n2 hold exactly
+// the gradient's row, and each holds one seq run for n0's thousand
+// messages — while duplicates are still recognized: a replayed message
+// is counted in DupDropped, relayed no further, and leaves no row behind.
 func TestRelayRowsPark(t *testing.T) {
 	const msgs = 1000
 	pl := newParkLine(t, msgs)
-	for i := 0; i < 2; i++ {
+	for i := range pl.n {
 		if got := pl.rows(i); got != 1 {
 			t.Errorf("n%d keeps %d rows after %d messages, want 1 (the gradient)", i, got, msgs)
 		}
 		if got, want := pl.parked(i), (seenRuns{{1, msgs}}); len(got) != 1 || got[0] != want[0] {
 			t.Errorf("n%d parked runs = %v, want %v", i, got, want)
 		}
-	}
-	if got := pl.rows(2); got != msgs+1 {
-		t.Errorf("n2 keeps %d rows, want %d (gradient + stored messages)", got, msgs+1)
 	}
 
 	relay := pl.n[1]
@@ -134,9 +185,9 @@ func TestRelayRowsPark(t *testing.T) {
 // TestRetractOfParkedIDForwarded: a parked id is still a tuple the node
 // saw, so a retraction of it is forwarded exactly as for a kept row —
 // Node.Retract at the source, the MsgRetract at the relay — and reaches
-// the destination's copy. Every node then buries the id: its parked mark,
-// or the destination's row, gives way to one retracted seq run. An id
-// the relay never saw is buried and not forwarded.
+// the destination's copy. Every node then buries the id: its parked mark
+// gives way to one retracted seq run. An id the relay never saw is
+// buried and not forwarded.
 func TestRetractOfParkedIDForwarded(t *testing.T) {
 	const msgs = 20
 	pl := newParkLine(t, msgs)
@@ -157,16 +208,13 @@ func TestRetractOfParkedIDForwarded(t *testing.T) {
 			t.Fatalf("n2 still stores the retracted message %s", m.ID())
 		}
 	}
-	for i := 0; i < 2; i++ {
+	for i := range pl.n {
 		if got := pl.rows(i); got != 1 {
 			t.Errorf("n%d keeps %d rows, want 1 (the gradient)", i, got)
 		}
 		if got := pl.parked(i); len(got) != 2 || got[0] != (seqRun{1, 7}) || got[1] != (seqRun{9, msgs}) {
 			t.Errorf("n%d parked runs = %v, want [{1 7} {9 %d}]", i, got, msgs)
 		}
-	}
-	if got := pl.rows(2); got != msgs {
-		t.Errorf("n2 keeps %d rows, want %d (gradient + stored messages)", got, msgs)
 	}
 	for i := range pl.n {
 		if got := pl.retracted(i); len(got) != 1 || got[0] != (seqRun{8, 8}) {
@@ -198,16 +246,16 @@ func diffStats(after, before Stats) Stats {
 	return after
 }
 
-// msgTap records the types of the messages a node receives and hands
-// each packet on to the node.
+// msgTap records the messages a node receives and hands each packet on
+// to the node.
 type msgTap struct {
 	*Node
-	got []wire.MsgType
+	got []wire.Message
 }
 
 func (m *msgTap) HandlePacket(from tuple.NodeID, data []byte) {
 	if msg, err := wire.Decode(m.cfg.Registry, data); err == nil {
-		m.got = append(m.got, msg.Type)
+		m.got = append(m.got, msg)
 	}
 	m.Node.HandlePacket(from, data)
 }
@@ -240,7 +288,7 @@ func TestBuriedIDReplays(t *testing.T) {
 			func(d Stats) bool { return d.PullsOut == 0 && d.PullsSuppressed == 0 }},
 		{"pull", dst, pl.encode(wire.Message{Type: wire.MsgPull, Want: []tuple.ID{id}}),
 			func(d Stats) bool {
-				return len(tap.got) == 1 && tap.got[0] == wire.MsgRetract && d.Broadcasts == 0
+				return len(tap.got) == 1 && tap.got[0].Type == wire.MsgRetract && d.Broadcasts == 0
 			}},
 		{"second MsgRetract", src, pl.encode(wire.Message{Type: wire.MsgRetract, ID: id}),
 			func(d Stats) bool { return d.Retracted == 0 && d.Broadcasts == 0 }},
@@ -434,4 +482,174 @@ func TestMaintainedSourceRowNeverParks(t *testing.T) {
 	if got := src.Read(pattern.ByName(pattern.KindGradient, "shy")); len(got) != 0 {
 		t.Errorf("the source adopted its own structure from a neighbor: %v", got)
 	}
+}
+
+// editionTuple is a stored tuple that never propagates, and whose higher
+// edition supersedes a lower one.
+type editionTuple struct {
+	tuple.Base
+	edition int64
+}
+
+const kindEdition = "core-test:edition"
+
+func init() {
+	tuple.DefaultRegistry.MustRegister(kindEdition, func(id tuple.ID, c tuple.Content) (tuple.Tuple, error) {
+		e := &editionTuple{edition: c.GetInt("edition")}
+		e.SetID(id)
+		return e, nil
+	})
+}
+
+func (*editionTuple) Kind() string                    { return kindEdition }
+func (e *editionTuple) Content() tuple.Content        { return tuple.Content{tuple.I("edition", e.edition)} }
+func (*editionTuple) ShouldPropagate(*tuple.Ctx) bool { return false }
+
+func (e *editionTuple) Supersedes(old tuple.Tuple) bool {
+	o, ok := old.(*editionTuple)
+	return ok && e.edition > o.edition
+}
+
+// eventLog subscribes to every tuple event at n.
+func eventLog(n *Node) *[]Event {
+	var got []Event
+	n.Subscribe(tuple.MatchAll(), func(e Event) { got = append(got, e) })
+	return &got
+}
+
+// TestDeleteParksRows: Delete leaves a deleted copy's row holding only
+// the visited mark, and parks it as a delivery does. Deleting n2's 100
+// messages leaves the gradient's row and one seq run, and a replayed
+// message is still a duplicate that fires no event.
+func TestDeleteParksRows(t *testing.T) {
+	const msgs = 100
+	pl := newParkLine(t, msgs)
+	dst := pl.n[2]
+	if got := len(dst.Delete(tuple.Match(pattern.KindDownhill))); got != msgs {
+		t.Fatalf("Delete returned %d of %d messages", got, msgs)
+	}
+	pl.quiesce()
+	if got := pl.rows(2); got != 1 {
+		t.Errorf("n2 keeps %d rows after the delete, want 1 (the gradient)", got)
+	}
+	if got := pl.parked(2); len(got) != 1 || got[0] != (seqRun{1, msgs}) {
+		t.Errorf("n2 parked runs = %v, want [{1 %d}]", got, msgs)
+	}
+	events := eventLog(dst)
+	before := dst.Stats()
+	dst.HandlePacket(topology.NodeName(1), pl.messageFrame(msgs/2))
+	pl.quiesce()
+	if d := diffStats(dst.Stats(), before); d.DupDropped != 1 || d.Stored != 0 || len(*events) != 0 {
+		t.Errorf("replay of a deleted message: DupDropped +%d, Stored +%d, %d events", d.DupDropped, d.Stored, len(*events))
+	}
+	if got := pl.rows(2); got != 1 {
+		t.Errorf("the replay left n2 with %d rows, want 1", got)
+	}
+}
+
+// TestStoredCopyParks: a delivered copy that does not propagate keeps no
+// row at its destination, and every path that meets it acts as on the
+// row it parked, with the store as the copy's only record. A replay is a
+// duplicate; a superseding copy replaces the stored one with one event;
+// a pull is answered with the hop the copy was accepted at; Retract asks
+// its policy about the stored copy, buries the id and fires one removal.
+// A copy with a lease keeps its row, which the sweep reads.
+func TestStoredCopyParks(t *testing.T) {
+	const msgs = 1000
+	pl := newParkLine(t, msgs)
+	dst, relay := pl.n[2], topology.NodeName(1)
+	if got := pl.rows(2); got != 1 {
+		t.Errorf("n2 keeps %d rows after %d deliveries, want 1 (the gradient)", got, msgs)
+	}
+	events := eventLog(dst)
+	step := func(name string, from tuple.NodeID, m wire.Message, want func(d Stats) bool) {
+		t.Helper()
+		*events = (*events)[:0]
+		before := dst.Stats()
+		dst.HandlePacket(from, pl.encode(m))
+		pl.quiesce()
+		if d := diffStats(dst.Stats(), before); !want(d) {
+			t.Errorf("%s: Stored +%d, Superseded +%d, DupDropped +%d, Unicasts +%d, Broadcasts +%d",
+				name, d.Stored, d.Superseded, d.DupDropped, d.Unicasts, d.Broadcasts)
+		}
+	}
+
+	step("replay", relay, wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: pl.message(7)},
+		func(d Stats) bool { return d.DupDropped == 1 && d.Broadcasts == 0 && len(*events) == 0 })
+	if got := pl.rows(2); got != 1 || dst.StoreSize() != msgs+1 {
+		t.Errorf("the replay left n2 with %d rows and %d stored", got, dst.StoreSize())
+	}
+
+	edition := func(k int64) *editionTuple {
+		e := &editionTuple{edition: k}
+		e.SetID(tuple.ID{Node: "editor", Seq: 1})
+		return e
+	}
+	step("edition 1", relay, wire.Message{Type: wire.MsgTuple, Tuple: edition(1)},
+		func(d Stats) bool { return d.Stored == 1 && len(*events) == 1 })
+	step("edition 2", relay, wire.Message{Type: wire.MsgTuple, Tuple: edition(2)},
+		func(d Stats) bool {
+			return d.Superseded == 1 && d.Broadcasts == 0 && len(*events) == 1 &&
+				(*events)[0].Type == TupleArrived && (*events)[0].Tuple.(*editionTuple).edition == 2
+		})
+	step("edition 1 again", relay, wire.Message{Type: wire.MsgTuple, Tuple: edition(1)},
+		func(d Stats) bool { return d.DupDropped == 1 && len(*events) == 0 })
+	if got := dst.Read(tuple.Match(kindEdition)); len(got) != 1 || got[0].(*editionTuple).edition != 2 {
+		t.Errorf("n2 stores %v, want edition 2 alone", got)
+	}
+	if got := pl.rows(2); got != 1 || !pl.n[2].states.parked.has(edition(2).ID()) {
+		t.Errorf("after the supersede n2 keeps %d rows, want 1, and the edition parked", got)
+	}
+
+	tap := &msgTap{Node: pl.n[1]}
+	pl.sim.Bind(relay, tap)
+	k := pl.msgs[3]
+	step("pull", relay, wire.Message{Type: wire.MsgPull, Want: []tuple.ID{k}},
+		func(d Stats) bool { return d.Unicasts == 1 })
+	if len(tap.got) != 1 || tap.got[0].Type != wire.MsgTuple || tap.got[0].Tuple.ID() != k ||
+		tap.got[0].Hop != 2 || tap.got[0].Ver != 1 {
+		t.Errorf("n2 answered the pull with %+v, want the copy at hop 2, version 1", tap.got)
+	}
+
+	var subject tuple.Tuple
+	dst.mu.Lock()
+	dst.cfg.Policy = PolicyFunc(func(op Op, _ tuple.NodeID, t tuple.Tuple) bool {
+		if op == OpRetract {
+			subject = t
+		}
+		return true
+	})
+	dst.mu.Unlock()
+	gone, stored := pl.msgs[5], dst.StoreSize()
+	*events = (*events)[:0]
+	dst.Retract(gone)
+	pl.quiesce()
+	if subject == nil || subject.ID() != gone {
+		t.Errorf("Retract asked its policy about %v, want the stored copy of %v", subject, gone)
+	}
+	if len(*events) != 1 || (*events)[0].Type != TupleRemoved || (*events)[0].Tuple.ID() != gone {
+		t.Errorf("Retract fired %v, want one removal of %v", *events, gone)
+	}
+	if dst.StoreSize() != stored-1 || !dst.states.retracted.has(gone) || dst.states.parked.has(gone) {
+		t.Errorf("after Retract n2 stores %d, want %d, and the id buried", dst.StoreSize(), stored-1)
+	}
+	dst.mu.Lock()
+	dst.cfg.Policy = nil
+	dst.mu.Unlock()
+
+	// A flood scoped to one hop stops at n2 but carries a lease: its row
+	// holds the storage time the sweep reads, so it stays.
+	fid, err := pl.n[1].Inject(pattern.NewFlood("lease").Within(1).Expires(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.quiesce()
+	if _, ok := dst.states.handleOf(fid); !ok {
+		t.Fatal("the leased copy's row was parked")
+	}
+	*events = (*events)[:0]
+	if got := dst.SweepExpired(10); got != 1 || len(*events) != 1 || (*events)[0].Type != TupleRemoved {
+		t.Errorf("the sweep expired %d copies with events %v, want the leased flood", got, *events)
+	}
+	pl.quiesce()
 }

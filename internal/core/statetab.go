@@ -28,9 +28,11 @@ import (
 // ids column — at emulation scale almost every node tracks a handful of
 // tuples and never allocates the map at all.
 //
-// A row that only records "seen here" leaves the slab (see park), and
-// so does a retracted or expired one (see bury). An id is in at most
-// one of the slab, parked and retracted.
+// A row that only records "seen here", or that and a stored copy the
+// store already holds, leaves the slab (see park), and so does a
+// retracted or expired one (see bury). An id is in at most one of the
+// slab, parked and retracted; a parked id's copy, if any, is in the
+// store, which is then the copy's only record.
 type stateTable struct {
 	byID   map[tuple.ID]int32 // nil in small mode
 	chunks [][]tupleState
@@ -98,15 +100,16 @@ func (tab *stateTable) at(h int32) *tupleState {
 
 // intern returns the state tracked for id, allocating a zero state on
 // first sight — recycling a freed slot when one exists, extending the
-// slab otherwise — or, for a parked id, the visited-only row it was
-// parked as. A buried id gets no row: intern returns nil. id must not
-// be zero.
-func (tab *stateTable) intern(id tuple.ID) *tupleState {
+// slab otherwise — or, for a parked id, a visited-only row, reporting
+// unparked so the caller can restore a stored copy from the store (see
+// Node.stateFor). A buried id gets no row: intern returns nil. id must
+// not be zero.
+func (tab *stateTable) intern(id tuple.ID) (st *tupleState, unparked bool) {
 	if h, ok := tab.handleOf(id); ok {
-		return tab.at(h)
+		return tab.at(h), false
 	}
 	if tab.retracted.has(id) {
-		return nil
+		return nil, false
 	}
 	var h int32
 	if n := len(tab.free); n > 0 {
@@ -132,11 +135,11 @@ func (tab *stateTable) intern(id tuple.ID) *tupleState {
 	} else if tab.byID != nil {
 		tab.byID[id] = h
 	}
-	st := tab.at(h)
+	st = tab.at(h)
 	if tab.parked.remove(id) {
-		st.flags = stVisited
+		st.flags, unparked = stVisited, true
 	}
-	return st
+	return st, unparked
 }
 
 // release forgets id's state, zeroing the slot and recycling its handle.
@@ -156,13 +159,17 @@ func (tab *stateTable) release(id tuple.ID) {
 	tab.live--
 }
 
-// park releases t's row when it holds nothing but the visited mark —
+// park releases t's row when the seen set and the store can stand in
+// for it, and files its id in the seen set, so every later intern sees
+// the row parked. Two rows qualify: one holding only the visited mark —
 // plus the source and propagated marks, which only stored or maintained
-// code reads — and files its id in the seen set, so every later intern
-// sees exactly the row parked. A maintained tuple keeps its row: at a
-// source that stores no copy, the source mark is what keeps maintenance
-// from adopting the structure back from a neighbor.
-func (tab *stateTable) park(t tuple.Tuple) {
+// code reads — and one holding only the visited, source and stored marks
+// and a copy without a lease that s holds at the row's hop, which no
+// refresh, catch-up or sweep reads; Node.stateFor restores the second
+// from s. A maintained tuple keeps its row: at a source that stores no
+// copy, the source mark is what keeps maintenance from adopting the
+// structure back from a neighbor.
+func (tab *stateTable) park(t tuple.Tuple, s *store) {
 	if _, ok := t.(tuple.Maintained); ok {
 		return
 	}
@@ -172,10 +179,20 @@ func (tab *stateTable) park(t tuple.Tuple) {
 		return
 	}
 	st := tab.at(h)
-	if st.flags&stVisited == 0 || st.flags&^(stVisited|stSource|stPropagated) != 0 ||
-		st.local != nil || st.exemplar != nil || st.encCache != nil || len(st.peers) != 0 ||
+	marks := stVisited | stSource | stPropagated
+	if st.has(stStored) {
+		marks = stVisited | stSource | stStored
+	}
+	if st.flags&stVisited == 0 || st.flags&^marks != 0 || st.has(stStored) != (st.local != nil) ||
+		st.exemplar != nil || st.encCache != nil || len(st.peers) != 0 ||
 		st.traceID != 0 || st.span != 0 || st.parentSpan != 0 || st.ver != 0 || st.parent != "" {
 		return
+	}
+	if st.has(stStored) {
+		e, leased := st.local.(tuple.Expiring)
+		if c, hop, ok := s.get(id); !ok || c != st.local || hop != st.hop || leased && e.Lease() > 0 {
+			return
+		}
 	}
 	tab.release(id)
 	tab.parked.add(id)

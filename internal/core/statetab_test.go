@@ -33,10 +33,11 @@ func TestStateChunkFor(t *testing.T) {
 // move.
 func TestStateTablePointerStability(t *testing.T) {
 	var tab stateTable
-	first := tab.intern(stID(0))
+	first, _ := tab.intern(stID(0))
 	first.hop = 42
 	for i := 1; i < 200; i++ {
-		tab.intern(stID(i)).hop = int32(i)
+		st, _ := tab.intern(stID(i))
+		st.hop = int32(i)
 	}
 	if again := tab.lookup(stID(0)); again != first || again.hop != 42 {
 		t.Fatalf("state 0 moved or lost: %p vs %p, hop=%d", again, first, first.hop)
@@ -255,18 +256,24 @@ func FuzzSeenRuns(f *testing.F) {
 	})
 }
 
-// FuzzStateTable drives arbitrary intern, park, bury, release and
-// lookup sequences over 32 ids of two sources against a reference map
-// of where each id lives: a row, the parked set, the retracted set or
-// nowhere. After every step the table must agree with the reference on
-// every id — so an id is in at most one place — lookup must not have
-// made a row, live must match the free list, and no source may be left
-// holding an empty run list. Each input byte is one step: the high three
-// bits pick the operation, bit 4 the source and the low four bits the seq.
+// FuzzStateTable drives arbitrary intern, park, bury, release, store,
+// unstore and lookup sequences over 32 ids of two sources against a
+// reference of where each id lives — a row, the parked set, the retracted
+// set or nowhere — and of which ids a modelled store holds and which rows
+// are marked stored. Interning goes through Node.stateFor, so a parked id
+// must come back visited, and stored with the store's copy exactly when
+// the store holds one; a row marked stored parks only while the store
+// holds its copy. After every step the table must agree with the
+// reference on every id — so an id is in at most one place — and the
+// store on every held id; lookup must not have made a row, live must
+// match the free list, and no source may be left holding an empty run
+// list. Each input byte is one step: the high three bits pick the
+// operation, bit 4 the source and the low four bits the seq.
 func FuzzStateTable(f *testing.F) {
-	f.Add([]byte{0x01, 0x21, 0x01, 0x41, 0x01, 0x81})
+	f.Add([]byte{0x01, 0x21, 0x01, 0x41, 0x01, 0xc1})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x20, 0x21, 0x22, 0x01, 0x41, 0x61, 0x00})
-	f.Add([]byte{0x03, 0x23, 0x03, 0x43, 0x63, 0x83, 0x03})
+	f.Add([]byte{0x03, 0x23, 0x03, 0x43, 0x63, 0xc3, 0x03})
+	f.Add([]byte{0x84, 0x04, 0x24, 0xa4, 0x24, 0x84, 0xa4, 0x04, 0x24, 0x84, 0x64, 0x04, 0x44, 0x84})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const (
 			nowhere = iota
@@ -274,8 +281,10 @@ func FuzzStateTable(f *testing.F) {
 			parked
 			buried
 		)
-		var tab stateTable
+		n := &Node{}
+		tab := &n.states
 		where := make(map[tuple.ID]int)
+		held, marked := make(map[tuple.ID]bool), make(map[tuple.ID]bool)
 		idOf := func(b byte) tuple.ID {
 			return tuple.ID{Node: []tuple.NodeID{"a", "b"}[b>>4&1], Seq: uint64(b&0x0f) + 1}
 		}
@@ -283,33 +292,59 @@ func FuzzStateTable(f *testing.F) {
 			id := idOf(op)
 			switch op >> 5 {
 			case 0: // intern
-				st := tab.intern(id)
-				switch {
-				case where[id] == buried:
+				st := n.stateFor(id)
+				c, _, _ := n.store.get(id)
+				switch where[id] {
+				case buried:
 					if st != nil {
 						t.Fatalf("step %d: intern gave buried %v a row", step, id)
 					}
-				case where[id] == parked && st.flags != stVisited:
-					t.Fatalf("step %d: parked %v came back as %+v", step, id, st)
-				default:
+				case parked:
+					want := tupleState{flags: stVisited}
+					if held[id] {
+						want = tupleState{flags: stVisited | stStored, local: c}
+					}
+					if !reflect.DeepEqual(*st, want) || st.local != want.local {
+						t.Fatalf("step %d: parked %v came back as %+v, want %+v", step, id, st, want)
+					}
+					where[id], marked[id] = row, held[id]
+				case nowhere:
+					if !reflect.DeepEqual(*st, tupleState{}) {
+						t.Fatalf("step %d: new row for %v is %+v", step, id, st)
+					}
 					where[id] = row
 				}
 			case 1: // park, as the engine does after a visit
 				if st := tab.lookup(id); st != nil {
 					st.mark(stVisited)
 				}
-				tab.park(plainTuple(id))
-				if where[id] == row {
-					where[id] = parked
+				tab.park(plainTuple(id), &n.store)
+				if where[id] == row && (!marked[id] || held[id]) {
+					where[id], marked[id] = parked, false
 				}
-			case 2:
+			case 2: // bury, as retraction and expiry do: the copy goes first
+				n.store.remove(id)
 				tab.bury(id)
-				where[id] = buried
+				where[id], held[id], marked[id] = buried, false, false
 			case 3:
 				tab.release(id)
 				if where[id] == row {
-					where[id] = nowhere
+					where[id], marked[id] = nowhere, false
 				}
+			case 4: // store a copy and park, as a delivery of a copy that stays put does
+				st := n.stateFor(id)
+				if st == nil {
+					break
+				}
+				c := plainTuple(id)
+				st.mark(stVisited | stStored)
+				st.local = c
+				n.store.put(c, st.hop)
+				tab.park(c, &n.store)
+				where[id], held[id], marked[id] = parked, true, false
+			case 5: // the store drops the copy, leaving any row marked
+				n.store.remove(id)
+				held[id] = false
 			default:
 				live := tab.len()
 				if got := tab.lookup(id) != nil; got != (where[id] == row) || tab.len() != live {
@@ -326,6 +361,9 @@ func FuzzStateTable(f *testing.F) {
 					if in[w] != (where[id] == w) {
 						t.Fatalf("step %d: %v is in %v (row, parked, retracted), reference %d", step, id, in[1:], where[id])
 					}
+				}
+				if _, _, ok := n.store.get(id); ok != held[id] {
+					t.Fatalf("step %d: the store holds %v: %v, reference %v", step, id, ok, held[id])
 				}
 				if isRow {
 					rows++
@@ -359,15 +397,18 @@ func plainTuple(id tuple.ID) tuple.Tuple {
 
 // TestStateTableParkRehydrates pins park's contract: a seen-only row
 // leaves the slab, lookup leaves it parked, and intern brings it back as
-// exactly the visited-only row, once; any other content keeps the row in
-// the slab.
+// exactly the visited-only row, once, reporting that it un-parked it. A
+// stored row parks too while the store holds its copy at its hop, the
+// copy neither propagates nor has a lease, and the row holds nothing
+// else; any other content keeps the row in the slab.
 func TestStateTableParkRehydrates(t *testing.T) {
 	var tab stateTable
+	var s store
 	for i := 0; i < 100; i++ {
-		st := tab.intern(stID(i))
+		st, _ := tab.intern(stID(i))
 		st.mark(stVisited | stPropagated)
 		st.hop = 3
-		tab.park(plainTuple(stID(i)))
+		tab.park(plainTuple(stID(i)), &s)
 	}
 	if tab.len() != 0 || len(tab.parked) != 1 || len(tab.parked["n"]) != 1 {
 		t.Fatalf("100 in-order parks: %d rows, runs %v", tab.len(), tab.parked)
@@ -381,39 +422,68 @@ func TestStateTableParkRehydrates(t *testing.T) {
 	if tab.lookup(stID(40)) != nil || tab.len() != 0 || !tab.parked["n"].has(stID(40).Seq) {
 		t.Fatal("lookup brought a parked row back")
 	}
-	st := tab.intern(stID(40))
-	if !reflect.DeepEqual(*st, tupleState{flags: stVisited}) {
-		t.Fatalf("parked id came back as %+v", st)
+	st, unparked := tab.intern(stID(40))
+	if !unparked || !reflect.DeepEqual(*st, tupleState{flags: stVisited}) {
+		t.Fatalf("parked id came back as %+v, unparked %v", st, unparked)
 	}
 	if tab.len() != 1 || len(tab.parked["n"]) != 2 || tab.parked["n"].has(stID(40).Seq) {
 		t.Fatalf("after one rehydration: %d rows, runs %v", tab.len(), tab.parked["n"])
 	}
-	if again := tab.intern(stID(40)); again != st {
+	if again, unparked := tab.intern(stID(40)); again != st || unparked {
 		t.Error("a rehydrated row was rehydrated twice")
 	}
 
-	keep := []func(*tupleState){
-		func(st *tupleState) {}, // never visited
-		func(st *tupleState) { st.mark(stVisited | stStored) },
-		func(st *tupleState) { st.mark(stVisited | stSupportTab) },
-		func(st *tupleState) { st.mark(stVisited); st.peerFor("p", 1) },
-		func(st *tupleState) { st.mark(stVisited); st.traceID = 1 },
-		func(st *tupleState) { st.mark(stVisited); st.parentSpan = 1 },
-		func(st *tupleState) { st.mark(stVisited); st.ver = 1 },
-		func(st *tupleState) { st.mark(stVisited); st.encCache = []byte{1} },
+	// storeCopy marks a row stored with c, which the store holds at the
+	// row's hop, as a delivery that stays put does.
+	storeCopy := func(st *tupleState, c tuple.Tuple) {
+		st.mark(stVisited | stStored)
+		st.local = c
+		s.put(c, st.hop)
+	}
+	id := tuple.ID{Node: "s", Seq: 1}
+	st, _ = tab.intern(id)
+	st.hop = 2
+	storeCopy(st, plainTuple(id))
+	tab.park(plainTuple(id), &s)
+	if _, ok := tab.handleOf(id); ok || !tab.parked.has(id) {
+		t.Error("a row holding nothing but a stored copy was not parked")
+	}
+	if st, unparked := tab.intern(id); !unparked || st.flags != stVisited {
+		t.Errorf("a parked stored row came back as %+v from intern, unparked %v", st, unparked)
+	}
+
+	keep := []func(st *tupleState, id tuple.ID){
+		func(st *tupleState, id tuple.ID) {}, // never visited
+		func(st *tupleState, id tuple.ID) { st.mark(stVisited | stStored); st.local = plainTuple(id) }, // the store holds no copy
+		func(st *tupleState, id tuple.ID) { storeCopy(st, plainTuple(id)); st.local = plainTuple(id) }, // the store holds another copy
+		func(st *tupleState, id tuple.ID) { storeCopy(st, plainTuple(id)); st.hop = 1 },                // at another hop
+		func(st *tupleState, id tuple.ID) { storeCopy(st, plainTuple(id)); st.mark(stPropagated) },
+		func(st *tupleState, id tuple.ID) {
+			f := pattern.NewFlood("f").Expires(5)
+			f.SetID(id)
+			storeCopy(st, f)
+		},
+		func(st *tupleState, id tuple.ID) { st.mark(stVisited | stSupportTab) },
+		func(st *tupleState, id tuple.ID) { st.mark(stVisited); st.peerFor("p", 1) },
+		func(st *tupleState, id tuple.ID) { st.mark(stVisited); st.traceID = 1 },
+		func(st *tupleState, id tuple.ID) { st.mark(stVisited); st.parentSpan = 1 },
+		func(st *tupleState, id tuple.ID) { st.mark(stVisited); st.ver = 1 },
+		func(st *tupleState, id tuple.ID) { st.mark(stVisited); st.encCache = []byte{1} },
 	}
 	for i, set := range keep {
 		id := tuple.ID{Node: "k", Seq: uint64(i + 1)}
-		set(tab.intern(id))
-		tab.park(plainTuple(id))
+		st, _ := tab.intern(id)
+		set(st, id)
+		tab.park(plainTuple(id), &s)
 		if _, ok := tab.handleOf(id); !ok {
-			t.Errorf("case %d: a row holding more than the visited mark was parked", i)
+			t.Errorf("case %d: a row holding more than the visited mark or a parkable copy was parked", i)
 		}
 	}
 	g := pattern.NewGradient("g")
 	g.SetID(tuple.ID{Node: "m", Seq: 1})
-	tab.intern(g.ID()).mark(stVisited | stSource)
-	tab.park(g)
+	st, _ = tab.intern(g.ID())
+	st.mark(stVisited | stSource)
+	tab.park(g, &s)
 	if _, ok := tab.handleOf(g.ID()); !ok {
 		t.Error("a maintained tuple's row was parked")
 	}

@@ -20,28 +20,31 @@ type idList struct {
 // The lists a storeSlot records its positions on.
 const posOrder, posKind, posKindName = 0, 1, 2
 
-// storeSlot is a big-mode tuple's one index entry: the stored copy and
-// its positions on the order, kind and (kind, name) lists.
+// storeSlot is a big-mode tuple's one index entry: the stored copy, its
+// positions on the order, kind and (kind, name) lists, and its hop,
+// which fits in the slot's alignment padding.
 type storeSlot struct {
 	t   tuple.Tuple
 	pos [3]int32
+	hop int32
 }
 
-// storeEnt is one small-mode entry: the stored copy with its keys pulled
-// out once, at put — the id, so the linear scans compare ids without an
-// interface call, and the "name" field, so structure sensing and
-// promotion never rebuild the copy's content. Big mode stores no name:
-// its (kind, name) index lists already say which name each tuple
-// carries, and a name in every byID slot would be paid for each tuple a
-// large space keeps.
+// storeEnt is one small-mode entry: the stored copy and its hop, with
+// its keys pulled out once, at put — the id, so the linear scans compare
+// ids without an interface call, and the "name" field, so structure
+// sensing and promotion never rebuild the copy's content. Big mode
+// stores no name: its (kind, name) index lists already say which name
+// each tuple carries, and a name in every byID slot would be paid for
+// each tuple a large space keeps.
 type storeEnt struct {
 	id   tuple.ID
 	name string
 	t    tuple.Tuple
+	hop  int32
 }
 
-func newStoreEnt(t tuple.Tuple) storeEnt {
-	return storeEnt{id: t.ID(), name: nameOf(t), t: t}
+func newStoreEnt(t tuple.Tuple, hop int32) storeEnt {
+	return storeEnt{id: t.ID(), name: nameOf(t), t: t, hop: hop}
 }
 
 // nameOf reads t's "name" field ("" when absent or not a string), the
@@ -119,7 +122,7 @@ func (s *store) promote() {
 // indexPut files a new tuple at the end of its three lists.
 func (s *store) indexPut(e storeEnt) {
 	kind, kn := indexKeys(e.t, e.name)
-	slot := storeSlot{t: e.t}
+	slot := storeSlot{t: e.t, hop: e.hop}
 	for which, l := range [3]*idList{&s.big.order, listFor(s.big.byKind, kind), listFor(s.big.byKindName, kn)} {
 		slot.pos[which] = int32(len(l.ids))
 		l.ids = append(l.ids, e.id)
@@ -169,9 +172,10 @@ func (s *store) refile(id tuple.ID, which int, from, to *idList) {
 	s.setPos(id, which, len(to.ids)-1)
 }
 
-// put inserts or replaces the copy for t.ID().
-func (s *store) put(t tuple.Tuple) {
-	e := newStoreEnt(t)
+// put inserts or replaces the copy for t.ID(), accepted hop hops from
+// its source: a parked copy's hop is kept only here (see stateTable.park).
+func (s *store) put(t tuple.Tuple, hop int32) {
+	e := newStoreEnt(t, hop)
 	id := e.id
 	if s.big == nil {
 		for i := range s.flat {
@@ -195,7 +199,7 @@ func (s *store) put(t tuple.Tuple) {
 	// a key changed (the name field could in principle evolve).
 	oldKind, oldKN := indexKeys(slot.t, nameOf(slot.t))
 	newKind, newKN := indexKeys(t, e.name)
-	slot.t = t
+	slot.t, slot.hop = t, hop
 	s.big.byID[id] = slot
 	if oldKind != newKind {
 		s.refile(id, posKind, s.big.byKind[oldKind], listFor(s.big.byKind, newKind))
@@ -205,18 +209,18 @@ func (s *store) put(t tuple.Tuple) {
 	}
 }
 
-// get returns the stored copy for id.
-func (s *store) get(id tuple.ID) (tuple.Tuple, bool) {
+// get returns the stored copy for id and its hop.
+func (s *store) get(id tuple.ID) (tuple.Tuple, int32, bool) {
 	if s.big == nil {
 		for i := range s.flat {
 			if s.flat[i].id == id {
-				return s.flat[i].t, true
+				return s.flat[i].t, s.flat[i].hop, true
 			}
 		}
-		return nil, false
+		return nil, 0, false
 	}
 	slot, ok := s.big.byID[id]
-	return slot.t, ok
+	return slot.t, slot.hop, ok
 }
 
 // remove deletes the copy for id and returns it.

@@ -22,8 +22,8 @@ func mkLocal(t *testing.T, name string, seq uint64) tuple.Tuple {
 func TestStorePutGetRemove(t *testing.T) {
 	s := newStore(tuple.DefaultRegistry)
 	a := mkLocal(t, "a", 1)
-	s.put(a)
-	if got, ok := s.get(a.ID()); !ok || got != a {
+	s.put(a, 3)
+	if got, hop, ok := s.get(a.ID()); !ok || got != a || hop != 3 {
 		t.Fatal("get after put failed")
 	}
 	if s.size() != 1 || len(s.ids()) != 1 {
@@ -40,12 +40,45 @@ func TestStorePutGetRemove(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsHop: the hop put with a copy comes back with it, in
+// small mode and across promotion, and a replacement's hop wins.
+func TestStoreKeepsHop(t *testing.T) {
+	s := newStore(tuple.DefaultRegistry)
+	check := func(upTo int, hop2 int32) {
+		t.Helper()
+		for i := 1; i <= upTo; i++ {
+			want := int32(i)
+			if i == 2 {
+				want = hop2
+			}
+			if _, hop, ok := s.get(tuple.ID{Node: "n", Seq: uint64(i)}); !ok || hop != want {
+				t.Fatalf("copy %d of %d: hop %d, %v; want %d", i, upTo, hop, ok, want)
+			}
+		}
+	}
+	for i := 1; i <= storeSmallMax; i++ {
+		s.put(mkLocal(t, "x", uint64(i)), int32(i))
+	}
+	s.put(mkLocal(t, "x", 2), 5)
+	check(storeSmallMax, 5)
+	const n = 3 * storeSmallMax
+	for i := storeSmallMax + 1; i <= n; i++ {
+		s.put(mkLocal(t, "x", uint64(i)), int32(i))
+	}
+	if s.big == nil {
+		t.Fatal("the store never promoted")
+	}
+	check(n, 5)
+	s.put(mkLocal(t, "x", 2), 7)
+	check(n, 7)
+}
+
 func TestStoreReplacementKeepsSingleEntry(t *testing.T) {
 	s := newStore(tuple.DefaultRegistry)
 	a1 := mkLocal(t, "a", 1)
-	s.put(a1)
+	s.put(a1, 0)
 	a2 := mkLocal(t, "a", 1) // same id, new instance
-	s.put(a2)
+	s.put(a2, 0)
 	if s.size() != 1 {
 		t.Fatalf("size = %d after replacement", s.size())
 	}
@@ -188,18 +221,18 @@ func TestStoreIndexedReadsMatchFullScan(t *testing.T) {
 					kind, name = kinds[rng.Intn(len(kinds))], names[rng.Intn(len(names))]
 				}
 				tt := mkKindTuple(kind, name, old.ID().Seq)
-				s.put(tt)
+				s.put(tt, 0)
 				ref.put(tt)
 			case r < pRemove+25 && len(removed) > 0: // re-put a removed id
 				i := rng.Intn(len(removed))
 				tt := mkKindTuple(kinds[rng.Intn(len(kinds))], names[rng.Intn(len(names))], removed[i])
 				removed = append(removed[:i], removed[i+1:]...)
-				s.put(tt)
+				s.put(tt, 0)
 				ref.put(tt)
 			default:
 				seq++
 				tt := mkKindTuple(kinds[rng.Intn(len(kinds))], names[rng.Intn(len(names))], seq+1000)
-				s.put(tt)
+				s.put(tt, 0)
 				ref.put(tt)
 			}
 			for k, n := range lens {
@@ -277,7 +310,7 @@ func TestStoreMinValueMatchesTemplateRead(t *testing.T) {
 				tt = pattern.NewLocal(name)
 			}
 			tt.SetID(id)
-			s.put(tt)
+			s.put(tt, 0)
 		default:
 			i := rng.Intn(len(ids))
 			s.remove(ids[i])
@@ -293,11 +326,11 @@ func TestStoreMinValueMatchesTemplateRead(t *testing.T) {
 func TestStoreCandidatesSelectivity(t *testing.T) {
 	s := newStore(tuple.DefaultRegistry)
 	for i := 0; i < 100; i++ {
-		s.put(mkLocal(t, fmt.Sprintf("item%d", i), uint64(i+1)))
+		s.put(mkLocal(t, fmt.Sprintf("item%d", i), uint64(i+1)), 0)
 	}
 	g := pattern.NewGradient("field")
 	g.SetID(tuple.ID{Node: "n", Seq: 999})
-	s.put(g)
+	s.put(g, 0)
 
 	if got := len(s.candidates(pattern.KindLocal, "item5", true)); got != 1 {
 		t.Errorf("kind+name candidates = %d, want 1", got)
@@ -326,7 +359,7 @@ func TestStoreBulkRemoval(t *testing.T) {
 	const n = 5000
 	for i := 1; i <= n; i++ {
 		tt := mkLocal(t, fmt.Sprintf("bulk%d", i%7), uint64(i))
-		s.put(tt)
+		s.put(tt, 0)
 		ref = append(ref, tt)
 	}
 	// Remove every id not divisible by 5, front-to-back (worst case for
@@ -361,14 +394,14 @@ func TestStoreBulkRemoval(t *testing.T) {
 		}
 	}
 	// Re-adding after heavy removal still works.
-	s.put(mkLocal(t, "fresh", n+1))
-	if _, ok := s.get(tuple.ID{Node: "n", Seq: n + 1}); !ok {
+	s.put(mkLocal(t, "fresh", n+1), 0)
+	if _, _, ok := s.get(tuple.ID{Node: "n", Seq: n + 1}); !ok {
 		t.Fatal("put after bulk removal failed")
 	}
 
 	ref = ref[:0]
 	for _, id := range s.ids() {
-		tt, _ := s.get(id)
+		tt, _, _ := s.get(id)
 		ref = append(ref, tt)
 	}
 	names := []string{"bulk0", "bulk3", "fresh", "moved"}
@@ -394,7 +427,7 @@ func TestStoreBulkRemoval(t *testing.T) {
 			ref.remove(id)
 			continue
 		}
-		s.put(tt)
+		s.put(tt, 0)
 		ref.put(tt)
 		if step%100 == 0 {
 			checkStoreReads(t, s, ref, names, true)
@@ -405,8 +438,8 @@ func TestStoreBulkRemoval(t *testing.T) {
 
 func TestStoreReadOne(t *testing.T) {
 	s := newStore(tuple.DefaultRegistry)
-	s.put(mkLocal(t, "x", 1))
-	s.put(mkLocal(t, "x", 2))
+	s.put(mkLocal(t, "x", 1), 0)
+	s.put(mkLocal(t, "x", 2), 0)
 	got, ok := s.readOne(pattern.ByName(pattern.KindLocal, "x"))
 	if !ok || got.ID().Seq != 1 {
 		t.Errorf("readOne = %v, %v (want first arrival)", got, ok)
