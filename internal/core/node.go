@@ -366,7 +366,7 @@ func (n *Node) Inject(t tuple.Tuple) (tuple.ID, error) {
 	}
 	n.mu.Lock()
 	if !n.allow(OpInject, n.id, t) {
-		n.mu.Unlock()
+		n.unlock()
 		return tuple.ID{}, ErrDenied
 	}
 	n.seq++
@@ -391,7 +391,7 @@ func (n *Node) Inject(t tuple.Tuple) (tuple.ID, error) {
 // local, non-blocking.
 func (n *Node) Read(tpl tuple.Template) []tuple.Tuple {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlock()
 	return n.readLocked(tpl)
 }
 
@@ -412,7 +412,7 @@ func (n *Node) readLocked(tpl tuple.Template) []tuple.Tuple {
 // ReadOne returns the first locally stored tuple matching the template.
 func (n *Node) ReadOne(tpl tuple.Template) (tuple.Tuple, bool) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlock()
 	if n.cfg.Policy == nil {
 		return n.store.readOne(tpl)
 	}
@@ -445,7 +445,7 @@ func (n *Node) Retract(id tuple.ID) {
 	n.mu.Lock()
 	local, _, _ := n.store.get(id) // a parked copy has no row
 	if !n.allow(OpRetract, n.id, local) {
-		n.mu.Unlock()
+		n.unlock()
 		return
 	}
 	n.retractLocked(id)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"tota/internal/pattern"
@@ -71,13 +72,16 @@ func checkStoreRows(n *Node) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	tab := &n.states
-	for src, runs := range tab.parked {
-		for _, p := range runs {
-			for _, r := range tab.retracted[src] {
-				if p.lo <= r.hi && r.lo <= p.hi {
-					return fmt.Errorf("%s: %s's seqs %v are parked and %v retracted", n.id, src, p, r)
-				}
-			}
+	// Both sets sort by source, then seq: one merge finds any overlap.
+	for p, r := tab.parked, tab.retracted; len(p) > 0 && len(r) > 0; {
+		if p[0].node == r[0].node && p[0].lo <= r[0].hi && r[0].lo <= p[0].hi {
+			return fmt.Errorf("%s: %s's seqs %d-%d are parked and %d-%d retracted",
+				n.id, p[0].node, p[0].lo, p[0].hi, r[0].lo, r[0].hi)
+		}
+		if p[0].node < r[0].node || p[0].node == r[0].node && p[0].hi < r[0].hi {
+			p = p[1:]
+		} else {
+			r = r[1:]
 		}
 	}
 	var err error
@@ -111,18 +115,26 @@ func (pl *parkLine) rows(i int) int {
 }
 
 // parked returns the seq runs node i keeps for n0's tuples.
-func (pl *parkLine) parked(i int) seenRuns {
+func (pl *parkLine) parked(i int) runSet {
 	pl.n[i].mu.Lock()
 	defer pl.n[i].mu.Unlock()
-	return append(seenRuns(nil), pl.n[i].states.parked[topology.NodeName(0)]...)
+	return n0Runs(pl.n[i].states.parked)
 }
 
 // retracted returns the retracted seq runs node i keeps for n0's tuples.
-func (pl *parkLine) retracted(i int) seenRuns {
+func (pl *parkLine) retracted(i int) runSet {
 	pl.n[i].mu.Lock()
 	defer pl.n[i].mu.Unlock()
-	return append(seenRuns(nil), pl.n[i].states.retracted[topology.NodeName(0)]...)
+	return n0Runs(pl.n[i].states.retracted)
 }
+
+// n0Runs returns a copy of the runs of s that name n0's tuples.
+func n0Runs(s runSet) runSet {
+	return slices.DeleteFunc(slices.Clone(s), func(r idRun) bool { return r.node != topology.NodeName(0) })
+}
+
+// n0Run is n0's run of seqs lo to hi.
+func n0Run(lo, hi uint64) idRun { return idRun{topology.NodeName(0), lo, hi} }
 
 func (pl *parkLine) encode(m wire.Message) []byte {
 	pl.t.Helper()
@@ -158,7 +170,7 @@ func TestRelayRowsPark(t *testing.T) {
 		if got := pl.rows(i); got != 1 {
 			t.Errorf("n%d keeps %d rows after %d messages, want 1 (the gradient)", i, got, msgs)
 		}
-		if got, want := pl.parked(i), (seenRuns{{1, msgs}}); len(got) != 1 || got[0] != want[0] {
+		if got, want := pl.parked(i), n0Run(1, msgs); len(got) != 1 || got[0] != want {
 			t.Errorf("n%d parked runs = %v, want %v", i, got, want)
 		}
 	}
@@ -212,12 +224,12 @@ func TestRetractOfParkedIDForwarded(t *testing.T) {
 		if got := pl.rows(i); got != 1 {
 			t.Errorf("n%d keeps %d rows, want 1 (the gradient)", i, got)
 		}
-		if got := pl.parked(i); len(got) != 2 || got[0] != (seqRun{1, 7}) || got[1] != (seqRun{9, msgs}) {
+		if got := pl.parked(i); len(got) != 2 || got[0] != n0Run(1, 7) || got[1] != n0Run(9, msgs) {
 			t.Errorf("n%d parked runs = %v, want [{1 7} {9 %d}]", i, got, msgs)
 		}
 	}
 	for i := range pl.n {
-		if got := pl.retracted(i); len(got) != 1 || got[0] != (seqRun{8, 8}) {
+		if got := pl.retracted(i); len(got) != 1 || got[0] != n0Run(8, 8) {
 			t.Errorf("n%d retracted runs = %v, want [{8 8}]", i, got)
 		}
 	}
@@ -232,7 +244,7 @@ func TestRetractOfParkedIDForwarded(t *testing.T) {
 		t.Errorf("retract of an unseen id was forwarded: Retracted +%d, Broadcasts +%d",
 			after.Retracted-before.Retracted, after.Broadcasts-before.Broadcasts)
 	}
-	if got := pl.retracted(1); len(got) != 2 || got[1] != (seqRun{5000, 5000}) || pl.rows(1) != 1 {
+	if got := pl.retracted(1); len(got) != 2 || got[1] != n0Run(5000, 5000) || pl.rows(1) != 1 {
 		t.Errorf("after an unseen retract: n1 retracted runs %v, %d rows", got, pl.rows(1))
 	}
 }
@@ -450,7 +462,7 @@ func TestReadOnlyPathsLeaveParkedIDs(t *testing.T) {
 	if got := pl.rows(1); got != 1 {
 		t.Errorf("n1 keeps %d rows, want 1 (the gradient)", got)
 	}
-	if got := pl.parked(1); len(got) != 1 || got[0] != (seqRun{1, 10}) {
+	if got := pl.parked(1); len(got) != 1 || got[0] != n0Run(1, 10) {
 		t.Errorf("n1 parked runs = %v, want [{1 10}]", got)
 	}
 }
@@ -532,7 +544,7 @@ func TestDeleteParksRows(t *testing.T) {
 	if got := pl.rows(2); got != 1 {
 		t.Errorf("n2 keeps %d rows after the delete, want 1 (the gradient)", got)
 	}
-	if got := pl.parked(2); len(got) != 1 || got[0] != (seqRun{1, msgs}) {
+	if got := pl.parked(2); len(got) != 1 || got[0] != n0Run(1, msgs) {
 		t.Errorf("n2 parked runs = %v, want [{1 %d}]", got, msgs)
 	}
 	events := eventLog(dst)

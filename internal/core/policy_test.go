@@ -208,3 +208,55 @@ func TestPolicyDeniesRetract(t *testing.T) {
 		t.Error("owner retract failed")
 	}
 }
+
+// TestDenyTracedBeforeReturn: a denied Inject or Retract and a
+// policy-filtered Read or ReadOne hand their deny record to the tracer
+// before the call returns, not at the node's next delivering call.
+func TestDenyTracedBeforeReturn(t *testing.T) {
+	var denied []tuple.ID
+	tracer := func(ev core.TraceEvent) {
+		if ev.Kind == core.TraceDeny {
+			denied = append(denied, ev.ID)
+		}
+	}
+	policy := core.PolicyFunc(func(op core.Op, _ tuple.NodeID, t tuple.Tuple) bool {
+		switch op {
+		case core.OpInject:
+			return t.Content().GetString("name") != "secret"
+		case core.OpRead:
+			return t.Content().GetString("name") != "hidden"
+		}
+		return op != core.OpRetract
+	})
+	tn := newTestNet(t, topology.Line(1), core.WithTracer(tracer), core.WithPolicy(policy))
+	n := tn.node(topology.NodeName(0))
+	expect := func(call string, want int) {
+		t.Helper()
+		if len(denied) != want {
+			t.Fatalf("after %s: the tracer saw %d deny records, want %d", call, len(denied), want)
+		}
+	}
+
+	if _, err := n.Inject(pattern.NewFlood("secret")); !errors.Is(err, core.ErrDenied) {
+		t.Fatalf("inject = %v, want ErrDenied", err)
+	}
+	expect("a denied Inject", 1)
+	id, err := n.Inject(pattern.NewFlood("hidden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("an allowed Inject", 1)
+	if got := n.Read(tuple.Match(pattern.KindFlood)); len(got) != 0 {
+		t.Fatalf("Read = %v, want the hidden flood filtered", got)
+	}
+	expect("a filtered Read", 2)
+	if _, ok := n.ReadOne(tuple.Match(pattern.KindFlood)); ok {
+		t.Fatal("ReadOne returned the hidden flood")
+	}
+	expect("a filtered ReadOne", 3)
+	n.Retract(id)
+	expect("a denied Retract", 4)
+	if denied[1] != id || denied[2] != id || denied[3] != id {
+		t.Errorf("deny records name %v, want the hidden flood %v after the first", denied, id)
+	}
+}

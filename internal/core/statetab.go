@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 
 	"tota/internal/tuple"
 )
@@ -222,85 +223,84 @@ func (tab *stateTable) forEach(fn func(id tuple.ID, st *tupleState)) {
 	}
 }
 
-// runSet is an exact set of ids: per source, the seenRuns of its seqs.
-// A source with no runs has no key.
-type runSet map[tuple.NodeID]seenRuns
+// runSet is an exact set of ids: disjoint closed seq runs sorted by
+// source, then seq, no two of one source touching. A source numbers its
+// tuples 1, 2, 3, … (§4.1), so ids filed in order hold one run a source,
+// all sources in one slice.
+type runSet []idRun
 
-func (s runSet) has(id tuple.ID) bool { return s[id.Node].has(id.Seq) }
+type idRun struct {
+	node   tuple.NodeID
+	lo, hi uint64
+}
 
+// find returns the index of the first run that does not sort before id
+// — a run of a later source, or one of id's source ending at or after
+// its seq — and whether that run holds id.
+func (s runSet) find(id tuple.ID) (int, bool) {
+	i, _ := slices.BinarySearchFunc(s, id, func(r idRun, id tuple.ID) int {
+		if c := strings.Compare(string(r.node), string(id.Node)); c != 0 {
+			return c
+		}
+		return cmp.Compare(r.hi, id.Seq)
+	})
+	return i, i < len(s) && s[i].node == id.Node && s[i].lo <= id.Seq
+}
+
+func (s runSet) has(id tuple.ID) bool {
+	_, ok := s.find(id)
+	return ok
+}
+
+// add inserts id, merging it with the runs of its source it touches.
 func (s *runSet) add(id tuple.ID) {
-	if *s == nil {
-		*s = make(runSet)
+	r := *s
+	i, ok := r.find(id)
+	if ok {
+		return
 	}
-	runs := (*s)[id.Node]
-	runs.add(id.Seq)
-	(*s)[id.Node] = runs
+	left := i > 0 && r[i-1].node == id.Node && r[i-1].hi+1 == id.Seq
+	right := i < len(r) && r[i].node == id.Node && r[i].lo == id.Seq+1
+	switch {
+	case left && right:
+		r[i-1].hi = r[i].hi
+		*s = slices.Delete(r, i, i+1)
+	case left:
+		r[i-1].hi = id.Seq
+	case right:
+		r[i].lo = id.Seq
+	default:
+		s.insert(i, idRun{id.Node, id.Seq, id.Seq})
+	}
 }
 
 // remove deletes id, reporting whether it was present.
-func (s runSet) remove(id tuple.ID) bool {
-	runs := s[id.Node]
-	if !runs.remove(id.Seq) {
+func (s *runSet) remove(id tuple.ID) bool {
+	r := *s
+	i, ok := r.find(id)
+	if !ok {
 		return false
 	}
-	s[id.Node] = runs
-	if len(runs) == 0 {
-		delete(s, id.Node)
+	switch run := r[i]; {
+	case run.lo == run.hi:
+		*s = slices.Delete(r, i, i+1)
+	case run.lo == id.Seq:
+		r[i].lo++
+	case run.hi == id.Seq:
+		r[i].hi--
+	default:
+		r[i].hi = id.Seq - 1
+		s.insert(i+1, idRun{id.Node, id.Seq + 1, run.hi})
 	}
 	return true
 }
 
-// seenRuns is an exact set of one source's seqs: sorted, disjoint,
-// non-adjacent closed runs. A source numbers its tuples 1, 2, 3, …
-// (§4.1), so a node that parks them in order holds a single run.
-type seenRuns []seqRun
-
-type seqRun struct{ lo, hi uint64 }
-
-// find returns the index of the first run ending at or after seq.
-func (r seenRuns) find(seq uint64) int {
-	return sort.Search(len(r), func(i int) bool { return r[i].hi >= seq })
-}
-
-func (r seenRuns) has(seq uint64) bool {
-	i := r.find(seq)
-	return i < len(r) && r[i].lo <= seq
-}
-
-// add inserts seq, merging it with the runs it touches.
-func (r *seenRuns) add(seq uint64) {
-	s := *r
-	i := s.find(seq)
-	if i < len(s) && s[i].lo <= seq {
-		return
+// insert puts run at index i. A full slice grows by an eighth plus one,
+// not append's doubling: a set gains a run only when a source opens a
+// gap, so the small sets most nodes keep stay exactly sized.
+func (s *runSet) insert(i int, run idRun) {
+	if n := len(*s); n == cap(*s) {
+		*s = append(make(runSet, 0, n+n/8+1), *s...)
 	}
-	s = slices.Insert(s, i, seqRun{seq, seq})
-	if i+1 < len(s) && s[i+1].lo == seq+1 {
-		s[i].hi = s[i+1].hi
-		s = slices.Delete(s, i+1, i+2)
-	}
-	if i > 0 && s[i-1].hi+1 == seq {
-		s[i-1].hi = s[i].hi
-		s = slices.Delete(s, i, i+1)
-	}
-	*r = s
-}
-
-// remove deletes seq, reporting whether it was present.
-func (r *seenRuns) remove(seq uint64) bool {
-	s := *r
-	i := s.find(seq)
-	if i == len(s) || s[i].lo > seq {
-		return false
-	}
-	run := s[i]
-	s = slices.Delete(s, i, i+1)
-	if seq < run.hi {
-		s = slices.Insert(s, i, seqRun{seq + 1, run.hi})
-	}
-	if run.lo < seq {
-		s = slices.Insert(s, i, seqRun{run.lo, seq - 1})
-	}
-	*r = s
-	return true
+	*s = slices.Insert(*s, i, run)
 }

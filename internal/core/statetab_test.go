@@ -3,10 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"tota/internal/pattern"
+	"tota/internal/topology"
 	"tota/internal/tuple"
 )
 
@@ -153,111 +157,199 @@ func BenchmarkStateTableIntern(b *testing.B) {
 	}
 }
 
-// checkSeenRuns fails unless r is sorted, disjoint and non-adjacent and
-// holds exactly the seqs ref marks true.
-func checkSeenRuns(t *testing.T, r seenRuns, ref map[uint64]bool) {
-	t.Helper()
-	n := 0
+// runSetErr reports a break in r's invariants: runs sorted by source,
+// then seq, none inverted, and two runs of one source neither
+// overlapping nor touching.
+func runSetErr(r runSet) error {
 	for i, run := range r {
 		if run.lo > run.hi {
-			t.Fatalf("run %d = %v is inverted: %v", i, run, r)
+			return fmt.Errorf("run %d = %v is inverted: %v", i, run, r)
 		}
-		if i > 0 && r[i-1].hi+1 >= run.lo {
-			t.Fatalf("runs %d and %d overlap or touch: %v", i-1, i, r)
+		if i == 0 {
+			continue
 		}
+		prev := r[i-1]
+		if prev.node > run.node || prev.node == run.node && (prev.hi >= run.lo || run.lo-prev.hi == 1) {
+			return fmt.Errorf("runs %d and %d are out of order, overlap or touch: %v", i-1, i, r)
+		}
+	}
+	return nil
+}
+
+// checkRunSet fails unless r keeps its invariants and holds exactly the
+// ids ref marks true.
+func checkRunSet(t *testing.T, r runSet, ref map[tuple.ID]bool) {
+	t.Helper()
+	if err := runSetErr(r); err != nil {
+		t.Fatal(err)
+	}
+	n, want := 0, 0
+	for _, run := range r {
 		n += int(run.hi - run.lo + 1)
 	}
-	want := 0
-	for seq, in := range ref {
+	for id, in := range ref {
 		if in {
 			want++
 		}
-		if r.has(seq) != in {
-			t.Fatalf("has(%d) = %v, reference %v: %v", seq, !in, in, r)
+		if r.has(id) != in {
+			t.Fatalf("has(%v) = %v, reference %v: %v", id, !in, in, r)
 		}
 	}
 	if n != want {
-		t.Fatalf("runs cover %d seqs, reference holds %d: %v", n, want, r)
+		t.Fatalf("runs cover %d ids, reference holds %d: %v", n, want, r)
 	}
 }
 
+// seqs returns the ids node numbered seq, in order.
+func seqs(node tuple.NodeID, seq ...uint64) []tuple.ID {
+	ids := make([]tuple.ID, len(seq))
+	for i, q := range seq {
+		ids[i] = tuple.ID{Node: node, Seq: q}
+	}
+	return ids
+}
+
+// TestSeenRuns pins runSet's merge and split cases, within one source
+// and across sources whose seqs meet.
 func TestSeenRuns(t *testing.T) {
 	tests := []struct {
 		name   string
-		add    []uint64
-		remove []uint64
-		want   seenRuns
+		add    []tuple.ID
+		remove []tuple.ID
+		want   runSet
 	}{
 		{name: "empty"},
-		{name: "in order is one run", add: []uint64{1, 2, 3, 4}, want: seenRuns{{1, 4}}},
-		{name: "reverse order is one run", add: []uint64{4, 3, 2, 1}, want: seenRuns{{1, 4}}},
-		{name: "gap", add: []uint64{1, 2, 5, 6}, want: seenRuns{{1, 2}, {5, 6}}},
-		{name: "filling a gap merges", add: []uint64{1, 3, 2}, want: seenRuns{{1, 3}}},
-		{name: "duplicates", add: []uint64{7, 7, 8, 7}, want: seenRuns{{7, 8}}},
-		{name: "insert before all", add: []uint64{9, 5}, want: seenRuns{{5, 5}, {9, 9}}},
-		{name: "extremes", add: []uint64{0, math.MaxUint64, math.MaxUint64 - 1}, want: seenRuns{{0, 0}, {math.MaxUint64 - 1, math.MaxUint64}}},
-		{name: "remove splits", add: []uint64{1, 2, 3, 4, 5}, remove: []uint64{3}, want: seenRuns{{1, 2}, {4, 5}}},
-		{name: "remove ends", add: []uint64{1, 2, 3}, remove: []uint64{1, 3}, want: seenRuns{{2, 2}}},
-		{name: "remove singleton", add: []uint64{1, 5}, remove: []uint64{5}, want: seenRuns{{1, 1}}},
-		{name: "remove absent", add: []uint64{1, 2}, remove: []uint64{3, 0}, want: seenRuns{{1, 2}}},
+		{name: "in order is one run", add: seqs("a", 1, 2, 3, 4), want: runSet{{"a", 1, 4}}},
+		{name: "reverse order is one run", add: seqs("a", 4, 3, 2, 1), want: runSet{{"a", 1, 4}}},
+		{name: "gap", add: seqs("a", 1, 2, 5, 6), want: runSet{{"a", 1, 2}, {"a", 5, 6}}},
+		{name: "filling a gap merges", add: seqs("a", 1, 3, 2), want: runSet{{"a", 1, 3}}},
+		{name: "duplicates", add: seqs("a", 7, 7, 8, 7), want: runSet{{"a", 7, 8}}},
+		{name: "insert before all", add: seqs("a", 9, 5), want: runSet{{"a", 5, 5}, {"a", 9, 9}}},
+		{name: "extremes", add: seqs("a", 0, math.MaxUint64, math.MaxUint64-1), want: runSet{{"a", 0, 0}, {"a", math.MaxUint64 - 1, math.MaxUint64}}},
+		{name: "remove splits", add: seqs("a", 1, 2, 3, 4, 5), remove: seqs("a", 3), want: runSet{{"a", 1, 2}, {"a", 4, 5}}},
+		{name: "remove ends", add: seqs("a", 1, 2, 3), remove: seqs("a", 1, 3), want: runSet{{"a", 2, 2}}},
+		{name: "remove singleton", add: seqs("a", 1, 5), remove: seqs("a", 5), want: runSet{{"a", 1, 1}}},
+		{name: "remove absent", add: seqs("a", 1, 2), remove: seqs("a", 3, 0), want: runSet{{"a", 1, 2}}},
+		{
+			name: "sources never merge",
+			add:  slices.Concat(seqs("b", 6), seqs("a", 4, 5), seqs("b", 7), seqs("c", 8), seqs("ab", 6), seqs("a", 6)),
+			want: runSet{{"a", 4, 6}, {"ab", 6, 6}, {"b", 6, 7}, {"c", 8, 8}},
+		},
+		{
+			name:   "remove is per source",
+			add:    slices.Concat(seqs("a", 1, 2, 3), seqs("b", 1, 2, 3)),
+			remove: slices.Concat(seqs("b", 2), seqs("c", 2), seqs("a", 4)),
+			want:   runSet{{"a", 1, 3}, {"b", 1, 1}, {"b", 3, 3}},
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			var r seenRuns
-			ref := make(map[uint64]bool)
-			for _, seq := range tt.add {
-				r.add(seq)
-				ref[seq] = true
+			var r runSet
+			ref := make(map[tuple.ID]bool)
+			for _, id := range tt.add {
+				r.add(id)
+				ref[id] = true
 			}
-			for _, seq := range tt.remove {
-				if got := r.remove(seq); got != ref[seq] {
-					t.Errorf("remove(%d) = %v, want %v", seq, got, ref[seq])
+			for _, id := range tt.remove {
+				if got := r.remove(id); got != ref[id] {
+					t.Errorf("remove(%v) = %v, want %v", id, got, ref[id])
 				}
-				ref[seq] = false
+				ref[id] = false
 			}
-			if len(r) != len(tt.want) {
+			if !slices.Equal(r, tt.want) {
 				t.Fatalf("runs = %v, want %v", r, tt.want)
 			}
-			for i := range r {
-				if r[i] != tt.want[i] {
-					t.Fatalf("runs = %v, want %v", r, tt.want)
-				}
-			}
-			checkSeenRuns(t, r, ref)
+			checkRunSet(t, r, ref)
 		})
 	}
 }
 
-// FuzzSeenRuns applies arbitrary insertion and removal orders to a
-// seenRuns and a map reference: has must agree with the reference after
-// every step, and the runs must stay sorted, disjoint and non-adjacent.
+// FuzzRunSet applies arbitrary insertion and removal orders over four
+// sources to a runSet and a map reference: has must agree with the
+// reference after every step, and the runs must keep their invariants.
 // Each input byte is one step: the high bit picks remove over add, the
-// low six bits the seq, so short inputs already collide and merge runs.
-func FuzzSeenRuns(f *testing.F) {
+// next two bits the source — a, ab, b or c, so one name prefixes another
+// — and the low five bits the seq, so short inputs already merge runs
+// and meet across sources.
+func FuzzRunSet(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4})
 	f.Add([]byte{4, 3, 2, 1, 0x82, 0x83})
 	f.Add([]byte{10, 12, 11, 0x8b, 11, 0x8a, 0x8c})
+	f.Add([]byte{4, 5, 0x46, 0x47, 6, 0x25, 0x66, 0xc6, 0x86, 0x44})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var r seenRuns
-		ref := make(map[uint64]bool)
+		var r runSet
+		ref := make(map[tuple.ID]bool)
 		for _, op := range ops {
-			seq := uint64(op & 0x3f)
+			id := tuple.ID{Node: []tuple.NodeID{"a", "ab", "b", "c"}[op>>5&3], Seq: uint64(op & 0x1f)}
 			if op&0x80 != 0 {
-				if got := r.remove(seq); got != ref[seq] {
-					t.Fatalf("remove(%d) = %v, reference %v", seq, got, ref[seq])
+				if got := r.remove(id); got != ref[id] {
+					t.Fatalf("remove(%v) = %v, reference %v", id, got, ref[id])
 				}
-				ref[seq] = false
+				ref[id] = false
 			} else {
-				r.add(seq)
-				ref[seq] = true
+				r.add(id)
+				ref[id] = true
 			}
-			checkSeenRuns(t, r, ref)
+			checkRunSet(t, r, ref)
 		}
 	})
 }
 
+// TestRunSetPerNodeBytes pins what a node pays for the tombstones of
+// emu_fields: sources drawn as that workload draws them, from the 4 × 4
+// centre of its 100 × 100 grid, inject fields that are each retracted
+// in turn, until all 16 sources have had one. The node buries every id,
+// which leaves one run per source, and the set must be one allocation
+// of at most 576 B — 16 runs of 32 B and one spare. A map of per-source
+// run slices held ~2.2 KB here.
+func TestRunSetPerNodeBytes(t *testing.T) {
+	const sets, sources, budget = 1000, 16, 576
+	order := emuFieldsRetractions(sources)
+	tabs := make([]stateTable, sets)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range tabs {
+		for _, id := range order {
+			tabs[i].bury(id)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.HeapAlloc-before.HeapAlloc) / sets
+	objs := float64(after.Mallocs-after.Frees-(before.Mallocs-before.Frees)) / sets
+	t.Logf("%d fields from %d sources: %.0f B in %.2f allocations per node", len(order), sources, bytes, objs)
+	if bytes > budget || objs > 1 {
+		t.Errorf("a node's tombstones for %d sources retain %.0f B in %.2f allocations, budget one of %d B",
+			sources, bytes, objs, budget)
+	}
+	for i := range tabs {
+		if len(tabs[i].retracted) != sources {
+			t.Fatalf("tombstones %v, want one run per source", tabs[i].retracted)
+		}
+	}
+	runtime.KeepAlive(tabs)
+}
+
+// emuFieldsRetractions returns the ids of the fields emu_fields retracts,
+// in order, until all of its sources have retracted one.
+func emuFieldsRetractions(sources int) []tuple.ID {
+	rng := rand.New(rand.NewSource(902))
+	next := make(map[tuple.NodeID]uint64)
+	var order []tuple.ID
+	for len(next) < sources {
+		x, y := 48+rng.Intn(4), 48+rng.Intn(4)
+		src := topology.NodeName(y*100 + x)
+		next[src]++
+		order = append(order, tuple.ID{Node: src, Seq: next[src]})
+	}
+	return order
+}
+
 // FuzzStateTable drives arbitrary intern, park, bury, release, store,
-// unstore and lookup sequences over 32 ids of two sources against a
+// unstore and lookup sequences over 32 ids of three sources against a
 // reference of where each id lives — a row, the parked set, the retracted
 // set or nowhere — and of which ids a modelled store holds and which rows
 // are marked stored. Interning goes through Node.stateFor, so a parked id
@@ -266,14 +358,15 @@ func FuzzSeenRuns(f *testing.F) {
 // holds its copy. After every step the table must agree with the
 // reference on every id — so an id is in at most one place — and the
 // store on every held id; lookup must not have made a row, live must
-// match the free list, and no source may be left holding an empty run
-// list. Each input byte is one step: the high three bits pick the
-// operation, bit 4 the source and the low four bits the seq.
+// match the free list, and both run sets must keep their invariants.
+// Each input byte is one step: the high three bits pick the operation
+// and the low five bits k the id, seq k%11+1 of source a, b or c by k/11.
 func FuzzStateTable(f *testing.F) {
 	f.Add([]byte{0x01, 0x21, 0x01, 0x41, 0x01, 0xc1})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x20, 0x21, 0x22, 0x01, 0x41, 0x61, 0x00})
 	f.Add([]byte{0x03, 0x23, 0x03, 0x43, 0x63, 0xc3, 0x03})
 	f.Add([]byte{0x84, 0x04, 0x24, 0xa4, 0x24, 0x84, 0xa4, 0x04, 0x24, 0x84, 0x64, 0x04, 0x44, 0x84})
+	f.Add([]byte{0x0a, 0x0b, 0x16, 0x2a, 0x8b, 0x56, 0x4b, 0x0a, 0xeb, 0x36, 0x2a, 0x8a})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const (
 			nowhere = iota
@@ -286,7 +379,8 @@ func FuzzStateTable(f *testing.F) {
 		where := make(map[tuple.ID]int)
 		held, marked := make(map[tuple.ID]bool), make(map[tuple.ID]bool)
 		idOf := func(b byte) tuple.ID {
-			return tuple.ID{Node: []tuple.NodeID{"a", "b"}[b>>4&1], Seq: uint64(b&0x0f) + 1}
+			k := b & 0x1f
+			return tuple.ID{Node: []tuple.NodeID{"a", "b", "c"}[k/11], Seq: uint64(k%11) + 1}
 		}
 		for step, op := range ops {
 			id := idOf(op)
@@ -378,10 +472,8 @@ func FuzzStateTable(f *testing.F) {
 				}
 			}
 			for _, set := range []runSet{tab.parked, tab.retracted} {
-				for src, runs := range set {
-					if len(runs) == 0 {
-						t.Fatalf("step %d: source %s keeps an empty run list", step, src)
-					}
+				if err := runSetErr(set); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
 			}
 		}
@@ -410,24 +502,24 @@ func TestStateTableParkRehydrates(t *testing.T) {
 		st.hop = 3
 		tab.park(plainTuple(stID(i)), &s)
 	}
-	if tab.len() != 0 || len(tab.parked) != 1 || len(tab.parked["n"]) != 1 {
+	if tab.len() != 0 || len(tab.parked) != 1 {
 		t.Fatalf("100 in-order parks: %d rows, runs %v", tab.len(), tab.parked)
 	}
 	if tab.lookup(tuple.ID{}) != nil {
 		t.Error("the zero id resolved to a freed slot")
 	}
-	if tab.parked["n"].has(stID(100).Seq) || !tab.parked["n"].has(stID(40).Seq) {
+	if tab.parked.has(stID(100)) || !tab.parked.has(stID(40)) {
 		t.Error("isParked disagrees with the parks made")
 	}
-	if tab.lookup(stID(40)) != nil || tab.len() != 0 || !tab.parked["n"].has(stID(40).Seq) {
+	if tab.lookup(stID(40)) != nil || tab.len() != 0 || !tab.parked.has(stID(40)) {
 		t.Fatal("lookup brought a parked row back")
 	}
 	st, unparked := tab.intern(stID(40))
 	if !unparked || !reflect.DeepEqual(*st, tupleState{flags: stVisited}) {
 		t.Fatalf("parked id came back as %+v, unparked %v", st, unparked)
 	}
-	if tab.len() != 1 || len(tab.parked["n"]) != 2 || tab.parked["n"].has(stID(40).Seq) {
-		t.Fatalf("after one rehydration: %d rows, runs %v", tab.len(), tab.parked["n"])
+	if tab.len() != 1 || len(tab.parked) != 2 || tab.parked.has(stID(40)) {
+		t.Fatalf("after one rehydration: %d rows, runs %v", tab.len(), tab.parked)
 	}
 	if again, unparked := tab.intern(stID(40)); again != st || unparked {
 		t.Error("a rehydrated row was rehydrated twice")
