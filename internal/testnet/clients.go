@@ -43,8 +43,11 @@ type fleetClient struct {
 	sub  *gateway.Subscription
 	flt  *ClientFleet
 
-	mu        sync.Mutex
-	mirror    map[string]Entry // tuple id -> canonical entry
+	mu     sync.Mutex
+	mirror map[string]Entry // tuple id -> canonical entry
+	// epoch is the gateway instance of the last event folded into the
+	// mirror: the mirror speaks for that instance only.
+	epoch     string
 	lastDrops uint64
 	done      chan struct{}
 }
@@ -123,11 +126,13 @@ func (c *fleetClient) consume() {
 			// stale one passing for converged.
 			c.mu.Lock()
 			c.mirror = make(map[string]Entry)
+			c.epoch = ev.Epoch
 			c.mu.Unlock()
 			c.rebuild()
 			continue
 		}
 		c.mu.Lock()
+		c.epoch = ev.Epoch
 		if ev.Drops > c.lastDrops {
 			c.lastDrops = ev.Drops
 			c.mu.Unlock()
@@ -190,8 +195,8 @@ func canonicalEntry(t tuple.Tuple) Entry {
 }
 
 // Snapshot returns the client's current mirror as sorted canonical
-// entries.
-func (c *fleetClient) Snapshot() []Entry {
+// entries, and the gateway epoch it was built from.
+func (c *fleetClient) Snapshot() ([]Entry, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Entry, 0, len(c.mirror))
@@ -199,7 +204,7 @@ func (c *fleetClient) Snapshot() []Entry {
 		out = append(out, e)
 	}
 	SortEntries(out)
-	return out
+	return out, c.epoch
 }
 
 func (f *ClientFleet) countResync() {
@@ -227,7 +232,12 @@ func (f *ClientFleet) Subscriptions() int {
 }
 
 // Converged checks every client mirror against its node's oracle
-// entry set; the first mismatch is described for the progress log.
+// entry set; the first mismatch is described for the progress log. A
+// mirror counts only when it was built from its gateway's current
+// epoch: a client that has not yet reconnected after its node
+// restarted still holds its pre-crash mirror, which can equal the
+// oracle. So each client also pings its gateway, and a client that
+// cannot, or whose mirror is from another epoch, is not converged.
 func (f *ClientFleet) Converged(oracle map[string][]Entry) (bool, string) {
 	f.mu.Lock()
 	nodes := make(map[string][]*fleetClient, len(f.nodes))
@@ -243,7 +253,16 @@ func (f *ClientFleet) Converged(oracle map[string][]Entry) (bool, string) {
 	for _, id := range ids {
 		want := oracle[id]
 		for _, c := range nodes[id] {
-			got := c.Snapshot()
+			// Ping before the snapshot: a mirror whose epoch matches is
+			// then at least as new as the gateway that answered.
+			now, _, err := c.cli.Ping()
+			if err != nil {
+				return false, fmt.Sprintf("client %s is disconnected: %v", c.name, err)
+			}
+			got, seen := c.Snapshot()
+			if seen != now {
+				return false, fmt.Sprintf("client %s mirror is from gateway epoch %q, gateway is at %q", c.name, seen, now)
+			}
 			if !EntriesEqual(got, want) {
 				return false, fmt.Sprintf("client %s mirror has %v, want %v", c.name, got, want)
 			}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -344,18 +345,26 @@ func (g *Graph) HasEdge(a, b tuple.NodeID) bool {
 
 // Neighbors returns a's neighbors in deterministic (sorted) order.
 func (g *Graph) Neighbors(a tuple.NodeID) []tuple.NodeID {
+	return g.AppendNeighbors([]tuple.NodeID{}, a)
+}
+
+// AppendNeighbors appends a's neighbors in ascending NodeID order to
+// dst and returns it (dst unchanged when a is unknown), so a caller
+// that keeps its buffer reads neighbors without allocating.
+func (g *Graph) AppendNeighbors(dst []tuple.NodeID, a tuple.NodeID) []tuple.NodeID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	ha, ok := g.idx[a]
 	if !ok {
-		return []tuple.NodeID{}
+		return dst
 	}
-	out := make([]tuple.NodeID, 0, len(g.adj[ha]))
+	n := len(dst)
+	dst = slices.Grow(dst, len(g.adj[ha]))
 	for _, nb := range g.adj[ha] {
-		out = append(out, g.ids[nb])
+		dst = append(dst, g.ids[nb])
 	}
-	sortIDs(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Degree returns the number of neighbors of a.
@@ -797,7 +806,7 @@ func (g *Graph) ShortestPath(src, dst tuple.NodeID) []tuple.NodeID {
 		for _, nb := range g.adj[cur] {
 			nbrs = append(nbrs, g.ids[nb])
 		}
-		sortIDs(nbrs)
+		slices.Sort(nbrs)
 		for _, id := range nbrs {
 			nb := g.idx[id]
 			if prev[nb] < 0 {
@@ -848,7 +857,7 @@ func (g *Graph) Components() [][]tuple.NodeID {
 			seen[m] = true
 			comp = append(comp, m)
 		}
-		sortIDs(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -866,10 +875,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return max
-}
-
-func sortIDs(ids []tuple.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 func sortEvents(evs []EdgeEvent) {

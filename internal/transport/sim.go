@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -83,11 +84,18 @@ type Sim struct {
 	stats      Stats
 	delivering bool
 	// staged collects sends produced inside handler callbacks during a
-	// Step's delivery phase, keyed by source node; slice order is the
-	// per-source send sequence. The merge at the end of the step replays
-	// them in (source, seq) order — the order in which every seeded
+	// Step's delivery phase, in the order they were made. The merge at
+	// the end of the step stable-sorts them by source, replaying them in
+	// (source, send sequence) order — the order in which every seeded
 	// result on file consumed the rng for loss/dup draws.
-	staged map[tuple.NodeID][]stagedSend
+	staged []stagedSend
+	// Round buffers live as long as the Sim, like inflight's backing
+	// array, and their slots are zeroed after each use so they pin no
+	// payloads. A Step takes due and hs under mu and hands them back
+	// under mu; staged and nbrs are touched only under mu.
+	due  []simPacket
+	hs   []Handler
+	nbrs []tuple.NodeID
 
 	// Fault-injection state, mutated only between Steps (same
 	// discipline as topology edits) and read under mu.
@@ -113,8 +121,8 @@ type simPacket struct {
 }
 
 type stagedSend struct {
-	to   tuple.NodeID
-	data []byte
+	from, to tuple.NodeID
+	data     []byte
 }
 
 // NewSim creates a simulated network over the given (shared, live)
@@ -128,7 +136,6 @@ func NewSim(g *topology.Graph, cfg SimConfig) *Sim {
 		graph:    g,
 		handlers: make(map[tuple.NodeID]Handler),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		staged:   make(map[tuple.NodeID][]stagedSend),
 	}
 }
 
@@ -342,7 +349,7 @@ func (s *Sim) Step() int {
 	s.mu.Lock()
 	// Age packets in place: surviving packets keep the inflight backing
 	// array (no per-round reallocation), due ones are copied out.
-	var due []simPacket
+	due := s.due[:0]
 	kept := s.inflight[:0]
 	for _, p := range s.inflight {
 		p.dueRound--
@@ -379,7 +386,8 @@ func (s *Sim) Step() int {
 	}
 	// Resolve handlers once under the lock; packets to unknown nodes
 	// drop immediately.
-	hs := make([]Handler, len(due))
+	hs := slices.Grow(s.hs[:0], len(due))[:len(due)]
+	s.due, s.hs = nil, nil
 	for i, p := range due {
 		if hs[i] = s.handlers[p.to]; hs[i] == nil {
 			s.stats.Dropped++
@@ -402,7 +410,10 @@ func (s *Sim) Step() int {
 		delivered++
 	}
 
+	clear(due)
+	clear(hs)
 	s.mu.Lock()
+	s.due, s.hs = due, hs
 	s.delivering = false
 	s.stats.Delivered += delivered
 	s.stats.Dropped += droppedLinks
@@ -415,20 +426,14 @@ func (s *Sim) Step() int {
 // in (source node, send sequence) order, consuming the seeded rng for
 // loss/dup decisions in that same deterministic order.
 func (s *Sim) mergeStagedLocked() {
-	if len(s.staged) == 0 {
-		return
+	slices.SortStableFunc(s.staged, func(a, b stagedSend) int {
+		return strings.Compare(string(a.from), string(b.from))
+	})
+	for _, snd := range s.staged {
+		s.commitSendLocked(snd.from, snd.to, snd.data)
 	}
-	sources := make([]tuple.NodeID, 0, len(s.staged))
-	for src := range s.staged {
-		sources = append(sources, src)
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	for _, src := range sources {
-		for _, snd := range s.staged[src] {
-			s.commitSendLocked(src, snd.to, snd.data)
-		}
-		delete(s.staged, src)
-	}
+	clear(s.staged)
+	s.staged = s.staged[:0]
 }
 
 // PausedSnapshot returns a copy of the paused node set (nil when no
@@ -496,7 +501,7 @@ func (s *Sim) ResetStats() {
 // it commits immediately.
 func (s *Sim) send(from, to tuple.NodeID, data []byte) {
 	if s.delivering {
-		s.staged[from] = append(s.staged[from], stagedSend{to: to, data: data})
+		s.staged = append(s.staged, stagedSend{from: from, to: to, data: data})
 		return
 	}
 	s.commitSendLocked(from, to, data)
@@ -635,16 +640,18 @@ func (e *SimEndpoint) Neighbors() []tuple.NodeID {
 // neighbor (the radio's one-hop broadcast). The payload slice is shared,
 // not copied: receivers must treat packet data as read-only.
 func (e *SimEndpoint) Broadcast(data []byte) error {
-	nbrs := e.net.graph.Neighbors(e.id)
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	if _, ok := e.net.handlers[e.id]; !ok {
+	s := e.net
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.handlers[e.id]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, e.id)
 	}
-	e.net.stats.Broadcasts++
-	for _, n := range nbrs {
-		e.net.send(e.id, n, data)
+	s.stats.Broadcasts++
+	s.nbrs = s.graph.AppendNeighbors(s.nbrs[:0], e.id)
+	for _, n := range s.nbrs {
+		s.send(e.id, n, data)
 	}
+	clear(s.nbrs)
 	return nil
 }
 
