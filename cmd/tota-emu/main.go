@@ -184,13 +184,7 @@ func (e *obsEnv) attach(w *emulator.World) error {
 	w.RegisterMetrics(e.reg)
 	obs.RegisterRuntime(e.reg)
 	obs.RegisterMemMetrics(e.reg)
-	var srv *obs.Server
-	var err error
-	if e.flight != nil {
-		srv, err = obs.Serve(e.addr, e.reg, e.flight)
-	} else {
-		srv, err = obs.Serve(e.addr, e.reg)
-	}
+	srv, err := obs.Serve(e.addr, e.reg, obs.Extras{Flights: []*obs.FlightRecorder{e.flight}})
 	if err != nil {
 		return err
 	}

@@ -144,12 +144,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	obs.RegisterRuntime(reg)
 	obs.RegisterMemMetrics(reg)
 	if *obsAddr != "" {
-		var flights []*obs.FlightRecorder
-		if flight != nil {
-			flights = append(flights, flight)
-		}
-		srv, err := obs.ServeExtras(*obsAddr, reg, obs.Extras{
-			Flights: flights,
+		srv, err := obs.Serve(*obsAddr, reg, obs.Extras{
+			Flights: []*obs.FlightRecorder{flight},
 			Ready: func() obs.Readiness {
 				st := node.Stats()
 				return obs.Readiness{

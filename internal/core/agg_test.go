@@ -6,6 +6,7 @@ import (
 	"tota/internal/agg"
 	"tota/internal/pattern"
 	"tota/internal/topology"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 	"tota/internal/wire"
 )
@@ -167,8 +168,10 @@ func TestAggCrashedChildTimesOutOfFold(t *testing.T) {
 	// Silence the far node both ways: its partials stop flowing but no
 	// neighbor event fires — the pure timeout path.
 	far, mid := topology.NodeName(2), topology.NodeName(1)
-	tn.sim.SetLinkLoss(far, mid, 1)
-	tn.sim.SetLinkLoss(mid, far, 1)
+	tn.sim.SetFaults(transport.Faults{LinkLoss: map[transport.Link]float64{
+		{From: far, To: mid}: 1,
+		{From: mid, To: far}: 1,
+	}})
 	for i := 0; i < 8; i++ {
 		refreshAll(tn)
 	}

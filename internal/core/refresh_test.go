@@ -8,6 +8,7 @@ import (
 	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
@@ -67,7 +68,7 @@ func TestRefreshRepairsLostPropagation(t *testing.T) {
 	tn := newTestNet(t, g)
 	src := topology.NodeName(0)
 
-	tn.sim.SetLoss(1)
+	tn.sim.SetFaults(transport.Faults{Loss: 1})
 	if _, err := tn.node(src).Inject(pattern.NewGradient("f")); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRefreshRepairsLostPropagation(t *testing.T) {
 		t.Fatal("packet survived total loss")
 	}
 
-	tn.sim.SetLoss(0)
+	tn.sim.SetFaults(transport.Faults{})
 	refreshAll(tn)
 	tn.assertGradientMatchesBFS(src, "f", math.Inf(1))
 }
@@ -91,7 +92,7 @@ func TestRefreshPrunesPhantomSupport(t *testing.T) {
 	src := topology.NodeName(0)
 	injectGradient(t, tn, src, "f", math.Inf(1))
 
-	tn.sim.SetLoss(1) // the withdrawal below will be lost
+	tn.sim.SetFaults(transport.Faults{Loss: 1}) // the withdrawal below will be lost
 	tn.sim.RemoveEdge(src, topology.NodeName(1))
 	tn.quiesce()
 	// Node 1 dropped (neighbor loss is reliable), node 2 did not hear
@@ -103,7 +104,7 @@ func TestRefreshPrunesPhantomSupport(t *testing.T) {
 		t.Fatalf("node 2 = %v, %v; want phantom copy val 2", v, have)
 	}
 
-	tn.sim.SetLoss(0)
+	tn.sim.SetFaults(transport.Faults{})
 	// The entry heard at epoch 0 ages out at epoch StaleEpochs+1, which
 	// opens the grace window; the withdraw comes SuspicionEpochs later.
 	for i := 0; i < core.StaleEpochs+core.SuspicionEpochs; i++ {
@@ -128,12 +129,12 @@ func TestRefreshRebroadcastsPlainTuples(t *testing.T) {
 	g := topology.Line(3)
 	tn := newTestNet(t, g)
 	src := topology.NodeName(0)
-	tn.sim.SetLoss(1)
+	tn.sim.SetFaults(transport.Faults{Loss: 1})
 	if _, err := tn.node(src).Inject(pattern.NewFlood("news")); err != nil {
 		t.Fatal(err)
 	}
 	tn.quiesce()
-	tn.sim.SetLoss(0)
+	tn.sim.SetFaults(transport.Faults{})
 	refreshAll(tn)
 	for _, id := range g.Nodes() {
 		if len(tn.node(id).Read(pattern.ByName(pattern.KindFlood, "news"))) != 1 {
@@ -168,7 +169,7 @@ func TestRefreshReturnsAnnouncementCount(t *testing.T) {
 func TestLossyConvergenceWithRefresh(t *testing.T) {
 	g := topology.Grid(6, 6, 1)
 	tn := newTestNet(t, g)
-	tn.sim.SetLoss(0.4)
+	tn.sim.SetFaults(transport.Faults{Loss: 0.4})
 	src := topology.NodeName(0)
 	if _, err := tn.node(src).Inject(pattern.NewGradient("f")); err != nil {
 		t.Fatal(err)
@@ -197,12 +198,12 @@ func TestRefreshDigestHealsLostWithdrawal(t *testing.T) {
 	refreshAll(tn) // warm up: digests from here on
 	end := topology.NodeName(2)
 
-	tn.sim.SetLoss(1)
+	tn.sim.SetFaults(transport.Faults{Loss: 1})
 	if got := len(tn.node(end).Delete(pattern.ByName(pattern.KindGradient, "f"))); got != 1 {
 		t.Fatalf("Delete removed %d tuples, want 1", got)
 	}
 	tn.quiesce() // the withdrawal evaporates
-	tn.sim.SetLoss(0)
+	tn.sim.SetFaults(transport.Faults{})
 	if _, have := tn.gradVal(end, pattern.KindGradient, "f"); have {
 		t.Fatal("deleted copy still present")
 	}
@@ -233,17 +234,17 @@ func TestRefreshHealsUnderDigestLoss(t *testing.T) {
 
 	// Knock out an interior copy with its withdrawal suppressed.
 	victim := topology.NodeName(5)
-	tn.sim.SetLoss(1)
+	tn.sim.SetFaults(transport.Faults{Loss: 1})
 	if got := len(tn.node(victim).Delete(pattern.ByName(pattern.KindGradient, "f"))); got != 1 {
 		t.Fatalf("Delete removed %d tuples, want 1", got)
 	}
 	tn.quiesce()
 
-	tn.sim.SetLoss(0.5)
+	tn.sim.SetFaults(transport.Faults{Loss: 0.5})
 	for i := 0; i < 30; i++ {
 		refreshAll(tn)
 		if v, have := tn.gradVal(victim, pattern.KindGradient, "f"); have && v == 2 {
-			tn.sim.SetLoss(0)
+			tn.sim.SetFaults(transport.Faults{})
 			refreshAll(tn)
 			tn.assertGradientMatchesBFS(src, "f", math.Inf(1))
 			return
@@ -297,7 +298,7 @@ func TestRefreshBatchesFullAnnouncements(t *testing.T) {
 	g := topology.Line(2)
 	tn := newTestNet(t, g)
 	src := topology.NodeName(0)
-	tn.sim.SetLoss(1)
+	tn.sim.SetFaults(transport.Faults{Loss: 1})
 	const floods = 10
 	for i := 0; i < floods; i++ {
 		if _, err := tn.node(src).Inject(pattern.NewFlood(fmt.Sprintf("news-%d", i))); err != nil {
@@ -305,7 +306,7 @@ func TestRefreshBatchesFullAnnouncements(t *testing.T) {
 		}
 	}
 	tn.quiesce()
-	tn.sim.SetLoss(0)
+	tn.sim.SetFaults(transport.Faults{})
 
 	before := tn.totalStats()
 	refreshAll(tn)
@@ -332,7 +333,7 @@ func TestRefreshChunksFramesToBudget(t *testing.T) {
 	g := topology.Line(2)
 	tn := newTestNet(t, g, core.WithMaxFrameBytes(limit))
 	src := topology.NodeName(0)
-	tn.sim.SetLoss(1)
+	tn.sim.SetFaults(transport.Faults{Loss: 1})
 	const floods = 10
 	for i := 0; i < floods; i++ {
 		if _, err := tn.node(src).Inject(pattern.NewFlood(fmt.Sprintf("chunk-%d", i))); err != nil {
@@ -340,7 +341,7 @@ func TestRefreshChunksFramesToBudget(t *testing.T) {
 		}
 	}
 	tn.quiesce()
-	tn.sim.SetLoss(0)
+	tn.sim.SetFaults(transport.Faults{})
 
 	before := tn.totalStats()
 	refreshAll(tn)

@@ -7,6 +7,7 @@ import (
 	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
+	"tota/internal/transport"
 )
 
 // lossBurstDrops runs a converged a-b-c chain through a burst of
@@ -23,11 +24,11 @@ func lossBurstDrops(t *testing.T, burstEpochs int) (maintDrop int64, suspected, 
 	tn.assertGradientMatchesBFS(a, "f", math.Inf(1))
 
 	b := topology.NodeName(1)
-	tn.sim.SetLinkLoss(b, c, 1)
+	tn.sim.SetFaults(transport.Faults{LinkLoss: map[transport.Link]float64{{From: b, To: c}: 1}})
 	for i := 0; i < burstEpochs; i++ {
 		refreshAll(tn)
 	}
-	tn.sim.SetLinkLoss(b, c, -1)
+	tn.sim.SetFaults(transport.Faults{})
 	for i := 0; i < 3; i++ {
 		refreshAll(tn)
 	}
@@ -122,7 +123,7 @@ func TestFaultPullBackoffBoundsPullStorm(t *testing.T) {
 	// Inject while isolated: the announcement broadcast reaches
 	// nobody, so b can only ever learn of the structure by digest.
 	injectGradient(t, tn, "a", "f", math.Inf(1))
-	tn.sim.SetLinkLoss("b", "a", 1) // pulls die in flight
+	tn.sim.SetFaults(transport.Faults{LinkLoss: map[transport.Link]float64{{From: "b", To: "a"}: 1}}) // pulls die in flight
 	tn.sim.AddEdge("a", "b")
 	for i := 0; i < epochs; i++ {
 		refreshAll(tn)
@@ -150,7 +151,7 @@ func TestFaultPullBackoffResetsOnConsumedContent(t *testing.T) {
 	g.AddNode("b")
 	tn := newTestNet(t, g, core.WithoutCatchUp())
 	injectGradient(t, tn, "a", "f", math.Inf(1))
-	tn.sim.SetLinkLoss("b", "a", 1)
+	tn.sim.SetFaults(transport.Faults{LinkLoss: map[transport.Link]float64{{From: "b", To: "a"}: 1}})
 	tn.sim.AddEdge("a", "b")
 	for i := 0; i < 8; i++ {
 		refreshAll(tn)
@@ -160,7 +161,7 @@ func TestFaultPullBackoffResetsOnConsumedContent(t *testing.T) {
 	}
 	// Heal the pull channel: the next allowed pull round-trips, b
 	// adopts, and the backoff entry for (a, f) is reset.
-	tn.sim.SetLinkLoss("b", "a", -1)
+	tn.sim.SetFaults(transport.Faults{})
 	for i := 0; i < 10 && len(tn.node("b").Read(pattern.ByName(pattern.KindGradient, "f"))) == 0; i++ {
 		refreshAll(tn)
 	}

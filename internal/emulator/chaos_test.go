@@ -9,6 +9,7 @@ import (
 	"tota/internal/pattern"
 	"tota/internal/space"
 	"tota/internal/topology"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
@@ -114,7 +115,7 @@ func TestChaosWithMobilityAndRefresh(t *testing.T) {
 	}
 	// Freeze the world, stop losing packets, run the anti-entropy to
 	// convergence.
-	w.Sim().SetLoss(0)
+	w.Sim().SetFaults(transport.Faults{})
 	for i := 0; i < 4; i++ {
 		w.RefreshAll()
 		w.Settle(100000)

@@ -14,6 +14,7 @@ import (
 	"tota/internal/pattern"
 	"tota/internal/space"
 	"tota/internal/topology"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
@@ -159,7 +160,7 @@ func TestRefreshEveryHealsLossyWorld(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		w.Tick(1)
 	}
-	w.Sim().SetLoss(0)
+	w.Sim().SetFaults(transport.Faults{})
 	w.RefreshAll()
 	w.Settle(100000)
 	meanAbs, missing, extra := w.GradientError(pattern.KindGradient, "f", src, 1e18)

@@ -282,17 +282,15 @@ func (w *World) recompute() {
 // ascending id order. Sends commit as they happen, so the radio's rng
 // is consumed in that order too.
 func (w *World) forEachActiveNode(fn func(n *core.Node)) {
-	paused := w.sim.PausedSnapshot()
+	paused := w.sim.Faults().Paused
 	w.order = w.graph.AppendSortedHandles(w.order[:0])
 	for _, h := range w.order {
 		n := w.nodeAt(h)
 		if n == nil {
 			continue
 		}
-		if paused != nil {
-			if _, held := paused[w.graph.IDAt(h)]; held {
-				continue
-			}
+		if len(paused) != 0 && paused[w.graph.IDAt(h)] {
+			continue
 		}
 		fn(n)
 	}

@@ -8,6 +8,7 @@ import (
 	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
@@ -62,12 +63,12 @@ func runStagedPathsScenario(seed int64) stagedPathsRun {
 	// Corruption window: heavy byte-flipping for a few epochs drops
 	// frames at the checksum, so partials and announcements go missing
 	// mid-fold.
-	w.Sim().SetCorrupt(0.5)
+	w.Sim().SetFaults(transport.Faults{Corrupt: 0.5})
 	for i := 0; i < 4; i++ {
 		w.RefreshAll()
 		w.Settle(100000)
 	}
-	w.Sim().SetCorrupt(0)
+	w.Sim().SetFaults(transport.Faults{})
 	// Healing needs one epoch per aggregation-tree level plus the
 	// suspicion/backoff recovery tail (E14 sizes epochs the same way).
 	for i := 0; i < 2*side+6; i++ {

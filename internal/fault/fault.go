@@ -4,22 +4,30 @@
 // corruption, node crash/restart cycles, and pause/resume stalls — and
 // drives them against a running emulator.World on its step clock.
 //
+// A plan means one thing everywhere: Plan.At(tick) is the fault state
+// on a tick, and each substrate (the emulator's Injector here, the
+// real-process testnet relay) applies that state whole. A window is
+// open on ticks [From, Until), or from From onwards when Until <= From.
+// Open windows combine by taking the maximum probability or latency of
+// each kind and the union of the cut, crashed and paused sets.
+//
 // Determinism: the injector itself draws no randomness. Every window is
 // scheduled by tick number, and all probabilistic effects (which packet
 // is lost, which bytes flip, how much jitter a packet gets) draw from
-// the simulated radio's seeded RNG in its deterministic merge order.
-// A seeded emulation with a fault plan is therefore bit-identical
-// across runs and across delivery worker counts.
+// the simulated radio's seeded RNG in its deterministic merge order, so
+// a seeded emulation with a fault plan is bit-identical across runs.
 package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"tota/internal/emulator"
 	"tota/internal/space"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
@@ -27,16 +35,15 @@ import (
 type Kind int
 
 const (
-	// Loss sets the global per-packet drop probability to P for the
-	// window, restoring the world's baseline loss on heal.
+	// Loss sets the global per-packet drop probability to P while open,
+	// replacing the world's baseline loss.
 	Loss Kind = iota
-	// Dup sets the global duplication probability to P for the window.
+	// Dup sets the global duplication probability to P.
 	Dup
 	// LinkLoss sets the drop probability of the directional link
-	// Nodes[0] -> Nodes[1] to P, clearing the override on heal.
+	// Nodes[0] -> Nodes[1] to P.
 	LinkLoss
-	// Delay sets the global radio latency to Rounds for the window,
-	// restoring 1 round on heal.
+	// Delay sets the global radio latency to Rounds.
 	Delay
 	// LinkDelay sets the latency of Nodes[0] -> Nodes[1] to Rounds
 	// plus up to Jitter extra seeded-random rounds per packet.
@@ -45,16 +52,15 @@ const (
 	// flips travel through the real wire decoder at the receiver.
 	Corrupt
 	// Partition cuts Nodes off from the rest of the network with no
-	// neighbor events (silent cut), healing it at the window's end.
+	// neighbor events (silent cut).
 	Partition
-	// Crash removes Nodes at the window start (links drop, middleware
-	// state is lost) and restarts them at the window end: same IDs,
-	// same positions, empty state — the rejoin path the paper's
-	// newcomer catch-up and anti-entropy must handle.
+	// Crash removes Nodes when its window opens (links drop, middleware
+	// state is lost) and restarts them when it closes: same IDs, same
+	// positions, empty state — the rejoin path the paper's newcomer
+	// catch-up and anti-entropy must handle.
 	Crash
 	// Pause suspends Nodes' processing (no refresh, no delivery, no
-	// expiry) while keeping their links — a GC stall or sleep state —
-	// resuming them at the window end.
+	// expiry) while keeping their links — a GC stall or sleep state.
 	Pause
 )
 
@@ -78,9 +84,8 @@ func (k Kind) String() string {
 	return "unknown-fault"
 }
 
-// Event is one scripted fault window: the fault activates on tick From
-// and heals on tick Until (exclusive; Until <= From means the fault
-// never heals).
+// Event is one scripted fault window: the fault is open on ticks
+// [From, Until), or from From onwards when Until <= From.
 type Event struct {
 	Kind Kind
 	// From and Until bound the window in emulator ticks.
@@ -94,11 +99,87 @@ type Event struct {
 	Rounds, Jitter int
 }
 
-// Plan is a composable fault script. Windows may overlap freely except
-// that only one Partition can be active at a time (the radio models a
-// single cut).
+// Plan is a composable fault script. Windows may overlap freely: At
+// combines every open window into one state.
 type Plan struct {
 	Events []Event
+}
+
+// State is the fault state a plan prescribes on one tick.
+type State struct {
+	// Radio is the packet-level state: probabilities, latencies, the
+	// cut and the paused set.
+	Radio transport.Faults
+	// LossOpen reports whether a loss window is open. When none is, a
+	// substrate keeps its baseline loss instead of Radio.Loss.
+	LossOpen bool
+	// Crashed lists the nodes inside an open crash window, in plan
+	// order.
+	Crashed []tuple.NodeID
+}
+
+// At returns the fault state on a tick. It is the only code that
+// decides whether a window is open.
+func (p Plan) At(tick int) State {
+	var st State
+	f := &st.Radio
+	for _, e := range p.Events {
+		if tick < e.From || (e.Until > e.From && tick >= e.Until) {
+			continue
+		}
+		switch e.Kind {
+		case Loss:
+			f.Loss = max(f.Loss, e.P)
+			st.LossOpen = true
+		case Dup:
+			f.Dup = max(f.Dup, e.P)
+		case Corrupt:
+			f.Corrupt = max(f.Corrupt, e.P)
+		case Delay:
+			f.Delay = max(f.Delay, e.Rounds)
+		case LinkLoss:
+			if len(e.Nodes) == 2 {
+				l := transport.Link{From: e.Nodes[0], To: e.Nodes[1]}
+				if f.LinkLoss == nil {
+					f.LinkLoss = make(map[transport.Link]float64)
+				}
+				if cur, ok := f.LinkLoss[l]; !ok || e.P > cur {
+					f.LinkLoss[l] = e.P
+				}
+			}
+		case LinkDelay:
+			if len(e.Nodes) == 2 {
+				l := transport.Link{From: e.Nodes[0], To: e.Nodes[1]}
+				if f.LinkDelay == nil {
+					f.LinkDelay = make(map[transport.Link]transport.LinkDelay)
+				}
+				if cur, ok := f.LinkDelay[l]; !ok || e.Rounds > cur.Rounds {
+					f.LinkDelay[l] = transport.LinkDelay{Rounds: e.Rounds, Jitter: e.Jitter}
+				}
+			}
+		case Partition:
+			f.Cut = addAll(f.Cut, e.Nodes)
+		case Pause:
+			f.Paused = addAll(f.Paused, e.Nodes)
+		case Crash:
+			for _, id := range e.Nodes {
+				if !slices.Contains(st.Crashed, id) {
+					st.Crashed = append(st.Crashed, id)
+				}
+			}
+		}
+	}
+	return st
+}
+
+func addAll(set map[tuple.NodeID]bool, ids []tuple.NodeID) map[tuple.NodeID]bool {
+	if set == nil {
+		set = make(map[tuple.NodeID]bool, len(ids))
+	}
+	for _, id := range ids {
+		set[id] = true
+	}
+	return set
 }
 
 // MaxTick returns the last tick at which the plan still transitions
@@ -128,14 +209,13 @@ type crashState struct {
 
 // Injector drives a Plan against a World. Create it with New — it
 // registers itself as the world's fault hook — and step the world
-// normally; faults activate and heal on their scheduled ticks.
+// normally; each tick applies the plan's state on that tick.
 type Injector struct {
 	w       *emulator.World
 	plan    Plan
 	crashed map[tuple.NodeID]crashState
-	// active counts currently-open windows per kind, so overlapping
-	// same-kind windows heal only when the last one closes.
-	active map[Kind]int
+	// down is the Crashed list of the last applied state.
+	down []tuple.NodeID
 }
 
 // New builds an injector for the plan and installs it as w's fault
@@ -145,108 +225,31 @@ func New(w *emulator.World, plan Plan) *Injector {
 		w:       w,
 		plan:    plan,
 		crashed: make(map[tuple.NodeID]crashState),
-		active:  make(map[Kind]int),
 	}
 	w.SetFaultHook(in.Apply)
 	return in
 }
 
-// Apply fires every window transition scheduled for the given tick:
-// heals first (so a back-to-back window of the same kind re-activates
-// cleanly), then activations. Called by World.Tick; idempotent per
-// tick because transitions are exact tick matches.
+// Apply applies the plan's state on a tick: the radio state first,
+// then restarts, then crashes, each in plan order. When no loss window
+// is open the world's baseline loss holds. Called by World.Tick.
 func (in *Injector) Apply(tick int) {
-	for i := range in.plan.Events {
-		e := &in.plan.Events[i]
-		if e.Until > e.From && e.Until == tick {
-			in.heal(e)
-		}
+	st := in.plan.At(tick)
+	if !st.LossOpen {
+		st.Radio.Loss = in.w.Config().Loss
 	}
-	for i := range in.plan.Events {
-		e := &in.plan.Events[i]
-		if e.From == tick {
-			in.activate(e)
-		}
-	}
-}
-
-func (in *Injector) activate(e *Event) {
-	sim := in.w.Sim()
-	in.active[e.Kind]++
-	switch e.Kind {
-	case Loss:
-		sim.SetLoss(e.P)
-	case Dup:
-		sim.SetDup(e.P)
-	case LinkLoss:
-		if len(e.Nodes) == 2 {
-			sim.SetLinkLoss(e.Nodes[0], e.Nodes[1], e.P)
-		}
-	case Delay:
-		sim.SetDelay(e.Rounds)
-	case LinkDelay:
-		if len(e.Nodes) == 2 {
-			sim.SetLinkDelay(e.Nodes[0], e.Nodes[1], e.Rounds, e.Jitter)
-		}
-	case Corrupt:
-		sim.SetCorrupt(e.P)
-	case Partition:
-		sim.SetPartition(e.Nodes...)
-	case Crash:
-		for _, id := range e.Nodes {
-			in.crash(id)
-		}
-	case Pause:
-		for _, id := range e.Nodes {
-			sim.Pause(id)
-		}
-	}
-}
-
-func (in *Injector) heal(e *Event) {
-	sim := in.w.Sim()
-	if in.active[e.Kind] > 0 {
-		in.active[e.Kind]--
-	}
-	last := in.active[e.Kind] == 0
-	switch e.Kind {
-	case Loss:
-		if last {
-			sim.SetLoss(in.w.Config().Loss)
-		}
-	case Dup:
-		if last {
-			sim.SetDup(0)
-		}
-	case LinkLoss:
-		if len(e.Nodes) == 2 {
-			sim.SetLinkLoss(e.Nodes[0], e.Nodes[1], -1)
-		}
-	case Delay:
-		if last {
-			sim.SetDelay(1)
-		}
-	case LinkDelay:
-		if len(e.Nodes) == 2 {
-			sim.SetLinkDelay(e.Nodes[0], e.Nodes[1], 0, 0)
-		}
-	case Corrupt:
-		if last {
-			sim.SetCorrupt(0)
-		}
-	case Partition:
-		if last {
-			sim.SetPartition()
-		}
-	case Crash:
-		for _, id := range e.Nodes {
+	in.w.Sim().SetFaults(st.Radio)
+	for _, id := range in.down {
+		if !slices.Contains(st.Crashed, id) {
 			in.restart(id)
 		}
-	case Pause:
-		for _, id := range e.Nodes {
-			sim.Resume(id)
+	}
+	for _, id := range st.Crashed {
+		if !slices.Contains(in.down, id) {
+			in.crash(id)
 		}
 	}
+	in.down = st.Crashed
 }
 
 // crash removes a node, recording what its restart needs.
@@ -288,7 +291,8 @@ func (in *Injector) restart(id tuple.NodeID) {
 //
 //	kind@from-until:args
 //
-// where from-until is the tick window (until omitted = never heals)
+// where from-until is the tick window (until omitted = never heals;
+// a window from 0 is open from the start)
 // and args depend on the kind:
 //
 //	loss@10-30:0.4           global loss 40% during ticks [10,30)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"tota/internal/pattern"
 	"tota/internal/space"
 	"tota/internal/topology"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
@@ -224,7 +226,7 @@ func TestInjectorPauseStallsAndResumes(t *testing.T) {
 	}})
 
 	w.Tick(1)
-	if !w.Sim().Paused(end) {
+	if !w.Sim().Faults().Paused[end] {
 		t.Fatal("node not paused inside its window")
 	}
 	inDuring := w.Node(end).Stats().PacketsIn
@@ -237,7 +239,7 @@ func TestInjectorPauseStallsAndResumes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		w.Tick(1)
 	}
-	if w.Sim().Paused(end) {
+	if w.Sim().Faults().Paused[end] {
 		t.Fatal("node still paused after its window")
 	}
 	if got := w.Node(end).Stats().PacketsIn; got == inDuring {
@@ -304,6 +306,138 @@ func TestInjectorCorruptWindowFeedsDecoder(t *testing.T) {
 	meanAbs, missing, extra := w.GradientError(pattern.KindGradient, "f", src, math.Inf(1))
 	if meanAbs != 0 || missing != 0 || extra != 0 {
 		t.Errorf("after corruption window: err=%v missing=%d extra=%d", meanAbs, missing, extra)
+	}
+}
+
+// TestFaultPlanAt pins the one interpretation of a plan: a window is
+// open on [From, Until), or from From onwards when Until <= From, and
+// open windows combine by max (probabilities, latencies) and union
+// (cut, paused and crashed sets, in plan order).
+func TestFaultPlanAt(t *testing.T) {
+	ab := transport.Link{From: "a", To: "b"}
+	set := func(ids ...tuple.NodeID) map[tuple.NodeID]bool {
+		m := make(map[tuple.NodeID]bool)
+		for _, id := range ids {
+			m[id] = true
+		}
+		return m
+	}
+	nodes := func(ids ...tuple.NodeID) []tuple.NodeID { return ids }
+	for _, tc := range []struct {
+		name   string
+		events []fault.Event
+		tick   int
+		want   fault.State
+	}{
+		{"empty plan", nil, 3, fault.State{}},
+		{"before From", []fault.Event{{Kind: fault.Loss, From: 2, Until: 4, P: 0.5}}, 1, fault.State{}},
+		{"at From", []fault.Event{{Kind: fault.Loss, From: 2, Until: 4, P: 0.5}}, 2,
+			fault.State{Radio: transport.Faults{Loss: 0.5}, LossOpen: true}},
+		{"last open tick", []fault.Event{{Kind: fault.Loss, From: 2, Until: 4, P: 0.5}}, 3,
+			fault.State{Radio: transport.Faults{Loss: 0.5}, LossOpen: true}},
+		{"at Until", []fault.Event{{Kind: fault.Loss, From: 2, Until: 4, P: 0.5}}, 4, fault.State{}},
+		{"zero-probability loss is open", []fault.Event{{Kind: fault.Loss, From: 0, Until: 4}}, 0,
+			fault.State{LossOpen: true}},
+		{"Until 0 never heals", []fault.Event{{Kind: fault.Dup, From: 2, P: 0.3}}, 1 << 20,
+			fault.State{Radio: transport.Faults{Dup: 0.3}}},
+		{"Until < From never heals", []fault.Event{{Kind: fault.Corrupt, From: 5, Until: 3, P: 0.1}}, 1 << 20,
+			fault.State{Radio: transport.Faults{Corrupt: 0.1}}},
+		{"Until < From opens at From", []fault.Event{{Kind: fault.Corrupt, From: 5, Until: 3, P: 0.1}}, 4, fault.State{}},
+		{"delay", []fault.Event{{Kind: fault.Delay, From: 1, Until: 3, Rounds: 3}}, 1,
+			fault.State{Radio: transport.Faults{Delay: 3}}},
+		{"linkloss", []fault.Event{{Kind: fault.LinkLoss, From: 1, Until: 3, Nodes: nodes("a", "b"), P: 0}}, 2,
+			fault.State{Radio: transport.Faults{LinkLoss: map[transport.Link]float64{ab: 0}}}},
+		{"linkdelay", []fault.Event{{Kind: fault.LinkDelay, From: 1, Until: 3, Nodes: nodes("a", "b"), Rounds: 2, Jitter: 1}}, 2,
+			fault.State{Radio: transport.Faults{LinkDelay: map[transport.Link]transport.LinkDelay{ab: {Rounds: 2, Jitter: 1}}}}},
+		{"partition", []fault.Event{{Kind: fault.Partition, From: 1, Until: 3, Nodes: nodes("a", "b")}}, 1,
+			fault.State{Radio: transport.Faults{Cut: set("a", "b")}}},
+		{"pause", []fault.Event{{Kind: fault.Pause, From: 1, Until: 3, Nodes: nodes("c")}}, 1,
+			fault.State{Radio: transport.Faults{Paused: set("c")}}},
+		{"crash", []fault.Event{{Kind: fault.Crash, From: 1, Until: 3, Nodes: nodes("c", "a")}}, 1,
+			fault.State{Crashed: nodes("c", "a")}},
+		{"probabilities take the max", []fault.Event{
+			{Kind: fault.Loss, From: 1, Until: 9, P: 0.2},
+			{Kind: fault.Loss, From: 2, Until: 4, P: 0.7},
+			{Kind: fault.Loss, From: 3, Until: 5, P: 0.4},
+			{Kind: fault.Dup, From: 1, Until: 9, P: 0.6},
+			{Kind: fault.Dup, From: 1, Until: 9, P: 0.1},
+			{Kind: fault.Corrupt, From: 1, Until: 9},
+			{Kind: fault.Corrupt, From: 2, Until: 4, P: 1},
+			{Kind: fault.LinkLoss, From: 1, Until: 9, Nodes: nodes("a", "b"), P: 0.9},
+			{Kind: fault.LinkLoss, From: 1, Until: 9, Nodes: nodes("a", "b"), P: 0.3},
+		}, 3, fault.State{
+			Radio:    transport.Faults{Loss: 0.7, Dup: 0.6, Corrupt: 1, LinkLoss: map[transport.Link]float64{ab: 0.9}},
+			LossOpen: true,
+		}},
+		{"a closed window no longer counts", []fault.Event{
+			{Kind: fault.Corrupt, From: 1, Until: 9},
+			{Kind: fault.Corrupt, From: 2, Until: 4, P: 1},
+		}, 4, fault.State{}},
+		{"latencies take the max", []fault.Event{
+			{Kind: fault.Delay, From: 1, Until: 9, Rounds: 4},
+			{Kind: fault.Delay, From: 1, Until: 9, Rounds: 2},
+			{Kind: fault.LinkDelay, From: 1, Until: 9, Nodes: nodes("a", "b"), Rounds: 1, Jitter: 5},
+			{Kind: fault.LinkDelay, From: 1, Until: 9, Nodes: nodes("a", "b"), Rounds: 3, Jitter: 0},
+		}, 1, fault.State{Radio: transport.Faults{
+			Delay:     4,
+			LinkDelay: map[transport.Link]transport.LinkDelay{ab: {Rounds: 3}},
+		}}},
+		{"sets take the union", []fault.Event{
+			{Kind: fault.Partition, From: 1, Until: 9, Nodes: nodes("a")},
+			{Kind: fault.Partition, From: 1, Until: 9, Nodes: nodes("b", "a")},
+			{Kind: fault.Pause, From: 1, Until: 9, Nodes: nodes("c")},
+			{Kind: fault.Pause, From: 1, Until: 9, Nodes: nodes("d")},
+			{Kind: fault.Crash, From: 1, Until: 9, Nodes: nodes("f", "e")},
+			{Kind: fault.Crash, From: 1, Until: 9, Nodes: nodes("e", "g")},
+		}, 1, fault.State{
+			Radio:   transport.Faults{Cut: set("a", "b"), Paused: set("c", "d")},
+			Crashed: nodes("f", "e", "g"),
+		}},
+	} {
+		if got := (fault.Plan{Events: tc.events}).At(tc.tick); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: At(%d) = %+v, want %+v", tc.name, tc.tick, got, tc.want)
+		}
+	}
+}
+
+// TestFaultWindowFromTickZeroOpensOnFirstTick: the world numbers its
+// first tick 1, so a window that opens at tick 0 is already open then.
+func TestFaultWindowFromTickZeroOpensOnFirstTick(t *testing.T) {
+	w, _ := lineWorld(t, 3)
+	plan, err := fault.ParsePlan("corrupt@0-5:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.New(w, plan)
+	w.Sim().ResetStats()
+	w.Tick(1)
+	if st := w.Sim().Stats(); st.Sent == 0 || st.Corrupted != st.Sent {
+		t.Errorf("tick 1 corrupted %d of %d sends, want all", st.Corrupted, st.Sent)
+	}
+}
+
+// TestFaultOverlappingWindowsTakeMax: a short P=1 corruption window
+// inside a long P=0 one corrupts every send while both are open and
+// none once only the P=0 window is left.
+func TestFaultOverlappingWindowsTakeMax(t *testing.T) {
+	w, _ := lineWorld(t, 3)
+	plan, err := fault.ParsePlan("corrupt@1-9:0;corrupt@2-4:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.New(w, plan)
+	for tick := 1; tick <= 9; tick++ {
+		before := w.Sim().Stats()
+		w.Tick(1)
+		after := w.Sim().Stats()
+		sent, corrupted := after.Sent-before.Sent, after.Corrupted-before.Corrupted
+		want := int64(0)
+		if tick == 2 || tick == 3 {
+			want = sent
+		}
+		if sent == 0 || corrupted != want {
+			t.Errorf("tick %d corrupted %d of %d sends, want %d", tick, corrupted, sent, want)
+		}
 	}
 }
 

@@ -21,10 +21,11 @@ const DefaultFlightSize = 4096
 // channel to fill: recording is one stamp, one mutex, one slot write)
 // and never grows (old events are overwritten in arrival order).
 //
-// Recording takes a plain mutex. Trace events only fire on state
-// changes — never on the per-packet fast path — and the critical
-// section is a single slot assignment, so contention is negligible
-// even with parallel delivery workers.
+// Recording takes a plain mutex, because a real node traces from its
+// UDP receive and refresh-ticker goroutines at once. Trace events only
+// fire on state changes — never on the per-packet fast path — and the
+// critical section is a single slot assignment, so contention is
+// negligible.
 type FlightRecorder struct {
 	clock func() float64
 

@@ -97,7 +97,7 @@ func TestFlightEndpoint(t *testing.T) {
 	f1.Tracer()(ev(core.TraceInject, "a", "a", 1))
 	f2.Tracer()(ev(core.TraceStore, "b", "a", 1))
 
-	srv, err := Serve("127.0.0.1:0", r, f1, f2)
+	srv, err := Serve("127.0.0.1:0", r, Extras{Flights: []*FlightRecorder{f1, f2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 
 	// Without recorders the endpoint is absent.
-	bare, err := Serve("127.0.0.1:0", r)
+	bare, err := Serve("127.0.0.1:0", r, Extras{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"time"
 )
@@ -36,11 +37,12 @@ type readyzPayload struct {
 }
 
 // Extras are the optional endpoints Handler can serve beyond the
-// metrics surface.
+// metrics surface. The zero value serves none of them.
 type Extras struct {
-	// Flights, when non-empty, are served at /debug/flight as
-	// concatenated JSONL, oldest events first per recorder — the same
-	// schema the JSONL sink writes, so tota-trace ingests scrapes.
+	// Flights, when they hold a recorder, are served at /debug/flight
+	// as concatenated JSONL, oldest events first per recorder — the
+	// same schema the JSONL sink writes, so tota-trace ingests scrapes.
+	// Nil entries are skipped.
 	Flights []*FlightRecorder
 	// Ready, when set, serves /readyz: HTTP 200 with a JSON body when
 	// the node has at least one peer up, 503 (same body) otherwise.
@@ -61,18 +63,10 @@ type Extras struct {
 //	/metrics.json  JSON snapshot (histograms include quantiles)
 //	/healthz       liveness probe ("ok")
 //	/debug/pprof/  the standard net/http/pprof handlers
-//	/debug/flight  flight-recorder dump (with recorders attached)
 //
-// Flight recorders, when passed, are served at /debug/flight (see
-// Extras.Flights). For the readiness and store-dump endpoints use
-// HandlerExtras.
-func Handler(r *Registry, flights ...*FlightRecorder) http.Handler {
-	return HandlerExtras(r, Extras{Flights: flights})
-}
-
-// HandlerExtras is Handler plus the optional /readyz and /store.json
-// endpoints (see Extras).
-func HandlerExtras(r *Registry, x Extras) http.Handler {
+// plus whichever of /debug/flight, /readyz and /store.json x asks for
+// (see Extras).
+func Handler(r *Registry, x Extras) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -119,14 +113,11 @@ func HandlerExtras(r *Registry, x Extras) http.Handler {
 			_ = store(w)
 		})
 	}
-	if len(x.Flights) > 0 {
-		flights := x.Flights
+	flights := slices.DeleteFunc(slices.Clone(x.Flights), func(f *FlightRecorder) bool { return f == nil })
+	if len(flights) > 0 {
 		mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			for _, f := range flights {
-				if f == nil {
-					continue
-				}
 				_ = f.WriteJSONL(w)
 			}
 		})
@@ -145,22 +136,15 @@ type Server struct {
 	ln  net.Listener
 }
 
-// Serve binds addr (e.g. ":8080" or "127.0.0.1:0") and serves the
-// observability mux in a background goroutine (flight recorders, when
-// passed, are exposed at /debug/flight). Close to stop.
-func Serve(addr string, r *Registry, flights ...*FlightRecorder) (*Server, error) {
-	return ServeExtras(addr, r, Extras{Flights: flights})
-}
-
-// ServeExtras is Serve plus the optional /readyz and /store.json
-// endpoints (see Extras).
-func ServeExtras(addr string, r *Registry, x Extras) (*Server, error) {
+// Serve binds addr (e.g. ":8080" or "127.0.0.1:0") and serves
+// Handler(r, x) in a background goroutine. Close to stop.
+func Serve(addr string, r *Registry, x Extras) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{
-		Handler:           HandlerExtras(r, x),
+		Handler:           Handler(r, x),
 		ReadHeaderTimeout: 5 * time.Second,
 		// WriteTimeout must clear the longest legitimate response:
 		// /debug/pprof/profile streams for 30s by default, so give it

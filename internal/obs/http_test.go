@@ -14,7 +14,7 @@ func TestServeEndpoints(t *testing.T) {
 	r.Counter("tota_packets_in_total", "Packets.").Add(12)
 	r.Histogram("tota_propagation_latency", "Latency.", RoundBuckets).Observe(3)
 
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := Serve("127.0.0.1:0", r, Extras{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestServeReadyzAndStore(t *testing.T) {
 		mu   sync.Mutex
 		snap = Readiness{StoreSize: 2, Peers: 0, Announced: 5, Suppressed: 40}
 	)
-	srv, err := ServeExtras("127.0.0.1:0", NewRegistry(), Extras{
+	srv, err := Serve("127.0.0.1:0", NewRegistry(), Extras{
 		Ready: func() Readiness {
 			mu.Lock()
 			defer mu.Unlock()
@@ -149,7 +149,7 @@ func TestServeReadyzAndStore(t *testing.T) {
 	}
 
 	// Without Extras the endpoints must not exist (back-compat surface).
-	plain, err := Serve("127.0.0.1:0", NewRegistry())
+	plain, err := Serve("127.0.0.1:0", NewRegistry(), Extras{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,9 +281,10 @@ func (c *idClock) reset() {
 //     result for that query (how long a fresh aggregation query takes
 //     to produce its first answer).
 //
-// All methods are safe for concurrent use from parallel delivery
-// workers; the tracker takes one small mutex per traced event, which is
-// off the packet fast path (events only fire on state changes).
+// All methods are safe for concurrent use: a real node traces from its
+// UDP receive and refresh-ticker goroutines at once. The tracker takes
+// one small mutex per traced event, which is off the packet fast path
+// (events only fire on state changes).
 type Latencies struct {
 	clock func() float64
 

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"tota/internal/fault"
 	"tota/internal/gateway"
 	"tota/internal/obs"
+	"tota/internal/tuple"
 )
 
 // Report is the outcome of one testnet run.
@@ -331,84 +333,18 @@ func (h *Harness) readinessBarrier() error {
 	return nil
 }
 
-// applyPlanState recomputes the complete fault configuration for a
-// tick and pushes it. Windows activate at From and heal at Until
-// exactly as in the emulator's injector; overlapping windows compose
-// by max (probabilities, delays) and union (node sets) because the
-// state is rebuilt from every active event each tick.
+// applyPlanState pushes the plan's state on a tick to the relay and
+// turns its crashed and paused sets into process transitions, heals
+// first like the emulator's injector.
 func (h *Harness) applyPlanState(tick int) {
-	st := FaultState{
-		DirLoss:     make(map[[2]string]float64),
-		DirDelay:    make(map[[2]string][2]time.Duration),
-		Partitioned: make(map[string]bool),
-	}
-	wantCrashed := make(map[string]bool)
-	wantPaused := make(map[string]bool)
-	tickDur := time.Duration(h.m.TickMS) * time.Millisecond
-	for _, ev := range h.plan.Events {
-		active := tick >= ev.From && (ev.Until == 0 || tick < ev.Until)
-		if !active {
-			continue
-		}
-		switch ev.Kind {
-		case fault.Loss:
-			if ev.P > st.Loss {
-				st.Loss = ev.P
-			}
-		case fault.Dup:
-			if ev.P > st.Dup {
-				st.Dup = ev.P
-			}
-		case fault.LinkLoss:
-			edge := [2]string{string(ev.Nodes[0]), string(ev.Nodes[1])}
-			if ev.P > st.DirLoss[edge] {
-				st.DirLoss[edge] = ev.P
-			}
-		case fault.Delay:
-			if d := time.Duration(ev.Rounds) * tickDur; d > st.Delay {
-				st.Delay = d
-			}
-		case fault.LinkDelay:
-			edge := [2]string{string(ev.Nodes[0]), string(ev.Nodes[1])}
-			d := [2]time.Duration{time.Duration(ev.Rounds) * tickDur, time.Duration(ev.Jitter) * tickDur}
-			if cur := st.DirDelay[edge]; d[0] > cur[0] {
-				st.DirDelay[edge] = d
-			}
-		case fault.Corrupt:
-			if ev.P > st.Corrupt {
-				st.Corrupt = ev.P
-			}
-		case fault.Partition:
-			for _, id := range ev.Nodes {
-				st.Partitioned[string(id)] = true
-			}
-		case fault.Crash:
-			for _, id := range ev.Nodes {
-				wantCrashed[string(id)] = true
-			}
-		case fault.Pause:
-			for _, id := range ev.Nodes {
-				wantPaused[string(id)] = true
-			}
-		}
-	}
-	h.relay.Apply(st)
+	st := h.plan.At(tick)
+	h.relay.Apply(st.Radio, time.Duration(h.m.TickMS)*time.Millisecond)
 
-	// Crash transitions: SIGKILL on entry, restart with the SAME
-	// identity (and the same relay peer list) on heal — the restarted
-	// process comes back empty on a fresh port and must catch up.
-	for id := range wantCrashed {
-		if !h.crashed[id] {
-			if p, ok := h.procs[id]; ok {
-				h.logf("testnet: tick %d: SIGKILL %s", tick, id)
-				p.Kill()
-				delete(h.procs, id)
-			}
-			h.crashed[id] = true
-		}
-	}
+	// Crash transitions: restart with the SAME identity (and the same
+	// relay peer list) on heal — the restarted process comes back empty
+	// on a fresh port and must catch up — and SIGKILL on entry.
 	for id := range h.crashed {
-		if !wantCrashed[id] {
+		if !slices.Contains(st.Crashed, tuple.NodeID(id)) {
 			h.logf("testnet: tick %d: restart %s (same id, empty store)", tick, id)
 			if err := h.spawn(id); err != nil {
 				h.logf("testnet: restart %s failed: %v", id, err)
@@ -418,23 +354,35 @@ func (h *Harness) applyPlanState(tick int) {
 			delete(h.crashed, id)
 		}
 	}
-	// Pause transitions: SIGSTOP on entry, SIGCONT on heal.
-	for id := range wantPaused {
+	for _, id := range st.Crashed {
+		id := string(id)
+		if !h.crashed[id] {
+			if p, ok := h.procs[id]; ok {
+				h.logf("testnet: tick %d: SIGKILL %s", tick, id)
+				p.Kill()
+				delete(h.procs, id)
+			}
+			h.crashed[id] = true
+		}
+	}
+	// Pause transitions: SIGCONT on heal, SIGSTOP on entry.
+	for id := range h.paused {
+		if !st.Radio.Paused[tuple.NodeID(id)] {
+			if p, ok := h.procs[id]; ok {
+				h.logf("testnet: tick %d: SIGCONT %s", tick, id)
+				_ = p.Resume()
+			}
+			delete(h.paused, id)
+		}
+	}
+	for id := range st.Radio.Paused {
+		id := string(id)
 		if !h.paused[id] {
 			if p, ok := h.procs[id]; ok {
 				h.logf("testnet: tick %d: SIGSTOP %s", tick, id)
 				_ = p.Pause()
 			}
 			h.paused[id] = true
-		}
-	}
-	for id := range h.paused {
-		if !wantPaused[id] {
-			if p, ok := h.procs[id]; ok {
-				h.logf("testnet: tick %d: SIGCONT %s", tick, id)
-				_ = p.Resume()
-			}
-			delete(h.paused, id)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"tota/internal/transport"
 	"tota/internal/transport/udp"
+	"tota/internal/tuple"
 )
 
 // Relay routes real UDP datagrams between node processes, one socket
@@ -41,15 +42,10 @@ type link struct {
 	addrA, addrB *net.UDPAddr // learned from observed frames
 	rng          *rand.Rand
 
-	// Fault state, recomputed wholesale by the plan driver each tick.
-	loss     float64            // symmetric drop probability
-	dirLoss  map[string]float64 // per-sender override (>= 0 active)
-	dup      float64            // duplication probability
-	delay    time.Duration      // added latency
-	jitter   time.Duration      // extra random latency, uniform [0, jitter)
-	dirDelay map[string][2]time.Duration
-	corrupt  float64 // payload byte-flip probability
-	blocked  bool    // partition cut crosses this link
+	// faults is the state Apply last pushed, and tick the wall time of
+	// one of its latency rounds.
+	faults transport.Faults
+	tick   time.Duration
 
 	closed atomic.Bool
 
@@ -92,12 +88,10 @@ func (r *Relay) AddLink(a, b string) (string, error) {
 		return "", fmt.Errorf("testnet: bind link %s-%s: %w", a, b, err)
 	}
 	l := &link{
-		conn:     conn,
-		a:        a,
-		b:        b,
-		rng:      rand.New(rand.NewSource(r.rng.Int63())),
-		dirLoss:  make(map[string]float64),
-		dirDelay: make(map[string][2]time.Duration),
+		conn: conn,
+		a:    a,
+		b:    b,
+		rng:  rand.New(rand.NewSource(r.rng.Int63())),
 	}
 	r.links[key] = l
 	go l.run()
@@ -128,52 +122,16 @@ func (r *Relay) Stats() RelayStats {
 	return s
 }
 
-// FaultState is the complete fault configuration the plan driver
-// pushes each tick; the relay applies it wholesale, so overlapping
-// windows compose outside (by max/union) and healing is just pushing
-// the recomputed state with a window removed.
-type FaultState struct {
-	// Loss is the symmetric per-packet drop probability on all links.
-	Loss float64
-	// DirLoss overrides Loss per directed edge (from -> to).
-	DirLoss map[[2]string]float64
-	// Dup is the per-packet duplication probability on all links.
-	Dup float64
-	// Delay/Jitter add latency to every packet on all links.
-	Delay, Jitter time.Duration
-	// DirDelay overrides Delay/Jitter per directed edge.
-	DirDelay map[[2]string][2]time.Duration
-	// Corrupt is the probability of flipping payload bytes (frame
-	// headers stay intact so attribution survives).
-	Corrupt float64
-	// Partitioned is the cut set: links with exactly one endpoint in
-	// it are silently blocked, both directions.
-	Partitioned map[string]bool
-}
-
-// Apply pushes a fault state to every link.
-func (r *Relay) Apply(st FaultState) {
+// Apply pushes a fault state to every link, replacing the last one.
+// Latencies are in rounds of tick wall time, added to the loopback's
+// own; a link whose endpoints straddle the cut is blocked both ways.
+// Paused nodes are the harness's business (SIGSTOP), not the relay's.
+func (r *Relay) Apply(f transport.Faults, tick time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, l := range r.links {
 		l.mu.Lock()
-		l.loss = st.Loss
-		l.dup = st.Dup
-		l.delay, l.jitter = st.Delay, st.Jitter
-		l.corrupt = st.Corrupt
-		l.blocked = st.Partitioned[l.a] != st.Partitioned[l.b]
-		clear(l.dirLoss)
-		for edge, p := range st.DirLoss {
-			if (edge[0] == l.a && edge[1] == l.b) || (edge[0] == l.b && edge[1] == l.a) {
-				l.dirLoss[edge[0]] = p
-			}
-		}
-		clear(l.dirDelay)
-		for edge, d := range st.DirDelay {
-			if (edge[0] == l.a && edge[1] == l.b) || (edge[0] == l.b && edge[1] == l.a) {
-				l.dirDelay[edge[0]] = d
-			}
-		}
+		l.faults, l.tick = f, tick
 		l.mu.Unlock()
 	}
 }
@@ -197,29 +155,31 @@ func (l *link) run() {
 
 		l.mu.Lock()
 		var dst *net.UDPAddr
+		dir := transport.Link{From: sender}
 		switch string(sender) {
 		case l.a:
 			l.addrA = raddr
-			dst = l.addrB
+			dst, dir.To = l.addrB, tuple.NodeID(l.b)
 		case l.b:
 			l.addrB = raddr
-			dst = l.addrA
+			dst, dir.To = l.addrA, tuple.NodeID(l.a)
 		default:
 			l.mu.Unlock()
 			continue // foreign ID: not this link's traffic
 		}
-		if l.blocked || dst == nil {
+		f := &l.faults
+		blocked := f.Cut[dir.From] != f.Cut[dir.To]
+		if blocked || dst == nil {
 			// Partitioned, or the far endpoint has not spoken yet
 			// (its address is unknown until its first frame).
-			drop := l.blocked
 			l.mu.Unlock()
-			if drop {
+			if blocked {
 				l.dropped.Add(1)
 			}
 			continue
 		}
-		loss := l.loss
-		if p, ok := l.dirLoss[string(sender)]; ok {
+		loss := f.Loss
+		if p, ok := f.LinkLoss[dir]; ok {
 			loss = p
 		}
 		if loss > 0 && l.rng.Float64() < loss {
@@ -227,19 +187,20 @@ func (l *link) run() {
 			l.dropped.Add(1)
 			continue
 		}
-		if l.corrupt > 0 && l.rng.Float64() < l.corrupt {
+		if f.Corrupt > 0 && l.rng.Float64() < f.Corrupt {
 			if hdr, ok := udp.FrameHeaderLen(frame); ok && len(frame) > hdr {
 				body := transport.CorruptBytes(l.rng, frame[hdr:])
 				copy(frame[hdr:], body)
 				l.corrupted.Add(1)
 			}
 		}
-		sendTwice := l.dup > 0 && l.rng.Float64() < l.dup
-		delay, jitter := l.delay, l.jitter
-		if d, ok := l.dirDelay[string(sender)]; ok {
-			delay, jitter = d[0], d[1]
+		sendTwice := f.Dup > 0 && l.rng.Float64() < f.Dup
+		d := transport.LinkDelay{Rounds: f.Delay}
+		if ld, ok := f.LinkDelay[dir]; ok {
+			d = ld
 		}
-		if jitter > 0 {
+		delay := time.Duration(d.Rounds) * l.tick
+		if jitter := time.Duration(d.Jitter) * l.tick; jitter > 0 {
 			delay += time.Duration(l.rng.Int63n(int64(jitter)))
 		}
 		l.mu.Unlock()

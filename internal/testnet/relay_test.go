@@ -6,6 +6,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"tota/internal/transport"
+	"tota/internal/tuple"
 )
 
 // rawFrame builds a minimal TOTA wire frame (type, id length, id,
@@ -116,7 +119,7 @@ func TestTestnetRelayFaults(t *testing.T) {
 	_, _ = ea.recv(t, time.Second)
 
 	// Total loss: nothing crosses.
-	r.Apply(FaultState{Loss: 1})
+	r.Apply(transport.Faults{Loss: 1}, 0)
 	for i := 0; i < 5; i++ {
 		ea.send(t, addr, rawFrame(2, "a", []byte("x")))
 	}
@@ -128,7 +131,7 @@ func TestTestnetRelayFaults(t *testing.T) {
 	}
 
 	// Directional loss: a->b blocked, b->a clean.
-	r.Apply(FaultState{DirLoss: map[[2]string]float64{{"a", "b"}: 1}})
+	r.Apply(transport.Faults{LinkLoss: map[transport.Link]float64{{From: "a", To: "b"}: 1}}, 0)
 	ea.send(t, addr, rawFrame(2, "a", []byte("x")))
 	if _, ok := eb.recv(t, 150*time.Millisecond); ok {
 		t.Fatal("frame crossed a blocked direction")
@@ -139,7 +142,7 @@ func TestTestnetRelayFaults(t *testing.T) {
 	}
 
 	// Partition: both directions silently cut.
-	r.Apply(FaultState{Partitioned: map[string]bool{"a": true}})
+	r.Apply(transport.Faults{Cut: map[tuple.NodeID]bool{"a": true}}, 0)
 	ea.send(t, addr, rawFrame(2, "a", []byte("x")))
 	eb.send(t, addr, rawFrame(2, "b", []byte("y")))
 	if _, ok := eb.recv(t, 150*time.Millisecond); ok {
@@ -150,7 +153,7 @@ func TestTestnetRelayFaults(t *testing.T) {
 	}
 
 	// Heal: recomputed empty state restores the link.
-	r.Apply(FaultState{})
+	r.Apply(transport.Faults{}, 0)
 	ea.send(t, addr, rawFrame(2, "a", []byte("healed")))
 	if _, ok := eb.recv(t, time.Second); !ok {
 		t.Fatal("link did not heal")
@@ -158,7 +161,7 @@ func TestTestnetRelayFaults(t *testing.T) {
 
 	// Corruption mangles payload bytes but never the header, so the
 	// receiver can still attribute the frame (and its CRC rejects it).
-	r.Apply(FaultState{Corrupt: 1})
+	r.Apply(transport.Faults{Corrupt: 1}, 0)
 	orig := rawFrame(2, "a", []byte("0123456789abcdef"))
 	ea.send(t, addr, orig)
 	got, ok := eb.recv(t, time.Second)
@@ -174,7 +177,7 @@ func TestTestnetRelayFaults(t *testing.T) {
 	}
 
 	// Duplication: one send, two arrivals.
-	r.Apply(FaultState{Dup: 1})
+	r.Apply(transport.Faults{Dup: 1}, 0)
 	ea.send(t, addr, rawFrame(2, "a", []byte("twice")))
 	if _, ok := eb.recv(t, time.Second); !ok {
 		t.Fatal("dup frame lost entirely")
@@ -184,7 +187,7 @@ func TestTestnetRelayFaults(t *testing.T) {
 	}
 
 	// Delay: the frame arrives, but not before the configured latency.
-	r.Apply(FaultState{Delay: 300 * time.Millisecond})
+	r.Apply(transport.Faults{Delay: 3}, 100*time.Millisecond)
 	start := time.Now()
 	ea.send(t, addr, rawFrame(2, "a", []byte("late")))
 	if _, ok := eb.recv(t, 2*time.Second); !ok {

@@ -21,18 +21,17 @@ var (
 
 // SimConfig tunes the simulated radio.
 type SimConfig struct {
-	// Loss is the independent per-packet drop probability in [0, 1).
-	Loss float64
-	// LatencyRounds is how many Step calls a packet spends in flight
-	// (minimum 1).
+	// Loss, Dup and LatencyRounds are the initial Faults' Loss, Dup
+	// and Delay: the per-packet drop probability in [0, 1), the
+	// duplication probability, and how many Step calls a packet spends
+	// in flight (minimum 1).
+	Loss          float64
+	Dup           float64
 	LatencyRounds int
 	// Shuffle delivers each round's packets in a random (seeded)
 	// permutation instead of send order, exploring the delivery-order
 	// races the paper's §6 worries about.
 	Shuffle bool
-	// Dup is the independent probability that a packet is delivered
-	// twice (radio-level duplication the engine must absorb).
-	Dup float64
 	// Seed makes loss and shuffle decisions reproducible.
 	Seed int64
 	// MaxInbound bounds how many packets may be queued toward one
@@ -43,22 +42,47 @@ type SimConfig struct {
 	MaxInbound int
 }
 
-// linkKey identifies one direction of a link for per-link fault
-// overrides (loss and delay are asymmetric: a->b and b->a are distinct
-// keys).
-type linkKey struct {
-	from, to tuple.NodeID
+// Faults is the radio's complete fault state. SetFaults replaces it
+// whole, so a driver heals a fault by passing a state without it. The
+// radio keeps the maps it is given: callers must not change them.
+type Faults struct {
+	// Loss, Dup and Corrupt are the per-packet probabilities of a drop,
+	// of a second delivered copy, and of injected byte flips (fed to the
+	// receiver through the real wire decoder; the sender's payload is
+	// copied first, never modified).
+	Loss, Dup, Corrupt float64
+	// Delay is the in-flight latency in Step rounds (minimum 1). Queued
+	// packets keep the due round they were sent with.
+	Delay int
+	// LinkLoss and LinkDelay override Loss and Delay for one direction
+	// of a link (asymmetric: a->b and b->a are distinct keys).
+	LinkLoss  map[Link]float64
+	LinkDelay map[Link]LinkDelay
+	// Cut severs its members from the rest of the network: packets
+	// crossing it (either direction) are discarded at delivery time and
+	// counted in Stats.Blocked. Unlike RemoveEdge, no neighbor events
+	// fire; engines on both sides must notice the silence themselves.
+	Cut map[tuple.NodeID]bool
+	// Paused nodes keep their links but process nothing: packets
+	// addressed to them are held in flight (not dropped) until they
+	// leave the set. Models GC stalls, sleep states, overloaded hosts.
+	Paused map[tuple.NodeID]bool
 }
 
-// linkDelay is a per-link latency override: base rounds plus a uniform
-// random jitter of [0, jitter] extra rounds per packet.
-type linkDelay struct {
-	rounds, jitter int
+// Link is one direction of a link.
+type Link struct {
+	From, To tuple.NodeID
+}
+
+// LinkDelay is a per-link latency: Rounds base latency plus a uniform
+// seeded-random jitter of [0, Jitter] extra rounds per packet.
+type LinkDelay struct {
+	Rounds, Jitter int
 }
 
 // Sim is a deterministic simulated radio network. Nodes attach to it to
 // obtain endpoints; the emulator (or a test) drives time by calling
-// Step, which delivers every packet sent at least LatencyRounds steps
+// Step, which delivers every packet sent at least Faults.Delay steps
 // earlier. Topology edits notify the attached handlers immediately.
 //
 // Determinism: Step delivers on the calling goroutine in due order, loss
@@ -97,21 +121,9 @@ type Sim struct {
 	hs   []Handler
 	nbrs []tuple.NodeID
 
-	// Fault-injection state, mutated only between Steps (same
-	// discipline as topology edits) and read under mu.
-	// linkLoss overrides cfg.Loss for one link direction.
-	linkLoss map[linkKey]float64
-	// linkDelays overrides cfg.LatencyRounds (+ jitter) per direction.
-	linkDelays map[linkKey]linkDelay
-	// corrupt is the per-packet probability of injected byte flips.
-	corrupt float64
-	// partition, when non-empty, severs the named node set from the
-	// rest: packets crossing the cut are discarded at delivery time
-	// with no neighbor events (the engines must notice on their own).
-	partition map[tuple.NodeID]struct{}
-	// paused nodes keep their links but process nothing: packets
-	// addressed to them are held in flight until Resume.
-	paused map[tuple.NodeID]struct{}
+	// faults is replaced whole by SetFaults, only between Steps (the
+	// same discipline as topology edits), and read under mu.
+	faults Faults
 }
 
 type simPacket struct {
@@ -128,143 +140,36 @@ type stagedSend struct {
 // NewSim creates a simulated network over the given (shared, live)
 // topology graph.
 func NewSim(g *topology.Graph, cfg SimConfig) *Sim {
-	if cfg.LatencyRounds < 1 {
-		cfg.LatencyRounds = 1
-	}
-	return &Sim{
+	s := &Sim{
 		cfg:      cfg,
 		graph:    g,
 		handlers: make(map[tuple.NodeID]Handler),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
+	s.SetFaults(Faults{Loss: cfg.Loss, Dup: cfg.Dup, Delay: cfg.LatencyRounds})
+	return s
 }
 
 // Graph returns the underlying topology graph.
 func (s *Sim) Graph() *topology.Graph { return s.graph }
 
-// SetLoss changes the per-packet drop probability at runtime (failure
-// injection).
-func (s *Sim) SetLoss(p float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.Loss = p
-}
-
-// SetDup changes the per-packet duplication probability at runtime.
-func (s *Sim) SetDup(p float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.Dup = p
-}
-
-// SetDelay changes the base in-flight latency (in Step rounds, minimum
-// 1) at runtime. Already queued packets keep their original due round.
-func (s *Sim) SetDelay(rounds int) {
-	if rounds < 1 {
-		rounds = 1
+// SetFaults replaces the radio's whole fault state (failure
+// injection). Already queued packets keep their due round.
+func (s *Sim) SetFaults(f Faults) {
+	if f.Delay < 1 {
+		f.Delay = 1
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cfg.LatencyRounds = rounds
+	s.faults = f
 }
 
-// SetLinkLoss overrides the drop probability for the from->to direction
-// of one link (asymmetric: set both directions for a symmetric fault).
-// A negative p removes the override, restoring the global loss.
-func (s *Sim) SetLinkLoss(from, to tuple.NodeID, p float64) {
+// Faults returns the current fault state. Its maps are the radio's
+// own: read them, never change them.
+func (s *Sim) Faults() Faults {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p < 0 {
-		delete(s.linkLoss, linkKey{from, to})
-		return
-	}
-	if s.linkLoss == nil {
-		s.linkLoss = make(map[linkKey]float64)
-	}
-	s.linkLoss[linkKey{from, to}] = p
-}
-
-// SetLinkDelay overrides the latency for the from->to direction of one
-// link: rounds base latency plus a seeded uniform jitter of up to
-// jitter extra rounds per packet. rounds < 1 removes the override.
-func (s *Sim) SetLinkDelay(from, to tuple.NodeID, rounds, jitter int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rounds < 1 {
-		delete(s.linkDelays, linkKey{from, to})
-		return
-	}
-	if jitter < 0 {
-		jitter = 0
-	}
-	if s.linkDelays == nil {
-		s.linkDelays = make(map[linkKey]linkDelay)
-	}
-	s.linkDelays[linkKey{from, to}] = linkDelay{rounds: rounds, jitter: jitter}
-}
-
-// SetCorrupt changes the probability that a queued packet gets random
-// byte flips injected (fed to the receiver through the real wire
-// decoder). The original payload bytes are never modified — corruption
-// copies first, because payloads are shared with sender-side caches.
-func (s *Sim) SetCorrupt(p float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.corrupt = p
-}
-
-// SetPartition severs the given node set from the rest of the network:
-// packets crossing the cut (either direction) are discarded at
-// delivery time and counted in Stats.Blocked. Unlike RemoveEdge, no
-// neighbor events fire — engines on both sides must detect the
-// silence themselves, which is exactly what partition faults test.
-// An empty set heals the partition.
-func (s *Sim) SetPartition(nodes ...tuple.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(nodes) == 0 {
-		s.partition = nil
-		return
-	}
-	s.partition = make(map[tuple.NodeID]struct{}, len(nodes))
-	for _, id := range nodes {
-		s.partition[id] = struct{}{}
-	}
-}
-
-// Pause suspends a node's packet processing while keeping its links:
-// packets addressed to it are held in flight (not dropped) until
-// Resume. Models GC stalls, sleep states, or overloaded hosts.
-func (s *Sim) Pause(id tuple.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.paused == nil {
-		s.paused = make(map[tuple.NodeID]struct{})
-	}
-	s.paused[id] = struct{}{}
-}
-
-// Resume lifts a Pause; held packets deliver on the next Step.
-func (s *Sim) Resume(id tuple.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.paused, id)
-}
-
-// Paused reports whether a node is currently paused.
-func (s *Sim) Paused(id tuple.NodeID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.paused[id]
-	return ok
-}
-
-// SetMaxInbound changes the per-destination queue bound at runtime
-// (zero disables shedding).
-func (s *Sim) SetMaxInbound(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.MaxInbound = n
+	return s.faults
 }
 
 // Attach registers a node and returns its endpoint. The handler may be
@@ -291,7 +196,6 @@ func (s *Sim) Detach(id tuple.NodeID) {
 	s.mu.Lock()
 	events := s.graph.RemoveNode(id)
 	delete(s.handlers, id)
-	delete(s.paused, id)
 	kept := s.inflight[:0]
 	for _, p := range s.inflight {
 		if p.from != id && p.to != id {
@@ -354,16 +258,16 @@ func (s *Sim) Step() int {
 	for _, p := range s.inflight {
 		p.dueRound--
 		if p.dueRound <= 0 {
-			if len(s.partition) != 0 && s.crossesPartitionLocked(p.from, p.to) {
+			if cut := s.faults.Cut; len(cut) != 0 && cut[p.from] != cut[p.to] {
 				// The cut severed this packet mid-flight: discard it
 				// silently (no neighbor event — partitions are exactly
 				// the fault where nobody tells you).
 				s.stats.Blocked++
 				continue
 			}
-			if _, held := s.paused[p.to]; held {
-				// Destination is paused: hold the packet until Resume
-				// by keeping it one round from due.
+			if s.faults.Paused[p.to] {
+				// Destination is paused: hold the packet until it
+				// resumes by keeping it one round from due.
 				p.dueRound = 1
 				kept = append(kept, p)
 				continue
@@ -436,22 +340,6 @@ func (s *Sim) mergeStagedLocked() {
 	s.staged = s.staged[:0]
 }
 
-// PausedSnapshot returns a copy of the paused node set (nil when no
-// node is paused), letting a driver test pause state once per phase
-// instead of once per node under the Sim lock.
-func (s *Sim) PausedSnapshot() map[tuple.NodeID]struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.paused) == 0 {
-		return nil
-	}
-	out := make(map[tuple.NodeID]struct{}, len(s.paused))
-	for id := range s.paused {
-		out[id] = struct{}{}
-	}
-	return out
-}
-
 // RunUntilQuiet steps until no packets remain in flight or maxSteps is
 // reached, returning the number of steps taken. Handlers typically send
 // more packets while handling, so this runs a whole propagation wave to
@@ -507,14 +395,6 @@ func (s *Sim) send(from, to tuple.NodeID, data []byte) {
 	s.commitSendLocked(from, to, data)
 }
 
-// crossesPartitionLocked reports whether a packet spans the current
-// partition cut (its endpoints sit on different sides).
-func (s *Sim) crossesPartitionLocked(from, to tuple.NodeID) bool {
-	_, fin := s.partition[from]
-	_, tin := s.partition[to]
-	return fin != tin
-}
-
 // commitSendLocked queues one transmission, applying the fault model in
 // a fixed order so seeded runs stay bit-identical: per-link (or global)
 // loss, duplication, per-link delay and jitter, corruption, and the
@@ -523,9 +403,10 @@ func (s *Sim) crossesPartitionLocked(from, to tuple.NodeID) bool {
 // disabling a fault leaves the rng sequence of the remaining ones
 // untouched.
 func (s *Sim) commitSendLocked(from, to tuple.NodeID, data []byte) {
-	loss := s.cfg.Loss
-	if len(s.linkLoss) != 0 {
-		if p, ok := s.linkLoss[linkKey{from: from, to: to}]; ok {
+	f := &s.faults
+	loss := f.Loss
+	if len(f.LinkLoss) != 0 {
+		if p, ok := f.LinkLoss[Link{From: from, To: to}]; ok {
 			loss = p
 		}
 	}
@@ -538,18 +419,18 @@ func (s *Sim) commitSendLocked(from, to tuple.NodeID, data []byte) {
 	s.stats.Sent++
 	s.stats.PayloadBytes += int64(len(data))
 	copies := 1
-	if s.cfg.Dup > 0 && s.rng.Float64() < s.cfg.Dup {
+	if f.Dup > 0 && s.rng.Float64() < f.Dup {
 		copies = 2
 	}
-	delay, jitter := s.cfg.LatencyRounds, 0
-	if len(s.linkDelays) != 0 {
-		if d, ok := s.linkDelays[linkKey{from: from, to: to}]; ok {
-			delay, jitter = d.rounds, d.jitter
+	delay, jitter := f.Delay, 0
+	if len(f.LinkDelay) != 0 {
+		if d, ok := f.LinkDelay[Link{From: from, To: to}]; ok {
+			delay, jitter = d.Rounds, d.Jitter
 		}
 	}
 	for i := 0; i < copies; i++ {
 		pdata := data
-		if s.corrupt > 0 && s.rng.Float64() < s.corrupt {
+		if f.Corrupt > 0 && s.rng.Float64() < f.Corrupt {
 			pdata = CorruptBytes(s.rng, data)
 			s.stats.Corrupted++
 		}

@@ -3,11 +3,13 @@ package transport
 import (
 	"math/rand"
 	"testing"
+
+	"tota/internal/tuple"
 )
 
 func TestFaultLinkLossIsAsymmetric(t *testing.T) {
 	s, eps, recs := newTriangle(t, SimConfig{Seed: 1})
-	s.SetLinkLoss("a", "b", 1) // a->b always lost; b->a untouched
+	s.SetFaults(Faults{LinkLoss: map[Link]float64{{From: "a", To: "b"}: 1}}) // a->b always lost; b->a untouched
 	for i := 0; i < 10; i++ {
 		if err := eps["a"].Send("b", []byte("x")); err != nil {
 			t.Fatalf("Send: %v", err)
@@ -23,7 +25,7 @@ func TestFaultLinkLossIsAsymmetric(t *testing.T) {
 	if got := recs["a"].packetCount(); got != 10 {
 		t.Errorf("b->a delivered %d packets, want 10 (reverse direction must be clean)", got)
 	}
-	s.SetLinkLoss("a", "b", -1) // clear the override
+	s.SetFaults(Faults{}) // clear the override
 	if err := eps["a"].Send("b", []byte("x")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -35,7 +37,7 @@ func TestFaultLinkLossIsAsymmetric(t *testing.T) {
 
 func TestFaultLinkDelayAndJitterBounds(t *testing.T) {
 	s, eps, recs := newTriangle(t, SimConfig{Seed: 7})
-	s.SetLinkDelay("a", "b", 3, 2) // due in 3..5 rounds
+	s.SetFaults(Faults{LinkDelay: map[Link]LinkDelay{{From: "a", To: "b"}: {Rounds: 3, Jitter: 2}}}) // due in 3..5 rounds
 	for i := 0; i < 20; i++ {
 		if err := eps["a"].Send("b", []byte("x")); err != nil {
 			t.Fatalf("Send: %v", err)
@@ -55,7 +57,7 @@ func TestFaultLinkDelayAndJitterBounds(t *testing.T) {
 
 func TestFaultPartitionBlocksSilently(t *testing.T) {
 	s, eps, recs := newTriangle(t, SimConfig{})
-	s.SetPartition("a")
+	s.SetFaults(Faults{Cut: map[tuple.NodeID]bool{"a": true}})
 	if err := eps["a"].Broadcast([]byte("hi")); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
@@ -82,7 +84,7 @@ func TestFaultPartitionBlocksSilently(t *testing.T) {
 		}
 	}
 	// Heal: traffic flows again.
-	s.SetPartition()
+	s.SetFaults(Faults{})
 	if err := eps["a"].Send("b", []byte("again")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -94,9 +96,9 @@ func TestFaultPartitionBlocksSilently(t *testing.T) {
 
 func TestFaultPauseHoldsPacketsUntilResume(t *testing.T) {
 	s, eps, recs := newTriangle(t, SimConfig{})
-	s.Pause("b")
-	if !s.Paused("b") {
-		t.Fatal("Paused(b) = false after Pause")
+	s.SetFaults(Faults{Paused: map[tuple.NodeID]bool{"b": true}})
+	if !s.Faults().Paused["b"] {
+		t.Fatal("b not paused after SetFaults")
 	}
 	if err := eps["a"].Send("b", []byte("held")); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -110,16 +112,16 @@ func TestFaultPauseHoldsPacketsUntilResume(t *testing.T) {
 	if s.Pending() == 0 {
 		t.Fatal("held packet was dropped instead of kept in flight")
 	}
-	s.Resume("b")
+	s.SetFaults(Faults{})
 	s.Step()
 	if got := recs["b"].packetCount(); got != 1 {
-		t.Errorf("after Resume: %d packets, want 1", got)
+		t.Errorf("after resume: %d packets, want 1", got)
 	}
 }
 
 func TestFaultCorruptCopiesBeforeFlipping(t *testing.T) {
 	s, eps, recs := newTriangle(t, SimConfig{Seed: 3})
-	s.SetCorrupt(1)
+	s.SetFaults(Faults{Corrupt: 1})
 	orig := []byte("pristine-payload")
 	want := string(append([]byte(nil), orig...))
 	if err := eps["a"].Send("b", orig); err != nil {
@@ -189,7 +191,7 @@ func TestFaultShedOldestBoundsInbound(t *testing.T) {
 
 func TestFaultSetDupAndSetDelay(t *testing.T) {
 	s, eps, recs := newTriangle(t, SimConfig{Seed: 2})
-	s.SetDup(1)
+	s.SetFaults(Faults{Dup: 1})
 	if err := eps["a"].Send("b", []byte("x")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -197,8 +199,7 @@ func TestFaultSetDupAndSetDelay(t *testing.T) {
 	if got := recs["b"].packetCount(); got != 2 {
 		t.Errorf("dup=1 delivered %d copies, want 2", got)
 	}
-	s.SetDup(0)
-	s.SetDelay(3)
+	s.SetFaults(Faults{Delay: 3})
 	if err := eps["a"].Send("b", []byte("slow")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
