@@ -12,6 +12,8 @@ func TestScenariosRun(t *testing.T) {
 		{name: "flock", args: []string{"-scenario", "flock", "-rounds", "5"}},
 		{name: "routing", args: []string{"-scenario", "routing", "-w", "6", "-h", "4"}},
 		{name: "meeting", args: []string{"-scenario", "meeting", "-rounds", "5"}},
+		{name: "aggregate", args: []string{"-scenario", "aggregate", "-w", "4", "-h", "3"}},
+		{name: "scale", args: []string{"-scenario", "scale", "-nodes", "400", "-ticks", "3"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -25,11 +25,6 @@ const (
 	// the structure (the old "nbrVals map is non-nil"), gating the
 	// withdraw pipeline for ids that never carried support.
 	stSupportTab
-	// stEncShared: encCache's bytes were handed to the transport or the
-	// staging queue, so they may sit in an in-flight packet of a
-	// zero-copy transport and must not be recycled unless the transport
-	// releases payloads (see Node.recycleWire).
-	stEncShared
 	// stParentFlap: a parent-only re-announcement (value unchanged) was
 	// already broadcast this refresh epoch. Further parent changes
 	// within the epoch stay local until the next refresh carries them:
@@ -62,10 +57,9 @@ type tupleState struct {
 	// encCache holds the wire encoding of the stored copy's last
 	// announcement, with the hop and parent it was built for. Refresh
 	// and announce re-broadcast unchanged structures every epoch; the
-	// cache makes those re-sends zero-encode and zero-copy (transports
-	// treat packet payloads as read-only, so the bytes are shared).
-	// Invalidated whenever the stored copy changes (see
-	// Node.invalidateWireLocked, which recycles the buffer when safe).
+	// cache makes those re-sends zero-encode and zero-copy: bytes handed
+	// to a transport are never written again, so they are shared.
+	// Dropped whenever the stored copy changes (see putCopyLocked).
 	encCache []byte
 	// peers is the per-neighbor row set, sorted by neighbor id: the
 	// maintenance support table, the consumed-announcement versions and
@@ -116,6 +110,15 @@ type tupleState struct {
 func (st *tupleState) has(f uint8) bool { return st.flags&f != 0 }
 func (st *tupleState) mark(f uint8)     { st.flags |= f }
 func (st *tupleState) unmark(f uint8)   { st.flags &^= f }
+
+// dropCopy clears the row's stored copy; the caller removes it from the
+// store.
+func (st *tupleState) dropCopy() {
+	st.unmark(stStored)
+	st.local = nil
+	st.encCache = nil
+	st.parent = ""
+}
 
 // tuplePeer flag bits.
 const (
@@ -285,7 +288,7 @@ func (n *Node) ctxLocked(from tuple.NodeID, hop int) *tuple.Ctx {
 // HandlePacket implements transport.Handler.
 func (n *Node) HandlePacket(from tuple.NodeID, data []byte) {
 	n.mu.Lock()
-	if err := wire.DecodeInto(n.cfg.Registry, data, &n.decodeScratch); err != nil {
+	if err := wire.DecodeInto(tuple.DefaultRegistry, data, &n.decodeScratch); err != nil {
 		n.mu.Unlock()
 		n.noteDecodeError(from, err)
 		return
@@ -358,12 +361,7 @@ func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
 		TraceID: st.traceID, Span: n.bumpSpanLocked(t.ID(), st)})
 	t.OnArrive(ctx)
 	if t.ShouldStore(ctx) {
-		st.mark(stStored)
-		st.local = t
-		n.invalidateWireLocked(st)
-		st.hop = 0
-		st.storedAt = n.now
-		n.store.put(t, 0)
+		n.putCopyLocked(st, t, 0)
 		n.stats.Stored.Add(1)
 		n.effectLocked(TraceEvent{}, TupleArrived, t)
 	}
@@ -444,11 +442,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 	}
 	if st.has(stVisited) {
 		if st.has(stStored) && local.Supersedes(st.local) {
-			st.local = local
-			n.invalidateWireLocked(st)
-			st.hop = int32(hop)
-			st.storedAt = n.now
-			n.store.put(local, st.hop)
+			n.putCopyLocked(st, local, int32(hop))
 			n.stats.Superseded.Add(1)
 			span := n.bumpSpanLocked(local.ID(), st)
 			n.effectLocked(TraceEvent{Kind: TraceSupersede, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
@@ -469,11 +463,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 	st.hop = int32(hop)
 	local.OnArrive(ctx)
 	if local.ShouldStore(ctx) {
-		st.mark(stStored)
-		st.local = local
-		n.invalidateWireLocked(st)
-		st.storedAt = n.now
-		n.store.put(local, st.hop)
+		n.putCopyLocked(st, local, st.hop)
 		n.stats.Stored.Add(1)
 		n.effectLocked(TraceEvent{Kind: TraceStore, ID: local.ID(), TupleKind: local.Kind(), From: from, Hop: hop,
 			TraceID: st.traceID, Span: n.bumpSpanLocked(local.ID(), st), ParentSpan: msg.Trace.Span}, TupleArrived, local)
@@ -654,9 +644,7 @@ func (n *Node) sendPullMsgLocked(to tuple.NodeID, ids []tuple.ID) {
 		return
 	}
 	n.stats.PullsOut.Add(1)
-	if err := n.tr.Send(to, data); err != nil {
-		n.noteSendError("pull send", err)
-	}
+	n.sendLocked(to, data)
 }
 
 // handlePullLocked answers an anti-entropy pull: unicast the full
@@ -802,12 +790,8 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 			return
 		}
 		nl := cur.WithValue(desired)
-		st.local = nl
-		n.invalidateWireLocked(st)
+		n.putCopyLocked(st, nl, int32(hopFromVal(desired, step, int(st.hop))))
 		st.parent = bestNbr
-		st.hop = int32(hopFromVal(desired, step, int(st.hop)))
-		st.storedAt = n.now
-		n.store.put(nl, st.hop)
 		n.stats.MaintAdopt.Add(1)
 		if st.traceID != 0 {
 			st.parentSpan = bestSpan
@@ -829,13 +813,8 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 	if !nl.ShouldStore(ctx) {
 		return
 	}
-	st.mark(stStored)
-	st.local = nl
-	n.invalidateWireLocked(st)
+	n.putCopyLocked(st, nl, int32(hopFromVal(desired, step, ctx.Hop)))
 	st.parent = bestNbr
-	st.hop = int32(hopFromVal(desired, step, ctx.Hop))
-	st.storedAt = n.now
-	n.store.put(nl, st.hop)
 	n.stats.Stored.Add(1)
 	if st.traceID != 0 {
 		st.parentSpan = bestSpan
@@ -850,10 +829,7 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 
 func (n *Node) dropMaintainedLocked(id tuple.ID, st *tupleState) {
 	removed, _ := n.store.remove(id)
-	st.unmark(stStored)
-	st.local = nil
-	n.invalidateWireLocked(st)
-	st.parent = ""
+	st.dropCopy()
 	st.suspectEpoch = 0
 	n.stats.MaintDrop.Add(1)
 	n.effectLocked(TraceEvent{Kind: TraceWithdraw, ID: id, TraceID: st.traceID, Span: st.span}, TupleRemoved, removed)
@@ -905,9 +881,6 @@ func (n *Node) retractLocked(id tuple.ID) {
 	// a denial, and that has always reached tracers before the retract.
 	if removed, ok := n.store.remove(id); ok {
 		n.effectLocked(TraceEvent{}, TupleRemoved, removed)
-		if st := n.states.lookup(id); st != nil {
-			n.invalidateWireLocked(st)
-		}
 	}
 	n.dropQueryStateLocked(id)
 	n.states.bury(id)
@@ -929,11 +902,7 @@ func (n *Node) deleteLocked(tpl tuple.Template) []tuple.Tuple {
 		id := t.ID()
 		if removed, ok := n.store.remove(id); ok {
 			out = append(out, removed)
-			st := n.stateFor(id)
-			st.unmark(stStored)
-			st.local = nil
-			n.invalidateWireLocked(st)
-			st.parent = ""
+			n.stateFor(id).dropCopy()
 			n.effectLocked(TraceEvent{}, TupleRemoved, removed)
 			if _, isM := removed.(tuple.Maintained); isM {
 				n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
@@ -1040,7 +1009,6 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 			continue
 		}
 		n.store.remove(id)
-		n.invalidateWireLocked(st)
 		n.states.bury(id)
 		n.dropQueryStateLocked(id)
 		n.stats.Expired.Add(1)
@@ -1219,16 +1187,7 @@ func (n *Node) sendFrameLocked(to tuple.NodeID, msgs [][]byte) {
 		n.stats.FramesOut.Add(1)
 		data = frame
 	}
-	var err error
-	if to == "" {
-		n.stats.Broadcasts.Add(1)
-		err = n.tr.Broadcast(data)
-	} else {
-		err = n.tr.Send(to, data)
-	}
-	if err != nil {
-		n.noteSendError("frame send", err)
-	}
+	n.sendLocked(to, data)
 }
 
 // storedWireLocked returns the wire bytes announcing the stored copy
@@ -1242,13 +1201,12 @@ func (n *Node) storedWireLocked(st *tupleState) ([]byte, bool) {
 	}
 	hop := clampHop(int(st.hop))
 	if st.encCache != nil && st.encHop == hop && st.encParent == st.parent {
-		st.mark(stEncShared)
 		return st.encCache, true
 	}
 	// The announcement bytes are about to change: bump the version so
 	// digests distinguish this announcement from every earlier one.
 	st.ver++
-	data, err := wire.AppendEncode(n.takeWireBufLocked(st), wire.Message{
+	data, err := wire.Encode(wire.Message{
 		Type:   wire.MsgTuple,
 		Hop:    hop,
 		Parent: st.parent,
@@ -1261,47 +1219,19 @@ func (n *Node) storedWireLocked(st *tupleState) ([]byte, bool) {
 		return nil, false
 	}
 	st.encCache, st.encHop, st.encParent = data, hop, st.parent
-	// Every caller hands the bytes to the transport or the staging
-	// queue, so the cache counts as published from here on.
-	st.mark(stEncShared)
 	return data, true
 }
 
-// takeWireBufLocked returns a zero-length buffer for re-encoding a
-// state's announcement: the state's own previous encoding when the
-// transport allows reuse (released payloads, or bytes that were never
-// handed out), a pooled buffer otherwise. Under a zero-copy transport
-// (the deterministic sim retains published payloads in its in-flight
-// queue) published bytes are never reused and the encoder allocates
-// fresh, exactly like the pre-arena layout.
-func (n *Node) takeWireBufLocked(st *tupleState) []byte {
-	if buf := st.encCache; buf != nil {
-		st.encCache = nil
-		if n.recycleWire || !st.has(stEncShared) {
-			return buf[:0]
-		}
-	}
-	if n.wirePool == nil {
-		return nil
-	}
-	return n.wirePool.get()
-}
-
-// invalidateWireLocked drops the cached announcement encoding,
-// recycling the buffer into the node's wire arena when the transport
-// permits. It must be called on every assignment or clearing of
-// st.local: the cache is only consulted for the currently stored copy.
-func (n *Node) invalidateWireLocked(st *tupleState) {
-	if buf := st.encCache; buf != nil {
-		st.encCache = nil
-		if n.recycleWire || !st.has(stEncShared) {
-			if n.wirePool == nil {
-				n.wirePool = new(wirePool)
-			}
-			n.wirePool.put(buf)
-		}
-	}
-	st.unmark(stEncShared)
+// putCopyLocked stores t as the node's copy at hop. The row and the
+// store are written together here, so they always give one account of
+// the copy; the cached announcement goes, since it names the old one.
+func (n *Node) putCopyLocked(st *tupleState, t tuple.Tuple, hop int32) {
+	st.mark(stStored)
+	st.local = t
+	st.encCache = nil
+	st.hop = hop
+	st.storedAt = n.now
+	n.store.put(t, hop)
 }
 
 // announceLocked broadcasts the node's stored copy of a structure with
@@ -1314,11 +1244,8 @@ func (n *Node) announceLocked(st *tupleState) {
 	// A full broadcast reaches the whole neighborhood, so subsequent
 	// refreshes can advertise this version by digest.
 	st.refreshedVer = st.ver
-	n.stats.Broadcasts.Add(1)
 	n.traceSendLocked(st, "")
-	if err := n.tr.Broadcast(data); err != nil {
-		n.noteSendError("announce broadcast", err)
-	}
+	n.sendLocked("", data)
 }
 
 func (n *Node) broadcastTupleLocked(t tuple.Tuple, hop int, parent tuple.NodeID, tc wire.TraceCtx) {
@@ -1339,6 +1266,14 @@ func (n *Node) sendMsgLocked(to tuple.NodeID, msg wire.Message) {
 		n.noteSendError("encode", err)
 		return
 	}
+	n.sendLocked(to, data)
+}
+
+// sendLocked hands data to the transport, the engine's one way out: an
+// empty destination broadcasts to the one-hop neighborhood, any other
+// unicasts. Bytes handed over are never written again.
+func (n *Node) sendLocked(to tuple.NodeID, data []byte) {
+	var err error
 	if to == "" {
 		n.stats.Broadcasts.Add(1)
 		err = n.tr.Broadcast(data)

@@ -142,7 +142,7 @@ func (n *Node) effectLocked(tr TraceEvent, typ EventType, t tuple.Tuple) {
 	i := len(n.effects) - 1
 	if !n.allow(OpRead, n.id, t) {
 		n.effects[i].ev = Event{}
-	} else if c, err := n.cfg.Registry.Clone(t); err == nil {
+	} else if c, err := tuple.DefaultRegistry.Clone(t); err == nil {
 		n.effects[i].ev.Tuple = c
 	}
 }

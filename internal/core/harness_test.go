@@ -22,17 +22,27 @@ type testNet struct {
 
 func newTestNet(t *testing.T, g *topology.Graph, opts ...core.Option) *testNet {
 	t.Helper()
+	return newTestNetOn(t, g, nil, opts...)
+}
+
+// newTestNetOn is newTestNet with each node's endpoint passed through
+// wrap (nil keeps the bare endpoint), so a test can stand a different
+// transport.Sender between the engine and the simulated radio.
+func newTestNetOn(t *testing.T, g *topology.Graph, wrap func(*transport.SimEndpoint) transport.Sender, opts ...core.Option) *testNet {
+	t.Helper()
 	sim := transport.NewSim(g, transport.SimConfig{})
 	tn := &testNet{t: t, sim: sim, graph: g, nodes: make(map[tuple.NodeID]*core.Node)}
 	for _, id := range g.Nodes() {
 		id := id
 		ep := sim.Attach(id, nil)
-		nodeOpts := append([]core.Option{
-			core.WithLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
-				return g.Position(id)
-			})),
-		}, opts...)
-		n := core.New(ep, nodeOpts...)
+		var tr transport.Sender = ep
+		if wrap != nil {
+			tr = wrap(ep)
+		}
+		n := core.New(tr, opts...)
+		n.SetLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
+			return g.Position(id)
+		}))
 		sim.Bind(id, n)
 		tn.nodes[id] = n
 	}

@@ -166,22 +166,22 @@ type countingTuple struct {
 func (*countingTuple) Kind() string           { return "core-test:counting" }
 func (*countingTuple) Content() tuple.Content { return nil }
 
-func TestWithRegistryAndPosition(t *testing.T) {
-	reg := tuple.NewRegistry()
-	n := New(failingSender{},
-		WithRegistry(reg),
-		WithLocalizer(space.FixedLocalizer{P: space.Point{X: 1, Y: 2}}),
-	)
+func TestPositionAndDefaults(t *testing.T) {
+	n := New(failingSender{})
+	if _, ok := n.Position(); ok {
+		t.Error("a new node has a position")
+	}
+	n.SetLocalizer(space.FixedLocalizer{P: space.Point{X: 1, Y: 2}})
 	if p, ok := n.Position(); !ok || p != (space.Point{X: 1, Y: 2}) {
 		t.Errorf("Position = %v, %v", p, ok)
 	}
-	if n.cfg.Registry != reg {
-		t.Error("registry option ignored")
+	n.SetLocalizer(nil)
+	if p, ok := n.Position(); ok {
+		t.Errorf("SetLocalizer(nil) left position %v", p)
 	}
-	// Nil options fall back to defaults.
-	d := New(failingSender{}, WithRegistry(nil), WithLocalizer(nil), WithMaxHops(-1))
-	if d.cfg.Registry == nil || d.cfg.Localizer == nil || d.cfg.MaxHops != DefaultMaxHops {
-		t.Error("defaults not applied")
+	// A non-positive bound falls back to the default.
+	if d := New(failingSender{}, WithMaxHops(-1)); d.cfg.MaxHops != DefaultMaxHops {
+		t.Errorf("MaxHops = %d, want %d", d.cfg.MaxHops, DefaultMaxHops)
 	}
 }
 

@@ -35,12 +35,6 @@ var (
 
 // Config collects a node's tunables; zero values select defaults.
 type Config struct {
-	// Registry resolves tuple kinds for decoding and cloning. Defaults
-	// to tuple.DefaultRegistry.
-	Registry *tuple.Registry
-	// Localizer provides physical positions for spatially-scoped
-	// tuples. Defaults to no localization.
-	Localizer space.Localizer
 	// MaxHops bounds how far any tuple propagates and how large any
 	// maintained structure value may grow — the engine-level safety
 	// net against pathological propagation rules and count-to-scope
@@ -54,11 +48,6 @@ type Config struct {
 	// DisableCatchUp turns off unicasting stored tuples to newcomers
 	// (ablation A1: joiners rely on later announcements or refresh).
 	DisableCatchUp bool
-	// MaxFrameBytes bounds the payload size of coalesced batch frames
-	// (refresh flushes, newcomer catch-up, pull responses). 0 asks the
-	// transport (transport.FrameLimiter) and falls back to
-	// DefaultFrameBytes.
-	MaxFrameBytes int
 	// Tracer, when set, receives every engine decision (see TraceEvent).
 	Tracer Tracer
 	// TraceSampleRate is the fraction of locally injected tuples that
@@ -90,16 +79,6 @@ type optionFunc func(*Config)
 
 func (f optionFunc) apply(c *Config) { f(c) }
 
-// WithRegistry sets the tuple kind registry.
-func WithRegistry(r *tuple.Registry) Option {
-	return optionFunc(func(c *Config) { c.Registry = r })
-}
-
-// WithLocalizer sets the localization device.
-func WithLocalizer(l space.Localizer) Option {
-	return optionFunc(func(c *Config) { c.Localizer = l })
-}
-
 // WithMaxHops sets the engine-level propagation bound.
 func WithMaxHops(n int) Option {
 	return optionFunc(func(c *Config) { c.MaxHops = n })
@@ -125,12 +104,6 @@ func WithLogger(l *slog.Logger) Option {
 	return optionFunc(func(c *Config) { c.Logger = l })
 }
 
-// WithMaxFrameBytes overrides the batch-frame payload budget, e.g. to
-// force chunking in tests or match an unusual link MTU.
-func WithMaxFrameBytes(n int) Option {
-	return optionFunc(func(c *Config) { c.MaxFrameBytes = n })
-}
-
 // Node is one TOTA middleware instance.
 type Node struct {
 	// cfg is the resolved configuration, shared (never copied, never
@@ -139,10 +112,10 @@ type Node struct {
 	cfg *Config
 	tr  transport.Sender
 	id  tuple.NodeID
-	// localizer is the node's own position source. It starts as
-	// cfg.Localizer but lives outside the shared Config because it is
-	// the one per-node piece of configuration: an emulated node's
-	// position closure differs node to node (see SetLocalizer).
+	// localizer is the node's own position source, space.NoLocalizer
+	// until SetLocalizer replaces it. It lives outside the shared Config
+	// because it is the one per-node piece of configuration: an emulated
+	// node's position closure differs node to node.
 	localizer space.Localizer
 
 	mu    sync.Mutex
@@ -160,14 +133,6 @@ type Node struct {
 	// small (a radio's degree), so a sorted slice beats a map on both
 	// memory and scan cost, and gives deterministic iteration for free.
 	nbrs []tuple.NodeID
-	// wirePool recycles announcement encodings (see wirepool.go),
-	// allocated on the first recycled buffer — under a zero-copy
-	// transport it stays nil and costs one pointer. recycleWire reports
-	// that the transport releases payload bytes before Send/Broadcast
-	// returns (transport.PayloadReleaser), making it safe to reuse
-	// buffers that were already put on the wire.
-	wirePool    *wirePool
-	recycleWire bool
 	// subs is sorted by subscription id (ids are assigned monotonically,
 	// so appends keep the order) and copy-on-write (see subscriptions).
 	subs    atomic.Pointer[[]*subscription]
@@ -185,8 +150,7 @@ type Node struct {
 	// allocate. Hooks must not retain the pointer past their call.
 	ctxScratch tuple.Ctx
 	// frameLimit is the batch-frame payload budget resolved at
-	// construction (Config.MaxFrameBytes, transport.FrameLimiter, or
-	// DefaultFrameBytes).
+	// construction (transport.FrameLimiter, or DefaultFrameBytes).
 	frameLimit int
 	// stageMsgs accumulates pre-encoded outgoing messages between a
 	// staging pass (refresh, catch-up, pull response) and its flush into
@@ -223,19 +187,9 @@ func New(tr transport.Sender, opts ...Option) *Node {
 // the options once and share the frozen Config across nodes via
 // NewShared (at 100k+ nodes the per-node Config copy is measurable).
 func NewConfig(opts ...Option) *Config {
-	cfg := &Config{
-		Registry:  tuple.DefaultRegistry,
-		Localizer: space.NoLocalizer{},
-		MaxHops:   DefaultMaxHops,
-	}
+	cfg := &Config{MaxHops: DefaultMaxHops}
 	for _, o := range opts {
 		o.apply(cfg)
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = tuple.DefaultRegistry
-	}
-	if cfg.Localizer == nil {
-		cfg.Localizer = space.NoLocalizer{}
 	}
 	if cfg.MaxHops <= 0 {
 		cfg.MaxHops = DefaultMaxHops
@@ -248,11 +202,9 @@ func NewConfig(opts ...Option) *Config {
 // mutate cfg afterwards. Nodes of one emulation all share one Config
 // this way instead of carrying a private copy each.
 func NewShared(tr transport.Sender, cfg *Config) *Node {
-	frameLimit := cfg.MaxFrameBytes
-	if frameLimit <= 0 {
-		if fl, ok := tr.(transport.FrameLimiter); ok {
-			frameLimit = fl.FramePayloadLimit()
-		}
+	frameLimit := 0
+	if fl, ok := tr.(transport.FrameLimiter); ok {
+		frameLimit = fl.FramePayloadLimit()
 	}
 	if frameLimit <= 0 {
 		frameLimit = DefaultFrameBytes
@@ -261,15 +213,8 @@ func NewShared(tr transport.Sender, cfg *Config) *Node {
 		cfg:        cfg,
 		tr:         tr,
 		id:         tr.Self(),
-		localizer:  cfg.Localizer,
+		localizer:  space.NoLocalizer{},
 		frameLimit: frameLimit,
-	}
-	if n.localizer == nil {
-		n.localizer = space.NoLocalizer{}
-	}
-	n.store.init(cfg.Registry)
-	if pr, ok := tr.(transport.PayloadReleaser); ok {
-		n.recycleWire = pr.ReleasesPayloads()
 	}
 	for _, nb := range tr.Neighbors() {
 		n.addNbrLocked(nb)
@@ -329,10 +274,9 @@ func (n *Node) Position() (space.Point, bool) {
 	return n.localizer.Position()
 }
 
-// SetLocalizer replaces the node's position source. It exists for
-// callers sharing one Config across many nodes (see NewShared), where
-// the localizer is the only per-node piece of configuration. Call it
-// right after construction, before the node handles any traffic.
+// SetLocalizer replaces the node's position source, the one way to give
+// a node a position (a node starts without one); nil removes it. Call
+// it right after construction, before the node handles any traffic.
 func (n *Node) SetLocalizer(l space.Localizer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -24,9 +24,10 @@ func newShuffledNet(t *testing.T, g *topology.Graph, seed int64) *testNet {
 	for _, id := range g.Nodes() {
 		id := id
 		ep := sim.Attach(id, nil)
-		n := core.New(ep, core.WithLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
+		n := core.New(ep)
+		n.SetLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
 			return g.Position(id)
-		})))
+		}))
 		sim.Bind(id, n)
 		tn.nodes[id] = n
 	}

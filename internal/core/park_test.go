@@ -266,7 +266,7 @@ type msgTap struct {
 }
 
 func (m *msgTap) HandlePacket(from tuple.NodeID, data []byte) {
-	if msg, err := wire.Decode(m.cfg.Registry, data); err == nil {
+	if msg, err := wire.Decode(tuple.DefaultRegistry, data); err == nil {
 		m.got = append(m.got, msg)
 	}
 	m.Node.HandlePacket(from, data)

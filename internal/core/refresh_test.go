@@ -325,13 +325,24 @@ func TestRefreshBatchesFullAnnouncements(t *testing.T) {
 	}
 }
 
+// limitedSender is a simulated endpoint that declares a frame payload
+// budget (transport.FrameLimiter), as the UDP transport does.
+type limitedSender struct {
+	*transport.SimEndpoint
+	limit int
+}
+
+func (s limitedSender) FramePayloadLimit() int { return s.limit }
+
 // TestRefreshChunksFramesToBudget: a tight frame budget splits the
 // staged announcements across several frames, none of which exceeds the
-// configured payload limit, and delivery is unaffected.
+// transport's payload limit, and delivery is unaffected.
 func TestRefreshChunksFramesToBudget(t *testing.T) {
 	const limit = 300
 	g := topology.Line(2)
-	tn := newTestNet(t, g, core.WithMaxFrameBytes(limit))
+	tn := newTestNetOn(t, g, func(ep *transport.SimEndpoint) transport.Sender {
+		return limitedSender{SimEndpoint: ep, limit: limit}
+	})
 	src := topology.NodeName(0)
 	tn.sim.SetFaults(transport.Faults{Loss: 1})
 	const floods = 10

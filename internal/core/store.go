@@ -84,18 +84,9 @@ type storeIndex struct {
 // promoted space never demotes, so pointers and iteration semantics
 // stay simple.
 type store struct {
-	reg  *tuple.Registry
 	flat []storeEnt
 	big  *storeIndex
 }
-
-func newStore(reg *tuple.Registry) *store {
-	s := &store{}
-	s.init(reg)
-	return s
-}
-
-func (s *store) init(reg *tuple.Registry) { s.reg = reg }
 
 func kindNameKey(kind, name string) string {
 	return kind + "\x00" + name
@@ -355,7 +346,7 @@ func (s *store) minValue(kind, name string, visible func(tuple.Tuple) bool) (bes
 func (s *store) read(tpl tuple.Template) []tuple.Tuple {
 	var out []tuple.Tuple
 	s.forMatching(tpl, func(t tuple.Tuple) bool {
-		c, err := s.reg.Clone(t)
+		c, err := tuple.DefaultRegistry.Clone(t)
 		if err != nil {
 			// The kind is unregistered (locally-constructed tuple);
 			// fall back to sharing the instance.
@@ -377,7 +368,7 @@ func (s *store) readOne(tpl tuple.Template) (tuple.Tuple, bool) {
 	if got == nil {
 		return nil, false
 	}
-	c, err := s.reg.Clone(got)
+	c, err := tuple.DefaultRegistry.Clone(got)
 	if err != nil {
 		c = got
 	}

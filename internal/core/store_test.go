@@ -20,7 +20,7 @@ func mkLocal(t *testing.T, name string, seq uint64) tuple.Tuple {
 }
 
 func TestStorePutGetRemove(t *testing.T) {
-	s := newStore(tuple.DefaultRegistry)
+	s := &store{}
 	a := mkLocal(t, "a", 1)
 	s.put(a, 3)
 	if got, hop, ok := s.get(a.ID()); !ok || got != a || hop != 3 {
@@ -43,7 +43,7 @@ func TestStorePutGetRemove(t *testing.T) {
 // TestStoreKeepsHop: the hop put with a copy comes back with it, in
 // small mode and across promotion, and a replacement's hop wins.
 func TestStoreKeepsHop(t *testing.T) {
-	s := newStore(tuple.DefaultRegistry)
+	s := &store{}
 	check := func(upTo int, hop2 int32) {
 		t.Helper()
 		for i := 1; i <= upTo; i++ {
@@ -74,7 +74,7 @@ func TestStoreKeepsHop(t *testing.T) {
 }
 
 func TestStoreReplacementKeepsSingleEntry(t *testing.T) {
-	s := newStore(tuple.DefaultRegistry)
+	s := &store{}
 	a1 := mkLocal(t, "a", 1)
 	s.put(a1, 0)
 	a2 := mkLocal(t, "a", 1) // same id, new instance
@@ -197,7 +197,7 @@ func TestStoreIndexedReadsMatchFullScan(t *testing.T) {
 	for _, seed := range []int64{8, 9, 10} {
 		keysMoved := seed != 8
 		rng := rand.New(rand.NewSource(seed))
-		s := newStore(tuple.DefaultRegistry)
+		s := &store{}
 		var ref storeRef
 		var removed []uint64
 		var seq uint64
@@ -259,7 +259,7 @@ func TestStoreIndexedReadsMatchFullScan(t *testing.T) {
 // copies — and asks visible about exactly the tuples that read matches.
 func TestStoreMinValueMatchesTemplateRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := newStore(tuple.DefaultRegistry)
+	s := &store{}
 	names := []string{"a", "b", ""}
 	var ids []tuple.ID
 	check := func(step int) {
@@ -324,7 +324,7 @@ func TestStoreMinValueMatchesTemplateRead(t *testing.T) {
 }
 
 func TestStoreCandidatesSelectivity(t *testing.T) {
-	s := newStore(tuple.DefaultRegistry)
+	s := &store{}
 	for i := 0; i < 100; i++ {
 		s.put(mkLocal(t, fmt.Sprintf("item%d", i), uint64(i+1)), 0)
 	}
@@ -354,7 +354,7 @@ func TestStoreCandidatesSelectivity(t *testing.T) {
 // re-puts removed ids and replaces survivors under new kinds and names,
 // and every read still equals a reference scan (see checkStoreReads).
 func TestStoreBulkRemoval(t *testing.T) {
-	s := newStore(tuple.DefaultRegistry)
+	s := &store{}
 	var ref storeRef
 	const n = 5000
 	for i := 1; i <= n; i++ {
@@ -437,7 +437,7 @@ func TestStoreBulkRemoval(t *testing.T) {
 }
 
 func TestStoreReadOne(t *testing.T) {
-	s := newStore(tuple.DefaultRegistry)
+	s := &store{}
 	s.put(mkLocal(t, "x", 1), 0)
 	s.put(mkLocal(t, "x", 2), 0)
 	got, ok := s.readOne(pattern.ByName(pattern.KindLocal, "x"))

@@ -7,7 +7,6 @@ import (
 
 	"tota/internal/core"
 	"tota/internal/pattern"
-	"tota/internal/space"
 	"tota/internal/topology"
 	"tota/internal/transport"
 	"tota/internal/tuple"
@@ -38,21 +37,7 @@ func (l *traceLog) kinds() map[core.TraceKind]int {
 // newTracedNet wires a shared tracer into every node of a line network.
 func newTracedNet(t *testing.T, n int, log *traceLog) *testNet {
 	t.Helper()
-	g := topology.Line(n)
-	sim := transport.NewSim(g, transport.SimConfig{})
-	tn := &testNet{t: t, sim: sim, graph: g, nodes: make(map[tuple.NodeID]*core.Node)}
-	for _, id := range g.Nodes() {
-		id := id
-		ep := sim.Attach(id, nil)
-		node := core.New(ep,
-			core.WithTracer(log.add),
-			core.WithLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
-				return g.Position(id)
-			})))
-		sim.Bind(id, node)
-		tn.nodes[id] = node
-	}
-	return tn
+	return newTestNet(t, topology.Line(n), core.WithTracer(log.add))
 }
 
 func TestTracerSeesLifecycle(t *testing.T) {

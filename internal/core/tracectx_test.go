@@ -5,7 +5,6 @@ import (
 
 	"tota/internal/core"
 	"tota/internal/pattern"
-	"tota/internal/space"
 	"tota/internal/topology"
 	"tota/internal/transport"
 	"tota/internal/tuple"
@@ -15,22 +14,7 @@ import (
 // node of a line network.
 func newSampledNet(t *testing.T, n int, rate float64, log *traceLog) *testNet {
 	t.Helper()
-	g := topology.Line(n)
-	sim := transport.NewSim(g, transport.SimConfig{})
-	tn := &testNet{t: t, sim: sim, graph: g, nodes: make(map[tuple.NodeID]*core.Node)}
-	for _, id := range g.Nodes() {
-		id := id
-		ep := sim.Attach(id, nil)
-		node := core.New(ep,
-			core.WithTracer(log.add),
-			core.WithTraceSampling(rate),
-			core.WithLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
-				return g.Position(id)
-			})))
-		sim.Bind(id, node)
-		tn.nodes[id] = node
-	}
-	return tn
+	return newTestNet(t, topology.Line(n), core.WithTracer(log.add), core.WithTraceSampling(rate))
 }
 
 // TestTraceContextCausalChain: a sampled gradient over a line must

@@ -137,20 +137,17 @@ func (w *World) attach(id tuple.NodeID) *core.Node {
 	ep := w.sim.Attach(id, nil)
 	// All nodes of a world are configured identically except for their
 	// position closure: resolve the options once and share the frozen
-	// Config, overriding only the localizer per node. At 100k+ nodes
-	// the per-node Config copy of core.New is a measurable slice of
-	// the engine's footprint.
+	// Config, setting only the localizer per node: every node reads its
+	// position from the world's graph. At 100k+ nodes the per-node
+	// Config copy of core.New is a measurable slice of the engine's
+	// footprint.
 	if w.nodeCfg == nil {
 		w.nodeCfg = core.NewConfig(w.cfg.NodeOptions...)
 	}
 	n := core.NewShared(ep, w.nodeCfg)
-	// A localizer supplied through NodeOptions wins (it always has);
-	// otherwise every node reads its position from the world's graph.
-	if _, unset := w.nodeCfg.Localizer.(space.NoLocalizer); unset {
-		n.SetLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
-			return w.graph.Position(id)
-		}))
-	}
+	n.SetLocalizer(space.FuncLocalizer(func() (space.Point, bool) {
+		return w.graph.Position(id)
+	}))
 	w.sim.Bind(id, n)
 	h, _ := w.graph.Handle(id) // Attach added the node to the graph
 	w.grow(h)

@@ -28,8 +28,8 @@ func TestE16QuickShapes(t *testing.T) {
 // e16HeapBudgetPerNode is the memory-regression bar: live heap per node
 // for a settled 10k-node gradient world. The columnar layout measures
 // ~3.5 KiB/node (slab states + small-mode stores + sorted peer rows +
-// lazy wire arena; the pre-refactor map-of-pointers layout was ~7.0
-// KiB/node); the budget adds ~30% headroom for allocator jitter so the
+// cached announcement bytes; the pre-refactor map-of-pointers layout
+// was ~7.0 KiB/node); the budget adds ~30% headroom for allocator jitter so the
 // guard trips on regressions, not noise.
 const e16HeapBudgetPerNode = 4_600
 

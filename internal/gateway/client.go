@@ -133,14 +133,6 @@ type Subscription struct {
 	needResync bool
 }
 
-// LastSeq returns the newest gateway sequence the subscription has
-// seen in its current epoch.
-func (s *Subscription) LastSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSeq
-}
-
 // Drops returns the cumulative slow-consumer drops over the
 // subscription's lifetime, across reconnects.
 func (s *Subscription) Drops() uint64 {

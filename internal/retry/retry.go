@@ -61,12 +61,6 @@ func (p *Policy) resolved() (retries int, base, max time.Duration) {
 	return retries, base, max
 }
 
-// Attempts returns the effective attempt budget.
-func (p *Policy) Attempts() int {
-	retries, _, _ := p.resolved()
-	return retries
-}
-
 // Backoff returns the jittered delay to sleep before attempt (1-based:
 // attempt 0 is the first try and never sleeps). It is safe for
 // concurrent use; jitter draws are serialized on the policy's seeded

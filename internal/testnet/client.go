@@ -106,12 +106,6 @@ func (c *Client) MetricsJSON(obsURL string) ([]byte, error) {
 	return body, err
 }
 
-// Flight scrapes the flight-recorder ring (NDJSON trace events).
-func (c *Client) Flight(obsURL string) ([]byte, error) {
-	body, _, err := c.get(obsURL + "/debug/flight")
-	return body, err
-}
-
 // storeTuple is the subset of the tuple JSON interchange form the
 // canonicalizer needs; decoding it generically keeps the harness
 // independent of the pattern registry.

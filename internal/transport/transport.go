@@ -38,12 +38,10 @@ type FrameLimiter interface {
 // PayloadReleaser is optionally implemented by transports that finish
 // with the payload bytes before Broadcast or Send returns — e.g. the
 // UDP transport, which copies the payload into a datagram frame
-// synchronously. When a transport reports true, the middleware engine
-// recycles its announcement-encoding buffers into a per-node arena the
-// moment they are superseded, instead of leaving each version's bytes
-// to the garbage collector. Transports that retain payload slices after
-// returning (the zero-copy simulated radio queues them in flight) must
-// not implement it, or must return false.
+// synchronously. It only reports what the transport does: the
+// middleware engine does not rely on it, and never writes bytes it has
+// handed to any transport again. The zero-copy simulated radio, which
+// queues payload slices in flight, does not implement it.
 type PayloadReleaser interface {
 	// ReleasesPayloads reports that payload slices passed to Broadcast
 	// and Send are not retained after the call returns.

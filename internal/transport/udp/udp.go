@@ -152,7 +152,7 @@ var _ transport.FrameLimiter = (*Transport)(nil)
 
 // ReleasesPayloads implements transport.PayloadReleaser: Broadcast and
 // Send copy the payload into a pooled frame buffer before writing, so
-// the caller's bytes are free for reuse the moment the call returns.
+// the transport holds none of the caller's bytes once the call returns.
 func (t *Transport) ReleasesPayloads() bool { return true }
 
 // FramePayloadLimit implements transport.FrameLimiter: the configured

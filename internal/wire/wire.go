@@ -240,16 +240,6 @@ func PullIDSize(id tuple.ID) int { return 2 + len(id.Node) + 8 }
 // (tuple.EncodedSize) and the bytes (tuple.AppendEncode) come from the
 // same slice.
 func Encode(m Message) ([]byte, error) {
-	return AppendEncode(nil, m)
-}
-
-// AppendEncode serializes a message like Encode, building the packet in
-// buf's capacity when it suffices (buf's contents are discarded) and
-// allocating exactly like Encode otherwise. It lets the engine recycle
-// superseded announcement buffers through its wire arena instead of
-// allocating one buffer per announcement version. The returned slice
-// aliases buf only when no growth was needed.
-func AppendEncode(buf []byte, m Message) ([]byte, error) {
 	header := headerSize + len(m.Parent)
 	switch m.Type {
 	case MsgTuple:
@@ -264,7 +254,7 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 			size += TraceCtxSize
 			ver = wireVersionTraced
 		}
-		b := growBuf(buf, size)
+		b := make([]byte, 0, size)
 		b = appendHeader(b, ver, m)
 		b = binary.BigEndian.AppendUint32(b, m.Ver)
 		if traced {
@@ -278,7 +268,7 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 		return seal(b), nil
 	case MsgRetract, MsgWithdraw:
 		id := m.ID.String()
-		b := growBuf(buf, header+4+len(id)+ChecksumSize)
+		b := make([]byte, 0, header+4+len(id)+ChecksumSize)
 		b = appendHeader(b, wireVersion, m)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(id)))
 		return seal(append(b, id...)), nil
@@ -294,7 +284,7 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 			}
 			size += digestEntrySize(e)
 		}
-		b := growBuf(buf, size)
+		b := make([]byte, 0, size)
 		b = appendHeader(b, wireVersion, m)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Digest)))
 		for i := range m.Digest {
@@ -312,7 +302,7 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 			}
 			size += 2 + len(id.Node) + 8
 		}
-		b := growBuf(buf, size)
+		b := make([]byte, 0, size)
 		b = appendHeader(b, wireVersion, m)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Want)))
 		for _, id := range m.Want {
@@ -323,7 +313,7 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 		if len(m.ID.Node) > math.MaxUint16 {
 			return nil, fmt.Errorf("%w: query id node over %d bytes", ErrTooLarge, math.MaxUint16)
 		}
-		b := growBuf(buf, header+2+len(m.ID.Node)+8+4+ChecksumSize)
+		b := make([]byte, 0, header+2+len(m.ID.Node)+8+4+ChecksumSize)
 		b = appendHeader(b, wireVersion, m)
 		b = appendID(b, m.ID)
 		b = binary.BigEndian.AppendUint32(b, m.Epoch)
@@ -336,7 +326,7 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 		if m.Partial.HasSketch {
 			size += 2 + agg.SketchWords*8
 		}
-		b := growBuf(buf, size)
+		b := make([]byte, 0, size)
 		b = appendHeader(b, wireVersion, m)
 		b = appendID(b, m.ID)
 		b = binary.BigEndian.AppendUint32(b, m.Epoch)
@@ -373,15 +363,6 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrType, m.Type)
 	}
-}
-
-// growBuf returns a zero-length build buffer of at least size capacity:
-// buf when it is large enough, a fresh exact-size allocation otherwise.
-func growBuf(buf []byte, size int) []byte {
-	if cap(buf) >= size {
-		return buf[:0]
-	}
-	return make([]byte, 0, size)
 }
 
 // DigestEntrySize returns the encoded size of a digest entry, for
