@@ -255,7 +255,8 @@ func BenchmarkRefreshSteadyState100x1k(b *testing.B) {
 }
 
 func BenchmarkHandlePacket(b *testing.B) {
-	// Cost of one engine packet: decode + dedup + drop.
+	// Cost of one engine packet: a repeated announcement of a held
+	// structure, read from its envelope.
 	n, data := newHandlePacketWorld(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -265,8 +266,10 @@ func BenchmarkHandlePacket(b *testing.B) {
 }
 
 // newHandlePacketWorld builds the BenchmarkHandlePacket fixture: a
-// 2-node world and a pre-encoded duplicate gradient packet, so each
-// HandlePacket call exercises decode + dedup + drop.
+// 2-node world and a pre-encoded gradient announcement, so each
+// HandlePacket call after the first repeats an announcement of a
+// structure the node holds: read the envelope, refresh the support row,
+// keep the copy.
 func newHandlePacketWorld(tb testing.TB, opts ...core.Option) (*core.Node, []byte) {
 	tb.Helper()
 	w := emulator.New(emulator.Config{Graph: topology.Line(2), NodeOptions: opts})
@@ -282,8 +285,9 @@ func newHandlePacketWorld(tb testing.TB, opts ...core.Option) (*core.Node, []byt
 }
 
 // TestEventDispatchAllocs budgets the event path with a subscriber
-// attached: a duplicate packet emits no event, so HandlePacket stays at
-// its 7 allocs/op, and a local Flood inject with a MatchAll reaction —
+// attached: a repeated announcement emits no event, so HandlePacket
+// stays at 1 alloc/op — the closure's topology.NodeName; the engine
+// allocates nothing — and a local Flood inject with a MatchAll reaction —
 // store, clone for the event, dispatch — holds at its measured 16. The
 // effects buffer is recycled across calls and reactions are called
 // straight off the subscription list; a fresh event slice per call and
@@ -294,8 +298,8 @@ func TestEventDispatchAllocs(t *testing.T) {
 	}
 	n, data := newHandlePacketWorld(t)
 	n.Subscribe(tuple.MatchAll(), func(core.Event) {})
-	if got := testing.AllocsPerRun(200, func() { n.HandlePacket(topology.NodeName(1), data) }); got != 7 {
-		t.Errorf("HandlePacket with a subscriber = %.1f allocs/op, want 7", got)
+	if got := testing.AllocsPerRun(200, func() { n.HandlePacket(topology.NodeName(1), data) }); got != 1 {
+		t.Errorf("HandlePacket with a subscriber = %.1f allocs/op, want 1", got)
 	}
 
 	const budget = 16
@@ -357,6 +361,73 @@ func TestDownhillRelayAllocs(t *testing.T) {
 	}
 	if got > budget {
 		t.Errorf("Downhill relay hop = %.0f allocs, budget %d", got, budget)
+	}
+}
+
+// TestHandlePacketFirstContactAllocs pins an announcement of a
+// structure the node has never seen, a fresh id per run, at 20 allocs:
+// the node builds the tuple (7, what every repeated announcement cost
+// too before the engine read envelopes first), adopts it, stores its
+// copy and re-announces it. Reading the envelope first added nothing
+// here: the same test read 20 before.
+func TestHandlePacketFirstContactAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	const want = 20
+	n, _ := newHandlePacketWorld(t)
+	const runs = 200
+	frames := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range frames {
+		g := pattern.NewGradient("f")
+		g.SetID(tuple.ID{Node: "other", Seq: uint64(i + 2)})
+		g.Val = 1
+		data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = data
+	}
+	from, next := topology.NodeName(1), 0
+	got := testing.AllocsPerRun(runs, func() {
+		n.HandlePacket(from, frames[next])
+		next++
+	})
+	if got != want {
+		t.Errorf("first-contact HandlePacket = %.1f allocs/op, want %d", got, want)
+	}
+}
+
+// TestHandlePacketEchoAllocs budgets a plain tuple's echo: the source of
+// a routed message hears its relay forward it back. The id is parked
+// and stores no copy, so the engine counts a duplicate from the
+// envelope and allocates nothing.
+func TestHandlePacketEchoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	w := emulator.New(emulator.Config{Graph: topology.Line(3)})
+	if _, err := w.Node(topology.NodeName(2)).Inject(pattern.NewGradient("inbox")); err != nil {
+		t.Fatal(err)
+	}
+	w.Settle(100000)
+	src := w.Node(topology.NodeName(0))
+	m := pattern.NewDownhill("inbox", tuple.S("body", "hello"))
+	if _, err := src.Inject(m); err != nil {
+		t.Fatal(err)
+	}
+	w.Settle(100000)
+	echo, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, dups := topology.NodeName(1), src.Stats().DupDropped
+	got := testing.AllocsPerRun(200, func() { src.HandlePacket(from, echo) })
+	if d := src.Stats().DupDropped - dups; d != 201 { // AllocsPerRun makes one warm-up call
+		t.Fatalf("%d of 201 echoes counted as duplicates", d)
+	}
+	if got != 0 {
+		t.Errorf("echo HandlePacket = %.1f allocs/op, want 0", got)
 	}
 }
 
@@ -529,8 +600,8 @@ func TestHandlePacketTelemetryAllocs(t *testing.T) {
 		})
 	}
 	base := measure(nil)
-	if base != 7 {
-		t.Errorf("uninstrumented HandlePacket = %.1f allocs/op, want 7", base)
+	if base != 1 { // the closure's topology.NodeName; the engine allocates nothing
+		t.Errorf("uninstrumented HandlePacket = %.1f allocs/op, want 1", base)
 	}
 	lat := obs.NewLatencies(nil, nil, obs.RoundBuckets)
 	instrumented := measure(nil, core.WithTracer(lat.Tracer()))

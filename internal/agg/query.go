@@ -97,7 +97,7 @@ func (q *Query) Content() tuple.Content {
 		tuple.S("_selname", q.Sel.Name),
 		tuple.S("_selfield", q.Sel.Field),
 		tuple.B("_collect", q.Collect),
-		tuple.F("_val", q.Val),
+		tuple.F(tuple.ValueField, q.Val),
 		tuple.F("_step", q.StepSize),
 		tuple.F("_scope", q.Scope),
 		tuple.F("_lease", q.LeaseTime),
@@ -165,7 +165,7 @@ func decodeQuery(id tuple.ID, c tuple.Content) (tuple.Tuple, error) {
 		},
 		Op:        op,
 		Collect:   c.GetBool("_collect"),
-		Val:       c.GetFloat("_val"),
+		Val:       c.GetFloat(tuple.ValueField),
 		StepSize:  metaFloat(c, "_step", 1),
 		Scope:     metaFloat(c, "_scope", math.Inf(1)),
 		LeaseTime: c.GetFloat("_lease"),

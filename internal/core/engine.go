@@ -313,11 +313,9 @@ func (n *Node) handleMsgLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.PacketsIn.Add(1)
 	switch msg.Type {
 	case wire.MsgTuple:
-		if msg.Tuple.ID().IsZero() {
-			return
+		if !msg.Env.ID.IsZero() && n.handleTupleLocked(from, msg) {
+			n.states.parkPlain(msg.Env.ID, &n.store)
 		}
-		n.handleTupleLocked(from, msg)
-		n.states.park(msg.Tuple, &n.store)
 	case wire.MsgRetract:
 		n.handleRetractLocked(msg.ID)
 	case wire.MsgWithdraw:
@@ -378,15 +376,48 @@ func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
 	}
 }
 
-func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
-	t := msg.Tuple
-	if !n.allow(OpAccept, from, t) {
-		return
+// handleTupleLocked applies one tuple announcement, building the tuple
+// only when this node will judge or keep it (DESIGN.md §8). It reports
+// whether the tuple is plain, so its row may park.
+func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) (plain bool) {
+	id, kind := msg.Env.ID, msg.Env.Kind
+	st := n.states.lookup(id)
+	// Without a policy, which judges the tuple it was sent, the envelope
+	// may settle it: held is a structure the row keeps an exemplar of,
+	// seen a plain tuple visited here that stores no copy.
+	held, seen := false, false
+	if n.cfg.Policy == nil {
+		switch {
+		case st != nil:
+			held = st.exemplar != nil && st.exemplar.Kind() == kind && msg.Env.HasValue
+			// Only a plain tuple leaves a row visited with no exemplar,
+			// copy or source mark.
+			seen = st.exemplar == nil && st.flags&(stVisited|stStored|stSource) == stVisited
+		case n.states.retracted.has(id):
+			n.stats.DupDropped.Add(1)
+			return false
+		case n.states.parked.has(id):
+			_, _, stored := n.store.get(id)
+			seen = !stored
+		}
 	}
-	st := n.stateFor(t.ID())
-	if st == nil { // buried: retracted or expired here
-		n.stats.DupDropped.Add(1)
-		return
+	var t tuple.Tuple
+	if !held && !seen {
+		var err error
+		if t, err = tuple.Decode(tuple.DefaultRegistry, msg.Raw); err != nil {
+			n.noteDecodeError(from, err)
+			return false
+		}
+		_, maintained := t.(tuple.Maintained)
+		if plain = !maintained; !n.allow(OpAccept, from, t) {
+			return plain
+		}
+	}
+	if st == nil {
+		if st = n.stateFor(id); st == nil { // buried: retracted or expired here
+			n.stats.DupDropped.Add(1)
+			return plain
+		}
 	}
 	if msg.Ver != 0 {
 		// A stored-state announcement: remember the sender's version so
@@ -415,33 +446,36 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 	}
 	hop := int(msg.Hop) + 1
 
+	// Maintained structures bypass the plain pipeline: every
+	// announcement updates the support table and triggers the
+	// maintenance check, which performs adoption, improvement and
+	// withdrawal uniformly.
+	if held {
+		n.supportLocked(from, id, st, st.exemplar, msg.Env.Value, msg.Parent, msg.Trace.Span, hop)
+		return false
+	}
 	if m, ok := t.(tuple.Maintained); ok {
 		st.exemplar = m
-		// Maintained structures bypass the plain pipeline: every
-		// announcement updates the support table and triggers the
-		// maintenance check, which performs adoption, improvement and
-		// withdrawal uniformly.
-		st.mark(stSupportTab)
-		p := st.peerFor(from, len(n.nbrs))
-		p.val, p.parent, p.epoch, p.span = m.Value(), msg.Parent, uint32(n.epoch), msg.Trace.Span
-		p.flags |= peerSupport
-		n.maintainLocked(t.ID(), m, n.ctxLocked(from, hop), false)
-		return
+		n.supportLocked(from, id, st, m, m.Value(), msg.Parent, msg.Trace.Span, hop)
+		return false
 	}
 
 	if hop > n.cfg.MaxHops {
 		n.stats.TTLDropped.Add(1)
-		n.traceLocked(TraceEvent{Kind: TraceTTL, ID: t.ID(), TupleKind: t.Kind(), From: from, Hop: hop,
+		n.traceLocked(TraceEvent{Kind: TraceTTL, ID: id, TupleKind: kind, From: from, Hop: hop,
 			TraceID: st.traceID, ParentSpan: msg.Trace.Span})
-		return
+		return true
 	}
-	ctx := n.ctxLocked(from, hop)
-	local := t.Evolve(ctx)
-	if local == nil {
-		local = t
+	var ctx *tuple.Ctx
+	var local tuple.Tuple
+	if !seen {
+		ctx = n.ctxLocked(from, hop)
+		if local = t.Evolve(ctx); local == nil {
+			local = t
+		}
 	}
 	if st.has(stVisited) {
-		if st.has(stStored) && local.Supersedes(st.local) {
+		if !seen && st.has(stStored) && local.Supersedes(st.local) {
 			n.putCopyLocked(st, local, int32(hop))
 			n.stats.Superseded.Add(1)
 			span := n.bumpSpanLocked(local.ID(), st)
@@ -452,12 +486,12 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 				n.traceLocked(TraceEvent{Kind: TraceForward, ID: local.ID(), TupleKind: local.Kind(), Hop: hop,
 					TraceID: st.traceID, Span: span, ParentSpan: msg.Trace.Span})
 			}
-			return
+			return true
 		}
 		n.stats.DupDropped.Add(1)
-		n.traceLocked(TraceEvent{Kind: TraceDup, ID: t.ID(), TupleKind: t.Kind(), From: from,
+		n.traceLocked(TraceEvent{Kind: TraceDup, ID: id, TupleKind: kind, From: from,
 			TraceID: st.traceID, Span: st.span, ParentSpan: msg.Trace.Span})
-		return
+		return true
 	}
 	st.mark(stVisited)
 	st.hop = int32(hop)
@@ -482,6 +516,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) {
 		n.traceLocked(TraceEvent{Kind: TraceForward, ID: local.ID(), TupleKind: local.Kind(), Hop: hop,
 			TraceID: st.traceID, Span: st.span, ParentSpan: msg.Trace.Span})
 	}
+	return true
 }
 
 // handleDigestLocked processes an anti-entropy digest: per entry,
@@ -580,13 +615,23 @@ func (n *Node) digestMaintainedLocked(from tuple.NodeID, e *wire.DigestEntry, st
 	// node — an earlier incarnation — so causal links stay node-correct.
 	// The compact entry carried everything maintenance needs, so the
 	// neighbor is alive and answering and its pull backoff resets.
+	p := st.peerFor(from, len(n.nbrs))
+	p.ver = e.Ver
+	p.flags |= peerVer
+	p.resetBackoff()
+	n.supportLocked(from, e.ID, st, ex, e.Value, e.Parent, p.span, int(e.Hop)+1)
+}
+
+// supportLocked records a neighbor's value and parent for a maintained
+// structure, then runs the maintenance check with ex as the structure's
+// exemplar: the step a full announcement and a digest entry share.
+func (n *Node) supportLocked(from tuple.NodeID, id tuple.ID, st *tupleState, ex tuple.Maintained,
+	val float64, parent tuple.NodeID, span uint64, hop int) {
 	st.mark(stSupportTab)
 	p := st.peerFor(from, len(n.nbrs))
-	p.val, p.parent, p.epoch = e.Value, e.Parent, uint32(n.epoch)
-	p.ver = e.Ver
-	p.flags |= peerSupport | peerVer
-	p.resetBackoff()
-	n.maintainLocked(e.ID, ex, n.ctxLocked(from, int(e.Hop)+1), false)
+	p.val, p.parent, p.epoch, p.span = val, parent, uint32(n.epoch), span
+	p.flags |= peerSupport
+	n.maintainLocked(id, ex, n.ctxLocked(from, hop), false)
 }
 
 // allowPullLocked gates one pull for (tuple, neighbor) — a digest pull
@@ -1321,9 +1366,9 @@ func (n *Node) noteSendError(op string, err error) {
 	}
 }
 
-// noteDecodeError counts an undecodable packet, with the same
-// power-of-two log rate limiting as noteSendError. Called outside the
-// engine lock.
+// noteDecodeError counts an undecodable packet, or a carried tuple its
+// kind's factory rejects, with the same power-of-two log rate limiting
+// as noteSendError.
 func (n *Node) noteDecodeError(from tuple.NodeID, err error) {
 	c := n.stats.DecodeErrors.Add(1)
 	if n.cfg.Logger != nil && isPowerOfTwo(c) {

@@ -171,10 +171,13 @@ func (tab *stateTable) release(id tuple.ID) {
 // copy, the source mark is what keeps maintenance from adopting the
 // structure back from a neighbor.
 func (tab *stateTable) park(t tuple.Tuple, s *store) {
-	if _, ok := t.(tuple.Maintained); ok {
-		return
+	if _, ok := t.(tuple.Maintained); !ok {
+		tab.parkPlain(t.ID(), s)
 	}
-	id := t.ID()
+}
+
+// parkPlain is park for an id known to name a plain tuple.
+func (tab *stateTable) parkPlain(id tuple.ID, s *store) {
 	h, ok := tab.handleOf(id)
 	if !ok {
 		return

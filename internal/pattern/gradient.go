@@ -82,7 +82,7 @@ func (g *Gradient) Kind() string { return KindGradient }
 // Content implements tuple.Tuple.
 func (g *Gradient) Content() tuple.Content {
 	return AppContent(g.Name, g.Payload,
-		tuple.F("_val", g.Val),
+		tuple.F(tuple.ValueField, g.Val),
 		tuple.F("_step", g.StepSize),
 		tuple.F("_scope", g.Scope),
 		tuple.F("_lease", g.LeaseTime),
@@ -149,7 +149,7 @@ func gradientFromContent(c tuple.Content) (*Gradient, error) {
 	return &Gradient{
 		Name:      name,
 		Payload:   payload,
-		Val:       MetaFloat(meta, "_val", 0),
+		Val:       MetaFloat(meta, tuple.ValueField, 0),
 		StepSize:  MetaFloat(meta, "_step", 1),
 		Scope:     MetaFloat(meta, "_scope", inf()),
 		LeaseTime: MetaFloat(meta, "_lease", 0),

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tota/internal/retry"
+	"tota/internal/tuple"
 )
 
 // Client is the harness's resilient HTTP poller for node observability
@@ -119,8 +120,8 @@ type storeTuple struct {
 }
 
 // CanonicalizeStore reduces a /store.json NDJSON body to sorted
-// canonical entries: kind, "name" field, and the "_val" maintained
-// value when present (non-finite floats travel as strings and are
+// canonical entries: kind, "name" field, and the tuple.ValueField
+// maintained value when present (non-finite floats travel as strings and are
 // treated as absent — an unbounded scope is not a value).
 func CanonicalizeStore(body []byte) ([]Entry, error) {
 	var entries []Entry
@@ -138,7 +139,7 @@ func CanonicalizeStore(body []byte) ([]Entry, error) {
 			switch f.Name {
 			case "name":
 				_ = json.Unmarshal(f.Value, &e.Name)
-			case "_val":
+			case tuple.ValueField:
 				var v float64
 				if err := json.Unmarshal(f.Value, &v); err == nil {
 					e.Val = v

@@ -115,6 +115,7 @@ type Transport struct {
 	handler  transport.Handler
 	peers    map[string]*peerState // keyed by remote address
 	byID     map[tuple.NodeID]*peerState
+	upAddrs  []*net.UDPAddr // see rebuildUpLocked
 	started  bool
 	closed   bool
 	stopHup  chan struct{}
@@ -341,12 +342,7 @@ func (t *Transport) Broadcast(data []byte) error {
 	bufp := framePool.Get().(*[]byte)
 	frame := t.frameTo(*bufp, frameData, data)
 	t.mu.Lock()
-	var addrs []*net.UDPAddr
-	for _, p := range t.byID {
-		if p.up {
-			addrs = append(addrs, p.addr)
-		}
-	}
+	addrs := t.upAddrs
 	t.mu.Unlock()
 	var firstErr error
 	for _, a := range addrs {
@@ -357,6 +353,19 @@ func (t *Transport) Broadcast(data []byte) error {
 	*bufp = frame
 	framePool.Put(bufp)
 	return firstErr
+}
+
+// rebuildUpLocked lists the up peers' addresses for Broadcast after a
+// peer went up or down. The list is replaced, never written in place, so
+// a broadcast writes to the list it read without holding mu.
+func (t *Transport) rebuildUpLocked() {
+	addrs := make([]*net.UDPAddr, 0, len(t.byID))
+	for _, p := range t.byID {
+		if p.up {
+			addrs = append(addrs, p.addr)
+		}
+	}
+	t.upAddrs = addrs
 }
 
 // Send implements transport.Sender.
@@ -485,6 +494,9 @@ func (t *Transport) expirePeers() {
 			gone = append(gone, id)
 		}
 	}
+	if len(gone) > 0 {
+		t.rebuildUpLocked()
+	}
 	h := t.handler
 	t.mu.Unlock()
 	if h != nil {
@@ -542,7 +554,8 @@ func (t *Transport) handleHello(id tuple.NodeID, raddr *net.UDPAddr) {
 	// is empty, and only a new neighbor-added event re-runs newcomer
 	// catch-up against it.
 	var cycleDown bool
-	if old, haveOld := t.byID[id]; haveOld && old != p {
+	old, haveOld := t.byID[id]
+	if haveOld && old != p {
 		delete(t.peers, old.addr.String())
 		cycleDown = old.up
 	}
@@ -552,6 +565,9 @@ func (t *Transport) handleHello(id tuple.NodeID, raddr *net.UDPAddr) {
 	wasUp := p.up
 	p.up = true
 	t.byID[id] = p
+	if !wasUp || old != p {
+		t.rebuildUpLocked()
+	}
 	h := t.handler
 	t.mu.Unlock()
 	if h == nil {

@@ -54,3 +54,22 @@ func TestTupleEncodeAllocs(t *testing.T) {
 		t.Errorf("tuple.Encode = %.0f allocs/op, want 5 (update DESIGN.md §6 if this is intended)", got)
 	}
 }
+
+// TestRegistryParseIDAllocs: Registry.ParseID interns the node of a
+// "node#seq" id, so a repeated id parses without allocating.
+func TestRegistryParseIDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	r := tuple.NewRegistry()
+	b := []byte("n0042#17")
+	want := tuple.ID{Node: "n0042", Seq: 17}
+	got := testing.AllocsPerRun(50, func() {
+		if id, err := r.ParseID(b); err != nil || id != want {
+			t.Fatalf("ParseID = %v, %v", id, err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("Registry.ParseID of a repeated id = %v allocs, want 0", got)
+	}
+}

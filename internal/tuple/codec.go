@@ -227,48 +227,110 @@ func DecodeParts(data []byte) (kind string, id ID, c Content, err error) {
 // names); field values are never interned — their cardinality is
 // unbounded.
 func decodeParts(r *Registry, data []byte) (kind string, id ID, c Content, err error) {
-	d := decoder{buf: data, reg: r}
-	v := d.byte()
-	if d.err == nil && v != codecVersion {
-		return "", ID{}, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	d, kind, id, err := open(r, data)
+	if err != nil {
+		return "", ID{}, nil, err
+	}
+	c = make(Content, 0, d.left)
+	for d.left > 0 {
+		name, k, b, err := d.field()
+		if err != nil {
+			return "", ID{}, nil, err
+		}
+		var val any
+		switch k {
+		case KindString:
+			val = string(b)
+		case KindInt:
+			val = int64(binary.BigEndian.Uint64(b))
+		case KindFloat:
+			val = math.Float64frombits(binary.BigEndian.Uint64(b))
+		case KindBool:
+			val = b[0] != 0
+		case KindBytes:
+			val = append(make([]byte, 0, len(b)), b...)
+		}
+		c = append(c, Field{Name: d.intern(name), Value: val})
+	}
+	return kind, id, c, nil
+}
+
+// Envelope is what an encoded tuple says about itself before it is
+// built.
+type Envelope struct {
+	Kind string
+	ID   ID
+	// Value is the ValueField, valid when HasValue: the content holds
+	// one field by that name, a float, among the trailing "_" fields —
+	// where every Maintained kind keeps it.
+	Value    float64
+	HasValue bool
+}
+
+// ReadEnvelope walks an encoded tuple without building it. It rejects
+// exactly what DecodeParts rejects, interns the kind and node through
+// r, and allocates nothing once those are interned.
+func ReadEnvelope(r *Registry, data []byte) (Envelope, error) {
+	d, kind, id, err := open(r, data)
+	if err != nil {
+		return Envelope{}, err
+	}
+	e := Envelope{Kind: kind, ID: id}
+	vals, appAfter := 0, false
+	for d.left > 0 {
+		name, k, b, err := d.field()
+		if err != nil {
+			return Envelope{}, err
+		}
+		if string(name) == ValueField {
+			vals, appAfter, e.HasValue = vals+1, false, k == KindFloat
+			if e.HasValue {
+				e.Value = math.Float64frombits(binary.BigEndian.Uint64(b))
+			}
+		} else if len(name) == 0 || name[0] != '_' {
+			appAfter = true
+		}
+	}
+	e.HasValue = e.HasValue && vals == 1 && !appAfter
+	return e, nil
+}
+
+// open reads data's header — codec version, kind, id, field count —
+// and returns a decoder at the first field. With field, it is the
+// binary format's only parser: decodeParts builds content from it,
+// ReadEnvelope only looks.
+func open(r *Registry, data []byte) (d decoder, kind string, id ID, err error) {
+	d = decoder{buf: data, reg: r}
+	if v := d.byte(); d.err == nil && v != codecVersion {
+		return d, "", ID{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	kind = d.istring()
 	id.Node = NodeID(d.istring())
 	id.Seq = d.uint64()
-	n := int(d.uint16())
-	if d.err != nil {
-		return "", ID{}, nil, d.err
-	}
-	c = make(Content, 0, n)
-	for i := 0; i < n; i++ {
-		name := d.istring()
-		k := Kind(d.byte())
-		var val any
-		switch k {
-		case KindString:
-			val = d.string()
-		case KindInt:
-			val = int64(d.uint64())
-		case KindFloat:
-			val = math.Float64frombits(d.uint64())
-		case KindBool:
-			val = d.byte() != 0
-		case KindBytes:
-			val = d.bytes()
-		default:
-			if d.err == nil {
-				return "", ID{}, nil, fmt.Errorf("tuple: bad field kind %d", k)
-			}
+	d.left = int(d.uint16())
+	return d, kind, id, d.err
+}
+
+// field reads the next field: its name, its kind and its value bytes —
+// 8 for a number, 1 for a bool, the payload without its length prefix
+// for a string or bytes. The slices alias the decoded data.
+func (d *decoder) field() (name []byte, k Kind, val []byte, err error) {
+	d.left--
+	name = d.take(int(d.uint32()))
+	k = Kind(d.byte())
+	switch k {
+	case KindString, KindBytes:
+		val = d.take(int(d.uint32()))
+	case KindInt, KindFloat:
+		val = d.take(8)
+	case KindBool:
+		val = d.take(1)
+	default:
+		if d.err == nil {
+			d.err = fmt.Errorf("tuple: bad field kind %d", k)
 		}
-		if d.err != nil {
-			return "", ID{}, nil, d.err
-		}
-		c = append(c, Field{Name: name, Value: val})
 	}
-	if d.err != nil {
-		return "", ID{}, nil, d.err
-	}
-	return kind, id, c, nil
+	return name, k, val, d.err
 }
 
 func appendString(b []byte, s string) []byte {
@@ -282,16 +344,17 @@ func appendBytes(b, v []byte) []byte {
 }
 
 type decoder struct {
-	buf []byte
-	err error
-	reg *Registry // optional; enables string interning
+	buf  []byte
+	err  error
+	reg  *Registry // optional; enables string interning
+	left int       // fields not read yet
 }
 
 func (d *decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if len(d.buf) < n {
+	if n < 0 || len(d.buf) < n {
 		d.err = ErrShortBuffer
 		return nil
 	}
@@ -332,36 +395,15 @@ func (d *decoder) uint64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (d *decoder) string() string {
-	n := int(d.uint32())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
+// istring reads a low-cardinality protocol string (kind, node id),
+// interned through the registry so repeated decodes allocate nothing.
+func (d *decoder) istring() string {
+	return d.intern(d.take(int(d.uint32())))
 }
 
-// istring is string for low-cardinality protocol strings: it consults
-// the registry's intern table so repeated decodes allocate nothing.
-func (d *decoder) istring() string {
-	n := int(d.uint32())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
+func (d *decoder) intern(b []byte) string {
 	if d.reg != nil {
 		return d.reg.Intern(b)
 	}
 	return string(b)
-}
-
-func (d *decoder) bytes() []byte {
-	n := int(d.uint32())
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -179,11 +180,95 @@ func TestIDRoundTrip(t *testing.T) {
 }
 
 func TestParseIDErrors(t *testing.T) {
-	for _, s := range []string{"", "nohash", "a#notanumber", "a#-1"} {
+	r := NewRegistry()
+	for _, s := range []string{"", "nohash", "a#notanumber", "a#-1", "a#", "a#+1", "a#1_0", "a#18446744073709551616"} {
 		if _, err := ParseID(s); err == nil {
 			t.Errorf("ParseID(%q) succeeded", s)
 		}
+		if _, err := r.ParseID([]byte(s)); err == nil {
+			t.Errorf("Registry.ParseID(%q) succeeded", s)
+		}
 	}
+}
+
+// TestRegistryParseID: the byte form parses as ParseID does.
+func TestRegistryParseID(t *testing.T) {
+	r := NewRegistry()
+	for _, s := range []string{"a#0", "#7", "with#hash#9", "node-17#18446744073709551615", "x#007"} {
+		want, err := ParseID(s)
+		if err != nil {
+			t.Fatalf("ParseID(%q): %v", s, err)
+		}
+		if got, err := r.ParseID([]byte(s)); err != nil || got != want {
+			t.Errorf("Registry.ParseID(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+}
+
+// TestReadEnvelope: the envelope names the kind and id, and reports the
+// value field only where every maintained kind keeps it — one float
+// named ValueField among the trailing "_" fields.
+func TestReadEnvelope(t *testing.T) {
+	r := NewRegistry()
+	tests := []struct {
+		name string
+		c    Content
+		want float64
+		has  bool
+	}{
+		{"canonical", Content{S("name", "g"), F(ValueField, 2.5), F("_step", 1)}, 2.5, true},
+		{"value last", Content{S("name", "g"), F("_step", 1), F(ValueField, 3)}, 3, true},
+		{"no value", Content{S("name", "g"), F("_step", 1)}, 0, false},
+		{"not a float", Content{S("name", "g"), I(ValueField, 2)}, 0, false},
+		{"before an app field", Content{F(ValueField, 2), S("name", "g")}, 0, false},
+		{"twice", Content{S("name", "g"), F(ValueField, 2), F(ValueField, 3)}, 0, false},
+		{"twice, one not a float", Content{S("name", "g"), S(ValueField, "x"), F(ValueField, 3)}, 0, false},
+	}
+	for _, tt := range tests {
+		tup := newTestTuple("k", tt.c)
+		tup.SetID(ID{Node: "n", Seq: 3})
+		// Encode validates against duplicate names; build the twice
+		// cases by hand from a valid encoding's layout.
+		data := encodeUnchecked(tup)
+		env, err := ReadEnvelope(r, data)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if env.Kind != "k" || env.ID != tup.ID() || env.HasValue != tt.has || tt.has && env.Value != tt.want {
+			t.Errorf("%s: envelope %+v, want value %g (%v)", tt.name, env, tt.want, tt.has)
+		}
+	}
+	good := encodeUnchecked(newTestTuple("k", Content{S("name", "g")}))
+	for _, bad := range [][]byte{nil, good[:len(good)-1], append([]byte{9}, good[1:]...)} {
+		_, _, _, partsErr := DecodeParts(bad)
+		if _, err := ReadEnvelope(r, bad); err == nil || partsErr == nil {
+			t.Errorf("%x: ReadEnvelope %v, DecodeParts %v; want both to reject", bad, err, partsErr)
+		}
+	}
+}
+
+// encodeUnchecked is AppendEncode without content validation, for
+// inputs a well-behaved encoder never produces.
+func encodeUnchecked(t Tuple) []byte {
+	c := t.Content()
+	b := []byte{codecVersion}
+	b = appendString(b, t.Kind())
+	b = appendString(b, string(t.ID().Node))
+	b = binary.BigEndian.AppendUint64(b, t.ID().Seq)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(c)))
+	for _, f := range c {
+		b = appendString(b, f.Name)
+		b = append(b, byte(f.Kind()))
+		switch v := f.Value.(type) {
+		case string:
+			b = appendString(b, v)
+		case int64:
+			b = binary.BigEndian.AppendUint64(b, uint64(v))
+		case float64:
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
 }
 
 func TestIDIsZero(t *testing.T) {

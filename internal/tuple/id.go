@@ -2,8 +2,8 @@ package tuple
 
 import (
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 )
 
 // NodeID uniquely identifies a TOTA node. Real deployments derive it
@@ -32,13 +32,39 @@ func (id ID) String() string {
 
 // ParseID parses the "node#seq" form produced by String.
 func ParseID(s string) (ID, error) {
-	i := strings.LastIndexByte(s, '#')
-	if i < 0 {
+	node, seq, ok := splitID(s)
+	if !ok {
 		return ID{}, fmt.Errorf("tuple: malformed id %q", s)
 	}
-	seq, err := strconv.ParseUint(s[i+1:], 10, 64)
-	if err != nil {
-		return ID{}, fmt.Errorf("tuple: malformed id %q: %w", s, err)
+	return ID{Node: NodeID(node), Seq: seq}, nil
+}
+
+// ParseID parses the "node#seq" form from bytes, interning the node
+// name, so a repeated id parses without allocating.
+func (r *Registry) ParseID(b []byte) (ID, error) {
+	node, seq, ok := splitID(b)
+	if !ok {
+		return ID{}, fmt.Errorf("tuple: malformed id %q", b)
 	}
-	return ID{Node: NodeID(s[:i]), Seq: seq}, nil
+	return ID{Node: NodeID(r.Intern(node)), Seq: seq}, nil
+}
+
+// splitID splits "node#seq" at its last '#'; seq is decimal digits
+// within uint64, as strconv.ParseUint(seq, 10, 64) accepts them.
+func splitID[T string | []byte](s T) (node T, seq uint64, ok bool) {
+	i := len(s) - 1
+	for i >= 0 && s[i] != '#' {
+		i--
+	}
+	if i < 0 || i == len(s)-1 {
+		return node, 0, false
+	}
+	for j := i + 1; j < len(s); j++ {
+		d := uint64(s[j] - '0')
+		if d > 9 || seq > (math.MaxUint64-d)/10 {
+			return node, 0, false
+		}
+		seq = seq*10 + d
+	}
+	return s[:i], seq, true
 }

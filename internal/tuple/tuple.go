@@ -128,6 +128,11 @@ type Injectable interface {
 // The canonical example is the hop-count gradient: Value is the field
 // the structure is built on, Step the per-hop increment, and MaxValue
 // the scope bound beyond which the tuple is not stored.
+//
+// Content carries Value as the float field ValueField, the only field
+// by that name, among the trailing "_" fields. A node that already holds
+// the structure reads the value of a later announcement from the bytes
+// (see ReadEnvelope) and never builds the tuple.
 type Maintained interface {
 	Tuple
 	// Value returns the structure value carried by this copy.
@@ -141,6 +146,10 @@ type Maintained interface {
 	// unbounded structure.
 	MaxValue() float64
 }
+
+// ValueField names the content field carrying a Maintained tuple's
+// Value.
+const ValueField = "_val"
 
 // Base supplies the default hook implementations: assignable identity,
 // store everywhere, flood the whole network, content unchanged, never

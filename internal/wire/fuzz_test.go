@@ -1,17 +1,21 @@
 package wire
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"tota/internal/agg"
+	"tota/internal/pattern"
 	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
 // FuzzDecode feeds arbitrary bytes to the wire codec: it must never
 // panic and must either reject the input or produce a message that
-// re-encodes.
+// re-encodes. Where Decode builds a tuple, the envelope DecodeInto read
+// instead must name the same kind and id, and for a maintained tuple
+// carry its Value.
 func FuzzDecode(f *testing.F) {
 	reg := tuple.NewRegistry()
 	reg.MustRegister("flat", func(id tuple.ID, c tuple.Content) (tuple.Tuple, error) {
@@ -19,6 +23,10 @@ func FuzzDecode(f *testing.F) {
 		ft.SetID(id)
 		return ft, nil
 	})
+	if err := pattern.Register(reg); err != nil {
+		f.Fatal(err)
+	}
+	agg.Register(reg)
 
 	ft := &flatTuple{c: tuple.Content{tuple.S("k", "v")}}
 	ft.SetID(tuple.ID{Node: "n", Seq: 1})
@@ -33,6 +41,25 @@ func FuzzDecode(f *testing.F) {
 	}
 	if data, err := Encode(Message{Type: MsgRetract, ID: tuple.ID{Node: "n", Seq: 9}}); err == nil {
 		f.Add(data)
+	}
+	// Maintained announcements, alone and batched: a gradient, a spatial
+	// field and an aggregation query.
+	g := pattern.NewGradient("g", tuple.S("p", "x"))
+	g.SetID(tuple.ID{Node: "s", Seq: 3})
+	g.Val = 2
+	sp := pattern.NewSpatial("sp", 5)
+	sp.SetID(tuple.ID{Node: "s", Seq: 4})
+	q := agg.NewQuery("q", agg.Sum, tuple.Selector{Kind: "k", Field: "v"})
+	q.SetID(tuple.ID{Node: "s", Seq: 5})
+	var subs [][]byte
+	for _, mt := range []tuple.Tuple{g, sp, q} {
+		if data, err := Encode(Message{Type: MsgTuple, Hop: 1, Ver: 2, Parent: "p", Tuple: mt}); err == nil {
+			f.Add(data)
+			subs = append(subs, data)
+		}
+	}
+	if frame, err := EncodeBatch(subs); err == nil {
+		f.Add(frame)
 	}
 	if data, err := Encode(Message{Type: MsgDigest, Digest: []DigestEntry{
 		{ID: tuple.ID{Node: "a", Seq: 1}, Ver: 3, Hop: 1},
@@ -127,13 +154,37 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0})
 
+	var into Message
 	f.Fuzz(func(t *testing.T, data []byte) {
+		intoErr := DecodeInto(reg, data, &into)
 		msg, err := Decode(reg, data)
 		if err != nil {
 			return
 		}
+		if intoErr != nil {
+			t.Fatalf("Decode accepted what DecodeInto rejected: %v", intoErr)
+		}
+		checkEnvelopes(t, &into, &msg)
 		if _, err := Encode(msg); err != nil {
 			t.Fatalf("accepted message failed to re-encode: %+v: %v", msg, err)
 		}
 	})
+}
+
+// checkEnvelopes compares the envelopes DecodeInto read with the tuples
+// Decode built from the same frame.
+func checkEnvelopes(t *testing.T, into, built *Message) {
+	t.Helper()
+	if built.Type == MsgTuple {
+		env, tt := into.Env, built.Tuple
+		if into.Tuple != nil || env.ID != tt.ID() || env.Kind != tt.Kind() {
+			t.Fatalf("envelope %+v (tuple %v), built %s %v", env, into.Tuple, tt.Kind(), tt.ID())
+		}
+		if m, ok := tt.(tuple.Maintained); ok && env.HasValue && math.Float64bits(env.Value) != math.Float64bits(m.Value()) {
+			t.Fatalf("%s %v: envelope value %v, Value() %v", tt.Kind(), tt.ID(), env.Value, m.Value())
+		}
+	}
+	for i := range built.Batch {
+		checkEnvelopes(t, &into.Batch[i], &built.Batch[i])
+	}
 }

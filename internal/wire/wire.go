@@ -124,8 +124,11 @@ type Message struct {
 	// reverse (they never count a neighbor whose parent is themselves as
 	// support). Empty for source announcements and plain tuples.
 	Parent tuple.NodeID
-	// Tuple is the carried tuple (MsgTuple only).
+	// Tuple is the carried tuple (MsgTuple only). DecodeInto leaves it
+	// nil: Env describes it and Raw, aliasing the frame, encodes it.
 	Tuple tuple.Tuple
+	Env   tuple.Envelope
+	Raw   []byte
 	// ID identifies the structure involved (MsgRetract and MsgWithdraw).
 	ID tuple.ID
 	// Ver is the sender's announcement version for the carried tuple
@@ -444,16 +447,30 @@ func Decode(reg *tuple.Registry, data []byte) (Message, error) {
 	if err := DecodeInto(reg, data, &m); err != nil {
 		return Message{}, err
 	}
+	if err := buildTuples(reg, &m); err != nil {
+		return Message{}, fmt.Errorf("wire: decode tuple: %w", err)
+	}
 	return m, nil
 }
 
-// DecodeInto parses like Decode but reuses the capacity of m's slice
-// fields (Digest, Want, Batch) across calls — the engine's per-node
-// decode scratch, which makes steady-state digest and batch deliveries
-// slice-allocation-free. *m is overwritten entirely. Everything a
-// caller retains from a decoded message (tuples, ids, interned node
-// names) stays valid after the next DecodeInto call; only the slice
-// headers are recycled.
+// buildTuples builds m's carried tuples, its own or its batch's.
+func buildTuples(reg *tuple.Registry, m *Message) (err error) {
+	if m.Type == MsgTuple {
+		m.Tuple, err = tuple.Decode(reg, m.Raw)
+	}
+	for i := 0; err == nil && i < len(m.Batch); i++ {
+		err = buildTuples(reg, &m.Batch[i])
+	}
+	return err
+}
+
+// DecodeInto parses like Decode but builds no carried tuple: a MsgTuple
+// comes back with Env and Raw, its bytes checked as tuple.Decode checks
+// them. It also reuses the capacity of m's slice fields (Digest, Want,
+// Batch) across calls — the engine's per-node decode scratch, which
+// makes steady-state deliveries allocation-free. *m is overwritten
+// entirely. Ids and interned node names stay valid after the next
+// DecodeInto call; slice headers are recycled, and Raw aliases data.
 func DecodeInto(reg *tuple.Registry, data []byte, m *Message) error {
 	return decodeInto(reg, data, m, false)
 }
@@ -507,11 +524,11 @@ func decodeInto(reg *tuple.Registry, data []byte, m *Message, inBatch bool) erro
 			m.Trace.Span = binary.BigEndian.Uint64(body[8:16])
 			body = body[TraceCtxSize:]
 		}
-		t, err := tuple.Decode(reg, body)
+		env, err := tuple.ReadEnvelope(reg, body)
 		if err != nil {
 			return fmt.Errorf("wire: decode tuple: %w", err)
 		}
-		m.Tuple = t
+		m.Env, m.Raw = env, body
 	case MsgRetract, MsgWithdraw:
 		if len(body) < 4 {
 			return ErrShort
@@ -521,7 +538,7 @@ func decodeInto(reg *tuple.Registry, data []byte, m *Message, inBatch bool) erro
 			return ErrShort
 		}
 		n := int(n64)
-		id, err := tuple.ParseID(string(body[4 : 4+n]))
+		id, err := reg.ParseID(body[4 : 4+n])
 		if err != nil {
 			return fmt.Errorf("wire: %w", err)
 		}

@@ -432,6 +432,73 @@ func TestDecodeIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// TestDecodeRetractAllocs: a retract or withdraw names its structure as
+// "node#seq" text. The id parses from the frame's bytes and the node
+// interns, so a repeated id decodes without allocating.
+func TestDecodeRetractAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	r := newWireRegistry(t)
+	id := tuple.ID{Node: "n0042", Seq: 17}
+	var m Message
+	for _, typ := range []MsgType{MsgRetract, MsgWithdraw} {
+		data, err := Encode(Message{Type: typ, ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := DecodeInto(r, data, &m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v DecodeInto = %v allocs, want 0", typ, allocs)
+		}
+		if m.Type != typ || m.ID != id {
+			t.Errorf("decoded %v %v, want %v %v", m.Type, m.ID, typ, id)
+		}
+	}
+}
+
+// TestDecodeIntoReadsEnvelope: DecodeInto leaves a carried tuple
+// unbuilt, alone or in a batch, and hands over its envelope and bytes.
+func TestDecodeIntoReadsEnvelope(t *testing.T) {
+	g := pattern.NewGradient("g", tuple.S("p", "x"))
+	g.SetID(tuple.ID{Node: "src", Seq: 4})
+	g.Val = 3
+	ann, err := Encode(Message{Type: MsgTuple, Hop: 2, Ver: 5, Parent: "p", Tuple: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := Encode(Message{Type: MsgWithdraw, ID: g.ID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeBatch([][]byte{ann, wd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tuple.Envelope{Kind: pattern.KindGradient, ID: g.ID(), Value: 3, HasValue: true}
+	var m Message
+	for _, data := range [][]byte{ann, frame} {
+		if err := DecodeInto(tuple.DefaultRegistry, data, &m); err != nil {
+			t.Fatal(err)
+		}
+		sub := &m
+		if m.Type == MsgBatch {
+			sub = &m.Batch[0]
+		}
+		if sub.Tuple != nil || sub.Env != want || sub.Hop != 2 || sub.Ver != 5 || sub.Parent != "p" {
+			t.Errorf("DecodeInto = %+v, want envelope %+v and no tuple", sub, want)
+		}
+		built, err := tuple.Decode(tuple.DefaultRegistry, sub.Raw)
+		if err != nil || built.ID() != g.ID() || !built.Content().Equal(g.Content()) {
+			t.Errorf("tuple from Raw = %v, %v", built, err)
+		}
+	}
+}
+
 // roundTripGradient encodes one gradient announcement and decodes it
 // back, the unit BenchmarkWireRoundTrip and its alloc budget measure.
 func roundTripGradient(tb testing.TB, g tuple.Tuple) {
