@@ -269,14 +269,10 @@ func (n *Node) aggFoldLocked(q *agg.Query, qs *queryState) agg.Partial {
 }
 
 // aggLocalLocked visits every locally stored tuple in the query's
-// range, policy-gated like any local read. The query's own structure
-// copy never matches itself.
+// range. The query's own structure copy never matches itself.
 func (n *Node) aggLocalLocked(q *agg.Query, each func(origin tuple.ID, v float64)) {
 	for _, t := range n.store.readRaw(q.Sel.Template()) {
 		if t.ID() == q.ID() {
-			continue
-		}
-		if !n.allow(OpRead, n.id, t) {
 			continue
 		}
 		v, ok := q.Sel.Sample(t)

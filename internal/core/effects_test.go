@@ -21,25 +21,21 @@ var update = flag.Bool("update", false, "rewrite testdata/effect_order.golden fr
 // logged to one list in the order they happen. The scenario covers each
 // decision that produces a trace record, an event, or both — inject,
 // store, supersede, adopt, withdraw, retract, lease expiry, Delete,
-// neighbour down and up — plus a policy that hides one kind from reads
-// (its events are dropped and its denials traced) and a reaction that
-// injects a reply from inside the dispatch, so a nested call's records
-// interleave with the outer batch.
+// neighbour down and up — plus a reaction that injects a reply from
+// inside the dispatch, so a nested call's records interleave with the
+// outer batch.
 func TestEffectOrderGolden(t *testing.T) {
 	var log []string
 	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
 	tracer := func(ev core.TraceEvent) {
 		logf("trace %s %s %s %g", ev.Kind, ev.Node, ev.ID, ev.Value)
 	}
-	hidePaths := core.PolicyFunc(func(op core.Op, _ tuple.NodeID, t tuple.Tuple) bool {
-		return op != core.OpRead || t == nil || t.Kind() != pattern.KindPath
-	})
 
 	g := topology.Grid(3, 3, 1)
 	sim := transport.NewSim(g, transport.SimConfig{Shuffle: true, Seed: 32})
 	tn := &testNet{t: t, sim: sim, graph: g, nodes: make(map[tuple.NodeID]*core.Node)}
 	for _, id := range g.Nodes() {
-		n := core.New(sim.Attach(id, nil), core.WithTracer(tracer), core.WithPolicy(hidePaths))
+		n := core.New(sim.Attach(id, nil), core.WithTracer(tracer))
 		sim.Bind(id, n)
 		tn.nodes[id] = n
 	}

@@ -257,19 +257,17 @@ type lockedStore struct {
 var _ tuple.LocalStore = lockedStore{}
 
 func (s lockedStore) Read(tpl tuple.Template) []tuple.Tuple {
-	return s.n.readLocked(tpl)
+	return s.n.store.read(tpl)
 }
 
 func (s lockedStore) Delete(tpl tuple.Template) []tuple.Tuple {
 	return s.n.deleteLocked(tpl)
 }
 
-// MinValue senses a structure under the same OpRead policy as Read,
-// counting and tracing each denial as Read does.
+// MinValue senses a structure: the minimum Read would find, without
+// copying any tuple.
 func (s lockedStore) MinValue(kind, name string) (float64, bool) {
-	return s.n.store.minValue(kind, name, func(t tuple.Tuple) bool {
-		return s.n.allow(OpRead, s.n.id, t)
-	})
+	return s.n.store.minValue(kind, name)
 }
 
 func (n *Node) ctxLocked(from tuple.NodeID, hop int) *tuple.Ctx {
@@ -377,29 +375,27 @@ func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
 }
 
 // handleTupleLocked applies one tuple announcement, building the tuple
-// only when this node will judge or keep it (DESIGN.md §8). It reports
-// whether the tuple is plain, so its row may park.
+// only when this node will keep it (DESIGN.md §8). It reports whether
+// the tuple is plain, so its row may park.
 func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) (plain bool) {
 	id, kind := msg.Env.ID, msg.Env.Kind
 	st := n.states.lookup(id)
-	// Without a policy, which judges the tuple it was sent, the envelope
-	// may settle it: held is a structure the row keeps an exemplar of,
-	// seen a plain tuple visited here that stores no copy.
+	// The envelope may settle the announcement: held is a structure the
+	// row keeps an exemplar of, seen a plain tuple visited here that
+	// stores no copy.
 	held, seen := false, false
-	if n.cfg.Policy == nil {
-		switch {
-		case st != nil:
-			held = st.exemplar != nil && st.exemplar.Kind() == kind && msg.Env.HasValue
-			// Only a plain tuple leaves a row visited with no exemplar,
-			// copy or source mark.
-			seen = st.exemplar == nil && st.flags&(stVisited|stStored|stSource) == stVisited
-		case n.states.retracted.has(id):
-			n.stats.DupDropped.Add(1)
-			return false
-		case n.states.parked.has(id):
-			_, _, stored := n.store.get(id)
-			seen = !stored
-		}
+	switch {
+	case st != nil:
+		held = st.exemplar != nil && st.exemplar.Kind() == kind && msg.Env.HasValue
+		// Only a plain tuple leaves a row visited with no exemplar, copy
+		// or source mark.
+		seen = st.exemplar == nil && st.flags&(stVisited|stStored|stSource) == stVisited
+	case n.states.retracted.has(id):
+		n.stats.DupDropped.Add(1)
+		return false
+	case n.states.parked.has(id):
+		_, _, stored := n.store.get(id)
+		seen = !stored
 	}
 	var t tuple.Tuple
 	if !held && !seen {
@@ -409,9 +405,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) (plain bo
 			return false
 		}
 		_, maintained := t.(tuple.Maintained)
-		if plain = !maintained; !n.allow(OpAccept, from, t) {
-			return plain
-		}
+		plain = !maintained
 	}
 	if st == nil {
 		if st = n.stateFor(id); st == nil { // buried: retracted or expired here
@@ -536,14 +530,6 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 		if st == nil { // buried
 			continue
 		}
-		// The digest path must honor the same acceptance policy as the
-		// full announcement it replaces: a denied entry updates no state
-		// and triggers no pull. When no full bytes for the structure ever
-		// reached this node there is nothing to judge yet; the eventual
-		// pull response is gated by handleTupleLocked instead.
-		if t := digestSubject(st); t != nil && !n.allow(OpAccept, from, t) {
-			continue
-		}
 		if e.Maintained {
 			n.digestMaintainedLocked(from, e, st)
 			continue
@@ -573,19 +559,6 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 	n.sendPullsLocked(from)
 }
 
-// digestSubject returns the tuple a digest entry can be policy-checked
-// against: the retained exemplar, else the stored copy. nil when the
-// structure's full bytes never reached this node.
-func digestSubject(st *tupleState) tuple.Tuple {
-	if st.exemplar != nil {
-		return st.exemplar
-	}
-	if st.local != nil {
-		return st.local
-	}
-	return nil
-}
-
 // digestMaintainedLocked applies one maintained-structure digest entry:
 // the entry carries everything the maintenance check consumes (value
 // and parent), so a node that has ever held the structure's full bytes
@@ -599,9 +572,9 @@ func (n *Node) digestMaintainedLocked(from tuple.NodeID, e *wire.DigestEntry, st
 		}
 	}
 	if ex == nil {
-		// This node cannot adopt — or policy-check — from the compact
-		// entry alone: it needs the structure's full bytes once. No
-		// support is recorded until an announcement passes OpAccept.
+		// This node cannot adopt from the compact entry alone: with no
+		// exemplar to rebuild content from, it needs the structure's
+		// full bytes once. No support is recorded until they arrive.
 		if n.allowPullLocked(st, from) {
 			n.pullScratch = append(n.pullScratch, e.ID)
 			n.tracePullLocked(e.ID, from, st)
@@ -941,9 +914,6 @@ func (n *Node) deleteLocked(tpl tuple.Template) []tuple.Tuple {
 	matched := n.store.readRaw(tpl)
 	out := make([]tuple.Tuple, 0, len(matched))
 	for _, t := range matched {
-		if !n.allow(OpDelete, n.id, t) {
-			continue
-		}
 		id := t.ID()
 		if removed, ok := n.store.remove(id); ok {
 			out = append(out, removed)

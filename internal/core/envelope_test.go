@@ -54,30 +54,6 @@ func TestHeldAnnouncementReadFromEnvelope(t *testing.T) {
 	}
 }
 
-// TestPolicyJudgesEveryAnnouncement: a node with a policy builds every
-// announcement it receives and judges the tuple it was sent, even of a
-// structure it holds.
-func TestPolicyJudgesEveryAnnouncement(t *testing.T) {
-	var judged []float64
-	policy := core.PolicyFunc(func(op core.Op, _ tuple.NodeID, tt tuple.Tuple) bool {
-		if op == core.OpAccept {
-			judged = append(judged, tt.(*pattern.Gradient).Val)
-		}
-		return true
-	})
-	tn := newTestNet(t, topology.Line(2), core.WithPolicy(policy))
-	n, from := tn.node(topology.NodeName(0)), topology.NodeName(1)
-	for _, v := range []float64{3, 3, 1} {
-		n.HandlePacket(from, announce(t, v))
-	}
-	if len(judged) != 3 || judged[0] != 3 || judged[1] != 3 || judged[2] != 1 {
-		t.Errorf("policy judged values %v, want [3 3 1]", judged)
-	}
-	if v := heldValue(t, n); v != 2 {
-		t.Errorf("node holds %g, want 2", v)
-	}
-}
-
 // unregistered is a tuple kind no factory rebuilds.
 type unregistered struct{ tuple.Base }
 

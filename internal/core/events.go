@@ -110,8 +110,7 @@ func (n *Node) subscriptions() []*subscription {
 
 // effect is one engine decision as it leaves the node: the record a
 // Tracer receives and the event reactions receive. A zero Kind or Type
-// means that part is absent — no tracer, no subscription, or an event
-// the policy hides.
+// means that part is absent: no tracer, or no subscription.
 type effect struct {
 	trace TraceEvent
 	ev    Event
@@ -119,9 +118,7 @@ type effect struct {
 
 // effectLocked queues one decision: its trace record, when a tracer is
 // installed and tr names a kind, and its event about t, when typ is set
-// and a subscription exists. Subscription delivery is a read, so the
-// event part is checked against OpRead only after the record is queued
-// (a denial traces right after the decision it hides), and t is cloned
+// and a subscription exists. The event carries a clone of t, taken
 // under the lock.
 func (n *Node) effectLocked(tr TraceEvent, typ EventType, t tuple.Tuple) {
 	var e effect
@@ -130,25 +127,19 @@ func (n *Node) effectLocked(tr TraceEvent, typ EventType, t tuple.Tuple) {
 		e.trace = tr
 	}
 	if typ != 0 && t != nil && len(n.subscriptions()) > 0 {
+		if c, err := tuple.DefaultRegistry.Clone(t); err == nil {
+			t = c
+		}
 		e.ev = Event{Type: typ, Node: n.id, Tuple: t}
 	}
 	if e.trace.Kind == 0 && e.ev.Type == 0 {
 		return
 	}
 	n.effects = append(n.effects, e)
-	if e.ev.Type == 0 {
-		return
-	}
-	i := len(n.effects) - 1
-	if !n.allow(OpRead, n.id, t) {
-		n.effects[i].ev = Event{}
-	} else if c, err := tuple.DefaultRegistry.Clone(t); err == nil {
-		n.effects[i].ev.Tuple = c
-	}
 }
 
 // emitNeighborLocked queues a neighborhood event. Its synthesized tuple
-// is nobody's to hide, so no policy check applies.
+// is fresh and stored nowhere, so unlike effectLocked it takes no clone.
 func (n *Node) emitNeighborLocked(typ EventType, peer tuple.NodeID) {
 	if len(n.subscriptions()) == 0 {
 		return

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"log/slog"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tota/internal/space"
@@ -57,25 +61,6 @@ func TestEventTypeString(t *testing.T) {
 		{NeighborAdded, "neighbor-added"},
 		{NeighborRemoved, "neighbor-removed"},
 		{EventType(99), "unknown-event"},
-	}
-	for _, tt := range tests {
-		if got := tt.give.String(); got != tt.want {
-			t.Errorf("String = %q, want %q", got, tt.want)
-		}
-	}
-}
-
-func TestOpString(t *testing.T) {
-	tests := []struct {
-		give Op
-		want string
-	}{
-		{OpInject, "inject"},
-		{OpRead, "read"},
-		{OpDelete, "delete"},
-		{OpRetract, "retract"},
-		{OpAccept, "accept"},
-		{Op(99), "unknown-op"},
 	}
 	for _, tt := range tests {
 		if got := tt.give.String(); got != tt.want {
@@ -190,6 +175,56 @@ func TestHandlePacketGarbage(t *testing.T) {
 	n.HandlePacket("ghost", []byte{0xde, 0xad})
 	if n.Stats().DecodeErrors != 1 {
 		t.Errorf("DecodeErrors = %d", n.Stats().DecodeErrors)
+	}
+}
+
+// TestLoggerRateLimitsWarnings: with WithLogger, ten undecodable
+// packets and ten failed sends each log one warning at occurrence
+// counts 1, 2, 4 and 8, and no more.
+func TestLoggerRateLimitsWarnings(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		msg   string
+		fail  func(n *Node)
+		count func(Stats) int64
+	}{
+		{"decode", "tota: undecodable packet dropped",
+			func(n *Node) { n.HandlePacket("ghost", []byte{0xde, 0xad}) },
+			func(s Stats) int64 { return s.DecodeErrors }},
+		{"send", "tota: transport send failed",
+			func(n *Node) {
+				if _, err := n.Inject(&countingTuple{}); err != nil {
+					t.Fatalf("Inject: %v", err)
+				}
+			},
+			func(s Stats) int64 { return s.SendErrors }},
+	} {
+		var buf bytes.Buffer
+		n := New(failingSender{}, WithLogger(slog.New(slog.NewJSONHandler(&buf, nil))))
+		for i := 0; i < 10; i++ {
+			tc.fail(n)
+		}
+		if got := tc.count(n.Stats()); got != 10 {
+			t.Fatalf("%s: %d errors counted, want 10", tc.name, got)
+		}
+		var counts []int64
+		dec := json.NewDecoder(&buf)
+		for dec.More() {
+			var rec struct {
+				Level, Msg string
+				Count      int64
+			}
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatalf("%s: log line: %v", tc.name, err)
+			}
+			if rec.Level != "WARN" || rec.Msg != tc.msg {
+				t.Errorf("%s: logged %s %q, want WARN %q", tc.name, rec.Level, rec.Msg, tc.msg)
+			}
+			counts = append(counts, rec.Count)
+		}
+		if want := []int64{1, 2, 4, 8}; !slices.Equal(counts, want) {
+			t.Errorf("%s: warnings at counts %v, want %v", tc.name, counts, want)
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ var (
 	ErrNilTuple  = errors.New("core: nil tuple")
 	ErrClosed    = errors.New("core: node closed")
 	ErrForeignID = errors.New("core: tuple already has an id")
-	ErrDenied    = errors.New("core: operation denied by policy")
 )
 
 // Config collects a node's tunables; zero values select defaults.
@@ -40,8 +39,6 @@ type Config struct {
 	// net against pathological propagation rules and count-to-scope
 	// divergence in partitioned regions. Defaults to DefaultMaxHops.
 	MaxHops int
-	// Policy authorizes operations (nil allows everything).
-	Policy Policy
 	// DisablePoisonedReverse turns off the maintenance parent filter
 	// (ablation A1: teardown degenerates to count-to-scope loops).
 	DisablePoisonedReverse bool
@@ -309,10 +306,6 @@ func (n *Node) Inject(t tuple.Tuple) (tuple.ID, error) {
 		return tuple.ID{}, fmt.Errorf("core: inject: %w", err)
 	}
 	n.mu.Lock()
-	if !n.allow(OpInject, n.id, t) {
-		n.unlock()
-		return tuple.ID{}, ErrDenied
-	}
 	n.seq++
 	id := tuple.ID{Node: n.id, Seq: n.seq}
 	t.SetID(id)
@@ -336,35 +329,14 @@ func (n *Node) Inject(t tuple.Tuple) (tuple.ID, error) {
 func (n *Node) Read(tpl tuple.Template) []tuple.Tuple {
 	n.mu.Lock()
 	defer n.unlock()
-	return n.readLocked(tpl)
-}
-
-func (n *Node) readLocked(tpl tuple.Template) []tuple.Tuple {
-	ts := n.store.read(tpl)
-	if n.cfg.Policy == nil {
-		return ts
-	}
-	var out []tuple.Tuple
-	for _, t := range ts {
-		if n.allow(OpRead, n.id, t) {
-			out = append(out, t)
-		}
-	}
-	return out
+	return n.store.read(tpl)
 }
 
 // ReadOne returns the first locally stored tuple matching the template.
 func (n *Node) ReadOne(tpl tuple.Template) (tuple.Tuple, bool) {
 	n.mu.Lock()
 	defer n.unlock()
-	if n.cfg.Policy == nil {
-		return n.store.readOne(tpl)
-	}
-	ts := n.readLocked(tpl)
-	if len(ts) == 0 {
-		return nil, false
-	}
-	return ts[0], true
+	return n.store.readOne(tpl)
 }
 
 // Delete extracts the locally stored tuples matching the template and
@@ -387,11 +359,6 @@ func (n *Node) Retract(id tuple.ID) {
 		return
 	}
 	n.mu.Lock()
-	local, _, _ := n.store.get(id) // a parked copy has no row
-	if !n.allow(OpRetract, n.id, local) {
-		n.unlock()
-		return
-	}
 	n.retractLocked(id)
 	n.unlock()
 }

@@ -429,10 +429,9 @@ func TestZeroIDMessagesDropped(t *testing.T) {
 	}
 }
 
-// TestReadOnlyPathsLeaveParkedIDs: a pull, a withdraw and a
-// policy-denied Node.Retract naming a parked id act as on the
-// visited-only row — nothing to send, nothing to withdraw, nothing
-// retracted — and leave the id parked.
+// TestReadOnlyPathsLeaveParkedIDs: a pull and a withdraw naming a parked
+// id act as on the visited-only row — nothing to send, nothing to
+// withdraw — and leave the id parked.
 func TestReadOnlyPathsLeaveParkedIDs(t *testing.T) {
 	pl := newParkLine(t, 10)
 	relay, dst := pl.n[1], topology.NodeName(2)
@@ -449,11 +448,6 @@ func TestReadOnlyPathsLeaveParkedIDs(t *testing.T) {
 		relay.HandlePacket(dst, data)
 		pl.quiesce()
 	}
-	relay.mu.Lock()
-	relay.cfg.Policy = PolicyFunc(func(op Op, _ tuple.NodeID, _ tuple.Tuple) bool { return op != OpRetract })
-	relay.mu.Unlock()
-	relay.Retract(id)
-	pl.quiesce()
 	after := relay.Stats()
 	if after.Unicasts != before.Unicasts || after.Broadcasts != before.Broadcasts || after.Retracted != before.Retracted {
 		t.Errorf("read-only paths sent or retracted: Unicasts +%d, Broadcasts +%d, Retracted +%d",
@@ -563,8 +557,8 @@ func TestDeleteParksRows(t *testing.T) {
 // row at its destination, and every path that meets it acts as on the
 // row it parked, with the store as the copy's only record. A replay is a
 // duplicate; a superseding copy replaces the stored one with one event;
-// a pull is answered with the hop the copy was accepted at; Retract asks
-// its policy about the stored copy, buries the id and fires one removal.
+// a pull is answered with the hop the copy was accepted at; Retract
+// buries the id and fires one removal of the stored copy.
 // A copy with a lease keeps its row, which the sweep reads.
 func TestStoredCopyParks(t *testing.T) {
 	const msgs = 1000
@@ -623,32 +617,16 @@ func TestStoredCopyParks(t *testing.T) {
 		t.Errorf("n2 answered the pull with %+v, want the copy at hop 2, version 1", tap.got)
 	}
 
-	var subject tuple.Tuple
-	dst.mu.Lock()
-	dst.cfg.Policy = PolicyFunc(func(op Op, _ tuple.NodeID, t tuple.Tuple) bool {
-		if op == OpRetract {
-			subject = t
-		}
-		return true
-	})
-	dst.mu.Unlock()
 	gone, stored := pl.msgs[5], dst.StoreSize()
 	*events = (*events)[:0]
 	dst.Retract(gone)
 	pl.quiesce()
-	if subject == nil || subject.ID() != gone {
-		t.Errorf("Retract asked its policy about %v, want the stored copy of %v", subject, gone)
-	}
 	if len(*events) != 1 || (*events)[0].Type != TupleRemoved || (*events)[0].Tuple.ID() != gone {
 		t.Errorf("Retract fired %v, want one removal of %v", *events, gone)
 	}
 	if dst.StoreSize() != stored-1 || !dst.states.retracted.has(gone) || dst.states.parked.has(gone) {
 		t.Errorf("after Retract n2 stores %d, want %d, and the id buried", dst.StoreSize(), stored-1)
 	}
-	dst.mu.Lock()
-	dst.cfg.Policy = nil
-	dst.mu.Unlock()
-
 	// A flood scoped to one hop stops at n2 but carries a lease: its row
 	// holds the storage time the sweep reads, so it stays.
 	fid, err := pl.n[1].Inject(pattern.NewFlood("lease").Within(1).Expires(5))

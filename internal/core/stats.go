@@ -22,7 +22,6 @@ type counters[C any] struct {
 	SendErrors        C `metric:"tota_node_send_errors_total" help:"Transport send failures."`
 	DecodeErrors      C `metric:"tota_node_decode_errors_total" help:"Undecodable packets."`
 	Events            C `metric:"tota_node_events_total" help:"Events dispatched to reactions."`
-	Denied            C `metric:"tota_node_denied_total" help:"Operations rejected by the access policy."`
 	Expired           C `metric:"tota_node_expired_total" help:"Stored copies removed by lease expiry."`
 	FramesOut         C `metric:"tota_frames_out_total" help:"Multi-message batch frames sent."`
 	FramesIn          C `metric:"tota_frames_in_total" help:"Batch frames received."`
@@ -45,12 +44,12 @@ type counters[C any] struct {
 
 // fields lists c's counters in declaration order (a test holds it to
 // the struct).
-func (c *counters[C]) fields() [33]*C {
+func (c *counters[C]) fields() [32]*C {
 	return [...]*C{
 		&c.Injected, &c.PacketsIn, &c.Stored, &c.Superseded, &c.DupDropped,
 		&c.TTLDropped, &c.Retracted, &c.MaintAdopt, &c.MaintDrop,
 		&c.Broadcasts, &c.Unicasts, &c.SendErrors, &c.DecodeErrors,
-		&c.Events, &c.Denied, &c.Expired, &c.FramesOut, &c.FramesIn,
+		&c.Events, &c.Expired, &c.FramesOut, &c.FramesIn,
 		&c.DigestsOut, &c.DigestsIn, &c.PullsOut, &c.PullsIn,
 		&c.RefreshAnnounced, &c.RefreshSuppressed, &c.Suspected,
 		&c.SuspectRecovered, &c.PullsSuppressed, &c.QueryEpochs,
@@ -65,7 +64,7 @@ func (c *counters[C]) fields() [33]*C {
 // with their metric names and meanings, in counters.
 type Stats counters[int64]
 
-func (s *Stats) fields() [33]*int64 { return (*counters[int64])(s).fields() }
+func (s *Stats) fields() [32]*int64 { return (*counters[int64])(s).fields() }
 
 // Add returns the field-wise sum of two stats snapshots.
 func (s Stats) Add(o Stats) Stats {

@@ -294,14 +294,11 @@ func (s *store) forMatching(tpl tuple.Template, fn func(t tuple.Tuple) bool) {
 }
 
 // minValue returns the smallest Value among the stored Maintained tuples
-// of kind (matched as a template's Kind is) whose "name" field is name
-// and which visible admits, with found false when there is none. It
-// clones nothing, and rebuilds no content unless kind is a pattern: a
-// small-mode entry carries its name, and an exact kind's (kind, name)
-// list holds that name only. visible is asked about every kind and name
-// match, in arrival order, as a policy-filtered read of the same
-// template would ask.
-func (s *store) minValue(kind, name string, visible func(tuple.Tuple) bool) (best float64, found bool) {
+// of kind (matched as a template's Kind is) whose "name" field is name,
+// with found false when there is none. It clones nothing, and rebuilds
+// no content unless kind is a pattern: a small-mode entry carries its
+// name, and an exact kind's (kind, name) list holds that name only.
+func (s *store) minValue(kind, name string) (best float64, found bool) {
 	ofKind := tuple.Template{Kind: kind} // no field patterns: the kind alone
 	consider := func(e storeEnt) {
 		if e.name != name || !ofKind.MatchesParts(e.t.Kind(), e.id, nil) {
@@ -313,9 +310,6 @@ func (s *store) minValue(kind, name string, visible func(tuple.Tuple) bool) (bes
 			if f, ok := e.t.Content().Get("name"); !ok || f.Kind() != tuple.KindString {
 				return
 			}
-		}
-		if !visible(e.t) {
-			return
 		}
 		if m, ok := e.t.(tuple.Maintained); ok && (!found || m.Value() < best) {
 			best, found = m.Value(), true

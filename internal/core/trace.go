@@ -31,8 +31,6 @@ const (
 	TraceRetract
 	// TraceExpire: a leased copy aged out.
 	TraceExpire
-	// TraceDeny: the access policy rejected an operation.
-	TraceDeny
 	// TraceSuspect: a maintained copy lost support but its withdraw was
 	// deferred by the suspicion grace window.
 	TraceSuspect
@@ -74,8 +72,6 @@ func (k TraceKind) String() string {
 		return "retract"
 	case TraceExpire:
 		return "expire"
-	case TraceDeny:
-		return "deny"
 	case TraceSuspect:
 		return "suspect"
 	case TraceAggResult:

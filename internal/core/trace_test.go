@@ -93,7 +93,7 @@ func TestTraceEventString(t *testing.T) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
 	}
-	for k := core.TraceInject; k <= core.TraceDeny; k++ {
+	for k := core.TraceInject; k <= core.TracePull; k++ {
 		if k.String() == "unknown-trace" {
 			t.Errorf("kind %d has no name", k)
 		}

@@ -40,8 +40,8 @@ type TraceRecord struct {
 	// (emulator ticks or Unix seconds, per deployment).
 	T float64 `json:"t"`
 	// Kind is the engine decision (inject, store, supersede, forward,
-	// dup, ttl, adopt, withdraw, retract, expire, deny, suspect,
-	// agg-result, send, pull).
+	// dup, ttl, adopt, withdraw, retract, expire, suspect, agg-result,
+	// send, pull).
 	Kind string `json:"kind"`
 	// Node is where the decision happened.
 	Node string `json:"node"`
