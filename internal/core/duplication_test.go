@@ -17,7 +17,8 @@ import (
 // values — with zero application-visible effect.
 func TestDedupAbsorbsRadioDuplication(t *testing.T) {
 	g := topology.Grid(6, 6, 1)
-	sim := transport.NewSim(g, transport.SimConfig{Dup: 0.5, Seed: 3})
+	sim := transport.NewSim(g, transport.SimConfig{Seed: 3})
+	sim.SetFaults(transport.Faults{Dup: 0.5})
 	tn := &testNet{t: t, sim: sim, graph: g, nodes: make(map[tuple.NodeID]*core.Node)}
 	for _, id := range g.Nodes() {
 		ep := sim.Attach(id, nil)

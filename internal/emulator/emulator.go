@@ -112,11 +112,9 @@ func New(cfg Config) *World {
 	w := &World{
 		cfg:   cfg,
 		graph: cfg.Graph,
-		sim: transport.NewSim(cfg.Graph, transport.SimConfig{
-			Loss: cfg.Loss,
-			Seed: cfg.Seed,
-		}),
+		sim:   transport.NewSim(cfg.Graph, transport.SimConfig{Seed: cfg.Seed}),
 	}
+	w.sim.SetFaults(transport.Faults{Loss: cfg.Loss})
 	for _, id := range cfg.Graph.Nodes() {
 		w.attach(id)
 	}

@@ -61,9 +61,9 @@ type Harness struct {
 
 	peerAddrs map[string][]string // node -> incident relay link addrs
 	procs     map[string]*Proc
-	crashed   map[string]bool
-	paused    map[string]bool
 	report    Report
+	down      []tuple.NodeID        // last plan state's crashed list
+	stopped   map[tuple.NodeID]bool // last plan state's paused set
 
 	// gatewayAddrs are per-node client RPC addresses on ports reserved
 	// up front, so a crash-restarted node comes back at the SAME
@@ -90,15 +90,13 @@ func Run(m Manifest, bin string, out io.Writer) (*Report, error) {
 		return nil, err
 	}
 	h := &Harness{
-		m:       m,
-		bin:     bin,
-		out:     out,
-		relay:   NewRelay(m.Seed),
-		client:  NewClient(m.Seed + 1),
-		plan:    plan,
-		procs:   make(map[string]*Proc),
-		crashed: make(map[string]bool),
-		paused:  make(map[string]bool),
+		m:      m,
+		bin:    bin,
+		out:    out,
+		relay:  NewRelay(m.Seed),
+		client: NewClient(m.Seed + 1),
+		plan:   plan,
+		procs:  make(map[string]*Proc),
 	}
 	defer h.relay.Close()
 	defer h.killAll()
@@ -335,7 +333,8 @@ func (h *Harness) readinessBarrier() error {
 
 // applyPlanState pushes the plan's state on a tick to the relay and
 // turns its crashed and paused sets into process transitions, heals
-// first like the emulator's injector.
+// first like the emulator's injector: restarts, then crashes, in plan
+// order; then SIGCONT, then SIGSTOP, in id order.
 func (h *Harness) applyPlanState(tick int) {
 	st := h.plan.At(tick)
 	h.relay.Apply(st.Radio, time.Duration(h.m.TickMS)*time.Millisecond)
@@ -343,48 +342,46 @@ func (h *Harness) applyPlanState(tick int) {
 	// Crash transitions: restart with the SAME identity (and the same
 	// relay peer list) on heal — the restarted process comes back empty
 	// on a fresh port and must catch up — and SIGKILL on entry.
-	for id := range h.crashed {
-		if !slices.Contains(st.Crashed, tuple.NodeID(id)) {
+	for _, id := range h.down {
+		if !slices.Contains(st.Crashed, id) {
 			h.logf("testnet: tick %d: restart %s (same id, empty store)", tick, id)
-			if err := h.spawn(id); err != nil {
+			if err := h.spawn(string(id)); err != nil {
 				h.logf("testnet: restart %s failed: %v", id, err)
 			} else {
 				h.report.Restarts++
 			}
-			delete(h.crashed, id)
 		}
 	}
 	for _, id := range st.Crashed {
-		id := string(id)
-		if !h.crashed[id] {
-			if p, ok := h.procs[id]; ok {
-				h.logf("testnet: tick %d: SIGKILL %s", tick, id)
-				p.Kill()
-				delete(h.procs, id)
-			}
-			h.crashed[id] = true
+		if p, ok := h.procs[string(id)]; ok && !slices.Contains(h.down, id) {
+			h.logf("testnet: tick %d: SIGKILL %s", tick, id)
+			p.Kill()
+			delete(h.procs, string(id))
 		}
 	}
+	h.down = st.Crashed
 	// Pause transitions: SIGCONT on heal, SIGSTOP on entry.
-	for id := range h.paused {
-		if !st.Radio.Paused[tuple.NodeID(id)] {
-			if p, ok := h.procs[id]; ok {
-				h.logf("testnet: tick %d: SIGCONT %s", tick, id)
-				_ = p.Resume()
-			}
-			delete(h.paused, id)
+	for _, id := range sortedIDs(h.stopped) {
+		if p, ok := h.procs[string(id)]; ok && !st.Radio.Paused[id] {
+			h.logf("testnet: tick %d: SIGCONT %s", tick, id)
+			_ = p.Resume()
 		}
 	}
-	for id := range st.Radio.Paused {
-		id := string(id)
-		if !h.paused[id] {
-			if p, ok := h.procs[id]; ok {
-				h.logf("testnet: tick %d: SIGSTOP %s", tick, id)
-				_ = p.Pause()
-			}
-			h.paused[id] = true
+	for _, id := range sortedIDs(st.Radio.Paused) {
+		if p, ok := h.procs[string(id)]; ok && !h.stopped[id] {
+			h.logf("testnet: tick %d: SIGSTOP %s", tick, id)
+			_ = p.Pause()
 		}
 	}
+	h.stopped = st.Radio.Paused
+}
+
+func sortedIDs(set map[tuple.NodeID]bool) (ids []tuple.NodeID) {
+	for id := range set {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // converged scrapes every node's /store.json and compares the
@@ -446,7 +443,8 @@ func (h *Harness) dumpDiagnostics(oracle map[string][]Entry) {
 	for _, ns := range h.m.Nodes {
 		p, ok := h.procs[ns.ID]
 		if !ok {
-			h.logf("  %s: NOT RUNNING (crashed=%v paused=%v)", ns.ID, h.crashed[ns.ID], h.paused[ns.ID])
+			id := tuple.NodeID(ns.ID)
+			h.logf("  %s: NOT RUNNING (crashed=%v paused=%v)", ns.ID, slices.Contains(h.down, id), h.stopped[id])
 			continue
 		}
 		rs, err := h.client.Ready(p.ObsURL)

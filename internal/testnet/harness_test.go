@@ -1,9 +1,43 @@
 package testnet
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"tota/internal/fault"
 )
+
+// TestTestnetRestartsInPlanOrder: nodes healing on one tick restart in
+// plan order, as fault.Injector.Apply restarts them. The binary does
+// not exist, so each restart is logged and then fails.
+func TestTestnetRestartsInPlanOrder(t *testing.T) {
+	plan, err := fault.ParsePlan("crash@1-3:n03,n01,n02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	h := &Harness{
+		bin:   filepath.Join(t.TempDir(), "missing"),
+		out:   &log,
+		relay: NewRelay(1),
+		plan:  plan,
+		procs: make(map[string]*Proc),
+	}
+	defer h.relay.Close()
+	for tick := 0; tick <= 3; tick++ {
+		h.applyPlanState(tick)
+	}
+	var order []string
+	for _, line := range strings.Split(log.String(), "\n") {
+		if _, rest, ok := strings.Cut(line, "tick 3: restart "); ok {
+			order = append(order, strings.Fields(rest)[0])
+		}
+	}
+	if got := strings.Join(order, ","); got != "n03,n01,n02" {
+		t.Fatalf("restart order %s, want n03,n01,n02\n%s", got, log.String())
+	}
+}
 
 // TestTestnetFiveNodeCrashLossConvergence is the full tentpole path:
 // five real tota-node processes on loopback UDP behind the fault

@@ -1,6 +1,7 @@
 package testnet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -124,8 +125,9 @@ func (r *Relay) Stats() RelayStats {
 
 // Apply pushes a fault state to every link, replacing the last one.
 // Latencies are in rounds of tick wall time, added to the loopback's
-// own; a link whose endpoints straddle the cut is blocked both ways.
-// Paused nodes are the harness's business (SIGSTOP), not the relay's.
+// own; a copy falling due while its endpoints straddle the cut is
+// dropped. Paused nodes are the harness's business (SIGSTOP), not the
+// relay's.
 func (r *Relay) Apply(f transport.Faults, tick time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -137,8 +139,8 @@ func (r *Relay) Apply(f transport.Faults, tick time.Duration) {
 }
 
 // run is the link's forwarding loop: read a frame, attribute it by
-// sender ID, run the fault lottery, forward (possibly late, possibly
-// twice, possibly corrupted) to the opposite endpoint.
+// sender ID, and let Faults.Fate decide its copies, as Sim does, with
+// rounds of tick wall time and the frame header kept.
 func (l *link) run() {
 	buf := make([]byte, 65536)
 	for {
@@ -150,78 +152,65 @@ func (l *link) run() {
 		if !ok {
 			continue // not a TOTA frame; nothing to attribute
 		}
-		frame := make([]byte, n)
-		copy(frame, buf[:n])
+		keep, _ := udp.FrameHeaderLen(buf[:n])
+		frame := bytes.Clone(buf[:n])
 
 		l.mu.Lock()
-		var dst *net.UDPAddr
 		dir := transport.Link{From: sender}
 		switch string(sender) {
 		case l.a:
-			l.addrA = raddr
-			dst, dir.To = l.addrB, tuple.NodeID(l.b)
+			l.addrA, dir.To = raddr, tuple.NodeID(l.b)
 		case l.b:
-			l.addrB = raddr
-			dst, dir.To = l.addrA, tuple.NodeID(l.a)
+			l.addrB, dir.To = raddr, tuple.NodeID(l.a)
 		default:
 			l.mu.Unlock()
 			continue // foreign ID: not this link's traffic
 		}
-		f := &l.faults
-		blocked := f.Cut[dir.From] != f.Cut[dir.To]
-		if blocked || dst == nil {
-			// Partitioned, or the far endpoint has not spoken yet
-			// (its address is unknown until its first frame).
-			l.mu.Unlock()
-			if blocked {
-				l.dropped.Add(1)
-			}
-			continue
-		}
-		loss := f.Loss
-		if p, ok := f.LinkLoss[dir]; ok {
-			loss = p
-		}
-		if loss > 0 && l.rng.Float64() < loss {
-			l.mu.Unlock()
-			l.dropped.Add(1)
-			continue
-		}
-		if f.Corrupt > 0 && l.rng.Float64() < f.Corrupt {
-			if hdr, ok := udp.FrameHeaderLen(frame); ok && len(frame) > hdr {
-				body := transport.CorruptBytes(l.rng, frame[hdr:])
-				copy(frame[hdr:], body)
-				l.corrupted.Add(1)
-			}
-		}
-		sendTwice := f.Dup > 0 && l.rng.Float64() < f.Dup
-		d := transport.LinkDelay{Rounds: f.Delay}
-		if ld, ok := f.LinkDelay[dir]; ok {
-			d = ld
-		}
-		delay := time.Duration(d.Rounds) * l.tick
-		if jitter := time.Duration(d.Jitter) * l.tick; jitter > 0 {
-			delay += time.Duration(l.rng.Int63n(int64(jitter)))
-		}
+		var copies [2]transport.Copy
+		k := l.faults.Fate(l.rng, dir, frame, keep, &copies)
+		tick := l.tick
 		l.mu.Unlock()
 
-		deliver := func() {
-			if l.closed.Load() {
-				return
-			}
-			if _, err := l.conn.WriteToUDP(frame, dst); err == nil {
-				l.forwarded.Add(1)
-			}
-			if sendTwice {
-				if _, err := l.conn.WriteToUDP(frame, dst); err == nil {
-					l.duplicated.Add(1)
-				}
-			}
+		if k == 0 {
+			l.dropped.Add(1)
 		}
-		if delay > 0 {
-			time.AfterFunc(delay, deliver)
-			continue
+		for i, c := range copies[:k] {
+			if c.Corrupted {
+				l.corrupted.Add(1)
+			}
+			sent := &l.forwarded
+			if i == 1 {
+				sent = &l.duplicated
+			}
+			if d := time.Duration(c.Delay) * tick; d > 0 {
+				time.AfterFunc(d, func() { l.deliver(dir, c.Data, sent) })
+				continue
+			}
+			l.deliver(dir, c.Data, sent)
 		}
-		deliver()
+	}
+}
+
+// deliver forwards one copy when it falls due and counts it in sent.
+// Like Sim.Step, it checks the cut then, so a delayed copy never
+// crosses a partition that opened while it was in flight.
+func (l *link) deliver(dir transport.Link, data []byte, sent *atomic.Int64) {
+	l.mu.Lock()
+	cut := l.faults.Cut[dir.From] != l.faults.Cut[dir.To]
+	dst := l.addrA
+	if string(dir.To) == l.b {
+		dst = l.addrB
+	}
+	l.mu.Unlock()
+	if cut {
+		l.dropped.Add(1)
+		return
+	}
+	// dst is unknown until the far endpoint's first frame.
+	if dst == nil || l.closed.Load() {
+		return
+	}
+	if _, err := l.conn.WriteToUDP(data, dst); err == nil {
+		sent.Add(1)
 	}
 }

@@ -196,4 +196,19 @@ func TestTestnetRelayFaults(t *testing.T) {
 	if el := time.Since(start); el < 250*time.Millisecond {
 		t.Fatalf("delayed frame arrived after %v, want >= 250ms", el)
 	}
+
+	// A cut that opens while a delayed frame is in flight stops it: the
+	// relay checks the cut when the frame falls due, as Sim does.
+	dropped := r.Stats().Dropped
+	ea.send(t, addr, rawFrame(2, "a", []byte("cut in flight")))
+	// Let the relay read it before the cut opens. Should it read it
+	// later, the cut drops it just the same; only the case is weaker.
+	time.Sleep(50 * time.Millisecond)
+	r.Apply(transport.Faults{Delay: 3, Cut: map[tuple.NodeID]bool{"a": true}}, 100*time.Millisecond)
+	if got, ok := eb.recv(t, 600*time.Millisecond); ok {
+		t.Fatalf("frame %q crossed a cut that opened while it was in flight", got)
+	}
+	if s := r.Stats(); s.Dropped != dropped+1 {
+		t.Fatalf("dropped = %d, want %d", s.Dropped, dropped+1)
+	}
 }

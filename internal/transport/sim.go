@@ -19,15 +19,8 @@ var (
 	ErrNotNeighbor = errors.New("transport: destination is not a neighbor")
 )
 
-// SimConfig tunes the simulated radio.
+// SimConfig tunes the simulated radio; SetFaults sets its faults.
 type SimConfig struct {
-	// Loss, Dup and LatencyRounds are the initial Faults' Loss, Dup
-	// and Delay: the per-packet drop probability in [0, 1), the
-	// duplication probability, and how many Step calls a packet spends
-	// in flight (minimum 1).
-	Loss          float64
-	Dup           float64
-	LatencyRounds int
 	// Shuffle delivers each round's packets in a random (seeded)
 	// permutation instead of send order, exploring the delivery-order
 	// races the paper's §6 worries about.
@@ -42,48 +35,10 @@ type SimConfig struct {
 	MaxInbound int
 }
 
-// Faults is the radio's complete fault state. SetFaults replaces it
-// whole, so a driver heals a fault by passing a state without it. The
-// radio keeps the maps it is given: callers must not change them.
-type Faults struct {
-	// Loss, Dup and Corrupt are the per-packet probabilities of a drop,
-	// of a second delivered copy, and of injected byte flips (fed to the
-	// receiver through the real wire decoder; the sender's payload is
-	// copied first, never modified).
-	Loss, Dup, Corrupt float64
-	// Delay is the in-flight latency in Step rounds (minimum 1). Queued
-	// packets keep the due round they were sent with.
-	Delay int
-	// LinkLoss and LinkDelay override Loss and Delay for one direction
-	// of a link (asymmetric: a->b and b->a are distinct keys).
-	LinkLoss  map[Link]float64
-	LinkDelay map[Link]LinkDelay
-	// Cut severs its members from the rest of the network: packets
-	// crossing it (either direction) are discarded at delivery time and
-	// counted in Stats.Blocked. Unlike RemoveEdge, no neighbor events
-	// fire; engines on both sides must notice the silence themselves.
-	Cut map[tuple.NodeID]bool
-	// Paused nodes keep their links but process nothing: packets
-	// addressed to them are held in flight (not dropped) until they
-	// leave the set. Models GC stalls, sleep states, overloaded hosts.
-	Paused map[tuple.NodeID]bool
-}
-
-// Link is one direction of a link.
-type Link struct {
-	From, To tuple.NodeID
-}
-
-// LinkDelay is a per-link latency: Rounds base latency plus a uniform
-// seeded-random jitter of [0, Jitter] extra rounds per packet.
-type LinkDelay struct {
-	Rounds, Jitter int
-}
-
 // Sim is a deterministic simulated radio network. Nodes attach to it to
 // obtain endpoints; the emulator (or a test) drives time by calling
-// Step, which delivers every packet sent at least Faults.Delay steps
-// earlier. Topology edits notify the attached handlers immediately.
+// Step, which delivers every packet whose latency has elapsed (at least
+// one Step). Topology edits notify the attached handlers immediately.
 //
 // Determinism: Step delivers on the calling goroutine in due order, loss
 // is drawn from a seeded source in a deterministic merge order, and
@@ -140,14 +95,12 @@ type stagedSend struct {
 // NewSim creates a simulated network over the given (shared, live)
 // topology graph.
 func NewSim(g *topology.Graph, cfg SimConfig) *Sim {
-	s := &Sim{
+	return &Sim{
 		cfg:      cfg,
 		graph:    g,
 		handlers: make(map[tuple.NodeID]Handler),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	s.SetFaults(Faults{Loss: cfg.Loss, Dup: cfg.Dup, Delay: cfg.LatencyRounds})
-	return s
 }
 
 // Graph returns the underlying topology graph.
@@ -156,9 +109,6 @@ func (s *Sim) Graph() *topology.Graph { return s.graph }
 // SetFaults replaces the radio's whole fault state (failure
 // injection). Already queued packets keep their due round.
 func (s *Sim) SetFaults(f Faults) {
-	if f.Delay < 1 {
-		f.Delay = 1
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.faults = f
@@ -395,58 +345,26 @@ func (s *Sim) send(from, to tuple.NodeID, data []byte) {
 	s.commitSendLocked(from, to, data)
 }
 
-// commitSendLocked queues one transmission, applying the fault model in
-// a fixed order so seeded runs stay bit-identical: per-link (or global)
-// loss, duplication, per-link delay and jitter, corruption, and the
-// bounded-inbound shed policy. Every random decision draws from the
-// seeded rng under mu, and draws happen only for enabled features, so
-// disabling a fault leaves the rng sequence of the remaining ones
-// untouched.
+// commitSendLocked queues the copies Faults.Fate lets through, each after
+// the bounded-inbound shed policy. Fate draws from the seeded rng under
+// mu in one fixed order, so seeded runs stay bit-identical.
 func (s *Sim) commitSendLocked(from, to tuple.NodeID, data []byte) {
-	f := &s.faults
-	loss := f.Loss
-	if len(f.LinkLoss) != 0 {
-		if p, ok := f.LinkLoss[Link{From: from, To: to}]; ok {
-			loss = p
-		}
-	}
-	if loss > 0 && s.rng.Float64() < loss {
-		s.stats.Dropped++
-		s.stats.Sent++
-		s.stats.PayloadBytes += int64(len(data))
-		return
-	}
 	s.stats.Sent++
 	s.stats.PayloadBytes += int64(len(data))
-	copies := 1
-	if f.Dup > 0 && s.rng.Float64() < f.Dup {
-		copies = 2
+	var copies [2]Copy
+	n := s.faults.Fate(s.rng, Link{From: from, To: to}, data, 0, &copies)
+	if n == 0 {
+		s.stats.Dropped++
 	}
-	delay, jitter := f.Delay, 0
-	if len(f.LinkDelay) != 0 {
-		if d, ok := f.LinkDelay[Link{From: from, To: to}]; ok {
-			delay, jitter = d.Rounds, d.Jitter
-		}
-	}
-	for i := 0; i < copies; i++ {
-		pdata := data
-		if f.Corrupt > 0 && s.rng.Float64() < f.Corrupt {
-			pdata = CorruptBytes(s.rng, data)
+	for i := range n {
+		c := &copies[i]
+		if c.Corrupted {
 			s.stats.Corrupted++
-		}
-		dueRound := delay
-		if jitter > 0 {
-			dueRound += s.rng.Intn(jitter + 1)
 		}
 		if s.cfg.MaxInbound > 0 {
 			s.shedOldestLocked(to)
 		}
-		s.inflight = append(s.inflight, simPacket{
-			from:     from,
-			to:       to,
-			data:     pdata,
-			dueRound: dueRound,
-		})
+		s.inflight = append(s.inflight, simPacket{from: from, to: to, data: c.Data, dueRound: c.Delay})
 	}
 }
 
@@ -482,23 +400,6 @@ func clearPacketTail(buf []simPacket, n int) {
 	for i := n; i < len(buf); i++ {
 		buf[i] = simPacket{}
 	}
-}
-
-// CorruptBytes returns a copy of data with 1–3 random byte flips drawn
-// from rng, for feeding corrupted frames through real wire decoders.
-// The input slice is never modified (packet payloads are shared with
-// sender-side encoding caches).
-func CorruptBytes(rng *rand.Rand, data []byte) []byte {
-	out := make([]byte, len(data))
-	copy(out, data)
-	if len(out) == 0 {
-		return out
-	}
-	flips := 1 + rng.Intn(3)
-	for i := 0; i < flips; i++ {
-		out[rng.Intn(len(out))] ^= byte(1 + rng.Intn(255))
-	}
-	return out
 }
 
 // SimEndpoint is one node's attachment to a Sim network.

@@ -55,12 +55,8 @@ func (f *forwarder) snapshot() []string {
 // Stats plus each node's received-packet sequence.
 func runForwardingStorm() (Stats, map[tuple.NodeID][]string) {
 	g := topology.Grid(5, 5, 1)
-	s := NewSim(g, SimConfig{
-		Loss:    0.15,
-		Dup:     0.1,
-		Shuffle: true,
-		Seed:    7,
-	})
+	s := NewSim(g, SimConfig{Shuffle: true, Seed: 7})
+	s.SetFaults(Faults{Loss: 0.15, Dup: 0.1})
 	fwds := make(map[tuple.NodeID]*forwarder)
 	for _, id := range g.Nodes() {
 		f := &forwarder{}
@@ -145,7 +141,8 @@ func TestStepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // runs out of memory.
 func TestSimConcurrentAttachStepSend(t *testing.T) {
 	g := topology.Grid(4, 4, 1)
-	s := NewSim(g, SimConfig{Loss: 0.1, Dup: 0.1, Shuffle: true, Seed: 3, MaxInbound: 64})
+	s := NewSim(g, SimConfig{Shuffle: true, Seed: 3, MaxInbound: 64})
+	s.SetFaults(Faults{Loss: 0.1, Dup: 0.1})
 	eps := make([]*SimEndpoint, 0, 16)
 	for _, id := range g.Nodes() {
 		f := &forwarder{}

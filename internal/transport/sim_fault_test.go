@@ -146,7 +146,7 @@ func TestFaultCorruptBytesChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	for i := 0; i < 100; i++ {
-		out := CorruptBytes(rng, data)
+		out := CorruptBytes(rng, data, 0)
 		if len(out) != len(data) {
 			t.Fatalf("length changed: %d != %d", len(out), len(data))
 		}
@@ -161,13 +161,14 @@ func TestFaultCorruptBytesChanges(t *testing.T) {
 			t.Fatalf("iteration %d: no byte changed", i)
 		}
 	}
-	if out := CorruptBytes(rng, nil); len(out) != 0 {
+	if out := CorruptBytes(rng, nil, 0); len(out) != 0 {
 		t.Errorf("nil input produced %d bytes", len(out))
 	}
 }
 
 func TestFaultShedOldestBoundsInbound(t *testing.T) {
-	s, eps, recs := newTriangle(t, SimConfig{MaxInbound: 3, LatencyRounds: 2})
+	s, eps, recs := newTriangle(t, SimConfig{MaxInbound: 3})
+	s.SetFaults(Faults{Delay: 2})
 	for i := 0; i < 8; i++ {
 		if err := eps["a"].Send("b", []byte{byte('0' + i)}); err != nil {
 			t.Fatalf("Send: %v", err)

@@ -183,7 +183,8 @@ func TestPacketAcrossBrokenLinkDropped(t *testing.T) {
 }
 
 func TestLatencyRounds(t *testing.T) {
-	s, eps, recs := newTriangle(t, SimConfig{LatencyRounds: 3})
+	s, eps, recs := newTriangle(t, SimConfig{})
+	s.SetFaults(Faults{Delay: 3})
 	if err := eps["a"].Send("b", []byte("x")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -200,7 +201,8 @@ func TestLatencyRounds(t *testing.T) {
 
 func TestLossIsAppliedAndDeterministic(t *testing.T) {
 	run := func() Stats {
-		s, eps, _ := newTriangle(t, SimConfig{Loss: 0.5, Seed: 42})
+		s, eps, _ := newTriangle(t, SimConfig{Seed: 42})
+		s.SetFaults(Faults{Loss: 0.5})
 		for i := 0; i < 200; i++ {
 			if err := eps["a"].Send("b", []byte{byte(i)}); err != nil {
 				t.Fatalf("Send: %v", err)

@@ -94,14 +94,14 @@ func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1303))
 	if data, err := Encode(Message{Type: MsgTuple, Hop: 2, Parent: "p", Tuple: ft}); err == nil {
 		for i := 0; i < 8; i++ {
-			f.Add(transport.CorruptBytes(rng, data))
+			f.Add(transport.CorruptBytes(rng, data, 0))
 		}
 	}
 	if data, err := Encode(Message{Type: MsgDigest, Digest: []DigestEntry{
 		{ID: tuple.ID{Node: "a", Seq: 1}, Ver: 3, Hop: 1, Maintained: true, Value: 2},
 	}}); err == nil {
 		for i := 0; i < 8; i++ {
-			f.Add(transport.CorruptBytes(rng, data))
+			f.Add(transport.CorruptBytes(rng, data, 0))
 		}
 	}
 	// Aggregation frames: an epoch wave and partials with and without
@@ -109,7 +109,7 @@ func FuzzDecode(f *testing.F) {
 	if data, err := Encode(Message{Type: MsgQuery, Hop: 3, ID: tuple.ID{Node: "root", Seq: 4}, Epoch: 17}); err == nil {
 		f.Add(data)
 		for i := 0; i < 8; i++ {
-			f.Add(transport.CorruptBytes(rng, data))
+			f.Add(transport.CorruptBytes(rng, data, 0))
 		}
 	}
 	plain := agg.NewPartial()
@@ -117,7 +117,7 @@ func FuzzDecode(f *testing.F) {
 	if data, err := Encode(Message{Type: MsgPartial, ID: tuple.ID{Node: "root", Seq: 4}, Epoch: 17, Partial: plain}); err == nil {
 		f.Add(data)
 		for i := 0; i < 8; i++ {
-			f.Add(transport.CorruptBytes(rng, data))
+			f.Add(transport.CorruptBytes(rng, data, 0))
 		}
 	}
 	sketched := agg.NewPartial()
@@ -129,7 +129,7 @@ func FuzzDecode(f *testing.F) {
 	}); err == nil {
 		f.Add(data)
 		for i := 0; i < 8; i++ {
-			f.Add(transport.CorruptBytes(rng, data))
+			f.Add(transport.CorruptBytes(rng, data, 0))
 		}
 	}
 
