@@ -420,6 +420,9 @@ func aggregateScenario(w, h int, epochs int, env *obsEnv) error {
 	st := world.TotalStats()
 	fmt.Printf("final sum=%g (oracle %g) after %d epochs; partials sent=%d combined=%d\n",
 		final.Value(), oracle, epochs, st.PartialsOut, st.PartialsCombined)
+	if final.Value() != oracle {
+		return fmt.Errorf("aggregate: final sum %g differs from the oracle %g", final.Value(), oracle)
+	}
 	return nil
 }
 

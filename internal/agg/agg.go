@@ -8,7 +8,7 @@
 //
 // The package is a leaf: it defines the aggregate algebra (Op, Partial,
 // Sketch) and the Query tuple kind; internal/wire frames Partial on the
-// air and internal/core runs the epoch clock.
+// air and internal/core runs the convergecast on the refresh epoch.
 package agg
 
 import (
@@ -161,7 +161,7 @@ func (p Partial) Value(op Op) float64 {
 type Result struct {
 	// Op is the query's aggregate op.
 	Op Op
-	// Epoch is the convergecast epoch the result was computed on.
+	// Epoch numbers the source refresh epoch the result was computed on.
 	Epoch uint32
 	// Partial is the full combined state (all moments).
 	Partial Partial

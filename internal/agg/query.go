@@ -14,8 +14,9 @@ const KindQuery = "tota:agg-query"
 // tuple: injected at the querying node it spreads breadth-first within
 // Scope, and the parent link each stored copy keeps (the neighbor it
 // adopted its value from) doubles as the convergecast tree edge. The
-// engine then runs the epoch clock: the source floods an epoch wave and
-// every node forwards one combined Partial up its parent per epoch.
+// engine then runs the convergecast on the structure's own refresh
+// epoch: every node forwards one combined Partial up its parent per
+// epoch, and the source folds its children's into a Result.
 //
 // Content layout: (name, _op, _selkind, _selname, _selfield, _collect,
 // _val, _step, _scope, _lease).

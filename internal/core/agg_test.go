@@ -111,9 +111,9 @@ func TestAggPartialRedeliveryIsIdempotent(t *testing.T) {
 	// the duplicate-insensitivity argument for the exact aggregates.
 	g := topology.Line(2)
 	tn := newTestNet(t, g)
-	src := topology.NodeName(0)
-	injectReading(t, tn, topology.NodeName(0), 10)
-	injectReading(t, tn, topology.NodeName(1), 20)
+	src, child := topology.NodeName(0), topology.NodeName(1)
+	injectReading(t, tn, src, 10)
+	injectReading(t, tn, child, 20)
 	id := injectQuery(t, tn, src, agg.NewQuery("sum", agg.Sum, readingSel))
 	for i := 0; i < 4; i++ {
 		refreshAll(tn)
@@ -123,26 +123,71 @@ func TestAggPartialRedeliveryIsIdempotent(t *testing.T) {
 		t.Fatalf("baseline sum = %+v, %v (want 30)", res, ok)
 	}
 
-	// A fabricated child reports count=1 sum=100 — delivered three
-	// times. The fold must absorb exactly one copy.
+	// A partial reporting count=1 sum=100.
 	p := agg.NewPartial()
 	p.Observe(agg.Sum, 100)
-	frame, err := wire.Encode(wire.Message{
-		Type: wire.MsgPartial, ID: id, Epoch: res.Epoch, Partial: p,
-	})
+	frame, err := wire.Encode(wire.Message{Type: wire.MsgPartial, ID: id, Partial: p})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
+
+	// From a node that is not a child in the query's tree, it is not
+	// folded at all.
 	for i := 0; i < 3; i++ {
 		tn.node(src).HandlePacket("phantom", frame)
 	}
 	refreshAll(tn)
 	res, _ = tn.node(src).AggResult(id)
-	if res.Value() != 130 {
-		t.Errorf("sum after triple redelivery = %v, want 130", res.Value())
+	if res.Value() != 30 || res.Partial.Count != 2 {
+		t.Errorf("after a non-child's partial: sum=%v count=%d, want 30 and 2", res.Value(), res.Partial.Count)
 	}
-	if res.Partial.Count != 3 {
-		t.Errorf("count after triple redelivery = %d, want 3", res.Partial.Count)
+
+	// From the real child, delivered three times, exactly one copy
+	// takes the child's slot.
+	for i := 0; i < 3; i++ {
+		tn.node(src).HandlePacket(child, frame)
+	}
+	tn.node(src).Refresh()
+	tn.quiesce()
+	res, _ = tn.node(src).AggResult(id)
+	if res.Value() != 110 {
+		t.Errorf("sum after triple redelivery = %v, want 110", res.Value())
+	}
+	if res.Partial.Count != 2 {
+		t.Errorf("count after triple redelivery = %d, want 2", res.Partial.Count)
+	}
+}
+
+func TestAggReparentDoesNotOverCount(t *testing.T) {
+	// A child that re-parents leaves its old parent's fold as soon as
+	// its support row names the new parent, so the source never counts
+	// the moved subtree twice.
+	g := topology.Ring(4)
+	tn := newTestNet(t, g)
+	src := topology.NodeName(0)
+	for i := 0; i < 4; i++ {
+		injectReading(t, tn, topology.NodeName(i), 1)
+	}
+	id := injectQuery(t, tn, src, agg.NewQuery("sum", agg.Sum, readingSel))
+	for i := 0; i < 6; i++ {
+		refreshAll(tn)
+	}
+	if res, _ := tn.node(src).AggResult(id); res.Value() != 4 || res.Partial.Count != 4 {
+		t.Fatalf("settled sum=%v count=%d, want 4 and 4", res.Value(), res.Partial.Count)
+	}
+
+	tn.sim.RemoveEdge(src, topology.NodeName(1))
+	tn.quiesce()
+	var res agg.Result
+	for epoch := 1; epoch <= 12; epoch++ {
+		refreshAll(tn)
+		res, _ = tn.node(src).AggResult(id)
+		if res.Value() > 4 || res.Partial.Count > 4 {
+			t.Errorf("epoch %d after the cut: sum=%v count=%d, want at most 4", epoch, res.Value(), res.Partial.Count)
+		}
+	}
+	if res.Value() != 4 || res.Partial.Count != 4 {
+		t.Errorf("final sum=%v count=%d, want 4 and 4", res.Value(), res.Partial.Count)
 	}
 }
 

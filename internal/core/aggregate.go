@@ -9,25 +9,28 @@ import (
 )
 
 // In-network aggregation: an agg.Query tuple propagates like any
-// maintained gradient, and the parent link each stored copy keeps is
-// reused as a convergecast tree edge. The engine adds the epoch clock
-// on top of the refresh cycle:
+// maintained gradient, and the convergecast runs on that structure's
+// own clock and tree instead of keeping copies of them:
 //
-//   - Each refresh, every source query increments its epoch and floods
-//     a compact MsgQuery wave down the structure (each storing node
-//     re-broadcasts it once per epoch, hop-bounded).
-//   - Each refresh, every non-source storing node folds its local
-//     matching tuples with the fresh partials staged from its children
-//     and unicasts one MsgPartial up its parent link (collect-all mode
-//     forwards one record per origin instead — the naive baseline).
+//   - The clock is the refresh epoch. Each refresh, every non-source
+//     storing node folds its local matching tuples with the fresh
+//     partials staged from its children and unicasts one MsgPartial up
+//     its parent link (collect-all mode forwards one record per origin
+//     instead — the naive baseline), and every source folds its
+//     children's partials into that epoch's result.
+//   - The tree is the support table. A child's partial is staged, and
+//     later folded, only while the query's support row for that child
+//     names this node as its parent: a re-parented child leaves the fold
+//     as soon as its new parent is heard, a departed one when its row is
+//     dropped with the neighbor.
 //   - Child partials are overwrite-staged by (child, origin) key, so a
 //     duplicated or re-propagated frame lands on the same slot and the
 //     fold stays duplicate-insensitive for the exact aggregates;
 //     CountDistinct additionally rides a bitwise-OR sketch that ignores
 //     duplication entirely.
-//   - A staged partial whose epoch falls more than staleEpochs plus the
-//     suspicion grace window behind the node's current epoch is pruned:
-//     a crashed child times out of the fold instead of stalling it.
+//   - A staged partial is stamped with the receiver's refresh epoch, as
+//     a support row is, and pruned aggStaleLimit epochs later: a crashed
+//     child times out of the fold instead of stalling it.
 //
 // Results pipeline upward one hop per epoch (TAG-style), so the source
 // converges after roughly depth epochs and every epoch thereafter
@@ -41,8 +44,8 @@ type aggKey struct {
 	origin tuple.ID
 }
 
-// stagedPartial is a child's latest contribution and the epoch it was
-// computed on.
+// stagedPartial is a child's latest contribution and the local refresh
+// epoch it arrived in.
 type stagedPartial struct {
 	epoch uint32
 	p     agg.Partial
@@ -50,8 +53,7 @@ type stagedPartial struct {
 
 // queryState is the per-query convergecast bookkeeping at one node.
 type queryState struct {
-	// epoch is the newest epoch wave heard (at the source: the current
-	// epoch, advanced locally on refresh).
+	// epoch numbers the source's results; other nodes leave it zero.
 	epoch uint32
 	// staged holds the children's latest partials, overwrite-staged.
 	staged map[aggKey]stagedPartial
@@ -94,7 +96,7 @@ func (n *Node) dropQueryStateLocked(id tuple.ID) {
 // aggQueryOf returns the locally known query tuple behind a seen id, if
 // any: the stored copy, or the retained exemplar after a withdrawal.
 // Gating on it bounds query state to ids that verifiably are queries —
-// a hostile wave naming an arbitrary id allocates nothing.
+// a hostile partial naming an arbitrary id allocates nothing.
 func aggQueryOf(st *tupleState) (*agg.Query, bool) {
 	if q, ok := st.local.(*agg.Query); ok {
 		return q, true
@@ -105,33 +107,12 @@ func aggQueryOf(st *tupleState) (*agg.Query, bool) {
 	return nil, false
 }
 
-// handleQueryLocked processes an epoch wave: adopt a newer epoch and
-// re-broadcast the wave once, hop-bounded, if this node carries the
-// query structure.
-func (n *Node) handleQueryLocked(from tuple.NodeID, msg *wire.Message) {
-	n.stats.QueriesIn.Add(1)
-	st := n.states.lookup(msg.ID)
-	if st == nil {
-		return
-	}
-	if _, isQ := aggQueryOf(st); !isQ {
-		return
-	}
-	qs := n.queryStateFor(msg.ID)
-	if msg.Epoch <= qs.epoch {
-		return
-	}
-	qs.epoch = msg.Epoch
-	if !st.has(stStored) || st.has(stSource) {
-		return
-	}
-	hop := int(msg.Hop) + 1
-	if hop > n.cfg.MaxHops {
-		return
-	}
-	n.sendMsgLocked("", wire.Message{
-		Type: wire.MsgQuery, ID: msg.ID, Epoch: msg.Epoch, Hop: clampHop(hop),
-	})
+// aggChild reports whether child is this node's convergecast child in
+// the structure st: its support row exists and names this node as its
+// parent.
+func (n *Node) aggChild(st *tupleState, child tuple.NodeID) bool {
+	p := st.peer(child)
+	return p != nil && p.parent == n.id
 }
 
 // handlePartialLocked overwrite-stages a child's contribution. Staging
@@ -141,20 +122,17 @@ func (n *Node) handleQueryLocked(from tuple.NodeID, msg *wire.Message) {
 func (n *Node) handlePartialLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.PartialsIn.Add(1)
 	st := n.states.lookup(msg.ID)
-	if st == nil {
+	if st == nil || !n.aggChild(st, from) {
 		return
 	}
 	if _, isQ := aggQueryOf(st); !isQ {
 		return
 	}
 	qs := n.queryStateFor(msg.ID)
-	if msg.Epoch+aggStaleLimit < qs.epoch {
-		return
-	}
 	if qs.staged == nil {
 		qs.staged = make(map[aggKey]stagedPartial)
 	}
-	qs.staged[aggKey{child: from, origin: msg.Origin}] = stagedPartial{epoch: msg.Epoch, p: msg.Partial}
+	qs.staged[aggKey{child: from, origin: msg.Origin}] = stagedPartial{epoch: uint32(n.epoch), p: msg.Partial}
 }
 
 // aggStaleLimit is the staged-partial freshness horizon in epochs:
@@ -164,19 +142,20 @@ func (n *Node) handlePartialLocked(from tuple.NodeID, msg *wire.Message) {
 // right after its copies would be withdrawn.
 const aggStaleLimit = staleEpochs + suspicionEpochs
 
-// aggStageWavesLocked runs the source side of the epoch clock during
-// refresh: advance each stored source query's epoch, stage its wave
-// into the refresh broadcast flush, and fold the children's partials
-// into this epoch's result. Queries are walked in sorted id order so
+// aggEpochLocked runs the convergecast step of one refresh epoch: every
+// stored source query folds its children's partials into the epoch's
+// result, and every other stored query with a parent link sends its
+// contribution up that link — one combined partial, or one record per
+// origin in collect-all mode. Queries are walked in sorted id order so
 // floating-point folds are identical across runs and worker counts.
-func (n *Node) aggStageWavesLocked() {
+func (n *Node) aggEpochLocked() {
 	if len(n.aggScratch) == 0 {
 		return
 	}
 	sortTupleIDs(n.aggScratch)
 	for _, id := range n.aggScratch {
 		st := n.states.lookup(id)
-		if st == nil || !st.has(stStored) || !st.has(stSource) {
+		if st == nil || !st.has(stStored) {
 			continue
 		}
 		q, ok := st.local.(*agg.Query)
@@ -184,59 +163,34 @@ func (n *Node) aggStageWavesLocked() {
 			continue
 		}
 		qs := n.queryStateFor(id)
-		qs.epoch++
-		n.stats.QueryEpochs.Add(1)
-		data, err := wire.Encode(wire.Message{Type: wire.MsgQuery, ID: id, Epoch: qs.epoch})
-		if err != nil {
-			n.noteSendError("query encode", err)
-		} else {
-			n.stageMsgs = append(n.stageMsgs, data)
-		}
-		p := n.aggFoldLocked(q, qs)
-		qs.result = agg.Result{Op: q.Op, Epoch: qs.epoch, Partial: p}
-		qs.haveResult = true
-		n.stats.AggResults.Add(1)
-		n.traceLocked(TraceEvent{
-			Kind: TraceAggResult, ID: id, TupleKind: agg.KindQuery,
-			Hop: int(qs.epoch), Value: p.Value(q.Op),
-		})
-	}
-}
-
-// aggFlushPartialsLocked runs the convergecast side of the epoch clock
-// during refresh: every stored non-source query with a parent link
-// sends its contribution up that link — one combined partial, or one
-// record per origin in collect-all mode.
-func (n *Node) aggFlushPartialsLocked() {
-	for _, id := range n.aggScratch {
-		st := n.states.lookup(id)
-		if st == nil || !st.has(stStored) || st.has(stSource) || st.parent == "" {
-			continue
-		}
-		q, ok := st.local.(*agg.Query)
-		if !ok {
-			continue
-		}
-		qs := n.queryStateFor(id)
-		if qs.epoch == 0 {
-			// No wave has reached this node yet; partials would carry no
-			// usable epoch.
-			continue
-		}
-		if q.Collect {
-			for _, r := range n.aggCollectRecsLocked(q, qs) {
-				n.stageAggPartialLocked(id, qs.epoch, r.origin, r.p)
+		switch {
+		case st.has(stSource):
+			qs.epoch++
+			n.stats.QueryEpochs.Add(1)
+			p := n.aggFoldLocked(q, st, qs)
+			qs.result = agg.Result{Op: q.Op, Epoch: qs.epoch, Partial: p}
+			qs.haveResult = true
+			n.stats.AggResults.Add(1)
+			n.traceLocked(TraceEvent{
+				Kind: TraceAggResult, ID: id, TupleKind: agg.KindQuery,
+				Hop: int(qs.epoch), Value: p.Value(q.Op),
+			})
+		case st.parent != "":
+			if q.Collect {
+				for _, r := range n.aggCollectRecsLocked(q, st, qs) {
+					n.stageAggPartialLocked(id, r.origin, r.p)
+				}
+			} else {
+				n.stageAggPartialLocked(id, tuple.ID{}, n.aggFoldLocked(q, st, qs))
 			}
-		} else {
-			n.stageAggPartialLocked(id, qs.epoch, tuple.ID{}, n.aggFoldLocked(q, qs))
+			n.flushStagedLocked(st.parent)
 		}
-		n.flushStagedLocked(st.parent)
 	}
 }
 
-func (n *Node) stageAggPartialLocked(id tuple.ID, epoch uint32, origin tuple.ID, p agg.Partial) {
+func (n *Node) stageAggPartialLocked(id, origin tuple.ID, p agg.Partial) {
 	data, err := wire.Encode(wire.Message{
-		Type: wire.MsgPartial, ID: id, Epoch: epoch, Origin: origin, Partial: p,
+		Type: wire.MsgPartial, ID: id, Origin: origin, Partial: p,
 	})
 	if err != nil {
 		n.noteSendError("partial encode", err)
@@ -249,10 +203,10 @@ func (n *Node) stageAggPartialLocked(id tuple.ID, epoch uint32, origin tuple.ID,
 // aggFoldLocked combines the local matching tuples with the fresh
 // staged child partials into one partial — the node's whole-subtree
 // summary (and, at the source, the query answer).
-func (n *Node) aggFoldLocked(q *agg.Query, qs *queryState) agg.Partial {
+func (n *Node) aggFoldLocked(q *agg.Query, st *tupleState, qs *queryState) agg.Partial {
 	p := agg.NewPartial()
 	if q.Collect {
-		for _, r := range n.aggCollectRecsLocked(q, qs) {
+		for _, r := range n.aggCollectRecsLocked(q, st, qs) {
 			p.Combine(r.p)
 			n.stats.PartialsCombined.Add(1)
 		}
@@ -261,7 +215,7 @@ func (n *Node) aggFoldLocked(q *agg.Query, qs *queryState) agg.Partial {
 	n.aggLocalLocked(q, func(_ tuple.ID, v float64) {
 		p.Observe(q.Op, v)
 	})
-	for _, k := range n.aggFreshKeysLocked(qs) {
+	for _, k := range n.aggFreshKeysLocked(st, qs) {
 		p.Combine(qs.staged[k].p)
 		n.stats.PartialsCombined.Add(1)
 	}
@@ -284,12 +238,14 @@ func (n *Node) aggLocalLocked(q *agg.Query, each func(origin tuple.ID, v float64
 }
 
 // aggFreshKeysLocked prunes staged entries past the staleness horizon
-// (their child crashed, departed, or re-parented elsewhere) and returns
-// the surviving keys sorted by (child, origin), fixing the fold order.
-func (n *Node) aggFreshKeysLocked(qs *queryState) []aggKey {
+// (their child crashed or went silent) or from a neighbor that is no
+// longer this node's child in st (it re-parented elsewhere or departed),
+// and returns the surviving keys sorted by (child, origin), fixing the
+// fold order.
+func (n *Node) aggFreshKeysLocked(st *tupleState, qs *queryState) []aggKey {
 	keys := qs.keyScratch[:0]
 	for k, sp := range qs.staged {
-		if sp.epoch+aggStaleLimit < qs.epoch {
+		if sp.epoch+aggStaleLimit < uint32(n.epoch) || !n.aggChild(st, k.child) {
 			delete(qs.staged, k)
 			continue
 		}
@@ -312,14 +268,14 @@ func (n *Node) aggFreshKeysLocked(qs *queryState) []aggKey {
 // matching tuple as a single-sample record under its own id, plus every
 // fresh record relayed by children, deduplicated by origin (sorted key
 // order makes the dedup winner deterministic) and returned sorted.
-func (n *Node) aggCollectRecsLocked(q *agg.Query, qs *queryState) []originRec {
+func (n *Node) aggCollectRecsLocked(q *agg.Query, st *tupleState, qs *queryState) []originRec {
 	byOrigin := make(map[tuple.ID]agg.Partial)
 	n.aggLocalLocked(q, func(origin tuple.ID, v float64) {
 		p := agg.NewPartial()
 		p.Observe(q.Op, v)
 		byOrigin[origin] = p
 	})
-	for _, k := range n.aggFreshKeysLocked(qs) {
+	for _, k := range n.aggFreshKeysLocked(st, qs) {
 		if k.origin.IsZero() {
 			continue // combining-mode leftovers from a mode change
 		}
@@ -336,19 +292,6 @@ func (n *Node) aggCollectRecsLocked(q *agg.Query, qs *queryState) []originRec {
 		return recs[i].origin.Seq < recs[j].origin.Seq
 	})
 	return recs
-}
-
-// aggForgetChildLocked drops every staged contribution from a departed
-// neighbor: its subtree re-parents elsewhere and re-reports there, so
-// keeping the stale slot would double-count until the staleness horizon.
-func (n *Node) aggForgetChildLocked(peer tuple.NodeID) {
-	for _, qs := range n.queries {
-		for k := range qs.staged {
-			if k.child == peer {
-				delete(qs.staged, k)
-			}
-		}
-	}
 }
 
 func sortTupleIDs(ids []tuple.ID) {

@@ -322,8 +322,6 @@ func (n *Node) handleMsgLocked(from tuple.NodeID, msg *wire.Message) {
 		n.handleDigestLocked(from, msg)
 	case wire.MsgPull:
 		n.handlePullLocked(from, msg)
-	case wire.MsgQuery:
-		n.handleQueryLocked(from, msg)
 	case wire.MsgPartial:
 		n.handlePartialLocked(from, msg)
 	}
@@ -970,7 +968,6 @@ func (n *Node) handleNeighborRemovedLocked(peer tuple.NodeID) {
 	if !n.removeNbrLocked(peer) {
 		return
 	}
-	n.aggForgetChildLocked(peer)
 	// Re-check every maintained structure that counted the lost peer,
 	// and forget what the peer last heard: if it returns, the digest
 	// protocol restarts from scratch for it. The slab walk visits states
@@ -1089,11 +1086,10 @@ func (n *Node) refreshLocked() int {
 		count += n.stageRefreshLocked(st)
 	}
 	n.stageDigestsLocked()
-	// Source queries ride the epoch's broadcast flush with their wave;
-	// convergecast partials go out afterwards as parent-link unicasts.
-	n.aggStageWavesLocked()
 	n.flushStagedLocked("")
-	n.aggFlushPartialsLocked()
+	// Convergecast partials go out after the broadcast flush, as
+	// parent-link unicasts.
+	n.aggEpochLocked()
 	return count
 }
 

@@ -35,7 +35,6 @@ type counters[C any] struct {
 	SuspectRecovered  C `metric:"tota_suspect_recovered_total" help:"Suspicions cancelled by returning support."`
 	PullsSuppressed   C `metric:"tota_pulls_suppressed_total" help:"Anti-entropy pulls skipped by backoff."`
 	QueryEpochs       C `metric:"tota_query_epochs_total" help:"Convergecast epochs started by locally sourced queries."`
-	QueriesIn         C `metric:"tota_queries_in_total" help:"Query epoch-wave messages received."`
 	PartialsOut       C `metric:"tota_partials_out_total" help:"Partial aggregates sent up parent links."`
 	PartialsIn        C `metric:"tota_partials_in_total" help:"Partial aggregates received from children."`
 	PartialsCombined  C `metric:"tota_partials_combined_total" help:"Child partials folded into local aggregates."`
@@ -44,7 +43,7 @@ type counters[C any] struct {
 
 // fields lists c's counters in declaration order (a test holds it to
 // the struct).
-func (c *counters[C]) fields() [32]*C {
+func (c *counters[C]) fields() [31]*C {
 	return [...]*C{
 		&c.Injected, &c.PacketsIn, &c.Stored, &c.Superseded, &c.DupDropped,
 		&c.TTLDropped, &c.Retracted, &c.MaintAdopt, &c.MaintDrop,
@@ -53,8 +52,7 @@ func (c *counters[C]) fields() [32]*C {
 		&c.DigestsOut, &c.DigestsIn, &c.PullsOut, &c.PullsIn,
 		&c.RefreshAnnounced, &c.RefreshSuppressed, &c.Suspected,
 		&c.SuspectRecovered, &c.PullsSuppressed, &c.QueryEpochs,
-		&c.QueriesIn, &c.PartialsOut, &c.PartialsIn, &c.PartialsCombined,
-		&c.AggResults,
+		&c.PartialsOut, &c.PartialsIn, &c.PartialsCombined, &c.AggResults,
 	}
 }
 
@@ -64,7 +62,7 @@ func (c *counters[C]) fields() [32]*C {
 // with their metric names and meanings, in counters.
 type Stats counters[int64]
 
-func (s *Stats) fields() [32]*int64 { return (*counters[int64])(s).fields() }
+func (s *Stats) fields() [31]*int64 { return (*counters[int64])(s).fields() }
 
 // Add returns the field-wise sum of two stats snapshots.
 func (s Stats) Add(o Stats) Stats {

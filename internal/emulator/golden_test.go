@@ -176,10 +176,11 @@ func runLargeScenario(seed int64) scenarioRun {
 // one engine configuration: flipping only that default (cap 6) moves
 // them, while refresh-only suspicion and dropping quarantine leave them
 // unchanged. They moved again, with no engine behaviour changed, when
-// the access-policy counter left the Stats the digest prints.
+// the access-policy counter left the Stats the digest prints, and once
+// more when the query-wave counter did.
 const (
-	mobileGolden = "9418bd90b3d79389d912ea86478a634471c6ae36361ffb26f764c9f6e005340d"
-	largeGolden  = "bfc998e837f736187b4f48591a0124b98327056c0ca26b306c29c302a67badef"
+	mobileGolden = "71e27af70ebe2081567473a6e10327c89c26b9668bb9c416f55f58a04a335285"
+	largeGolden  = "f059b26879c345901c651c16b378fb31b32d5168ca9f66583eac83c8b645f37a"
 )
 
 // TestMobileScenarioGolden: the same seed and topology reproduce the

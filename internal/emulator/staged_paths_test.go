@@ -97,8 +97,10 @@ func (r stagedPathsRun) digest() string {
 // entered only from refresh, and dropping quarantine. Pull backoff does
 // not, because the scenario already ran it at cap 6. It moved again,
 // with no engine behaviour changed, when the access-policy counter left
-// the Stats the digest prints.
-const stagedPathsGolden = "d194ee10a00dde63ebecdd6a8b78c869a5d0d65532d39813ed2b4c8b4e1a21ee"
+// the Stats the digest prints. It moved again when aggregation dropped
+// its epoch wave and began folding only children named by the support
+// rows: fewer frames, and partials from the first epoch on.
+const stagedPathsGolden = "812ebab8f0887376e1117e0b235a0ca1138cc826649d5bffb7d06c3c70679afa"
 
 // TestStagedSendPathsDeterministic pins the determinism of the
 // auxiliary staged-send path: aggregation partials. Their per-node

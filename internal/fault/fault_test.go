@@ -512,8 +512,9 @@ func runChaosScenario(seed int64) string {
 // that default (2 epochs, entered from refresh) moves it, while pull
 // backoff and dropping quarantine leave it unchanged. It moved again,
 // with no engine behaviour changed, when the access-policy counter left
-// the Stats the fingerprint prints.
-const chaosGolden = "55749686e36c9943c10c30785570d89cdb6b724308739c6d2973073322672775"
+// the Stats the fingerprint prints, and once more when the query-wave
+// counter did.
+const chaosGolden = "75a9157d30de2af69299c22fec0776f3375e19c7f20c7791c26de2b4e65a1d66"
 
 // TestFaultPlanGolden extends the emulator's same-seed-same-universe
 // guarantee to active fault injection: with loss, corruption,

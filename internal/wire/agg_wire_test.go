@@ -10,27 +10,6 @@ import (
 	"tota/internal/tuple"
 )
 
-func TestQueryMessageRoundTrip(t *testing.T) {
-	r := newWireRegistry(t)
-	msg := Message{
-		Type:  MsgQuery,
-		Hop:   3,
-		ID:    tuple.ID{Node: "root", Seq: 12},
-		Epoch: 41,
-	}
-	data, err := Encode(msg)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := Decode(r, data)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.Type != MsgQuery || got.Hop != 3 || got.ID != msg.ID || got.Epoch != 41 {
-		t.Errorf("got %+v", got)
-	}
-}
-
 func TestPartialMessageRoundTrip(t *testing.T) {
 	r := newWireRegistry(t)
 	p := agg.NewPartial()
@@ -41,7 +20,6 @@ func TestPartialMessageRoundTrip(t *testing.T) {
 		msg := Message{
 			Type:    MsgPartial,
 			ID:      tuple.ID{Node: "root", Seq: 12},
-			Epoch:   9,
 			Partial: p,
 		}
 		data, err := Encode(msg)
@@ -52,7 +30,7 @@ func TestPartialMessageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Decode: %v", err)
 		}
-		if got.Type != MsgPartial || got.ID != msg.ID || got.Epoch != 9 || !got.Origin.IsZero() {
+		if got.Type != MsgPartial || got.ID != msg.ID || !got.Origin.IsZero() {
 			t.Errorf("envelope = %+v", got)
 		}
 		if got.Partial != p {
@@ -67,7 +45,6 @@ func TestPartialMessageRoundTrip(t *testing.T) {
 		msg := Message{
 			Type:    MsgPartial,
 			ID:      tuple.ID{Node: "root", Seq: 12},
-			Epoch:   10,
 			Origin:  tuple.ID{Node: "leaf-7", Seq: 3},
 			Partial: sp,
 		}
@@ -105,15 +82,16 @@ func TestPartialMessageRoundTrip(t *testing.T) {
 
 func TestQueryPartialBatchable(t *testing.T) {
 	r := newWireRegistry(t)
-	q, err := Encode(Message{Type: MsgQuery, ID: tuple.ID{Node: "root", Seq: 1}, Epoch: 2})
-	if err != nil {
-		t.Fatalf("Encode query: %v", err)
-	}
-	pm, err := Encode(Message{Type: MsgPartial, ID: tuple.ID{Node: "root", Seq: 1}, Epoch: 2, Partial: agg.NewPartial()})
+	id := tuple.ID{Node: "root", Seq: 1}
+	combined, err := Encode(Message{Type: MsgPartial, ID: id, Partial: agg.NewPartial()})
 	if err != nil {
 		t.Fatalf("Encode partial: %v", err)
 	}
-	frame, err := EncodeBatch([][]byte{q, pm})
+	record, err := Encode(Message{Type: MsgPartial, ID: id, Origin: tuple.ID{Node: "leaf", Seq: 2}, Partial: agg.NewPartial()})
+	if err != nil {
+		t.Fatalf("Encode record: %v", err)
+	}
+	frame, err := EncodeBatch([][]byte{combined, record})
 	if err != nil {
 		t.Fatalf("EncodeBatch: %v", err)
 	}
@@ -121,7 +99,7 @@ func TestQueryPartialBatchable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if len(got.Batch) != 2 || got.Batch[0].Type != MsgQuery || got.Batch[1].Type != MsgPartial {
+	if len(got.Batch) != 2 || got.Batch[0].Type != MsgPartial || got.Batch[1].Origin.Node != "leaf" {
 		t.Fatalf("batch = %+v", got)
 	}
 }
@@ -160,7 +138,7 @@ func TestPartialRejectsBadSketchCounts(t *testing.T) {
 }
 
 func TestAggMsgTypeStrings(t *testing.T) {
-	if MsgQuery.String() != "query" || MsgPartial.String() != "partial" {
-		t.Errorf("names = %q, %q", MsgQuery.String(), MsgPartial.String())
+	if MsgPartial.String() != "partial" {
+		t.Errorf("name = %q", MsgPartial.String())
 	}
 }

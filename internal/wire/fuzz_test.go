@@ -104,17 +104,16 @@ func FuzzDecode(f *testing.F) {
 			f.Add(transport.CorruptBytes(rng, data, 0))
 		}
 	}
-	// Aggregation frames: an epoch wave and partials with and without
-	// the distinct sketch, plus injector-corrupted variants of each.
-	if data, err := Encode(Message{Type: MsgQuery, Hop: 3, ID: tuple.ID{Node: "root", Seq: 4}, Epoch: 17}); err == nil {
-		f.Add(data)
-		for i := 0; i < 8; i++ {
-			f.Add(transport.CorruptBytes(rng, data, 0))
-		}
+	// Aggregation frames: a retired epoch wave and partials with and
+	// without the distinct sketch, plus injector-corrupted variants of
+	// each.
+	f.Add(retiredQueryFrame)
+	for i := 0; i < 8; i++ {
+		f.Add(transport.CorruptBytes(rng, retiredQueryFrame, 0))
 	}
 	plain := agg.NewPartial()
 	plain.Observe(agg.Sum, 2.5)
-	if data, err := Encode(Message{Type: MsgPartial, ID: tuple.ID{Node: "root", Seq: 4}, Epoch: 17, Partial: plain}); err == nil {
+	if data, err := Encode(Message{Type: MsgPartial, ID: tuple.ID{Node: "root", Seq: 4}, Partial: plain}); err == nil {
 		f.Add(data)
 		for i := 0; i < 8; i++ {
 			f.Add(transport.CorruptBytes(rng, data, 0))
@@ -124,7 +123,7 @@ func FuzzDecode(f *testing.F) {
 	sketched.Observe(agg.CountDistinct, 1)
 	sketched.Observe(agg.CountDistinct, 2)
 	if data, err := Encode(Message{
-		Type: MsgPartial, ID: tuple.ID{Node: "root", Seq: 4}, Epoch: 18,
+		Type: MsgPartial, ID: tuple.ID{Node: "root", Seq: 4},
 		Origin: tuple.ID{Node: "leaf", Seq: 2}, Partial: sketched,
 	}); err == nil {
 		f.Add(data)
@@ -142,7 +141,6 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{
 		1, byte(MsgPartial), 0, 0, 0, 0, 0, 0, // header, empty parent
 		0, 1, 'n', 0, 0, 0, 0, 0, 0, 0, 1, // id
-		0, 0, 0, 1, // epoch
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // zero origin
 		1,                      // flags: sketch present
 		0, 0, 0, 0, 0, 0, 0, 0, // count

@@ -44,11 +44,9 @@ const (
 	// MsgBatch is a container frame: N independently encoded messages
 	// coalesced into one transport packet. Batches must not nest.
 	MsgBatch
-	// MsgQuery is an aggregation epoch wave: the query source floods
-	// (query id, epoch) down the query's gradient structure each refresh
-	// epoch, and every node that stores the structure re-broadcasts it
-	// once per epoch. Hop carries the wave's travel distance.
-	MsgQuery
+	// 7 stays unassigned: older binaries sent an aggregation epoch wave
+	// under it, which must decode as ErrType.
+	_
 	// MsgPartial carries one convergecast partial aggregate up a query
 	// structure's parent link. In combining mode Origin is zero and the
 	// partial summarizes the sender's whole subtree; in collect-all mode
@@ -71,8 +69,6 @@ func (t MsgType) String() string {
 		return "pull"
 	case MsgBatch:
 		return "batch"
-	case MsgQuery:
-		return "query"
 	case MsgPartial:
 		return "partial"
 	default:
@@ -144,8 +140,6 @@ type Message struct {
 	Want []tuple.ID
 	// Batch holds the decoded sub-messages of a batch frame (MsgBatch).
 	Batch []Message
-	// Epoch is the convergecast epoch (MsgQuery and MsgPartial).
-	Epoch uint32
 	// Origin identifies the source record a collect-all partial reports
 	// (MsgPartial); zero in combining mode.
 	Origin tuple.ID
@@ -312,27 +306,17 @@ func Encode(m Message) ([]byte, error) {
 			b = appendID(b, id)
 		}
 		return seal(b), nil
-	case MsgQuery:
-		if len(m.ID.Node) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: query id node over %d bytes", ErrTooLarge, math.MaxUint16)
-		}
-		b := make([]byte, 0, header+2+len(m.ID.Node)+8+4+ChecksumSize)
-		b = appendHeader(b, wireVersion, m)
-		b = appendID(b, m.ID)
-		b = binary.BigEndian.AppendUint32(b, m.Epoch)
-		return seal(b), nil
 	case MsgPartial:
 		if len(m.ID.Node) > math.MaxUint16 || len(m.Origin.Node) > math.MaxUint16 {
 			return nil, fmt.Errorf("%w: partial id node over %d bytes", ErrTooLarge, math.MaxUint16)
 		}
-		size := header + 2 + len(m.ID.Node) + 8 + 4 + 2 + len(m.Origin.Node) + 8 + 1 + 8 + 3*8 + ChecksumSize
+		size := header + 2 + len(m.ID.Node) + 8 + 2 + len(m.Origin.Node) + 8 + 1 + 8 + 3*8 + ChecksumSize
 		if m.Partial.HasSketch {
 			size += 2 + agg.SketchWords*8
 		}
 		b := make([]byte, 0, size)
 		b = appendHeader(b, wireVersion, m)
 		b = appendID(b, m.ID)
-		b = binary.BigEndian.AppendUint32(b, m.Epoch)
 		b = appendID(b, m.Origin)
 		flags := byte(0)
 		if m.Partial.HasSketch {
@@ -547,15 +531,6 @@ func decodeInto(reg *tuple.Registry, data []byte, m *Message, inBatch bool) erro
 		return decodeDigest(reg, body, m)
 	case MsgPull:
 		return decodePull(reg, body, m)
-	case MsgQuery:
-		var err error
-		if m.ID, body, err = takeID(reg, body); err != nil {
-			return err
-		}
-		if len(body) < 4 {
-			return ErrShort
-		}
-		m.Epoch = binary.BigEndian.Uint32(body[:4])
 	case MsgPartial:
 		return decodePartial(reg, body, m)
 	case MsgBatch:
@@ -653,11 +628,6 @@ func decodePartial(reg *tuple.Registry, body []byte, m *Message) error {
 	if m.ID, body, err = takeID(reg, body); err != nil {
 		return err
 	}
-	if len(body) < 4 {
-		return ErrShort
-	}
-	m.Epoch = binary.BigEndian.Uint32(body[:4])
-	body = body[4:]
 	if m.Origin, body, err = takeID(reg, body); err != nil {
 		return err
 	}

@@ -98,6 +98,15 @@ func TestEncodeErrors(t *testing.T) {
 	}
 }
 
+// retiredQueryFrame is an aggregation epoch wave as older binaries sent
+// it: type 7, hop 3, query id root#4, epoch 17. The type stays
+// unassigned, so the frame must decode as ErrType.
+var retiredQueryFrame = seal([]byte{
+	1, 7, 0, 3, 0, 0, 0, 0, // header: version, type 7, hop 3, empty parent
+	0, 4, 'r', 'o', 'o', 't', 0, 0, 0, 0, 0, 0, 0, 4, // id
+	0, 0, 0, 17, // epoch
+})
+
 func TestDecodeErrors(t *testing.T) {
 	r := newWireRegistry(t)
 	ft := &flatTuple{c: tuple.Content{tuple.S("k", "v")}}
@@ -122,6 +131,7 @@ func TestDecodeErrors(t *testing.T) {
 		{name: "missing parent", give: []byte{1, 1, 0, 0}, want: ErrShort},
 		{name: "truncated parent", give: seal([]byte{1, 1, 0, 0, 0, 0, 0, 5, 'x'}), want: ErrShort},
 		{name: "bad type", give: seal([]byte{1, 99, 0, 0, 0, 0, 0, 0}), want: ErrType},
+		{name: "retired query type", give: retiredQueryFrame, want: ErrType},
 		{name: "flipped byte", give: flipped, want: ErrChecksum},
 		{
 			name: "retract truncated",
