@@ -176,11 +176,12 @@ func runLargeScenario(seed int64) scenarioRun {
 // one engine configuration: flipping only that default (cap 6) moves
 // them, while refresh-only suspicion and dropping quarantine leave them
 // unchanged. They moved again, with no engine behaviour changed, when
-// the access-policy counter left the Stats the digest prints, and once
-// more when the query-wave counter did.
+// the access-policy counter left the Stats the digest prints, once
+// more when the query-wave counter did, and again when the radio's shed
+// counter did.
 const (
-	mobileGolden = "71e27af70ebe2081567473a6e10327c89c26b9668bb9c416f55f58a04a335285"
-	largeGolden  = "f059b26879c345901c651c16b378fb31b32d5168ca9f66583eac83c8b645f37a"
+	mobileGolden = "a16ee1c36a671925685ed88955ae2a5cd419c36118377cb4b6f08200ffbe8d9a"
+	largeGolden  = "b4ee612ed833a7446c7a08811103cb1cbb7eae3dbc0eb6a16ea47294386aa181"
 )
 
 // TestMobileScenarioGolden: the same seed and topology reproduce the

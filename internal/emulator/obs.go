@@ -117,14 +117,14 @@ func (w *World) RegisterMetrics(reg *obs.Registry) {
 // emulator dashboard (`tota-emu -dash N`).
 func (r Rollup) Dashboard() string {
 	line := fmt.Sprintf(
-		"[tick %d t=%.1f] nodes=%d edges=%d inflight=%d churn=+%d/-%d stored=%d | in=%d dup=%d repair=%d withdraw=%d ttl=%d sendErr=%d | frames=%d digests=%d pulls=%d suppressed=%d | suspect=%d/%d pullBackoff=%d | agg epochs=%d partials=%d results=%d | radio sent=%d dropped=%d corrupt=%d blocked=%d shed=%d",
+		"[tick %d t=%.1f] nodes=%d edges=%d inflight=%d churn=+%d/-%d stored=%d | in=%d dup=%d repair=%d withdraw=%d ttl=%d sendErr=%d | frames=%d digests=%d pulls=%d suppressed=%d | suspect=%d/%d pullBackoff=%d | agg epochs=%d partials=%d results=%d | radio sent=%d dropped=%d corrupt=%d blocked=%d",
 		r.Tick, r.Time, r.Nodes, r.Edges, r.Inflight, r.ChurnAdds, r.ChurnRemoves, r.StoreSize,
 		r.Stats.PacketsIn, r.Stats.DupDropped, r.Stats.MaintAdopt, r.Stats.MaintDrop,
 		r.Stats.TTLDropped, r.Stats.SendErrors,
 		r.Stats.FramesOut, r.Stats.DigestsOut, r.Stats.PullsOut, r.Stats.RefreshSuppressed,
 		r.Stats.Suspected, r.Stats.SuspectRecovered, r.Stats.PullsSuppressed,
 		r.Stats.QueryEpochs, r.Stats.PartialsOut, r.Stats.AggResults,
-		r.Net.Sent, r.Net.Dropped, r.Net.Corrupted, r.Net.Blocked, r.Net.Shed)
+		r.Net.Sent, r.Net.Dropped, r.Net.Corrupted, r.Net.Blocked)
 	if r.MemRSSBytes > 0 {
 		line += fmt.Sprintf(" | mem rss=%.1fMiB peak=%.1fMiB b/node=%.0f",
 			float64(r.MemRSSBytes)/(1<<20), float64(r.MemPeakRSSBytes)/(1<<20), r.BytesPerNode)

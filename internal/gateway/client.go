@@ -25,27 +25,25 @@ var (
 // longer the client's current one.
 var errConnGone = errors.New("gateway: bound connection gone")
 
-// ClientConfig tunes a Client; zero values select defaults.
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 3 * time.Second
+
+// ClientConfig tunes a Client; zero values select defaults. Event and
+// read tuples decode through tuple.DefaultRegistry.
 type ClientConfig struct {
 	// Policy is the request retry/backoff budget (shared machinery
 	// with the testnet poller, internal/retry). Nil gets retry.New(1).
+	// Its backoff also paces reconnection, which retries forever while
+	// the client is open — transparent resubscribe-with-replay is the
+	// whole point.
 	Policy *retry.Policy
 	// RequestTimeout bounds one RPC round trip (default 5s).
 	RequestTimeout time.Duration
-	// DialTimeout bounds one connection attempt (default 3s).
-	DialTimeout time.Duration
-	// ReconnectMax caps the backoff between reconnection attempts
-	// (default 2s). Reconnection retries forever while the client is
-	// open — transparent resubscribe-with-replay is the whole point.
-	ReconnectMax time.Duration
 	// EventBuffer is each subscription's delivery channel depth
 	// (default 1024). A consumer that stops draining eventually
 	// backpressures the socket, which surfaces at the gateway as
 	// accounted slow-consumer drops.
 	EventBuffer int
-	// Registry decodes event and read tuples; defaults to
-	// tuple.DefaultRegistry.
-	Registry *tuple.Registry
 }
 
 // SubEvent is one delivery on a subscription channel.
@@ -231,17 +229,8 @@ func Dial(addr string, cfg ClientConfig) *Client {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 2 * time.Second
-	}
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 1024
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = tuple.DefaultRegistry
 	}
 	c := &Client{
 		addr:        addr,
@@ -283,7 +272,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// manage owns the connection lifecycle: dial with capped backoff,
+// manage owns the connection lifecycle: dial with the policy's backoff,
 // resubscribe every registered subscription with replay-from-seq, run
 // the read loop until the connection dies, repeat.
 func (c *Client) manage() {
@@ -295,10 +284,10 @@ func (c *Client) manage() {
 			return
 		default:
 		}
-		nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
 			attempt++
-			backoff := time.NewTimer(c.reconnectBackoff(attempt))
+			backoff := time.NewTimer(c.cfg.Policy.Backoff(attempt))
 			select {
 			case <-backoff.C:
 			case <-c.closec:
@@ -347,16 +336,6 @@ func (c *Client) manage() {
 	}
 }
 
-// reconnectBackoff doubles from the policy base to ReconnectMax with
-// the policy's seeded jitter.
-func (c *Client) reconnectBackoff(attempt int) time.Duration {
-	d := c.cfg.Policy.Backoff(attempt)
-	if d > c.cfg.ReconnectMax {
-		d = c.cfg.ReconnectMax
-	}
-	return d
-}
-
 // readLoop demuxes gateway frames: responses to pending RPCs, events
 // to their subscriptions. Event frames and inject responses as the
 // gateway writes them are decoded in one pass (decodeEvent,
@@ -370,7 +349,7 @@ func (c *Client) readLoop(nc net.Conn) {
 			_ = nc.Close()
 			return
 		}
-		if ev, t, ok := decodeEvent(c.cfg.Registry, body); ok {
+		if ev, t, ok := decodeEvent(tuple.DefaultRegistry, body); ok {
 			c.dispatchEvent(ev, t)
 			continue
 		}
@@ -455,7 +434,7 @@ func (c *Client) dispatchEvent(ev Event, t tuple.Tuple) {
 		Epoch:  epoch,
 	}
 	if t == nil && len(ev.Tuple) > 0 {
-		t, _ = tuple.UnmarshalTupleJSON(c.cfg.Registry, ev.Tuple) // nil if its kind is unknown here
+		t, _ = tuple.UnmarshalTupleJSON(tuple.DefaultRegistry, ev.Tuple) // nil if its kind is unknown here
 	}
 	out.Tuple = t
 	target.deliver(out, c.closec)
@@ -702,7 +681,7 @@ func (c *Client) Read(tpl tuple.Template) ([]tuple.Tuple, error) {
 	}
 	var out []tuple.Tuple
 	for _, raw := range resp.Tuples {
-		t, err := tuple.UnmarshalTupleJSON(c.cfg.Registry, raw)
+		t, err := tuple.UnmarshalTupleJSON(tuple.DefaultRegistry, raw)
 		if err != nil {
 			continue
 		}

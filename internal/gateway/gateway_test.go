@@ -483,7 +483,6 @@ func TestGatewayClientRequestTimeoutAndRetry(t *testing.T) {
 	c := Dial("127.0.0.1:1", ClientConfig{
 		Policy:         retry.New(3),
 		RequestTimeout: 200 * time.Millisecond,
-		DialTimeout:    100 * time.Millisecond,
 	})
 	defer c.Close()
 	start := time.Now()

@@ -33,7 +33,8 @@ const (
 	writeTimeout = 10 * time.Second
 )
 
-// Config tunes a Gateway; zero values select the defaults above.
+// Config tunes a Gateway; zero values select the defaults above. Inject
+// requests resolve tuple kinds through tuple.DefaultRegistry.
 type Config struct {
 	// MaxClients bounds concurrent connections; further connections
 	// are rejected with an error frame and closed.
@@ -42,9 +43,6 @@ type Config struct {
 	RingSize int
 	// QueueSize is the per-connection outbound event queue bound.
 	QueueSize int
-	// Registry resolves tuple kinds for inject requests; defaults to
-	// tuple.DefaultRegistry.
-	Registry *tuple.Registry
 	// Logger receives connection-level errors; nil discards them.
 	Logger *slog.Logger
 }
@@ -110,12 +108,6 @@ func Serve(node *core.Node, addr string, cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: listen %s: %w", addr, err)
 	}
-	return ServeListener(node, ln, cfg), nil
-}
-
-// ServeListener starts a gateway on an existing listener (tests reuse
-// a specific port across restarts this way).
-func ServeListener(node *core.Node, ln net.Listener, cfg Config) *Gateway {
 	if cfg.MaxClients <= 0 {
 		cfg.MaxClients = DefaultMaxClients
 	}
@@ -124,9 +116,6 @@ func ServeListener(node *core.Node, ln net.Listener, cfg Config) *Gateway {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = DefaultQueueSize
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = tuple.DefaultRegistry
 	}
 	g := &Gateway{
 		node:  node,
@@ -142,7 +131,7 @@ func ServeListener(node *core.Node, ln net.Listener, cfg Config) *Gateway {
 	g.coreSub = node.Subscribe(tuple.MatchAll(), g.onEvent)
 	g.wg.Add(1)
 	go g.acceptLoop()
-	return g
+	return g, nil
 }
 
 // newEpoch mints an instance identity: clients detect a gateway
@@ -446,7 +435,7 @@ func (c *conn) handleInject(req Request) Response {
 	if err := req.Content.Validate(); err != nil {
 		return Response{Err: fmt.Sprintf("gateway: inject: %v", err)}
 	}
-	t, err := c.gw.cfg.Registry.New(req.Kind, tuple.ID{}, req.Content)
+	t, err := tuple.DefaultRegistry.New(req.Kind, tuple.ID{}, req.Content)
 	if err != nil {
 		return Response{Err: fmt.Sprintf("gateway: inject: %v", err)}
 	}

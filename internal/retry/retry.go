@@ -14,19 +14,13 @@ import (
 	"time"
 )
 
-// Policy describes a bounded retry schedule: up to Retries attempts,
-// exponential backoff doubling from BaseBackoff to MaxBackoff, plus up
-// to half the current backoff in seeded jitter so synchronized callers
-// de-correlate deterministically per seed. The zero value is unusable;
-// build policies with New so the defaults apply.
+// Policy describes a bounded retry schedule: up to 4 attempts,
+// exponential backoff doubling from 50ms to at most 1s, plus up to half
+// the current backoff in seeded jitter so synchronized callers
+// de-correlate deterministically per seed. Build policies with New.
 type Policy struct {
-	// Retries is the attempt budget per call (default 4).
-	Retries int
-	// BaseBackoff is the first retry delay (default 50ms); it doubles
-	// per attempt up to MaxBackoff (default 1s), plus up to half of
-	// itself in seeded jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
+	retries   int           // attempt budget per call
+	base, max time.Duration // first retry delay and its doubling cap
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -36,29 +30,11 @@ type Policy struct {
 // from seed, so retry timing reproduces run to run.
 func New(seed int64) *Policy {
 	return &Policy{
-		Retries:     4,
-		BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff:  time.Second,
-		rng:         rand.New(rand.NewSource(seed)),
+		retries: 4,
+		base:    50 * time.Millisecond,
+		max:     time.Second,
+		rng:     rand.New(rand.NewSource(seed)),
 	}
-}
-
-// resolved returns the effective budget values with defaults applied,
-// so a caller that tweaked only one field still gets sane others.
-func (p *Policy) resolved() (retries int, base, max time.Duration) {
-	retries = p.Retries
-	if retries <= 0 {
-		retries = 4
-	}
-	base = p.BaseBackoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max = p.MaxBackoff
-	if max <= 0 {
-		max = time.Second
-	}
-	return retries, base, max
 }
 
 // Backoff returns the jittered delay to sleep before attempt (1-based:
@@ -69,23 +45,13 @@ func (p *Policy) Backoff(attempt int) time.Duration {
 	if attempt <= 0 {
 		return 0
 	}
-	_, base, max := p.resolved()
-	d := base
-	for i := 1; i < attempt; i++ {
+	d := p.base
+	for i := 1; i < attempt && d < p.max; i++ {
 		d *= 2
-		if d >= max {
-			d = max
-			break
-		}
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, p.max)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(1))
-	}
 	return d + time.Duration(p.rng.Int63n(int64(d/2)+1))
 }
 
@@ -116,9 +82,8 @@ func Permanent(err error) error {
 // the attempt count when the budget runs out. stop, when non-nil, is
 // polled between attempts so a closing client interrupts the sleep.
 func (p *Policy) Do(fn func() error, stop <-chan struct{}) error {
-	retries, _, _ := p.resolved()
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < p.retries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(p.Backoff(attempt)):
@@ -135,5 +100,5 @@ func (p *Policy) Do(fn func() error, stop <-chan struct{}) error {
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("retry: %d attempts exhausted: %w", retries, lastErr)
+	return fmt.Errorf("retry: %d attempts exhausted: %w", p.retries, lastErr)
 }

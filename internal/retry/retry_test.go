@@ -9,13 +9,13 @@ import (
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
 	p := New(7)
-	p.BaseBackoff = 10 * time.Millisecond
-	p.MaxBackoff = 80 * time.Millisecond
+	p.base = 10 * time.Millisecond
+	p.max = 80 * time.Millisecond
 	if d := p.Backoff(0); d != 0 {
 		t.Fatalf("attempt 0 should not sleep, got %v", d)
 	}
 	// Jitter adds at most half the pre-jitter delay, so each attempt's
-	// draw stays inside [d, 1.5d] with d capped at MaxBackoff.
+	// draw stays inside [d, 1.5d] with d capped at max.
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, base := range want {
 		base *= time.Millisecond
@@ -45,7 +45,7 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 
 func TestDoStopsOnSuccess(t *testing.T) {
 	p := New(1)
-	p.BaseBackoff = time.Millisecond
+	p.base = time.Millisecond
 	calls := 0
 	err := p.Do(func() error {
 		calls++
@@ -61,8 +61,8 @@ func TestDoStopsOnSuccess(t *testing.T) {
 
 func TestDoExhaustsBudget(t *testing.T) {
 	p := New(1)
-	p.Retries = 3
-	p.BaseBackoff = time.Millisecond
+	p.retries = 3
+	p.base = time.Millisecond
 	calls := 0
 	boom := errors.New("boom")
 	err := p.Do(func() error { calls++; return boom }, nil)
@@ -76,7 +76,7 @@ func TestDoExhaustsBudget(t *testing.T) {
 
 func TestDoPermanentShortCircuits(t *testing.T) {
 	p := New(1)
-	p.BaseBackoff = time.Millisecond
+	p.base = time.Millisecond
 	calls := 0
 	bad := errors.New("bad request")
 	err := p.Do(func() error { calls++; return Permanent(bad) }, nil)
@@ -96,8 +96,8 @@ func TestDoPermanentShortCircuits(t *testing.T) {
 
 func TestDoStopChannelInterruptsSleep(t *testing.T) {
 	p := New(1)
-	p.Retries = 4
-	p.BaseBackoff = time.Hour // would hang without the stop channel
+	p.retries = 4
+	p.base = time.Hour // would hang without the stop channel
 	stop := make(chan struct{})
 	close(stop)
 	calls := 0

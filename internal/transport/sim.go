@@ -19,7 +19,8 @@ var (
 	ErrNotNeighbor = errors.New("transport: destination is not a neighbor")
 )
 
-// SimConfig tunes the simulated radio; SetFaults sets its faults.
+// SimConfig tunes the simulated radio; SetFaults sets its faults. The
+// radio bounds no queue, so no packet is ever shed for backlog.
 type SimConfig struct {
 	// Shuffle delivers each round's packets in a random (seeded)
 	// permutation instead of send order, exploring the delivery-order
@@ -27,12 +28,6 @@ type SimConfig struct {
 	Shuffle bool
 	// Seed makes loss and shuffle decisions reproducible.
 	Seed int64
-	// MaxInbound bounds how many packets may be queued toward one
-	// destination at once. When a send would exceed the bound, the
-	// OLDEST queued packet for that destination is shed (counted in
-	// Stats.Shed): under overload, fresher state wins. Zero disables
-	// the bound.
-	MaxInbound int
 }
 
 // Sim is a deterministic simulated radio network. Nodes attach to it to
@@ -345,9 +340,9 @@ func (s *Sim) send(from, to tuple.NodeID, data []byte) {
 	s.commitSendLocked(from, to, data)
 }
 
-// commitSendLocked queues the copies Faults.Fate lets through, each after
-// the bounded-inbound shed policy. Fate draws from the seeded rng under
-// mu in one fixed order, so seeded runs stay bit-identical.
+// commitSendLocked queues the copies Faults.Fate lets through. Fate draws
+// from the seeded rng under mu in one fixed order, so seeded runs stay
+// bit-identical.
 func (s *Sim) commitSendLocked(from, to tuple.NodeID, data []byte) {
 	s.stats.Sent++
 	s.stats.PayloadBytes += int64(len(data))
@@ -361,35 +356,8 @@ func (s *Sim) commitSendLocked(from, to tuple.NodeID, data []byte) {
 		if c.Corrupted {
 			s.stats.Corrupted++
 		}
-		if s.cfg.MaxInbound > 0 {
-			s.shedOldestLocked(to)
-		}
 		s.inflight = append(s.inflight, simPacket{from: from, to: to, data: c.Data, dueRound: c.Delay})
 	}
-}
-
-// shedOldestLocked enforces the per-destination inbound bound before a
-// new packet for dest is queued: when the destination already has
-// MaxInbound packets in flight, the oldest one is discarded (under
-// overload, fresher state wins — TOTA announcements are idempotent and
-// anti-entropy heals any gap).
-func (s *Sim) shedOldestLocked(dest tuple.NodeID) {
-	queued, oldest := 0, -1
-	for i := range s.inflight {
-		if s.inflight[i].to == dest {
-			queued++
-			if oldest < 0 {
-				oldest = i
-			}
-		}
-	}
-	if queued < s.cfg.MaxInbound || oldest < 0 {
-		return
-	}
-	n := len(s.inflight)
-	s.inflight = append(s.inflight[:oldest], s.inflight[oldest+1:]...)
-	clearPacketTail(s.inflight[:n], len(s.inflight))
-	s.stats.Shed++
 }
 
 // clearPacketTail zeroes the slots of buf past length n so compaction

@@ -166,30 +166,6 @@ func TestFaultCorruptBytesChanges(t *testing.T) {
 	}
 }
 
-func TestFaultShedOldestBoundsInbound(t *testing.T) {
-	s, eps, recs := newTriangle(t, SimConfig{MaxInbound: 3})
-	s.SetFaults(Faults{Delay: 2})
-	for i := 0; i < 8; i++ {
-		if err := eps["a"].Send("b", []byte{byte('0' + i)}); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	s.Step()
-	s.Step()
-	if got := recs["b"].packetCount(); got != 3 {
-		t.Fatalf("delivered %d packets, want 3 (bound)", got)
-	}
-	// Shed-oldest: the LAST three sends survive.
-	for i, want := range []string{"a:5", "a:6", "a:7"} {
-		if recs["b"].packets[i] != want {
-			t.Errorf("packet %d = %q, want %q (oldest must be shed first)", i, recs["b"].packets[i], want)
-		}
-	}
-	if st := s.Stats(); st.Shed != 5 {
-		t.Errorf("Shed = %d, want 5", st.Shed)
-	}
-}
-
 func TestFaultSetDupAndSetDelay(t *testing.T) {
 	s, eps, recs := newTriangle(t, SimConfig{Seed: 2})
 	s.SetFaults(Faults{Dup: 1})

@@ -73,5 +73,4 @@ type Stats struct {
 	Dropped      int64 `metric:"tota_radio_dropped_total" help:"Packets lost in flight."`
 	Corrupted    int64 `metric:"tota_radio_corrupted_total" help:"Packets delivered with injected byte flips (fault injection)."`
 	Blocked      int64 `metric:"tota_radio_blocked_total" help:"Packets discarded at a partition cut (fault injection)."`
-	Shed         int64 `metric:"tota_radio_shed_total" help:"Packets shed by the bounded inbound queue."`
 }

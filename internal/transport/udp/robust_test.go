@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tota/internal/core"
-	"tota/internal/pattern"
 	"tota/internal/tuple"
 )
 
@@ -116,7 +114,7 @@ func TestFaultPeerDownAfterGrace(t *testing.T) {
 	tr.mu.Unlock()
 	tr.expirePeers() // suspect
 	tr.mu.Lock()
-	p.suspectAt = time.Now().Add(-tr.cfg.PeerGrace) // grace elapsed
+	p.suspectAt = time.Now().Add(-tr.peerGrace()) // grace elapsed
 	tr.mu.Unlock()
 	tr.expirePeers()
 	if evs := rec.snapshot(); len(evs) != 1 || evs[0] != "-peer" {
@@ -129,65 +127,4 @@ func TestFaultPeerDownAfterGrace(t *testing.T) {
 	if len(tr.Neighbors()) != 0 {
 		t.Error("peer still listed after down")
 	}
-}
-
-// TestFaultInboundQueueShedsOldest: overrunning the bounded staging
-// queue discards the head (stalest packet), never the fresh tail.
-func TestFaultInboundQueueShedsOldest(t *testing.T) {
-	tr, err := New(Config{
-		NodeID:       "q",
-		InboundQueue: 4,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer tr.Close()
-	// No dispatcher running (not started): staging 10 packets into a
-	// 4-slot queue must shed the 6 oldest.
-	for i := 0; i < 10; i++ {
-		tr.stageInbound(inPacket{from: "p", data: []byte{byte(i)}})
-	}
-	if got := tr.Stats().Shed; got != 6 {
-		t.Errorf("Shed = %d, want 6", got)
-	}
-	for want := 6; want < 10; want++ {
-		pkt := <-tr.inq
-		if int(pkt.data[0]) != want {
-			t.Errorf("queued packet = %d, want %d (oldest must be shed)", pkt.data[0], want)
-		}
-	}
-}
-
-// TestFaultInboundQueueEndToEnd: the dispatcher path carries real
-// middleware traffic (gradient over the staging queue).
-func TestFaultInboundQueueEndToEnd(t *testing.T) {
-	mk := func(id tuple.NodeID) (*Transport, *core.Node) {
-		tr, err := New(Config{
-			NodeID:        id,
-			HelloInterval: testHello,
-			PeerTimeout:   testTimeout,
-			InboundQueue:  64,
-		})
-		if err != nil {
-			t.Fatalf("New(%s): %v", id, err)
-		}
-		t.Cleanup(func() { _ = tr.Close() })
-		n := core.New(tr)
-		tr.SetHandler(n)
-		return tr, n
-	}
-	ta, na := mk("a")
-	tb, nb := mk("b")
-	connect(t, ta, tb)
-	ta.Start()
-	tb.Start()
-	eventually(t, "discovery over staged path", func() bool {
-		return len(na.Neighbors()) == 1 && len(nb.Neighbors()) == 1
-	})
-	if _, err := na.Inject(pattern.NewGradient("f")); err != nil {
-		t.Fatalf("Inject: %v", err)
-	}
-	eventually(t, "gradient crosses the staged path", func() bool {
-		return len(nb.Read(pattern.ByName(pattern.KindGradient, "f"))) == 1
-	})
 }

@@ -51,28 +51,13 @@ type Config struct {
 	// HelloInterval is the beacon period (default 50ms).
 	HelloInterval time.Duration
 	// PeerTimeout is how long to wait for beacons before suspecting a
-	// neighbor (default 4 × HelloInterval).
+	// neighbor (default 4 × HelloInterval). A suspect peer is declared
+	// gone only after a further grace of 2 × HelloInterval, so a single
+	// delayed beacon re-ups it without ever emitting a
+	// disconnect/connect event pair. The damping costs detection latency
+	// on real crashes, which the engine's own suspicion hysteresis
+	// already tolerates.
 	PeerTimeout time.Duration
-	// PeerGrace is the suspicion window: a peer whose beacons stop is
-	// first suspected (silently) at PeerTimeout and only declared gone
-	// PeerGrace later, so a single delayed beacon re-ups it without
-	// ever emitting a disconnect/connect event pair. The damping costs
-	// detection latency on real crashes, which the engine's own
-	// suspicion hysteresis already tolerates. Default 2 × HelloInterval.
-	PeerGrace time.Duration
-	// InboundQueue, when positive, bounds a staging queue between the
-	// socket read loop and the middleware handler: a dispatcher
-	// goroutine drains it, and when a burst overruns the bound the
-	// OLDEST queued packet is shed (counted in Stats.Shed) — under
-	// overload, fresher state wins and anti-entropy heals the gap.
-	// Zero keeps the synchronous path (handler runs on the read loop).
-	InboundQueue int
-	// MTU is the largest datagram the link should carry, in bytes
-	// (default DefaultMTU, capped at the 64KB UDP maximum). The
-	// transport advertises MTU minus its own frame header as the
-	// engine's batch-frame payload budget (transport.FrameLimiter), so
-	// coalesced refresh frames never exceed one datagram.
-	MTU int
 	// Logger, when set, receives rate-limited structured logs for
 	// socket write failures and undecodable frames (at occurrence
 	// counts 1, 2, 4, 8, …).
@@ -82,15 +67,18 @@ type Config struct {
 // counters declares each socket counter once: its field, the metric it
 // is exposed as (obs.RegisterStats reads the tags) and its help text.
 // Stats instantiates it with int64 snapshots, the transport's live set
-// with atomic.Int64. Sent counts data and hello datagrams alike; Shed
-// stays zero when Config.InboundQueue is disabled.
+// with atomic.Int64. Sent counts data and hello datagrams alike.
 type counters[C any] struct {
 	Sent       C `metric:"tota_udp_datagrams_sent_total" help:"Datagrams written to the socket."`
 	SendErrors C `metric:"tota_udp_send_errors_total" help:"Socket write failures."`
 	Received   C `metric:"tota_udp_datagrams_received_total" help:"Datagrams read from the socket."`
 	BadFrames  C `metric:"tota_udp_bad_frames_total" help:"Undecodable frames received."`
 	Hellos     C `metric:"tota_udp_hellos_total" help:"Discovery beacons received."`
-	Shed       C `metric:"tota_udp_shed_total" help:"Inbound packets shed by the bounded staging queue."`
+	// Shed has no metric tag and stays zero: the handler runs on the
+	// read loop, so there is no inbound queue to shed from. It stays
+	// until the load rig (bench) drops its udp.shed column, which reads
+	// it (ROADMAP item 17).
+	Shed C
 }
 
 // fields lists c's counters in declaration order (a test holds it to
@@ -121,19 +109,6 @@ type Transport struct {
 	stopHup  chan struct{}
 	doneHup  chan struct{}
 	doneRead chan struct{}
-
-	// inq is the bounded inbound staging queue (nil when
-	// Config.InboundQueue is zero): the read loop stages packets here
-	// and dispatchLoop drains them, decoupling socket reads from
-	// handler latency. Overruns shed the oldest queued packet.
-	inq      chan inPacket
-	doneDisp chan struct{}
-}
-
-// inPacket is one staged inbound data packet.
-type inPacket struct {
-	from tuple.NodeID
-	data []byte
 }
 
 type peerState struct {
@@ -143,7 +118,7 @@ type peerState struct {
 	up       bool
 	// suspectAt is when the peer's silence crossed PeerTimeout (zero =
 	// not suspect). The down event fires only once the silence also
-	// outlasts PeerGrace; any beacon in between clears it without
+	// outlasts peerGrace; any beacon in between clears it without
 	// emitting neighbor events.
 	suspectAt time.Time
 }
@@ -156,11 +131,13 @@ var _ transport.FrameLimiter = (*Transport)(nil)
 // the transport holds none of the caller's bytes once the call returns.
 func (t *Transport) ReleasesPayloads() bool { return true }
 
-// FramePayloadLimit implements transport.FrameLimiter: the configured
-// MTU minus this transport's own frame header (type, sender id).
+// FramePayloadLimit implements transport.FrameLimiter: DefaultMTU minus
+// this transport's own frame header (type, sender id), so coalesced
+// refresh frames never exceed one datagram. The floor of 1 holds even
+// for a node id longer than the MTU.
 func (t *Transport) FramePayloadLimit() int {
 	overhead := 1 + 4 + len(t.cfg.NodeID)
-	limit := t.cfg.MTU - overhead
+	limit := DefaultMTU - overhead
 	if limit < 1 {
 		return 1
 	}
@@ -179,17 +156,8 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.PeerTimeout <= 0 {
 		cfg.PeerTimeout = 4 * cfg.HelloInterval
 	}
-	if cfg.PeerGrace <= 0 {
-		cfg.PeerGrace = 2 * cfg.HelloInterval
-	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.MTU <= 0 {
-		cfg.MTU = DefaultMTU
-	}
-	if cfg.MTU > maxDatagram {
-		cfg.MTU = maxDatagram
 	}
 	laddr, err := net.ResolveUDPAddr("udp", cfg.ListenAddr)
 	if err != nil {
@@ -207,10 +175,6 @@ func New(cfg Config) (*Transport, error) {
 		stopHup:  make(chan struct{}),
 		doneHup:  make(chan struct{}),
 		doneRead: make(chan struct{}),
-		doneDisp: make(chan struct{}),
-	}
-	if cfg.InboundQueue > 0 {
-		t.inq = make(chan inPacket, cfg.InboundQueue)
 	}
 	for _, p := range cfg.Peers {
 		if err := t.AddPeer(p); err != nil {
@@ -247,17 +211,14 @@ func (t *Transport) AddPeer(addr string) error {
 	return nil
 }
 
-// Start launches the beacon and receive loops (and the inbound
-// dispatcher when the staging queue is enabled).
+// Start launches the beacon and receive loops. The handler runs on the
+// receive loop.
 func (t *Transport) Start() {
 	t.mu.Lock()
 	t.started = true
 	t.mu.Unlock()
 	go t.helloLoop()
 	go t.readLoop()
-	if t.inq != nil {
-		go t.dispatchLoop()
-	}
 }
 
 // Close stops the loops and closes the socket, waiting for the
@@ -276,12 +237,6 @@ func (t *Transport) Close() error {
 	if started {
 		<-t.doneHup
 		<-t.doneRead
-		if t.inq != nil {
-			// The read loop has exited, so nothing sends on inq anymore:
-			// closing it drains the dispatcher cleanly.
-			close(t.inq)
-			<-t.doneDisp
-		}
 	}
 	return err
 }
@@ -466,9 +421,13 @@ func (t *Transport) helloLoop() {
 	}
 }
 
+// peerGrace is the suspicion window: how long a suspect peer must stay
+// silent before it is declared down.
+func (t *Transport) peerGrace() time.Duration { return 2 * t.cfg.HelloInterval }
+
 // expirePeers runs the two-stage silence detector: a peer quiet past
 // PeerTimeout becomes suspect (no event), and only a peer additionally
-// quiet through the PeerGrace window is declared down. A beacon at any
+// quiet through the peerGrace window is declared down. A beacon at any
 // point clears the suspicion silently, so one delayed or dropped
 // beacon interval never cycles disconnect/connect events through the
 // engine (which would trigger withdraw/catch-up storms).
@@ -488,7 +447,7 @@ func (t *Transport) expirePeers() {
 			p.suspectAt = now
 			continue
 		}
-		if now.Sub(p.suspectAt) >= t.cfg.PeerGrace {
+		if now.Sub(p.suspectAt) >= t.peerGrace() {
 			p.up = false
 			p.suspectAt = time.Time{}
 			gone = append(gone, id)
@@ -607,43 +566,5 @@ func (t *Transport) handleData(id tuple.NodeID, raddr *net.UDPAddr, payload []by
 	// Copy: the read buffer is reused.
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	if t.inq == nil {
-		h.HandlePacket(id, data)
-		return
-	}
-	t.stageInbound(inPacket{from: id, data: data})
-}
-
-// stageInbound queues one packet for the dispatcher, applying the
-// shed-oldest overload policy when the queue is full: the head of the
-// queue (the stalest packet) is discarded to make room. TOTA traffic is
-// idempotent announcements plus anti-entropy, so dropping stale state
-// under overload is strictly better than dropping fresh state — and
-// far better than blocking the socket read loop.
-func (t *Transport) stageInbound(pkt inPacket) {
-	for {
-		select {
-		case t.inq <- pkt:
-			return
-		default:
-		}
-		select {
-		case <-t.inq: // shed the oldest staged packet
-			t.stats.Shed.Add(1)
-		default:
-		}
-	}
-}
-
-// dispatchLoop drains the inbound staging queue into the handler.
-func (t *Transport) dispatchLoop() {
-	defer close(t.doneDisp)
-	for pkt := range t.inq {
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
-		if h != nil {
-			h.HandlePacket(pkt.from, pkt.data)
-		}
-	}
+	h.HandlePacket(id, data)
 }

@@ -1,6 +1,7 @@
 package udp
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -203,21 +204,15 @@ func TestFramePayloadLimit(t *testing.T) {
 		t.Errorf("FramePayloadLimit = %d, want %d", got, want)
 	}
 
-	small, err := New(Config{NodeID: "y", ListenAddr: "127.0.0.1:0", MTU: 3})
+	// A node id longer than the MTU leaves no room for a payload: the
+	// limit still floors at 1.
+	long := tuple.NodeID(strings.Repeat("y", DefaultMTU))
+	small, err := New(Config{NodeID: long, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer small.Close()
 	if got := small.FramePayloadLimit(); got != 1 {
-		t.Errorf("tiny MTU FramePayloadLimit = %d, want 1 (floor)", got)
-	}
-
-	huge, err := New(Config{NodeID: "z", ListenAddr: "127.0.0.1:0", MTU: 1 << 30})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer huge.Close()
-	if got := huge.FramePayloadLimit(); got > 64*1024 {
-		t.Errorf("FramePayloadLimit = %d exceeds the datagram maximum", got)
+		t.Errorf("oversized node id FramePayloadLimit = %d, want 1 (floor)", got)
 	}
 }
