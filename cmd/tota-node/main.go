@@ -8,29 +8,26 @@
 //	tota-node -id b -listen 127.0.0.1:7002 -peers 127.0.0.1:7001
 //
 // Commands: gradient NAME [SCOPE], flood NAME TEXT, send NAME TEXT,
-// read [KIND [NAME]], delete KIND NAME, retract ID, neighbors, stats,
-// watch KIND, help, quit.
+// read [KIND [NAME]], readj [KIND [NAME]], delete KIND NAME, retract ID,
+// neighbors, stats, watch KIND [NAME], help, quit.
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"tota/internal/core"
-	"tota/internal/gateway"
-	"tota/internal/obs"
+	"tota/internal/node"
 	"tota/internal/pattern"
-	"tota/internal/transport/udp"
 	"tota/internal/tuple"
 )
 
@@ -43,20 +40,12 @@ func main() {
 
 func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("tota-node", flag.ContinueOnError)
-	id := fs.String("id", "", "node id (required, unique)")
-	listen := fs.String("listen", "127.0.0.1:0", "UDP listen address")
-	peers := fs.String("peers", "", "comma-separated candidate peer addresses")
-	obsAddr := fs.String("obs.addr", "", "serve /metrics, /metrics.json, /healthz, /readyz, /store.json and pprof on this address")
-	traceOut := fs.String("trace.jsonl", "", "append engine trace events as JSON lines to this file ('-' for stderr)")
-	flightSize := fs.Int("trace.flight", 0, "keep the last N trace events in an in-memory flight recorder (served at /debug/flight, dumped to stderr on crash or SIGTERM)")
-	sample := fs.Float64("trace.sample", 0, "fraction of injected tuples carrying a wire-level trace context (0 = off; received contexts always propagate)")
-	refresh := fs.Duration("refresh", time.Second, "anti-entropy refresh period: each epoch re-announces changed tuples, digests the rest, ages out unheard support (an unsupported copy is withdrawn after a 2-epoch grace) and sweeps expired leases (0 disables; lossy links then never heal)")
-	gwAddr := fs.String("gateway.addr", "", "serve the client gateway RPC (length-prefixed JSON over TCP: inject/read/subscribe with replay) on this address")
-	gwMaxClients := fs.Int("gateway.maxclients", gateway.DefaultMaxClients, "maximum concurrent gateway client connections")
+	var cfg node.Config
+	cfg.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *id == "" {
+	if cfg.ID == "" {
 		return fmt.Errorf("-id is required")
 	}
 	// Register the signal handler before anything is listening, so a
@@ -65,155 +54,34 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	cfg := udp.Config{NodeID: tuple.NodeID(*id), ListenAddr: *listen, Logger: logger}
-	if *peers != "" {
-		cfg.Peers = strings.Split(*peers, ",")
-	}
-	tr, err := udp.New(cfg)
+	ctx, stop := context.WithCancelCause(context.Background())
+	defer stop(nil)
+	n, err := node.Run(ctx, cfg, node.Env{})
 	if err != nil {
 		return err
 	}
-	defer func() { _ = tr.Close() }()
-
-	// Telemetry: the registry reads component-owned counters at scrape
-	// time, so the node pays nothing on the packet path; the trace
-	// pipeline stamps events with wall-clock seconds since start.
-	reg := obs.NewRegistry()
-	start := time.Now()
-	clock := func() float64 { return time.Since(start).Seconds() }
-	lat := obs.NewLatencies(reg, clock, obs.ExpBuckets(0.001, 2, 16))
-	var sink *obs.JSONLSink
-	if *traceOut != "" {
-		w := io.Writer(os.Stderr)
-		if *traceOut != "-" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			defer func() { _ = f.Close() }()
-			w = f
-		}
-		sink = obs.NewJSONLSink(w, reg, clock, 0)
-		defer func() { _ = sink.Close() }()
+	fmt.Fprintf(out, "node %s listening on %s\n", cfg.ID, n.Addr)
+	if n.GatewayAddr != "" {
+		fmt.Fprintf(out, "gateway on %s\n", n.GatewayAddr)
 	}
-	var sinkTracer core.Tracer
-	if sink != nil {
-		sinkTracer = sink.Tracer()
-	}
-	var flight *obs.FlightRecorder
-	var flightTracer core.Tracer
-	if *flightSize > 0 {
-		// The flight ring is the black box a live node keeps regardless
-		// of export: scrape it at /debug/flight, and dump it on a crash.
-		flight = obs.NewFlightRecorder(clock, *flightSize)
-		flightTracer = flight.Tracer()
-		defer flight.DumpOnCrash(os.Stderr)()
+	if n.ObsAddr != "" {
+		fmt.Fprintf(out, "telemetry on http://%s/metrics\n", n.ObsAddr)
 	}
 
-	node := core.New(tr,
-		core.WithLogger(logger),
-		core.WithTracer(obs.MultiTracer(lat.Tracer(), sinkTracer, flightTracer)),
-		core.WithTraceSampling(*sample),
-	)
-	tr.SetHandler(node)
-	tr.Start()
-	fmt.Fprintf(out, "node %s listening on %s\n", *id, tr.Addr())
-
-	// Client gateway: the serving surface for lightweight non-peer
-	// clients (inject/read/subscribe over TCP with seq-based replay).
-	if *gwAddr != "" {
-		gw, err := gateway.Serve(node, *gwAddr, gateway.Config{
-			MaxClients: *gwMaxClients,
-			Logger:     logger,
-		})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = gw.Close() }()
-		obs.RegisterStats(reg, gw.Stats)
-		fmt.Fprintf(out, "gateway on %s\n", gw.Addr())
-	}
-
-	obs.RegisterStats(reg, node.Stats)
-	obs.RegisterStats(reg, tr.Stats)
-	reg.GaugeFunc("tota_node_store_size", "Tuples currently in the local space.",
-		func() float64 { return float64(node.StoreSize()) })
-	reg.GaugeFunc("tota_udp_neighbors", "Neighbors currently up.",
-		func() float64 { return float64(len(tr.Neighbors())) })
-	obs.RegisterRuntime(reg)
-	obs.RegisterMemMetrics(reg)
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, reg, obs.Extras{
-			Flights: []*obs.FlightRecorder{flight},
-			Ready: func() obs.Readiness {
-				st := node.Stats()
-				return obs.Readiness{
-					StoreSize:  node.StoreSize(),
-					Peers:      len(tr.Neighbors()),
-					Announced:  st.RefreshAnnounced,
-					Suppressed: st.RefreshSuppressed,
-				}
-			},
-			Store: func(w io.Writer) error {
-				for _, t := range node.Read(tuple.MatchAll()) {
-					data, err := tuple.MarshalTupleJSON(t)
-					if err != nil {
-						continue
-					}
-					if _, err := w.Write(append(data, '\n')); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Fprintf(out, "telemetry on http://%s/metrics\n", srv.Addr())
-	}
-
-	// The refresh ticker is the real-deployment stand-in for the
-	// emulator's per-tick RefreshAll: without it a UDP node never runs
-	// anti-entropy, so state lost to the radio stays lost and restarted
-	// peers never catch up by digest→pull.
-	if *refresh > 0 {
-		stopRefresh := make(chan struct{})
-		defer close(stopRefresh)
-		go func() {
-			ticker := time.NewTicker(*refresh)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopRefresh:
-					return
-				case <-ticker.C:
-					node.Refresh()
-					node.SweepExpired(clock())
-				}
-			}
-		}()
-	}
-
-	// Run the shell concurrently so SIGTERM/SIGINT can shut the node
-	// down cleanly mid-read: the deferred closes above flush the trace
-	// sink, stop telemetry and close the socket, and the flight ring is
-	// dumped here — the black box survives a supervised stop, not just
-	// a crash.
+	// Run the shell concurrently so SIGTERM/SIGINT can stop the node
+	// mid-read. A signalled stop also dumps the flight ring: the black
+	// box survives a supervised stop, not just a crash.
 	shellDone := make(chan error, 1)
-	go func() { shellDone <- shell(node, in, out) }()
+	go func() { shellDone <- shell(n.Core, in, out) }()
 	select {
-	case err := <-shellDone:
-		return err
+	case err = <-shellDone:
+		stop(nil)
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "tota-node: %v: shutting down\n", sig)
-		if flight != nil {
-			_ = flight.WriteJSONL(os.Stderr)
-		}
-		return nil
+		stop(node.Signal{Signal: sig})
 	}
+	n.Wait()
+	return err
 }
 
 func shell(node *core.Node, in io.Reader, out io.Writer) error {

@@ -9,6 +9,11 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"tota/internal/core"
+	"tota/internal/pattern"
+	"tota/internal/transport/udp"
+	"tota/internal/tuple"
 )
 
 // TestRunGracefulShutdown drives a full loopback node and stops it with
@@ -73,5 +78,60 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"inject"`) {
 		t.Errorf("flushed trace misses the inject event:\n%s", data)
+	}
+}
+
+// TestRunShutdownUnderLiveTraffic stops a traced node while a live peer
+// floods it: the node must stop its inputs (transport, ticker, gateway)
+// before it closes the JSONL sink, or a packet landing in between
+// traces into the closed sink and panics on the UDP read loop.
+func TestRunShutdownUnderLiveTraffic(t *testing.T) {
+	peerTr, err := udp.New(udp.Config{NodeID: "live-peer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := core.New(peerTr)
+	peerTr.SetHandler(peer)
+	peerTr.Start()
+	defer peerTr.Close()
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-done }()
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := peer.Inject(pattern.NewFlood("storm", tuple.I("i", int64(i)))); err != nil {
+				t.Error(err)
+				return
+			}
+			peer.Refresh()
+		}
+	}()
+
+	traceFile := filepath.Join(t.TempDir(), "trace.jsonl")
+	for trial := 0; trial < 20; trial++ {
+		inR, inW := io.Pipe()
+		errc := make(chan error, 1)
+		go func() {
+			errc <- run([]string{
+				"-id", "live-node",
+				"-peers", peerTr.Addr(),
+				"-trace.jsonl", traceFile,
+			}, inR, io.Discard)
+		}()
+		time.Sleep(100 * time.Millisecond)
+		_ = inW.Close()
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("trial %d: run: %v", trial, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("trial %d: node did not stop within 10s of stdin closing", trial)
+		}
 	}
 }

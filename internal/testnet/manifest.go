@@ -21,6 +21,7 @@ import (
 
 	"tota/internal/fault"
 	"tota/internal/pattern"
+	"tota/internal/topology"
 	"tota/internal/tuple"
 )
 
@@ -212,7 +213,7 @@ func (m Manifest) Validate() error {
 			return fmt.Errorf("testnet: link %s-%s references unknown node", l[0], l[1])
 		}
 	}
-	if !m.connected() {
+	if !m.graph().Connected() {
 		return fmt.Errorf("testnet: topology is not connected")
 	}
 	plan, err := fault.ParsePlan(m.Plan)
@@ -263,32 +264,16 @@ func (m Manifest) Validate() error {
 	return nil
 }
 
-func (m Manifest) connected() bool {
-	if len(m.Nodes) == 0 {
-		return false
+// graph builds the manifest's topology: every node, every link.
+func (m Manifest) graph() *topology.Graph {
+	g := topology.New()
+	for _, ns := range m.Nodes {
+		g.AddNode(tuple.NodeID(ns.ID))
 	}
-	seen := map[string]bool{m.Nodes[0].ID: true}
-	queue := []string{m.Nodes[0].ID}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range m.Links {
-			var other string
-			switch cur {
-			case l[0]:
-				other = l[1]
-			case l[1]:
-				other = l[0]
-			default:
-				continue
-			}
-			if !seen[other] {
-				seen[other] = true
-				queue = append(queue, other)
-			}
-		}
+	for _, l := range m.Links {
+		g.AddEdge(tuple.NodeID(l[0]), tuple.NodeID(l[1]))
 	}
-	return len(seen) == len(m.Nodes)
+	return g
 }
 
 // MarshalJSON/UnmarshalJSON round-trip through the plain struct; the
@@ -339,30 +324,7 @@ func (e Entry) String() string {
 // holds one copy. Faults never change the answer — that is the point:
 // after every window heals, anti-entropy must restore exactly this.
 func (m Manifest) Oracle() map[string][]Entry {
-	dist := func(src string) map[string]int {
-		d := map[string]int{src: 0}
-		queue := []string{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, l := range m.Links {
-				var other string
-				switch cur {
-				case l[0]:
-					other = l[1]
-				case l[1]:
-					other = l[0]
-				default:
-					continue
-				}
-				if _, ok := d[other]; !ok {
-					d[other] = d[cur] + 1
-					queue = append(queue, other)
-				}
-			}
-		}
-		return d
-	}
+	g := m.graph()
 	want := make(map[string][]Entry, len(m.Nodes))
 	for _, w := range m.Workload {
 		name, kind, ok := parseWorkloadPattern(w.Cmd)
@@ -371,8 +333,8 @@ func (m Manifest) Oracle() map[string][]Entry {
 		}
 		switch kind {
 		case pattern.KindGradient:
-			for node, hops := range dist(w.Node) {
-				want[node] = append(want[node], Entry{Kind: kind, Name: name, Val: float64(hops), HasVal: true})
+			for node, hops := range g.BFSDistances(tuple.NodeID(w.Node)) {
+				want[string(node)] = append(want[string(node)], Entry{Kind: kind, Name: name, Val: float64(hops), HasVal: true})
 			}
 		case pattern.KindFlood:
 			for _, ns := range m.Nodes {
