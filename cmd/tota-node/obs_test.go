@@ -92,13 +92,18 @@ func TestRunObsEndpoint(t *testing.T) {
 		"tota_node_packets_in_total",
 		"tota_node_dup_dropped_total",
 		"tota_node_repairs_total",
-		"tota_propagation_latency_bucket",
+		"tota_repair_latency_bucket",
 		"tota_udp_datagrams_sent_total",
 		"tota_go_goroutines",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// A node's tracer never sees a remote inject, so it cannot sample
+	// propagation latency and does not expose the family.
+	if strings.Contains(string(body), "tota_propagation_latency") {
+		t.Error("/metrics exposes tota_propagation_latency, which a real node cannot fill")
 	}
 	got := surface(string(body))
 	if *update {

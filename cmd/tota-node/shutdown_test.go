@@ -84,8 +84,32 @@ func TestRunGracefulShutdown(t *testing.T) {
 // TestRunShutdownUnderLiveTraffic stops a traced node while a live peer
 // floods it: the node must stop its inputs (transport, ticker, gateway)
 // before it closes the JSONL sink, or a packet landing in between
-// traces into the closed sink and panics on the UDP read loop.
+// traces into the closed sink and panics on the UDP read loop. The
+// transport joins its read loop before it closes the socket, so the
+// handler on that loop never sends on a closed socket: a clean stop
+// logs no send failure.
 func TestRunShutdownUnderLiveTraffic(t *testing.T) {
+	// run logs to os.Stderr; capture it for the trials.
+	logR, logW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(logR)
+		logged <- string(b)
+	}()
+	stderr := os.Stderr
+	os.Stderr = logW
+	defer func() {
+		os.Stderr = stderr
+		_ = logW.Close()
+		out := <-logged
+		if n := strings.Count(out, "send failed"); n != 0 {
+			t.Errorf("a clean stop logged %d send failures:\n%s", n, out)
+		}
+	}()
+
 	peerTr, err := udp.New(udp.Config{NodeID: "live-peer"})
 	if err != nil {
 		t.Fatal(err)

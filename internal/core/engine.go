@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sort"
 
 	"tota/internal/agg"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 	"tota/internal/wire"
 )
@@ -1130,11 +1132,11 @@ func (n *Node) stageDigestsLocked() {
 	if len(entries) == 0 {
 		return
 	}
-	budget := n.frameLimit - wire.BatchOverhead - wire.BatchPerMessage
 	start, size := 0, wire.DigestOverhead
 	for i := range entries {
 		es := wire.DigestEntrySize(&entries[i])
-		if i > start && (size+es > budget || i-start >= wire.MaxDigestEntries) {
+		// A digest message must fit a batch frame as one of its entries.
+		if i > start && (wire.BatchOverhead+wire.BatchEntrySize(size+es) > n.frameLimit || i-start >= wire.MaxDigestEntries) {
 			n.stageDigestMsgLocked(entries[start:i])
 			start, size = i, wire.DigestOverhead
 		}
@@ -1166,7 +1168,7 @@ func (n *Node) flushStagedLocked(to tuple.NodeID) {
 	}
 	start, size := 0, wire.BatchOverhead
 	for i := range msgs {
-		ms := wire.BatchPerMessage + len(msgs[i])
+		ms := wire.BatchEntrySize(len(msgs[i]))
 		if i > start && (size+ms > n.frameLimit || i-start >= wire.MaxBatchMessages) {
 			n.sendFrameLocked(to, msgs[start:i])
 			start, size = i, wire.BatchOverhead
@@ -1323,10 +1325,11 @@ func clampHop(h int) uint16 {
 // snapshot and the transmission), so the engine never propagates them;
 // the counter and log line keep them observable instead of silent.
 // Logging fires at occurrence counts 1, 2, 4, 8, … so a flapping link
-// cannot flood the log.
+// cannot flood the log. A send on a closed transport is counted and
+// not logged: it is a stopping node, not a fault.
 func (n *Node) noteSendError(op string, err error) {
 	c := n.stats.SendErrors.Add(1)
-	if n.cfg.Logger != nil && isPowerOfTwo(c) {
+	if n.cfg.Logger != nil && isPowerOfTwo(c) && !errors.Is(err, transport.ErrClosed) {
 		n.cfg.Logger.Warn("tota: transport send failed",
 			"node", string(n.id), "op", op, "err", err, "count", c)
 	}

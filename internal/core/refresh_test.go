@@ -334,6 +334,48 @@ type limitedSender struct {
 
 func (s limitedSender) FramePayloadLimit() int { return s.limit }
 
+// Broadcast and Send refuse a payload over the budget, as a datagram
+// past the MTU would be lost.
+func (s limitedSender) Broadcast(data []byte) error {
+	if len(data) > s.limit {
+		return fmt.Errorf("payload %d bytes over the %d-byte budget", len(data), s.limit)
+	}
+	return s.SimEndpoint.Broadcast(data)
+}
+
+func (s limitedSender) Send(to tuple.NodeID, data []byte) error {
+	if len(data) > s.limit {
+		return fmt.Errorf("payload %d bytes over the %d-byte budget", len(data), s.limit)
+	}
+	return s.SimEndpoint.Send(to, data)
+}
+
+// TestRefreshDigestsFitBudget: a converged node's digest entries, which
+// take varint widths, are chunked into digest messages that each fit a
+// batch frame under the transport's payload limit, so no send fails.
+func TestRefreshDigestsFitBudget(t *testing.T) {
+	const limit = 300
+	tn := newTestNetOn(t, topology.Line(2), func(ep *transport.SimEndpoint) transport.Sender {
+		return limitedSender{SimEndpoint: ep, limit: limit}
+	})
+	for i := 0; i < 200; i++ {
+		if _, err := tn.node(topology.NodeName(0)).Inject(pattern.NewGradient(fmt.Sprintf("g%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.quiesce()
+	refreshAll(tn) // announcements never refresh-broadcast go out in full once
+	before := tn.totalStats()
+	refreshAll(tn)
+	after := tn.totalStats()
+	if d := after.DigestsOut - before.DigestsOut; d < 2*5 {
+		t.Errorf("200 entries per node went out in %d digest messages, want them chunked (>= 5 per node)", d)
+	}
+	if se := after.SendErrors; se != 0 {
+		t.Errorf("%d sends failed: a frame overfilled the %d-byte budget", se, limit)
+	}
+}
+
 // TestRefreshChunksFramesToBudget: a tight frame budget splits the
 // staged announcements across several frames, none of which exceeds the
 // transport's payload limit, and delivery is unaffected.

@@ -287,6 +287,9 @@ func (c *idClock) reset() {
 // (events only fire on state changes).
 type Latencies struct {
 	clock func() float64
+	reg   *Registry // nil: nothing is exposed
+
+	published sync.Once // Propagation is on reg
 
 	mu        sync.Mutex
 	injected  idClock
@@ -295,7 +298,12 @@ type Latencies struct {
 	churnAt   float64
 	churnSet  bool
 
-	// Propagation is the inject→store latency histogram.
+	// Propagation is the inject→store latency histogram. It joins the
+	// registry at its first sample: only a tracer that saw a tuple's
+	// inject and its store at another node can sample it, which is a
+	// tracer spanning nodes (the emulator, E1). A real node's tracer
+	// sees its own injects only, so tota-node never exposes
+	// tota_propagation_latency, a family it could not fill.
 	Propagation *Histogram
 	// Repair is the disturbance→adopt latency histogram.
 	Repair *Histogram
@@ -309,29 +317,37 @@ type Latencies struct {
 
 // NewLatencies builds a latency tracker with the given clock and bucket
 // bounds (RoundBuckets suits tick-based emulation), registering its
-// histograms on reg when non-nil.
+// histograms on reg when non-nil (Propagation at its first sample).
 func NewLatencies(reg *Registry, clock func() float64, buckets []float64) *Latencies {
 	if clock == nil {
 		clock = func() float64 { return 0 }
 	}
 	l := &Latencies{
-		clock:     clock,
-		injected:  newIDClock(),
-		disturbed: newIDClock(),
-		resulted:  make(map[tuple.ID]bool),
+		clock:       clock,
+		reg:         reg,
+		injected:    newIDClock(),
+		disturbed:   newIDClock(),
+		resulted:    make(map[tuple.ID]bool),
+		Propagation: NewHistogram(buckets),
 	}
 	if reg != nil {
-		l.Propagation = reg.Histogram("tota_propagation_latency", "Inject-to-store latency per (tuple, node), in clock units.", buckets)
 		l.Repair = reg.Histogram("tota_repair_latency", "Disturbance-to-adoption latency, in clock units.", buckets)
 		l.QueryResult = reg.Histogram("tota_query_result_latency", "Query inject-to-first-result latency, in clock units.", buckets)
 		l.Untracked = reg.Counter("tota_latency_untracked_total", "Injections evicted, oldest first, from the full latency id table.")
 	} else {
-		l.Propagation = NewHistogram(buckets)
 		l.Repair = NewHistogram(buckets)
 		l.QueryResult = NewHistogram(buckets)
 		l.Untracked = &Counter{}
 	}
 	return l
+}
+
+// publish puts Propagation on the registry.
+func (l *Latencies) publish() {
+	if l.reg != nil {
+		l.reg.register(&metric{name: "tota_propagation_latency", help: "Inject-to-store latency per (tuple, node), in clock units.",
+			typ: typeHistogram, hist: l.Propagation})
+	}
 }
 
 // Reset clears the in-flight tracking state (pending injections,
@@ -382,6 +398,7 @@ func (l *Latencies) Tracer() core.Tracer {
 			if disturbed {
 				l.Repair.Observe(now - d)
 			} else if ok && ev.Node != ev.ID.Node {
+				l.published.Do(l.publish)
 				l.Propagation.Observe(now - t0)
 			}
 		case core.TraceAdopt:

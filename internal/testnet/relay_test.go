@@ -14,10 +14,7 @@ import (
 // rawFrame builds a minimal TOTA wire frame (type, id length, id,
 // payload) without importing the transport internals.
 func rawFrame(typ byte, id string, payload []byte) []byte {
-	f := []byte{typ}
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(id)))
-	f = append(f, lenb[:]...)
+	f := binary.AppendUvarint([]byte{typ}, uint64(len(id)))
 	f = append(f, id...)
 	return append(f, payload...)
 }

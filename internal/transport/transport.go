@@ -9,7 +9,16 @@
 // maintenance — is middleware.
 package transport
 
-import "tota/internal/tuple"
+import (
+	"errors"
+
+	"tota/internal/tuple"
+)
+
+// ErrClosed is what a closed transport's Broadcast and Send return: the
+// node is stopping, so the engine counts the failed send and does not
+// log it.
+var ErrClosed = errors.New("transport: closed")
 
 // Sender is the outgoing half of a transport, the only part the
 // middleware engine needs to emit traffic.

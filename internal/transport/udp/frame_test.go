@@ -50,8 +50,9 @@ func TestParseFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1},
-		{1, 0, 0, 0},
-		{frameData, 0, 0, 0, 200, 'x'}, // id length beyond buffer
+		{1, 0x80},                // id length's varint cut off
+		{frameData, 200, 1, 'x'}, // id length beyond buffer
+		{frameData, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // id length past 64 bits
 	}
 	for _, c := range cases {
 		if _, _, _, err := parseFrame(c); err == nil {

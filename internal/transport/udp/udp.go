@@ -105,7 +105,7 @@ type Transport struct {
 	byID     map[tuple.NodeID]*peerState
 	upAddrs  []*net.UDPAddr // see rebuildUpLocked
 	started  bool
-	closed   bool
+	closed   atomic.Bool // set once Close begins; write reads it unlocked
 	stopHup  chan struct{}
 	doneHup  chan struct{}
 	doneRead chan struct{}
@@ -136,8 +136,7 @@ func (t *Transport) ReleasesPayloads() bool { return true }
 // refresh frames never exceed one datagram. The floor of 1 holds even
 // for a node id longer than the MTU.
 func (t *Transport) FramePayloadLimit() int {
-	overhead := 1 + 4 + len(t.cfg.NodeID)
-	limit := DefaultMTU - overhead
+	limit := DefaultMTU - headerLen(t.cfg.NodeID)
 	if limit < 1 {
 		return 1
 	}
@@ -221,24 +220,25 @@ func (t *Transport) Start() {
 	go t.readLoop()
 }
 
-// Close stops the loops and closes the socket, waiting for the
-// goroutines to exit. Safe before Start (only the socket is closed).
+// Close stops the loops, waits for them to exit, and only then closes
+// the socket: a read deadline in the past wakes the read loop, so the
+// handler running on it never sends on a closed socket. Sends from
+// then on return transport.ErrClosed and write nothing. Safe before
+// Start (only the socket is closed).
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Swap(true) {
 		return nil
 	}
-	t.closed = true
+	t.mu.Lock()
 	started := t.started
 	t.mu.Unlock()
 	close(t.stopHup)
-	err := t.conn.Close()
 	if started {
+		_ = t.conn.SetReadDeadline(time.Unix(1, 0))
 		<-t.doneHup
 		<-t.doneRead
 	}
-	return err
+	return t.conn.Close()
 }
 
 // Self implements transport.Sender.
@@ -272,10 +272,19 @@ func (t *Transport) Stats() Stats {
 // write sends one datagram, counting it and any failure (with a
 // rate-limited log line: failures are expected while peers restart, so
 // they must not flood the log or fail the caller's whole broadcast).
+// Once Close has begun it writes nothing and returns
+// transport.ErrClosed, which is neither counted nor logged here: a
+// stopping node's last sends are not faults.
 func (t *Transport) write(frame []byte, to *net.UDPAddr) error {
+	if t.closed.Load() {
+		return transport.ErrClosed
+	}
 	t.stats.Sent.Add(1)
 	_, err := t.conn.WriteToUDP(frame, to)
 	if err != nil {
+		if t.closed.Load() {
+			return transport.ErrClosed
+		}
 		c := t.stats.SendErrors.Add(1)
 		if t.cfg.Logger != nil && c&(c-1) == 0 {
 			t.cfg.Logger.Warn("udp: send failed",
@@ -340,7 +349,8 @@ func (t *Transport) Send(to tuple.NodeID, data []byte) error {
 	return err
 }
 
-// frame prepends the frame header: type, sender id.
+// frame prepends the frame header: type, sender id (a varint length
+// and its bytes).
 func (t *Transport) frame(typ byte, payload []byte) []byte {
 	return t.frameTo(nil, typ, payload)
 }
@@ -349,28 +359,33 @@ func (t *Transport) frame(typ byte, payload []byte) []byte {
 // preallocating the exact size otherwise).
 func (t *Transport) frameTo(dst []byte, typ byte, payload []byte) []byte {
 	id := string(t.cfg.NodeID)
-	need := 1 + 4 + len(id) + len(payload)
+	need := headerLen(t.cfg.NodeID) + len(payload)
 	if cap(dst) < need {
 		dst = make([]byte, 0, need)
 	} else {
 		dst = dst[:0]
 	}
 	dst = append(dst, typ)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(id)))
+	dst = binary.AppendUvarint(dst, uint64(len(id)))
 	dst = append(dst, id...)
 	return append(dst, payload...)
 }
 
+// headerLen is the length of a frame header naming id.
+func headerLen(id tuple.NodeID) int { return 1 + tuple.UvarintSize(uint64(len(id))) + len(id) }
+
+// parseFrame splits a datagram into its header fields and payload. The
+// sender id's length is checked against the datagram in 64-bit space.
 func parseFrame(data []byte) (typ byte, id tuple.NodeID, payload []byte, err error) {
-	if len(data) < 5 {
+	if len(data) < 2 {
 		return 0, "", nil, errors.New("udp: short frame")
 	}
-	typ = data[0]
-	n := int(binary.BigEndian.Uint32(data[1:5]))
-	if n < 0 || len(data) < 5+n {
+	n, w := binary.Uvarint(data[1:])
+	if w <= 0 || n > uint64(len(data)-1-w) {
 		return 0, "", nil, errors.New("udp: truncated frame")
 	}
-	return typ, tuple.NodeID(data[5 : 5+n]), data[5+n:], nil
+	body := data[1+w:]
+	return data[0], tuple.NodeID(body[:n]), body[n:], nil
 }
 
 // FrameSender returns the sender node id carried in a datagram's frame
@@ -394,7 +409,7 @@ func FrameHeaderLen(frame []byte) (int, bool) {
 	if err != nil {
 		return 0, false
 	}
-	return 5 + len(id), true
+	return headerLen(id), true
 }
 
 func (t *Transport) helloLoop() {
@@ -471,7 +486,7 @@ func (t *Transport) readLoop() {
 	for {
 		n, raddr, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
-			return // socket closed
+			return // Close set a read deadline in the past, or the socket failed
 		}
 		t.stats.Received.Add(1)
 		typ, id, payload, perr := parseFrame(buf[:n])

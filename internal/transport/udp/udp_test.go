@@ -199,7 +199,7 @@ func TestFramePayloadLimit(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer tr.Close()
-	want := DefaultMTU - (1 + 4 + len("mtu-node"))
+	want := DefaultMTU - (1 + 1 + len("mtu-node")) // type, varint id length, id
 	if got := tr.FramePayloadLimit(); got != want {
 		t.Errorf("FramePayloadLimit = %d, want %d", got, want)
 	}

@@ -1,6 +1,7 @@
 package tuple_test
 
 import (
+	"errors"
 	"testing"
 
 	"tota/internal/pattern"
@@ -71,5 +72,22 @@ func TestRegistryParseIDAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("Registry.ParseID of a repeated id = %v allocs, want 0", got)
+	}
+}
+
+// TestDecodeHostileCountAllocs: a field count of 2^40 behind a short
+// body is refused before DecodeParts sizes its content from it.
+func TestDecodeHostileCountAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	huge := []byte{2, 1, 'k', 1, 'n', 7, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20} // codec version 2, kind k, id n#7
+	got := testing.AllocsPerRun(20, func() {
+		if _, _, _, err := tuple.DecodeParts(huge); !errors.Is(err, tuple.ErrShortBuffer) {
+			t.Fatalf("DecodeParts = %v, want ErrShortBuffer", err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("DecodeParts of a hostile field count = %v allocs, want 0", got)
 	}
 }

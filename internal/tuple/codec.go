@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -124,86 +125,193 @@ func (r *Registry) Kinds() []string {
 // pattern).
 var DefaultRegistry = NewRegistry()
 
-const codecVersion = 1
+// codecVersion 2 is the compact format: every length, the field count
+// and the id's seq are unsigned varints, an int is a zigzag varint and
+// a float takes the compact float form (AppendFloat). Version 1 bytes,
+// the fixed-width format, decode as ErrBadVersion.
+const codecVersion = 2
 
 // Codec errors.
 var (
 	ErrShortBuffer = errors.New("tuple: short buffer")
 	ErrBadVersion  = errors.New("tuple: unsupported codec version")
+	// ErrTooLarge reports a varint past 64 bits, or a number past the
+	// range of what it encodes.
+	ErrTooLarge = errors.New("tuple: value exceeds decode bounds")
 )
 
+// The compact float form is one tag byte and its payload. In the tuple
+// codec the tag is the field's kind byte, so the tags other than
+// floatBits sit past the last Kind.
+const (
+	floatBits   = byte(KindFloat) // the IEEE-754 bits, 8 bytes big-endian
+	floatInt    = 6               // an integral value as a zigzag varint
+	floatPosInf = 7               // +Inf, no payload
+	floatNegInf = 8               // -Inf, no payload
+)
+
+// maxExactInt is 2^53: every integer of at most this magnitude is a
+// float64 exactly, so the integral form round-trips it.
+const maxExactInt = 1 << 53
+
+// UvarintSize returns the encoded size of x as an unsigned varint.
+func UvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// zigzag maps a signed integer onto the unsigned varint space as
+// binary.AppendVarint does, small magnitudes to small numbers.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+// integral returns v as an integer when it takes the integral float
+// form: an integer of magnitude at most 2^53, other than -0 (its sign
+// would be lost). A v the conversion cannot represent (±Inf, NaN, past
+// int64) never converts back to itself.
+func integral(v float64) (int64, bool) {
+	i := int64(v)
+	return i, float64(i) == v && i <= maxExactInt && i >= -maxExactInt && (i != 0 || !math.Signbit(v))
+}
+
+// FloatSize returns the size of v in the compact float form, tag
+// included.
+func FloatSize(v float64) int {
+	if i, ok := integral(v); ok {
+		return 1 + UvarintSize(zigzag(i))
+	}
+	if math.IsInf(v, 0) {
+		return 1
+	}
+	return 1 + 8
+}
+
+// AppendFloat appends v in the compact float form: ±Inf as a bare tag,
+// an integral value within ±2^53 (not -0) as a tag and a zigzag
+// varint — 23 takes two bytes — and any other float, NaN payloads and
+// subnormals included, as a tag and its 8 IEEE-754 bytes. Every float
+// decodes back to identical bits.
+func AppendFloat(b []byte, v float64) []byte {
+	if i, ok := integral(v); ok {
+		return binary.AppendVarint(append(b, floatInt), i)
+	}
+	switch {
+	case math.IsInf(v, 1):
+		return append(b, floatPosInf)
+	case math.IsInf(v, -1):
+		return append(b, floatNegInf)
+	}
+	return binary.BigEndian.AppendUint64(append(b, floatBits), math.Float64bits(v))
+}
+
+// ReadFloat decodes one compact float from the front of b and returns
+// it with the number of bytes it took, tag included.
+func ReadFloat(b []byte) (float64, int, error) {
+	if len(b) == 0 {
+		return 0, 0, ErrShortBuffer
+	}
+	switch b[0] {
+	case floatPosInf:
+		return math.Inf(1), 1, nil
+	case floatNegInf:
+		return math.Inf(-1), 1, nil
+	case floatBits:
+		if len(b) < 1+8 {
+			return 0, 0, ErrShortBuffer
+		}
+		return math.Float64frombits(binary.BigEndian.Uint64(b[1:])), 1 + 8, nil
+	case floatInt:
+		i, n := binary.Varint(b[1:])
+		if n <= 0 {
+			return 0, 0, varintErr(n)
+		}
+		if i > maxExactInt || i < -maxExactInt {
+			return 0, 0, ErrTooLarge
+		}
+		return float64(i), 1 + n, nil
+	}
+	return 0, 0, fmt.Errorf("tuple: bad value tag %d", b[0])
+}
+
+// varintErr is the error for binary.Uvarint's or Varint's n <= 0: a
+// truncated varint is short, one past 64 bits too large.
+func varintErr(n int) error {
+	if n == 0 {
+		return ErrShortBuffer
+	}
+	return ErrTooLarge
+}
+
 // EncodedSize returns the exact number of bytes Encode produces for t,
-// whose content is c, so callers can allocate (or reserve) encode
-// buffers in one shot.
+// whose content is c, varint widths included, so callers can allocate
+// (or reserve) encode buffers in one shot.
 func EncodedSize(t Tuple, c Content) int {
-	n := 1 + 4 + len(t.Kind()) + 4 + len(t.ID().Node) + 8 + 2
+	id := t.ID()
+	n := 1 + stringSize(t.Kind()) + stringSize(string(id.Node)) + UvarintSize(id.Seq) + UvarintSize(uint64(len(c)))
 	for _, f := range c {
-		n += 4 + len(f.Name) + 1
+		n += stringSize(f.Name)
 		switch v := f.Value.(type) {
 		case string:
-			n += 4 + len(v)
-		case int64, float64:
-			n += 8
+			n += 1 + stringSize(v)
+		case int64:
+			n += 1 + UvarintSize(zigzag(v))
+		case float64:
+			n += FloatSize(v)
 		case bool:
-			n++
+			n += 2
 		case []byte:
-			n += 4 + len(v)
+			n += 1 + UvarintSize(uint64(len(v))) + len(v)
 		}
 	}
 	return n
 }
 
-// Encode serializes a tuple as (kind, id, content) using a compact
-// big-endian binary format. The output is sized exactly, so encoding
-// costs a single allocation.
+func stringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
+
+// Encode serializes a tuple as (kind, id, content) in the compact
+// binary format. The output is sized exactly, so encoding costs a
+// single allocation.
 func Encode(t Tuple) ([]byte, error) {
-	return AppendEncode(nil, t, t.Content())
+	c := t.Content()
+	return AppendEncode(make([]byte, 0, EncodedSize(t, c)), t, c)
 }
 
 // AppendEncode appends the serialized form of t, whose content is c, to
-// dst and returns the extended slice, growing dst at most once (to the
-// exact final size). It lets message framers build a whole packet in
-// one buffer; c is t.Content() fetched once by the caller, so sizing
-// the packet and writing it read the same slice.
+// dst and returns the extended slice. It lets message framers build a
+// whole packet in one buffer: a dst with EncodedSize(t, c) bytes of
+// spare capacity is written in place, with no further allocation. c is
+// t.Content() fetched once by the caller, so sizing the packet and
+// writing it read the same slice.
 func AppendEncode(dst []byte, t Tuple, c Content) ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(c) > math.MaxUint16 {
-		return nil, fmt.Errorf("tuple: too many fields (%d)", len(c))
-	}
-	if need := EncodedSize(t, c); cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	b := dst
+	return appendTuple(dst, t, c), nil
+}
+
+// appendTuple is AppendEncode without the content validation.
+func appendTuple(b []byte, t Tuple, c Content) []byte {
 	b = append(b, codecVersion)
 	b = appendString(b, t.Kind())
 	b = appendString(b, string(t.ID().Node))
-	b = binary.BigEndian.AppendUint64(b, t.ID().Seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(c)))
+	b = binary.AppendUvarint(b, t.ID().Seq)
+	b = binary.AppendUvarint(b, uint64(len(c)))
 	for _, f := range c {
 		b = appendString(b, f.Name)
-		b = append(b, byte(f.Kind()))
 		switch v := f.Value.(type) {
 		case string:
-			b = appendString(b, v)
+			b = appendString(append(b, byte(KindString)), v)
 		case int64:
-			b = binary.BigEndian.AppendUint64(b, uint64(v))
+			b = binary.AppendVarint(append(b, byte(KindInt)), v)
 		case float64:
-			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+			b = AppendFloat(b, v)
 		case bool:
 			if v {
-				b = append(b, 1)
+				b = append(b, byte(KindBool), 1)
 			} else {
-				b = append(b, 0)
+				b = append(b, byte(KindBool), 0)
 			}
 		case []byte:
-			b = appendBytes(b, v)
+			b = appendBytes(append(b, byte(KindBytes)), v)
 		}
 	}
-	return b, nil
+	return b
 }
 
 // Decode reconstructs a tuple previously serialized with Encode, using
@@ -227,28 +335,29 @@ func DecodeParts(data []byte) (kind string, id ID, c Content, err error) {
 // names); field values are never interned — their cardinality is
 // unbounded.
 func decodeParts(r *Registry, data []byte) (kind string, id ID, c Content, err error) {
-	d, kind, id, err := open(r, data)
-	if err != nil {
-		return "", ID{}, nil, err
+	d := decoder{buf: data, reg: r}
+	kind, id = d.open()
+	if d.err != nil {
+		return "", ID{}, nil, d.err
 	}
 	c = make(Content, 0, d.left)
 	for d.left > 0 {
-		name, k, b, err := d.field()
-		if err != nil {
-			return "", ID{}, nil, err
+		name, k := d.field()
+		if d.err != nil {
+			return "", ID{}, nil, d.err
 		}
 		var val any
 		switch k {
 		case KindString:
-			val = string(b)
+			val = string(d.val)
 		case KindInt:
-			val = int64(binary.BigEndian.Uint64(b))
+			val = d.num
 		case KindFloat:
-			val = math.Float64frombits(binary.BigEndian.Uint64(b))
+			val = d.f
 		case KindBool:
-			val = b[0] != 0
+			val = d.num != 0
 		case KindBytes:
-			val = append(make([]byte, 0, len(b)), b...)
+			val = append(make([]byte, 0, len(d.val)), d.val...)
 		}
 		c = append(c, Field{Name: d.intern(name), Value: val})
 	}
@@ -271,91 +380,165 @@ type Envelope struct {
 // exactly what DecodeParts rejects, interns the kind and node through
 // r, and allocates nothing once those are interned.
 func ReadEnvelope(r *Registry, data []byte) (Envelope, error) {
-	d, kind, id, err := open(r, data)
-	if err != nil {
-		return Envelope{}, err
+	d := decoder{buf: data, reg: r}
+	kind, id := d.open()
+	if d.err != nil {
+		return Envelope{}, d.err
 	}
 	e := Envelope{Kind: kind, ID: id}
 	vals, appAfter := 0, false
 	for d.left > 0 {
-		name, k, b, err := d.field()
-		if err != nil {
-			return Envelope{}, err
+		name, k := d.field()
+		if d.err != nil {
+			return Envelope{}, d.err
 		}
 		if string(name) == ValueField {
 			vals, appAfter, e.HasValue = vals+1, false, k == KindFloat
-			if e.HasValue {
-				e.Value = math.Float64frombits(binary.BigEndian.Uint64(b))
-			}
+			e.Value = d.f
 		} else if len(name) == 0 || name[0] != '_' {
 			appAfter = true
 		}
 	}
 	e.HasValue = e.HasValue && vals == 1 && !appAfter
+	if !e.HasValue {
+		e.Value = 0
+	}
 	return e, nil
 }
 
-// open reads data's header — codec version, kind, id, field count —
-// and returns a decoder at the first field. With field, it is the
-// binary format's only parser: decodeParts builds content from it,
-// ReadEnvelope only looks.
-func open(r *Registry, data []byte) (d decoder, kind string, id ID, err error) {
-	d = decoder{buf: data, reg: r}
+// minField is the fewest bytes a field takes: an empty name's length
+// and a bare tag (±Inf).
+const minField = 2
+
+// open reads the header — codec version, kind, id, field count — and
+// leaves d at the first field. With field, it is the binary format's
+// only parser: decodeParts builds content from it, ReadEnvelope only
+// looks.
+func (d *decoder) open() (kind string, id ID) {
 	if v := d.byte(); d.err == nil && v != codecVersion {
-		return d, "", ID{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		d.fail(fmt.Errorf("%w: %d", ErrBadVersion, v))
+		return "", ID{}
 	}
-	kind = d.istring()
-	id.Node = NodeID(d.istring())
-	id.Seq = d.uint64()
-	d.left = int(d.uint16())
-	return d, kind, id, d.err
+	kind = d.intern(d.bytes())
+	id.Node = NodeID(d.intern(d.bytes()))
+	id.Seq = d.uvarint()
+	// A count the remaining bytes cannot hold is rejected before
+	// decodeParts sizes its content from it.
+	if n := d.uvarint(); n <= uint64(len(d.buf)/minField) {
+		d.left = int(n)
+	} else {
+		d.fail(ErrShortBuffer)
+	}
+	return kind, id
 }
 
-// field reads the next field: its name, its kind and its value bytes —
-// 8 for a number, 1 for a bool, the payload without its length prefix
-// for a string or bytes. The slices alias the decoded data.
-func (d *decoder) field() (name []byte, k Kind, val []byte, err error) {
+// field reads the next field's name and kind, and leaves its value in
+// d: val for a string or bytes (aliasing the decoded data), num for an
+// int or a bool (0 or 1), f for a float. Any compact float tag reads as
+// KindFloat. A failure is left in d.err.
+func (d *decoder) field() (name []byte, k Kind) {
 	d.left--
-	name = d.take(int(d.uint32()))
-	k = Kind(d.byte())
-	switch k {
-	case KindString, KindBytes:
-		val = d.take(int(d.uint32()))
-	case KindInt, KindFloat:
-		val = d.take(8)
-	case KindBool:
-		val = d.take(1)
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("tuple: bad field kind %d", k)
-		}
+	name = d.bytes()
+	if len(d.buf) == 0 {
+		d.fail(ErrShortBuffer)
+		return nil, 0
 	}
-	return name, k, val, d.err
+	switch k = Kind(d.buf[0]); k {
+	case KindString, KindBytes:
+		d.buf = d.buf[1:]
+		d.val = d.bytes()
+	case KindInt:
+		d.buf = d.buf[1:]
+		d.num = d.varint()
+	case KindBool:
+		d.buf = d.buf[1:]
+		d.num = int64(d.byte())
+	default:
+		k = KindFloat
+		d.float()
+	}
+	return name, k
 }
 
 func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
 func appendBytes(b, v []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+	b = binary.AppendUvarint(b, uint64(len(v)))
 	return append(b, v...)
 }
 
+// decoder walks an encoded tuple. Its first failure sticks in err and
+// empties buf, so every later read fails too; each read takes a
+// one-byte varint without a call.
 type decoder struct {
 	buf  []byte
 	err  error
 	reg  *Registry // optional; enables string interning
 	left int       // fields not read yet
+
+	// The value of the field last read (see field).
+	val []byte
+	num int64
+	f   float64
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	if n < 0 || len(d.buf) < n {
-		d.err = ErrShortBuffer
+	d.buf = nil
+}
+
+func (d *decoder) byte() byte {
+	if b := d.buf; len(b) > 0 {
+		d.buf = b[1:]
+		return b[0]
+	}
+	d.fail(ErrShortBuffer)
+	return 0
+}
+
+func (d *decoder) uvarint() uint64 {
+	if b := d.buf; len(b) > 0 && b[0] < 0x80 {
+		d.buf = b[1:]
+		return uint64(b[0])
+	}
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.fail(varintErr(n))
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.fail(varintErr(n))
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// bytes reads a length-prefixed string or byte payload, aliasing the
+// decoded data. The length is checked against the remaining bytes in
+// 64-bit space, so no length can wrap the bounds arithmetic.
+func (d *decoder) bytes() []byte {
+	if b := d.buf; len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) {
+		n := 1 + int(b[0])
+		d.buf = b[n:]
+		return b[1:n]
+	}
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		d.fail(ErrShortBuffer)
+	}
+	if d.err != nil {
 		return nil
 	}
 	out := d.buf[:n]
@@ -363,42 +546,18 @@ func (d *decoder) take(n int) []byte {
 	return out
 }
 
-func (d *decoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
+// float reads a compact float, its tag the field's kind byte.
+func (d *decoder) float() {
+	if b := d.buf; len(b) > 1 && b[0] == floatInt && b[1] < 0x80 { // |v| < 64
+		d.f, d.buf = float64(int64(b[1]>>1)^-int64(b[1]&1)), b[2:]
+		return
 	}
-	return b[0]
-}
-
-func (d *decoder) uint16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
+	v, n, err := ReadFloat(d.buf)
+	if err != nil {
+		d.fail(err)
+		return
 	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *decoder) uint32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *decoder) uint64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-// istring reads a low-cardinality protocol string (kind, node id),
-// interned through the registry so repeated decodes allocate nothing.
-func (d *decoder) istring() string {
-	return d.intern(d.take(int(d.uint32())))
+	d.f, d.buf = v, d.buf[n:]
 }
 
 func (d *decoder) intern(b []byte) string {

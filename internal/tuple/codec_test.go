@@ -1,7 +1,6 @@
 package tuple
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -249,27 +248,7 @@ func TestReadEnvelope(t *testing.T) {
 
 // encodeUnchecked is AppendEncode without content validation, for
 // inputs a well-behaved encoder never produces.
-func encodeUnchecked(t Tuple) []byte {
-	c := t.Content()
-	b := []byte{codecVersion}
-	b = appendString(b, t.Kind())
-	b = appendString(b, string(t.ID().Node))
-	b = binary.BigEndian.AppendUint64(b, t.ID().Seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(c)))
-	for _, f := range c {
-		b = appendString(b, f.Name)
-		b = append(b, byte(f.Kind()))
-		switch v := f.Value.(type) {
-		case string:
-			b = appendString(b, v)
-		case int64:
-			b = binary.BigEndian.AppendUint64(b, uint64(v))
-		case float64:
-			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-		}
-	}
-	return b
-}
+func encodeUnchecked(t Tuple) []byte { return appendTuple(nil, t, t.Content()) }
 
 func TestIDIsZero(t *testing.T) {
 	if !(ID{}).IsZero() {
@@ -277,5 +256,66 @@ func TestIDIsZero(t *testing.T) {
 	}
 	if (ID{Node: "n"}).IsZero() {
 		t.Error("non-zero ID reported IsZero")
+	}
+}
+
+// TestDecodeRejectsHostileVarints: a varint that is cut off, overlong
+// (11 bytes, past 64 bits), or claims more than the bytes behind it
+// fails DecodeParts and ReadEnvelope alike with ErrShortBuffer or
+// ErrTooLarge (TestDecodeHostileCountAllocs: with no allocation sized
+// from the claimed value).
+func TestDecodeRejectsHostileVarints(t *testing.T) {
+	overlong := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	head := []byte{codecVersion, 1, 'k', 1, 'n', 7} // kind k, id n#7
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	tests := []struct {
+		name string
+		give []byte
+		want error
+	}{
+		{"truncated kind length", []byte{codecVersion, 0x80}, ErrShortBuffer},
+		{"kind length past body", []byte{codecVersion, 9, 'k'}, ErrShortBuffer},
+		{"overlong node length", cat([]byte{codecVersion, 1, 'k'}, overlong), ErrTooLarge},
+		{"overlong seq", cat([]byte{codecVersion, 1, 'k', 1, 'n'}, overlong), ErrTooLarge},
+		{"truncated field count", cat(head, []byte{0x80}), ErrShortBuffer},
+		{"field count past body", cat(head, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}), ErrShortBuffer},
+		{"field count × minimum field past body", cat(head, []byte{3, 0, 7, 0, 7}), ErrShortBuffer},
+		{"name length past body", cat(head, []byte{1, 5, 'x'}), ErrShortBuffer},
+		{"string length past body", cat(head, []byte{1, 1, 's', byte(KindString), 9, 'x'}), ErrShortBuffer},
+		{"overlong int", cat(head, []byte{1, 1, 'i', byte(KindInt)}, overlong), ErrTooLarge},
+		{"truncated int", cat(head, []byte{1, 1, 'i', byte(KindInt), 0xff}), ErrShortBuffer},
+		{"integral float past 2^53", cat(head, []byte{1, 1, 'f', floatInt, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}), ErrTooLarge},
+		{"truncated float bits", cat(head, []byte{1, 1, 'f', floatBits, 0, 0}), ErrShortBuffer},
+	}
+	r := NewRegistry()
+	for _, tt := range tests {
+		if _, _, _, err := DecodeParts(tt.give); !errors.Is(err, tt.want) {
+			t.Errorf("%s: DecodeParts = %v, want %v", tt.name, err, tt.want)
+		}
+		if _, err := ReadEnvelope(r, tt.give); !errors.Is(err, tt.want) {
+			t.Errorf("%s: ReadEnvelope = %v, want %v", tt.name, err, tt.want)
+		}
+	}
+}
+
+// TestCompactFloatSizes: integral floats within ±2^53 take a tag and a
+// short varint, ±Inf a bare tag, and anything else a tag and 8 bytes.
+func TestCompactFloatSizes(t *testing.T) {
+	for _, tt := range []struct {
+		v    float64
+		want int
+	}{
+		{0, 2}, {1, 2}, {23, 2}, {-64, 2}, {64, 3}, {8191, 3}, {math.Inf(1), 1}, {math.Inf(-1), 1},
+		{1 << 53, 9}, {-(1 << 53), 9}, {1<<53 + 2, 9}, {0.5, 9}, {math.Copysign(0, -1), 9}, {math.NaN(), 9},
+	} {
+		if got := len(AppendFloat(nil, tt.v)); got != tt.want || FloatSize(tt.v) != tt.want {
+			t.Errorf("%v: AppendFloat wrote %d bytes, FloatSize %d, want %d", tt.v, got, FloatSize(tt.v), tt.want)
+		}
 	}
 }

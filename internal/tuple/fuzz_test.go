@@ -30,7 +30,11 @@ func FuzzDecodeParts(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1})
-	f.Add([]byte{codecVersion, 0, 0, 0, 1, 'k'})
+	f.Add([]byte{codecVersion, 1, 'k'})
+	// A field count past what the bytes behind it can hold, and an
+	// overlong seq varint.
+	f.Add([]byte{codecVersion, 1, 'k', 1, 'n', 7, 0xff, 0x7f})
+	f.Add(append([]byte{codecVersion, 1, 'k', 1, 'n'}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, id, c, err := DecodeParts(data)
@@ -67,6 +71,40 @@ func FuzzDecodeParts(f *testing.F) {
 		if kind2 != kind || id2 != id || !c2.Equal(c) {
 			t.Fatalf("round trip changed parts: %v %v %v vs %v %v %v",
 				kind, id, c, kind2, id2, c2)
+		}
+	})
+}
+
+// FuzzCompactFloat round-trips arbitrary float64 bit patterns through
+// the compact float form: every pattern, NaN payloads and -0 included,
+// decodes to identical bits, FloatSize counts exactly the bytes
+// AppendFloat writes, and ReadFloat consumes exactly them.
+func FuzzCompactFloat(f *testing.F) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 23, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+		1 << 53, -(1 << 53), 1<<53 + 2, -(1<<53 + 2), 1<<53 - 1, -(1<<53 - 1),
+		0.5, math.MaxFloat64, math.Pi,
+	} {
+		f.Add(math.Float64bits(v))
+	}
+	// NaNs: the canonical one, a signalling payload, a negative one.
+	f.Add(math.Float64bits(math.NaN()))
+	f.Add(uint64(0x7ff0000000000001))
+	f.Add(uint64(0xfff8000000000abc))
+
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		b := AppendFloat([]byte{0xaa}, v)
+		if len(b)-1 != FloatSize(v) {
+			t.Fatalf("%#x: AppendFloat wrote %d bytes, FloatSize says %d", bits, len(b)-1, FloatSize(v))
+		}
+		got, n, err := ReadFloat(append(b[1:], 0xbb))
+		if err != nil || n != len(b)-1 {
+			t.Fatalf("%#x: ReadFloat = %v, %d bytes, %v; want %d bytes", bits, got, n, err, len(b)-1)
+		}
+		if math.Float64bits(got) != bits {
+			t.Fatalf("%#x decoded as %#x", bits, math.Float64bits(got))
 		}
 	})
 }

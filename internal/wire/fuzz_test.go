@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,10 +80,8 @@ func FuzzDecode(f *testing.F) {
 			if frame, err := EncodeBatch([][]byte{tupleMsg, wd}); err == nil {
 				f.Add(frame)
 				// Handcrafted nested batch: must be rejected, not recursed.
-				var nested []byte
-				nested = append(nested, 1, byte(MsgBatch), 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
-				nested = append(nested,
-					byte(len(frame)>>24), byte(len(frame)>>16), byte(len(frame)>>8), byte(len(frame)))
+				nested := []byte{wireVersion, byte(MsgBatch), 0, 0, 1} // header, count=1
+				nested = binary.AppendUvarint(nested, uint64(len(frame)))
 				f.Add(append(nested, frame...))
 			}
 		}
@@ -133,24 +132,24 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	// Oversized claimed counts with no bytes behind them.
-	f.Add([]byte{1, byte(MsgBatch), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{1, byte(MsgDigest), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{1, byte(MsgPull), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add(seal([]byte{wireVersion, byte(MsgBatch), 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}))
+	f.Add(seal([]byte{wireVersion, byte(MsgDigest), 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}))
+	f.Add(seal([]byte{wireVersion, byte(MsgPull), 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}))
 	// A partial whose sketch claims 0xffff words behind a valid moment
 	// block: the word-count bound must reject it before sizing any walk.
-	f.Add([]byte{
-		1, byte(MsgPartial), 0, 0, 0, 0, 0, 0, // header, empty parent
-		0, 1, 'n', 0, 0, 0, 0, 0, 0, 0, 1, // id
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // zero origin
+	f.Add(seal([]byte{
+		wireVersion, byte(MsgPartial), 0, 0, // header, empty parent
+		1, 'n', 1, // id
+		0, 0, // zero origin
 		1,                      // flags: sketch present
 		0, 0, 0, 0, 0, 0, 0, 0, // count
 		0, 0, 0, 0, 0, 0, 0, 0, // sum
 		0, 0, 0, 0, 0, 0, 0, 0, // min
 		0, 0, 0, 0, 0, 0, 0, 0, // max
 		0xff, 0xff, // claimed sketch words
-	})
+	}))
 	f.Add([]byte{})
-	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{wireVersion, byte(MsgTuple), 0, 0, 0, 0, 0, 0})
 
 	var into Message
 	f.Fuzz(func(t *testing.T, data []byte) {

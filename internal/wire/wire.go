@@ -99,7 +99,7 @@ type DigestEntry struct {
 // the receiver can link its own store/adopt decision to the exact
 // upstream hop that caused it. The context is 16 bytes, fixed-size, and
 // only present on traced frames — untraced frames are byte-identical to
-// the version-1 encoding.
+// the version-3 encoding.
 type TraceCtx struct {
 	TraceID uint64
 	Span    uint64
@@ -147,18 +147,22 @@ type Message struct {
 	Partial agg.Partial
 	// Trace is the causal trace context of a sampled tuple (MsgTuple
 	// only). A zero TraceID means unsampled: the frame encodes as
-	// version 1 with no trace bytes.
+	// version 3 with no trace bytes.
 	Trace TraceCtx
 }
 
-// Frame versions. Version 1 is the untraced baseline; version 2 frames
-// carry a 16-byte TraceCtx between the announcement version and the
-// tuple bytes of a MsgTuple body. Encoders emit version 2 only when a
-// trace context is present, so disabling sampling reproduces version-1
-// bytes exactly; decoders accept both.
+// Frame versions. The format is compact: every length, count, seq,
+// version and hop is an unsigned varint, and a digest value takes the
+// tuple codec's compact float form (tuple.AppendFloat). Version 3 is
+// untraced; version 4 frames carry a 16-byte TraceCtx between the
+// announcement version and the tuple bytes of a MsgTuple body.
+// Encoders emit version 4 only when a trace context is present, so
+// disabling sampling reproduces version-3 bytes exactly; decoders
+// accept both. Versions 1 and 2, the fixed-width format, decode as
+// ErrVersion.
 const (
-	wireVersion       = 1
-	wireVersionTraced = 2
+	wireVersion       = 3
+	wireVersionTraced = 4
 )
 
 // Hard decode bounds: a frame claiming more than these is rejected
@@ -205,39 +209,53 @@ func seal(b []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
-// Batch frame layout constants, exported so the engine can pack frames
-// against a transport's payload budget without trial encodes.
+// Frame layout constants, exported so the engine can pack frames
+// against a transport's payload budget without trial encodes. The
+// overheads are upper bounds: each reserves two varint bytes for its
+// count, the most a count within its Max bound takes.
 const (
-	headerSize = 2 + 2 + 4 // version, type, hop, parent length (empty parent)
-	// BatchOverhead is the fixed cost of a batch frame: the shared
-	// header, the sub-message count, and the frame's checksum trailer.
-	BatchOverhead = headerSize + 4 + ChecksumSize
-	// BatchPerMessage is the additional cost of each coalesced message
-	// (its length prefix). Sub-messages carry their own trailers, already
-	// counted in their encoded length.
-	BatchPerMessage = 4
-	// DigestOverhead is the fixed cost of a digest message with an empty
-	// parent (header, entry count, checksum trailer); per-entry costs
-	// come from DigestEntrySize.
-	DigestOverhead = headerSize + 4 + ChecksumSize
-	// PullOverhead is the fixed cost of a pull message with an empty
-	// parent (header, id count, checksum trailer); per-id costs come
-	// from PullIDSize.
-	PullOverhead = headerSize + 4 + ChecksumSize
+	headerSize = 4 // version, type, hop 0, parent length 0
+	// minFrame is the shortest frame: a header and a checksum trailer.
+	minFrame = headerSize + ChecksumSize
+	// BatchOverhead is the most a batch frame costs beyond its entries
+	// (BatchEntrySize): the shared header, the sub-message count, and
+	// the frame's checksum trailer.
+	BatchOverhead = headerSize + 2 + ChecksumSize
+	// DigestOverhead is the most a digest message with an empty parent
+	// costs beyond its entries (DigestEntrySize): header, entry count,
+	// checksum trailer.
+	DigestOverhead = headerSize + 2 + ChecksumSize
+	// PullOverhead is the most a pull message with an empty parent
+	// costs beyond its ids (PullIDSize): header, id count, checksum
+	// trailer.
+	PullOverhead = headerSize + 2 + ChecksumSize
 )
+
+// Fewest bytes one element of a counted body takes, which bounds a
+// claimed count by the bytes behind it.
+const (
+	minBatchEntry  = 1 + minFrame  // length prefix, shortest frame
+	minDigestEntry = 1 + 2 + 1 + 1 // flags, id, version, hop
+	minID          = 2             // empty node's length, seq
+)
+
+// BatchEntrySize returns what a sub-message of n encoded bytes adds to
+// a batch frame: its length prefix and its bytes. Sub-messages carry
+// their own trailers, already counted in n.
+func BatchEntrySize(n int) int { return tuple.UvarintSize(uint64(n)) + n }
 
 // PullIDSize returns the encoded size of one pull-request id, for
 // packing pulls against a frame payload budget.
-func PullIDSize(id tuple.ID) int { return 2 + len(id.Node) + 8 }
+func PullIDSize(id tuple.ID) int { return idSize(id) }
 
 // Encode serializes a message. The buffer is preallocated to the exact
-// message size, so the whole packet is built with one allocation and no
-// re-copies — the per-packet hot path of every broadcast, refresh, and
-// announcement. A carried tuple's content is built once: the size
-// (tuple.EncodedSize) and the bytes (tuple.AppendEncode) come from the
-// same slice.
+// message size, varint widths counted, so the whole packet is built
+// with one allocation and no re-copies — the per-packet hot path of
+// every broadcast, refresh, and announcement. A carried tuple's content
+// is built once: the size (tuple.EncodedSize) and the bytes
+// (tuple.AppendEncode) come from the same slice.
 func Encode(m Message) ([]byte, error) {
-	header := headerSize + len(m.Parent)
+	header := headerLen(&m)
 	switch m.Type {
 	case MsgTuple:
 		if m.Tuple == nil {
@@ -245,15 +263,15 @@ func Encode(m Message) ([]byte, error) {
 		}
 		traced := m.Trace.TraceID != 0
 		c := m.Tuple.Content()
-		size := header + 4 + tuple.EncodedSize(m.Tuple, c) + ChecksumSize
+		size := header + tuple.UvarintSize(uint64(m.Ver)) + tuple.EncodedSize(m.Tuple, c) + ChecksumSize
 		ver := byte(wireVersion)
 		if traced {
 			size += TraceCtxSize
 			ver = wireVersionTraced
 		}
 		b := make([]byte, 0, size)
-		b = appendHeader(b, ver, m)
-		b = binary.BigEndian.AppendUint32(b, m.Ver)
+		b = appendHeader(b, ver, &m)
+		b = binary.AppendUvarint(b, uint64(m.Ver))
 		if traced {
 			b = binary.BigEndian.AppendUint64(b, m.Trace.TraceID)
 			b = binary.BigEndian.AppendUint64(b, m.Trace.Span)
@@ -265,15 +283,15 @@ func Encode(m Message) ([]byte, error) {
 		return seal(b), nil
 	case MsgRetract, MsgWithdraw:
 		id := m.ID.String()
-		b := make([]byte, 0, header+4+len(id)+ChecksumSize)
-		b = appendHeader(b, wireVersion, m)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(id)))
+		b := make([]byte, 0, header+tuple.UvarintSize(uint64(len(id)))+len(id)+ChecksumSize)
+		b = appendHeader(b, wireVersion, &m)
+		b = binary.AppendUvarint(b, uint64(len(id)))
 		return seal(append(b, id...)), nil
 	case MsgDigest:
 		if len(m.Digest) > MaxDigestEntries {
 			return nil, fmt.Errorf("%w: %d digest entries", ErrTooLarge, len(m.Digest))
 		}
-		size := header + 4 + ChecksumSize
+		size := header + tuple.UvarintSize(uint64(len(m.Digest))) + ChecksumSize
 		for i := range m.Digest {
 			e := &m.Digest[i]
 			if len(e.ID.Node) > math.MaxUint16 || len(e.Parent) > math.MaxUint16 {
@@ -282,8 +300,8 @@ func Encode(m Message) ([]byte, error) {
 			size += digestEntrySize(e)
 		}
 		b := make([]byte, 0, size)
-		b = appendHeader(b, wireVersion, m)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Digest)))
+		b = appendHeader(b, wireVersion, &m)
+		b = binary.AppendUvarint(b, uint64(len(m.Digest)))
 		for i := range m.Digest {
 			b = appendDigestEntry(b, &m.Digest[i])
 		}
@@ -292,16 +310,16 @@ func Encode(m Message) ([]byte, error) {
 		if len(m.Want) > MaxPullIDs {
 			return nil, fmt.Errorf("%w: %d pull ids", ErrTooLarge, len(m.Want))
 		}
-		size := header + 4 + ChecksumSize
+		size := header + tuple.UvarintSize(uint64(len(m.Want))) + ChecksumSize
 		for _, id := range m.Want {
 			if len(id.Node) > math.MaxUint16 {
 				return nil, fmt.Errorf("%w: pull id node over %d bytes", ErrTooLarge, math.MaxUint16)
 			}
-			size += 2 + len(id.Node) + 8
+			size += idSize(id)
 		}
 		b := make([]byte, 0, size)
-		b = appendHeader(b, wireVersion, m)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Want)))
+		b = appendHeader(b, wireVersion, &m)
+		b = binary.AppendUvarint(b, uint64(len(m.Want)))
 		for _, id := range m.Want {
 			b = appendID(b, id)
 		}
@@ -310,12 +328,12 @@ func Encode(m Message) ([]byte, error) {
 		if len(m.ID.Node) > math.MaxUint16 || len(m.Origin.Node) > math.MaxUint16 {
 			return nil, fmt.Errorf("%w: partial id node over %d bytes", ErrTooLarge, math.MaxUint16)
 		}
-		size := header + 2 + len(m.ID.Node) + 8 + 2 + len(m.Origin.Node) + 8 + 1 + 8 + 3*8 + ChecksumSize
+		size := header + idSize(m.ID) + idSize(m.Origin) + 1 + 8 + 3*8 + ChecksumSize
 		if m.Partial.HasSketch {
 			size += 2 + agg.SketchWords*8
 		}
 		b := make([]byte, 0, size)
-		b = appendHeader(b, wireVersion, m)
+		b = appendHeader(b, wireVersion, &m)
 		b = appendID(b, m.ID)
 		b = appendID(b, m.Origin)
 		flags := byte(0)
@@ -357,9 +375,9 @@ func Encode(m Message) ([]byte, error) {
 func DigestEntrySize(e *DigestEntry) int { return digestEntrySize(e) }
 
 func digestEntrySize(e *DigestEntry) int {
-	size := 1 + 2 + len(e.ID.Node) + 8 + 4 + 2
+	size := 1 + idSize(e.ID) + tuple.UvarintSize(uint64(e.Ver)) + tuple.UvarintSize(uint64(e.Hop))
 	if e.Maintained {
-		size += 8 + 2 + len(e.Parent)
+		size += tuple.FloatSize(e.Value) + tuple.UvarintSize(uint64(len(e.Parent))) + len(e.Parent)
 	}
 	return size
 }
@@ -371,11 +389,11 @@ func appendDigestEntry(b []byte, e *DigestEntry) []byte {
 	}
 	b = append(b, flags)
 	b = appendID(b, e.ID)
-	b = binary.BigEndian.AppendUint32(b, e.Ver)
-	b = binary.BigEndian.AppendUint16(b, e.Hop)
+	b = binary.AppendUvarint(b, uint64(e.Ver))
+	b = binary.AppendUvarint(b, uint64(e.Hop))
 	if e.Maintained {
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(e.Value))
-		b = binary.BigEndian.AppendUint16(b, uint16(len(e.Parent)))
+		b = tuple.AppendFloat(b, e.Value)
+		b = binary.AppendUvarint(b, uint64(len(e.Parent)))
 		b = append(b, e.Parent...)
 	}
 	return b
@@ -383,12 +401,15 @@ func appendDigestEntry(b []byte, e *DigestEntry) []byte {
 
 // appendID encodes a tuple id as (node length, node, seq) — more
 // compact and alloc-free to decode compared to the "node#seq" string
-// form used by the retract/withdraw bodies. Encode validates that the
-// node name fits the uint16 length prefix before any entry is appended.
+// form used by the retract/withdraw bodies.
 func appendID(b []byte, id tuple.ID) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(id.Node)))
+	b = binary.AppendUvarint(b, uint64(len(id.Node)))
 	b = append(b, id.Node...)
-	return binary.BigEndian.AppendUint64(b, id.Seq)
+	return binary.AppendUvarint(b, id.Seq)
+}
+
+func idSize(id tuple.ID) int {
+	return tuple.UvarintSize(uint64(len(id.Node))) + len(id.Node) + tuple.UvarintSize(id.Seq)
 }
 
 // EncodeBatch coalesces independently encoded messages into one batch
@@ -401,27 +422,32 @@ func EncodeBatch(msgs [][]byte) ([]byte, error) {
 	if len(msgs) > MaxBatchMessages {
 		return nil, fmt.Errorf("%w: %d batched messages", ErrTooLarge, len(msgs))
 	}
-	size := BatchOverhead
+	size := headerSize + tuple.UvarintSize(uint64(len(msgs))) + ChecksumSize
 	for _, msg := range msgs {
 		if len(msg) >= 2 && MsgType(msg[1]) == MsgBatch {
 			return nil, ErrNestedBatch
 		}
-		size += BatchPerMessage + len(msg)
+		size += BatchEntrySize(len(msg))
 	}
 	b := make([]byte, 0, size)
-	b = appendHeader(b, wireVersion, Message{Type: MsgBatch})
-	b = binary.BigEndian.AppendUint32(b, uint32(len(msgs)))
+	b = appendHeader(b, wireVersion, &Message{Type: MsgBatch})
+	b = binary.AppendUvarint(b, uint64(len(msgs)))
 	for _, msg := range msgs {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(msg)))
+		b = binary.AppendUvarint(b, uint64(len(msg)))
 		b = append(b, msg...)
 	}
 	return seal(b), nil
 }
 
-func appendHeader(b []byte, ver byte, m Message) []byte {
+// headerLen is the encoded size of m's header.
+func headerLen(m *Message) int {
+	return 2 + tuple.UvarintSize(uint64(m.Hop)) + tuple.UvarintSize(uint64(len(m.Parent))) + len(m.Parent)
+}
+
+func appendHeader(b []byte, ver byte, m *Message) []byte {
 	b = append(b, ver, byte(m.Type))
-	b = binary.BigEndian.AppendUint16(b, m.Hop)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Parent)))
+	b = binary.AppendUvarint(b, uint64(m.Hop))
+	b = binary.AppendUvarint(b, uint64(len(m.Parent)))
 	return append(b, m.Parent...)
 }
 
@@ -465,234 +491,136 @@ func decodeInto(reg *tuple.Registry, data []byte, m *Message, inBatch bool) erro
 	// The CRC trailer is verified before any field is believed: a frame
 	// that does not authenticate is rejected wholesale, so radio bit
 	// flips surface as decode errors instead of poisoned protocol state.
-	if len(data) < 4+ChecksumSize {
+	if len(data) < minFrame {
 		return ErrShort
 	}
 	sealed, trailer := data[:len(data)-ChecksumSize], data[len(data)-ChecksumSize:]
 	if crc32.Checksum(sealed, castagnoli) != binary.BigEndian.Uint32(trailer) {
 		return ErrChecksum
 	}
-	data = sealed
-	ver := data[0]
+	ver := sealed[0]
 	if ver != wireVersion && ver != wireVersionTraced {
 		return fmt.Errorf("%w: %d", ErrVersion, ver)
 	}
-	m.Type = MsgType(data[1])
-	m.Hop = binary.BigEndian.Uint16(data[2:4])
-	body := data[4:]
-	if len(body) < 4 {
-		return ErrShort
-	}
-	// Length fields are compared in 64-bit space: on 32-bit platforms a
-	// hostile 4-byte length would otherwise convert to a negative int or
-	// overflow the bounds arithmetic.
-	pn64 := int64(binary.BigEndian.Uint32(body[:4]))
-	if int64(len(body)) < 4+pn64 {
-		return ErrShort
-	}
-	pn := int(pn64)
-	m.Parent = tuple.NodeID(reg.Intern(body[4 : 4+pn]))
-	body = body[4+pn:]
+	m.Type = MsgType(sealed[1])
+	r := reader{b: sealed[2:]}
+	m.Hop = uint16(r.uvarint(math.MaxUint16))
+	m.Parent = tuple.NodeID(reg.Intern(r.bytes()))
 	switch m.Type {
 	case MsgTuple:
-		if len(body) < 4 {
-			return ErrShort
-		}
-		m.Ver = binary.BigEndian.Uint32(body[:4])
-		body = body[4:]
+		m.Ver = uint32(r.uvarint(math.MaxUint32))
 		if ver == wireVersionTraced {
-			if len(body) < TraceCtxSize {
-				return ErrShort
+			if tc := r.fixed(TraceCtxSize); tc != nil {
+				m.Trace.TraceID = binary.BigEndian.Uint64(tc[:8])
+				m.Trace.Span = binary.BigEndian.Uint64(tc[8:])
 			}
-			m.Trace.TraceID = binary.BigEndian.Uint64(body[:8])
-			m.Trace.Span = binary.BigEndian.Uint64(body[8:16])
-			body = body[TraceCtxSize:]
 		}
-		env, err := tuple.ReadEnvelope(reg, body)
+		if r.err != nil {
+			return r.err
+		}
+		env, err := tuple.ReadEnvelope(reg, r.b)
 		if err != nil {
 			return fmt.Errorf("wire: decode tuple: %w", err)
 		}
-		m.Env, m.Raw = env, body
+		m.Env, m.Raw = env, r.b
 	case MsgRetract, MsgWithdraw:
-		if len(body) < 4 {
-			return ErrShort
+		s := r.bytes()
+		if r.err != nil {
+			return r.err
 		}
-		n64 := int64(binary.BigEndian.Uint32(body[:4]))
-		if int64(len(body)) < 4+n64 {
-			return ErrShort
-		}
-		n := int(n64)
-		id, err := reg.ParseID(body[4 : 4+n])
+		id, err := reg.ParseID(s)
 		if err != nil {
 			return fmt.Errorf("wire: %w", err)
 		}
 		m.ID = id
 	case MsgDigest:
-		return decodeDigest(reg, body, m)
+		decodeDigest(reg, &r, m)
 	case MsgPull:
-		return decodePull(reg, body, m)
+		count := r.count(MaxPullIDs, minID)
+		for i := 0; i < count && r.err == nil; i++ {
+			if id := r.id(reg); r.err == nil {
+				m.Want = append(m.Want, id)
+			}
+		}
 	case MsgPartial:
-		return decodePartial(reg, body, m)
+		decodePartial(reg, &r, m)
 	case MsgBatch:
-		if inBatch {
+		if r.err == nil && inBatch {
 			return ErrNestedBatch
 		}
-		return decodeBatch(reg, body, m)
+		return decodeBatch(reg, &r, m)
 	default:
-		return fmt.Errorf("%w: %d", ErrType, m.Type)
+		if r.err == nil {
+			return fmt.Errorf("%w: %d", ErrType, m.Type)
+		}
 	}
-	return nil
+	return r.err
 }
 
-func decodeDigest(reg *tuple.Registry, body []byte, m *Message) error {
-	if len(body) < 4 {
-		return ErrShort
-	}
-	// Bound the count while it is still unsigned: on 32-bit platforms
-	// int(uint32) can go negative and slip past a signed upper bound.
-	count32 := binary.BigEndian.Uint32(body[:4])
-	body = body[4:]
-	if count32 > MaxDigestEntries {
-		return fmt.Errorf("%w: %d digest entries", ErrTooLarge, count32)
-	}
-	count := int(count32)
-	// Minimal entry size bounds the claimed count before any append
-	// grows the scratch slice.
-	const minEntry = 1 + 2 + 8 + 4 + 2
-	if count*minEntry > len(body) {
-		return ErrShort
-	}
-	for i := 0; i < count; i++ {
+func decodeDigest(reg *tuple.Registry, r *reader, m *Message) {
+	count := r.count(MaxDigestEntries, minDigestEntry)
+	for i := 0; i < count && r.err == nil; i++ {
 		var e DigestEntry
-		if len(body) < 1 {
-			return ErrShort
-		}
-		flags := body[0]
-		e.Maintained = flags&1 != 0
-		body = body[1:]
-		var err error
-		if e.ID, body, err = takeID(reg, body); err != nil {
-			return err
-		}
-		if len(body) < 4+2 {
-			return ErrShort
-		}
-		e.Ver = binary.BigEndian.Uint32(body[:4])
-		e.Hop = binary.BigEndian.Uint16(body[4:6])
-		body = body[6:]
+		e.Maintained = r.byte()&1 != 0
+		e.ID = r.id(reg)
+		e.Ver = uint32(r.uvarint(math.MaxUint32))
+		e.Hop = uint16(r.uvarint(math.MaxUint16))
 		if e.Maintained {
-			if len(body) < 8+2 {
-				return ErrShort
-			}
-			e.Value = math.Float64frombits(binary.BigEndian.Uint64(body[:8]))
-			pn := int(binary.BigEndian.Uint16(body[8:10]))
-			body = body[10:]
-			if len(body) < pn {
-				return ErrShort
-			}
-			e.Parent = tuple.NodeID(reg.Intern(body[:pn]))
-			body = body[pn:]
+			e.Value = r.float()
+			e.Parent = tuple.NodeID(reg.Intern(r.bytes()))
 		}
-		m.Digest = append(m.Digest, e)
+		if r.err == nil {
+			m.Digest = append(m.Digest, e)
+		}
 	}
-	return nil
 }
 
-func decodePull(reg *tuple.Registry, body []byte, m *Message) error {
-	if len(body) < 4 {
-		return ErrShort
+func decodePartial(reg *tuple.Registry, r *reader, m *Message) {
+	m.ID = r.id(reg)
+	m.Origin = r.id(reg)
+	flags := r.byte()
+	if f := r.fixed(8 + 3*8); f != nil {
+		m.Partial.Count = int64(binary.BigEndian.Uint64(f[0:8]))
+		m.Partial.Sum = math.Float64frombits(binary.BigEndian.Uint64(f[8:16]))
+		m.Partial.Min = math.Float64frombits(binary.BigEndian.Uint64(f[16:24]))
+		m.Partial.Max = math.Float64frombits(binary.BigEndian.Uint64(f[24:32]))
 	}
-	count32 := binary.BigEndian.Uint32(body[:4])
-	body = body[4:]
-	if count32 > MaxPullIDs {
-		return fmt.Errorf("%w: %d pull ids", ErrTooLarge, count32)
+	if flags&1 == 0 || r.err != nil {
+		return
 	}
-	count := int(count32)
-	const minID = 2 + 8
-	if count*minID > len(body) {
-		return ErrShort
+	m.Partial.HasSketch = true
+	w := r.fixed(2)
+	if w == nil {
+		return
 	}
-	for i := 0; i < count; i++ {
-		id, rest, err := takeID(reg, body)
-		if err != nil {
-			return err
-		}
-		body = rest
-		m.Want = append(m.Want, id)
+	// Bound the claimed word count before any arithmetic or slice walk
+	// is sized from it, mirroring MaxDigestEntries.
+	switch words := binary.BigEndian.Uint16(w); {
+	case words > MaxSketchWords:
+		r.err = fmt.Errorf("%w: %d sketch words", ErrTooLarge, words)
+	case words != agg.SketchWords:
+		r.err = fmt.Errorf("%w: %d words", ErrSketchSize, words)
 	}
-	return nil
-}
-
-func decodePartial(reg *tuple.Registry, body []byte, m *Message) error {
-	var err error
-	if m.ID, body, err = takeID(reg, body); err != nil {
-		return err
-	}
-	if m.Origin, body, err = takeID(reg, body); err != nil {
-		return err
-	}
-	if len(body) < 1+8+3*8 {
-		return ErrShort
-	}
-	flags := body[0]
-	m.Partial.Count = int64(binary.BigEndian.Uint64(body[1:9]))
-	m.Partial.Sum = math.Float64frombits(binary.BigEndian.Uint64(body[9:17]))
-	m.Partial.Min = math.Float64frombits(binary.BigEndian.Uint64(body[17:25]))
-	m.Partial.Max = math.Float64frombits(binary.BigEndian.Uint64(body[25:33]))
-	body = body[33:]
-	if flags&1 != 0 {
-		m.Partial.HasSketch = true
-		if len(body) < 2 {
-			return ErrShort
-		}
-		// Bound the claimed word count before any arithmetic or slice
-		// walk is sized from it, mirroring MaxDigestEntries.
-		words := binary.BigEndian.Uint16(body[:2])
-		if words > MaxSketchWords {
-			return fmt.Errorf("%w: %d sketch words", ErrTooLarge, words)
-		}
-		if words != agg.SketchWords {
-			return fmt.Errorf("%w: %d words", ErrSketchSize, words)
-		}
-		body = body[2:]
-		if len(body) < agg.SketchWords*8 {
-			return ErrShort
-		}
+	if s := r.fixed(agg.SketchWords * 8); s != nil {
 		for i := range m.Partial.Sketch.W {
-			m.Partial.Sketch.W[i] = binary.BigEndian.Uint64(body[i*8 : i*8+8])
+			m.Partial.Sketch.W[i] = binary.BigEndian.Uint64(s[i*8:])
 		}
 	}
-	return nil
 }
 
-func decodeBatch(reg *tuple.Registry, body []byte, m *Message) error {
-	if len(body) < 4 {
-		return ErrShort
+func decodeBatch(reg *tuple.Registry, r *reader, m *Message) error {
+	count := r.count(MaxBatchMessages, minBatchEntry)
+	if r.err != nil {
+		return r.err
 	}
-	count32 := binary.BigEndian.Uint32(body[:4])
-	body = body[4:]
-	if count32 == 0 {
+	if count == 0 {
 		return errors.New("wire: empty batch")
 	}
-	if count32 > MaxBatchMessages {
-		return fmt.Errorf("%w: %d batched messages", ErrTooLarge, count32)
-	}
-	count := int(count32)
-	// A sub-message is at least a length prefix plus a header, a 4-byte
-	// body prefix and its own checksum trailer.
-	const minMsg = 4 + headerSize + 4 + ChecksumSize
-	if count*minMsg > len(body) {
-		return ErrShort
-	}
 	for i := 0; i < count; i++ {
-		if len(body) < 4 {
-			return ErrShort
+		sub := r.bytes()
+		if r.err != nil {
+			return r.err
 		}
-		n64 := int64(binary.BigEndian.Uint32(body[:4]))
-		if int64(len(body)) < 4+n64 {
-			return ErrShort
-		}
-		n := int(n64)
 		// Reuse the scratch element (and its nested slice capacity) when
 		// the previous decode left one behind.
 		if i < cap(m.Batch) {
@@ -700,25 +628,110 @@ func decodeBatch(reg *tuple.Registry, body []byte, m *Message) error {
 		} else {
 			m.Batch = append(m.Batch, Message{})
 		}
-		if err := decodeInto(reg, body[4:4+n], &m.Batch[i], true); err != nil {
+		if err := decodeInto(reg, sub, &m.Batch[i], true); err != nil {
 			return fmt.Errorf("wire: batch message %d: %w", i, err)
 		}
-		body = body[4+n:]
 	}
 	return nil
 }
 
-func takeID(reg *tuple.Registry, body []byte) (tuple.ID, []byte, error) {
-	if len(body) < 2 {
-		return tuple.ID{}, nil, ErrShort
+// reader walks a frame body. Its first failure sticks: later reads
+// return zero values, and err keeps the failure.
+type reader struct {
+	b   []byte
+	err error
+}
+
+func (r *reader) byte() byte {
+	if b := r.fixed(1); b != nil {
+		return b[0]
 	}
-	nn := int(binary.BigEndian.Uint16(body[:2]))
-	if len(body) < 2+nn+8 {
-		return tuple.ID{}, nil, ErrShort
+	return 0
+}
+
+// fixed reads the next n bytes, nil if they are not all there.
+func (r *reader) fixed(n int) []byte {
+	if r.err != nil {
+		return nil
 	}
-	id := tuple.ID{
-		Node: tuple.NodeID(reg.Intern(body[2 : 2+nn])),
-		Seq:  binary.BigEndian.Uint64(body[2+nn : 2+nn+8]),
+	if len(r.b) < n {
+		r.err = ErrShort
+		return nil
 	}
-	return id, body[2+nn+8:], nil
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// uvarint reads an unsigned varint no larger than max: a truncated one
+// is ErrShort, one past 64 bits or past max ErrTooLarge.
+func (r *reader) uvarint(max uint64) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) > 0 && r.b[0] < 0x80 && uint64(r.b[0]) <= max { // the common one-byte case
+		v := r.b[0]
+		r.b = r.b[1:]
+		return uint64(v)
+	}
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.err = ErrShort
+		return 0
+	case n < 0 || v > max:
+		r.err = ErrTooLarge
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// bytes reads a length-prefixed byte string, aliasing the frame. The
+// length is checked against the bytes left in 64-bit space, so no
+// claimed length can wrap the bounds arithmetic on a 32-bit platform.
+func (r *reader) bytes() []byte {
+	n := r.uvarint(math.MaxUint64)
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = ErrShort
+	}
+	return r.fixed(int(n))
+}
+
+// count reads an element count and bounds it before anything is sized
+// from it: past max is ErrTooLarge, and more elements of at least
+// minSize bytes than the rest of the body holds is ErrShort.
+func (r *reader) count(max uint64, minSize int) int {
+	n := r.uvarint(max)
+	if r.err == nil && n > uint64(len(r.b)/minSize) {
+		r.err = ErrShort
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// id reads a tuple id as appendID writes it, interning the node.
+func (r *reader) id(reg *tuple.Registry) tuple.ID {
+	node := r.bytes()
+	seq := r.uvarint(math.MaxUint64)
+	if r.err != nil {
+		return tuple.ID{}
+	}
+	return tuple.ID{Node: tuple.NodeID(reg.Intern(node)), Seq: seq}
+}
+
+// float reads a value in the compact float form.
+func (r *reader) float() float64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n, err := tuple.ReadFloat(r.b)
+	if err != nil {
+		r.err = fmt.Errorf("wire: %w", err)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"strings"
@@ -99,12 +100,13 @@ func TestEncodeErrors(t *testing.T) {
 }
 
 // retiredQueryFrame is an aggregation epoch wave as older binaries sent
-// it: type 7, hop 3, query id root#4, epoch 17. The type stays
-// unassigned, so the frame must decode as ErrType.
+// it, laid out in the current format: type 7, hop 3, query id root#4,
+// epoch 17. The type stays unassigned, so the frame must decode as
+// ErrType.
 var retiredQueryFrame = seal([]byte{
-	1, 7, 0, 3, 0, 0, 0, 0, // header: version, type 7, hop 3, empty parent
-	0, 4, 'r', 'o', 'o', 't', 0, 0, 0, 0, 0, 0, 0, 4, // id
-	0, 0, 0, 17, // epoch
+	wireVersion, 7, 3, 0, // header: version, type 7, hop 3, empty parent
+	4, 'r', 'o', 'o', 't', 4, // id
+	17, // epoch
 })
 
 func TestDecodeErrors(t *testing.T) {
@@ -126,16 +128,17 @@ func TestDecodeErrors(t *testing.T) {
 		want error
 	}{
 		{name: "empty", give: nil, want: ErrShort},
-		{name: "tiny", give: []byte{1, 1}, want: ErrShort},
+		{name: "tiny", give: []byte{wireVersion, 1}, want: ErrShort},
 		{name: "bad version", give: seal(append([]byte{9}, goodBody[1:]...)), want: ErrVersion},
-		{name: "missing parent", give: []byte{1, 1, 0, 0}, want: ErrShort},
-		{name: "truncated parent", give: seal([]byte{1, 1, 0, 0, 0, 0, 0, 5, 'x'}), want: ErrShort},
-		{name: "bad type", give: seal([]byte{1, 99, 0, 0, 0, 0, 0, 0}), want: ErrType},
+		// The parent length's varint is cut off after its first byte.
+		{name: "missing parent", give: seal([]byte{wireVersion, 1, 0, 0x80}), want: ErrShort},
+		{name: "truncated parent", give: seal([]byte{wireVersion, 1, 0, 5, 'x'}), want: ErrShort},
+		{name: "bad type", give: seal([]byte{wireVersion, 99, 0, 0}), want: ErrType},
 		{name: "retired query type", give: retiredQueryFrame, want: ErrType},
 		{name: "flipped byte", give: flipped, want: ErrChecksum},
 		{
 			name: "retract truncated",
-			give: seal([]byte{1, byte(MsgRetract), 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}),
+			give: seal([]byte{wireVersion, byte(MsgRetract), 0, 0, 9}),
 			want: ErrShort,
 		},
 	}
@@ -148,8 +151,8 @@ func TestDecodeErrors(t *testing.T) {
 	}
 
 	t.Run("retract bad id", func(t *testing.T) {
-		msg := []byte{1, byte(MsgRetract), 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 'a', 'b', 'c'}
-		if _, err := Decode(r, msg); err == nil {
+		msg := seal([]byte{wireVersion, byte(MsgRetract), 0, 0, 3, 'a', 'b', 'c'})
+		if _, err := Decode(r, msg); err == nil || errors.Is(err, ErrShort) {
 			t.Error("Decode of malformed id succeeded")
 		}
 	})
@@ -267,12 +270,14 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("EncodeBatch: %v", err)
 	}
 
-	wantLen := BatchOverhead
+	// A count under 128 takes one of the two varint bytes BatchOverhead
+	// reserves for it.
+	wantLen := BatchOverhead - 1
 	for _, b := range encoded {
-		wantLen += BatchPerMessage + len(b)
+		wantLen += BatchEntrySize(len(b))
 	}
 	if len(frame) != wantLen {
-		t.Errorf("frame len = %d, want %d (BatchOverhead/BatchPerMessage drifted)", len(frame), wantLen)
+		t.Errorf("frame len = %d, want %d (BatchOverhead/BatchEntrySize drifted)", len(frame), wantLen)
 	}
 
 	got, err := Decode(r, frame)
@@ -330,10 +335,9 @@ func TestBatchRejectsNestedAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeBatch: %v", err)
 	}
-	var b []byte
-	b = append(b, 1, byte(MsgBatch), 0, 0, 0, 0, 0, 0) // header, empty parent
-	b = append(b, 0, 0, 0, 1)                          // count=1
-	b = append(b, byte(len(nested)>>24), byte(len(nested)>>16), byte(len(nested)>>8), byte(len(nested)))
+	b := []byte{wireVersion, byte(MsgBatch), 0, 0} // header, empty parent
+	b = append(b, 1)                               // count=1
+	b = binary.AppendUvarint(b, uint64(len(nested)))
 	b = append(b, nested...)
 	b = seal(b)
 	if _, err := Decode(r, b); !errors.Is(err, ErrNestedBatch) {
@@ -346,9 +350,9 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 	// Each frame claims a huge element count with no bytes behind it;
 	// decode must fail fast without sizing an allocation from the claim.
 	frames := map[string][]byte{
-		"batch":  seal([]byte{1, byte(MsgBatch), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}),
-		"digest": seal([]byte{1, byte(MsgDigest), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}),
-		"pull":   seal([]byte{1, byte(MsgPull), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}),
+		"batch":  seal([]byte{wireVersion, byte(MsgBatch), 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}),
+		"digest": seal([]byte{wireVersion, byte(MsgDigest), 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}),
+		"pull":   seal([]byte{wireVersion, byte(MsgPull), 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}),
 	}
 	for name, frame := range frames {
 		t.Run(name, func(t *testing.T) {
@@ -359,7 +363,7 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 	}
 	// A plausible count (within bounds) but truncated body is short, not
 	// an allocation of count elements.
-	short := seal([]byte{1, byte(MsgDigest), 0, 0, 0, 0, 0, 0, 0, 0, 0, 200})
+	short := seal([]byte{wireVersion, byte(MsgDigest), 0, 0, 0xc8, 0x01}) // count 200
 	if _, err := Decode(r, short); !errors.Is(err, ErrShort) {
 		t.Errorf("Decode = %v, want ErrShort", err)
 	}
@@ -371,9 +375,9 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 }
 
 func TestEncodeRejectsOversizedIDs(t *testing.T) {
-	// Node and parent names are encoded behind uint16 length prefixes; a
-	// name that does not fit must error instead of silently truncating
-	// the prefix and corrupting the frame.
+	// Node and parent names in digests, pulls and partials are bounded
+	// at 64 KiB, past the largest datagram: a longer name is refused at
+	// encode rather than sent.
 	long := tuple.NodeID(strings.Repeat("n", math.MaxUint16+1))
 	id := tuple.ID{Node: long, Seq: 1}
 	if _, err := Encode(Message{Type: MsgPull, Want: []tuple.ID{id}}); !errors.Is(err, ErrTooLarge) {
@@ -390,15 +394,16 @@ func TestEncodeRejectsOversizedIDs(t *testing.T) {
 
 func TestDecodeRejectsHugeLengthPrefixes(t *testing.T) {
 	r := newWireRegistry(t)
-	// Length prefixes claiming ~4 GiB must decode as short frames on
-	// every platform: the bounds arithmetic must not wrap when int is
-	// 32 bits wide.
+	// Length prefixes claiming ~4 GiB, or 2^64-1, must decode as short
+	// frames on every platform: the bounds arithmetic must not wrap
+	// when int is 32 bits wide.
 	frames := map[string][]byte{
-		"parent":    seal([]byte{1, byte(MsgRetract), 0, 0, 0xff, 0xff, 0xff, 0xff}),
-		"retractID": seal([]byte{1, byte(MsgRetract), 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}),
-		"batchSub": seal([]byte{1, byte(MsgBatch), 0, 0, 0, 0, 0, 0, // header, empty parent
-			0, 0, 0, 1, // count=1
-			0xff, 0xff, 0xff, 0xff, // sub-message length ~4 GiB
+		"parent":    seal([]byte{wireVersion, byte(MsgRetract), 0, 0xff, 0xff, 0xff, 0xff, 0x0f}),
+		"parent64":  seal([]byte{wireVersion, byte(MsgRetract), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}),
+		"retractID": seal([]byte{wireVersion, byte(MsgRetract), 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}),
+		"batchSub": seal([]byte{wireVersion, byte(MsgBatch), 0, 0, // header, empty parent
+			1,                            // count=1
+			0xff, 0xff, 0xff, 0xff, 0x0f, // sub-message length ~4 GiB
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}), // filler past the min-size precheck
 	}
 	for name, frame := range frames {
@@ -651,9 +656,9 @@ func TestTraceContextInBatch(t *testing.T) {
 // ends inside the trace context.
 func TestTraceContextShortFrame(t *testing.T) {
 	r := newWireRegistry(t)
-	b := []byte{wireVersionTraced, byte(MsgTuple), 0, 0, 0, 0, 0, 0} // header, empty parent
-	b = append(b, 0, 0, 0, 1)                                        // announcement version
-	b = append(b, 1, 2, 3, 4, 5, 6, 7, 8)                            // half a trace context
+	b := []byte{wireVersionTraced, byte(MsgTuple), 0, 0} // header, empty parent
+	b = append(b, 1)                                     // announcement version
+	b = append(b, 1, 2, 3, 4, 5, 6, 7, 8)                // half a trace context
 	if _, err := Decode(r, seal(b)); !errors.Is(err, ErrShort) {
 		t.Errorf("Decode = %v, want ErrShort", err)
 	}
@@ -684,7 +689,7 @@ func TestTraceContextVersion2NonTuple(t *testing.T) {
 // above the traced version are still rejected.
 func TestTraceContextUnknownVersionRejected(t *testing.T) {
 	r := newWireRegistry(t)
-	b := []byte{3, byte(MsgWithdraw), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	b := []byte{wireVersionTraced + 1, byte(MsgWithdraw), 0, 0, 0}
 	if _, err := Decode(r, seal(b)); !errors.Is(err, ErrVersion) {
 		t.Errorf("Decode = %v, want ErrVersion", err)
 	}
