@@ -377,17 +377,7 @@ func TestHandlePacketFirstContactAllocs(t *testing.T) {
 	const want = 20
 	n, _ := newHandlePacketWorld(t)
 	const runs = 200
-	frames := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
-	for i := range frames {
-		g := pattern.NewGradient("f")
-		g.SetID(tuple.ID{Node: "other", Seq: uint64(i + 2)})
-		g.Val = 1
-		data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames[i] = data
-	}
+	frames := firstContactFrames(t, runs)
 	from, next := topology.NodeName(1), 0
 	got := testing.AllocsPerRun(runs, func() {
 		n.HandlePacket(from, frames[next])
@@ -395,6 +385,59 @@ func TestHandlePacketFirstContactAllocs(t *testing.T) {
 	})
 	if got != want {
 		t.Errorf("first-contact HandlePacket = %.1f allocs/op, want %d", got, want)
+	}
+}
+
+// firstContactFrames encodes runs+1 announcements of gradients nobody
+// has seen (AllocsPerRun makes one warm-up call).
+func firstContactFrames(tb testing.TB, runs int) [][]byte {
+	frames := make([][]byte, runs+1)
+	for i := range frames {
+		g := pattern.NewGradient("f")
+		g.SetID(tuple.ID{Node: "other", Seq: uint64(i + 2)})
+		g.Val = 1
+		data, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: g})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames[i] = data
+	}
+	return frames
+}
+
+// TestBatchFlushAllocs budgets HandlePacket inside a batch, bracketed
+// by BeginBatch and EndBatch as the simulated radio brackets a round,
+// so the cost includes the flush that sends what the packet triggered:
+// nothing for a repeated announcement or an echo, and for a first
+// contact the adoption and its one announcement, as without a batch.
+func TestBatchFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; alloc budgets hold only without -race")
+	}
+	batch := func(n *core.Node, from tuple.NodeID, frames ...[]byte) float64 {
+		next := 0
+		return testing.AllocsPerRun(200, func() {
+			n.BeginBatch()
+			n.HandlePacket(from, frames[next%len(frames)])
+			n.EndBatch()
+			next++
+		})
+	}
+	n, data := newHandlePacketWorld(t)
+	if got := batch(n, topology.NodeName(1), data); got > 1 {
+		t.Errorf("repeated announcement + flush = %.1f allocs/op, budget 1", got)
+	}
+	n, _ = newHandlePacketWorld(t)
+	before := n.Stats().Broadcasts
+	if got := batch(n, topology.NodeName(1), firstContactFrames(t, 200)...); got > 20 {
+		t.Errorf("first contact + flush = %.1f allocs/op, budget 20", got)
+	}
+	if d := n.Stats().Broadcasts - before; d != 201 {
+		t.Fatalf("%d flushes announced 201 first contacts", d)
+	}
+	src, echo := newEchoWorld(t)
+	if got := batch(src, topology.NodeName(1), echo); got != 0 {
+		t.Errorf("echo + flush = %.1f allocs/op, want 0", got)
 	}
 }
 
@@ -406,21 +449,7 @@ func TestHandlePacketEchoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates; alloc budgets hold only without -race")
 	}
-	w := emulator.New(emulator.Config{Graph: topology.Line(3)})
-	if _, err := w.Node(topology.NodeName(2)).Inject(pattern.NewGradient("inbox")); err != nil {
-		t.Fatal(err)
-	}
-	w.Settle(100000)
-	src := w.Node(topology.NodeName(0))
-	m := pattern.NewDownhill("inbox", tuple.S("body", "hello"))
-	if _, err := src.Inject(m); err != nil {
-		t.Fatal(err)
-	}
-	w.Settle(100000)
-	echo, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: m})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src, echo := newEchoWorld(t)
 	from, dups := topology.NodeName(1), src.Stats().DupDropped
 	got := testing.AllocsPerRun(200, func() { src.HandlePacket(from, echo) })
 	if d := src.Stats().DupDropped - dups; d != 201 { // AllocsPerRun makes one warm-up call
@@ -429,6 +458,27 @@ func TestHandlePacketEchoAllocs(t *testing.T) {
 	if got != 0 {
 		t.Errorf("echo HandlePacket = %.1f allocs/op, want 0", got)
 	}
+}
+
+// newEchoWorld settles a routed message from n0 to n2 on a 3-node line
+// and returns n0 with the relay's forward of it, as n0 hears it back.
+func newEchoWorld(tb testing.TB) (*core.Node, []byte) {
+	w := emulator.New(emulator.Config{Graph: topology.Line(3)})
+	if _, err := w.Node(topology.NodeName(2)).Inject(pattern.NewGradient("inbox")); err != nil {
+		tb.Fatal(err)
+	}
+	w.Settle(100000)
+	src := w.Node(topology.NodeName(0))
+	m := pattern.NewDownhill("inbox", tuple.S("body", "hello"))
+	if _, err := src.Inject(m); err != nil {
+		tb.Fatal(err)
+	}
+	w.Settle(100000)
+	echo, err := wire.Encode(wire.Message{Type: wire.MsgTuple, Hop: 1, Tuple: m})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return src, echo
 }
 
 // TestStatsAllocs: a node's counter snapshot and the field-wise sum

@@ -28,15 +28,13 @@ const (
 	// withdraw pipeline for ids that never carried support.
 	stSupportTab
 	// stParentFlap: a parent-only re-announcement (value unchanged) was
-	// already broadcast this refresh epoch. Further parent changes
-	// within the epoch stay local until the next refresh carries them:
-	// when neighbors hold stale parent views (packet loss), symmetric
-	// support ties can flip a node's parent on every incoming
-	// announcement, and since the value never moves, the scope
-	// bound that terminates count-to-scope climbs never engages — the
-	// flip-flop broadcast loop would run forever. Edge-triggering the
-	// announcement per epoch bounds it. Cleared by refreshLocked.
+	// already queued this refresh epoch; later parent changes wait for
+	// the next refresh. With stale parent views (packet loss), support
+	// ties can flip a parent on every announcement, and with the value
+	// still, no scope bound ever stops that loop. Cleared by refresh.
 	stParentFlap
+	// stDirty: the row's id is on Node.dirty (see announceLocked).
+	stDirty
 )
 
 // tupleState is the engine's per-tuple-id bookkeeping, tracking dedup
@@ -57,10 +55,10 @@ type tupleState struct {
 	// retraction.
 	exemplar tuple.Maintained
 	// encCache holds the wire encoding of the stored copy's last
-	// announcement, with the hop and parent it was built for. Refresh
-	// and announce re-broadcast unchanged structures every epoch; the
-	// cache makes those re-sends zero-encode and zero-copy: bytes handed
-	// to a transport are never written again, so they are shared.
+	// announcement, with the hop and parent it was built for. Catch-up,
+	// pull replies and flushes re-send unchanged announcements; the cache
+	// makes those re-sends zero-encode and zero-copy: bytes handed to a
+	// transport are never written again, so they are shared.
 	// Dropped whenever the stored copy changes (see putCopyLocked).
 	encCache []byte
 	// peers is the per-neighbor row set, sorted by neighbor id: the
@@ -364,9 +362,7 @@ func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
 	if t.ShouldPropagate(ctx) {
 		st.mark(stPropagated)
 		if st.has(stStored) {
-			// Versioned announcement: receivers record the version, so
-			// later digest entries can prove nothing changed (and a
-			// mismatch triggers the anti-entropy pull).
+			// Versioned: later digest entries can prove nothing changed.
 			n.announceLocked(st)
 		} else {
 			n.broadcastTupleLocked(t, 0, "", st.traceCtx())
@@ -1038,16 +1034,13 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 // refreshLocked runs one anti-entropy epoch over every stored
 // propagating tuple. For maintained non-source structures it first
 // re-validates local consistency (a neighbor's withdrawal may itself
-// have been lost). Tuples whose announcement changed since their last
-// full broadcast are re-sent in full; unchanged tuples are advertised
-// by a compact digest entry instead, and neighbors pull full bytes only
-// for entries they cannot reconstruct. All outgoing messages of the
-// epoch are staged and flushed as coalesced batch frames.
+// have been lost). Every stored row then goes out through the batch
+// flush: in full if its announcement changed since its last full
+// broadcast, as a compact digest entry otherwise, and neighbors pull
+// full bytes only for entries they cannot reconstruct.
 func (n *Node) refreshLocked() int {
 	n.epoch++
-	count := 0
 	n.idScratch = n.store.appendIDs(n.idScratch)
-	n.digestScratch = n.digestScratch[:0]
 	n.aggScratch = n.aggScratch[:0]
 	for _, id := range n.idScratch {
 		st := n.states.lookup(id)
@@ -1063,10 +1056,8 @@ func (n *Node) refreshLocked() int {
 				for i := range st.peers {
 					pe := &st.peers[i]
 					if pe.flags&peerSupport != 0 && pe.epoch+staleEpochs < uint32(n.epoch) {
-						// Stale support is dropped but the row survives: its
-						// consumed-version record outlives support exactly as
-						// the old separate nbrVer map did. The remembered span
-						// goes with the support entry.
+						// Stale support and its span go; the row and its
+						// consumed-version record stay.
 						pe.flags &^= peerSupport
 						pe.span = 0
 					}
@@ -1079,52 +1070,61 @@ func (n *Node) refreshLocked() int {
 			if _, isQuery := st.local.(*agg.Query); isQuery {
 				n.aggScratch = append(n.aggScratch, id)
 			}
-			count += n.stageRefreshLocked(st)
+		} else if !st.has(stPropagated) {
 			continue
 		}
-		if !st.has(stPropagated) {
-			continue
-		}
-		count += n.stageRefreshLocked(st)
+		n.announceLocked(st)
 	}
-	n.stageDigestsLocked()
-	n.flushStagedLocked("")
+	full, digested := n.flushLocked()
+	n.stats.RefreshAnnounced.Add(int64(full))
+	n.stats.RefreshSuppressed.Add(int64(digested))
 	// Convergecast partials go out after the broadcast flush, as
 	// parent-link unicasts.
 	n.aggEpochLocked()
-	return count
+	return full + digested
 }
 
-// stageRefreshLocked queues this epoch's announcement of one stored
-// tuple: the cached full bytes when the announcement changed since the
-// last neighborhood-wide broadcast, a digest entry otherwise. The
-// digest entry for a maintained structure carries value and parent, so
-// for neighbors that already hold the structure it is equivalent to the
-// full announcement at a fraction of the bytes and decode cost.
-func (n *Node) stageRefreshLocked(st *tupleState) int {
-	data, ok := n.storedWireLocked(st)
-	if !ok {
-		return 0
+// flushLocked ends an input batch: it broadcasts the final state of
+// every dirty row in coalesced frames, in full if its announcement
+// changed since its last full broadcast, else as a digest entry, which
+// carries value and parent at a fraction of the bytes. A row dropped,
+// parked or retracted since it was marked sends nothing. It returns the
+// rows sent in full and by digest.
+func (n *Node) flushLocked() (full, digested int) {
+	for _, id := range n.dirty {
+		st := n.states.lookup(id)
+		if st == nil || !st.has(stDirty) {
+			continue
+		}
+		st.unmark(stDirty)
+		data, ok := n.storedWireLocked(st)
+		if !ok {
+			continue
+		}
+		if st.refreshedVer != st.ver {
+			st.refreshedVer = st.ver
+			n.traceSendLocked(st, "")
+			n.stageMsgs = append(n.stageMsgs, data)
+			full++
+			continue
+		}
+		e := wire.DigestEntry{ID: id, Ver: st.ver, Hop: clampHop(int(st.hop))}
+		if m, ok := st.local.(tuple.Maintained); ok {
+			e.Maintained = true
+			e.Value = m.Value()
+			e.Parent = st.parent
+		}
+		n.digestScratch = append(n.digestScratch, e)
+		digested++
 	}
-	if st.refreshedVer != st.ver {
-		st.refreshedVer = st.ver
-		n.stats.RefreshAnnounced.Add(1)
-		n.traceSendLocked(st, "")
-		n.stageMsgs = append(n.stageMsgs, data)
-		return 1
-	}
-	n.stats.RefreshSuppressed.Add(1)
-	e := wire.DigestEntry{ID: st.local.ID(), Ver: st.ver, Hop: clampHop(int(st.hop))}
-	if m, ok := st.local.(tuple.Maintained); ok {
-		e.Maintained = true
-		e.Value = m.Value()
-		e.Parent = st.parent
-	}
-	n.digestScratch = append(n.digestScratch, e)
-	return 1
+	clear(n.dirty)
+	n.dirty = n.dirty[:0]
+	n.stageDigestsLocked()
+	n.flushStagedLocked("")
+	return full, digested
 }
 
-// stageDigestsLocked encodes the epoch's digest entries into one or
+// stageDigestsLocked encodes the flush's digest entries into one or
 // more digest messages, each sized to fit the frame payload budget, and
 // stages them for the flush.
 func (n *Node) stageDigestsLocked() {
@@ -1247,18 +1247,15 @@ func (n *Node) putCopyLocked(st *tupleState, t tuple.Tuple, hop int32) {
 	n.store.put(t, hop)
 }
 
-// announceLocked broadcasts the node's stored copy of a structure with
-// its current parent, using the cached encoding when nothing changed.
+// announceLocked queues the node's stored copy of a structure for the
+// batch's flush, which announces the row's final state once, however
+// often the batch changed it. It sends nothing itself.
 func (n *Node) announceLocked(st *tupleState) {
-	data, ok := n.storedWireLocked(st)
-	if !ok {
+	if st.has(stDirty) || st.local == nil {
 		return
 	}
-	// A full broadcast reaches the whole neighborhood, so subsequent
-	// refreshes can advertise this version by digest.
-	st.refreshedVer = st.ver
-	n.traceSendLocked(st, "")
-	n.sendLocked("", data)
+	st.mark(stDirty)
+	n.dirty = append(n.dirty, st.local.ID())
 }
 
 func (n *Node) broadcastTupleLocked(t tuple.Tuple, hop int, parent tuple.NodeID, tc wire.TraceCtx) {

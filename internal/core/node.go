@@ -150,11 +150,16 @@ type Node struct {
 	// construction (transport.FrameLimiter, or DefaultFrameBytes).
 	frameLimit int
 	// stageMsgs accumulates pre-encoded outgoing messages between a
-	// staging pass (refresh, catch-up, pull response) and its flush into
+	// staging pass (batch flush, catch-up, pull response) and its flush into
 	// coalesced frames; reused across flushes.
 	stageMsgs [][]byte
-	// digestScratch accumulates the refresh epoch's digest entries.
+	// digestScratch accumulates a flush's digest entries.
 	digestScratch []wire.DigestEntry
+	// dirty lists the rows the input batch marked for its flush; batching
+	// holds them past unlock until EndBatch. It is atomic so that the
+	// Sim's per-packet BeginBatch takes no lock.
+	dirty    []tuple.ID
+	batching atomic.Bool
 	// pullScratch accumulates the tuple ids to pull from one digest's
 	// sender.
 	pullScratch []tuple.ID
@@ -404,6 +409,21 @@ func (n *Node) Refresh() int {
 	count := n.refreshLocked()
 	n.unlock()
 	return count
+}
+
+// BeginBatch holds the announcements inputs trigger until EndBatch, so
+// each changed structure is announced once, in its final state, however
+// many packets changed it; outside a batch each input flushes its own.
+// Withdrawals, retractions, pull replies and relays still leave at once.
+// It reports whether it opened the batch: false if one was open.
+func (n *Node) BeginBatch() bool { return !n.batching.Swap(true) }
+
+// EndBatch closes the batch and sends what it triggered.
+func (n *Node) EndBatch() {
+	if n.batching.Swap(false) {
+		n.mu.Lock()
+		n.unlock()
+	}
 }
 
 // SweepExpired advances the node's logical clock to now and removes

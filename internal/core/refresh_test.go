@@ -293,7 +293,8 @@ func TestDigestPullHealsNewcomer(t *testing.T) {
 
 // TestRefreshBatchesFullAnnouncements: when an epoch stages several full
 // announcements they leave as one coalesced batch frame, and the
-// receiver unpacks every sub-message.
+// receiver unpacks every sub-message. Counts are per node: the receiver
+// re-floods its new copies in one frame of its own.
 func TestRefreshBatchesFullAnnouncements(t *testing.T) {
 	g := topology.Line(2)
 	tn := newTestNet(t, g)
@@ -308,18 +309,18 @@ func TestRefreshBatchesFullAnnouncements(t *testing.T) {
 	tn.quiesce()
 	tn.sim.SetFaults(transport.Faults{})
 
-	before := tn.totalStats()
+	dst := topology.NodeName(1)
+	srcOut, dstIn := tn.node(src).Stats().FramesOut, tn.node(dst).Stats().FramesIn
 	refreshAll(tn)
-	after := tn.totalStats()
-	if d := after.FramesOut - before.FramesOut; d != 1 {
+	if d := tn.node(src).Stats().FramesOut - srcOut; d != 1 {
 		t.Errorf("refresh sent %d batch frames, want 1 (all announcements coalesced)", d)
 	}
-	if d := after.FramesIn - before.FramesIn; d != 1 {
+	if d := tn.node(dst).Stats().FramesIn - dstIn; d != 1 {
 		t.Errorf("receiver saw %d batch frames, want 1", d)
 	}
 	for i := 0; i < floods; i++ {
 		name := fmt.Sprintf("news-%d", i)
-		if len(tn.node(topology.NodeName(1)).Read(pattern.ByName(pattern.KindFlood, name))) != 1 {
+		if len(tn.node(dst).Read(pattern.ByName(pattern.KindFlood, name))) != 1 {
 			t.Errorf("flood %q missing at the receiver", name)
 		}
 	}

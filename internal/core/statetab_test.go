@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"tota/internal/pattern"
 	"tota/internal/topology"
@@ -18,6 +19,18 @@ func stID(i int) tuple.ID { return tuple.ID{Node: "n", Seq: uint64(i + 1)} }
 
 // TestStateChunkFor pins the slab geometry: chunk k holds 1<<k states
 // and handles map to (chunk, slot) without gaps or overlaps.
+// TestTupleStateSize pins a row at 168 B on 64-bit platforms. Every
+// byte is paid once per tuple per node, so new per-row state goes into
+// the flag bits or the padding byte after flags, not onto the end.
+func TestTupleStateSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(tupleState{}); got != 168 {
+		t.Errorf("tupleState is %d B, want 168", got)
+	}
+}
+
 func TestStateChunkFor(t *testing.T) {
 	var h int32
 	for k := int32(0); k < 6; k++ {

@@ -118,7 +118,7 @@ func runTracedScenario(seed int64) (perNode map[tuple.NodeID][]string, written, 
 	return perNode, sink.Written(), sink.Dropped()
 }
 
-const traceStreamsGolden = "7c988e6681b72d82572f808dc036b67e81a4fd6b3a5ac37526c7e9d83c80e1b9"
+const traceStreamsGolden = "95e6369d7b420a8b8953eabf34688faef0cf08f80cb5b6754580058abd7251ef"
 
 // TestTraceStreamsGolden extends the same-seed guarantee to the
 // observability pipeline: each node's engine trace stream is complete

@@ -111,8 +111,8 @@ func flightDigest(recs map[tuple.NodeID][]obs.TraceRecord) string {
 }
 
 const (
-	flightGolden      = "fa8a45443a36b4ecc265a5223cbf0ac8f7f8331f9e773ab9eb90ea97265f97dc"
-	largeFlightGolden = "7a8e37759405f1d90b9a193461f0efa0f807ef82680c06a776908753c3462766"
+	flightGolden      = "2dfc4490cb9b46472beb05f8bea617c21f47608fe8003158b13f3aa35ad6332a"
+	largeFlightGolden = "ae1fd064708b1b688846c57701eec67c8b3bada842f09dc6ebe9a2546e2b2b02"
 )
 
 // TestFlightGolden: the per-node flight rings — contents, order, round

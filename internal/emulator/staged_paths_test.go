@@ -99,8 +99,10 @@ func (r stagedPathsRun) digest() string {
 // with no engine behaviour changed, when the access-policy counter left
 // the Stats the digest prints. It moved again when aggregation dropped
 // its epoch wave and began folding only children named by the support
-// rows: fewer frames, and partials from the first epoch on.
-const stagedPathsGolden = "812ebab8f0887376e1117e0b235a0ca1138cc826649d5bffb7d06c3c70679afa"
+// rows: fewer frames, and partials from the first epoch on. It moved
+// again when triggered announcements began leaving once per round, at
+// the batch's flush.
+const stagedPathsGolden = "cdd282dc10d482dbb74e0a2f00b03d0ec2c4a01c9ea980fa1d2f940ab08c8556"
 
 // TestStagedSendPathsDeterministic pins the determinism of the
 // auxiliary staged-send path: aggregation partials. Their per-node

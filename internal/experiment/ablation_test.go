@@ -1,21 +1,35 @@
 package experiment
 
-import "testing"
+import (
+	"testing"
+
+	"tota/internal/core"
+)
 
 func TestA1AblationShapes(t *testing.T) {
 	res := RunA1(Quick)
 	if res.Table.NumRows() != 3 {
 		t.Fatalf("rows = %d\n%s", res.Table.NumRows(), res.Table)
 	}
-	// Poisoned reverse makes teardown cheap; without it the stranded
-	// cycle counts toward the scope and costs clearly more. The full
-	// engine's cost includes the poisoned-row staleness probe (one
-	// pull + reply on the stranded tail), so the margin is 1.5x, not
-	// the pre-probe 2x.
-	full := res.Metrics["teardown_msgs_full engine"]
-	broken := res.Metrics["teardown_msgs_no poisoned reverse"]
-	if broken <= full*1.5 {
-		t.Errorf("count-to-scope not visible: full=%v ablated=%v\n%s", full, broken, res.Table)
+	// Poisoned reverse makes teardown O(region): the stranded tail
+	// cannot support itself, so the full engine's cost does not depend
+	// on the scope. Without it the tail counts up to the scope, so the
+	// cost grows with it. The full engine's cost includes the
+	// poisoned-row staleness probe (one pull + reply on the stranded
+	// tail), so the margin at scope 30 is 1.5x, not the pre-probe 2x.
+	noPR := []core.Option{core.WithoutPoisonedReverse()}
+	_, full12 := teardownCost(12, nil)
+	_, full30 := teardownCost(30, nil)
+	_, broken12 := teardownCost(12, noPR)
+	_, broken30 := teardownCost(30, noPR)
+	if full30 != full12 {
+		t.Errorf("full engine teardown depends on the scope: %d msgs at 12, %d at 30", full12, full30)
+	}
+	if broken30 <= broken12 {
+		t.Errorf("ablated teardown does not grow with the scope: %d msgs at 12, %d at 30", broken12, broken30)
+	}
+	if float64(broken30) <= 1.5*float64(full30) {
+		t.Errorf("count-to-scope not visible at scope 30: full=%d ablated=%d", full30, broken30)
 	}
 	// Catch-up determines whether a joiner learns the structure.
 	if res.Metrics["joiner_learned_full engine"] != 1 {

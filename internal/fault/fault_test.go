@@ -513,8 +513,9 @@ func runChaosScenario(seed int64) string {
 // backoff and dropping quarantine leave it unchanged. It moved again,
 // with no engine behaviour changed, when the access-policy counter left
 // the Stats the fingerprint prints, and once more when the query-wave
-// counter did.
-const chaosGolden = "75a9157d30de2af69299c22fec0776f3375e19c7f20c7791c26de2b4e65a1d66"
+// counter did. It moved again when triggered announcements began
+// leaving once per round, at the batch's flush.
+const chaosGolden = "4d8711c393c5c69e4c35305cf4dbf860c39cbc5972da6c2d9ab15ae442a731c7"
 
 // TestFaultPlanGolden extends the emulator's same-seed-same-universe
 // guarantee to active fault injection: with loss, corruption,

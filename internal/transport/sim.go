@@ -76,6 +76,14 @@ type Sim struct {
 	faults Faults
 }
 
+// batcher is a Handler that holds the sends its inputs trigger until
+// EndBatch (core.Node): Step makes each round one batch per node.
+// BeginBatch reports whether it opened the batch, so Step ends it once.
+type batcher interface {
+	BeginBatch() bool
+	EndBatch()
+}
+
 type simPacket struct {
 	from, to tuple.NodeID
 	data     []byte
@@ -245,6 +253,7 @@ func (s *Sim) Step() int {
 	s.delivering = true
 	s.mu.Unlock()
 	var delivered, droppedLinks int64
+	opened := 0 // hs[:opened] collects the batches this round opened
 	for i, p := range due {
 		if hs[i] == nil {
 			continue
@@ -255,8 +264,17 @@ func (s *Sim) Step() int {
 			droppedLinks++
 			continue
 		}
-		hs[i].HandlePacket(p.from, p.data)
+		h := hs[i]
+		if b, ok := h.(batcher); ok && b.BeginBatch() {
+			hs[opened] = h
+			opened++
+		}
+		h.HandlePacket(p.from, p.data)
 		delivered++
+	}
+	// Batches end while delivering, so their sends merge in order too.
+	for _, h := range hs[:opened] {
+		h.(batcher).EndBatch()
 	}
 
 	clear(due)

@@ -1,9 +1,11 @@
 package udp
 
 import (
+	"net"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tota/internal/tuple"
 )
@@ -50,6 +52,7 @@ func TestParseFrameRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1},
+		{1, 0},                   // empty sender id
 		{1, 0x80},                // id length's varint cut off
 		{frameData, 200, 1, 'x'}, // id length beyond buffer
 		{frameData, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // id length past 64 bits
@@ -61,12 +64,52 @@ func TestParseFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestEmptySenderIDAdoptsNoNeighbor: a hello naming the empty id is
+// dropped as a bad frame, so a fresh transport that receives one has no
+// neighbor "".
+func TestEmptySenderIDAdoptsNoNeighbor(t *testing.T) {
+	tr, err := New(Config{NodeID: "self"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	tr.SetHandler(&nbrRecorder{})
+	tr.Start()
+	raddr, err := net.ResolveUDPAddr("udp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := conn.Write([]byte{frameHello, 0}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); tr.Stats().Received == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the datagram never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := tr.Stats().BadFrames; got != 1 {
+		t.Errorf("BadFrames = %d, want 1", got)
+	}
+	if nbrs := tr.Neighbors(); len(nbrs) != 0 {
+		t.Errorf("Neighbors() = %q after an empty-id hello, want none", nbrs)
+	}
+}
+
 // Property: every frame round-trips, and parseFrame never panics on
 // arbitrary bytes.
 func TestFrameQuick(t *testing.T) {
 	f := func(id string, payload []byte, garbage []byte) bool {
 		tr := &Transport{cfg: Config{NodeID: tuple.NodeID(id)}}
 		typ, gotID, gotPayload, err := parseFrame(tr.frame(frameData, payload))
+		if id == "" { // no node has the empty id
+			return err != nil
+		}
 		if err != nil || typ != frameData || string(gotID) != id ||
 			string(gotPayload) != string(payload) {
 			return false

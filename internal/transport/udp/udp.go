@@ -375,7 +375,8 @@ func (t *Transport) frameTo(dst []byte, typ byte, payload []byte) []byte {
 func headerLen(id tuple.NodeID) int { return 1 + tuple.UvarintSize(uint64(len(id))) + len(id) }
 
 // parseFrame splits a datagram into its header fields and payload. The
-// sender id's length is checked against the datagram in 64-bit space.
+// sender id's length is checked against the datagram in 64-bit space,
+// and an empty id, which New refuses to any node, is a bad frame.
 func parseFrame(data []byte) (typ byte, id tuple.NodeID, payload []byte, err error) {
 	if len(data) < 2 {
 		return 0, "", nil, errors.New("udp: short frame")
@@ -383,6 +384,9 @@ func parseFrame(data []byte) (typ byte, id tuple.NodeID, payload []byte, err err
 	n, w := binary.Uvarint(data[1:])
 	if w <= 0 || n > uint64(len(data)-1-w) {
 		return 0, "", nil, errors.New("udp: truncated frame")
+	}
+	if n == 0 {
+		return 0, "", nil, errors.New("udp: empty sender id")
 	}
 	body := data[1+w:]
 	return data[0], tuple.NodeID(body[:n]), body[n:], nil
