@@ -81,7 +81,7 @@ func TestDecodeHostileCountAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates; alloc budgets hold only without -race")
 	}
-	huge := []byte{2, 1, 'k', 1, 'n', 7, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20} // codec version 2, kind k, id n#7
+	huge := []byte{3, 1 << 1, 'k', 1, 'n', 7, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20} // codec version 3, kind k, id n#7
 	got := testing.AllocsPerRun(20, func() {
 		if _, _, _, err := tuple.DecodeParts(huge); !errors.Is(err, tuple.ErrShortBuffer) {
 			t.Fatalf("DecodeParts = %v, want ErrShortBuffer", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 	"sync"
 )
 
@@ -15,8 +16,9 @@ type Factory func(id ID, c Content) (Tuple, error)
 
 // Registry maps tuple kinds to factories, enabling the generic binary
 // codec: a tuple round-trips as (kind, id, content). It also interns
-// the low-cardinality strings of the wire format (kinds, node ids,
-// field names) so steady-state decoding stops allocating them.
+// the low-cardinality strings of the wire format that the name table
+// does not hold (node ids, custom kinds and field names) so
+// steady-state decoding stops allocating them.
 type Registry struct {
 	mu        sync.RWMutex
 	factories map[string]Factory
@@ -39,7 +41,8 @@ func NewRegistry() *Registry {
 
 // Intern returns b as a string, reusing a previously returned string
 // with the same contents when possible. Decoders call it for repeated
-// protocol strings (kinds, node ids, field names): after the first
+// protocol strings: node ids, and the kinds and field names that arrive
+// as literals rather than name table references. After the first
 // packet of a given shape, those lookups allocate nothing.
 func (r *Registry) Intern(b []byte) string {
 	if r == nil || len(b) == 0 {
@@ -125,11 +128,122 @@ func (r *Registry) Kinds() []string {
 // pattern).
 var DefaultRegistry = NewRegistry()
 
-// codecVersion 2 is the compact format: every length, the field count
-// and the id's seq are unsigned varints, an int is a zigzag varint and
-// a float takes the compact float form (AppendFloat). Version 1 bytes,
-// the fixed-width format, decode as ErrBadVersion.
-const codecVersion = 2
+// codecVersion 3 is the compact format: every length, the field count
+// and the id's seq are unsigned varints, an int is a zigzag varint, a
+// float takes the compact float form (AppendFloat), and the kind and
+// the field names are names (see names). Version 1 (fixed width) and 2
+// (literal names) bytes decode as ErrBadVersion.
+const codecVersion = 3
+
+// names is the static name table, like HPACK's (RFC 7541): every kind
+// a package under internal/ registers for the wire, "name", and every
+// reserved "_" field a built-in pattern writes. The kind and each field
+// name travel as one uvarint v: v = len<<1 and the bytes for a literal,
+// or v = idx<<1 | 1 for entry idx. The table is a protocol constant:
+// append-only, at most 64 entries so that every reference is one byte,
+// and any edit bumps codecVersion.
+var names = [...]string{
+	"tota:gradient", "tota:flood", "tota:spatial", "tota:directional",
+	"tota:downhill", "tota:flock", "tota:eraser", "tota:local",
+	"tota:gossip", "tota:path", "tota:agg-query", "tota:keyed",
+	"name", ValueField, "_step", "_scope", "_lease", "_ttl", "_x",
+	"_radius", "_sx", "_sy", "_hassrc", "_dx", "_dy", "_spread",
+	"_skind", "_best", "_flood", "_tkind", "_tname", "_p", "_path",
+	"_op", "_selkind", "_selname", "_selfield", "_collect",
+	"_mode", "_target", "_asker",
+}
+
+// nameIndex returns s's index in names, or -1. The encoder looks each
+// name up twice (EncodedSize and appendTuple), and a compiled switch
+// costs less than a map or a scan of names. TestNameTable checks it
+// against names.
+func nameIndex(s string) int {
+	switch s {
+	case "tota:gradient":
+		return 0
+	case "tota:flood":
+		return 1
+	case "tota:spatial":
+		return 2
+	case "tota:directional":
+		return 3
+	case "tota:downhill":
+		return 4
+	case "tota:flock":
+		return 5
+	case "tota:eraser":
+		return 6
+	case "tota:local":
+		return 7
+	case "tota:gossip":
+		return 8
+	case "tota:path":
+		return 9
+	case "tota:agg-query":
+		return 10
+	case "tota:keyed":
+		return 11
+	case "name":
+		return 12
+	case "_val":
+		return 13
+	case "_step":
+		return 14
+	case "_scope":
+		return 15
+	case "_lease":
+		return 16
+	case "_ttl":
+		return 17
+	case "_x":
+		return 18
+	case "_radius":
+		return 19
+	case "_sx":
+		return 20
+	case "_sy":
+		return 21
+	case "_hassrc":
+		return 22
+	case "_dx":
+		return 23
+	case "_dy":
+		return 24
+	case "_spread":
+		return 25
+	case "_skind":
+		return 26
+	case "_best":
+		return 27
+	case "_flood":
+		return 28
+	case "_tkind":
+		return 29
+	case "_tname":
+		return 30
+	case "_p":
+		return 31
+	case "_path":
+		return 32
+	case "_op":
+		return 33
+	case "_selkind":
+		return 34
+	case "_selname":
+		return 35
+	case "_selfield":
+		return 36
+	case "_collect":
+		return 37
+	case "_mode":
+		return 38
+	case "_target":
+		return 39
+	case "_asker":
+		return 40
+	}
+	return -1
+}
 
 // Codec errors.
 var (
@@ -243,9 +357,10 @@ func varintErr(n int) error {
 // (or reserve) encode buffers in one shot.
 func EncodedSize(t Tuple, c Content) int {
 	id := t.ID()
-	n := 1 + stringSize(t.Kind()) + stringSize(string(id.Node)) + UvarintSize(id.Seq) + UvarintSize(uint64(len(c)))
+	kind := t.Kind()
+	n := 1 + nameSize(nameIndex(kind), kind) + stringSize(string(id.Node)) + UvarintSize(id.Seq) + UvarintSize(uint64(len(c)))
 	for _, f := range c {
-		n += stringSize(f.Name)
+		n += nameSize(nameIndex(f.Name), f.Name)
 		switch v := f.Value.(type) {
 		case string:
 			n += 1 + stringSize(v)
@@ -263,6 +378,16 @@ func EncodedSize(t Tuple, c Content) int {
 }
 
 func stringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
+
+// nameSize is the encoded size of name s, whose index in names is i
+// (-1: none). Callers pass nameIndex(s), so nameSize and appendName
+// inline and each name costs one call.
+func nameSize(i int, s string) int {
+	if i >= 0 {
+		return 1
+	}
+	return UvarintSize(uint64(len(s))<<1) + len(s)
+}
 
 // Encode serializes a tuple as (kind, id, content) in the compact
 // binary format. The output is sized exactly, so encoding costs a
@@ -288,12 +413,13 @@ func AppendEncode(dst []byte, t Tuple, c Content) ([]byte, error) {
 // appendTuple is AppendEncode without the content validation.
 func appendTuple(b []byte, t Tuple, c Content) []byte {
 	b = append(b, codecVersion)
-	b = appendString(b, t.Kind())
+	kind := t.Kind()
+	b = appendName(b, nameIndex(kind), kind)
 	b = appendString(b, string(t.ID().Node))
 	b = binary.AppendUvarint(b, t.ID().Seq)
 	b = binary.AppendUvarint(b, uint64(len(c)))
 	for _, f := range c {
-		b = appendString(b, f.Name)
+		b = appendName(b, nameIndex(f.Name), f.Name)
 		switch v := f.Value.(type) {
 		case string:
 			b = appendString(append(b, byte(KindString)), v)
@@ -331,9 +457,9 @@ func DecodeParts(data []byte) (kind string, id ID, c Content, err error) {
 }
 
 // decodeParts is DecodeParts with an optional registry whose intern
-// table absorbs the repeated protocol strings (kind, node id, field
-// names); field values are never interned — their cardinality is
-// unbounded.
+// table absorbs the repeated protocol strings (node id, literal kind
+// and field names); field values are never interned — their
+// cardinality is unbounded.
 func decodeParts(r *Registry, data []byte) (kind string, id ID, c Content, err error) {
 	d := decoder{buf: data, reg: r}
 	kind, id = d.open()
@@ -342,7 +468,7 @@ func decodeParts(r *Registry, data []byte) (kind string, id ID, c Content, err e
 	}
 	c = make(Content, 0, d.left)
 	for d.left > 0 {
-		name, k := d.field()
+		ref, lit, k := d.field()
 		if d.err != nil {
 			return "", ID{}, nil, d.err
 		}
@@ -359,7 +485,7 @@ func decodeParts(r *Registry, data []byte) (kind string, id ID, c Content, err e
 		case KindBytes:
 			val = append(make([]byte, 0, len(d.val)), d.val...)
 		}
-		c = append(c, Field{Name: d.intern(name), Value: val})
+		c = append(c, Field{Name: d.str(ref, lit), Value: val})
 	}
 	return kind, id, c, nil
 }
@@ -377,8 +503,8 @@ type Envelope struct {
 }
 
 // ReadEnvelope walks an encoded tuple without building it. It rejects
-// exactly what DecodeParts rejects, interns the kind and node through
-// r, and allocates nothing once those are interned.
+// exactly what DecodeParts rejects, interns the node and a literal kind
+// through r, and allocates nothing once those are interned.
 func ReadEnvelope(r *Registry, data []byte) (Envelope, error) {
 	d := decoder{buf: data, reg: r}
 	kind, id := d.open()
@@ -388,14 +514,14 @@ func ReadEnvelope(r *Registry, data []byte) (Envelope, error) {
 	e := Envelope{Kind: kind, ID: id}
 	vals, appAfter := 0, false
 	for d.left > 0 {
-		name, k := d.field()
+		ref, lit, k := d.field()
 		if d.err != nil {
 			return Envelope{}, d.err
 		}
-		if string(name) == ValueField {
+		if ref == ValueField || string(lit) == ValueField {
 			vals, appAfter, e.HasValue = vals+1, false, k == KindFloat
 			e.Value = d.f
-		} else if len(name) == 0 || name[0] != '_' {
+		} else if !strings.HasPrefix(ref, "_") && (len(lit) == 0 || lit[0] != '_') {
 			appAfter = true
 		}
 	}
@@ -406,8 +532,8 @@ func ReadEnvelope(r *Registry, data []byte) (Envelope, error) {
 	return e, nil
 }
 
-// minField is the fewest bytes a field takes: an empty name's length
-// and a bare tag (±Inf).
+// minField is the fewest bytes a field takes: a one-byte name (a
+// reference or the empty literal) and a bare tag (±Inf).
 const minField = 2
 
 // open reads the header — codec version, kind, id, field count — and
@@ -419,7 +545,7 @@ func (d *decoder) open() (kind string, id ID) {
 		d.fail(fmt.Errorf("%w: %d", ErrBadVersion, v))
 		return "", ID{}
 	}
-	kind = d.intern(d.bytes())
+	kind = d.str(d.name())
 	id.Node = NodeID(d.intern(d.bytes()))
 	id.Seq = d.uvarint()
 	// A count the remaining bytes cannot hold is rejected before
@@ -432,16 +558,16 @@ func (d *decoder) open() (kind string, id ID) {
 	return kind, id
 }
 
-// field reads the next field's name and kind, and leaves its value in
-// d: val for a string or bytes (aliasing the decoded data), num for an
-// int or a bool (0 or 1), f for a float. Any compact float tag reads as
-// KindFloat. A failure is left in d.err.
-func (d *decoder) field() (name []byte, k Kind) {
+// field reads the next field's name (as name does) and kind, and
+// leaves its value in d: val for a string or bytes (aliasing the decoded
+// data), num for an int or a bool (0 or 1), f for a float. Any compact
+// float tag reads as KindFloat. A failure is left in d.err.
+func (d *decoder) field() (ref string, lit []byte, k Kind) {
 	d.left--
-	name = d.bytes()
+	ref, lit = d.name()
 	if len(d.buf) == 0 {
 		d.fail(ErrShortBuffer)
-		return nil, 0
+		return "", nil, 0
 	}
 	switch k = Kind(d.buf[0]); k {
 	case KindString, KindBytes:
@@ -457,11 +583,22 @@ func (d *decoder) field() (name []byte, k Kind) {
 		k = KindFloat
 		d.float()
 	}
-	return name, k
+	return ref, lit, k
 }
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// appendName appends a kind or field name s, whose index in names is i
+// (see nameSize): a reference i<<1 | 1, or for i < 0 the literal
+// len<<1 and its bytes.
+func appendName(b []byte, i int, s string) []byte {
+	if i >= 0 {
+		return append(b, byte(i<<1|1))
+	}
+	b = binary.AppendUvarint(b, uint64(len(s))<<1)
 	return append(b, s...)
 }
 
@@ -526,15 +663,35 @@ func (d *decoder) varint() int64 {
 }
 
 // bytes reads a length-prefixed string or byte payload, aliasing the
-// decoded data. The length is checked against the remaining bytes in
-// 64-bit space, so no length can wrap the bounds arithmetic.
+// decoded data.
 func (d *decoder) bytes() []byte {
 	if b := d.buf; len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) {
 		n := 1 + int(b[0])
 		d.buf = b[n:]
 		return b[1:n]
 	}
-	n := d.uvarint()
+	return d.take(d.uvarint())
+}
+
+// name reads a kind or field name: a reference as the table's entry,
+// or a literal as its bytes, aliasing the decoded data. An index past
+// the table is ErrTooLarge.
+func (d *decoder) name() (ref string, lit []byte) {
+	v := d.uvarint()
+	if v&1 == 0 {
+		return "", d.take(v >> 1)
+	}
+	if v >>= 1; v < uint64(len(names)) {
+		return names[v], nil
+	}
+	d.fail(ErrTooLarge)
+	return "", nil
+}
+
+// take reads the next n bytes, aliasing the decoded data. n is checked
+// against the remaining bytes in 64-bit space, so no length can wrap
+// the bounds arithmetic.
+func (d *decoder) take(n uint64) []byte {
 	if n > uint64(len(d.buf)) {
 		d.fail(ErrShortBuffer)
 	}
@@ -558,6 +715,15 @@ func (d *decoder) float() {
 		return
 	}
 	d.f, d.buf = v, d.buf[n:]
+}
+
+// str returns a name that name read: the table's entry, or the literal
+// interned.
+func (d *decoder) str(ref string, lit []byte) string {
+	if ref != "" {
+		return ref
+	}
+	return d.intern(lit)
 }
 
 func (d *decoder) intern(b []byte) string {

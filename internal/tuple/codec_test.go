@@ -263,10 +263,12 @@ func TestIDIsZero(t *testing.T) {
 // (11 bytes, past 64 bits), or claims more than the bytes behind it
 // fails DecodeParts and ReadEnvelope alike with ErrShortBuffer or
 // ErrTooLarge (TestDecodeHostileCountAllocs: with no allocation sized
-// from the claimed value).
+// from the claimed value), and so does a name reference past the name
+// table. Names are written as literals (len<<1) or references
+// (idx<<1 | 1).
 func TestDecodeRejectsHostileVarints(t *testing.T) {
 	overlong := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
-	head := []byte{codecVersion, 1, 'k', 1, 'n', 7} // kind k, id n#7
+	head := []byte{codecVersion, 1 << 1, 'k', 1, 'n', 7} // kind k, id n#7
 	cat := func(parts ...[]byte) []byte {
 		var b []byte
 		for _, p := range parts {
@@ -274,29 +276,35 @@ func TestDecodeRejectsHostileVarints(t *testing.T) {
 		}
 		return b
 	}
+	last := byte(len(names)-1)<<1 | 1
 	tests := []struct {
 		name string
 		give []byte
 		want error
 	}{
 		{"truncated kind length", []byte{codecVersion, 0x80}, ErrShortBuffer},
-		{"kind length past body", []byte{codecVersion, 9, 'k'}, ErrShortBuffer},
-		{"overlong node length", cat([]byte{codecVersion, 1, 'k'}, overlong), ErrTooLarge},
-		{"overlong seq", cat([]byte{codecVersion, 1, 'k', 1, 'n'}, overlong), ErrTooLarge},
+		{"kind length past body", []byte{codecVersion, 9 << 1, 'k'}, ErrShortBuffer},
+		{"overlong node length", cat([]byte{codecVersion, 1 << 1, 'k'}, overlong), ErrTooLarge},
+		{"overlong seq", cat([]byte{codecVersion, 1 << 1, 'k', 1, 'n'}, overlong), ErrTooLarge},
 		{"truncated field count", cat(head, []byte{0x80}), ErrShortBuffer},
 		{"field count past body", cat(head, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}), ErrShortBuffer},
 		{"field count × minimum field past body", cat(head, []byte{3, 0, 7, 0, 7}), ErrShortBuffer},
-		{"name length past body", cat(head, []byte{1, 5, 'x'}), ErrShortBuffer},
-		{"string length past body", cat(head, []byte{1, 1, 's', byte(KindString), 9, 'x'}), ErrShortBuffer},
-		{"overlong int", cat(head, []byte{1, 1, 'i', byte(KindInt)}, overlong), ErrTooLarge},
-		{"truncated int", cat(head, []byte{1, 1, 'i', byte(KindInt), 0xff}), ErrShortBuffer},
-		{"integral float past 2^53", cat(head, []byte{1, 1, 'f', floatInt, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}), ErrTooLarge},
-		{"truncated float bits", cat(head, []byte{1, 1, 'f', floatBits, 0, 0}), ErrShortBuffer},
+		{"name length past body", cat(head, []byte{1, 5 << 1, 'x'}), ErrShortBuffer},
+		{"string length past body", cat(head, []byte{1, 1 << 1, 's', byte(KindString), 9, 'x'}), ErrShortBuffer},
+		{"overlong int", cat(head, []byte{1, 1 << 1, 'i', byte(KindInt)}, overlong), ErrTooLarge},
+		{"truncated int", cat(head, []byte{1, 1 << 1, 'i', byte(KindInt), 0xff}), ErrShortBuffer},
+		{"integral float past 2^53", cat(head, []byte{1, 1 << 1, 'f', floatInt, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}), ErrTooLarge},
+		{"truncated float bits", cat(head, []byte{1, 1 << 1, 'f', floatBits, 0, 0}), ErrShortBuffer},
+		{"reference to the last name", cat(head, []byte{1, last, floatPosInf}), nil},
+		{"kind reference past the table", cat([]byte{codecVersion, last + 2, 1, 'n', 7, 0}), ErrTooLarge},
+		{"name reference past the table", cat(head, []byte{1, last + 2, floatPosInf}), ErrTooLarge},
 	}
 	r := NewRegistry()
 	for _, tt := range tests {
-		if _, _, _, err := DecodeParts(tt.give); !errors.Is(err, tt.want) {
+		if _, _, c, err := DecodeParts(tt.give); !errors.Is(err, tt.want) {
 			t.Errorf("%s: DecodeParts = %v, want %v", tt.name, err, tt.want)
+		} else if err == nil && c[0].Name != names[len(names)-1] {
+			t.Errorf("%s: decoded name %q, want %q", tt.name, c[0].Name, names[len(names)-1])
 		}
 		if _, err := ReadEnvelope(r, tt.give); !errors.Is(err, tt.want) {
 			t.Errorf("%s: ReadEnvelope = %v, want %v", tt.name, err, tt.want)

@@ -30,11 +30,16 @@ func FuzzDecodeParts(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1})
-	f.Add([]byte{codecVersion, 1, 'k'})
+	f.Add([]byte{codecVersion, 1 << 1, 'k'})
 	// A field count past what the bytes behind it can hold, and an
 	// overlong seq varint.
-	f.Add([]byte{codecVersion, 1, 'k', 1, 'n', 7, 0xff, 0x7f})
-	f.Add(append([]byte{codecVersion, 1, 'k', 1, 'n'}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	f.Add([]byte{codecVersion, 1 << 1, 'k', 1, 'n', 7, 0xff, 0x7f})
+	f.Add(append([]byte{codecVersion, 1 << 1, 'k', 1, 'n'}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	// Name references to the table's last entry and to the index after
+	// it.
+	last := byte(len(names)-1)<<1 | 1
+	f.Add([]byte{codecVersion, 1 << 1, 'k', 1, 'n', 7, 1, last, floatPosInf})
+	f.Add([]byte{codecVersion, 1 << 1, 'k', 1, 'n', 7, 1, last + 2, floatPosInf})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, id, c, err := DecodeParts(data)

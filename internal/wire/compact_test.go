@@ -12,8 +12,10 @@ import (
 
 // TestEncodedSizes pins the encoded size of the messages the load rig's
 // byte counts are made of, so a format change fails here before it
-// moves a rig number, and checks that Encode sized each buffer exactly. DESIGN.md §8 gives each size in the fixed-width
-// format this one replaced.
+// moves a rig number, and checks that Encode sized each buffer exactly.
+// v2 is each size in tuple codec version 2, whose kinds and field names
+// were always literal; DESIGN.md §8 gives both, and each size in the
+// fixed-width format before them.
 func TestEncodedSizes(t *testing.T) {
 	// An emu_fields gradient announcement: a relay 23 hops out re-sends
 	// field f7 of source n5050 with its parent named.
@@ -35,14 +37,14 @@ func TestEncodedSizes(t *testing.T) {
 			Maintained: true, Value: 3, Parent: "n0041"}
 	}
 	tests := []struct {
-		name string
-		msg  Message
-		want int
+		name     string
+		msg      Message
+		v2, want int
 	}{
-		{"gradient announcement", Message{Type: MsgTuple, Hop: 23, Ver: 1, Parent: "n5051", Tuple: g}, 78},
-		{"retract", Message{Type: MsgRetract, ID: g.ID()}, 16},
-		{"downhill message", Message{Type: MsgTuple, Hop: 0, Tuple: d}, 169},
-		{"1,000-entry digest", Message{Type: MsgDigest, Digest: digest}, 18_883},
+		{"gradient announcement", Message{Type: MsgTuple, Hop: 23, Ver: 1, Parent: "n5051", Tuple: g}, 78, 40},
+		{"retract", Message{Type: MsgRetract, ID: g.ID()}, 16, 16},
+		{"downhill message", Message{Type: MsgTuple, Hop: 0, Tuple: d}, 169, 135},
+		{"1,000-entry digest", Message{Type: MsgDigest, Digest: digest}, 18_883, 18_883},
 	}
 	for _, tt := range tests {
 		data, err := Encode(tt.msg)
@@ -50,7 +52,7 @@ func TestEncodedSizes(t *testing.T) {
 			t.Fatalf("%s: %v", tt.name, err)
 		}
 		if len(data) != tt.want {
-			t.Errorf("%s = %d bytes, want %d (update DESIGN.md §8 if this is intended)", tt.name, len(data), tt.want)
+			t.Errorf("%s = %d bytes, want %d, %d in codec v2 (update DESIGN.md §8 if this is intended)", tt.name, len(data), tt.want, tt.v2)
 		}
 		if cap(data) != len(data) {
 			t.Errorf("%s: buffer capacity %d for %d bytes: Encode must size the frame exactly", tt.name, cap(data), len(data))
@@ -119,7 +121,8 @@ func TestDecodeRejectsHostileVarints(t *testing.T) {
 
 // TestPreviousFormatIsErrVersion: frames of the fixed-width format,
 // untraced (version 1) and traced (version 2), decode as ErrVersion even
-// with a valid checksum.
+// with a valid checksum, and a current frame carrying a tuple of codec
+// version 2, its names literal, as tuple.ErrBadVersion.
 func TestPreviousFormatIsErrVersion(t *testing.T) {
 	r := newWireRegistry(t)
 	for _, ver := range []byte{1, 2} {
@@ -128,6 +131,14 @@ func TestPreviousFormatIsErrVersion(t *testing.T) {
 		if _, err := Decode(r, old); !errors.Is(err, ErrVersion) {
 			t.Errorf("version %d frame: Decode = %v, want ErrVersion", ver, err)
 		}
+	}
+	// Hop 0, no parent, Ver 1, then tuple n#3 of kind "tota:flood" with
+	// the field name = "f".
+	v2 := append([]byte{wireVersion, byte(MsgTuple), 0, 0, 1, 2, 10}, "tota:flood"...)
+	v2 = append(append(v2, 1, 'n', 3, 1, 4), "name"...)
+	v2 = seal(append(v2, byte(tuple.KindString), 1, 'f'))
+	if _, err := Decode(r, v2); !errors.Is(err, tuple.ErrBadVersion) {
+		t.Errorf("codec version 2 tuple: Decode = %v, want tuple.ErrBadVersion", err)
 	}
 }
 
