@@ -178,26 +178,19 @@ func (n *Node) aggEpochLocked() {
 		case st.parent != "":
 			if q.Collect {
 				for _, r := range n.aggCollectRecsLocked(q, st, qs) {
-					n.stageAggPartialLocked(id, r.origin, r.p)
+					n.stageAggPartialLocked(st.parent, id, r.origin, r.p)
 				}
 			} else {
-				n.stageAggPartialLocked(id, tuple.ID{}, n.aggFoldLocked(q, st, qs))
+				n.stageAggPartialLocked(st.parent, id, tuple.ID{}, n.aggFoldLocked(q, st, qs))
 			}
-			n.flushStagedLocked(st.parent)
 		}
 	}
 }
 
-func (n *Node) stageAggPartialLocked(id, origin tuple.ID, p agg.Partial) {
-	data, err := wire.Encode(wire.Message{
-		Type: wire.MsgPartial, ID: id, Origin: origin, Partial: p,
-	})
-	if err != nil {
-		n.noteSendError("partial encode", err)
-		return
+func (n *Node) stageAggPartialLocked(to tuple.NodeID, id, origin tuple.ID, p agg.Partial) {
+	if n.stageLocked(to, wire.Message{Type: wire.MsgPartial, ID: id, Origin: origin, Partial: p}) {
+		n.stats.PartialsOut.Add(1)
 	}
-	n.stats.PartialsOut.Add(1)
-	n.stageMsgs = append(n.stageMsgs, data)
 }
 
 // aggFoldLocked combines the local matching tuples with the fresh

@@ -365,7 +365,7 @@ func (n *Node) injectLocked(t tuple.Tuple, ctx *tuple.Ctx) {
 			// Versioned: later digest entries can prove nothing changed.
 			n.announceLocked(st)
 		} else {
-			n.broadcastTupleLocked(t, 0, "", st.traceCtx())
+			n.stageLocked("", wire.Message{Type: wire.MsgTuple, Tuple: t, Trace: st.traceCtx()})
 		}
 	}
 }
@@ -501,7 +501,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) (plain bo
 			// downstream hop's parent link must name this node, not the
 			// hop before it.
 			n.bumpSpanLocked(local.ID(), st)
-			n.broadcastTupleLocked(local, hop, "", st.traceCtx())
+			n.stageLocked("", wire.Message{Type: wire.MsgTuple, Hop: clampHop(hop), Tuple: local, Trace: st.traceCtx()})
 		}
 		n.traceLocked(TraceEvent{Kind: TraceForward, ID: local.ID(), TupleKind: local.Kind(), Hop: hop,
 			TraceID: st.traceID, Span: st.span, ParentSpan: msg.Trace.Span})
@@ -516,7 +516,7 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) (plain bo
 // digest.
 func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.DigestsIn.Add(1)
-	n.pullScratch = n.pullScratch[:0]
+	n.idScratch = n.idScratch[:0]
 	for i := range msg.Digest {
 		e := &msg.Digest[i]
 		if e.ID.IsZero() {
@@ -534,7 +534,7 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 			// The digest advertises a tuple that never propagated here —
 			// a lost broadcast or a fresh join. Pull the full bytes.
 			if n.allowPullLocked(st, from) {
-				n.pullScratch = append(n.pullScratch, e.ID)
+				n.idScratch = append(n.idScratch, e.ID)
 				n.tracePullLocked(e.ID, from, st)
 			}
 			continue
@@ -547,12 +547,12 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 			// included) and records the version, so the pull repeats only
 			// until one round trip survives.
 			if n.allowPullLocked(st, from) {
-				n.pullScratch = append(n.pullScratch, e.ID)
+				n.idScratch = append(n.idScratch, e.ID)
 				n.tracePullLocked(e.ID, from, st)
 			}
 		}
 	}
-	n.sendPullsLocked(from)
+	n.stagePullsLocked(from)
 }
 
 // digestMaintainedLocked applies one maintained-structure digest entry:
@@ -572,7 +572,7 @@ func (n *Node) digestMaintainedLocked(from tuple.NodeID, e *wire.DigestEntry, st
 		// exemplar to rebuild content from, it needs the structure's
 		// full bytes once. No support is recorded until they arrive.
 		if n.allowPullLocked(st, from) {
-			n.pullScratch = append(n.pullScratch, e.ID)
+			n.idScratch = append(n.idScratch, e.ID)
 			n.tracePullLocked(e.ID, from, st)
 		}
 		return
@@ -631,10 +631,10 @@ func (n *Node) allowPullLocked(st *tupleState, from tuple.NodeID) bool {
 	return true
 }
 
-// sendPullsLocked unicasts the accumulated pull requests to the digest
+// stagePullsLocked stages the accumulated pull requests for the digest
 // sender, chunked against the frame payload budget.
-func (n *Node) sendPullsLocked(to tuple.NodeID) {
-	ids := n.pullScratch
+func (n *Node) stagePullsLocked(to tuple.NodeID) {
+	ids := n.idScratch
 	if len(ids) == 0 {
 		return
 	}
@@ -642,29 +642,25 @@ func (n *Node) sendPullsLocked(to tuple.NodeID) {
 	for i := range ids {
 		is := wire.PullIDSize(ids[i])
 		if i > start && (size+is > n.frameLimit || i-start >= wire.MaxPullIDs) {
-			n.sendPullMsgLocked(to, ids[start:i])
+			n.stagePullLocked(to, ids[start:i])
 			start, size = i, wire.PullOverhead
 		}
 		size += is
 	}
-	n.sendPullMsgLocked(to, ids[start:])
-	n.pullScratch = ids[:0]
+	n.stagePullLocked(to, ids[start:])
+	n.idScratch = ids[:0]
 }
 
-func (n *Node) sendPullMsgLocked(to tuple.NodeID, ids []tuple.ID) {
-	data, err := wire.Encode(wire.Message{Type: wire.MsgPull, Want: ids})
-	if err != nil {
-		n.noteSendError("pull encode", err)
-		return
+func (n *Node) stagePullLocked(to tuple.NodeID, ids []tuple.ID) {
+	if n.stageLocked(to, wire.Message{Type: wire.MsgPull, Want: ids}) {
+		n.stats.PullsOut.Add(1)
 	}
-	n.stats.PullsOut.Add(1)
-	n.sendLocked(to, data)
 }
 
-// handlePullLocked answers an anti-entropy pull: unicast the full
-// announcement bytes of every requested tuple this node still stores,
-// coalesced into batch frames. Requests for retracted structures are
-// answered with the retraction, spreading the tombstone instead.
+// handlePullLocked answers an anti-entropy pull: it stages for the
+// puller the full announcement bytes of every requested tuple this node
+// still stores. Requests for retracted structures are answered with the
+// retraction, spreading the tombstone instead.
 func (n *Node) handlePullLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.PullsIn.Add(1)
 	for _, id := range msg.Want {
@@ -676,9 +672,7 @@ func (n *Node) handlePullLocked(from tuple.NodeID, msg *wire.Message) {
 			if !n.states.retracted.has(id) {
 				continue
 			}
-			if data, err := wire.Encode(wire.Message{Type: wire.MsgRetract, ID: id}); err == nil {
-				n.stageMsgs = append(n.stageMsgs, data)
-			}
+			n.stageLocked(from, wire.Message{Type: wire.MsgRetract, ID: id})
 			continue
 		}
 		data, ok := n.storedWireLocked(st)
@@ -689,9 +683,8 @@ func (n *Node) handlePullLocked(from tuple.NodeID, msg *wire.Message) {
 		// Pull-repair response: the requester's next store/supersede links
 		// to this span, closing the repair loop in the trace.
 		n.traceSendLocked(st, from)
-		n.stageMsgs = append(n.stageMsgs, data)
+		n.stageDataLocked(from, data)
 	}
-	n.flushStagedLocked(from)
 }
 
 // maintainLocked re-establishes the local consistency of a maintained
@@ -754,7 +747,7 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 		// the claim is a genuine loop rather than staleness.
 		if n.allowPullLocked(st, poisonedNbr) {
 			n.tracePullLocked(id, poisonedNbr, st)
-			n.sendPullMsgLocked(poisonedNbr, []tuple.ID{id})
+			n.stagePullLocked(poisonedNbr, []tuple.ID{id})
 		}
 	}
 
@@ -847,7 +840,7 @@ func (n *Node) dropMaintainedLocked(id tuple.ID, st *tupleState) {
 	st.suspectEpoch = 0
 	n.stats.MaintDrop.Add(1)
 	n.effectLocked(TraceEvent{Kind: TraceWithdraw, ID: id, TraceID: st.traceID, Span: st.span}, TupleRemoved, removed)
-	n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
+	n.withdrawLocked(id)
 }
 
 func (n *Node) handleWithdrawLocked(from tuple.NodeID, id tuple.ID) {
@@ -900,7 +893,7 @@ func (n *Node) retractLocked(id tuple.ID) {
 	n.states.bury(id)
 	n.stats.Retracted.Add(1)
 	n.traceLocked(TraceEvent{Kind: TraceRetract, ID: id})
-	n.sendMsgLocked("", wire.Message{Type: wire.MsgRetract, ID: id})
+	n.stageLocked("", wire.Message{Type: wire.MsgRetract, ID: id})
 }
 
 // deleteLocked extracts matching tuples from the local space, emitting
@@ -916,7 +909,7 @@ func (n *Node) deleteLocked(tpl tuple.Template) []tuple.Tuple {
 			n.stateFor(id).dropCopy()
 			n.effectLocked(TraceEvent{}, TupleRemoved, removed)
 			if _, isM := removed.(tuple.Maintained); isM {
-				n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
+				n.withdrawLocked(id)
 			}
 			n.states.park(removed, &n.store)
 		}
@@ -937,9 +930,9 @@ func (n *Node) handleNeighborAddedLocked(peer tuple.NodeID) {
 	}
 	// The paper: "when new nodes get in touch with a network, TOTA
 	// automatically checks the propagation rules of the stored tuples
-	// and eventually propagates the tuples to the new nodes". We
-	// unicast every stored propagating tuple to the newcomer, reusing
-	// the cached announcement bytes when the copy is unchanged.
+	// and eventually propagates the tuples to the new nodes". We stage
+	// every stored propagating tuple for the newcomer, reusing the
+	// cached announcement bytes when the copy is unchanged.
 	n.idScratch = n.store.appendIDs(n.idScratch)
 	for _, id := range n.idScratch {
 		st := n.states.lookup(id)
@@ -956,9 +949,8 @@ func (n *Node) handleNeighborAddedLocked(peer tuple.NodeID) {
 			continue
 		}
 		n.stats.Unicasts.Add(1)
-		n.stageMsgs = append(n.stageMsgs, data)
+		n.stageDataLocked(peer, data)
 	}
-	n.flushStagedLocked(peer)
 	n.emitNeighborLocked(NeighborAdded, peer)
 }
 
@@ -1024,7 +1016,7 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 		n.stats.Expired.Add(1)
 		n.effectLocked(TraceEvent{Kind: TraceExpire, ID: id, TupleKind: t.Kind()}, TupleRemoved, t)
 		if _, isM := t.(tuple.Maintained); isM {
-			n.sendMsgLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id})
+			n.withdrawLocked(id)
 		}
 		removed++
 	}
@@ -1075,22 +1067,124 @@ func (n *Node) refreshLocked() int {
 		}
 		n.announceLocked(st)
 	}
-	full, digested := n.flushLocked()
+	full, digested := n.stageDirtyLocked()
 	n.stats.RefreshAnnounced.Add(int64(full))
 	n.stats.RefreshSuppressed.Add(int64(digested))
-	// Convergecast partials go out after the broadcast flush, as
-	// parent-link unicasts.
+	// Convergecast partials follow the broadcasts, as parent-link
+	// unicasts.
 	n.aggEpochLocked()
 	return full + digested
 }
 
-// flushLocked ends an input batch: it broadcasts the final state of
-// every dirty row in coalesced frames, in full if its announcement
-// changed since its last full broadcast, else as a digest entry, which
-// carries value and parent at a fraction of the bytes. A row dropped,
-// parked or retracted since it was marked sends nothing. It returns the
-// rows sent in full and by digest.
-func (n *Node) flushLocked() (full, digested int) {
+// stageDataLocked stages one encoded message for the flush: to "" broadcasts
+// to the one-hop neighborhood, any other id unicasts.
+func (n *Node) stageDataLocked(to tuple.NodeID, data []byte) {
+	n.outbox = append(n.outbox, data)
+	n.outTo = append(n.outTo, to)
+}
+
+// stageLocked encodes msg and stages it for the flush, reporting
+// whether it was staged.
+func (n *Node) stageLocked(to tuple.NodeID, msg wire.Message) bool {
+	data, err := wire.Encode(msg)
+	if err != nil {
+		n.noteSendError("encode", err)
+		return false
+	}
+	n.stageDataLocked(to, data)
+	return true
+}
+
+// withdrawal is a staged withdrawal: its outbox slot and tuple id.
+type withdrawal struct {
+	at int
+	id tuple.ID
+}
+
+// withdrawLocked stages the broadcast withdrawal of id's stored copy.
+func (n *Node) withdrawLocked(id tuple.ID) {
+	at := len(n.outbox)
+	if n.stageLocked("", wire.Message{Type: wire.MsgWithdraw, ID: id}) {
+		n.withdrawals = append(n.withdrawals, withdrawal{at: at, id: id})
+	}
+}
+
+// flushLocked ends an input batch (see unlock), and is the engine's one
+// exit: every message the engine emits waits in the outbox, and only
+// this sends it. It first stages the dirty rows' final states, then
+// sends the outbox in staging order, packing each run of messages to
+// one destination into frames within the payload budget. A withdrawal
+// whose row holds a copy again is dropped: the copy's re-announcement
+// carries the new value and parent.
+func (n *Node) flushLocked() {
+	n.stageDirtyLocked()
+	msgs, to := n.outbox, n.outTo
+	for _, w := range n.withdrawals {
+		if _, _, ok := n.store.get(w.id); ok {
+			msgs[w.at] = nil
+		}
+	}
+	kept := 0
+	for i := range msgs {
+		if msgs[i] != nil {
+			msgs[kept], to[kept] = msgs[i], to[i]
+			kept++
+		}
+	}
+	start, size := 0, wire.BatchOverhead
+	for i := 0; i < kept; i++ {
+		ms := wire.BatchEntrySize(len(msgs[i]))
+		if i > start && (to[i] != to[start] || size+ms > n.frameLimit || i-start >= wire.MaxBatchMessages) {
+			n.sendLocked(to[start], msgs[start:i])
+			start, size = i, wire.BatchOverhead
+		}
+		size += ms
+	}
+	if kept > 0 {
+		n.sendLocked(to[start], msgs[start:kept])
+	}
+	clear(msgs)
+	clear(to)
+	clear(n.withdrawals)
+	n.outbox, n.outTo, n.withdrawals = msgs[:0], to[:0], n.withdrawals[:0]
+}
+
+// sendLocked hands one run of staged messages to the transport, the
+// only code that does (see flushLocked): bare when the run is one
+// message, which peers without batching still read, else as a fresh
+// batch frame (EncodeBatch copies, so staged cached bytes never alias
+// it). An empty destination broadcasts to the one-hop neighborhood, any
+// other unicasts. Bytes handed over are never written again.
+func (n *Node) sendLocked(to tuple.NodeID, msgs [][]byte) {
+	data := msgs[0]
+	if len(msgs) > 1 {
+		frame, err := wire.EncodeBatch(msgs)
+		if err != nil {
+			n.noteSendError("frame encode", err)
+			return
+		}
+		n.stats.FramesOut.Add(1)
+		data = frame
+	}
+	var err error
+	if to == "" {
+		n.stats.Broadcasts.Add(1)
+		err = n.tr.Broadcast(data)
+	} else {
+		err = n.tr.Send(to, data)
+	}
+	if err != nil {
+		n.noteSendError("send", err)
+	}
+}
+
+// stageDirtyLocked stages the final state of every dirty row for
+// broadcast: in full if its announcement changed since its last full
+// broadcast, else as a digest entry, which carries value and parent at
+// a fraction of the bytes. A row dropped, parked or retracted since it
+// was marked sends nothing. It returns the rows staged in full and by
+// digest.
+func (n *Node) stageDirtyLocked() (full, digested int) {
 	for _, id := range n.dirty {
 		st := n.states.lookup(id)
 		if st == nil || !st.has(stDirty) {
@@ -1104,7 +1198,7 @@ func (n *Node) flushLocked() (full, digested int) {
 		if st.refreshedVer != st.ver {
 			st.refreshedVer = st.ver
 			n.traceSendLocked(st, "")
-			n.stageMsgs = append(n.stageMsgs, data)
+			n.stageDataLocked("", data)
 			full++
 			continue
 		}
@@ -1120,13 +1214,12 @@ func (n *Node) flushLocked() (full, digested int) {
 	clear(n.dirty)
 	n.dirty = n.dirty[:0]
 	n.stageDigestsLocked()
-	n.flushStagedLocked("")
 	return full, digested
 }
 
-// stageDigestsLocked encodes the flush's digest entries into one or
-// more digest messages, each sized to fit the frame payload budget, and
-// stages them for the flush.
+// stageDigestsLocked encodes the staged digest entries into one or more
+// digest messages, each sized to fit the frame payload budget, and
+// stages them for broadcast.
 func (n *Node) stageDigestsLocked() {
 	entries := n.digestScratch
 	if len(entries) == 0 {
@@ -1147,60 +1240,9 @@ func (n *Node) stageDigestsLocked() {
 }
 
 func (n *Node) stageDigestMsgLocked(entries []wire.DigestEntry) {
-	data, err := wire.Encode(wire.Message{Type: wire.MsgDigest, Digest: entries})
-	if err != nil {
-		n.noteSendError("digest encode", err)
-		return
+	if n.stageLocked("", wire.Message{Type: wire.MsgDigest, Digest: entries}) {
+		n.stats.DigestsOut.Add(1)
 	}
-	n.stats.DigestsOut.Add(1)
-	n.stageMsgs = append(n.stageMsgs, data)
-}
-
-// flushStagedLocked transmits the staged messages, coalescing runs of
-// them into batch frames bounded by the frame payload budget. A run of
-// one is sent bare (the single-message format stays on the wire, so
-// peers without batching still interoperate). An empty destination
-// broadcasts; otherwise the frames are unicast.
-func (n *Node) flushStagedLocked(to tuple.NodeID) {
-	msgs := n.stageMsgs
-	if len(msgs) == 0 {
-		return
-	}
-	start, size := 0, wire.BatchOverhead
-	for i := range msgs {
-		ms := wire.BatchEntrySize(len(msgs[i]))
-		if i > start && (size+ms > n.frameLimit || i-start >= wire.MaxBatchMessages) {
-			n.sendFrameLocked(to, msgs[start:i])
-			start, size = i, wire.BatchOverhead
-		}
-		size += ms
-	}
-	n.sendFrameLocked(to, msgs[start:])
-	for i := range msgs {
-		msgs[i] = nil
-	}
-	n.stageMsgs = msgs[:0]
-}
-
-// sendFrameLocked transmits one run of staged messages: bare when the
-// run is a single message, as a batch frame otherwise. Frames are
-// freshly allocated (EncodeBatch copies), so cached announcement bytes
-// can be staged without aliasing hazards.
-func (n *Node) sendFrameLocked(to tuple.NodeID, msgs [][]byte) {
-	if len(msgs) == 0 {
-		return
-	}
-	data := msgs[0]
-	if len(msgs) > 1 {
-		frame, err := wire.EncodeBatch(msgs)
-		if err != nil {
-			n.noteSendError("frame encode", err)
-			return
-		}
-		n.stats.FramesOut.Add(1)
-		data = frame
-	}
-	n.sendLocked(to, data)
 }
 
 // storedWireLocked returns the wire bytes announcing the stored copy
@@ -1247,52 +1289,15 @@ func (n *Node) putCopyLocked(st *tupleState, t tuple.Tuple, hop int32) {
 	n.store.put(t, hop)
 }
 
-// announceLocked queues the node's stored copy of a structure for the
-// batch's flush, which announces the row's final state once, however
-// often the batch changed it. It sends nothing itself.
+// announceLocked marks the node's stored copy of a structure dirty for
+// the batch's flush, which announces the row's final state once,
+// however often the batch changed it.
 func (n *Node) announceLocked(st *tupleState) {
 	if st.has(stDirty) || st.local == nil {
 		return
 	}
 	st.mark(stDirty)
 	n.dirty = append(n.dirty, st.local.ID())
-}
-
-func (n *Node) broadcastTupleLocked(t tuple.Tuple, hop int, parent tuple.NodeID, tc wire.TraceCtx) {
-	n.sendMsgLocked("", wire.Message{
-		Type:   wire.MsgTuple,
-		Hop:    clampHop(hop),
-		Parent: parent,
-		Tuple:  t,
-		Trace:  tc,
-	})
-}
-
-// sendMsgLocked encodes and transmits a message; an empty destination
-// broadcasts to the one-hop neighborhood.
-func (n *Node) sendMsgLocked(to tuple.NodeID, msg wire.Message) {
-	data, err := wire.Encode(msg)
-	if err != nil {
-		n.noteSendError("encode", err)
-		return
-	}
-	n.sendLocked(to, data)
-}
-
-// sendLocked hands data to the transport, the engine's one way out: an
-// empty destination broadcasts to the one-hop neighborhood, any other
-// unicasts. Bytes handed over are never written again.
-func (n *Node) sendLocked(to tuple.NodeID, data []byte) {
-	var err error
-	if to == "" {
-		n.stats.Broadcasts.Add(1)
-		err = n.tr.Broadcast(data)
-	} else {
-		err = n.tr.Send(to, data)
-	}
-	if err != nil {
-		n.noteSendError("send", err)
-	}
 }
 
 func hopFromVal(val, step float64, fallback int) int {

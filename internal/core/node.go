@@ -138,8 +138,9 @@ type Node struct {
 	// events, one record per decision — until unlock delivers them.
 	effects []effect
 	stats   counters[atomic.Int64]
-	// idScratch is the reusable id snapshot buffer for the refresh,
-	// sweep, and catch-up loops (all run under mu, never nested).
+	// idScratch is the reusable id buffer for the refresh, sweep, and
+	// catch-up snapshots and for the ids to pull from one digest's
+	// sender (all run under mu, never nested).
 	idScratch []tuple.ID
 	// ctxScratch is the reusable hook context handed out by ctxLocked:
 	// at most one engine-created Ctx is ever live (all hook pipelines
@@ -149,10 +150,13 @@ type Node struct {
 	// frameLimit is the batch-frame payload budget resolved at
 	// construction (transport.FrameLimiter, or DefaultFrameBytes).
 	frameLimit int
-	// stageMsgs accumulates pre-encoded outgoing messages between a
-	// staging pass (batch flush, catch-up, pull response) and its flush into
-	// coalesced frames; reused across flushes.
-	stageMsgs [][]byte
+	// outbox holds every message the engine emits, encoded, in staging
+	// order until the flush sends it (see flushLocked); outTo holds each
+	// one's destination, and withdrawals the staged withdrawals. All
+	// three are reused across flushes.
+	outbox      [][]byte
+	outTo       []tuple.NodeID
+	withdrawals []withdrawal
 	// digestScratch accumulates a flush's digest entries.
 	digestScratch []wire.DigestEntry
 	// dirty lists the rows the input batch marked for its flush; batching
@@ -160,9 +164,6 @@ type Node struct {
 	// Sim's per-packet BeginBatch takes no lock.
 	dirty    []tuple.ID
 	batching atomic.Bool
-	// pullScratch accumulates the tuple ids to pull from one digest's
-	// sender.
-	pullScratch []tuple.ID
 	// decodeScratch is the reusable incoming-message buffer (used under
 	// mu): steady-state digest and batch deliveries reuse its slice
 	// capacity instead of allocating per packet.
@@ -411,11 +412,10 @@ func (n *Node) Refresh() int {
 	return count
 }
 
-// BeginBatch holds the announcements inputs trigger until EndBatch, so
-// each changed structure is announced once, in its final state, however
-// many packets changed it; outside a batch each input flushes its own.
-// Withdrawals, retractions, pull replies and relays still leave at once.
-// It reports whether it opened the batch: false if one was open.
+// BeginBatch holds every message inputs trigger until EndBatch, so each
+// changed structure is announced once, in its final state, however many
+// packets changed it; outside a batch each input flushes its own. It
+// reports whether it opened the batch: false if one was open.
 func (n *Node) BeginBatch() bool { return !n.batching.Swap(true) }
 
 // EndBatch closes the batch and sends what it triggered.

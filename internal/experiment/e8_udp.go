@@ -48,7 +48,7 @@ func RunE8(scale Scale) *Result {
 func udpChainTrial(n int) (discovery, propagation time.Duration, packetsIn, stored int64, ok bool) {
 	const (
 		hello    = 10 * time.Millisecond
-		timeout  = 60 * time.Millisecond
+		timeout  = 80 * time.Millisecond
 		deadline = 10 * time.Second
 	)
 	trs := make([]*udp.Transport, n)

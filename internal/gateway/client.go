@@ -39,12 +39,12 @@ type ClientConfig struct {
 	Policy *retry.Policy
 	// RequestTimeout bounds one RPC round trip (default 5s).
 	RequestTimeout time.Duration
-	// EventBuffer is each subscription's delivery channel depth
-	// (default 1024). A consumer that stops draining eventually
-	// backpressures the socket, which surfaces at the gateway as
-	// accounted slow-consumer drops.
-	EventBuffer int
 }
+
+// eventBuffer is each subscription's delivery channel depth. A consumer
+// that stops draining eventually backpressures the socket, which
+// surfaces at the gateway as accounted slow-consumer drops.
+const eventBuffer = 1024
 
 // SubEvent is one delivery on a subscription channel.
 type SubEvent struct {
@@ -195,6 +195,9 @@ func (s *Subscription) GapViolations() int {
 type Client struct {
 	addr string
 	cfg  ClientConfig
+	// eventBuffer is the depth of the channels Subscribe makes: Dial
+	// sets it to the eventBuffer constant.
+	eventBuffer int
 
 	mu      sync.Mutex
 	nc      net.Conn // current connection, nil while down
@@ -229,12 +232,10 @@ func Dial(addr string, cfg ClientConfig) *Client {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = 1024
-	}
 	c := &Client{
 		addr:        addr,
 		cfg:         cfg,
+		eventBuffer: eventBuffer,
 		pending:     make(map[uint64]chan Response),
 		subFor:      make(map[uint64]*Subscription),
 		route:       make(map[uint64]*Subscription),
@@ -697,7 +698,7 @@ func (c *Client) Subscribe(tpl tuple.Template) (*Subscription, error) {
 	s := &Subscription{
 		c:      c,
 		tpl:    tpl,
-		Events: make(chan SubEvent, c.cfg.EventBuffer),
+		Events: make(chan SubEvent, c.eventBuffer),
 		done:   make(chan struct{}),
 	}
 	c.mu.Lock()

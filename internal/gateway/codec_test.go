@@ -422,8 +422,10 @@ func TestGatewayLoneEventIsFlushedAtOnce(t *testing.T) {
 // events; every DSeq gap it then observes must equal the growth of
 // Drops exactly, and the client's own verification must agree.
 func TestGatewayStalledReaderAccountingThroughBufferedWriter(t *testing.T) {
-	n, gw := newTestGateway(t, Config{QueueSize: 4, RingSize: 16})
-	c := Dial(gw.Addr(), ClientConfig{Policy: retry.New(5), RequestTimeout: 3 * time.Second, EventBuffer: 1})
+	n, gw := newTestGateway(t, Config{})
+	resize(gw, 16, 4)
+	c := Dial(gw.Addr(), ClientConfig{Policy: retry.New(5), RequestTimeout: 3 * time.Second})
+	c.eventBuffer = 1
 	t.Cleanup(func() { _ = c.Close() })
 	sub, err := c.Subscribe(pattern.ByName(pattern.KindFlood, "stall"))
 	if err != nil {
@@ -488,7 +490,8 @@ func TestGatewayStalledReaderAccountingThroughBufferedWriter(t *testing.T) {
 // arrive on a handle whose template it matches, and the client's
 // server-id route must never point at a closed or detached handle.
 func TestGatewayFanoutHammer(t *testing.T) {
-	n, gw := newTestGateway(t, Config{QueueSize: 1 << 14})
+	n, gw := newTestGateway(t, Config{})
+	resize(gw, ringSize, 1<<14)
 	const injectors, perInjector, churners = 4, 300, 2
 	name := func(k int) string { return fmt.Sprintf("inj-%d", k) }
 

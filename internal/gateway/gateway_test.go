@@ -61,6 +61,18 @@ func newTestGateway(t *testing.T, cfg Config) (*core.Node, *Gateway) {
 	return n, gw
 }
 
+// resize gives a served gateway a smaller replay ring and connection
+// queue than it serves with, before any event or connection uses them.
+// Each is written under the lock its readers take.
+func resize(gw *Gateway, ring, queue int) {
+	gw.evMu.Lock()
+	gw.ring = newEventRing(ring)
+	gw.evMu.Unlock()
+	gw.mu.Lock()
+	gw.queue = queue
+	gw.mu.Unlock()
+}
+
 func testClient(t *testing.T, addr string) *Client {
 	t.Helper()
 	c := Dial(addr, ClientConfig{
@@ -293,7 +305,8 @@ func TestGatewayReplayFromSeqHit(t *testing.T) {
 }
 
 func TestGatewayReplayMissOnRingEviction(t *testing.T) {
-	n, gw := newTestGateway(t, Config{RingSize: 4})
+	n, gw := newTestGateway(t, Config{})
+	resize(gw, 4, queueSize)
 	injectN(t, n, "evict", 8)
 
 	c := dialRaw(t, gw.Addr())
@@ -355,7 +368,7 @@ func TestGatewaySlowConsumerDropAccounting(t *testing.T) {
 	// White-box: a connection whose outbound queue holds one frame.
 	// Drops must be counted per subscription and surfaced cumulatively
 	// on later event frames — accounted, never silent.
-	gw := &Gateway{cfg: Config{QueueSize: 1}}
+	gw := &Gateway{queue: 1}
 	c := &conn{
 		gw:     gw,
 		out:    make(chan []byte, 1),
@@ -548,10 +561,10 @@ func TestGatewayUnsubscribeRacesLiveDispatch(t *testing.T) {
 	c := Dial(gw.Addr(), ClientConfig{
 		Policy:         retry.New(11),
 		RequestTimeout: 3 * time.Second,
-		// Depth 1 keeps deliveries blocked on the channel mid-Unsubscribe,
-		// exercising the abort-a-blocked-send path as well.
-		EventBuffer: 1,
 	})
+	// Depth 1 keeps deliveries blocked on the channel mid-Unsubscribe,
+	// exercising the abort-a-blocked-send path as well.
+	c.eventBuffer = 1
 	t.Cleanup(func() { _ = c.Close() })
 
 	for i := 0; i < 20; i++ {
@@ -826,7 +839,7 @@ func TestGatewaySubscribeRetryDoesNotDuplicateServerSub(t *testing.T) {
 // through it the engine dispatch goroutine) waits on, so it must never
 // block on a wedged client — the connection is dropped instead.
 func TestGatewaySubscribeAckNeverBlocksFanoutLock(t *testing.T) {
-	gw := &Gateway{cfg: Config{QueueSize: 1}, ring: newEventRing(4)}
+	gw := &Gateway{queue: 1, ring: newEventRing(4)}
 	c := &conn{
 		gw:     gw,
 		out:    make(chan []byte, 1),

@@ -31,9 +31,6 @@ type eventRing struct {
 }
 
 func newEventRing(size int) *eventRing {
-	if size <= 0 {
-		size = DefaultRingSize
-	}
 	return &eventRing{buf: make([]ringEntry, size)}
 }
 

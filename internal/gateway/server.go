@@ -16,15 +16,15 @@ import (
 	"tota/internal/tuple"
 )
 
-// Defaults for the serving surface.
+// Sizes of the serving surface.
 const (
-	// DefaultRingSize is the replay ring capacity: how many recent
-	// events a reconnecting client can recover by sequence.
-	DefaultRingSize = 4096
-	// DefaultQueueSize is the per-connection outbound queue bound; a
-	// client that reads slower than its subscriptions produce drops
-	// events past this depth (counted, never silent).
-	DefaultQueueSize = 256
+	// ringSize is the replay ring capacity: how many recent events a
+	// reconnecting client can recover by sequence.
+	ringSize = 4096
+	// queueSize is the per-connection outbound queue bound; a client
+	// that reads slower than its subscriptions produce drops events
+	// past this depth (counted, never silent).
+	queueSize = 256
 	// DefaultMaxClients bounds concurrent client connections per
 	// gateway.
 	DefaultMaxClients = 1024
@@ -39,10 +39,6 @@ type Config struct {
 	// MaxClients bounds concurrent connections; further connections
 	// are rejected with an error frame and closed.
 	MaxClients int
-	// RingSize is the replay ring capacity in events.
-	RingSize int
-	// QueueSize is the per-connection outbound event queue bound.
-	QueueSize int
 	// Logger receives connection-level errors; nil discards them.
 	Logger *slog.Logger
 }
@@ -84,7 +80,11 @@ type Gateway struct {
 	cfg   Config
 	ln    net.Listener
 	epoch string
+	// ring and queue (each connection's outbound queue bound) start at
+	// ringSize and queueSize. Tests that need them smaller replace them
+	// under evMu and mu, the locks their readers take.
 	ring  *eventRing
+	queue int
 
 	// evMu serializes event sequencing: engine dispatches may arrive on
 	// several goroutines (transport receive loop, refresh ticker,
@@ -111,18 +111,13 @@ func Serve(node *core.Node, addr string, cfg Config) (*Gateway, error) {
 	if cfg.MaxClients <= 0 {
 		cfg.MaxClients = DefaultMaxClients
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = DefaultQueueSize
-	}
 	g := &Gateway{
 		node:  node,
 		cfg:   cfg,
 		ln:    ln,
 		epoch: newEpoch(),
-		ring:  newEventRing(cfg.RingSize),
+		ring:  newEventRing(ringSize),
+		queue: queueSize,
 		conns: make(map[*conn]struct{}),
 	}
 	// One engine subscription carries every client subscription: the
@@ -215,7 +210,7 @@ func (g *Gateway) acceptLoop() {
 		c := &conn{
 			gw:     g,
 			nc:     nc,
-			out:    make(chan []byte, g.cfg.QueueSize),
+			out:    make(chan []byte, g.queue),
 			subs:   make(map[uint64]*serverSub),
 			closec: make(chan struct{}),
 		}

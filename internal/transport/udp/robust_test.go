@@ -61,39 +61,35 @@ func seedPeer(tr *Transport, id tuple.NodeID) *peerState {
 	return p
 }
 
-// TestFaultPeerFlapDamping: a single dropped (or delayed) beacon
-// interval must not cycle disconnect/connect events — the peer becomes
-// suspect silently and the next beacon clears the suspicion.
+// TestFaultPeerFlapDamping: beacons dropped or delayed for less than
+// PeerTimeout must not cycle disconnect/connect events, and the next
+// beacon restarts the peer's silence.
 func TestFaultPeerFlapDamping(t *testing.T) {
 	rec := &nbrRecorder{}
 	tr := newIdleTransport(t, rec)
 	p := seedPeer(tr, "peer")
 
-	// Silence just past PeerTimeout: stage one (suspect), no event.
+	// Silence just inside PeerTimeout: no event, however often the
+	// detector runs.
 	tr.mu.Lock()
-	p.lastSeen = time.Now().Add(-testTimeout - time.Millisecond)
+	p.lastSeen = time.Now().Add(-testTimeout + 2*testHello)
 	tr.mu.Unlock()
 	tr.expirePeers()
-	tr.expirePeers() // grace has not elapsed: still no event
+	tr.expirePeers()
 	if evs := rec.snapshot(); len(evs) != 0 {
-		t.Fatalf("suspicion emitted events: %v", evs)
+		t.Fatalf("silence inside PeerTimeout emitted events: %v", evs)
 	}
-	tr.mu.Lock()
-	if p.suspectAt.IsZero() {
-		t.Error("peer not marked suspect after PeerTimeout silence")
-	}
-	tr.mu.Unlock()
 
-	// The delayed beacon arrives: suspicion clears, still no events —
+	// The delayed beacon arrives: the silence restarts, still no events
 	// and crucially no down/up pair.
 	tr.handleHello("peer", p.addr)
 	tr.expirePeers()
 	if evs := rec.snapshot(); len(evs) != 0 {
-		t.Fatalf("beacon after suspicion emitted events: %v", evs)
+		t.Fatalf("beacon after silence emitted events: %v", evs)
 	}
 	tr.mu.Lock()
-	if !p.suspectAt.IsZero() || !p.up {
-		t.Error("beacon did not clear suspicion")
+	if !p.up || time.Since(p.lastSeen) > testHello {
+		t.Error("beacon did not restart the silence")
 	}
 	tr.mu.Unlock()
 
@@ -102,8 +98,9 @@ func TestFaultPeerFlapDamping(t *testing.T) {
 	}
 }
 
-// TestFaultPeerDownAfterGrace: sustained silence through the grace
-// window does emit exactly one down event.
+// TestFaultPeerDownAfterGrace: silence past PeerTimeout, which holds
+// the grace for delayed beacons, emits exactly one down event at the
+// detector's next run.
 func TestFaultPeerDownAfterGrace(t *testing.T) {
 	rec := &nbrRecorder{}
 	tr := newIdleTransport(t, rec)
@@ -111,10 +108,6 @@ func TestFaultPeerDownAfterGrace(t *testing.T) {
 
 	tr.mu.Lock()
 	p.lastSeen = time.Now().Add(-testTimeout - time.Millisecond)
-	tr.mu.Unlock()
-	tr.expirePeers() // suspect
-	tr.mu.Lock()
-	p.suspectAt = time.Now().Add(-tr.peerGrace()) // grace elapsed
 	tr.mu.Unlock()
 	tr.expirePeers()
 	if evs := rec.snapshot(); len(evs) != 1 || evs[0] != "-peer" {
@@ -126,5 +119,45 @@ func TestFaultPeerDownAfterGrace(t *testing.T) {
 	}
 	if len(tr.Neighbors()) != 0 {
 		t.Error("peer still listed after down")
+	}
+}
+
+// TestDataFramesKeepPeerUp: a peer whose beacons are all lost but whose
+// data frames keep arriving is alive, and must stay up. The peer here
+// is a bare socket that sends one beacon and then only data frames, for
+// several PeerTimeouts.
+func TestDataFramesKeepPeerUp(t *testing.T) {
+	rec := &nbrRecorder{}
+	tr, err := New(Config{NodeID: "self", HelloInterval: testHello, PeerTimeout: testTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetHandler(rec)
+	tr.Start()
+	t.Cleanup(func() { _ = tr.Close() })
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	dst, err := net.ResolveUDPAddr("udp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := &Transport{cfg: Config{NodeID: "ghost"}}
+	if _, err := peer.WriteToUDP(ghost.frame(frameHello, nil), dst); err != nil {
+		t.Fatal(err)
+	}
+	data := ghost.frame(frameData, []byte("payload"))
+	tick := time.NewTicker(testHello)
+	defer tick.Stop()
+	for end := time.Now().Add(4 * testTimeout); time.Now().Before(end); {
+		<-tick.C
+		if _, err := peer.WriteToUDP(data, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evs := rec.snapshot(); len(evs) != 1 || evs[0] != "+ghost" {
+		t.Fatalf("events = %v, want only [+ghost]: data frames must keep the peer up", evs)
 	}
 }

@@ -6,7 +6,7 @@
 // node is configured with a list of candidate peer addresses (the
 // "central repository of TOTA node addresses") and exchanges periodic
 // HELLO beacons with them; a candidate becomes a neighbor when its
-// beacons arrive and is dropped when they stop. Broadcast sends one
+// beacons arrive and is dropped when it falls silent. Broadcast sends one
 // datagram per current neighbor — the loopback-testable equivalent of
 // the one-hop radio multicast.
 package udp
@@ -50,10 +50,9 @@ type Config struct {
 	Peers []string
 	// HelloInterval is the beacon period (default 50ms).
 	HelloInterval time.Duration
-	// PeerTimeout is how long to wait for beacons before suspecting a
-	// neighbor (default 4 × HelloInterval). A suspect peer is declared
-	// gone only after a further grace of 2 × HelloInterval, so a single
-	// delayed beacon re-ups it without ever emitting a
+	// PeerTimeout is how long a neighbor may stay silent, sending
+	// neither beacons nor data, before it is declared gone (default 6 ×
+	// HelloInterval), so one or two delayed beacons never emit a
 	// disconnect/connect event pair. The damping costs detection latency
 	// on real crashes, which the engine's own suspicion hysteresis
 	// already tolerates.
@@ -116,11 +115,6 @@ type peerState struct {
 	id       tuple.NodeID // "" until first hello
 	lastSeen time.Time
 	up       bool
-	// suspectAt is when the peer's silence crossed PeerTimeout (zero =
-	// not suspect). The down event fires only once the silence also
-	// outlasts peerGrace; any beacon in between clears it without
-	// emitting neighbor events.
-	suspectAt time.Time
 }
 
 var _ transport.Sender = (*Transport)(nil)
@@ -153,7 +147,7 @@ func New(cfg Config) (*Transport, error) {
 		cfg.HelloInterval = 50 * time.Millisecond
 	}
 	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 4 * cfg.HelloInterval
+		cfg.PeerTimeout = 6 * cfg.HelloInterval
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
@@ -440,35 +434,16 @@ func (t *Transport) helloLoop() {
 	}
 }
 
-// peerGrace is the suspicion window: how long a suspect peer must stay
-// silent before it is declared down.
-func (t *Transport) peerGrace() time.Duration { return 2 * t.cfg.HelloInterval }
-
-// expirePeers runs the two-stage silence detector: a peer quiet past
-// PeerTimeout becomes suspect (no event), and only a peer additionally
-// quiet through the peerGrace window is declared down. A beacon at any
-// point clears the suspicion silently, so one delayed or dropped
-// beacon interval never cycles disconnect/connect events through the
-// engine (which would trigger withdraw/catch-up storms).
+// expirePeers declares down every up peer silent for longer than
+// PeerTimeout. Any well-formed frame from the peer, beacon or data,
+// restarts its silence (see handleHello).
 func (t *Transport) expirePeers() {
 	now := time.Now()
 	t.mu.Lock()
 	var gone []tuple.NodeID
 	for id, p := range t.byID {
-		if !p.up {
-			continue
-		}
-		if now.Sub(p.lastSeen) <= t.cfg.PeerTimeout {
-			p.suspectAt = time.Time{}
-			continue
-		}
-		if p.suspectAt.IsZero() {
-			p.suspectAt = now
-			continue
-		}
-		if now.Sub(p.suspectAt) >= t.peerGrace() {
+		if p.up && now.Sub(p.lastSeen) > t.cfg.PeerTimeout {
 			p.up = false
-			p.suspectAt = time.Time{}
 			gone = append(gone, id)
 		}
 	}
@@ -515,7 +490,10 @@ func (t *Transport) readLoop() {
 	}
 }
 
-func (t *Transport) handleHello(id tuple.NodeID, raddr *net.UDPAddr) {
+// handleHello takes a well-formed frame from id at raddr as liveness:
+// it learns or refreshes the peer, brings it up, and returns the
+// handler.
+func (t *Transport) handleHello(id tuple.NodeID, raddr *net.UDPAddr) transport.Handler {
 	key := raddr.String()
 	t.mu.Lock()
 	p, ok := t.peers[key]
@@ -539,7 +517,6 @@ func (t *Transport) handleHello(id tuple.NodeID, raddr *net.UDPAddr) {
 	}
 	p.id = id
 	p.lastSeen = time.Now()
-	p.suspectAt = time.Time{}
 	wasUp := p.up
 	p.up = true
 	t.byID[id] = p
@@ -549,7 +526,7 @@ func (t *Transport) handleHello(id tuple.NodeID, raddr *net.UDPAddr) {
 	h := t.handler
 	t.mu.Unlock()
 	if h == nil {
-		return
+		return nil
 	}
 	if cycleDown {
 		h.HandleNeighbor(id, false)
@@ -557,29 +534,20 @@ func (t *Transport) handleHello(id tuple.NodeID, raddr *net.UDPAddr) {
 	if !wasUp || cycleDown {
 		h.HandleNeighbor(id, true)
 	}
+	return h
 }
 
 func (t *Transport) handleData(id tuple.NodeID, raddr *net.UDPAddr, payload []byte) {
-	t.mu.Lock()
-	p, ok := t.byID[id]
-	up := ok && p.up
-	h := t.handler
-	t.mu.Unlock()
-	if !up {
-		// A well-formed data frame is liveness evidence as strong as a
-		// beacon. Without this promotion, one-shot traffic that outruns
-		// the sender's first returning beacon — the newcomer catch-up
-		// unicast fired the instant a restarted node's hello lands on a
-		// survivor — is dropped deterministically, and only the next
-		// anti-entropy epoch would heal it.
-		t.handleHello(id, raddr)
-		t.mu.Lock()
-		p, ok = t.byID[id]
-		up = ok && p.up
-		h = t.handler
-		t.mu.Unlock()
-	}
-	if !up || h == nil {
+	// A well-formed data frame is liveness evidence as strong as a
+	// beacon, so it takes the beacon's path: it keeps an up peer alive
+	// while beacons are lost, re-adopts a restarted peer on its new
+	// address, and promotes a peer that is down, so one-shot traffic
+	// that outruns the sender's first returning beacon — the newcomer
+	// catch-up fired the instant a restarted node's hello lands on a
+	// survivor — is delivered, not dropped until the next anti-entropy
+	// epoch heals it.
+	h := t.handleHello(id, raddr)
+	if h == nil {
 		return
 	}
 	// Copy: the read buffer is reused.

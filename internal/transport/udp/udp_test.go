@@ -12,7 +12,7 @@ import (
 
 const (
 	testHello   = 10 * time.Millisecond
-	testTimeout = 60 * time.Millisecond
+	testTimeout = 80 * time.Millisecond
 	deadline    = 5 * time.Second
 )
 

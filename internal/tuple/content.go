@@ -141,10 +141,19 @@ func (f Field) String() string {
 // Content is the ordered set of typed fields carried by a tuple.
 type Content []Field
 
+// pairwiseFields is the most fields Validate checks for duplicate names
+// by comparing each name with the ones before it. A tuple has a handful
+// of fields, where that beats building a set; content from outside the
+// program can have thousands, where a set keeps the check linear.
+const pairwiseFields = 16
+
 // Validate reports an error if any field holds an unsupported value
 // type or a duplicate non-empty name.
 func (c Content) Validate() error {
-	seen := make(map[string]struct{}, len(c))
+	var seen map[string]struct{}
+	if len(c) > pairwiseFields {
+		seen = make(map[string]struct{}, len(c))
+	}
 	for i, f := range c {
 		if f.Kind() == 0 {
 			return fmt.Errorf("field %d (%q): %w (%T)", i, f.Name, ErrBadValue, f.Value)
@@ -152,10 +161,21 @@ func (c Content) Validate() error {
 		if f.Name == "" {
 			continue
 		}
-		if _, dup := seen[f.Name]; dup {
+		dup := false
+		if seen == nil {
+			for _, g := range c[:i] {
+				if g.Name == f.Name {
+					dup = true
+					break
+				}
+			}
+		} else {
+			_, dup = seen[f.Name]
+			seen[f.Name] = struct{}{}
+		}
+		if dup {
 			return fmt.Errorf("field %d: duplicate name %q", i, f.Name)
 		}
-		seen[f.Name] = struct{}{}
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package tuple
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,6 +78,13 @@ func TestFieldEqual(t *testing.T) {
 }
 
 func TestContentValidate(t *testing.T) {
+	// many has more fields than Validate compares pairwise, its last
+	// name repeating its first.
+	many := make(Content, 2*pairwiseFields)
+	for i := range many {
+		many[i] = I(fmt.Sprintf("f%d", i), int64(i))
+	}
+	manyDup := append(slices.Clone(many), S("f0", "again"))
 	tests := []struct {
 		name    string
 		give    Content
@@ -87,6 +96,8 @@ func TestContentValidate(t *testing.T) {
 		{name: "bad type", give: Content{{Name: "a", Value: struct{}{}}}, wantErr: true},
 		{name: "duplicate name", give: Content{S("a", "x"), I("a", 1)}, wantErr: true},
 		{name: "duplicate empty names ok", give: Content{{Value: "x"}, {Value: "y"}}, wantErr: false},
+		{name: "many fields ok", give: many, wantErr: false},
+		{name: "many fields duplicate name", give: manyDup, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
