@@ -65,6 +65,10 @@ type tupleState struct {
 	// maintenance support table, the consumed-announcement versions and
 	// the anti-entropy pull backoff that used to live in three separate
 	// maps. Sorted order makes every scan deterministic by construction.
+	// Every row names a current neighbor, so maintenance reads rows
+	// unchecked: a row is made only from a neighbor's packet (the
+	// transports deliver across live links only), and
+	// handleNeighborRemovedLocked drops a departed peer's rows.
 	peers []tuplePeer
 	// parent is the neighbor the maintained value was adopted from.
 	parent    tuple.NodeID
@@ -715,7 +719,7 @@ func (n *Node) maintainLocked(id tuple.ID, exemplar tuple.Maintained, ctx *tuple
 	var bestSpan uint64
 	for i := range st.peers {
 		pe := &st.peers[i]
-		if pe.flags&peerSupport == 0 || !n.linkedLocked(pe.id) {
+		if pe.flags&peerSupport == 0 {
 			continue
 		}
 		if pe.parent == n.id && !n.cfg.DisablePoisonedReverse {

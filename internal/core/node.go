@@ -225,12 +225,6 @@ func NewShared(tr transport.Sender, cfg *Config) *Node {
 	return n
 }
 
-// linkedLocked reports whether peer is currently a one-hop neighbor.
-func (n *Node) linkedLocked(peer tuple.NodeID) bool {
-	_, ok := n.nbrIdxLocked(peer)
-	return ok
-}
-
 func (n *Node) nbrIdxLocked(peer tuple.NodeID) (int, bool) {
 	lo, hi := 0, len(n.nbrs)
 	for lo < hi {

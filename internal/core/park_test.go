@@ -66,8 +66,9 @@ func (pl *parkLine) quiesce() {
 // checkStoreRows checks that n's state table and store give one account
 // of every id: no id is in more than one of the slab, parked and
 // retracted; a row is marked stored exactly when the store holds its
-// copy, the identical instance at the row's hop; and the store holds no
-// copy of an id that has no row unless the id is parked.
+// copy, the identical instance at the row's hop; every peer row names a
+// current neighbor; and the store holds no copy of an id that has no row
+// unless the id is parked.
 func checkStoreRows(n *Node) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -94,6 +95,11 @@ func checkStoreRows(n *Node) error {
 		case st.has(stStored) != stored || stored && (c != st.local || hop != st.hop):
 			err = fmt.Errorf("%s: %v's row (stored %v, hop %d) disagrees with the store (holds %v, hop %d)",
 				n.id, id, st.has(stStored), st.hop, stored, hop)
+		}
+		for _, pe := range st.peers {
+			if _, linked := n.nbrIdxLocked(pe.id); err == nil && !linked {
+				err = fmt.Errorf("%s: %v has a row for %s, which is not a neighbor", n.id, id, pe.id)
+			}
 		}
 	})
 	if err != nil {

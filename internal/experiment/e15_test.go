@@ -45,7 +45,7 @@ func TestE15Golden(t *testing.T) {
 
 // TestE15RaceCapped is the CI -race variant: a capped (1k-node) E15
 // whose settled gradient must match the BFS oracle exactly, so the
-// sweep/refresh phases and the staged-send merge are race-checked on
+// sweep/refresh phases and the round-end batch flushes are race-checked on
 // every run.
 func TestE15RaceCapped(t *testing.T) {
 	r := RunE15N(1_024, 2)

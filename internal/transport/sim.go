@@ -1,11 +1,11 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -35,8 +35,9 @@ type SimConfig struct {
 // Step, which delivers every packet whose latency has elapsed (at least
 // one Step). Topology edits notify the attached handlers immediately.
 //
-// Determinism: Step delivers on the calling goroutine in due order, loss
-// is drawn from a seeded source in a deterministic merge order, and
+// Determinism: Step delivers on the calling goroutine in due order and
+// then ends the batches it opened in ascending node-id order; every send
+// commits, drawing loss from a seeded source, the moment it is made, and
 // neighbor snapshots are sorted. All methods are safe for concurrent use
 // (telemetry scrapes Stats, Pending and Rounds mid-step), but determinism
 // additionally requires the usual emulator discipline: handler callbacks
@@ -50,25 +51,18 @@ type Sim struct {
 	// clock and the rounds-per-second throughput metric).
 	rounds atomic.Int64
 
-	mu         sync.Mutex
-	graph      *topology.Graph
-	handlers   map[tuple.NodeID]Handler
-	inflight   []simPacket
-	rng        *rand.Rand
-	stats      Stats
-	delivering bool
-	// staged collects sends produced inside handler callbacks during a
-	// Step's delivery phase, in the order they were made. The merge at
-	// the end of the step stable-sorts them by source, replaying them in
-	// (source, send sequence) order — the order in which every seeded
-	// result on file consumed the rng for loss/dup draws.
-	staged []stagedSend
+	mu       sync.Mutex
+	graph    *topology.Graph
+	handlers map[tuple.NodeID]Handler
+	inflight []simPacket
+	rng      *rand.Rand
+	stats    Stats
 	// Round buffers live as long as the Sim, like inflight's backing
 	// array, and their slots are zeroed after each use so they pin no
 	// payloads. A Step takes due and hs under mu and hands them back
-	// under mu; staged and nbrs are touched only under mu.
+	// under mu; nbrs is touched only under mu.
 	due  []simPacket
-	hs   []Handler
+	hs   []recipient
 	nbrs []tuple.NodeID
 
 	// faults is replaced whole by SetFaults, only between Steps (the
@@ -77,8 +71,11 @@ type Sim struct {
 }
 
 // batcher is a Handler that holds the sends its inputs trigger until
-// EndBatch (core.Node): Step makes each round one batch per node.
-// BeginBatch reports whether it opened the batch, so Step ends it once.
+// EndBatch (core.Node): Step makes each round one batch per node and
+// ends them in node-id order, so a round's sends leave in (source node,
+// send sequence) order, the order every seeded result on file drew its
+// loss and duplication in. BeginBatch reports whether it opened the
+// batch, so Step ends it once.
 type batcher interface {
 	BeginBatch() bool
 	EndBatch()
@@ -90,9 +87,11 @@ type simPacket struct {
 	dueRound int
 }
 
-type stagedSend struct {
-	from, to tuple.NodeID
-	data     []byte
+// recipient is a due packet's destination and its handler, resolved
+// once per round.
+type recipient struct {
+	id tuple.NodeID
+	h  Handler
 }
 
 // NewSim creates a simulated network over the given (shared, live)
@@ -198,9 +197,9 @@ func (s *Sim) notify(events []topology.EdgeEvent) {
 
 // Step advances simulated time by one round, delivering every due packet
 // to its handler in due order on the calling goroutine and returning the
-// number delivered. Sends produced inside handler callbacks are staged
-// and merged in (source node, send sequence) order once every packet of
-// the round has been handled.
+// number delivered. Once every packet of the round has been handled, it
+// ends the batches it opened in ascending node-id order. A handler that
+// does not batch sends, and its sends commit, in delivery order.
 func (s *Sim) Step() int {
 	s.rounds.Add(1)
 	s.mu.Lock()
@@ -246,16 +245,17 @@ func (s *Sim) Step() int {
 	hs := slices.Grow(s.hs[:0], len(due))[:len(due)]
 	s.due, s.hs = nil, nil
 	for i, p := range due {
-		if hs[i] = s.handlers[p.to]; hs[i] == nil {
+		hs[i] = recipient{p.to, s.handlers[p.to]}
+		if hs[i].h == nil {
 			s.stats.Dropped++
 		}
 	}
-	s.delivering = true
 	s.mu.Unlock()
 	var delivered, droppedLinks int64
 	opened := 0 // hs[:opened] collects the batches this round opened
 	for i, p := range due {
-		if hs[i] == nil {
+		r := hs[i]
+		if r.h == nil {
 			continue
 		}
 		// The link check is per packet: earlier rounds' topology edits
@@ -264,43 +264,26 @@ func (s *Sim) Step() int {
 			droppedLinks++
 			continue
 		}
-		h := hs[i]
-		if b, ok := h.(batcher); ok && b.BeginBatch() {
-			hs[opened] = h
+		if b, ok := r.h.(batcher); ok && b.BeginBatch() {
+			hs[opened] = r
 			opened++
 		}
-		h.HandlePacket(p.from, p.data)
+		r.h.HandlePacket(p.from, p.data)
 		delivered++
 	}
-	// Batches end while delivering, so their sends merge in order too.
-	for _, h := range hs[:opened] {
-		h.(batcher).EndBatch()
+	slices.SortFunc(hs[:opened], func(a, b recipient) int { return cmp.Compare(a.id, b.id) })
+	for _, r := range hs[:opened] {
+		r.h.(batcher).EndBatch()
 	}
 
 	clear(due)
 	clear(hs)
 	s.mu.Lock()
 	s.due, s.hs = due, hs
-	s.delivering = false
 	s.stats.Delivered += delivered
 	s.stats.Dropped += droppedLinks
-	s.mergeStagedLocked()
 	s.mu.Unlock()
 	return int(delivered)
-}
-
-// mergeStagedLocked replays the sends staged during the delivery phase
-// in (source node, send sequence) order, consuming the seeded rng for
-// loss/dup decisions in that same deterministic order.
-func (s *Sim) mergeStagedLocked() {
-	slices.SortStableFunc(s.staged, func(a, b stagedSend) int {
-		return strings.Compare(string(a.from), string(b.from))
-	})
-	for _, snd := range s.staged {
-		s.commitSendLocked(snd.from, snd.to, snd.data)
-	}
-	clear(s.staged)
-	s.staged = s.staged[:0]
 }
 
 // RunUntilQuiet steps until no packets remain in flight or maxSteps is
@@ -347,21 +330,10 @@ func (s *Sim) ResetStats() {
 	s.stats = Stats{}
 }
 
-// send enqueues one transmission. During a Step's delivery phase the
-// send is staged (rng untouched) for the deterministic merge; otherwise
-// it commits immediately.
-func (s *Sim) send(from, to tuple.NodeID, data []byte) {
-	if s.delivering {
-		s.staged = append(s.staged, stagedSend{from: from, to: to, data: data})
-		return
-	}
-	s.commitSendLocked(from, to, data)
-}
-
-// commitSendLocked queues the copies Faults.Fate lets through. Fate draws
+// sendLocked queues the copies Faults.Fate lets through. Fate draws
 // from the seeded rng under mu in one fixed order, so seeded runs stay
 // bit-identical.
-func (s *Sim) commitSendLocked(from, to tuple.NodeID, data []byte) {
+func (s *Sim) sendLocked(from, to tuple.NodeID, data []byte) {
 	s.stats.Sent++
 	s.stats.PayloadBytes += int64(len(data))
 	var copies [2]Copy
@@ -417,7 +389,7 @@ func (e *SimEndpoint) Broadcast(data []byte) error {
 	s.stats.Broadcasts++
 	s.nbrs = s.graph.AppendNeighbors(s.nbrs[:0], e.id)
 	for _, n := range s.nbrs {
-		s.send(e.id, n, data)
+		s.sendLocked(e.id, n, data)
 	}
 	clear(s.nbrs)
 	return nil
@@ -433,6 +405,6 @@ func (e *SimEndpoint) Send(to tuple.NodeID, data []byte) error {
 	if !e.net.graph.HasEdge(e.id, to) {
 		return fmt.Errorf("%w: %s -> %s", ErrNotNeighbor, e.id, to)
 	}
-	e.net.send(e.id, to, data)
+	e.net.sendLocked(e.id, to, data)
 	return nil
 }

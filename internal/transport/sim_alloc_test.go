@@ -27,7 +27,7 @@ func (r *rebroadcaster) HandlePacket(tuple.NodeID, []byte) {
 func (r *rebroadcaster) HandleNeighbor(tuple.NodeID, bool) {}
 
 // TestSimRoundAllocs holds a steady-state round at zero allocations:
-// the due list, the handler list, the staged sends and the broadcast
+// the due list, the recipient list and the broadcast
 // neighbour list are all buffers the Sim keeps across rounds.
 func TestSimRoundAllocs(t *testing.T) {
 	if raceEnabled {

@@ -161,3 +161,57 @@ func TestDataFramesKeepPeerUp(t *testing.T) {
 		t.Fatalf("events = %v, want only [+ghost]: data frames must keep the peer up", evs)
 	}
 }
+
+// stallRecorder is an nbrRecorder whose first HandlePacket blocks the
+// read loop for stall, as an engine waiting on its lock does.
+type stallRecorder struct {
+	nbrRecorder
+	stall time.Duration
+	once  sync.Once
+}
+
+func (r *stallRecorder) HandlePacket(tuple.NodeID, []byte) {
+	r.once.Do(func() { time.Sleep(r.stall) })
+}
+
+// TestBusyReaderKeepsPeersUp: a peer beaconing every HelloInterval
+// stays up while this node's handler holds the read loop for 4 ×
+// PeerTimeout. Its beacons wait unread in the socket; silence the node
+// could not hear is no evidence that the peer is gone.
+func TestBusyReaderKeepsPeersUp(t *testing.T) {
+	rec := &stallRecorder{stall: 4 * testTimeout}
+	tr, err := New(Config{NodeID: "self", HelloInterval: testHello, PeerTimeout: testTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetHandler(rec)
+	tr.Start()
+	t.Cleanup(func() { _ = tr.Close() })
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	dst, err := net.ResolveUDPAddr("udp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := &Transport{cfg: Config{NodeID: "ghost"}}
+	hello := ghost.frame(frameHello, nil)
+	for _, f := range [][]byte{hello, ghost.frame(frameData, []byte("stall"))} {
+		if _, err := peer.WriteToUDP(f, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick := time.NewTicker(testHello)
+	defer tick.Stop()
+	for end := time.Now().Add(rec.stall + 2*testTimeout); time.Now().Before(end); {
+		<-tick.C
+		if _, err := peer.WriteToUDP(hello, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evs := rec.snapshot(); len(evs) != 1 || evs[0] != "+ghost" {
+		t.Fatalf("events = %v, want only [+ghost]: a busy reader must not declare a beaconing peer down", evs)
+	}
+}

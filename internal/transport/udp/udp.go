@@ -55,7 +55,11 @@ type Config struct {
 	// HelloInterval), so one or two delayed beacons never emit a
 	// disconnect/connect event pair. The damping costs detection latency
 	// on real crashes, which the engine's own suspicion hysteresis
-	// already tolerates.
+	// already tolerates. Silence counts only while this node could
+	// listen: no peer is declared gone while the read loop is handling a
+	// frame, and after a stall longer than HelloInterval (a slow handler
+	// call, or the beacon loop waking late) silence counts from the
+	// stall's end, because the peer's frames wait unread in the socket.
 	PeerTimeout time.Duration
 	// Logger, when set, receives rate-limited structured logs for
 	// socket write failures and undecodable frames (at occurrence
@@ -97,12 +101,14 @@ type Transport struct {
 	conn *net.UDPConn
 
 	stats counters[atomic.Int64]
+	busy  atomic.Bool // the read loop is handling a frame; see expirePeers
 
 	mu       sync.Mutex
 	handler  transport.Handler
 	peers    map[string]*peerState // keyed by remote address
 	byID     map[tuple.NodeID]*peerState
 	upAddrs  []*net.UDPAddr // see rebuildUpLocked
+	stallEnd time.Time      // end of the last stall; silence counts from it
 	started  bool
 	closed   atomic.Bool // set once Close begins; write reads it unlocked
 	stopHup  chan struct{}
@@ -415,12 +421,18 @@ func (t *Transport) helloLoop() {
 	ticker := time.NewTicker(t.cfg.HelloInterval)
 	defer ticker.Stop()
 	hello := t.frame(frameHello, nil)
+	last := time.Now()
 	for {
 		select {
 		case <-t.stopHup:
 			return
 		case <-ticker.C:
+			now := time.Now()
 			t.mu.Lock()
+			if now.Sub(last) > 2*t.cfg.HelloInterval {
+				t.stallEnd = now // this loop woke more than a beacon period late
+			}
+			last = now
 			var addrs []*net.UDPAddr
 			for _, p := range t.peers {
 				addrs = append(addrs, p.addr)
@@ -436,13 +448,17 @@ func (t *Transport) helloLoop() {
 
 // expirePeers declares down every up peer silent for longer than
 // PeerTimeout. Any well-formed frame from the peer, beacon or data,
-// restarts its silence (see handleHello).
+// restarts its silence (see handleHello). Silence counts only while this
+// node could listen (see Config.PeerTimeout).
 func (t *Transport) expirePeers() {
+	if t.busy.Load() {
+		return
+	}
 	now := time.Now()
 	t.mu.Lock()
 	var gone []tuple.NodeID
 	for id, p := range t.byID {
-		if p.up && now.Sub(p.lastSeen) > t.cfg.PeerTimeout {
+		if p.up && now.Sub(p.lastSeen) > t.cfg.PeerTimeout && now.Sub(t.stallEnd) > t.cfg.PeerTimeout {
 			p.up = false
 			gone = append(gone, id)
 		}
@@ -480,6 +496,8 @@ func (t *Transport) readLoop() {
 		if id == t.cfg.NodeID {
 			continue
 		}
+		start := time.Now()
+		t.busy.Store(true)
 		switch typ {
 		case frameHello:
 			t.stats.Hellos.Add(1)
@@ -487,6 +505,12 @@ func (t *Transport) readLoop() {
 		case frameData:
 			t.handleData(id, raddr, payload)
 		}
+		if end := time.Now(); end.Sub(start) > t.cfg.HelloInterval {
+			t.mu.Lock()
+			t.stallEnd = end
+			t.mu.Unlock()
+		}
+		t.busy.Store(false)
 	}
 }
 
