@@ -148,12 +148,12 @@ const aggStaleLimit = staleEpochs + suspicionEpochs
 // contribution up that link — one combined partial, or one record per
 // origin in collect-all mode. Queries are walked in sorted id order so
 // floating-point folds are identical across runs and worker counts.
-func (n *Node) aggEpochLocked() {
-	if len(n.aggScratch) == 0 {
+func (n *Node) aggEpochLocked(ids []tuple.ID) {
+	if len(ids) == 0 {
 		return
 	}
-	sortTupleIDs(n.aggScratch)
-	for _, id := range n.aggScratch {
+	sortTupleIDs(ids)
+	for _, id := range ids {
 		st := n.states.lookup(id)
 		if st == nil || !st.has(stStored) {
 			continue

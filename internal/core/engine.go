@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"tota/internal/agg"
 	"tota/internal/transport"
@@ -274,28 +273,23 @@ func (s lockedStore) MinValue(kind, name string) (float64, bool) {
 	return s.n.store.minValue(kind, name)
 }
 
+// ctxLocked returns the hook context, kept in the call's scratch.
 func (n *Node) ctxLocked(from tuple.NodeID, hop int) *tuple.Ctx {
 	pos, ok := n.localizer.Position()
-	n.ctxScratch = tuple.Ctx{
-		Self:   n.id,
-		From:   from,
-		Hop:    hop,
-		Pos:    pos,
-		HasPos: ok,
-		Store:  lockedStore{n: n},
-	}
-	return &n.ctxScratch
+	c := &n.scratchLocked().ctx
+	*c = tuple.Ctx{Self: n.id, From: from, Hop: hop, Pos: pos, HasPos: ok, Store: lockedStore{n: n}}
+	return c
 }
 
 // HandlePacket implements transport.Handler.
 func (n *Node) HandlePacket(from tuple.NodeID, data []byte) {
 	n.mu.Lock()
-	if err := wire.DecodeInto(tuple.DefaultRegistry, data, &n.decodeScratch); err != nil {
-		n.mu.Unlock()
+	msg := &n.scratchLocked().msg
+	if err := wire.DecodeInto(tuple.DefaultRegistry, data, msg); err != nil {
+		n.unlock()
 		n.noteDecodeError(from, err)
 		return
 	}
-	msg := &n.decodeScratch
 	if msg.Type == wire.MsgBatch {
 		n.stats.FramesIn.Add(1)
 		for i := range msg.Batch {
@@ -520,7 +514,8 @@ func (n *Node) handleTupleLocked(from tuple.NodeID, msg *wire.Message) (plain bo
 // digest.
 func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 	n.stats.DigestsIn.Add(1)
-	n.idScratch = n.idScratch[:0]
+	s := n.scratchLocked()
+	s.ids = s.ids[:0]
 	for i := range msg.Digest {
 		e := &msg.Digest[i]
 		if e.ID.IsZero() {
@@ -537,10 +532,7 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 		if !st.has(stVisited) {
 			// The digest advertises a tuple that never propagated here —
 			// a lost broadcast or a fresh join. Pull the full bytes.
-			if n.allowPullLocked(st, from) {
-				n.idScratch = append(n.idScratch, e.ID)
-				n.tracePullLocked(e.ID, from, st)
-			}
+			n.wantLocked(st, from, e.ID)
 			continue
 		}
 		if p := st.peer(from); p == nil || p.flags&peerVer == 0 || p.ver != e.Ver {
@@ -550,13 +542,10 @@ func (n *Node) handleDigestLocked(from tuple.NodeID, msg *wire.Message) {
 			// response re-runs the propagation pipeline (supersede checks
 			// included) and records the version, so the pull repeats only
 			// until one round trip survives.
-			if n.allowPullLocked(st, from) {
-				n.idScratch = append(n.idScratch, e.ID)
-				n.tracePullLocked(e.ID, from, st)
-			}
+			n.wantLocked(st, from, e.ID)
 		}
 	}
-	n.stagePullsLocked(from)
+	n.stagePullsLocked(from, s.ids)
 }
 
 // digestMaintainedLocked applies one maintained-structure digest entry:
@@ -575,10 +564,7 @@ func (n *Node) digestMaintainedLocked(from tuple.NodeID, e *wire.DigestEntry, st
 		// This node cannot adopt from the compact entry alone: with no
 		// exemplar to rebuild content from, it needs the structure's
 		// full bytes once. No support is recorded until they arrive.
-		if n.allowPullLocked(st, from) {
-			n.idScratch = append(n.idScratch, e.ID)
-			n.tracePullLocked(e.ID, from, st)
-		}
+		n.wantLocked(st, from, e.ID)
 		return
 	}
 	// Digest entries carry no span; keep the one remembered from the
@@ -635,10 +621,19 @@ func (n *Node) allowPullLocked(st *tupleState, from tuple.NodeID) bool {
 	return true
 }
 
-// stagePullsLocked stages the accumulated pull requests for the digest
+// wantLocked queues a pull of id for the digest's sender when the
+// backoff allows one; handleDigestLocked stages the queue.
+func (n *Node) wantLocked(st *tupleState, from tuple.NodeID, id tuple.ID) {
+	if n.allowPullLocked(st, from) {
+		s := n.scratchLocked()
+		s.ids = append(s.ids, id)
+		n.tracePullLocked(id, from, st)
+	}
+}
+
+// stagePullsLocked stages the queued pull requests for the digest
 // sender, chunked against the frame payload budget.
-func (n *Node) stagePullsLocked(to tuple.NodeID) {
-	ids := n.idScratch
+func (n *Node) stagePullsLocked(to tuple.NodeID, ids []tuple.ID) {
 	if len(ids) == 0 {
 		return
 	}
@@ -652,7 +647,6 @@ func (n *Node) stagePullsLocked(to tuple.NodeID) {
 		size += is
 	}
 	n.stagePullLocked(to, ids[start:])
-	n.idScratch = ids[:0]
 }
 
 func (n *Node) stagePullLocked(to tuple.NodeID, ids []tuple.ID) {
@@ -937,8 +931,7 @@ func (n *Node) handleNeighborAddedLocked(peer tuple.NodeID) {
 	// and eventually propagates the tuples to the new nodes". We stage
 	// every stored propagating tuple for the newcomer, reusing the
 	// cached announcement bytes when the copy is unchanged.
-	n.idScratch = n.store.appendIDs(n.idScratch)
-	for _, id := range n.idScratch {
+	for _, id := range n.storedIDsLocked() {
 		st := n.states.lookup(id)
 		t, _, ok := n.store.get(id)
 		if !ok || st == nil {
@@ -975,12 +968,7 @@ func (n *Node) handleNeighborRemovedLocked(peer tuple.NodeID) {
 			}
 		}
 	})
-	sort.Slice(affected, func(i, j int) bool {
-		if affected[i].Node != affected[j].Node {
-			return affected[i].Node < affected[j].Node
-		}
-		return affected[i].Seq < affected[j].Seq
-	})
+	sortTupleIDs(affected)
 	for _, id := range affected {
 		st := n.states.lookup(id)
 		if st == nil || !st.has(stStored) {
@@ -993,6 +981,19 @@ func (n *Node) handleNeighborRemovedLocked(peer tuple.NodeID) {
 	n.emitNeighborLocked(NeighborRemoved, peer)
 }
 
+// storedIDsLocked snapshots the stored ids, in arrival order: callers
+// may remove tuples while iterating it. A store of over 1,024 tuples
+// gets a buffer of its own; in the call's scratch it would be kept, at
+// its size, by every pooled scratch that ever served this node.
+func (n *Node) storedIDsLocked() []tuple.ID {
+	if size := n.store.size(); size > 1024 {
+		return n.store.appendIDs(make([]tuple.ID, 0, size))
+	}
+	s := n.scratchLocked()
+	s.ids = n.store.appendIDs(s.ids)
+	return s.ids
+}
+
 // sweepExpiredLocked removes stored copies whose lease has elapsed and
 // buries their ids locally, so announcements cannot resurrect them.
 func (n *Node) sweepExpiredLocked(now float64) int {
@@ -1000,8 +1001,7 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 		n.now = now
 	}
 	removed := 0
-	n.idScratch = n.store.appendIDs(n.idScratch)
-	for _, id := range n.idScratch {
+	for _, id := range n.storedIDsLocked() {
 		t, _, ok := n.store.get(id)
 		if !ok {
 			continue
@@ -1036,9 +1036,9 @@ func (n *Node) sweepExpiredLocked(now float64) int {
 // full bytes only for entries they cannot reconstruct.
 func (n *Node) refreshLocked() int {
 	n.epoch++
-	n.idScratch = n.store.appendIDs(n.idScratch)
-	n.aggScratch = n.aggScratch[:0]
-	for _, id := range n.idScratch {
+	s := n.scratchLocked()
+	s.agg = s.agg[:0]
+	for _, id := range n.storedIDsLocked() {
 		st := n.states.lookup(id)
 		t, _, ok := n.store.get(id)
 		if !ok || st == nil {
@@ -1064,7 +1064,7 @@ func (n *Node) refreshLocked() int {
 				}
 			}
 			if _, isQuery := st.local.(*agg.Query); isQuery {
-				n.aggScratch = append(n.aggScratch, id)
+				s.agg = append(s.agg, id)
 			}
 		} else if !st.has(stPropagated) {
 			continue
@@ -1076,7 +1076,7 @@ func (n *Node) refreshLocked() int {
 	n.stats.RefreshSuppressed.Add(int64(digested))
 	// Convergecast partials follow the broadcasts, as parent-link
 	// unicasts.
-	n.aggEpochLocked()
+	n.aggEpochLocked(s.agg)
 	return full + digested
 }
 
@@ -1189,6 +1189,11 @@ func (n *Node) sendLocked(to tuple.NodeID, msgs [][]byte) {
 // was marked sends nothing. It returns the rows staged in full and by
 // digest.
 func (n *Node) stageDirtyLocked() (full, digested int) {
+	if len(n.dirty) == 0 {
+		return 0, 0
+	}
+	s := n.scratchLocked()
+	s.digest = s.digest[:0]
 	for _, id := range n.dirty {
 		st := n.states.lookup(id)
 		if st == nil || !st.has(stDirty) {
@@ -1212,20 +1217,19 @@ func (n *Node) stageDirtyLocked() (full, digested int) {
 			e.Value = m.Value()
 			e.Parent = st.parent
 		}
-		n.digestScratch = append(n.digestScratch, e)
+		s.digest = append(s.digest, e)
 		digested++
 	}
 	clear(n.dirty)
 	n.dirty = n.dirty[:0]
-	n.stageDigestsLocked()
+	n.stageDigestsLocked(s.digest)
 	return full, digested
 }
 
-// stageDigestsLocked encodes the staged digest entries into one or more
-// digest messages, each sized to fit the frame payload budget, and
-// stages them for broadcast.
-func (n *Node) stageDigestsLocked() {
-	entries := n.digestScratch
+// stageDigestsLocked encodes digest entries into one or more digest
+// messages, each sized to fit the frame payload budget, and stages them
+// for broadcast.
+func (n *Node) stageDigestsLocked(entries []wire.DigestEntry) {
 	if len(entries) == 0 {
 		return
 	}
@@ -1240,7 +1244,6 @@ func (n *Node) stageDigestsLocked() {
 		size += es
 	}
 	n.stageDigestMsgLocked(entries[start:])
-	n.digestScratch = entries[:0]
 }
 
 func (n *Node) stageDigestMsgLocked(entries []wire.DigestEntry) {

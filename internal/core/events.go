@@ -148,16 +148,21 @@ func (n *Node) emitNeighborLocked(typ EventType, peer tuple.NodeID) {
 	n.effects = append(n.effects, effect{ev: Event{Type: typ, Node: n.id, Tuple: nt, Peer: peer}})
 }
 
-// unlock flushes unless batching (see BeginBatch), releases n.mu and
-// delivers the effects queued under it: the tracer first sees every
-// trace record, in order, then reactions see every event, in order,
-// each matched against the subscriptions current when it is delivered. Both run outside the lock and may call back into
-// the API; a nested call queues and delivers its own effects. The
+// unlock flushes unless batching (see BeginBatch), returns the call's
+// scratch, releases n.mu and delivers the effects queued under it: the
+// tracer first sees every trace record, in order, then reactions see
+// every event, in order, each matched against the subscriptions current
+// when it is delivered. Both run outside the lock and may call back
+// into the API; a nested call queues and delivers its own effects. The
 // drained buffer is then recycled, so steady-state delivery allocates
 // nothing once it has grown to the per-call high-water mark.
 func (n *Node) unlock() {
 	if !n.batching.Load() {
 		n.flushLocked()
+	}
+	if s := n.scratch; s != nil {
+		n.scratch = nil
+		scratchPool.Put(s)
 	}
 	effs := n.effects
 	if len(effs) == 0 {

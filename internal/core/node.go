@@ -138,44 +138,53 @@ type Node struct {
 	// events, one record per decision — until unlock delivers them.
 	effects []effect
 	stats   counters[atomic.Int64]
-	// idScratch is the reusable id buffer for the refresh, sweep, and
-	// catch-up snapshots and for the ids to pull from one digest's
-	// sender (all run under mu, never nested).
-	idScratch []tuple.ID
-	// ctxScratch is the reusable hook context handed out by ctxLocked:
-	// at most one engine-created Ctx is ever live (all hook pipelines
-	// run sequentially under mu), so per-packet contexts need not
-	// allocate. Hooks must not retain the pointer past their call.
-	ctxScratch tuple.Ctx
+	// scratch holds the buffers of the call holding mu, nil between calls
+	// (see scratchLocked).
+	scratch *scratch
 	// frameLimit is the batch-frame payload budget resolved at
 	// construction (transport.FrameLimiter, or DefaultFrameBytes).
 	frameLimit int
 	// outbox holds every message the engine emits, encoded, in staging
 	// order until the flush sends it (see flushLocked); outTo holds each
-	// one's destination, and withdrawals the staged withdrawals. All
-	// three are reused across flushes.
+	// one's destination, and withdrawals the staged withdrawals. Unlike
+	// scratch they outlive a call: a batch holds them until EndBatch.
 	outbox      [][]byte
 	outTo       []tuple.NodeID
 	withdrawals []withdrawal
-	// digestScratch accumulates a flush's digest entries.
-	digestScratch []wire.DigestEntry
 	// dirty lists the rows the input batch marked for its flush; batching
 	// holds them past unlock until EndBatch. It is atomic so that the
 	// Sim's per-packet BeginBatch takes no lock.
 	dirty    []tuple.ID
 	batching atomic.Bool
-	// decodeScratch is the reusable incoming-message buffer (used under
-	// mu): steady-state digest and batch deliveries reuse its slice
-	// capacity instead of allocating per packet.
-	decodeScratch wire.Message
 	// queries is the per-query convergecast state (allocated lazily on
 	// the first aggregation query seen; see aggregate.go).
 	queries map[tuple.ID]*queryState
-	// aggScratch accumulates the refresh epoch's stored query ids.
-	aggScratch []tuple.ID
 }
 
 var _ transport.Handler = (*Node)(nil)
+
+// scratch holds the buffers one locked call uses and drops: the decoded
+// packet, the hook context, a small store's id snapshot or a digest's
+// pulls (ids), the epoch's stored queries (agg) and a flush's digest
+// entries. Their contents are garbage until the call writes them.
+type scratch struct {
+	msg    wire.Message
+	ctx    tuple.Ctx
+	ids    []tuple.ID
+	agg    []tuple.ID
+	digest []wire.DigestEntry
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratchLocked returns the call's scratch, taking one from scratchPool
+// on first use; unlock puts it back, so a node holds none between calls.
+func (n *Node) scratchLocked() *scratch {
+	if n.scratch == nil {
+		n.scratch = scratchPool.Get().(*scratch)
+	}
+	return n.scratch
+}
 
 // New creates a middleware node on top of the given transport endpoint.
 // The caller must subsequently route the transport's packets and
@@ -225,41 +234,24 @@ func NewShared(tr transport.Sender, cfg *Config) *Node {
 	return n
 }
 
-func (n *Node) nbrIdxLocked(peer tuple.NodeID) (int, bool) {
-	lo, hi := 0, len(n.nbrs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if n.nbrs[mid] < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(n.nbrs) && n.nbrs[lo] == peer
-}
-
 // addNbrLocked inserts peer into the sorted neighborhood, reporting
 // whether it was new.
 func (n *Node) addNbrLocked(peer tuple.NodeID) bool {
-	i, ok := n.nbrIdxLocked(peer)
-	if ok {
-		return false
+	i, found := slices.BinarySearch(n.nbrs, peer)
+	if !found {
+		n.nbrs = slices.Insert(n.nbrs, i, peer)
 	}
-	n.nbrs = append(n.nbrs, "")
-	copy(n.nbrs[i+1:], n.nbrs[i:])
-	n.nbrs[i] = peer
-	return true
+	return !found
 }
 
 // removeNbrLocked deletes peer from the neighborhood, reporting whether
 // it was present.
 func (n *Node) removeNbrLocked(peer tuple.NodeID) bool {
-	i, ok := n.nbrIdxLocked(peer)
-	if !ok {
-		return false
+	i, found := slices.BinarySearch(n.nbrs, peer)
+	if found {
+		n.nbrs = slices.Delete(n.nbrs, i, i+1)
 	}
-	n.nbrs = append(n.nbrs[:i], n.nbrs[i+1:]...)
-	return true
+	return found
 }
 
 // Self returns the node's identity.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"tota/internal/agg"
 	"tota/internal/pattern"
 	"tota/internal/topology"
 	"tota/internal/transport"
@@ -68,10 +69,14 @@ func (pl *parkLine) quiesce() {
 // retracted; a row is marked stored exactly when the store holds its
 // copy, the identical instance at the row's hop; every peer row names a
 // current neighbor; and the store holds no copy of an id that has no row
-// unless the id is parked.
+// unless the id is parked. It also checks that no call's scratch is still
+// held: every call returns its scratch as it unlocks.
 func checkStoreRows(n *Node) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.scratch != nil {
+		return fmt.Errorf("%s holds a scratch between calls", n.id)
+	}
 	tab := &n.states
 	// Both sets sort by source, then seq: one merge finds any overlap.
 	for p, r := tab.parked, tab.retracted; len(p) > 0 && len(r) > 0; {
@@ -97,7 +102,7 @@ func checkStoreRows(n *Node) error {
 				n.id, id, st.has(stStored), st.hop, stored, hop)
 		}
 		for _, pe := range st.peers {
-			if _, linked := n.nbrIdxLocked(pe.id); err == nil && !linked {
+			if _, linked := slices.BinarySearch(n.nbrs, pe.id); err == nil && !linked {
 				err = fmt.Errorf("%s: %v has a row for %s, which is not a neighbor", n.id, id, pe.id)
 			}
 		}
@@ -111,6 +116,53 @@ func checkStoreRows(n *Node) error {
 		}
 	}
 	return nil
+}
+
+// TestCallsReturnScratch runs every API call on the relay of a line that
+// holds a gradient, a relayed message, an expiring flood and a query,
+// and checks after each that the relay holds no scratch: a call that
+// unlocks through unlock returns its scratch, and one that locks with
+// defer n.mu.Unlock takes none.
+func TestCallsReturnScratch(t *testing.T) {
+	pl := newParkLine(t, 1)
+	n, from := pl.n[1], topology.NodeName(0)
+	digest, err := wire.Encode(wire.Message{Type: wire.MsgDigest,
+		Digest: []wire.DigestEntry{{ID: tuple.ID{Node: from, Seq: 99}, Ver: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub SubID
+	var query tuple.ID
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Inject", func() { n.Inject(pattern.NewFlood("f").Expires(1)) }},
+		{"Inject query", func() { query, _ = n.Inject(agg.NewQuery("q", agg.Count, tuple.Selector{Kind: pattern.KindLocal})) }},
+		{"HandlePacket", func() { n.HandlePacket(from, digest) }},
+		{"HandlePacket undecodable", func() { n.HandlePacket(from, []byte{1, 2, 3}) }},
+		{"BeginBatch HandlePacket", func() { n.BeginBatch(); n.HandlePacket(from, digest) }},
+		{"EndBatch", n.EndBatch},
+		{"Refresh", func() { n.Refresh() }},
+		{"HandleNeighbor removed", func() { n.HandleNeighbor(from, false) }},
+		{"HandleNeighbor added", func() { n.HandleNeighbor(from, true) }},
+		{"SweepExpired", func() { n.SweepExpired(2) }},
+		{"Read", func() { n.Read(tuple.MatchAll()) }},
+		{"ReadOne", func() { n.ReadOne(tuple.MatchAll()) }},
+		{"Subscribe", func() { sub = n.Subscribe(tuple.MatchAll(), func(Event) {}) }},
+		{"Delete", func() { n.Delete(tuple.Match(pattern.KindGradient)) }},
+		{"Retract", func() { n.Retract(query) }},
+		{"Unsubscribe", func() { n.Unsubscribe(sub) }},
+		{"Neighbors", func() { n.Neighbors() }},
+		{"StoreSize", func() { n.StoreSize() }},
+		{"AggResult", func() { n.AggResult(query) }},
+		{"SetLocalizer", func() { n.SetLocalizer(nil) }},
+	} {
+		c.call()
+		if err := checkStoreRows(n); err != nil {
+			t.Fatalf("after %s: %v", c.name, err)
+		}
+	}
 }
 
 // rows returns the number of rows node i keeps in its state slab.

@@ -480,3 +480,37 @@ func converged(tn *testNet, src tuple.NodeID) bool {
 	}
 	return true
 }
+
+// TestStoreSnapshotsPastScratch: refresh, newcomer catch-up and the
+// expiry sweep each walk a snapshot of the stored ids, and a space of
+// more than 1,024 tuples takes its snapshot outside the call's scratch.
+// Every walk must still cover every tuple.
+func TestStoreSnapshotsPastScratch(t *testing.T) {
+	const count = 1100
+	tn := newTestNet(t, topology.Line(2))
+	a, b := topology.NodeName(0), topology.NodeName(1)
+	for i := 0; i < count; i++ {
+		if _, err := tn.node(a).Inject(pattern.NewFlood(fmt.Sprintf("f%d", i)).Expires(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.quiesce()
+	if got := tn.node(a).Refresh(); got != count {
+		t.Errorf("Refresh covered %d tuples, want %d", got, count)
+	}
+	tn.quiesce()
+	tn.sim.RemoveEdge(a, b)
+	tn.quiesce()
+	before := tn.node(a).Stats().Unicasts
+	tn.sim.AddEdge(a, b)
+	tn.quiesce()
+	if got := tn.node(a).Stats().Unicasts - before; got != count {
+		t.Errorf("catch-up unicast %d tuples to the returning neighbor, want %d", got, count)
+	}
+	if got := tn.node(a).SweepExpired(10); got != count {
+		t.Errorf("SweepExpired removed %d tuples, want %d", got, count)
+	}
+	if err := core.CheckStoreRows(tn.node(a)); err != nil {
+		t.Error(err)
+	}
+}

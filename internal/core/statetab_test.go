@@ -31,6 +31,20 @@ func TestTupleStateSize(t *testing.T) {
 	}
 }
 
+// TestNodeSize pins a node at most 704 B on 64-bit platforms, the
+// allocation size class every emulated node pays. A buffer that lives
+// for one call goes into the call's scratch (see scratchLocked), not
+// onto Node.
+func TestNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	var n Node
+	if got := unsafe.Sizeof(n); got > 704 {
+		t.Errorf("Node is %d B, want at most 704", got)
+	}
+}
+
 func TestStateChunkFor(t *testing.T) {
 	var h int32
 	for k := int32(0); k < 6; k++ {

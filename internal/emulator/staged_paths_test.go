@@ -30,21 +30,31 @@ type stagedPathsRun struct {
 // Two queries with different origins overlap, so partial staging,
 // folding and flushing interleave while corrupt frames are rejected and
 // the suspicion and pull-backoff state they provoke drains afterwards.
-func runStagedPathsScenario(seed int64) stagedPathsRun {
+// Every settle must quiesce within stagedPathsSettleRounds, or the test
+// fails naming the phase.
+func runStagedPathsScenario(t *testing.T, seed int64) stagedPathsRun {
+	t.Helper()
 	const side = 6
 	w := New(Config{
 		Graph:        topology.Grid(side, side, 1),
 		RefreshEvery: 2,
 		Seed:         seed,
 	})
+	settle := func(phase string, i int) {
+		t.Helper()
+		if w.Settle(stagedPathsSettleRounds); w.Sim().Pending() != 0 {
+			t.Fatalf("%s %d: still %d packets in flight after %d rounds",
+				phase, i, w.Sim().Pending(), stagedPathsSettleRounds)
+		}
+	}
 	n := side * side
 	for i := 0; i < n; i++ {
 		if _, err := w.Node(topology.NodeName(i)).Inject(
 			pattern.NewLocal("reading", tuple.F("v", float64(i%7+1)))); err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
 	}
-	w.Settle(100000)
+	settle("readings", 0)
 
 	// Two overlapping queries from different origins: their staged
 	// partials coexist in every interior node's per-query maps.
@@ -52,13 +62,13 @@ func runStagedPathsScenario(seed int64) stagedPathsRun {
 	sel := tuple.Selector{Kind: pattern.KindLocal, Name: "reading", Field: "v"}
 	idA, err := w.Node(srcA).Inject(agg.NewQuery("spA", agg.Sum, sel))
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
 	idB, err := w.Node(srcB).Inject(agg.NewQuery("spB", agg.Max, sel))
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	w.Settle(100000)
+	settle("queries", 0)
 
 	// Corruption window: heavy byte-flipping for a few epochs drops
 	// frames at the checksum, so partials and announcements go missing
@@ -66,14 +76,14 @@ func runStagedPathsScenario(seed int64) stagedPathsRun {
 	w.Sim().SetFaults(transport.Faults{Corrupt: 0.5})
 	for i := 0; i < 4; i++ {
 		w.RefreshAll()
-		w.Settle(100000)
+		settle("corruption epoch", i)
 	}
 	w.Sim().SetFaults(transport.Faults{})
 	// Healing needs one epoch per aggregation-tree level plus the
 	// suspicion/backoff recovery tail (E14 sizes epochs the same way).
 	for i := 0; i < 2*side+6; i++ {
 		w.RefreshAll()
-		w.Settle(100000)
+		settle("healing epoch", i)
 	}
 
 	out := stagedPathsRun{fingerprint: fingerprint(w)}
@@ -86,6 +96,12 @@ func runStagedPathsScenario(seed int64) stagedPathsRun {
 	out.simDelivered, out.simSent = st.Delivered, st.Sent
 	return out
 }
+
+// stagedPathsSettleRounds bounds each settle of the scenario. The
+// healthy run's longest settle is 11 rounds (the queries' build), and
+// most take 1; the bound leaves a 9× margin, so a livelock fails the
+// test at once instead of spinning until go test's timeout.
+const stagedPathsSettleRounds = 100
 
 func (r stagedPathsRun) digest() string {
 	return sha256Hex(fmt.Sprintf("%sagg:%v %v %v %v\nnode:%+v\nsim:%d %d\n",
@@ -112,7 +128,7 @@ const stagedPathsGolden = "82ef81ec897995d363ccfac8859184d30bfd67a934acb2887124e
 // would show up here as a digest mismatch against the recorded run (see
 // golden_test.go).
 func TestStagedSendPathsDeterministic(t *testing.T) {
-	run := runStagedPathsScenario(77)
+	run := runStagedPathsScenario(t, 77)
 	if run.nodeStats.DecodeErrors == 0 {
 		t.Fatal("no frame was ever rejected; corruption window untested")
 	}

@@ -26,7 +26,9 @@ type LocalStore interface {
 // Ctx carries the local context in which a propagation hook runs: which
 // node the tuple is at, where it came from, how far it has traveled, the
 // node's physical position (when a localization device is present) and
-// access to the local tuple space.
+// access to the local tuple space. The engine reuses one Ctx across hook
+// calls and nodes: a hook must not keep the pointer, or its Store, past
+// its return. Copy the fields it needs instead.
 type Ctx struct {
 	// Self is the node evaluating the hook.
 	Self NodeID

@@ -477,7 +477,7 @@ func buildTuples(reg *tuple.Registry, m *Message) (err error) {
 // DecodeInto parses like Decode but builds no carried tuple: a MsgTuple
 // comes back with Env and Raw, its bytes checked as tuple.Decode checks
 // them. It also reuses the capacity of m's slice fields (Digest, Want,
-// Batch) across calls — the engine's per-node decode scratch, which
+// Batch) across calls — the engine's pooled decode scratch, which
 // makes steady-state deliveries allocation-free. *m is overwritten
 // entirely. Ids and interned node names stay valid after the next
 // DecodeInto call; slice headers are recycled, and Raw aliases data.
